@@ -248,6 +248,7 @@ fn bounded_queue_scoped(label: &Path) -> bool {
 /// background movers copy legitimately and stay out of scope.
 const HOT_PATH_ALLOC_SCOPE: &[&str] = &[
     "crates/core/src/client.rs",
+    "crates/core/src/overload.rs",
     "crates/core/src/server.rs",
     "crates/core/src/singleflight.rs",
     "crates/storage/src/value.rs",

@@ -19,20 +19,18 @@
 use crate::controller::{ControllerConfig, LivePolicy, PolicyController, PolicySignals};
 use crate::detector::{FailureDetector, Verdict};
 use crate::metrics::ClientMetrics;
-use crate::overload::{self, BreakerState, CircuitBreaker, RetryBudget};
+use crate::overload::Armor;
 use crate::policy::{FtConfig, FtPolicy};
 use crate::proto::{CacheRequest, CacheResponse, ServeSource};
 use crate::recovery::{RecoveryConfig, RecoveryEngine};
-use crate::server::CacheNet;
 use crate::singleflight::{Join, SingleFlight};
 use bytes::Bytes;
 use ftc_hashring::{NodeId, Placement};
 use ftc_net::xport::{Caller, Transport};
-use ftc_net::{RpcError, TraceEventKind};
+use ftc_net::{HistoryRecorder, RpcError, TraceEventKind};
 use ftc_storage::{KeyIndex, Pfs, ValueBuf};
 use ftc_time::ClockHandle;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -142,43 +140,61 @@ pub struct HvacClient {
     /// Adaptive policy controller. Started once via
     /// [`Self::enable_controller`].
     controller: OnceLock<Arc<PolicyController>>,
-    /// Per-node circuit breakers (consulted only when the overload armor
-    /// is on; empty and untouched otherwise).
-    breakers: Mutex<HashMap<NodeId, CircuitBreaker>>,
-    /// Retry token budget: every retry spends a token, so an incident
-    /// cannot amplify into a retry storm. Consulted only when armored.
-    retry_budget: Mutex<RetryBudget>,
-    /// Recent successful read latencies feeding the hedge-delay p99
-    /// (bounded ring of [`overload::HEDGE_WINDOW`] samples).
-    read_lat: Mutex<LatWindow>,
+    /// Overload armor (breakers, retry budget, hedge window); inert
+    /// unless [`FtConfig::overload`] turns it on.
+    armor: Armor,
     /// Open read flights for single-flight coalescing (consulted only
     /// when [`FtConfig::coalesce`] is on). Duplicate concurrent reads of
     /// one key share the leader's result, epoch-guarded.
     inflight: SingleFlight<Result<ReadOutcome, ReadError>>,
 }
 
-/// Bounded ring of recent read latencies for the hedge-delay estimate.
-#[derive(Default)]
-struct LatWindow {
-    samples: Vec<Duration>,
-    next: usize,
+/// An open history interval: the recorder (when the fabric keeps one)
+/// and the invoke stamp taken from it.
+type HistInvoke = Option<(Arc<HistoryRecorder>, Duration)>;
+
+/// Where one attempt goes: owner and placement epoch captured under one
+/// lock acquisition, plus the history interval opened just before it.
+struct Placed {
+    owner: NodeId,
+    epoch: u64,
+    hist: HistInvoke,
+}
+
+/// Why an attempt was not served — what [`HvacClient::fall_back`] rules on.
+#[derive(Clone, Copy)]
+enum Cause {
+    /// The retry budget refused this retry a token.
+    BudgetDenied,
+    /// The owner's circuit breaker is open; no RPC was issued.
+    BreakerOpen(NodeId),
+    /// The node answered `Overloaded`: alive, but shedding.
+    Shed,
+    /// The owner stayed silent for a TTL; the detector's verdict rides along.
+    Silent(NodeId, Verdict),
+    /// An RPC error that is no liveness signal (`UnknownNode`, local shutdown).
+    Rpc(NodeId),
+    /// A reply to some other request type (protocol confusion).
+    WrongReply,
+}
+
+/// [`HvacClient::fall_back`]'s ruling on a [`Cause`].
+enum Next {
+    /// Surface a typed error.
+    Fail(ReadError),
+    /// Serve this read from the PFS; the next one re-tries the cache tier.
+    Pfs,
+    /// Try again after backoff.
+    Retry,
+    /// Remove the dead node from the ring, then retry on its successor.
+    EvictAndRetry(NodeId),
 }
 
 impl HvacClient {
-    /// Build a client for rank `me` over `server_count` nodes.
-    pub fn new(
-        me: NodeId,
-        net: &CacheNet,
-        pfs: Arc<Pfs>,
-        server_count: u32,
-        config: FtConfig,
-    ) -> Self {
-        Self::with_transport(me, net, pfs, server_count, config)
-    }
-
-    /// Build a client for rank `me` over any [`Transport`] backend —
-    /// the constructor `ftc-client` uses to run the identical retry /
-    /// detector / placement logic over real TCP sockets.
+    /// Build a client for rank `me` over `server_count` nodes on any
+    /// [`Transport`] backend: the in-process fabric inside clusters, real
+    /// TCP sockets in `ftc-client` — the retry / detector / placement
+    /// logic is identical.
     pub fn with_transport(
         me: NodeId,
         transport: &dyn Transport<CacheRequest, CacheResponse>,
@@ -187,9 +203,9 @@ impl HvacClient {
         config: FtConfig,
     ) -> Self {
         let clock = transport.clock();
-        let retry_budget = RetryBudget::new(config.overload.budget, clock.now());
         HvacClient {
             me,
+            armor: Armor::new(config.overload, clock.clone()),
             clock,
             endpoint: transport.caller(me),
             placement: Mutex::new(config.placement.build(server_count)),
@@ -208,9 +224,6 @@ impl HvacClient {
             )),
             signals: Arc::new(PolicySignals::default()),
             controller: OnceLock::new(),
-            breakers: Mutex::new(HashMap::new()),
-            retry_budget: Mutex::new(retry_budget),
-            read_lat: Mutex::new(LatWindow::default()),
             inflight: SingleFlight::default(),
         }
     }
@@ -227,13 +240,9 @@ impl HvacClient {
             return Ok(Arc::clone(e));
         }
         let engine = RecoveryEngine::start(self, config)?;
-        match self.recovery.set(Arc::clone(&engine)) {
-            Ok(()) => Ok(engine),
-            // A racing enable won; ours drops (its worker exits via the
-            // closed channel) and the winner is returned. The Err payload
-            // is just our rejected Arc back. lint:allow(err-catchall)
-            Err(_) => Ok(Arc::clone(self.recovery.get().unwrap_or(&engine))),
-        }
+        // If a racing enable won, ours drops (its worker exits via the
+        // closed channel) and the winner is returned.
+        Ok(Arc::clone(self.recovery.get_or_init(|| engine)))
     }
 
     /// The recovery engine, if enabled.
@@ -254,13 +263,9 @@ impl HvacClient {
             return Ok(Arc::clone(c));
         }
         let controller = PolicyController::start(self, config)?;
-        match self.controller.set(Arc::clone(&controller)) {
-            Ok(()) => Ok(controller),
-            // A racing enable won; ours stops on drop and the winner is
-            // returned. The Err payload is our rejected Arc back.
-            // lint:allow(err-catchall)
-            Err(_) => Ok(Arc::clone(self.controller.get().unwrap_or(&controller))),
-        }
+        // If a racing enable won, ours stops on drop and the winner is
+        // returned.
+        Ok(Arc::clone(self.controller.get_or_init(|| controller)))
     }
 
     /// The policy controller, if enabled.
@@ -317,50 +322,6 @@ impl HvacClient {
         }
     }
 
-    /// Bump the placement epoch and record the membership change. Must be
-    /// called with the placement lock held.
-    fn bump_epoch(&self, node: NodeId, joined: bool) {
-        // ordering: Relaxed — the epoch is only written under the
-        // placement lock; the counter itself carries no data, readers
-        // pairing it with an owner lookup hold the same lock.
-        let old = self.epoch.fetch_add(1, Ordering::Relaxed);
-        self.trace_with(|| TraceEventKind::RingUpdate {
-            node,
-            old_epoch: old,
-            new_epoch: old + 1,
-            joined,
-        });
-        if let Some(h) = self.endpoint.history() {
-            // The bump is a point event: once it completes, reads this
-            // client invokes must not be attributed to an older epoch
-            // (the linearizability checker's epoch rule).
-            let t = h.now();
-            h.record(ftc_net::OpRecord {
-                id: 0,
-                actor: self.me,
-                kind: ftc_net::OpKind::EpochBump,
-                key: String::new(),
-                node,
-                epoch: old + 1,
-                invoke: t,
-                ret: t,
-                digest: 0,
-                handoff: false,
-            });
-        }
-        if joined {
-            if let Some(obs) = self.obs.get() {
-                obs.hub
-                    .flight
-                    .record(&obs.actor, "readmit", format!("{node} epoch {}", old + 1));
-            }
-        } else {
-            self.obs_phase(node, ftc_obs::Phase::RingUpdate, || {
-                format!("{node} removed, epoch {} -> {}", old, old + 1)
-            });
-        }
-    }
-
     /// The placement-view epoch: number of membership changes this client
     /// has applied so far.
     pub fn ring_epoch(&self) -> u64 {
@@ -377,73 +338,6 @@ impl HvacClient {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
         (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    // ---- overload armor (breaker / budget / hedging) ---------------
-
-    /// May a call to `node` proceed, per its circuit breaker? Lazily
-    /// creates a closed breaker on first contact. An open breaker whose
-    /// cool-off lapsed admits half-open probes.
-    fn breaker_allow(&self, node: NodeId) -> bool {
-        let now = self.clock.now();
-        let mut map = self.breakers.lock();
-        map.entry(node)
-            .or_insert_with(|| CircuitBreaker::new(self.config.overload.breaker))
-            .allow(now)
-    }
-
-    /// True when `node`'s breaker is fully closed (no trip in progress).
-    /// Hedging requires this: half-open probes must run at the full TTL
-    /// so a dead node still accumulates detector-grade evidence.
-    fn breaker_closed(&self, node: NodeId) -> bool {
-        match self.breakers.lock().get(&node) {
-            None => true,
-            Some(b) => matches!(b.state(), BreakerState::Closed { .. }),
-        }
-    }
-
-    /// Feed a success into `node`'s breaker (closes half-open, clears
-    /// the failure streak).
-    fn breaker_success(&self, node: NodeId) {
-        if let Some(b) = self.breakers.lock().get_mut(&node) {
-            b.on_success();
-        }
-    }
-
-    /// Feed a failure (timeout, disconnect or shed) into `node`'s
-    /// breaker.
-    fn breaker_failure(&self, node: NodeId) {
-        let now = self.clock.now();
-        self.breakers
-            .lock()
-            .entry(node)
-            .or_insert_with(|| CircuitBreaker::new(self.config.overload.breaker))
-            .on_failure(now);
-    }
-
-    /// Spend one retry token; `false` means the retry must not be sent.
-    fn budget_try_spend(&self) -> bool {
-        self.retry_budget.lock().try_spend(self.clock.now())
-    }
-
-    /// Record a successful read latency into the hedge window.
-    fn note_read_latency(&self, took: Duration) {
-        let mut w = self.read_lat.lock();
-        if w.samples.len() < overload::HEDGE_WINDOW {
-            w.samples.push(took);
-        } else {
-            let at = w.next;
-            w.samples[at] = took;
-        }
-        w.next = (w.next + 1) % overload::HEDGE_WINDOW;
-    }
-
-    /// The current hedge delay: the p99 of recent read latencies clamped
-    /// to the configured band; the upper clamp before any samples exist.
-    fn hedge_delay(&self) -> Duration {
-        let h = self.config.overload.hedge;
-        let p99 = ftc_obs::percentile(&self.read_lat.lock().samples, 0.99);
-        p99.unwrap_or(h.max_delay).clamp(h.min_delay, h.max_delay)
     }
 
     /// Issue one RPC and normalize the overload signal: an `Overloaded`
@@ -473,79 +367,69 @@ impl HvacClient {
         r
     }
 
-    /// The read RPC, hedged when the armor allows it: the primary call
-    /// runs with a deadline of the latency-derived p99; past that, a
-    /// second read goes to the next replica owner at the full TTL and
-    /// the first success wins. If both lag, the primary is retried at
-    /// the full TTL so the evidence the failure detector sees stays
-    /// TTL-grade. Hedging is skipped in brownout (a hedge is optional
-    /// load by definition) and while the primary's breaker is anything
-    /// but closed.
-    fn call_read_armored(
+    /// Where and when to hedge a read whose primary is `owner`: the next
+    /// distinct replica owner and the p99-derived delay. Never in brownout
+    /// (a hedge is optional load by definition); the delay is computed
+    /// last because it sorts the latency window.
+    fn hedge_plan(&self, owner: NodeId, path: &str, ttl: Duration) -> Option<(NodeId, Duration)> {
+        if self.live.brownout() || !self.armor.may_hedge(owner) {
+            return None;
+        }
+        let second = self
+            .placement
+            .lock()
+            .successors(path, 2)
+            .into_iter()
+            .find(|&n| n != owner)?;
+        let delay = self.armor.hedge_delay();
+        (delay < ttl).then_some((second, delay))
+    }
+
+    /// The read RPC, hedged when [`hedge_plan`](Self::hedge_plan) finds a
+    /// target: the primary call runs with a deadline of the hedge delay;
+    /// past that, a second read goes to the next replica owner at the
+    /// full TTL and the first success wins. If both lag, the primary is
+    /// retried at the full TTL so the evidence the failure detector sees
+    /// stays TTL-grade.
+    fn call_read(
         &self,
         owner: NodeId,
         path: &str,
         ttl: Duration,
     ) -> (NodeId, Result<CacheResponse, RpcError>) {
-        let armor = self.config.overload;
         let read = || CacheRequest::Read {
             path: path.to_owned(),
         };
-        let hedge_to = if armor.armored
-            && armor.hedge.enabled
-            && !self.live.brownout()
-            && self.breaker_closed(owner)
-        {
-            self.placement
-                .lock()
-                .successors(path, 2)
-                .into_iter()
-                .find(|&n| n != owner)
-        } else {
-            None
-        };
-        let delay = self.hedge_delay().min(ttl);
-        let (second, delay) = match hedge_to {
-            Some(second) if delay < ttl => (second, delay),
-            _ => {
-                // No distinct second owner (or hedging off): plain call.
-                let begun = self.clock.now();
-                let r = self.call_counted(owner, read(), ttl);
-                if armor.armored && matches!(r, Ok(CacheResponse::Data { .. })) {
-                    self.note_read_latency(self.clock.since(begun));
-                }
-                return (owner, r);
-            }
-        };
+        let hedge = self.hedge_plan(owner, path, ttl);
         let begun = self.clock.now();
-        match self.call_counted(owner, read(), delay) {
-            Ok(resp) => {
-                if matches!(resp, CacheResponse::Data { .. }) {
-                    self.note_read_latency(self.clock.since(begun));
-                }
-                (owner, Ok(resp))
-            }
-            Err(RpcError::Timeout { .. }) => {
+        let first = self.call_counted(owner, read(), hedge.map_or(ttl, |(_, delay)| delay));
+        match (first, hedge) {
+            (Err(RpcError::Timeout { .. }), Some((second, _))) => {
                 // Primary is past its p99: launch the hedge. The short
                 // expiry is armor-internal — it is NOT counted as an rpc
                 // timeout and never reaches the detector; the breaker
                 // (client-local) absorbs it instead.
                 ClientMetrics::inc(&self.metrics.hedges_launched);
-                self.breaker_failure(owner);
+                self.armor.on_failure(owner);
                 match self.call_counted(second, read(), ttl) {
                     Ok(resp) => {
                         ClientMetrics::inc(&self.metrics.hedges_won);
                         (second, Ok(resp))
                     }
                     Err(_hedge_loss) => {
-                        self.breaker_failure(second);
+                        self.armor.on_failure(second);
                         // Both lag: re-try the primary at the full TTL so
                         // a timeout here is legitimate detector evidence.
                         (owner, self.call_counted(owner, read(), ttl))
                     }
                 }
             }
-            Err(e) => (owner, Err(e)),
+            (first, _) => {
+                if matches!(first, Ok(CacheResponse::Data { .. })) {
+                    self.armor.note_latency(begun);
+                }
+                (owner, first)
+            }
         }
     }
 
@@ -641,37 +525,22 @@ impl HvacClient {
                 // Invoke stamp taken before the wait so the follower's
                 // recorded interval brackets the leader's publish — the
                 // linearizability checker sees a legal overlapping read.
-                let hist = self.endpoint.history();
-                let hist_invoke = hist.as_ref().map(|h| h.now());
+                let hist = self.hist_invoke();
                 let published = follower.wait(&self.clock, self.config.retry.deadline_budget);
                 match published {
                     Some(p) if p.epoch == self.ring_epoch() => {
                         ClientMetrics::inc(&self.metrics.coalesced_reads);
                         if let Ok(out) = &p.value {
-                            ClientMetrics::inc(&self.metrics.reads_ok);
-                            ClientMetrics::add(&self.metrics.bytes_read, out.bytes.len() as u64);
                             let node = match out.via {
                                 ReadVia::ServerNvme(n) | ReadVia::ServerPfsFetch(n) => n,
                                 ReadVia::DirectPfs => self.me,
                             };
-                            if let (Some(h), Some(invoke)) = (hist.as_ref(), hist_invoke) {
-                                h.record(ftc_net::OpRecord {
-                                    id: 0,
-                                    actor: self.me,
-                                    kind: ftc_net::OpKind::Read,
-                                    key: path.to_owned(),
-                                    node,
-                                    epoch: p.epoch,
-                                    invoke,
-                                    ret: h.now(),
-                                    digest: ftc_net::fnv1a(&out.bytes),
-                                    // A coalesced delivery is not bound to
-                                    // the current owner: the leader may
-                                    // have been served by a replica or a
-                                    // direct PFS read.
-                                    handoff: self.owner_of(path) != Some(node),
-                                });
-                            }
+                            // A coalesced delivery is not bound to the
+                            // current owner: the leader may have been
+                            // served by a replica or a direct PFS read.
+                            self.account_served(path, &out.bytes, hist, node, p.epoch, || {
+                                self.owner_of(path) != Some(node)
+                            });
                         }
                         p.value
                     }
@@ -687,7 +556,9 @@ impl HvacClient {
         }
     }
 
-    /// The retry loop behind [`read_traced`](Self::read_traced).
+    /// The retry loop behind [`read_traced`](Self::read_traced). Each
+    /// attempt is pace → place → admit → call and ends served, or with a
+    /// [`Cause`] that [`fall_back`](Self::fall_back) rules on.
     fn read_attempts(&self, path: &str) -> Result<ReadOutcome, ReadError> {
         let ttl = self.config.detector.ttl;
         let retry = self.config.retry;
@@ -696,300 +567,365 @@ impl HvacClient {
         // Set when this read fails over from a removed ring owner; a
         // subsequent server-served success is then that node's first
         // recached hit — the end of its degraded window.
-        let mut failed_over_from: Option<NodeId> = None;
+        let mut failed_over: Option<NodeId> = None;
 
         for attempt in 0..retry.max_attempts.max(1) {
-            if attempt > 0 {
-                // Retry budget: under armor every retry spends a token, so
-                // an incident amplifies into at most `capacity` extra RPCs
-                // instead of a retry storm. Denial is not an error — the
-                // read degrades to the PFS (or Exhausted under NoFT, which
-                // has no fallback by definition).
-                if self.config.overload.armored && !self.budget_try_spend() {
-                    ClientMetrics::inc(&self.metrics.budget_denied);
-                    if self.config.policy == FtPolicy::NoFt {
+            let cause = 'attempt: {
+                if attempt > 0 {
+                    // Every retry spends a budget token, so an incident
+                    // amplifies into at most `capacity` extra RPCs
+                    // instead of a retry storm.
+                    if !self.armor.admit_retry() {
+                        ClientMetrics::inc(&self.metrics.budget_denied);
+                        break 'attempt Cause::BudgetDenied;
+                    }
+                    let spent = self.clock.since(started);
+                    if spent >= retry.deadline_budget {
                         return Err(ReadError::Exhausted(path.to_owned()));
                     }
+                    backoff = retry.next_backoff(backoff, self.jitter_unit());
+                    let nap = backoff.min(retry.deadline_budget - spent);
+                    if !nap.is_zero() {
+                        self.clock.sleep(nap);
+                    }
+                }
+                let Some(at) = self.place(path) else {
+                    return Err(ReadError::NoLiveNodes);
+                };
+                let owner = at.owner;
+                // PFS-redirect keeps its static placement: keys of dead
+                // owners divert here forever.
+                if self.config.policy == FtPolicy::PfsRedirect
+                    && self.detector.lock().is_failed(owner)
+                {
                     return self.read_pfs_direct(path);
                 }
-                let spent = self.clock.since(started);
-                if spent >= retry.deadline_budget {
-                    return Err(ReadError::Exhausted(path.to_owned()));
+                // A tripped owner is not called at all — no TTL burned,
+                // no queue slot consumed on a node that just failed
+                // repeatedly. Half-open admits its probe quota through.
+                if !self.armor.admit(owner) {
+                    ClientMetrics::inc(&self.metrics.breaker_short_circuits);
+                    break 'attempt Cause::BreakerOpen(owner);
                 }
-                backoff = retry.next_backoff(backoff, self.jitter_unit());
-                let nap = backoff.min(retry.deadline_budget - spent);
-                if !nap.is_zero() {
-                    self.clock.sleep(nap);
-                }
-            }
-            // The history invoke stamp is taken *before* the placement
-            // lock: any epoch bump that completed before this instant is
-            // therefore fully ordered before the owner/epoch capture
-            // below, which is what makes the checker's per-client epoch
-            // rule sound (no false positives from in-flight bumps).
-            let hist = self.endpoint.history();
-            let hist_invoke = hist.as_ref().map(|h| h.now());
-            // Capture the owner and the placement epoch under one lock
-            // acquisition: the pair is what the race detector checks a
-            // served read against.
-            let (owner, view_epoch) = {
-                let p = self.placement.lock();
-                match p.owner(path) {
-                    Some(n) => (n, self.ring_epoch()),
-                    None => return Err(ReadError::NoLiveNodes),
+                let (served_by, outcome) = self.call_read(owner, path, ttl);
+                match outcome {
+                    Ok(CacheResponse::Data { bytes, source, .. }) => {
+                        return Ok(self.served(path, at, served_by, bytes, source, failed_over));
+                    }
+                    Ok(CacheResponse::NotFound { .. }) => {
+                        self.detector.lock().record_success(served_by);
+                        self.armor.on_success(served_by);
+                        return Err(ReadError::NotFound(path.to_owned()));
+                    }
+                    Ok(CacheResponse::Overloaded) => {
+                        // The node is alive but shedding (counted and fed
+                        // to the controller inside `call_counted`). Never
+                        // a detector signal — but the breaker notes it, so
+                        // a client hammering a saturated node backs off.
+                        self.armor.on_failure(served_by);
+                        if let Some(obs) = self.obs.get() {
+                            let detail = format!("{path} shed by {served_by}");
+                            obs.hub.flight.record(&obs.actor, "shed", detail);
+                        }
+                        Cause::Shed
+                    }
+                    Ok(CacheResponse::Pong)
+                    | Ok(CacheResponse::PutAck { .. })
+                    | Ok(CacheResponse::DigestReply { .. })
+                    | Ok(CacheResponse::EvictAck { .. }) => Cause::WrongReply,
+                    Err(e) if e.indicates_failure() => {
+                        Cause::Silent(owner, self.note_silence(owner))
+                    }
+                    Err(_not_liveness) => Cause::Rpc(owner),
                 }
             };
-
-            // PFS-redirect keeps its static placement: keys of dead owners
-            // divert here forever.
-            if self.config.policy == FtPolicy::PfsRedirect && self.detector.lock().is_failed(owner)
-            {
-                return self.read_pfs_direct(path);
-            }
-
-            // Circuit breaker: a tripped owner is not called at all — no
-            // TTL burned, no queue slot consumed on a node that just
-            // failed repeatedly. Half-open admits its probe quota through.
-            if self.config.overload.armored && !self.breaker_allow(owner) {
-                ClientMetrics::inc(&self.metrics.breaker_short_circuits);
-                if self.config.policy == FtPolicy::NoFt {
-                    return Err(ReadError::NodeFailed(owner));
-                }
-                ClientMetrics::inc(&self.metrics.shed_pfs_fallbacks);
-                return self.read_pfs_direct(path);
-            }
-
-            let (served_by, outcome) = self.call_read_armored(owner, path, ttl);
-            match outcome {
-                Ok(CacheResponse::Data { bytes, source, .. }) => {
-                    self.detector.lock().record_success(served_by);
-                    if self.config.overload.armored {
-                        self.breaker_success(served_by);
-                    }
-                    self.key_index.record(served_by.0, path);
-                    if let Some(engine) = self.recovery.get() {
-                        // A formerly-suspect node answered: any replica
-                        // hints parked against it can flush now.
-                        engine.notify_reachable(served_by);
-                    }
-                    self.trace_with(|| TraceEventKind::ReadServed {
-                        key: path.to_owned(),
-                        owner: served_by,
-                        epoch: view_epoch,
-                    });
-                    // Attribute the read to the policy epoch current at
-                    // completion; the race detector proves the record is
-                    // ordered against every PolicyChange.
-                    self.trace_with(|| TraceEventKind::PolicyRead {
-                        key: path.to_owned(),
-                        policy_epoch: self.live.epoch(),
-                    });
-                    if let (Some(h), Some(invoke)) = (hist.as_ref(), hist_invoke) {
-                        h.record(ftc_net::OpRecord {
-                            id: 0,
-                            actor: self.me,
-                            kind: ftc_net::OpKind::Read,
-                            key: path.to_owned(),
-                            node: served_by,
-                            epoch: view_epoch,
-                            invoke,
-                            ret: h.now(),
-                            digest: ftc_net::fnv1a(&bytes),
-                            // Served after failing over from a removed
-                            // owner, or by a hedge to the next replica
-                            // owner — the documented handoff exception.
-                            handoff: failed_over_from.is_some() || served_by != owner,
-                        });
-                    }
-                    if let Some(dead) = failed_over_from.take() {
-                        // The dead node's keys are serving from a survivor
-                        // again: its degraded window (for this client) is
-                        // over.
-                        self.obs_phase(dead, ftc_obs::Phase::FirstRecachedHit, || {
-                            format!("{path} now served by {served_by} (was {dead})")
-                        });
-                    }
-                    ClientMetrics::inc(&self.metrics.reads_ok);
-                    ClientMetrics::add(&self.metrics.bytes_read, bytes.len() as u64);
-                    let via = match source {
-                        ServeSource::NvmeHit => {
-                            ClientMetrics::inc(&self.metrics.nvme_hits);
-                            ReadVia::ServerNvme(served_by)
-                        }
-                        ServeSource::PfsFetch => {
-                            ClientMetrics::inc(&self.metrics.pfs_fetches_via_server);
-                            // Write-through replication: the file just
-                            // entered the cache tier; push copies to the
-                            // ring successors so even the owner's failure
-                            // needs no PFS fallback. The factor is read
-                            // from the live policy so a runtime RF change
-                            // takes effect without a client restart.
-                            if self.live.replication() > 1 {
-                                self.replicate(path, &bytes, served_by);
-                            }
-                            ReadVia::ServerPfsFetch(served_by)
-                        }
-                    };
-                    // `into_bytes` reuses the decoded window's allocation
-                    // when it spans the whole buffer; a window into a
-                    // larger frame detaches here so the frame can drop.
-                    return Ok(ReadOutcome {
-                        bytes: bytes.into_bytes(),
-                        via,
-                    });
-                }
-                Ok(CacheResponse::NotFound { .. }) => {
-                    self.detector.lock().record_success(served_by);
-                    if self.config.overload.armored {
-                        self.breaker_success(served_by);
-                    }
-                    return Err(ReadError::NotFound(path.to_owned()));
-                }
-                Ok(CacheResponse::Overloaded) => {
-                    // The node is alive but shedding (counted and fed to
-                    // the controller inside `call_counted`). Never a
-                    // detector signal — but the breaker notes it, so a
-                    // client hammering a saturated node backs off.
-                    if self.config.overload.armored {
-                        self.breaker_failure(served_by);
-                    }
-                    if let Some(obs) = self.obs.get() {
-                        obs.hub.flight.record(
-                            &obs.actor,
-                            "shed",
-                            format!("{path} shed by {served_by}"),
-                        );
-                    }
-                    if self.config.policy == FtPolicy::NoFt {
-                        // No fallback: burn a retry attempt on the same
-                        // owner after backoff.
-                        ClientMetrics::inc(&self.metrics.retries);
-                        continue;
-                    }
-                    // Degrade the request, not the job: this read goes to
-                    // the PFS; the next one re-tries the cache tier.
-                    ClientMetrics::inc(&self.metrics.shed_pfs_fallbacks);
-                    return self.read_pfs_direct(path);
-                }
-                Ok(CacheResponse::Pong)
-                | Ok(CacheResponse::PutAck { .. })
-                | Ok(CacheResponse::DigestReply { .. })
-                | Ok(CacheResponse::EvictAck { .. }) => {
-                    // Protocol confusion; count as a retry and try again.
-                    ClientMetrics::inc(&self.metrics.retries);
-                    continue;
-                }
-                Err(e) if e.indicates_failure() => {
-                    ClientMetrics::inc(&self.metrics.rpc_timeouts);
-                    if self.config.overload.armored {
-                        self.breaker_failure(owner);
-                    }
-                    if let Some(obs) = self.obs.get() {
-                        // First timeout per incident; later ones are
-                        // no-ops inside the recorder.
-                        obs.hub.timeline.mark(owner.0, ftc_obs::Phase::FirstTimeout);
-                    }
-                    let verdict = self
-                        .detector
-                        .lock()
-                        .record_timeout_at(owner, self.clock.now());
-                    match verdict {
-                        Verdict::Suspect { count } => {
-                            self.signals.note_suspect();
-                            self.trace_with(|| TraceEventKind::Suspect { node: owner, count });
-                            self.obs_phase(owner, ftc_obs::Phase::Suspect, || {
-                                format!("{owner} timeout #{count}")
-                            });
-                        }
-                        Verdict::JustFailed => {
-                            self.signals.note_declare();
-                            self.trace_with(|| TraceEventKind::Declare { node: owner });
-                            self.obs_phase(owner, ftc_obs::Phase::Declare, || {
-                                format!("{owner} declared failed")
-                            });
-                        }
-                        Verdict::AlreadyFailed => {}
-                    }
-                    match self.config.policy {
-                        FtPolicy::NoFt => return Err(ReadError::NodeFailed(owner)),
-                        FtPolicy::PfsRedirect => {
-                            if verdict == Verdict::JustFailed {
-                                ClientMetrics::inc(&self.metrics.nodes_declared_failed);
-                            }
-                            // Whether suspect or declared: this request is
-                            // redirected now (§IV-A operational flow ③).
-                            return self.read_pfs_direct(path);
-                        }
-                        FtPolicy::RingRecache => match verdict {
-                            Verdict::JustFailed | Verdict::AlreadyFailed => {
-                                let removed = {
-                                    let mut p = self.placement.lock();
-                                    if p.contains(owner) {
-                                        let _ = p.remove_node(owner);
-                                        self.bump_epoch(owner, false);
-                                        true
-                                    } else {
-                                        false
-                                    }
-                                };
-                                if removed {
-                                    self.notify_recovery_failed(owner);
-                                }
-                                if verdict == Verdict::JustFailed {
-                                    ClientMetrics::inc(&self.metrics.nodes_declared_failed);
-                                }
-                                failed_over_from = Some(owner);
-                                ClientMetrics::inc(&self.metrics.retries);
-                                continue; // new clockwise owner serves it
-                            }
-                            Verdict::Suspect { .. } => {
-                                // Keep training moving during the
-                                // detection window without paying another
-                                // TTL on the same node.
-                                return self.read_pfs_direct(path);
-                            }
-                        },
-                    }
-                }
-                // lint:allow(err-catchall): deliberately exhaustive —
-                // every non-failure error shares one fallback.
-                Err(_) => {
-                    // UnknownNode / local shutdown: not a liveness signal,
-                    // but under NoFT there is no fallback either — the
-                    // error must surface, not silently divert to the PFS.
-                    if self.config.policy == FtPolicy::NoFt {
-                        return Err(ReadError::NodeFailed(owner));
-                    }
-                    ClientMetrics::inc(&self.metrics.retries);
-                    return self.read_pfs_direct(path);
+            match self.fall_back(path, cause) {
+                Next::Fail(e) => return Err(e),
+                Next::Pfs => return self.read_pfs_direct(path),
+                Next::Retry => {}
+                Next::EvictAndRetry(dead) => {
+                    self.set_member(dead, false); // the clockwise successor now owns it
+                    failed_over = Some(dead);
                 }
             }
         }
         Err(ReadError::Exhausted(path.to_owned()))
     }
 
+    /// The one place a policy decides what a failed attempt costs (the
+    /// policy × cause table in DESIGN.md § Read path). NoFT has no
+    /// fallback by definition: every error surfaces instead of silently
+    /// diverting to the PFS. The fault-tolerant policies degrade the
+    /// request, not the job. Also bumps the counters that depend on the
+    /// ruling rather than on the cause.
+    fn fall_back(&self, path: &str, cause: Cause) -> Next {
+        use FtPolicy::{NoFt, PfsRedirect, RingRecache};
+        let m = &self.metrics;
+        let policy = self.config.policy;
+        if policy != NoFt && matches!(cause, Cause::Silent(_, Verdict::JustFailed)) {
+            ClientMetrics::inc(&m.nodes_declared_failed);
+        }
+        match (policy, cause) {
+            // A shed is proof of life: under NoFT the same owner is worth
+            // another attempt after backoff.
+            (_, Cause::WrongReply) | (NoFt, Cause::Shed) => {
+                ClientMetrics::inc(&m.retries);
+                Next::Retry
+            }
+            (NoFt, Cause::BudgetDenied) => Next::Fail(ReadError::Exhausted(path.to_owned())),
+            (NoFt, Cause::BreakerOpen(n) | Cause::Silent(n, _) | Cause::Rpc(n)) => {
+                Next::Fail(ReadError::NodeFailed(n))
+            }
+            (RingRecache, Cause::Silent(n, Verdict::JustFailed | Verdict::AlreadyFailed)) => {
+                ClientMetrics::inc(&m.retries);
+                Next::EvictAndRetry(n)
+            }
+            (PfsRedirect | RingRecache, Cause::BreakerOpen(_) | Cause::Shed) => {
+                ClientMetrics::inc(&m.shed_pfs_fallbacks);
+                Next::Pfs
+            }
+            (PfsRedirect | RingRecache, Cause::Rpc(_)) => {
+                ClientMetrics::inc(&m.retries);
+                Next::Pfs
+            }
+            // Budget denial is not an error, and a suspect (under
+            // PFS-redirect also a declared) owner redirects this request
+            // now (§IV-A operational flow ③): training keeps moving
+            // through the detection window without paying another TTL.
+            (PfsRedirect | RingRecache, Cause::BudgetDenied | Cause::Silent(..)) => Next::Pfs,
+        }
+    }
+
+    /// The owner of `path` and the placement epoch — the pair the race
+    /// detector checks a served read against. `None` on an empty ring.
+    fn place(&self, path: &str) -> Option<Placed> {
+        // The history invoke stamp is taken *before* the placement lock:
+        // any epoch bump that completed before this instant is therefore
+        // fully ordered before the owner/epoch capture below, which is
+        // what makes the checker's per-client epoch rule sound (no false
+        // positives from in-flight bumps).
+        let hist = self.hist_invoke();
+        let p = self.placement.lock();
+        let owner = p.owner(path)?;
+        Some(Placed {
+            owner,
+            epoch: self.ring_epoch(),
+            hist,
+        })
+    }
+
+    /// Open a history interval, when the fabric records one.
+    fn hist_invoke(&self) -> HistInvoke {
+        let h = self.endpoint.history()?;
+        let invoke = h.now();
+        Some((h, invoke))
+    }
+
+    /// `served_by` answered the attempt placed at `at` with data: feed
+    /// the liveness evidence, emit the `ReadServed` → `PolicyRead` trace
+    /// pair, account the read, replicate a fresh PFS fetch.
+    fn served(
+        &self,
+        path: &str,
+        at: Placed,
+        served_by: NodeId,
+        bytes: ValueBuf,
+        source: ServeSource,
+        failed_over: Option<NodeId>,
+    ) -> ReadOutcome {
+        self.detector.lock().record_success(served_by);
+        self.armor.on_success(served_by);
+        self.key_index.record(served_by.0, path);
+        if let Some(engine) = self.recovery.get() {
+            // A formerly-suspect node answered: any replica hints parked
+            // against it can flush now.
+            engine.notify_reachable(served_by);
+        }
+        self.trace_with(|| TraceEventKind::ReadServed {
+            key: path.to_owned(),
+            owner: served_by,
+            epoch: at.epoch,
+        });
+        // Attribute the read to the policy epoch current at completion;
+        // the race detector proves the record is ordered against every
+        // PolicyChange.
+        self.trace_with(|| TraceEventKind::PolicyRead {
+            key: path.to_owned(),
+            policy_epoch: self.live.epoch(),
+        });
+        // Served after failing over from a removed owner, or by a hedge
+        // to the next replica owner — the documented handoff exception.
+        let handoff = failed_over.is_some() || served_by != at.owner;
+        self.account_served(path, &bytes, at.hist, served_by, at.epoch, || handoff);
+        if let Some(dead) = failed_over {
+            // The dead node's keys are serving from a survivor again: its
+            // degraded window (for this client) is over.
+            self.obs_phase(dead, ftc_obs::Phase::FirstRecachedHit, || {
+                format!("{path} now served by {served_by} (was {dead})")
+            });
+        }
+        let via = match source {
+            ServeSource::NvmeHit => {
+                ClientMetrics::inc(&self.metrics.nvme_hits);
+                ReadVia::ServerNvme(served_by)
+            }
+            ServeSource::PfsFetch => {
+                ClientMetrics::inc(&self.metrics.pfs_fetches_via_server);
+                // Write-through replication: the file just entered the
+                // cache tier; copies on the ring successors mean even
+                // the owner's failure needs no PFS fallback.
+                if self.live.replication() > 1 {
+                    self.replicate(path, &bytes, served_by);
+                }
+                ReadVia::ServerPfsFetch(served_by)
+            }
+        };
+        // `into_bytes` reuses the decoded window's allocation when it
+        // spans the whole buffer; a window into a larger frame detaches
+        // here so the frame can drop.
+        ReadOutcome {
+            bytes: bytes.into_bytes(),
+            via,
+        }
+    }
+
+    /// Served-read bookkeeping, identical for a leader and a coalesced
+    /// follower: the ok/bytes counters and one history `OpRecord` closing
+    /// the interval `hist` opened.
+    fn account_served(
+        &self,
+        path: &str,
+        bytes: &[u8],
+        hist: HistInvoke,
+        node: NodeId,
+        epoch: u64,
+        handoff: impl FnOnce() -> bool,
+    ) {
+        ClientMetrics::inc(&self.metrics.reads_ok);
+        ClientMetrics::add(&self.metrics.bytes_read, bytes.len() as u64);
+        if let Some((h, invoke)) = hist {
+            h.record(ftc_net::OpRecord {
+                id: 0,
+                actor: self.me,
+                kind: ftc_net::OpKind::Read,
+                key: path.to_owned(),
+                node,
+                epoch,
+                invoke,
+                ret: h.now(),
+                digest: ftc_net::fnv1a(bytes),
+                handoff: handoff(),
+            });
+        }
+    }
+
+    /// The owner stayed silent for a full TTL: count it, feed the
+    /// breaker and the detector, and publish the detector's verdict.
+    fn note_silence(&self, owner: NodeId) -> Verdict {
+        ClientMetrics::inc(&self.metrics.rpc_timeouts);
+        self.armor.on_failure(owner);
+        if let Some(obs) = self.obs.get() {
+            // First timeout per incident; later ones are no-ops inside
+            // the recorder.
+            obs.hub.timeline.mark(owner.0, ftc_obs::Phase::FirstTimeout);
+        }
+        let verdict = self
+            .detector
+            .lock()
+            .record_timeout_at(owner, self.clock.now());
+        self.emit_verdict(owner, verdict);
+        verdict
+    }
+
+    /// Publish a detector verdict: controller signal, `Suspect`/`Declare`
+    /// trace event, then the timeline phase with its flight-recorder line.
+    fn emit_verdict(&self, node: NodeId, verdict: Verdict) {
+        match verdict {
+            Verdict::Suspect { count } => {
+                self.signals.note_suspect();
+                self.trace_with(|| TraceEventKind::Suspect { node, count });
+                self.obs_phase(node, ftc_obs::Phase::Suspect, || {
+                    format!("{node} timeout #{count}")
+                });
+            }
+            Verdict::JustFailed => {
+                self.signals.note_declare();
+                self.trace_with(|| TraceEventKind::Declare { node });
+                self.obs_phase(node, ftc_obs::Phase::Declare, || {
+                    format!("{node} declared failed")
+                });
+            }
+            Verdict::AlreadyFailed => {}
+        }
+    }
+
+    /// Apply one membership change: the ring edit and the epoch bump under
+    /// one placement lock, then the recovery engine's notice, stamped with
+    /// the post-change epoch. No-op when the ring already agrees.
+    fn set_member(&self, node: NodeId, joined: bool) {
+        {
+            let mut p = self.placement.lock();
+            if p.contains(node) == joined {
+                return;
+            }
+            let _ = if joined {
+                p.add_node(node)
+            } else {
+                p.remove_node(node)
+            };
+            // ordering: Relaxed — the epoch is only written under the
+            // placement lock; the counter itself carries no data, readers
+            // pairing it with an owner lookup hold the same lock.
+            let old = self.epoch.fetch_add(1, Ordering::Relaxed);
+            self.trace_with(|| TraceEventKind::RingUpdate {
+                node,
+                old_epoch: old,
+                new_epoch: old + 1,
+                joined,
+            });
+            if let Some(h) = self.endpoint.history() {
+                // The bump is a point event: once it completes, reads this
+                // client invokes must not be attributed to an older epoch
+                // (the linearizability checker's epoch rule).
+                let t = h.now();
+                h.record(ftc_net::OpRecord {
+                    id: 0,
+                    actor: self.me,
+                    kind: ftc_net::OpKind::EpochBump,
+                    key: String::new(),
+                    node,
+                    epoch: old + 1,
+                    invoke: t,
+                    ret: t,
+                    digest: 0,
+                    handoff: false,
+                });
+            }
+            if joined {
+                if let Some(obs) = self.obs.get() {
+                    let detail = format!("{node} epoch {}", old + 1);
+                    obs.hub.flight.record(&obs.actor, "readmit", detail);
+                }
+            } else {
+                self.obs_phase(node, ftc_obs::Phase::RingUpdate, || {
+                    format!("{node} removed, epoch {} -> {}", old, old + 1)
+                });
+            }
+        }
+        match self.recovery.get() {
+            Some(engine) if joined => engine.notify_rejoined(node),
+            Some(engine) => engine.notify_failed(node, self.ring_epoch()),
+            None => {}
+        }
+    }
+
     /// Declare a node failed out-of-band (e.g. the scheduler told us) and
     /// apply the policy's membership consequence immediately.
     pub fn mark_failed(&self, node: NodeId) {
         self.detector.lock().mark_failed(node);
-        self.trace_with(|| TraceEventKind::Declare { node });
-        self.obs_phase(node, ftc_obs::Phase::Declare, || {
-            format!("{node} declared failed out-of-band")
-        });
+        self.emit_verdict(node, Verdict::JustFailed);
         if self.config.policy == FtPolicy::RingRecache {
-            let removed = {
-                let mut p = self.placement.lock();
-                if p.contains(node) {
-                    let _ = p.remove_node(node);
-                    self.bump_epoch(node, false);
-                    true
-                } else {
-                    false
-                }
-            };
-            if removed {
-                self.notify_recovery_failed(node);
-            }
+            self.set_member(node, false);
         }
     }
 
@@ -1003,30 +939,7 @@ impl HvacClient {
     pub fn readmit(&self, node: NodeId) {
         self.detector.lock().clear_failed(node);
         self.trace_with(|| TraceEventKind::Readmit { node });
-        let rejoined = {
-            let mut p = self.placement.lock();
-            if !p.contains(node) {
-                let _ = p.add_node(node);
-                self.bump_epoch(node, true);
-                true
-            } else {
-                false
-            }
-        };
-        if rejoined {
-            if let Some(engine) = self.recovery.get() {
-                engine.notify_rejoined(node);
-            }
-        }
-    }
-
-    /// Hand a failure verdict to the recovery engine (no-op when the
-    /// engine is not enabled). Called after the membership change, so the
-    /// stamped epoch is the post-removal one.
-    fn notify_recovery_failed(&self, node: NodeId) {
-        if let Some(engine) = self.recovery.get() {
-            engine.notify_failed(node, self.ring_epoch());
-        }
+        self.set_member(node, true);
     }
 
     // ---- narrow RPC surface for the recovery engine ----------------
@@ -1102,18 +1015,11 @@ impl HvacClient {
     }
 
     /// Push `bytes` to the next `replication - 1` ring successors of
-    /// `path`.
-    ///
-    /// A failed put is no longer silent: it is counted
-    /// ([`ClientMetrics::replica_write_failures`]), retried once under
-    /// the client's [`RetryPolicy`](crate::policy::RetryPolicy) backoff,
-    /// and — when the recovery engine is enabled — parked as a hint so
-    /// the replica lands when the target rejoins. A target the detector
-    /// already declared dead is not even attempted; its replica goes
-    /// straight to the hint store. A merely *suspect* target is parked
-    /// too — no point burning a TTL on a node that just timed out; the
-    /// hint flushes as soon as the node answers anything
-    /// ([`RecoveryEngine::notify_reachable`]) or rejoins.
+    /// `path`. A failed put is counted, retried once after a backoff and
+    /// then — with the recovery engine enabled — parked as a hint that
+    /// lands when the target answers again or rejoins. A target the
+    /// detector declared dead or holds suspect is parked without an
+    /// attempt: no point burning a TTL on a node that just timed out.
     fn replicate(&self, path: &str, bytes: &ValueBuf, owner: NodeId) {
         for node in self
             .replica_targets(path)
@@ -1156,14 +1062,11 @@ impl HvacClient {
         }
     }
 
-    /// Every node the current ring routes `path` to (primary first, then
-    /// the replica successors). The recovery engine re-fences parked
-    /// hints against this set at drain time.
+    /// Every node the ring routes `path` to (primary first, then the
+    /// replica successors), re-resolved from the current ring and the
+    /// *live* replication factor on every call. The recovery engine
+    /// re-fences parked hints against this set at drain time.
     pub(crate) fn replica_targets(&self, path: &str) -> Vec<NodeId> {
-        // Re-resolved from the *current* ring epoch and the *live*
-        // replication factor on every call: a runtime RF change (policy
-        // controller) or membership change takes effect immediately,
-        // without a client restart.
         self.placement
             .lock()
             .successors(path, self.live.replication() as usize)
@@ -1198,8 +1101,9 @@ impl HvacClient {
 mod tests {
     use super::*;
     use crate::detector::DetectorConfig;
+    use crate::metrics::ClientMetricsSnapshot;
     use crate::policy::{PlacementKind, RetryPolicy};
-    use crate::server::ServerHandle;
+    use crate::server::{CacheNet, ServerHandle};
     use ftc_net::Network;
     use ftc_storage::synth_bytes;
     use std::time::Duration;
@@ -1249,7 +1153,7 @@ mod tests {
     }
 
     fn client(r: &Rig, policy: FtPolicy) -> HvacClient {
-        HvacClient::new(
+        HvacClient::with_transport(
             NodeId(100),
             &r.net,
             Arc::clone(&r.pfs),
@@ -1334,7 +1238,7 @@ mod tests {
         let r = rig(3, 12);
         // Client believes there are 4 servers; node 3 never registered, so
         // calls to it fail with UnknownNode (not a timeout).
-        let c = HvacClient::new(
+        let c = HvacClient::with_transport(
             NodeId(100),
             &r.net,
             Arc::clone(&r.pfs),
@@ -1366,7 +1270,7 @@ mod tests {
         let mut cfg = fast_config(FtPolicy::RingRecache);
         cfg.detector.timeout_limit = 1;
         cfg.retry.max_attempts = 4;
-        let c = HvacClient::new(NodeId(100), &r.net, Arc::clone(&r.pfs), 6, cfg);
+        let c = HvacClient::with_transport(NodeId(100), &r.net, Arc::clone(&r.pfs), 6, cfg);
         r.net.set_drop_prob(1.0);
         let err = c.read("train/s0.bin").unwrap_err();
         assert_eq!(err, ReadError::Exhausted("train/s0.bin".into()));
@@ -1548,7 +1452,7 @@ mod tests {
         let r = rig(4, 16);
         let mut cfg = fast_config(FtPolicy::RingRecache);
         cfg.replication = 2;
-        let c = HvacClient::new(
+        let c = HvacClient::with_transport(
             NodeId(100),
             &r.net,
             Arc::clone(&r.pfs),
@@ -1696,7 +1600,7 @@ mod tests {
         let r = rig(4, 64);
         let mut cfg = fast_config(FtPolicy::RingRecache);
         cfg.replication = 2;
-        let c = Arc::new(HvacClient::new(
+        let c = Arc::new(HvacClient::with_transport(
             NodeId(100),
             &r.net,
             Arc::clone(&r.pfs),
@@ -1748,7 +1652,7 @@ mod tests {
         // Wide window: the node must still be suspect when the replica
         // write detours, even on a machine saturated by parallel tests.
         cfg.detector.suspicion_window = Duration::from_secs(60);
-        let c = Arc::new(HvacClient::new(
+        let c = Arc::new(HvacClient::with_transport(
             NodeId(100),
             &r.net,
             Arc::clone(&r.pfs),
@@ -1827,7 +1731,7 @@ mod tests {
         .expect("spawn armored server");
         let mut cfg = fast_config(FtPolicy::RingRecache);
         cfg.overload = OverloadConfig::armored();
-        let c = HvacClient::new(NodeId(100), &net, Arc::clone(&pfs), 1, cfg);
+        let c = HvacClient::with_transport(NodeId(100), &net, Arc::clone(&pfs), 1, cfg);
         let out = c
             .read_traced("train/s0.bin")
             .expect("read degrades, not fails");
@@ -1860,7 +1764,7 @@ mod tests {
             capacity: 2.0,
             refill_per_sec: 0.0,
         };
-        let c = HvacClient::new(NodeId(100), &r.net, Arc::clone(&r.pfs), 6, cfg);
+        let c = HvacClient::with_transport(NodeId(100), &r.net, Arc::clone(&r.pfs), 6, cfg);
         r.net.set_drop_prob(1.0);
         let out = c.read_traced("train/s0.bin").expect("PFS fallback");
         assert_eq!(out.via, ReadVia::DirectPfs);
@@ -1886,7 +1790,7 @@ mod tests {
         let r = rig(4, 8);
         let mut cfg = fast_config(FtPolicy::RingRecache);
         cfg.overload = OverloadConfig::armored();
-        let c = HvacClient::new(NodeId(100), &r.net, Arc::clone(&r.pfs), 4, cfg);
+        let c = HvacClient::with_transport(NodeId(100), &r.net, Arc::clone(&r.pfs), 4, cfg);
         let p = "train/s0.bin";
         let owner = c.owner_of(p).expect("owner");
         r.net.kill(owner);
@@ -1907,6 +1811,429 @@ mod tests {
         );
         assert!(c.failed_nodes().is_empty());
         assert_eq!(m.reads_ok, 1);
+    }
+
+    // ---- scripted transport: the read path against canned replies ----
+
+    /// A fabric with no servers behind it: every RPC pops the next canned
+    /// reply, and an exhausted script answers reads with an NVMe hit. The
+    /// hooks let a test watch a read cross `history()` / `call()` and hold
+    /// it inside `call()` until released.
+    struct Scripted(Arc<ScriptState>);
+
+    #[derive(Default)]
+    struct ScriptState {
+        replies: Mutex<std::collections::VecDeque<Result<CacheResponse, RpcError>>>,
+        calls: AtomicU64,
+        history: Option<Arc<ftc_net::HistoryRecorder>>,
+        events: Mutex<Option<std::sync::mpsc::Sender<&'static str>>>,
+        release: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+    }
+
+    impl ScriptState {
+        fn announce(&self, what: &'static str) {
+            if let Some(tx) = self.events.lock().as_ref() {
+                tx.send(what).expect("test is listening");
+            }
+        }
+    }
+
+    struct ScriptCaller(NodeId, Arc<ScriptState>);
+
+    impl Caller<CacheRequest, CacheResponse> for ScriptCaller {
+        fn node(&self) -> NodeId {
+            self.0
+        }
+        fn clock(&self) -> ClockHandle {
+            ClockHandle::wall()
+        }
+        fn call(
+            &self,
+            _to: NodeId,
+            req: CacheRequest,
+            _timeout: Duration,
+        ) -> Result<CacheResponse, RpcError> {
+            let state = &self.1;
+            state.calls.fetch_add(1, Ordering::SeqCst);
+            state.announce("call");
+            if let Some(gate) = state.release.lock().as_ref() {
+                gate.recv().expect("test releases every gated call");
+            }
+            let scripted = state.replies.lock().pop_front();
+            scripted.unwrap_or_else(|| match req {
+                CacheRequest::Read { path } => Ok(CacheResponse::Data {
+                    bytes: synth_bytes(&path, FILE_SIZE).into(),
+                    path,
+                    source: ServeSource::NvmeHit,
+                }),
+                other => panic!("script has no reply for {other:?}"),
+            })
+        }
+        fn history(&self) -> Option<Arc<ftc_net::HistoryRecorder>> {
+            self.1.announce("history");
+            self.1.history.clone()
+        }
+    }
+
+    impl Transport<CacheRequest, CacheResponse> for Scripted {
+        fn clock(&self) -> ClockHandle {
+            ClockHandle::wall()
+        }
+        fn register(
+            &self,
+            _node: NodeId,
+        ) -> std::io::Result<Box<dyn ftc_net::Listener<CacheRequest, CacheResponse>>> {
+            Err(std::io::Error::other("scripted fabric has no servers"))
+        }
+        fn caller(&self, me: NodeId) -> Box<dyn Caller<CacheRequest, CacheResponse>> {
+            Box::new(ScriptCaller(me, Arc::clone(&self.0)))
+        }
+    }
+
+    const SCRIPT_FILE: &str = "train/s0.bin";
+
+    /// A client over a 4-node scripted fabric, with `SCRIPT_FILE` staged
+    /// on the PFS so every direct-PFS fallback can succeed.
+    fn scripted_client(state: &Arc<ScriptState>, cfg: FtConfig) -> HvacClient {
+        let pfs = Arc::new(Pfs::in_memory());
+        pfs.stage(SCRIPT_FILE, synth_bytes(SCRIPT_FILE, FILE_SIZE));
+        HvacClient::with_transport(NodeId(100), &Scripted(Arc::clone(state)), pfs, 4, cfg)
+    }
+
+    /// Expected counter movements, by exported name less the
+    /// `ftc_client_` / `_total` affixes.
+    type Moved = Vec<(&'static str, u64)>;
+
+    /// The counters that differ between two snapshots, named as in
+    /// [`Moved`].
+    fn moved(before: &ClientMetricsSnapshot, after: &ClientMetricsSnapshot) -> Vec<(String, u64)> {
+        use ftc_obs::{Export, Value};
+        let short = |name: &str| {
+            let name = name.trim_start_matches("ftc_client_");
+            name.trim_end_matches("_total").to_owned()
+        };
+        (after.export().into_iter())
+            .zip(before.export())
+            .filter_map(|(a, b)| match (a.value, b.value) {
+                (Value::Counter(x), Value::Counter(y)) if x != y => Some((short(&a.name), x - y)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Cell {
+        Suspect,
+        Declared,
+        Shed,
+        BreakerOpen,
+        BudgetDenied,
+        RpcError,
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Want {
+        NodeFailed,
+        Exhausted,
+        DirectPfs,
+        /// Served by the cache tier, by the original owner.
+        Owner,
+        /// Served by the cache tier after the owner left the ring.
+        Successor,
+    }
+
+    #[test]
+    fn fallback_rule_matrix() {
+        use crate::overload::{BreakerConfig, BudgetConfig};
+        use Cell::*;
+        use FtPolicy::*;
+        // One PFS-served read moves exactly these.
+        const PFS: [(&str, u64); 3] = [
+            ("reads_ok", 1),
+            ("pfs_direct_reads", 1),
+            ("bytes_read", FILE_SIZE as u64),
+        ];
+        // One cache-served read moves exactly these.
+        const HIT: [(&str, u64); 3] = [
+            ("reads_ok", 1),
+            ("nvme_hits", 1),
+            ("bytes_read", FILE_SIZE as u64),
+        ];
+        let table: Vec<(FtPolicy, Cell, Want, Moved)> = vec![
+            (NoFt, Suspect, Want::NodeFailed, vec![("rpc_timeouts", 1)]),
+            (
+                PfsRedirect,
+                Suspect,
+                Want::DirectPfs,
+                [&PFS[..], &[("rpc_timeouts", 1)]].concat(),
+            ),
+            (
+                RingRecache,
+                Suspect,
+                Want::DirectPfs,
+                [&PFS[..], &[("rpc_timeouts", 1)]].concat(),
+            ),
+            (NoFt, Declared, Want::NodeFailed, vec![("rpc_timeouts", 1)]),
+            (
+                PfsRedirect,
+                Declared,
+                Want::DirectPfs,
+                [
+                    &PFS[..],
+                    &[("rpc_timeouts", 1), ("nodes_declared_failed", 1)],
+                ]
+                .concat(),
+            ),
+            (
+                RingRecache,
+                Declared,
+                Want::Successor,
+                [
+                    &HIT[..],
+                    &[
+                        ("rpc_timeouts", 1),
+                        ("nodes_declared_failed", 1),
+                        ("retries", 1),
+                    ],
+                ]
+                .concat(),
+            ),
+            // A shed is proof of life: NoFT retries the same owner.
+            (
+                NoFt,
+                Shed,
+                Want::Owner,
+                [&HIT[..], &[("overloaded", 1), ("retries", 1)]].concat(),
+            ),
+            (
+                PfsRedirect,
+                Shed,
+                Want::DirectPfs,
+                [&PFS[..], &[("overloaded", 1), ("shed_pfs_fallbacks", 1)]].concat(),
+            ),
+            (
+                RingRecache,
+                Shed,
+                Want::DirectPfs,
+                [&PFS[..], &[("overloaded", 1), ("shed_pfs_fallbacks", 1)]].concat(),
+            ),
+            (
+                NoFt,
+                BreakerOpen,
+                Want::NodeFailed,
+                vec![("breaker_short_circuits", 1)],
+            ),
+            (
+                PfsRedirect,
+                BreakerOpen,
+                Want::DirectPfs,
+                [
+                    &PFS[..],
+                    &[("breaker_short_circuits", 1), ("shed_pfs_fallbacks", 1)],
+                ]
+                .concat(),
+            ),
+            (
+                RingRecache,
+                BreakerOpen,
+                Want::DirectPfs,
+                [
+                    &PFS[..],
+                    &[("breaker_short_circuits", 1), ("shed_pfs_fallbacks", 1)],
+                ]
+                .concat(),
+            ),
+            (
+                NoFt,
+                BudgetDenied,
+                Want::Exhausted,
+                vec![("overloaded", 1), ("retries", 1), ("budget_denied", 1)],
+            ),
+            (
+                PfsRedirect,
+                BudgetDenied,
+                Want::DirectPfs,
+                [&PFS[..], &[("retries", 1), ("budget_denied", 1)]].concat(),
+            ),
+            (
+                RingRecache,
+                BudgetDenied,
+                Want::DirectPfs,
+                [
+                    &PFS[..],
+                    &[
+                        ("rpc_timeouts", 1),
+                        ("nodes_declared_failed", 1),
+                        ("retries", 1),
+                        ("budget_denied", 1),
+                    ],
+                ]
+                .concat(),
+            ),
+            (NoFt, RpcError, Want::NodeFailed, vec![]),
+            (
+                PfsRedirect,
+                RpcError,
+                Want::DirectPfs,
+                [&PFS[..], &[("retries", 1)]].concat(),
+            ),
+            (
+                RingRecache,
+                RpcError,
+                Want::DirectPfs,
+                [&PFS[..], &[("retries", 1)]].concat(),
+            ),
+        ];
+        assert_eq!(table.len(), 3 * 6, "every policy × cause cell is pinned");
+
+        for (policy, cell, want, mut expect_moved) in table {
+            let state = Arc::new(ScriptState::default());
+            let mut cfg = fast_config(policy);
+            cfg.coalesce = false; // keep the single-flight counters out of it
+            cfg.detector.timeout_limit = match cell {
+                Declared | BudgetDenied => 1,
+                _ => 3,
+            };
+            if matches!(cell, BreakerOpen | BudgetDenied) {
+                cfg.overload.armored = true; // hedging stays off
+                cfg.overload.breaker = BreakerConfig {
+                    failure_threshold: if cell == BreakerOpen { 1 } else { 100 },
+                    open_for: Duration::from_secs(3600),
+                    half_open_probes: 1,
+                };
+            }
+            if cell == BudgetDenied {
+                cfg.overload.budget = BudgetConfig {
+                    capacity: 0.0,
+                    refill_per_sec: 0.0,
+                };
+            }
+            let c = scripted_client(&state, cfg);
+            let owner = c.owner_of(SCRIPT_FILE).expect("owner");
+            let silence = Err(ftc_net::RpcError::Timeout { to: owner });
+            // The reply that provokes the cause; BudgetDenied needs some
+            // first attempt that ends in a retry, which differs by policy.
+            let provoke = match (cell, policy) {
+                (Suspect | Declared | BreakerOpen, _) | (BudgetDenied, RingRecache) => silence,
+                (Shed, _) | (BudgetDenied, NoFt) => Ok(CacheResponse::Overloaded),
+                (BudgetDenied, PfsRedirect) => Ok(CacheResponse::Pong),
+                (RpcError, _) => Err(ftc_net::RpcError::UnknownNode(owner)),
+            };
+            state.replies.lock().push_back(provoke);
+            if cell == BreakerOpen {
+                // One silent attempt trips the breaker; the cell under
+                // test is the *next* read, which must not issue an RPC.
+                let _ = c.read_traced(SCRIPT_FILE);
+            }
+            let before = c.metrics().snapshot();
+            let calls_before = state.calls.load(Ordering::SeqCst);
+            let got = c.read_traced(SCRIPT_FILE);
+            let after = c.metrics().snapshot();
+            let ctx = format!("{policy:?} × {cell:?}");
+
+            match want {
+                Want::NodeFailed => assert_eq!(got, Err(ReadError::NodeFailed(owner)), "{ctx}"),
+                Want::Exhausted => {
+                    assert_eq!(got, Err(ReadError::Exhausted(SCRIPT_FILE.into())), "{ctx}")
+                }
+                Want::DirectPfs => {
+                    assert_eq!(got.expect(&ctx).via, ReadVia::DirectPfs, "{ctx}")
+                }
+                Want::Owner => {
+                    assert_eq!(got.expect(&ctx).via, ReadVia::ServerNvme(owner), "{ctx}")
+                }
+                Want::Successor => {
+                    let ReadVia::ServerNvme(n) = got.expect(&ctx).via else {
+                        panic!("{ctx}: expected a cache-tier read");
+                    };
+                    assert_ne!(n, owner, "{ctx}");
+                    assert!(!c.live_nodes().contains(&owner), "{ctx}: owner evicted");
+                }
+            }
+            let got_moved = moved(&before, &after);
+            let mut got_moved: Vec<(&str, u64)> =
+                (got_moved.iter().map(|(n, by)| (n.as_str(), *by))).collect();
+            got_moved.sort_unstable();
+            expect_moved.sort_unstable();
+            assert_eq!(got_moved, expect_moved, "{ctx}: counters moved");
+            if cell == BreakerOpen {
+                assert_eq!(
+                    state.calls.load(Ordering::SeqCst),
+                    calls_before,
+                    "{ctx}: an open breaker issues no RPC"
+                );
+            }
+            // Only RingRecache on a declared owner may touch the ring.
+            let evicts = policy == RingRecache && matches!(cell, Declared | BudgetDenied);
+            assert_eq!(c.live_nodes().len(), if evicts { 3 } else { 4 }, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn follower_and_leader_account_identically() {
+        use std::sync::mpsc;
+        let (events_tx, events) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let history = Arc::new(ftc_net::HistoryRecorder::new(ClockHandle::wall()));
+        let state = Arc::new(ScriptState {
+            history: Some(Arc::clone(&history)),
+            events: Mutex::new(Some(events_tx)),
+            release: Mutex::new(Some(release_rx)),
+            ..ScriptState::default()
+        });
+        let c = Arc::new(scripted_client(&state, fast_config(FtPolicy::RingRecache)));
+        let reads_of = |ops: Vec<ftc_net::OpRecord>| -> Vec<ftc_net::OpRecord> {
+            ops.into_iter()
+                .filter(|op| op.kind == ftc_net::OpKind::Read)
+                .collect()
+        };
+
+        // A solo read (leader, nobody following) sets the yardstick.
+        release.send(()).expect("gate open");
+        c.read(SCRIPT_FILE).expect("solo read");
+        let solo = c.metrics().snapshot();
+        let solo_ops = reads_of(history.take());
+        assert_eq!(solo_ops.len(), 1, "a leader records one read");
+        assert_eq!((solo.reads_ok, solo.bytes_read), (1, FILE_SIZE as u64));
+        while events.try_recv().is_ok() {}
+
+        // Leader enters its RPC and is held there…
+        let leader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.read(SCRIPT_FILE))
+        };
+        while events.recv().expect("leader runs") != "call" {}
+        // …a duplicate joins the open flight (its `history()` call is the
+        // follower opening its interval, after the join)…
+        let follower = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.read(SCRIPT_FILE))
+        };
+        assert_eq!(events.recv().expect("follower runs"), "history");
+        // …and only then is the leader's reply let through.
+        release.send(()).expect("gate open");
+        let a = leader.join().expect("leader").expect("leader read");
+        let b = follower.join().expect("follower").expect("follower read");
+        assert_eq!(a, b);
+
+        let both = c.metrics().snapshot();
+        assert_eq!(both.coalesced_reads, 1, "the duplicate was coalesced");
+        assert_eq!(
+            state.calls.load(Ordering::SeqCst),
+            2,
+            "one RPC for the pair"
+        );
+        assert_eq!(both.reads_ok - solo.reads_ok, 2 * solo.reads_ok);
+        assert_eq!(both.bytes_read - solo.bytes_read, 2 * solo.bytes_read);
+        let ops = reads_of(history.take());
+        assert_eq!(ops.len(), 2, "leader and follower record one read each");
+        for op in &ops {
+            let want = &solo_ops[0];
+            assert_eq!(
+                (op.actor, &op.key, op.node, op.epoch, op.digest),
+                (want.actor, &want.key, want.node, want.epoch, want.digest)
+            );
+        }
     }
 
     #[test]

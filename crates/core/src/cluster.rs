@@ -196,7 +196,7 @@ impl Cluster {
     /// disjoint id space above the servers (rank r → id nodes + r) purely
     /// for trace readability; clients are not servers.
     pub fn client(&self, rank: u32) -> Arc<HvacClient> {
-        let c = Arc::new(HvacClient::new(
+        let c = Arc::new(HvacClient::with_transport(
             NodeId(self.config.nodes + rank),
             &self.net,
             Arc::clone(&self.pfs),

@@ -26,12 +26,17 @@
 //!   wins; the armor disables hedging in brownout so the cure cannot
 //!   become the disease.
 //!
-//! Every struct takes explicit `now: Instant` readings so the whole
-//! layer runs deterministically on the virtual clock.
+//! The client-side blocks sit behind one [`Armor`] value whose methods
+//! are inert when the config is unarmored. The blocks take explicit
+//! `now: Instant` readings and [`Armor`] reads the client's clock handle,
+//! so the whole layer runs deterministically on the virtual clock.
 
 use crate::proto::CacheRequest;
+use ftc_hashring::NodeId;
+use ftc_time::ClockHandle;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Default per-class admission queue capacity when armored.
@@ -278,11 +283,6 @@ impl<T> AdmissionQueue<T> {
     pub fn observe_service(&mut self, took: Duration) {
         self.ewma.observe(took);
     }
-
-    /// The current service-time estimate (zero before any observation).
-    pub fn service_estimate(&self) -> Duration {
-        self.ewma.estimate()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,12 +480,6 @@ impl RetryBudget {
         }
     }
 
-    /// Tokens currently available.
-    pub fn available(&mut self, now: Instant) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
     /// `(spent, denied)` lifetime totals.
     pub fn totals(&self) -> (u64, u64) {
         (self.spent, self.denied)
@@ -555,6 +549,111 @@ impl OverloadConfig {
                 ..Default::default()
             },
             ..Default::default()
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The client's armor state, as one value
+// ---------------------------------------------------------------------------
+
+/// All client-side armor state. Every method is inert under an unarmored
+/// config — it admits everything, records nothing and takes neither a
+/// lock nor a clock reading — so the read path calls them
+/// unconditionally and the on/off decision lives here only.
+pub(crate) struct Armor {
+    config: OverloadConfig,
+    clock: ClockHandle,
+    breakers: Mutex<HashMap<NodeId, CircuitBreaker>>,
+    retry_budget: Mutex<RetryBudget>,
+    /// The last [`HEDGE_WINDOW`] successful read latencies.
+    read_lat: Mutex<VecDeque<Duration>>,
+}
+
+impl Armor {
+    /// No breakers, a full retry budget, an empty latency window.
+    pub(crate) fn new(config: OverloadConfig, clock: ClockHandle) -> Self {
+        Armor {
+            retry_budget: Mutex::new(RetryBudget::new(config.budget, clock.now())),
+            config,
+            clock,
+            breakers: Mutex::new(HashMap::new()),
+            read_lat: Mutex::new(VecDeque::with_capacity(HEDGE_WINDOW)),
+        }
+    }
+
+    /// Run `f` on `node`'s breaker, created closed on first contact.
+    fn with_breaker<R>(
+        &self,
+        node: NodeId,
+        f: impl FnOnce(&mut CircuitBreaker, Instant) -> R,
+    ) -> R {
+        let now = self.clock.now();
+        let mut map = self.breakers.lock();
+        let breaker = map
+            .entry(node)
+            .or_insert_with(|| CircuitBreaker::new(self.config.breaker));
+        f(breaker, now)
+    }
+
+    /// May a call to `node` proceed, per its circuit breaker? An open
+    /// breaker whose cool-off lapsed admits half-open probes.
+    pub(crate) fn admit(&self, node: NodeId) -> bool {
+        !self.config.armored || self.with_breaker(node, |b, now| b.allow(now))
+    }
+
+    /// Spend one retry token; `false` means the retry must not be sent.
+    pub(crate) fn admit_retry(&self) -> bool {
+        !self.config.armored || self.retry_budget.lock().try_spend(self.clock.now())
+    }
+
+    /// A call to `node` succeeded: closes a half-open breaker, clears
+    /// the failure streak.
+    pub(crate) fn on_success(&self, node: NodeId) {
+        if self.config.armored {
+            if let Some(b) = self.breakers.lock().get_mut(&node) {
+                b.on_success();
+            }
+        }
+    }
+
+    /// A call to `node` failed (timeout, disconnect or shed).
+    pub(crate) fn on_failure(&self, node: NodeId) {
+        if self.config.armored {
+            self.with_breaker(node, |b, now| b.on_failure(now));
+        }
+    }
+
+    /// May a read whose primary is `node` be hedged? Only with hedging
+    /// on and the breaker fully closed: half-open probes must run at the
+    /// full TTL so a dead node still accumulates detector-grade evidence.
+    pub(crate) fn may_hedge(&self, node: NodeId) -> bool {
+        self.config.armored
+            && self.config.hedge.enabled
+            && match self.breakers.lock().get(&node) {
+                None => true,
+                Some(b) => matches!(b.state(), BreakerState::Closed { .. }),
+            }
+    }
+
+    /// The hedge delay: the p99 of recent read latencies clamped to the
+    /// configured band; the upper clamp before any samples exist. Sorts
+    /// the window, so ask only once a hedge target is known.
+    pub(crate) fn hedge_delay(&self) -> Duration {
+        let h = self.config.hedge;
+        let p99 = ftc_obs::percentile(self.read_lat.lock().make_contiguous(), 0.99);
+        p99.unwrap_or(h.max_delay).clamp(h.min_delay, h.max_delay)
+    }
+
+    /// Record the latency of a successful read begun at `begun`.
+    pub(crate) fn note_latency(&self, begun: Instant) {
+        if self.config.armored {
+            let took = self.clock.since(begun);
+            let mut window = self.read_lat.lock();
+            if window.len() == HEDGE_WINDOW {
+                window.pop_front();
+            }
+            window.push_back(took);
         }
     }
 }
@@ -729,6 +828,59 @@ mod tests {
         // 1.5s of idle refills 1.5 tokens (capped at capacity).
         assert!(budget.try_spend(now + Duration::from_millis(1500)));
         assert!(!budget.try_spend(now + Duration::from_millis(1500)));
+    }
+
+    #[test]
+    fn armor_unarmored_is_inert() {
+        // Hair-trigger settings that would refuse everything if consulted.
+        let disarmed = OverloadConfig {
+            armored: false,
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                open_for: Duration::from_secs(3600),
+                half_open_probes: 1,
+            },
+            budget: BudgetConfig {
+                capacity: 0.0,
+                refill_per_sec: 0.0,
+            },
+            hedge: HedgeConfig {
+                enabled: true,
+                ..Default::default()
+            },
+            shed_counts_as_failure: false,
+        };
+        let node = NodeId(3);
+        let armor = Armor::new(disarmed, ClockHandle::wall());
+        for _ in 0..8 {
+            armor.on_failure(node);
+            assert!(armor.admit(node), "unarmored admits every call");
+            assert!(armor.admit_retry(), "unarmored admits every retry");
+        }
+        armor.on_success(node);
+        armor.note_latency(Instant::now());
+        assert!(!armor.may_hedge(node), "unarmored never hedges");
+        assert!(armor.breakers.lock().is_empty(), "no breaker allocated");
+        assert!(armor.read_lat.lock().is_empty(), "no latency recorded");
+        assert_eq!(
+            armor.retry_budget.lock().totals(),
+            (0, 0),
+            "budget untouched"
+        );
+
+        // The same settings, armed, refuse after one failure.
+        let armed = Armor::new(
+            OverloadConfig {
+                armored: true,
+                ..disarmed
+            },
+            ClockHandle::wall(),
+        );
+        assert!(armed.may_hedge(node));
+        armed.on_failure(node);
+        assert!(!armed.admit(node));
+        assert!(!armed.admit_retry());
+        assert!(!armed.may_hedge(node), "no hedging past an open breaker");
     }
 
     proptest! {

@@ -319,7 +319,7 @@ impl ServerHandle {
         pfs: Arc<Pfs>,
         nvme_capacity: u64,
     ) -> Result<Self, CoreError> {
-        Self::spawn_with_cache(
+        Self::spawn_on(
             node,
             net,
             pfs,
@@ -327,23 +327,12 @@ impl ServerHandle {
         )
     }
 
-    /// Spawn a server thread over an existing NVMe cache — the warm-rejoin
-    /// path (the revived node kept its disk).
-    pub fn spawn_with_cache(
-        node: NodeId,
-        net: &CacheNet,
-        pfs: Arc<Pfs>,
-        cache: Arc<NvmeCache>,
-    ) -> Result<Self, CoreError> {
-        // The server inherits the network's clock, so a cluster built on a
-        // virtual clock gets cooperative server tasks with no extra plumbing.
-        Self::spawn_on(node, net, pfs, cache)
-    }
-
     /// Spawn a server event loop over *any* transport backend — the
-    /// in-process fabric here, real TCP sockets in `ftc-server`. The
-    /// transport's clock drives the loop, so virtual-time clusters get
-    /// cooperative tasks and TCP gets plain threads from the same code.
+    /// in-process fabric here, real TCP sockets in `ftc-server` — and an
+    /// existing NVMe cache (on warm rejoin the revived node kept its
+    /// disk). The transport's clock drives the loop, so virtual-time
+    /// clusters get cooperative tasks and TCP gets plain threads from
+    /// the same code.
     pub fn spawn_on(
         node: NodeId,
         transport: &dyn Transport<CacheRequest, CacheResponse>,
@@ -881,7 +870,7 @@ mod tests {
         // Respawn over the surviving NVMe: contents must be served as
         // hits, not refetched from the PFS.
         net.revive(NodeId(0));
-        let h2 = ServerHandle::spawn_with_cache(NodeId(0), &net, pfs, cache).expect("respawn");
+        let h2 = ServerHandle::spawn_on(NodeId(0), &net, pfs, cache).expect("respawn");
         let ep = net.endpoint(NodeId(1));
         let r = ep
             .call(

@@ -210,7 +210,7 @@ proptest! {
             max_backoff: Duration::from_millis(2),
             deadline_budget: Duration::from_millis(250),
         };
-        let client = HvacClient::new(CLIENT, &net, Arc::clone(&pfs), 3, cfg);
+        let client = HvacClient::with_transport(CLIENT, &net, Arc::clone(&pfs), 3, cfg);
 
         for f in &faults {
             match *f {

@@ -662,7 +662,7 @@ impl CampaignReport {
     /// hit) this campaign; `None` when no kill completed a window. The
     /// adaptive-vs-static comparison ranks contenders on this.
     pub fn degraded_window_p99(&self) -> Option<Duration> {
-        percentile_99(&self.recovery_latencies())
+        ftc_obs::percentile(&self.recovery_latencies(), 0.99)
     }
 
     /// Full rendering for replay diffing: the verdict line, read/abort
@@ -833,16 +833,6 @@ const DUP_ROUNDS: usize = 3;
 /// posture to decay back out once the surge pressure is gone (virtual
 /// time in CI, so the wait is free).
 const BROWNOUT_EXIT_DEADLINE: Duration = Duration::from_secs(5);
-
-/// Nearest-rank p99 of a latency sample; `None` on an empty sample.
-fn percentile_99(lats: &[Duration]) -> Option<Duration> {
-    if lats.is_empty() {
-        return None;
-    }
-    let mut v = lats.to_vec();
-    v.sort_unstable();
-    Some(v[(v.len() * 99 / 100).min(v.len() - 1)])
-}
 
 /// Controller tuning scaled to campaign time: millisecond ticks, a
 /// cooldown of a few ticks, and thresholds reachable from a handful of
@@ -1525,7 +1515,10 @@ pub fn run_campaign_on(
             }
             // Invariant 7: the training job's reads kept flowing while
             // the engine recached in the background.
-            if let (Some(w), Some(f)) = (percentile_99(&warm_lats), percentile_99(&fault_lats)) {
+            if let (Some(w), Some(f)) = (
+                ftc_obs::percentile(&warm_lats, 0.99),
+                ftc_obs::percentile(&fault_lats, 0.99),
+            ) {
                 let bound = (w * 10).max(STARVATION_FLOOR);
                 if f > bound {
                     violations.push(format!(
@@ -1731,8 +1724,8 @@ pub fn run_campaign_on(
             flight_dump,
             recovery_mode,
             recovery: recovery_stats,
-            warm_read_p99: percentile_99(&warm_lats),
-            faulted_read_p99: percentile_99(&fault_lats),
+            warm_read_p99: ftc_obs::percentile(&warm_lats, 0.99),
+            faulted_read_p99: ftc_obs::percentile(&fault_lats, 0.99),
             policy_switches,
             policy_flaps_suppressed,
             retired_policy_reads,
@@ -1970,7 +1963,7 @@ pub fn run_degraded_window_probe_on(
             _ => report.violations.push(format!("warm read of {p} wrong")),
         }
     }
-    report.warm_p99 = percentile_99(&warm_lats);
+    report.warm_p99 = ftc_obs::percentile(&warm_lats, 0.99);
     let _ = cluster.wait_movers_drained(Duration::from_secs(2));
 
     let victim = NodeId(1);
@@ -2031,7 +2024,7 @@ pub fn run_degraded_window_probe_on(
                 .push(format!("post-gap read of {p} wrong")),
         }
     }
-    report.epoch_p99 = percentile_99(&epoch_lats);
+    report.epoch_p99 = ftc_obs::percentile(&epoch_lats, 0.99);
     report.cold_reads = cluster.pfs().total_reads();
     cluster.shutdown();
     report
