@@ -249,6 +249,7 @@ fn bounded_queue_scoped(label: &Path) -> bool {
 const HOT_PATH_ALLOC_SCOPE: &[&str] = &[
     "crates/core/src/client.rs",
     "crates/core/src/overload.rs",
+    "crates/core/src/proto.rs",
     "crates/core/src/server.rs",
     "crates/core/src/singleflight.rs",
     "crates/storage/src/value.rs",
@@ -257,6 +258,7 @@ const HOT_PATH_ALLOC_SCOPE: &[&str] = &[
     "crates/storage/src/object.rs",
     "crates/wire/src/codec.rs",
     "crates/wire/src/frame.rs",
+    "crates/wire/src/tcp.rs",
 ];
 
 /// Copying constructors the `hot-path-alloc` rule bans inside

@@ -7,7 +7,7 @@
 
 use ftc_net::Payload;
 use ftc_storage::ValueBuf;
-use ftc_wire::codec::{put_bytes, put_str, put_u32, ByteView, CodecError, Reader, Wire};
+use ftc_wire::codec::{put_str, put_u32, put_window, ByteView, CodecError, Reader, Wire};
 use serde::{Deserialize, Serialize};
 
 /// Where the server found the bytes it served.
@@ -163,7 +163,7 @@ impl ServeSource {
 }
 
 impl Wire for CacheRequest {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode_scatter<'a>(&'a self, out: &mut Vec<u8>) -> Option<(usize, &'a [u8])> {
         match self {
             CacheRequest::Read { path } => {
                 out.push(1);
@@ -173,7 +173,7 @@ impl Wire for CacheRequest {
             CacheRequest::Put { path, bytes } => {
                 out.push(3);
                 put_str(out, path);
-                put_bytes(out, bytes);
+                return Some(put_window(out, bytes));
             }
             CacheRequest::Digest => out.push(4),
             CacheRequest::Evict { path } => {
@@ -181,6 +181,7 @@ impl Wire for CacheRequest {
                 put_str(out, path);
             }
         }
+        None
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -206,7 +207,7 @@ impl Wire for CacheRequest {
 }
 
 impl Wire for CacheResponse {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode_scatter<'a>(&'a self, out: &mut Vec<u8>) -> Option<(usize, &'a [u8])> {
         match self {
             CacheResponse::Data {
                 path,
@@ -215,8 +216,9 @@ impl Wire for CacheResponse {
             } => {
                 out.push(1);
                 put_str(out, path);
-                put_bytes(out, bytes);
+                let window = put_window(out, bytes);
                 out.push(source.tag());
+                return Some(window);
             }
             CacheResponse::NotFound { path } => {
                 out.push(2);
@@ -241,6 +243,7 @@ impl Wire for CacheResponse {
             }
             CacheResponse::Overloaded => out.push(7),
         }
+        None
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {

@@ -14,26 +14,33 @@
 //!    canonically.
 //!
 //! A frame-layer round trip through `write_frame`/`read_frame` covers the
-//! full path a socket sees. The malformed-frame corpus (truncated length
-//! prefix, oversized declared length, bad magic/version byte) lives next
-//! to the frame code in `ftc-wire`.
+//! full path a socket sees, and `wire_bytes_are_frozen` pins the path the
+//! TCP backend actually runs — scatter encode, one gather write, buffered
+//! read — to those same bytes under arbitrarily short writes and reads.
+//! The malformed-frame corpus (truncated length prefix, oversized
+//! declared length, bad magic/version byte) lives next to the frame code
+//! in `ftc-wire`.
 
 use ftc_core::{CacheRequest, CacheResponse, ServeSource};
 use ftc_storage::ValueBuf;
 use ftc_wire::codec::Wire;
-use ftc_wire::frame::{read_frame, write_frame, FrameKind};
-use ftc_wire::DEFAULT_MAX_FRAME;
+use ftc_wire::frame::{
+    frame_reader, read_frame, read_frame_shared, write_frame, write_msg, FrameKind,
+};
+use ftc_wire::{FrameError, DEFAULT_MAX_FRAME};
 use proptest::prelude::*;
+use std::io::{self, BufReader, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Build a `CacheRequest` from flattened draws (the shim has no enum
 /// strategy; a selector byte picks the variant).
-fn req_from(sel: u8, path: String, payload: Vec<u8>) -> CacheRequest {
+fn req_from(sel: u8, path: String, payload: impl Into<ValueBuf>) -> CacheRequest {
     match sel % 5 {
         0 => CacheRequest::Read { path },
         1 => CacheRequest::Ping,
         2 => CacheRequest::Put {
             path,
-            bytes: ValueBuf::from(payload),
+            bytes: payload.into(),
         },
         3 => CacheRequest::Digest,
         _ => CacheRequest::Evict { path },
@@ -44,14 +51,14 @@ fn req_from(sel: u8, path: String, payload: Vec<u8>) -> CacheRequest {
 fn resp_from(
     sel: u8,
     path: String,
-    payload: Vec<u8>,
+    payload: impl Into<ValueBuf>,
     keys: Vec<String>,
     flag: bool,
 ) -> CacheResponse {
     match sel % 7 {
         0 => CacheResponse::Data {
             path,
-            bytes: ValueBuf::from(payload),
+            bytes: payload.into(),
             source: if flag {
                 ServeSource::NvmeHit
             } else {
@@ -67,6 +74,243 @@ fn resp_from(
             path,
             existed: flag,
         },
+    }
+}
+
+/// Value sizes the frozen-bytes property sweeps: empty, one byte, a
+/// small file, one that outgrows the receive buffer, a large sample.
+const VALUE_SIZES: [usize; 5] = [0, 1, 4 << 10, 64 << 10, 1 << 20];
+
+/// Upper bounds on what one `write`/`read` call moves: single bytes,
+/// sizes that split the 13-byte frame header, a page, the receive
+/// buffer's own size, and more than any small frame.
+const CALL_SIZES: [usize; 8] = [1, 2, 7, 13, 14, 4096, 32 << 10, 70_000];
+
+/// How many bytes the next call moves: 1..=k, from a xorshift stream.
+struct Dribble {
+    k: usize,
+    state: u64,
+}
+
+impl Dribble {
+    fn next(&mut self) -> usize {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        1 + (self.state % self.k as u64) as usize
+    }
+}
+
+/// A socket stand-in that accepts 1..=k bytes per `write*` call.
+struct ShortWrites {
+    out: Vec<u8>,
+    pace: Dribble,
+}
+
+impl Write for ShortWrites {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let mut left = self.pace.next();
+        let before = self.out.len();
+        for b in bufs {
+            let n = left.min(b.len());
+            self.out.extend_from_slice(&b[..n]);
+            left -= n;
+        }
+        Ok(self.out.len() - before)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A socket stand-in that yields 1..=k bytes per `read` call.
+struct ShortReads {
+    data: Vec<u8>,
+    pos: usize,
+    pace: Dribble,
+}
+
+impl Read for ShortReads {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self
+            .pace
+            .next()
+            .min(buf.len())
+            .min(self.data.len() - self.pos);
+        buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// `len‖kind‖id‖body`, spelled out independently of the frame code.
+fn framed(kind: FrameKind, id: u64, body: &[u8]) -> Vec<u8> {
+    let mut f = ((9 + body.len()) as u32).to_be_bytes().to_vec();
+    f.push(kind as u8);
+    f.extend_from_slice(&id.to_be_bytes());
+    f.extend_from_slice(body);
+    f
+}
+
+/// The value a decoded message carries, if its variant has one.
+trait Carried {
+    fn carried(&self) -> Option<&ValueBuf>;
+}
+
+impl Carried for CacheRequest {
+    fn carried(&self) -> Option<&ValueBuf> {
+        match self {
+            CacheRequest::Put { bytes, .. } => Some(bytes),
+            _ => None,
+        }
+    }
+}
+
+impl Carried for CacheResponse {
+    fn carried(&self) -> Option<&ValueBuf> {
+        match self {
+            CacheResponse::Data { bytes, .. } => Some(bytes),
+            _ => None,
+        }
+    }
+}
+
+/// Send `msgs` through the scatter path into `sink`, checking each
+/// frame's bytes against the contiguous encoding as it lands.
+fn send_all<M: Wire>(sink: &mut ShortWrites, kind: FrameKind, first_id: u64, msgs: &[M]) {
+    let mut scratch = Vec::new();
+    for (i, m) in msgs.iter().enumerate() {
+        let id = first_id + i as u64;
+        let at = sink.out.len();
+        write_msg(sink, &mut scratch, kind, id, m, DEFAULT_MAX_FRAME).expect("frame fits");
+        assert!(
+            sink.out[at..] == framed(kind, id, &m.encode_vec()),
+            "scatter path diverged from len‖kind‖id‖encode_vec() on frame {id}"
+        );
+    }
+}
+
+/// Read `msgs` back, in order, as frames of `kind`; decoded values must
+/// still be windows into the frame body they arrived in.
+fn recv_all<M: Wire + Carried + PartialEq + std::fmt::Debug>(
+    frames: &mut BufReader<ShortReads>,
+    kind: FrameKind,
+    first_id: u64,
+    msgs: &[M],
+) {
+    for (i, m) in msgs.iter().enumerate() {
+        let f = read_frame_shared(frames, DEFAULT_MAX_FRAME).expect("frame reads back");
+        assert_eq!((f.kind, f.id), (kind, first_id + i as u64));
+        let got = M::decode_all_shared(&f.body).expect("body decodes");
+        assert_eq!(&got, m);
+        if let Some(bytes) = got.carried() {
+            let body = ValueBuf::from_shared(Arc::clone(&f.body), 0, f.body.len());
+            assert!(
+                bytes.shares_backing_with(&body),
+                "decoded value was copied out of its frame"
+            );
+        }
+    }
+}
+
+/// Sending a value that is a *partial* window of its backing hands the
+/// socket that window's own memory — same address, no staging copy.
+#[test]
+fn value_window_reaches_the_socket_in_place() {
+    struct Addresses(Vec<(*const u8, usize)>);
+    impl Write for Addresses {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.0.extend(bufs.iter().map(|b| (b.as_ptr(), b.len())));
+            Ok(bufs.iter().map(|b| b.len()).sum())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    let backing: Arc<[u8]> = (0..8192).map(|i| i as u8).collect();
+    let bytes = ValueBuf::from_shared(backing, 100, 4096);
+    let here = (bytes.as_slice().as_ptr(), bytes.len());
+    let mut seen = Addresses(Vec::new());
+    let mut scratch = Vec::new();
+    let data = resp_from(0, "p".into(), bytes.clone(), vec![], true);
+    write_msg(
+        &mut seen,
+        &mut scratch,
+        FrameKind::Response,
+        1,
+        &data,
+        DEFAULT_MAX_FRAME,
+    )
+    .expect("data fits");
+    let put = req_from(2, "p".into(), bytes);
+    write_msg(
+        &mut seen,
+        &mut scratch,
+        FrameKind::Request,
+        2,
+        &put,
+        DEFAULT_MAX_FRAME,
+    )
+    .expect("put fits");
+    assert_eq!(seen.0.iter().filter(|s| **s == here).count(), 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The wire bytes are frozen: every variant of both message types,
+    /// sent through the scatter path into a sink that takes a few bytes
+    /// per call, lands as exactly `len‖kind‖id‖encode_vec()`; and that
+    /// stream — twelve frames back to back, boundaries wherever the
+    /// short reads put them, large bodies straddling the receive buffer
+    /// — reads back frame for frame, values still zero-copy.
+    #[test]
+    fn wire_bytes_are_frozen(
+        path in "[a-zA-Z0-9/_.-]{0,80}",
+        size in 0usize..VALUE_SIZES.len(),
+        keys in prop::collection::vec("[a-z0-9/]{0,24}", 0..12),
+        flag in any::<bool>(),
+        k_write in 0usize..CALL_SIZES.len(),
+        k_read in 0usize..CALL_SIZES.len(),
+        seed in any::<u64>(),
+    ) {
+        let value: ValueBuf = (0..VALUE_SIZES[size])
+            .map(|i| (i as u64).wrapping_mul(31).wrapping_add(seed) as u8)
+            .collect::<Vec<u8>>()
+            .into();
+        let reqs: Vec<CacheRequest> =
+            (0..5).map(|sel| req_from(sel, path.clone(), value.clone())).collect();
+        let resps: Vec<CacheResponse> = (0..7)
+            .map(|sel| resp_from(sel, path.clone(), value.clone(), keys.clone(), flag))
+            .collect();
+
+        let mut sink = ShortWrites {
+            out: Vec::new(),
+            pace: Dribble { k: CALL_SIZES[k_write], state: seed | 1 },
+        };
+        send_all(&mut sink, FrameKind::Request, 100, &reqs);
+        send_all(&mut sink, FrameKind::Response, 200, &resps);
+
+        let source = ShortReads {
+            data: sink.out,
+            pos: 0,
+            pace: Dribble { k: CALL_SIZES[k_read], state: !seed | 1 },
+        };
+        let mut frames = frame_reader(source);
+        recv_all(&mut frames, FrameKind::Request, 100, &reqs);
+        recv_all(&mut frames, FrameKind::Response, 200, &resps);
+        prop_assert!(matches!(
+            read_frame_shared(&mut frames, DEFAULT_MAX_FRAME),
+            Err(FrameError::Closed)
+        ));
     }
 }
 

@@ -239,12 +239,38 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
+/// Append the length prefix of a large byte-array field and leave the
+/// bytes themselves where they are: the return value is what
+/// [`Wire::encode_scatter`] hands back — the index in `out` where the
+/// field's bytes belong, and the bytes, still borrowed.
+pub fn put_window<'a>(out: &mut Vec<u8>, b: &'a [u8]) -> (usize, &'a [u8]) {
+    put_u32(out, b.len() as u32);
+    (out.len(), b)
+}
+
 /// A message that can cross the TCP fabric: symmetric encode/decode with
 /// typed errors. Implemented by `ftc-core` for `CacheRequest` /
 /// `CacheResponse` (including the detector's `Ping`/`Pong`).
 pub trait Wire: Sized {
-    /// Append this message's encoding to `out`.
-    fn encode(&self, out: &mut Vec<u8>);
+    /// The one definition of this message's encoding, in scatter form:
+    /// append every encoded byte to `out` except the bytes of at most one
+    /// large field, and return that field as `(at, value)` — still
+    /// borrowed from `self`, belonging at index `at` of `out` (see
+    /// [`put_window`]). The message is `out[start..at] ‖ value ‖
+    /// out[at..]`; the sender hands those three pieces to one gather
+    /// write, so a cached value goes from its own allocation to the
+    /// socket without a staging copy.
+    fn encode_scatter<'a>(&'a self, out: &mut Vec<u8>) -> Option<(usize, &'a [u8])>;
+
+    /// Append this message's contiguous encoding to `out`: the scatter
+    /// form with the value dropped into its gap.
+    fn encode(&self, out: &mut Vec<u8>) {
+        if let Some((at, value)) = self.encode_scatter(out) {
+            let tail = out.split_off(at);
+            out.extend_from_slice(value);
+            out.extend_from_slice(&tail);
+        }
+    }
 
     /// Decode one message from the reader (may leave bytes behind —
     /// use [`decode_all`](Self::decode_all) at frame boundaries).

@@ -13,10 +13,12 @@
 //!   decode errors; `ftc-core` implements it for `CacheRequest` /
 //!   `CacheResponse`.
 //! * [`frame`] — length-prefixed frames (`len u32 | kind u8 | id u64 |
-//!   body`) with a hard length cap, plus the versioned `FTCW` handshake.
+//!   body`) with a hard length cap, written with one gather write and
+//!   read through a fixed read-ahead, plus the versioned `FTCW`
+//!   handshake.
 //! * [`tcp`] — [`tcp::TcpTransport`]: server accept loops and pooled,
-//!   multiplexed client connections with bounded outbound queues,
-//!   reconnect-on-error, and deadlines mapped onto
+//!   multiplexed client connections whose callers write their own
+//!   frames, reconnect-on-error, and deadlines mapped onto
 //!   [`ftc_net::RpcError`].
 //!
 //! The `ftc-server` / `ftc-client` binaries in the workspace root are

@@ -18,14 +18,19 @@
 //!
 //! ## Backpressure and deadlines
 //!
-//! Client sends go through a per-peer bounded queue drained by a writer
-//! thread. When the queue is full, `call` blocks for queue space only
-//! until its own deadline, then gives up — so a stalled peer surfaces as
+//! There is no outbound queue and no writer thread: `call` writes its own
+//! frame, under the connection's write turn ([`ConnWriter`]). What bounds
+//! a stalled peer is the socket — once its send buffer is full the write
+//! blocks — and both the wait for the turn and the write end at the
+//! call's own deadline, so a peer that stops draining surfaces as
 //! [`RpcError::Timeout`], feeding the failure detector exactly like a
-//! silent peer in the simulated fabric. Torn connections surface as
-//! [`RpcError::Disconnected`] (also detector-feeding); addresses missing
-//! from the peer map as [`RpcError::UnknownNode`]. This is the whole
-//! mapping from socket reality onto the retry-policy error taxonomy.
+//! silent peer in the simulated fabric. A write abandoned part-way has
+//! torn the stream, so it kills the connection. Torn connections surface
+//! as [`RpcError::Disconnected`] (also detector-feeding); addresses
+//! missing from the peer map as [`RpcError::UnknownNode`]; a request over
+//! the frame cap, refused before its first byte, as
+//! [`RpcError::Overloaded`] (no evidence against the peer). This is the
+//! whole mapping from socket reality onto the retry-policy error taxonomy.
 //!
 //! ## Clocks
 //!
@@ -37,18 +42,18 @@
 
 use crate::codec::Wire;
 use crate::frame::{
-    read_frame, read_frame_shared, read_hello, send_hello, write_frame, FrameError, FrameKind,
-    Hello, SharedFrame, DEFAULT_MAX_FRAME,
+    frame_reader, read_frame, read_frame_shared, read_hello, send_hello, write_frame, write_msg,
+    FrameError, FrameKind, Hello, SharedFrame, DEFAULT_MAX_FRAME,
 };
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Caller, Inbound, Listener, Transport};
 use ftc_net::RpcError;
 use ftc_time::ClockHandle;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
+use std::collections::HashMap;
+use std::io::{self, IoSlice, Read, Write};
 use std::marker::PhantomData;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
@@ -65,15 +70,12 @@ pub struct TcpConfig {
     /// Dial + handshake deadline.
     pub connect_timeout: Duration,
     /// Socket read/write poll granularity: how often blocked I/O wakes
-    /// to check stop/dead flags, and the cap on one write's stall.
+    /// to check stop/dead flags and deadlines.
     pub io_timeout: Duration,
     /// Accept-loop poll interval while no connection is pending.
     pub accept_poll: Duration,
     /// Frame length cap, both directions.
     pub max_frame: u32,
-    /// Per-peer outbound queue depth; pushes beyond it block until the
-    /// caller's deadline (backpressure).
-    pub queue_cap: usize,
 }
 
 impl Default for TcpConfig {
@@ -83,7 +85,6 @@ impl Default for TcpConfig {
             io_timeout: Duration::from_millis(50),
             accept_poll: Duration::from_millis(10),
             max_frame: DEFAULT_MAX_FRAME,
-            queue_cap: 256,
         }
     }
 }
@@ -179,6 +180,15 @@ fn lock_poisoned<T>(e: PoisonError<T>) -> T {
     e.into_inner()
 }
 
+/// A socket timeout expired: on a socket whose read/write timeout is the
+/// poll granularity that is a wake-up to look around, not a failure.
+fn poll_tick(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// Blocking-read adapter over a socket whose read timeout is the poll
 /// granularity: timeouts at any byte become flag checks instead of
 /// errors, so [`read_frame`] sees an honest blocking stream yet the
@@ -197,155 +207,169 @@ impl Read for PatientReader<'_> {
                 return Err(io::Error::from(io::ErrorKind::ConnectionAborted));
             }
             match self.stream.read(buf) {
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    continue
-                }
+                Err(e) if poll_tick(&e) => continue,
                 other => return other,
             }
         }
     }
 }
 
-/// Serialized write half of one connection.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-    max_frame: u32,
-    /// Reusable encode buffer for [`ConnWriter::write_msg`]: one
-    /// allocation per connection instead of one per frame on the reply
-    /// path. Grows to the largest message seen and stays there.
-    scratch: Mutex<Vec<u8>>,
+/// Blocking-write adapter, the same idea: a write the socket took nothing
+/// of for one poll interval is retried until `deadline`, so a frame gets
+/// as long as the call that sends it — a peer slow to start draining is
+/// not a dead one. `None` gives up at the first stall.
+struct PatientWriter<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Instant>,
+    clock: &'a ClockHandle,
 }
 
-impl ConnWriter {
-    fn new(stream: TcpStream, max_frame: u32) -> Self {
-        ConnWriter {
-            stream: Mutex::new(stream),
-            max_frame,
-            scratch: Mutex::new(Vec::new()),
+impl Write for PatientWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.write_vectored(&[IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        loop {
+            match self.stream.write_vectored(bufs) {
+                Err(e) if poll_tick(&e) && self.deadline.is_some_and(|d| self.clock.now() < d) => {
+                    continue
+                }
+                other => return other,
+            }
         }
     }
 
-    fn write(&self, kind: FrameKind, id: u64, body: &[u8]) -> Result<(), FrameError> {
-        let mut s = self.stream.lock();
-        write_frame(&mut *s, kind, id, body, self.max_frame)
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Why a frame did not go out, and what that did to the connection.
+enum SendError {
+    /// Over the frame cap: refused before the first byte, stream intact.
+    Refused,
+    /// The write turn stayed taken until the deadline: nothing written,
+    /// stream intact (its holder is the one facing the stalled peer).
+    Busy,
+    /// The write failed part-way. A torn frame desynchronises the
+    /// stream, so the socket has been shut down.
+    Torn(io::Error),
+}
+
+/// The write half of one connection, shared by everyone who sends on it.
+/// Senders take turns, and a sender waits for its turn no longer than
+/// its deadline — a plain mutex cannot give up, and the holder may be
+/// blocked on a peer that stopped reading.
+struct ConnWriter {
+    stream: Arc<TcpStream>,
+    max_frame: u32,
+    clock: ClockHandle,
+    turns: StdMutex<Turns>,
+    released: Condvar,
+}
+
+struct Turns {
+    /// The connection's encode buffer while nobody is writing: taking it
+    /// is taking the turn. It holds frame headers and the few message
+    /// bytes around a value, never a value, so it stays small.
+    idle: Option<Vec<u8>>,
+    /// Senders blocked in [`ConnWriter::turn`]; lets the common
+    /// uncontended release skip the condvar's wake-up syscall.
+    waiting: usize,
+}
+
+/// The write turn; gives it back on every exit, unwinding included.
+struct Turn<'a> {
+    writer: &'a ConnWriter,
+    scratch: Vec<u8>,
+}
+
+impl Drop for Turn<'_> {
+    fn drop(&mut self) {
+        let mut turns = self.writer.turns.lock().unwrap_or_else(lock_poisoned);
+        turns.idle = Some(std::mem::take(&mut self.scratch));
+        if turns.waiting > 0 {
+            self.writer.released.notify_one();
+        }
+    }
+}
+
+impl ConnWriter {
+    fn new(stream: Arc<TcpStream>, max_frame: u32, clock: ClockHandle) -> Self {
+        ConnWriter {
+            stream,
+            max_frame,
+            clock,
+            turns: StdMutex::new(Turns {
+                idle: Some(Vec::new()),
+                waiting: 0,
+            }),
+            released: Condvar::new(),
+        }
     }
 
-    /// Encode `msg` into the connection's scratch buffer and write the
-    /// frame — no per-frame body allocation.
-    fn write_msg<M: Wire>(&self, kind: FrameKind, id: u64, msg: &M) -> Result<(), FrameError> {
-        let mut buf = self.scratch.lock();
-        buf.clear();
-        msg.encode(&mut buf);
-        let mut s = self.stream.lock();
-        write_frame(&mut *s, kind, id, &buf, self.max_frame)
+    /// Wait for the write turn; `None` if it is still taken at `deadline`.
+    fn turn(&self, deadline: Option<Instant>) -> Option<Turn<'_>> {
+        let mut turns = self.turns.lock().unwrap_or_else(lock_poisoned);
+        turns.waiting += 1;
+        let scratch = loop {
+            if let Some(scratch) = turns.idle.take() {
+                break Some(scratch);
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(self.clock.now()));
+            turns = match left {
+                None => self.released.wait(turns).unwrap_or_else(lock_poisoned),
+                Some(left) if left.is_zero() => break None,
+                Some(left) => {
+                    self.released
+                        .wait_timeout(turns, left)
+                        .unwrap_or_else(lock_poisoned)
+                        .0
+                }
+            };
+        };
+        turns.waiting -= 1;
+        scratch.map(|scratch| Turn {
+            writer: self,
+            scratch,
+        })
+    }
+
+    /// Write one frame with `write`, which gets the stream, the encode
+    /// buffer and the frame cap for the duration of this sender's turn.
+    /// Both the wait for the turn and the write end at `deadline`; the
+    /// server's replies have none to spend and pass `None`: they wait
+    /// their turn and give up at the first `io_timeout` stall.
+    fn send(
+        &self,
+        deadline: Option<Instant>,
+        write: impl FnOnce(&mut PatientWriter<'_>, &mut Vec<u8>, u32) -> Result<(), FrameError>,
+    ) -> Result<(), SendError> {
+        let mut turn = self.turn(deadline).ok_or(SendError::Busy)?;
+        let mut w = PatientWriter {
+            stream: &self.stream,
+            deadline,
+            clock: &self.clock,
+        };
+        match write(&mut w, &mut turn.scratch, self.max_frame) {
+            Ok(()) => Ok(()),
+            Err(FrameError::Io(e)) => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+                Err(SendError::Torn(e))
+            }
+            // The only other way a write fails is the cap check, which
+            // runs before the first byte.
+            Err(_refused) => Err(SendError::Refused),
+        }
     }
 }
 
 fn io_to_rpc(e: &io::Error, to: NodeId) -> RpcError {
-    match e.kind() {
-        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock => RpcError::Timeout { to },
-        _ => RpcError::Disconnected(to),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded outbound queue (client side backpressure).
-// ---------------------------------------------------------------------------
-
-struct OutFrame {
-    kind: FrameKind,
-    id: u64,
-    body: Vec<u8>,
-}
-
-struct QueueState {
-    buf: VecDeque<OutFrame>,
-    closed: bool,
-}
-
-/// Hand-rolled bounded MPSC: `Condvar` instead of a channel so the push
-/// side can honor the *caller's* deadline rather than a queue-global one.
-struct BoundedQueue {
-    state: StdMutex<QueueState>,
-    cap: usize,
-    space: Condvar,
-    items: Condvar,
-}
-
-enum PushError {
-    /// Still full at the deadline — the peer is not draining.
-    Full,
-    /// Queue closed (connection died).
-    Closed,
-}
-
-impl BoundedQueue {
-    fn new(cap: usize) -> Self {
-        BoundedQueue {
-            state: StdMutex::new(QueueState {
-                // lint:allow(bounded-queue): `cap` is enforced at
-                // push_deadline — this deque never exceeds it.
-                buf: VecDeque::new(),
-                closed: false,
-            }),
-            cap,
-            space: Condvar::new(),
-            items: Condvar::new(),
-        }
-    }
-
-    /// Enqueue, blocking for space until `deadline` (wall instants from
-    /// the transport's clock handle).
-    fn push_deadline(
-        &self,
-        item: OutFrame,
-        deadline: Instant,
-        clock: &ClockHandle,
-    ) -> Result<(), PushError> {
-        let mut g = self.state.lock().unwrap_or_else(lock_poisoned);
-        loop {
-            if g.closed {
-                return Err(PushError::Closed);
-            }
-            if g.buf.len() < self.cap {
-                g.buf.push_back(item);
-                self.items.notify_one();
-                return Ok(());
-            }
-            let left = deadline.saturating_duration_since(clock.now());
-            if left.is_zero() {
-                return Err(PushError::Full);
-            }
-            let (ng, _timed_out) = self
-                .space
-                .wait_timeout(g, left)
-                .unwrap_or_else(lock_poisoned);
-            g = ng;
-        }
-    }
-
-    /// Dequeue for the writer thread; `None` once closed and drained.
-    fn pop(&self) -> Option<OutFrame> {
-        let mut g = self.state.lock().unwrap_or_else(lock_poisoned);
-        loop {
-            if let Some(item) = g.buf.pop_front() {
-                self.space.notify_one();
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.items.wait(g).unwrap_or_else(lock_poisoned);
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().unwrap_or_else(lock_poisoned).closed = true;
-        self.space.notify_all();
-        self.items.notify_all();
+    if poll_tick(e) {
+        RpcError::Timeout { to }
+    } else {
+        RpcError::Disconnected(to)
     }
 }
 
@@ -356,9 +380,8 @@ impl BoundedQueue {
 struct PeerConn<Resp> {
     to: NodeId,
     dead: AtomicBool,
-    queue: BoundedQueue,
+    writer: ConnWriter,
     pending: Mutex<HashMap<u64, mpsc::SyncSender<Result<Resp, RpcError>>>>,
-    stream: TcpStream,
 }
 
 impl<Resp> PeerConn<Resp> {
@@ -368,17 +391,17 @@ impl<Resp> PeerConn<Resp> {
         self.dead.load(Ordering::Relaxed)
     }
 
-    /// Tear the connection down: close the queue, wake the socket, and
-    /// fail every in-flight call with `Disconnected` so the detector
-    /// hears about it immediately instead of waiting out TTLs.
+    /// Tear the connection down: shut the socket (which wakes the reader
+    /// and fails any write in progress) and fail every in-flight call
+    /// with `Disconnected` so the detector hears about it immediately
+    /// instead of waiting out TTLs.
     fn kill(&self) {
         // ordering: Relaxed - latch; threads re-check under their own
         // locks before acting.
         if self.dead.swap(true, Ordering::Relaxed) {
             return;
         }
-        self.queue.close();
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        let _ = self.writer.stream.shutdown(Shutdown::Both);
         let waiters: Vec<_> = self.pending.lock().drain().collect();
         for (_, tx) in waiters {
             let _ = tx.send(Err(RpcError::Disconnected(self.to)));
@@ -405,7 +428,7 @@ where
         Arc::clone(self.slots.lock().entry(to).or_default())
     }
 
-    /// Dial + handshake + spawn the reader and writer threads.
+    /// Dial + handshake + spawn the reader thread.
     fn dial(&self, to: NodeId, addr: SocketAddr) -> Result<Arc<PeerConn<Resp>>, RpcError> {
         let cfg = &self.shared.cfg;
         let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)
@@ -429,38 +452,27 @@ where
             .set_read_timeout(Some(cfg.io_timeout))
             .map_err(|e| io_to_rpc(&e, to))?;
 
+        let stream = Arc::new(stream);
         let conn = Arc::new(PeerConn {
             to,
             dead: AtomicBool::new(false),
-            queue: BoundedQueue::new(cfg.queue_cap),
+            writer: ConnWriter::new(
+                Arc::clone(&stream),
+                cfg.max_frame,
+                self.shared.clock.clone(),
+            ),
             pending: Mutex::new(HashMap::new()),
-            stream: stream.try_clone().map_err(|e| io_to_rpc(&e, to))?,
         });
-
-        let writer_stream = stream.try_clone().map_err(|e| io_to_rpc(&e, to))?;
-        let writer = ConnWriter::new(writer_stream, cfg.max_frame);
-        let wconn = Arc::clone(&conn);
-        thread::Builder::new()
-            .name(format!("wire-cli-w-{to}"))
-            .spawn(move || {
-                while let Some(f) = wconn.queue.pop() {
-                    if writer.write(f.kind, f.id, &f.body).is_err() {
-                        break;
-                    }
-                }
-                wconn.kill();
-            })
-            .map_err(|e| io_to_rpc(&e, to))?;
 
         let rconn = Arc::clone(&conn);
         let max_frame = cfg.max_frame;
         thread::Builder::new()
             .name(format!("wire-cli-r-{to}"))
             .spawn(move || {
-                let mut r = PatientReader {
+                let mut r = frame_reader(PatientReader {
                     stream: &stream,
                     stop: &rconn.dead,
-                };
+                });
                 // Any read failure — torn stream, oversized or malformed
                 // frame — ends the loop and the connection; the pool
                 // redials on the next call. Bodies arrive in a shared
@@ -543,25 +555,20 @@ where
             return Err(RpcError::Disconnected(to));
         }
 
-        let push = conn.queue.push_deadline(
-            OutFrame {
-                kind: FrameKind::Request,
-                id,
-                body: req.encode_vec(),
-            },
-            deadline,
-            clock,
-        );
-        match push {
-            Ok(()) => {}
-            Err(PushError::Full) => {
-                conn.pending.lock().remove(&id);
-                return Err(RpcError::Timeout { to });
-            }
-            Err(PushError::Closed) => {
-                conn.pending.lock().remove(&id);
-                return Err(RpcError::Disconnected(to));
-            }
+        // No thread hop: this caller encodes and writes its own frame.
+        let sent = conn.writer.send(Some(deadline), |w, scratch, cap| {
+            write_msg(w, scratch, FrameKind::Request, id, &req, cap)
+        });
+        if let Err(e) = sent {
+            conn.pending.lock().remove(&id);
+            return Err(match e {
+                SendError::Refused => RpcError::Overloaded { to },
+                SendError::Busy => RpcError::Timeout { to },
+                SendError::Torn(e) => {
+                    conn.kill();
+                    io_to_rpc(&e, to)
+                }
+            });
         }
 
         let left = deadline.saturating_duration_since(clock.now());
@@ -610,11 +617,12 @@ where
     }
 
     fn reply(self: Box<Self>, resp: Resp) {
-        // A failed reply write means the client is gone; it will observe
-        // the outcome as Disconnected/Timeout and retry elsewhere. The
-        // body encodes into the connection's scratch buffer — no
-        // per-reply allocation.
-        let _ = self.writer.write_msg(FrameKind::Response, self.id, &resp);
+        // A failed reply write means the client is gone (or the reply is
+        // over the frame cap, refused whole); it will observe the outcome
+        // as Disconnected/Timeout and retry elsewhere.
+        let _ = self.writer.send(None, |w, scratch, cap| {
+            write_msg(w, scratch, FrameKind::Response, self.id, &resp, cap)
+        });
     }
 }
 
@@ -686,11 +694,16 @@ where
     })?;
     stream.set_read_timeout(Some(cfg.io_timeout))?;
 
-    let writer = Arc::new(ConnWriter::new(stream.try_clone()?, cfg.max_frame));
-    let mut r = PatientReader {
+    let stream = Arc::new(stream);
+    let writer = Arc::new(ConnWriter::new(
+        Arc::clone(&stream),
+        cfg.max_frame,
+        shared.clock.clone(),
+    ));
+    let mut r = frame_reader(PatientReader {
         stream: &stream,
         stop,
-    };
+    });
     loop {
         let frame: SharedFrame = match read_frame_shared(&mut r, cfg.max_frame) {
             Ok(f) => f,
@@ -720,10 +733,10 @@ where
             },
             FrameKind::ObsScrape => {
                 let text = shared.obs.read().clone().map(|h| h()).unwrap_or_default();
-                if writer
-                    .write(FrameKind::ObsText, frame.id, text.as_bytes())
-                    .is_err()
-                {
+                let sent = writer.send(None, |w, _scratch, cap| {
+                    write_frame(w, FrameKind::ObsText, frame.id, text.as_bytes(), cap)
+                });
+                if sent.is_err() {
                     return Ok(());
                 }
             }

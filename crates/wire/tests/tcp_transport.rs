@@ -1,27 +1,43 @@
 //! End-to-end exercises of the TCP backend with a toy protocol: echo
 //! round trips, deadline behavior against silent peers, reconnect after
-//! a server restart, backpressure, and the obs scrape path.
+//! a server restart, backpressure from a peer that stops reading, frames
+//! over the cap, and the obs scrape path.
 
 use ftc_hashring::NodeId;
 use ftc_net::xport::Transport;
 use ftc_net::RpcError;
 use ftc_time::ClockHandle;
 use ftc_wire::codec::CodecError;
-use ftc_wire::codec::{put_str, Reader, Wire};
+use ftc_wire::codec::{put_str, put_window, Reader, Wire};
+use ftc_wire::frame::{read_hello, send_hello};
 use ftc_wire::tcp::{scrape_obs, TcpConfig, TcpTransport};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Echo(String);
 
 impl Wire for Echo {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode_scatter<'a>(&'a self, out: &mut Vec<u8>) -> Option<(usize, &'a [u8])> {
         put_str(out, &self.0);
+        None
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Echo(r.string("echo")?))
+    }
+}
+
+/// A request that is mostly one large value, sent from where it lives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Bulk(Arc<[u8]>);
+
+impl Wire for Bulk {
+    fn encode_scatter<'a>(&'a self, out: &mut Vec<u8>) -> Option<(usize, &'a [u8])> {
+        Some(put_window(out, &self.0))
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Bulk(r.view("bulk")?.as_slice().into()))
     }
 }
 
@@ -35,13 +51,16 @@ fn free_addrs(n: usize) -> Vec<SocketAddr> {
         .collect()
 }
 
-fn transport(addrs: &[SocketAddr]) -> TcpTransport<Echo, Echo> {
-    let cfg = TcpConfig {
+fn config() -> TcpConfig {
+    TcpConfig {
         connect_timeout: Duration::from_millis(500),
         io_timeout: Duration::from_millis(20),
         ..TcpConfig::default()
-    };
-    TcpTransport::from_peer_list(addrs, cfg)
+    }
+}
+
+fn transport(addrs: &[SocketAddr]) -> TcpTransport<Echo, Echo> {
+    TcpTransport::from_peer_list(addrs, config())
 }
 
 /// Serve `count` echo requests on a spawned thread, then stop.
@@ -182,6 +201,211 @@ fn concurrent_callers_multiplex_one_connection() {
     for j in joins {
         j.join().expect("worker");
     }
+    server.join().expect("server");
+}
+
+/// No queue stands between `call` and the socket, so what bounds a peer
+/// that stops draining is the socket itself plus the call's deadline.
+#[test]
+fn stalled_peer_times_out_callers_then_the_connection_redials() {
+    let addrs = free_addrs(1);
+    let t: TcpTransport<Bulk, Echo> = TcpTransport::from_peer_list(&addrs, config());
+
+    // A peer that completes the handshake and then never reads. It
+    // accepts once and stops listening, so a redial is refused — which
+    // is how the test sees that the first connection was given up.
+    let fake = TcpListener::bind(addrs[0]).expect("bind fake peer");
+    let (hang_up, hold) = mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = fake.accept().expect("client dials");
+        drop(fake);
+        read_hello(&mut stream).expect("client hello");
+        send_hello(&mut stream, NodeId(0)).expect("server hello");
+        let _ = hold.recv();
+    });
+
+    let caller: Arc<dyn ftc_net::Caller<Bulk, Echo>> = Arc::from(t.caller(NodeId(1)));
+    let ttl = Duration::from_millis(150);
+    let slack = Duration::from_millis(350);
+    let payload: Arc<[u8]> = vec![0xabu8; 4 << 20].into();
+    // Two callers share the connection: once the socket is full one of
+    // them stalls inside its write and the other waits for the write
+    // turn, and neither may outlive its own deadline.
+    let workers: Vec<_> = (0..2)
+        .map(|_| {
+            let (caller, payload) = (Arc::clone(&caller), Arc::clone(&payload));
+            std::thread::spawn(move || {
+                let clock = ClockHandle::wall();
+                let mut timeouts = 0;
+                for _ in 0..40 {
+                    let t0 = clock.now();
+                    let err = caller
+                        .call(NodeId(0), Bulk(Arc::clone(&payload)), ttl)
+                        .expect_err("nobody ever answers");
+                    let took = clock.since(t0);
+                    assert!(took < ttl + slack, "call took {took:?} against ttl {ttl:?}");
+                    match err {
+                        RpcError::Timeout { .. } => timeouts += 1,
+                        // The stalled connection was killed and the
+                        // redial refused: later callers fail fast.
+                        RpcError::Disconnected(_) => return timeouts,
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+                panic!("connection to a peer that never reads was never given up");
+            })
+        })
+        .collect();
+    let timeouts: usize = workers
+        .into_iter()
+        .map(|w| w.join().expect("caller thread"))
+        .sum();
+    assert!(
+        timeouts > 0,
+        "a stalled write must surface as Timeout first"
+    );
+
+    // The peer comes back for real on the same address: the next call
+    // redials and is served.
+    hang_up.send(()).expect("fake peer alive");
+    peer.join().expect("fake peer");
+    let listener = Transport::<Bulk, Echo>::register(&t, NodeId(0)).expect("rebind");
+    let server = std::thread::spawn(move || loop {
+        if let Some(inc) = listener.accept(Duration::from_millis(20)) {
+            let reply = Echo(format!("{} bytes", inc.req().0.len()));
+            inc.reply(reply);
+            return;
+        }
+    });
+    let resp = caller
+        .call(NodeId(0), Bulk(payload), Duration::from_secs(5))
+        .expect("redialed and served");
+    assert_eq!(resp, Echo(format!("{} bytes", 4 << 20)));
+    server.join().expect("server");
+}
+
+/// An echo server over a 64 KiB frame cap with two scripted requests:
+/// `slow` is answered only once `release` fires (after announcing itself
+/// on `parked`), `big-reply` is answered with a frame over the cap.
+/// Serves until it has answered `count` requests.
+fn scripted_server(
+    t: &TcpTransport<Echo, Echo>,
+    count: usize,
+    parked: mpsc::Sender<()>,
+    release: mpsc::Receiver<()>,
+) -> std::thread::JoinHandle<()> {
+    let listener = Transport::<Echo, Echo>::register(t, NodeId(0)).expect("bind server");
+    std::thread::spawn(move || {
+        let mut held = None;
+        let mut served = 0;
+        while served < count {
+            if let Some(inc) = listener.accept(Duration::from_millis(5)) {
+                match inc.req().0.as_str() {
+                    "slow" => {
+                        parked.send(()).expect("test alive");
+                        held = Some(inc);
+                        continue;
+                    }
+                    "big-reply" => inc.reply(Echo("r".repeat(100_000))),
+                    other => {
+                        let reply = Echo(other.to_string());
+                        inc.reply(reply);
+                    }
+                }
+                served += 1;
+            }
+            if held.is_some() && release.try_recv().is_ok() {
+                if let Some(inc) = held.take() {
+                    inc.reply(Echo("slow".into()));
+                    served += 1;
+                }
+            }
+        }
+    })
+}
+
+fn small_frames(addrs: &[SocketAddr]) -> TcpTransport<Echo, Echo> {
+    let cfg = TcpConfig {
+        max_frame: 64 * 1024,
+        ..config()
+    };
+    TcpTransport::from_peer_list(addrs, cfg)
+}
+
+/// A request over the frame cap is refused before its first byte: only
+/// that call fails — with an error that is no evidence against the peer
+/// — while a call already in flight on the same connection completes.
+#[test]
+fn oversized_request_fails_alone() {
+    let addrs = free_addrs(1);
+    let t = small_frames(&addrs);
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let server = scripted_server(&t, 2, parked_tx, release_rx);
+    let caller: Arc<dyn ftc_net::Caller<Echo, Echo>> = Arc::from(t.caller(NodeId(2)));
+
+    let in_flight = {
+        let caller = Arc::clone(&caller);
+        std::thread::spawn(move || {
+            caller.call(NodeId(0), Echo("slow".into()), Duration::from_secs(5))
+        })
+    };
+    parked.recv().expect("server holds the slow request");
+
+    let err = caller
+        .call(NodeId(0), Echo("q".repeat(100_000)), Duration::from_secs(5))
+        .unwrap_err();
+    assert_eq!(err, RpcError::Overloaded { to: NodeId(0) });
+    assert!(!err.indicates_failure());
+
+    release.send(()).expect("server alive");
+    let resp = in_flight.join().expect("caller thread");
+    assert_eq!(
+        resp,
+        Ok(Echo("slow".into())),
+        "in-flight call was collateral"
+    );
+    let resp = caller.call(NodeId(0), Echo("after".into()), Duration::from_secs(2));
+    assert_eq!(resp, Ok(Echo("after".into())));
+    server.join().expect("server");
+}
+
+/// Same on the way back: a reply over the cap is dropped whole, not
+/// half-written — its caller times out, the stream stays parseable, and
+/// the other call in flight on it is answered.
+#[test]
+fn oversized_reply_is_dropped_whole() {
+    let addrs = free_addrs(1);
+    let t = small_frames(&addrs);
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    let server = scripted_server(&t, 2, parked_tx, release_rx);
+    let caller: Arc<dyn ftc_net::Caller<Echo, Echo>> = Arc::from(t.caller(NodeId(2)));
+
+    let in_flight = {
+        let caller = Arc::clone(&caller);
+        std::thread::spawn(move || {
+            caller.call(NodeId(0), Echo("slow".into()), Duration::from_secs(5))
+        })
+    };
+    parked.recv().expect("server holds the slow request");
+
+    let err = caller
+        .call(
+            NodeId(0),
+            Echo("big-reply".into()),
+            Duration::from_millis(200),
+        )
+        .unwrap_err();
+    assert_eq!(err, RpcError::Timeout { to: NodeId(0) });
+
+    release.send(()).expect("server alive");
+    let resp = in_flight.join().expect("caller thread");
+    assert_eq!(
+        resp,
+        Ok(Echo("slow".into())),
+        "stream was torn by the refusal"
+    );
     server.join().expect("server");
 }
 

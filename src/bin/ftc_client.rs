@@ -16,7 +16,8 @@
 //! Per epoch it prints one `EPOCH …` line (read provenance counts,
 //! failed-node set, latency percentiles); at exit one `SUMMARY {json}`
 //! line. `--bench` instead runs the loopback macrobenchmark over three
-//! value sizes and writes a JSON report to `--out` (or stdout).
+//! value sizes and writes a JSON report (with `schema`, `commit` and
+//! host `cores`) to `--out` (or stdout).
 
 use ft_cache::fleet::{json_array, percentile, stage_dataset, Args, Json};
 use ftc_core::{
@@ -239,6 +240,19 @@ fn main() {
     std::process::exit(if total_errors == 0 { 0 } else { 1 });
 }
 
+/// What `git describe` calls the checkout the bench runs in (`-dirty`
+/// with uncommitted changes), so a checked-in row names the code that
+/// produced it; `unknown` outside a repository.
+fn head_commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
+}
+
 /// The loopback macrobenchmark: for each value size, stage a dedicated
 /// dataset, run one warm-up epoch (fills the fleet's NVMe tiers), then
 /// measure `epochs` epochs of cache-hit reads.
@@ -298,6 +312,12 @@ fn run_bench(
     }
     Json::obj()
         .s("bench", "tcp_loopback")
+        .s("schema", "ftc-bench/tcp_loopback/2")
+        .s("commit", &head_commit())
+        .u(
+            "cores",
+            std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
+        )
         .s("transport", "ftc-wire tcp, length-prefixed frames")
         .s("policy", policy.label())
         .u("peers", transport.peer_count() as u64)
