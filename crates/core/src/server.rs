@@ -252,10 +252,11 @@ impl HvacServer {
     /// leader owns the recache enqueue). `None` when the PFS has no such
     /// file.
     ///
-    /// Requests to one node arriving on a single event loop serialize
-    /// and never coalesce here; the group earns its keep when the server
-    /// is driven concurrently — multi-threaded bench harnesses and any
-    /// transport that dispatches in parallel.
+    /// Requests that reach one node through a single event loop — the
+    /// in-process fabric, an armored server — serialize and never
+    /// coalesce here. Over TCP an unarmored server is called from every
+    /// connection thread at once (see [`ServerHandle::spawn_on`]), and a
+    /// key that several clients miss together costs one PFS read.
     fn pfs_fetch_coalesced(&self, path: &str) -> Option<(ValueBuf, bool)> {
         let stats = Arc::clone(self.miss_flights.stats());
         match self.miss_flights.join(path) {
@@ -333,6 +334,11 @@ impl ServerHandle {
     /// disk). The transport's clock drives the loop, so virtual-time
     /// clusters get cooperative tasks and TCP gets plain threads from
     /// the same code.
+    ///
+    /// Where the backend reads requests on threads of its own
+    /// ([`Listener::set_sink`]: TCP's connection threads), those threads
+    /// call [`HvacServer::handle_inbound`] themselves, concurrently, and
+    /// the event loop is left waiting for the stop request.
     pub fn spawn_on(
         node: NodeId,
         transport: &dyn Transport<CacheRequest, CacheResponse>,
@@ -345,8 +351,8 @@ impl ServerHandle {
     /// [`ServerHandle::spawn_on`] with explicit admission control. With
     /// `admission.enabled` the event loop drains arrivals into a bounded
     /// priority queue and sheds (typed `Overloaded` replies, counted per
-    /// cause) instead of queueing without limit; the default disabled
-    /// config runs the exact legacy serve loop.
+    /// cause) instead of queueing without limit — one queue needs one
+    /// consumer, so an armored server always serves from the event loop.
     pub fn spawn_on_with_admission(
         node: NodeId,
         transport: &dyn Transport<CacheRequest, CacheResponse>,
@@ -392,6 +398,14 @@ impl ServerHandle {
         let shed_deadline = Arc::new(AtomicU64::new(0));
         let shed_cap2 = Arc::clone(&shed_capacity);
         let shed_dead2 = Arc::clone(&shed_deadline);
+        let server = Arc::new(server);
+        if !admission.enabled {
+            // The thread that decoded a request serves it, where the
+            // backend has such threads; everywhere else this is refused
+            // and the loop below is the server.
+            let inline = Arc::clone(&server);
+            listener.set_sink(Arc::new(move |inc| inline.handle_inbound(inc)));
+        }
         let spawner = clock.clone();
         let join = spawner
             .spawn(&format!("hvac-server-{node}"), move || {
@@ -407,7 +421,10 @@ impl ServerHandle {
                     );
                 } else {
                     // Poll with a short tick so a stop request is honored
-                    // even when no traffic arrives.
+                    // even when no traffic arrives — or, with a sink
+                    // installed, when none comes this way at all: the
+                    // queue then holds at most what was decoded before
+                    // the sink went in.
                     //
                     // ordering: Relaxed — stop is a plain flag; the 5 ms
                     // poll bounds how late a store is observed, and no
@@ -418,11 +435,13 @@ impl ServerHandle {
                         }
                     }
                 }
-                // The listener (and with it any accept threads a real
-                // backend runs) dies with the loop; drop it before
-                // parking the server so shutdown fully quiesces the node.
+                // The listener (and with it every accept and connection
+                // thread a real backend runs, sink included) dies with
+                // the loop; once it is gone this is the last handle on
+                // the server, which is parked so shutdown fully
+                // quiesces the node.
                 drop(listener);
-                *slot.lock() = Some(server);
+                *slot.lock() = Arc::try_unwrap(server).ok();
             })
             .map_err(|source| CoreError::Spawn {
                 what: "hvac server",

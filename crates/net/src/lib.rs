@@ -45,4 +45,4 @@ pub use latency::LatencyModel;
 pub use stats::{NetStats, NetStatsSnapshot};
 pub use trace::{TraceEventKind, TraceRecord, Tracer, VClock};
 pub use transport::{Endpoint, Incoming, Mailbox, Network, Payload};
-pub use xport::{Caller, Inbound, Listener, Transport};
+pub use xport::{Caller, Inbound, Listener, RequestSink, Transport};

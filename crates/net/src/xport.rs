@@ -108,6 +108,11 @@ pub trait Inbound<Req, Resp>: Send {
     fn ignore(self: Box<Self>) {}
 }
 
+/// Where a [`Listener`] delivers decoded requests once one is installed
+/// with [`Listener::set_sink`]: called on the thread that decoded the
+/// request, concurrently from as many threads as the backend reads on.
+pub type RequestSink<Req, Resp> = Arc<dyn Fn(Box<dyn Inbound<Req, Resp>>) + Send + Sync>;
+
 /// Server-side receive handle for one node: the abstract face of
 /// [`crate::Mailbox`].
 pub trait Listener<Req, Resp>: Send {
@@ -123,6 +128,16 @@ pub trait Listener<Req, Resp>: Send {
     /// (load introspection; 0 otherwise).
     fn backlog(&self) -> usize {
         0
+    }
+
+    /// Hand every request decoded from now on to `sink`, on the thread
+    /// that decoded it, instead of queueing it for [`Listener::accept`].
+    /// `false` — and the queue stays the only way in — on a backend whose
+    /// requests do not arrive on threads of their own: the in-process
+    /// fabric, where the serve loop is the thread virtual time schedules.
+    fn set_sink(&self, sink: RequestSink<Req, Resp>) -> bool {
+        let _ = sink;
+        false
     }
 }
 

@@ -8,29 +8,52 @@
 //!
 //! * [`Transport::register`] binds the node's listed address and runs an
 //!   accept loop; each accepted connection is handshaken
-//!   ([`crate::frame::Hello`]) and then serviced by a reader thread that
-//!   decodes request frames into [`Inbound`]s for the server loop.
-//!   Replies travel back over the same connection, matched by frame id.
+//!   ([`crate::frame::Hello`]) and then owned by one `wire-srv-conn-*`
+//!   thread that decodes request frames into [`Inbound`]s. Where they go
+//!   is the listener's one decision: into the queue [`Listener::accept`]
+//!   drains, or — once [`Listener::set_sink`] installed one — straight
+//!   into the sink, so the thread that decoded a request also serves it
+//!   and writes the reply, with no hand-off in between. Replies travel
+//!   back over the same connection, matched by frame id.
 //! * [`Transport::caller`] returns a pooled client: one connection per
 //!   destination peer, dialed lazily, multiplexed by frame id, torn down
 //!   and re-dialed on the next call after any error
-//!   (*reconnect-on-error*).
+//!   (*reconnect-on-error*). A pooled connection owns **no thread**:
+//!   callers take turns on both halves of it. `call` writes its own
+//!   frame under the write turn ([`ConnWriter`]) and then reads under the
+//!   read turn ([`Reads`]): whoever finds the turn free pulls frames off
+//!   the socket until its own reply arrives, parking every other reply
+//!   in the slot of the call that waits for it; a caller that finds the
+//!   turn taken sleeps on its slot until it is served or handed the turn.
 //!
 //! ## Backpressure and deadlines
 //!
-//! There is no outbound queue and no writer thread: `call` writes its own
-//! frame, under the connection's write turn ([`ConnWriter`]). What bounds
-//! a stalled peer is the socket — once its send buffer is full the write
-//! blocks — and both the wait for the turn and the write end at the
-//! call's own deadline, so a peer that stops draining surfaces as
-//! [`RpcError::Timeout`], feeding the failure detector exactly like a
-//! silent peer in the simulated fabric. A write abandoned part-way has
-//! torn the stream, so it kills the connection. Torn connections surface
-//! as [`RpcError::Disconnected`] (also detector-feeding); addresses
-//! missing from the peer map as [`RpcError::UnknownNode`]; a request over
-//! the frame cap, refused before its first byte, as
-//! [`RpcError::Overloaded`] (no evidence against the peer). This is the
-//! whole mapping from socket reality onto the retry-policy error taxonomy.
+//! There is no queue and no helper thread in either direction. What
+//! bounds a stalled peer is the socket — once its send buffer is full the
+//! write blocks — and the wait for a turn, the write and the read all end
+//! at the call's own deadline, so a peer that stops draining or stops
+//! answering surfaces as [`RpcError::Timeout`], feeding the failure
+//! detector exactly like a silent peer in the simulated fabric. Dialing
+//! runs on the same clock: connect, handshake and the wait for another
+//! caller's dial get `min(connect_timeout, what is left of the call)`.
+//!
+//! A deadline abandons I/O only where the stream stays parseable. A read
+//! is given up *between* frames, with the read-ahead intact for the next
+//! holder of the turn; a frame that has started is read to its end while
+//! bytes keep arriving, and one that stalls for an `io_timeout` past the
+//! deadline — like a write abandoned part-way — has torn the stream, so
+//! it kills the connection. Torn connections surface as
+//! [`RpcError::Disconnected`] (also detector-feeding) to every call in
+//! flight at once; addresses missing from the peer map as
+//! [`RpcError::UnknownNode`]; a request over the frame cap, refused
+//! before its first byte, as [`RpcError::Overloaded`] (no evidence
+//! against the peer). This is the whole mapping from socket reality onto
+//! the retry-policy error taxonomy.
+//!
+//! Nobody reads an idle connection, so one the peer closed while idle is
+//! found by the *next* call on it: its read meets the close at once and
+//! fails as `Disconnected` — never a deadline's wait — and the call after
+//! that redials.
 //!
 //! ## Clocks
 //!
@@ -43,21 +66,20 @@
 use crate::codec::Wire;
 use crate::frame::{
     frame_reader, read_frame, read_frame_shared, read_hello, send_hello, write_frame, write_msg,
-    FrameError, FrameKind, Hello, SharedFrame, DEFAULT_MAX_FRAME,
+    FrameError, FrameKind, HandshakeError, Hello, SharedFrame, DEFAULT_MAX_FRAME,
 };
 use ftc_hashring::NodeId;
-use ftc_net::xport::{Caller, Inbound, Listener, Transport};
+use ftc_net::xport::{Caller, Inbound, Listener, RequestSink, Transport};
 use ftc_net::RpcError;
 use ftc_time::ClockHandle;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
-use std::thread;
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 /// The node id anonymous connections (observability scrapers) present
@@ -257,67 +279,59 @@ enum SendError {
     Torn(io::Error),
 }
 
-/// The write half of one connection, shared by everyone who sends on it.
-/// Senders take turns, and a sender waits for its turn no longer than
-/// its deadline — a plain mutex cannot give up, and the holder may be
-/// blocked on a peer that stopped reading.
-struct ConnWriter {
-    stream: Arc<TcpStream>,
-    max_frame: u32,
-    clock: ClockHandle,
-    turns: StdMutex<Turns>,
+/// A lock whose waiters can give up: whoever wants the `T` waits for its
+/// turn no longer than a deadline. A plain mutex cannot do that, and the
+/// holder of one of these may be blocked on a peer that stopped answering.
+struct TurnLock<T> {
+    turns: StdMutex<Turns<T>>,
     released: Condvar,
 }
 
-struct Turns {
-    /// The connection's encode buffer while nobody is writing: taking it
-    /// is taking the turn. It holds frame headers and the few message
-    /// bytes around a value, never a value, so it stays small.
-    idle: Option<Vec<u8>>,
-    /// Senders blocked in [`ConnWriter::turn`]; lets the common
-    /// uncontended release skip the condvar's wake-up syscall.
+struct Turns<T> {
+    /// The guarded value while nobody holds it: taking it is taking the
+    /// turn.
+    idle: Option<T>,
+    /// Threads blocked in [`TurnLock::take`]; lets the common uncontended
+    /// release skip the condvar's wake-up syscall.
     waiting: usize,
 }
 
-/// The write turn; gives it back on every exit, unwinding included.
-struct Turn<'a> {
-    writer: &'a ConnWriter,
-    scratch: Vec<u8>,
+/// A turn; gives it back on every exit, unwinding included.
+struct Turn<'a, T: Default> {
+    lock: &'a TurnLock<T>,
+    held: T,
 }
 
-impl Drop for Turn<'_> {
+impl<T: Default> Drop for Turn<'_, T> {
     fn drop(&mut self) {
-        let mut turns = self.writer.turns.lock().unwrap_or_else(lock_poisoned);
-        turns.idle = Some(std::mem::take(&mut self.scratch));
+        let mut turns = self.lock.turns.lock().unwrap_or_else(lock_poisoned);
+        turns.idle = Some(std::mem::take(&mut self.held));
         if turns.waiting > 0 {
-            self.writer.released.notify_one();
+            self.lock.released.notify_one();
         }
     }
 }
 
-impl ConnWriter {
-    fn new(stream: Arc<TcpStream>, max_frame: u32, clock: ClockHandle) -> Self {
-        ConnWriter {
-            stream,
-            max_frame,
-            clock,
+impl<T: Default> TurnLock<T> {
+    fn new(value: T) -> Self {
+        TurnLock {
             turns: StdMutex::new(Turns {
-                idle: Some(Vec::new()),
+                idle: Some(value),
                 waiting: 0,
             }),
             released: Condvar::new(),
         }
     }
 
-    /// Wait for the write turn; `None` if it is still taken at `deadline`.
-    fn turn(&self, deadline: Option<Instant>) -> Option<Turn<'_>> {
+    /// Wait for the turn; `None` if it is still taken at `deadline`.
+    fn take(&self, clock: &ClockHandle, deadline: Option<Instant>) -> Option<Turn<'_, T>> {
         let mut turns = self.turns.lock().unwrap_or_else(lock_poisoned);
         turns.waiting += 1;
-        let scratch = loop {
-            if let Some(scratch) = turns.idle.take() {
-                break Some(scratch);
+        let held = loop {
+            if let Some(held) = turns.idle.take() {
+                break Some(held);
             }
-            let left = deadline.map(|d| d.saturating_duration_since(self.clock.now()));
+            let left = deadline.map(|d| d.saturating_duration_since(clock.now()));
             turns = match left {
                 None => self.released.wait(turns).unwrap_or_else(lock_poisoned),
                 Some(left) if left.is_zero() => break None,
@@ -330,10 +344,29 @@ impl ConnWriter {
             };
         };
         turns.waiting -= 1;
-        scratch.map(|scratch| Turn {
-            writer: self,
-            scratch,
-        })
+        held.map(|held| Turn { lock: self, held })
+    }
+}
+
+/// The write half of one connection, shared by everyone who sends on it.
+/// Senders take turns on the connection's encode buffer, which holds
+/// frame headers and the few message bytes around a value, never a
+/// value, so it stays small.
+struct ConnWriter {
+    stream: Arc<TcpStream>,
+    max_frame: u32,
+    clock: ClockHandle,
+    scratch: TurnLock<Vec<u8>>,
+}
+
+impl ConnWriter {
+    fn new(stream: Arc<TcpStream>, max_frame: u32, clock: ClockHandle) -> Self {
+        ConnWriter {
+            stream,
+            max_frame,
+            clock,
+            scratch: TurnLock::new(Vec::new()),
+        }
     }
 
     /// Write one frame with `write`, which gets the stream, the encode
@@ -346,13 +379,16 @@ impl ConnWriter {
         deadline: Option<Instant>,
         write: impl FnOnce(&mut PatientWriter<'_>, &mut Vec<u8>, u32) -> Result<(), FrameError>,
     ) -> Result<(), SendError> {
-        let mut turn = self.turn(deadline).ok_or(SendError::Busy)?;
+        let mut turn = self
+            .scratch
+            .take(&self.clock, deadline)
+            .ok_or(SendError::Busy)?;
         let mut w = PatientWriter {
             stream: &self.stream,
             deadline,
             clock: &self.clock,
         };
-        match write(&mut w, &mut turn.scratch, self.max_frame) {
+        match write(&mut w, &mut turn.held, self.max_frame) {
             Ok(()) => Ok(()),
             Err(FrameError::Io(e)) => {
                 let _ = self.stream.shutdown(Shutdown::Both);
@@ -377,46 +413,295 @@ fn io_to_rpc(e: &io::Error, to: NodeId) -> RpcError {
 // Client side: pooled, multiplexed connections.
 // ---------------------------------------------------------------------------
 
-struct PeerConn<Resp> {
-    to: NodeId,
-    dead: AtomicBool,
-    writer: ConnWriter,
-    pending: Mutex<HashMap<u64, mpsc::SyncSender<Result<Resp, RpcError>>>>,
+/// The socket under a pooled connection's [`frame_reader`]. One attempt
+/// per `read`: a poll tick comes back as the error it is, for the holder
+/// of the read turn to weigh against its deadline.
+struct SockReader {
+    stream: Arc<TcpStream>,
+    /// The socket's read timeout as last set, so it is set again only
+    /// when it has to change — never on a call that is answered in time.
+    patience: Duration,
 }
 
-impl<Resp> PeerConn<Resp> {
+impl SockReader {
+    fn wait_at_most(&mut self, patience: Duration) -> io::Result<()> {
+        if patience != self.patience {
+            self.stream.set_read_timeout(Some(patience))?;
+            self.patience = patience;
+        }
+        Ok(())
+    }
+}
+
+impl Read for SockReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self.stream).read(buf)
+    }
+}
+
+/// Blocking-read adapter for a frame that has started: a read the socket
+/// gave nothing to for one poll interval is retried until `deadline`, the
+/// mirror image of [`PatientWriter`].
+struct UntilDeadline<'a, R> {
+    r: &'a mut R,
+    deadline: Instant,
+    clock: &'a ClockHandle,
+}
+
+impl<R: Read> Read for UntilDeadline<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.r.read(buf) {
+                Err(e) if poll_tick(&e) && self.clock.now() < self.deadline => continue,
+                other => return other,
+            }
+        }
+    }
+}
+
+type FrameReader = BufReader<SockReader>;
+
+/// The read half of one pooled connection, shared by every call in
+/// flight on it. The twin of the write turn, with one difference: a
+/// frame read under the turn may be somebody else's, so every call has a
+/// slot where the holder can leave its reply.
+struct Reads {
+    /// The connection's frame reader while nobody is reading: taking it
+    /// is taking the read turn.
+    idle: Option<FrameReader>,
+    /// One slot per call in flight, by frame id.
+    waiters: HashMap<u64, Waiter>,
+}
+
+#[derive(Default)]
+struct Waiter {
+    /// The reply's body, left here by whoever held the turn when it came.
+    reply: Option<Arc<[u8]>>,
+    /// Set once the caller sleeps on this slot: who to wake when it is
+    /// served, handed the turn, or the connection dies. A call that
+    /// never finds the turn taken never registers, and costs no wake-up.
+    parked: Option<Thread>,
+}
+
+impl Reads {
+    /// Pass the turn on: while it is free and calls sleep unserved, one
+    /// of them must be on its way to take it. Every path that frees the
+    /// turn or takes a sleeper off the list ends here, which is what
+    /// keeps a reply from sitting unread behind sleeping callers.
+    fn hand_on(&self) {
+        if self.idle.is_none() {
+            return;
+        }
+        let next = self
+            .waiters
+            .values()
+            .find_map(|w| w.parked.as_ref().filter(|_| w.reply.is_none()));
+        if let Some(next) = next {
+            next.unpark();
+        }
+    }
+}
+
+struct PeerConn {
+    to: NodeId,
+    io_timeout: Duration,
+    dead: AtomicBool,
+    writer: ConnWriter,
+    reads: Mutex<Reads>,
+}
+
+impl PeerConn {
     fn is_dead(&self) -> bool {
         // ordering: Relaxed - dead is a one-way latch; a stale read only
         // delays reconnect by one call.
         self.dead.load(Ordering::Relaxed)
     }
 
-    /// Tear the connection down: shut the socket (which wakes the reader
-    /// and fails any write in progress) and fail every in-flight call
-    /// with `Disconnected` so the detector hears about it immediately
-    /// instead of waiting out TTLs.
+    /// Tear the connection down: shut the socket (which fails any read or
+    /// write in progress) and wake every sleeping call, which finds the
+    /// latch set and fails with `Disconnected` — the detector hears about
+    /// it immediately instead of waiting out TTLs.
     fn kill(&self) {
-        // ordering: Relaxed - latch; threads re-check under their own
-        // locks before acting.
+        // ordering: Relaxed - latch; callers re-check it under the reads
+        // lock, which is what orders it against their registration.
         if self.dead.swap(true, Ordering::Relaxed) {
             return;
         }
         let _ = self.writer.stream.shutdown(Shutdown::Both);
-        let waiters: Vec<_> = self.pending.lock().drain().collect();
-        for (_, tx) in waiters {
-            let _ = tx.send(Err(RpcError::Disconnected(self.to)));
+        for w in self.reads.lock().waiters.values() {
+            if let Some(sleeper) = &w.parked {
+                sleeper.unpark();
+            }
+        }
+    }
+
+    /// Register call `id` before its request is written, so its reply
+    /// has a slot whenever it arrives.
+    fn enter(&self, id: u64) -> Result<InFlight<'_>, RpcError> {
+        let mut reads = self.reads.lock();
+        if self.is_dead() {
+            return Err(RpcError::Disconnected(self.to));
+        }
+        reads.waiters.insert(id, Waiter::default());
+        Ok(InFlight {
+            conn: self,
+            id,
+            reader: None,
+        })
+    }
+
+    /// Holding the read turn, read frames until the reply to `id`.
+    fn pull(&self, r: &mut FrameReader, id: u64, deadline: Instant) -> Result<Arc<[u8]>, RpcError> {
+        let clock = &self.writer.clock;
+        loop {
+            // Between frames the read can be given up: nothing of the
+            // next frame has been consumed, and `fill_buf` keeps what was
+            // read ahead for the next holder of the turn.
+            while r.buffer().is_empty() {
+                let left = deadline.saturating_duration_since(clock.now());
+                if left.is_zero() {
+                    return Err(RpcError::Timeout { to: self.to });
+                }
+                let waited = r.get_mut().wait_at_most(left.min(self.io_timeout));
+                match waited.and_then(|()| r.fill_buf().map(<[u8]>::len)) {
+                    Ok(0) => return Err(self.torn(&io::ErrorKind::UnexpectedEof.into())),
+                    Ok(_) => break,
+                    Err(e) if poll_tick(&e) => {}
+                    Err(e) => return Err(self.torn(&e)),
+                }
+            }
+            // A frame that has started is read to its end while bytes
+            // keep arriving; one that stalls for a poll interval past the
+            // deadline has torn the stream, like a write abandoned
+            // part-way. Any other failure — oversized or malformed frame,
+            // a kind servers never send here — is a protocol break with
+            // the same end; the pool redials on the next call.
+            let frame = r
+                .get_mut()
+                .wait_at_most(self.io_timeout)
+                .map_err(FrameError::Io)
+                .and_then(|()| {
+                    let mut r = UntilDeadline { r, deadline, clock };
+                    read_frame_shared(&mut r, self.writer.max_frame)
+                });
+            let frame = match frame {
+                Ok(frame) if frame.kind == FrameKind::Response => frame,
+                Err(FrameError::Io(e)) => return Err(self.torn(&e)),
+                Ok(_)
+                | Err(
+                    FrameError::Closed
+                    | FrameError::Oversized { .. }
+                    | FrameError::Runt { .. }
+                    | FrameError::BadKind(_)
+                    | FrameError::Codec(_),
+                ) => return Err(self.torn(&io::ErrorKind::InvalidData.into())),
+            };
+            if frame.id == id {
+                return Ok(frame.body);
+            }
+            // Somebody else's. A reply to a call that gave up has no slot
+            // and is dropped.
+            if let Some(w) = self.reads.lock().waiters.get_mut(&frame.id) {
+                w.reply = Some(frame.body);
+                if let Some(sleeper) = &w.parked {
+                    sleeper.unpark();
+                }
+            }
+        }
+    }
+
+    /// The stream can no longer be trusted: kill the connection and name
+    /// the failure for the caller that met it.
+    fn torn(&self, e: &io::Error) -> RpcError {
+        self.kill();
+        io_to_rpc(e, self.to)
+    }
+}
+
+/// One registered call. Dropping it — reply, timeout, failed write,
+/// unwinding — takes the call off the connection and, if it held the read
+/// turn, gives the turn back.
+struct InFlight<'a> {
+    conn: &'a PeerConn,
+    id: u64,
+    /// The connection's reader while this call holds the read turn.
+    reader: Option<FrameReader>,
+}
+
+impl InFlight<'_> {
+    /// Wait for this call's reply: read it off the socket if the read
+    /// turn is free, sleep on the slot otherwise.
+    fn reply(&mut self, deadline: Instant) -> Result<Arc<[u8]>, RpcError> {
+        let conn = self.conn;
+        loop {
+            {
+                let mut reads = conn.reads.lock();
+                let reads = &mut *reads;
+                // Only `drop` takes the slot out, so it is there; `entry`
+                // is the way to it that needs no unwrap.
+                let me = reads.waiters.entry(self.id).or_default();
+                if let Some(body) = me.reply.take() {
+                    return Ok(body);
+                }
+                if conn.is_dead() {
+                    return Err(RpcError::Disconnected(conn.to));
+                }
+                match reads.idle.take() {
+                    Some(r) => self.reader = Some(r),
+                    None => {
+                        me.parked.get_or_insert_with(thread::current);
+                    }
+                }
+            }
+            if let Some(r) = self.reader.as_mut() {
+                return conn.pull(r, self.id, deadline);
+            }
+            let left = deadline.saturating_duration_since(conn.writer.clock.now());
+            if left.is_zero() {
+                return Err(RpcError::Timeout { to: conn.to });
+            }
+            // Woken by the holder of the turn (served, or handed the
+            // turn), by `kill`, or by the deadline; a stale token from an
+            // earlier call only costs one more look.
+            thread::park_timeout(left);
         }
     }
 }
 
-type Slot<Resp> = Arc<Mutex<Option<Arc<PeerConn<Resp>>>>>;
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut reads = self.conn.reads.lock();
+        reads.waiters.remove(&self.id);
+        if let Some(r) = self.reader.take() {
+            reads.idle = Some(r);
+        }
+        reads.hand_on();
+    }
+}
+
+/// One destination in a caller's pool.
+struct PeerSlot {
+    addr: SocketAddr,
+    conn: Mutex<Option<Arc<PeerConn>>>,
+    /// Callers that find no live connection dial one at a time, and wait
+    /// for each other no longer than their own deadlines.
+    dialing: TurnLock<()>,
+}
+
+impl PeerSlot {
+    fn live(&self) -> Option<Arc<PeerConn>> {
+        self.conn.lock().as_ref().filter(|c| !c.is_dead()).cloned()
+    }
+}
 
 struct TcpCaller<Req, Resp> {
     me: NodeId,
     shared: Arc<Shared>,
-    slots: Mutex<HashMap<NodeId, Slot<Resp>>>,
+    /// Fixed at construction, like the peer map it mirrors: looking a
+    /// destination up takes no lock.
+    slots: HashMap<NodeId, PeerSlot>,
     next_id: AtomicU64,
-    _marker: PhantomData<fn(Req)>,
+    _marker: PhantomData<fn(Req) -> Resp>,
 }
 
 impl<Req, Resp> TcpCaller<Req, Resp>
@@ -424,100 +709,77 @@ where
     Req: Wire + Send + 'static,
     Resp: Wire + Send + 'static,
 {
-    fn slot(&self, to: NodeId) -> Slot<Resp> {
-        Arc::clone(self.slots.lock().entry(to).or_default())
-    }
-
-    /// Dial + handshake + spawn the reader thread.
-    fn dial(&self, to: NodeId, addr: SocketAddr) -> Result<Arc<PeerConn<Resp>>, RpcError> {
+    /// Dial + handshake, all of it over by `give_up`.
+    fn dial(&self, to: NodeId, addr: SocketAddr, give_up: Instant) -> Result<PeerConn, RpcError> {
         let cfg = &self.shared.cfg;
-        let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)
-            .map_err(|e| io_to_rpc(&e, to))?;
-        stream.set_nodelay(true).map_err(|e| io_to_rpc(&e, to))?;
-        stream
-            .set_read_timeout(Some(cfg.connect_timeout))
-            .map_err(|e| io_to_rpc(&e, to))?;
-        stream
-            .set_write_timeout(Some(cfg.io_timeout))
-            .map_err(|e| io_to_rpc(&e, to))?;
-        let mut hs = &stream;
-        send_hello(&mut hs, self.me).map_err(|_| RpcError::Disconnected(to))?;
-        let hello: Hello = read_hello(&mut hs).map_err(|_| RpcError::Disconnected(to))?;
+        let clock = &self.shared.clock;
+        let left = || match give_up.saturating_duration_since(clock.now()) {
+            left if left.is_zero() => Err(RpcError::Timeout { to }),
+            left => Ok(left),
+        };
+        let io = |e: io::Error| io_to_rpc(&e, to);
+        let hs = |e: HandshakeError| match e {
+            HandshakeError::Io(e) => io_to_rpc(&e, to),
+            // Not an FT-Cache peer of this version: unreachable, as far
+            // as this caller is concerned.
+            HandshakeError::BadMagic(_) | HandshakeError::BadVersion { .. } => {
+                RpcError::Disconnected(to)
+            }
+        };
+        let stream = TcpStream::connect_timeout(&addr, left()?).map_err(io)?;
+        stream.set_nodelay(true).map_err(io)?;
+        stream.set_write_timeout(Some(cfg.io_timeout)).map_err(io)?;
+        let mut s = &stream;
+        send_hello(&mut s, self.me).map_err(hs)?;
+        stream.set_read_timeout(Some(left()?)).map_err(io)?;
+        let hello: Hello = read_hello(&mut s).map_err(hs)?;
         if hello.node != to {
             // The peer map pointed at a live FT-Cache node, but the wrong
             // one — treat as unreachable rather than talk to an impostor.
             return Err(RpcError::Disconnected(to));
         }
-        stream
-            .set_read_timeout(Some(cfg.io_timeout))
-            .map_err(|e| io_to_rpc(&e, to))?;
+        stream.set_read_timeout(Some(cfg.io_timeout)).map_err(io)?;
 
         let stream = Arc::new(stream);
-        let conn = Arc::new(PeerConn {
+        Ok(PeerConn {
             to,
+            io_timeout: cfg.io_timeout,
             dead: AtomicBool::new(false),
-            writer: ConnWriter::new(
-                Arc::clone(&stream),
-                cfg.max_frame,
-                self.shared.clock.clone(),
-            ),
-            pending: Mutex::new(HashMap::new()),
-        });
-
-        let rconn = Arc::clone(&conn);
-        let max_frame = cfg.max_frame;
-        thread::Builder::new()
-            .name(format!("wire-cli-r-{to}"))
-            .spawn(move || {
-                let mut r = frame_reader(PatientReader {
-                    stream: &stream,
-                    stop: &rconn.dead,
-                });
-                // Any read failure — torn stream, oversized or malformed
-                // frame — ends the loop and the connection; the pool
-                // redials on the next call. Bodies arrive in a shared
-                // allocation so a large Data reply decodes zero-copy.
-                while let Ok(frame) = read_frame_shared(&mut r, max_frame) {
-                    if frame.kind != FrameKind::Response {
-                        // Servers only ever send responses on this
-                        // connection; anything else is a protocol break.
-                        break;
-                    }
-                    let waiter = rconn.pending.lock().remove(&frame.id);
-                    if let Some(tx) = waiter {
-                        let out = match Resp::decode_all_shared(&frame.body) {
-                            Ok(v) => Ok(v),
-                            // Every decode failure maps to the same
-                            // verdict: the stream cannot be trusted.
-                            // lint:allow(err-catchall)
-                            Err(_) => Err(RpcError::Disconnected(rconn.to)),
-                        };
-                        let undecodable = out.is_err();
-                        let _ = tx.send(out);
-                        if undecodable {
-                            // Schema disagreement: nothing later on this
-                            // stream can be trusted either.
-                            break;
-                        }
-                    }
-                }
-                rconn.kill();
-            })
-            .map_err(|e| io_to_rpc(&e, to))?;
-
-        Ok(conn)
+            writer: ConnWriter::new(Arc::clone(&stream), cfg.max_frame, clock.clone()),
+            reads: Mutex::new(Reads {
+                idle: Some(frame_reader(SockReader {
+                    stream,
+                    patience: cfg.io_timeout,
+                })),
+                waiters: HashMap::new(),
+            }),
+        })
     }
 
-    fn conn_for(&self, to: NodeId, addr: SocketAddr) -> Result<Arc<PeerConn<Resp>>, RpcError> {
-        let slot = self.slot(to);
-        let mut g = slot.lock();
-        if let Some(c) = g.as_ref() {
-            if !c.is_dead() {
-                return Ok(Arc::clone(c));
-            }
+    /// The pooled connection to `to`, dialed on this call's clock if
+    /// there is none: connect, handshake and the wait for another
+    /// caller's dial all end at `min(connect_timeout, deadline)`.
+    fn conn_for(
+        &self,
+        to: NodeId,
+        slot: &PeerSlot,
+        deadline: Instant,
+    ) -> Result<Arc<PeerConn>, RpcError> {
+        if let Some(conn) = slot.live() {
+            return Ok(conn);
         }
-        let fresh = self.dial(to, addr)?;
-        *g = Some(Arc::clone(&fresh));
+        let clock = &self.shared.clock;
+        let give_up = deadline.min(clock.deadline(self.shared.cfg.connect_timeout));
+        let _dialing = slot
+            .dialing
+            .take(clock, Some(give_up))
+            .ok_or(RpcError::Timeout { to })?;
+        if let Some(conn) = slot.live() {
+            // Dialed by whoever held the turn before.
+            return Ok(conn);
+        }
+        let fresh = Arc::new(self.dial(to, slot.addr, give_up)?);
+        *slot.conn.lock() = Some(Arc::clone(&fresh));
         Ok(fresh)
     }
 }
@@ -536,58 +798,40 @@ where
     }
 
     fn call(&self, to: NodeId, req: Req, timeout: Duration) -> Result<Resp, RpcError> {
-        let clock = &self.shared.clock;
-        let deadline = clock.deadline(timeout);
-        let addr = match self.shared.peers.get(&to) {
-            Some(a) => *a,
-            None => return Err(RpcError::UnknownNode(to)),
-        };
-        let conn = self.conn_for(to, addr)?;
+        let deadline = self.shared.clock.deadline(timeout);
+        let slot = self.slots.get(&to).ok_or(RpcError::UnknownNode(to))?;
+        let conn = self.conn_for(to, slot, deadline)?;
 
         // ordering: Relaxed - ids only need uniqueness, not ordering.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::sync_channel::<Result<Resp, RpcError>>(1);
-        conn.pending.lock().insert(id, tx);
-        if conn.is_dead() {
-            // The connection died between pool lookup and registration;
-            // kill() may have missed our waiter, so clean up ourselves.
-            conn.pending.lock().remove(&id);
-            return Err(RpcError::Disconnected(to));
-        }
+        let mut flight = conn.enter(id)?;
 
-        // No thread hop: this caller encodes and writes its own frame.
-        let sent = conn.writer.send(Some(deadline), |w, scratch, cap| {
-            write_msg(w, scratch, FrameKind::Request, id, &req, cap)
-        });
-        if let Err(e) = sent {
-            conn.pending.lock().remove(&id);
-            return Err(match e {
+        // No thread hop either way: this caller encodes and writes its
+        // own frame, then reads its own reply.
+        conn.writer
+            .send(Some(deadline), |w, scratch, cap| {
+                write_msg(w, scratch, FrameKind::Request, id, &req, cap)
+            })
+            .map_err(|e| match e {
                 SendError::Refused => RpcError::Overloaded { to },
                 SendError::Busy => RpcError::Timeout { to },
-                SendError::Torn(e) => {
-                    conn.kill();
-                    io_to_rpc(&e, to)
-                }
-            });
-        }
-
-        let left = deadline.saturating_duration_since(clock.now());
-        match rx.recv_timeout(left) {
-            Ok(out) => out,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                conn.pending.lock().remove(&id);
-                Err(RpcError::Timeout { to })
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                conn.pending.lock().remove(&id);
-                Err(RpcError::Disconnected(to))
-            }
+                SendError::Torn(e) => conn.torn(&e),
+            })?;
+        let body = flight.reply(deadline);
+        // Decoding needs no turn: let the next reader at the socket.
+        drop(flight);
+        match Resp::decode_all_shared(&body?) {
+            Ok(resp) => Ok(resp),
+            // Every decode failure maps to the same verdict — schema
+            // disagreement: nothing later on this stream can be trusted
+            // either. lint:allow(err-catchall)
+            Err(_) => Err(conn.torn(&io::ErrorKind::InvalidData.into())),
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Server side: accept loop + per-connection readers.
+// Server side: accept loop + one thread per connection.
 // ---------------------------------------------------------------------------
 
 struct TcpInbound<Req, Resp> {
@@ -626,11 +870,35 @@ where
     }
 }
 
+/// Where a listener's connection threads deliver decoded requests: the
+/// installed sink, or the accept queue while there is none.
+struct Delivery<Req, Resp> {
+    sink: RwLock<Option<RequestSink<Req, Resp>>>,
+    queue: ftc_time::ClockSender<Box<dyn Inbound<Req, Resp>>>,
+}
+
+impl<Req, Resp> Delivery<Req, Resp> {
+    /// `false` once nobody can take requests any more.
+    fn deliver(&self, inbound: Box<dyn Inbound<Req, Resp>>) -> bool {
+        // Cloned out, so a slow request never holds the lock.
+        let sink = self.sink.read().clone();
+        match sink {
+            Some(serve) => {
+                serve(inbound);
+                true
+            }
+            None => self.queue.send(inbound).is_ok(),
+        }
+    }
+}
+
 /// Server half minted by [`Transport::register`]: owns the accept loop
-/// and hands decoded requests to the serve loop via [`Listener::accept`].
+/// and, through it, every connection thread. Dropping it returns once
+/// they have all quiesced, so nothing still holds the sink afterwards.
 struct TcpListenerHandle<Req, Resp> {
     node: NodeId,
     rx: ftc_time::ClockReceiver<Box<dyn Inbound<Req, Resp>>>,
+    delivery: Arc<Delivery<Req, Resp>>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
@@ -651,6 +919,11 @@ where
     fn backlog(&self) -> usize {
         self.rx.len()
     }
+
+    fn set_sink(&self, sink: RequestSink<Req, Resp>) -> bool {
+        *self.delivery.sink.write() = Some(sink);
+        true
+    }
 }
 
 impl<Req, Resp> Drop for TcpListenerHandle<Req, Resp> {
@@ -669,7 +942,7 @@ fn serve_conn<Req, Resp>(
     stream: TcpStream,
     node: NodeId,
     shared: &Shared,
-    tx: &ftc_time::ClockSender<Box<dyn Inbound<Req, Resp>>>,
+    delivery: &Delivery<Req, Resp>,
     stop: &AtomicBool,
 ) -> io::Result<()>
 where
@@ -689,7 +962,7 @@ where
         Err(_) => return Ok(()),
     };
     send_hello(&mut hs, node).map_err(|e| match e {
-        crate::frame::HandshakeError::Io(e) => e,
+        HandshakeError::Io(e) => e,
         _ => io::Error::from(io::ErrorKind::InvalidData),
     })?;
     stream.set_read_timeout(Some(cfg.io_timeout))?;
@@ -722,7 +995,7 @@ where
                         writer: Arc::clone(&writer),
                         _marker: PhantomData,
                     });
-                    if tx.send(inbound).is_err() {
+                    if !delivery.deliver(inbound) {
                         return Ok(());
                     }
                 }
@@ -763,14 +1036,20 @@ where
         })?;
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let (tx, rx) = self.shared.clock.channel::<Box<dyn Inbound<Req, Resp>>>();
+        let (queue, rx) = self.shared.clock.channel::<Box<dyn Inbound<Req, Resp>>>();
+        let delivery = Arc::new(Delivery {
+            sink: RwLock::new(None),
+            queue,
+        });
         let stop = Arc::new(AtomicBool::new(false));
 
         let shared = Arc::clone(&self.shared);
         let astop = Arc::clone(&stop);
+        let adelivery = Arc::clone(&delivery);
         let accept_thread = thread::Builder::new()
             .name(format!("wire-srv-accept-{node}"))
             .spawn(move || {
+                let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
                 loop {
                     // ordering: Relaxed - shutdown latch.
                     if astop.load(Ordering::Relaxed) {
@@ -779,20 +1058,21 @@ where
                     match listener.accept() {
                         Ok((stream, _peer)) => {
                             let shared = Arc::clone(&shared);
-                            let tx = tx.clone();
+                            let delivery = Arc::clone(&adelivery);
                             let cstop = Arc::clone(&astop);
                             let spawned = thread::Builder::new()
                                 .name(format!("wire-srv-conn-{node}"))
                                 .spawn(move || {
-                                    let _ =
-                                        serve_conn::<Req, Resp>(stream, node, &shared, &tx, &cstop);
+                                    let _ = serve_conn::<Req, Resp>(
+                                        stream, node, &shared, &delivery, &cstop,
+                                    );
                                 });
-                            if spawned.is_err() {
-                                // Out of threads: drop the connection; the
-                                // client sees Disconnected and retries.
-                            }
+                            // Out of threads: the connection is dropped;
+                            // the client sees Disconnected and retries.
+                            conns.extend(spawned);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                            conns.retain(|c| !c.is_finished());
                             // Socket-bound idle wait: the accept loop never
                             // runs under virtual time, and routing this nap
                             // through a ClockHandle would only pretend it
@@ -805,24 +1085,44 @@ where
                         Err(_) => break,
                     }
                 }
+                // Connection threads see the same latch within one poll
+                // interval; a request being served finishes first.
+                for c in conns {
+                    let _ = c.join();
+                }
             })?;
 
         Ok(Box::new(TcpListenerHandle {
             node,
             rx,
+            delivery,
             stop,
             accept_thread: Some(accept_thread),
         }))
     }
 
     fn caller(&self, me: NodeId) -> Box<dyn Caller<Req, Resp>> {
-        Box::new(TcpCaller::<Req, Resp> {
+        Box::new(self.pooled_caller(me))
+    }
+}
+
+impl<Req, Resp> TcpTransport<Req, Resp> {
+    fn pooled_caller(&self, me: NodeId) -> TcpCaller<Req, Resp> {
+        let slots = self.shared.peers.iter().map(|(&node, &addr)| {
+            let slot = PeerSlot {
+                addr,
+                conn: Mutex::new(None),
+                dialing: TurnLock::new(()),
+            };
+            (node, slot)
+        });
+        TcpCaller {
             me,
             shared: Arc::clone(&self.shared),
-            slots: Mutex::new(HashMap::new()),
+            slots: slots.collect(),
             next_id: AtomicU64::new(1),
             _marker: PhantomData,
-        })
+        }
     }
 }
 
@@ -834,11 +1134,11 @@ pub fn scrape_obs(addr: SocketAddr, timeout: Duration) -> io::Result<String> {
     stream.set_write_timeout(Some(timeout))?;
     let mut s = &stream;
     send_hello(&mut s, ANON_NODE).map_err(|e| match e {
-        crate::frame::HandshakeError::Io(e) => e,
+        HandshakeError::Io(e) => e,
         other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
     })?;
     let _hello = read_hello(&mut s).map_err(|e| match e {
-        crate::frame::HandshakeError::Io(e) => e,
+        HandshakeError::Io(e) => e,
         other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
     })?;
     write_frame(&mut s, FrameKind::ObsScrape, 0, b"", DEFAULT_MAX_FRAME)
@@ -853,4 +1153,77 @@ pub fn scrape_obs(addr: SocketAddr, timeout: Duration) -> io::Result<String> {
     }
     String::from_utf8(frame.body)
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 exposition"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{put_u64, CodecError, Reader};
+    use std::sync::mpsc;
+
+    #[derive(Debug, PartialEq)]
+    struct Num(u64);
+
+    impl Wire for Num {
+        fn encode_scatter<'a>(&'a self, out: &mut Vec<u8>) -> Option<(usize, &'a [u8])> {
+            put_u64(out, self.0);
+            None
+        }
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Num(r.u64("num")?))
+        }
+    }
+
+    /// What a call leaves on its connection once it is over, whichever
+    /// way it ended: nothing. The slot of a call that timed out is gone
+    /// before its reply comes, the late reply is dropped by whoever reads
+    /// it, and the read turn is free again after every call.
+    #[test]
+    fn abandoned_call_and_its_late_reply_leave_no_waiter_behind() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
+        let addr = listener.local_addr().expect("peer address");
+        let (go, go_rx) = mpsc::channel::<()>();
+        let peer = thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("client dials");
+            read_hello(&mut s).expect("client hello");
+            send_hello(&mut s, NodeId(0)).expect("server hello");
+            let abandoned = read_frame(&mut s, DEFAULT_MAX_FRAME).expect("first request");
+            go_rx.recv().expect("test alive");
+            for req in [
+                abandoned,
+                read_frame(&mut s, DEFAULT_MAX_FRAME).expect("second request"),
+            ] {
+                write_frame(
+                    &mut s,
+                    FrameKind::Response,
+                    req.id,
+                    &req.body,
+                    DEFAULT_MAX_FRAME,
+                )
+                .expect("reply");
+            }
+        });
+
+        let t: TcpTransport<Num, Num> = TcpTransport::from_peer_list(&[addr], TcpConfig::default());
+        let caller = t.pooled_caller(NodeId(1));
+        let at_rest = |conn: &PeerConn| {
+            let reads = conn.reads.lock();
+            reads.waiters.is_empty() && reads.idle.is_some() && !conn.is_dead()
+        };
+
+        let err = caller.call(NodeId(0), Num(1), Duration::from_millis(50));
+        assert_eq!(err, Err(RpcError::Timeout { to: NodeId(0) }));
+        let conn = caller.slots[&NodeId(0)]
+            .live()
+            .expect("a timeout keeps the connection");
+        assert!(at_rest(&conn), "a timed-out call left state behind");
+
+        go.send(()).expect("peer alive");
+        let resp = caller.call(NodeId(0), Num(2), Duration::from_secs(5));
+        assert_eq!(resp, Ok(Num(2)), "the late reply reached the wrong call");
+        assert!(at_rest(&conn), "a late reply left state behind");
+        let same = caller.slots[&NodeId(0)].live().expect("still connected");
+        assert!(Arc::ptr_eq(&conn, &same), "the connection was redialed");
+        peer.join().expect("peer thread");
+    }
 }

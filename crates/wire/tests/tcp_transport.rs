@@ -1,7 +1,8 @@
 //! End-to-end exercises of the TCP backend with a toy protocol: echo
 //! round trips, deadline behavior against silent peers, reconnect after
 //! a server restart, backpressure from a peer that stops reading, frames
-//! over the cap, and the obs scrape path.
+//! over the cap, the read turn against peers scripted frame by frame,
+//! requests served on the connection thread, and the obs scrape path.
 
 use ftc_hashring::NodeId;
 use ftc_net::xport::Transport;
@@ -9,10 +10,12 @@ use ftc_net::RpcError;
 use ftc_time::ClockHandle;
 use ftc_wire::codec::CodecError;
 use ftc_wire::codec::{put_str, put_window, Reader, Wire};
-use ftc_wire::frame::{read_hello, send_hello};
+use ftc_wire::frame::{read_frame, read_hello, send_hello, write_frame};
 use ftc_wire::tcp::{scrape_obs, TcpConfig, TcpTransport};
-use std::net::{SocketAddr, TcpListener};
-use std::sync::{mpsc, Arc};
+use ftc_wire::{FrameKind, DEFAULT_MAX_FRAME};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -407,6 +410,287 @@ fn oversized_reply_is_dropped_whole() {
         "stream was torn by the refusal"
     );
     server.join().expect("server");
+}
+
+/// A peer played by the test, frame by frame: bound to `addr` before
+/// anyone dials, it accepts one connection, shakes hands as node 0 and
+/// hands `script` the raw stream — and the listener, for scripts that
+/// take a redial.
+fn scripted_peer(
+    addr: SocketAddr,
+    script: impl FnOnce(TcpListener, TcpStream) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let listener = TcpListener::bind(addr).expect("bind scripted peer");
+    std::thread::spawn(move || {
+        let stream = accept_and_greet(&listener);
+        script(listener, stream);
+    })
+}
+
+fn accept_and_greet(listener: &TcpListener) -> TcpStream {
+    let (mut stream, _) = listener.accept().expect("client dials");
+    read_hello(&mut stream).expect("client hello");
+    send_hello(&mut stream, NodeId(0)).expect("server hello");
+    stream
+}
+
+/// The next request on a scripted peer's stream: `(frame id, text)`.
+fn next_request(stream: &mut TcpStream) -> (u64, String) {
+    let frame = read_frame(stream, DEFAULT_MAX_FRAME).expect("request frame");
+    assert_eq!(frame.kind, FrameKind::Request);
+    (frame.id, Echo::decode_all(&frame.body).expect("echo").0)
+}
+
+fn answer(stream: &mut TcpStream, id: u64, text: &str) {
+    let body = Echo(text.into()).encode_vec();
+    write_frame(stream, FrameKind::Response, id, &body, DEFAULT_MAX_FRAME).expect("reply frame");
+}
+
+fn shared_caller(t: &TcpTransport<Echo, Echo>) -> Arc<dyn ftc_net::Caller<Echo, Echo>> {
+    Arc::from(t.caller(NodeId(1)))
+}
+
+/// Whoever holds the read turn reads everybody's replies: answered in
+/// the reverse of the order they were asked, each still reaches the call
+/// that waits for it.
+#[test]
+fn replies_in_reverse_order_reach_the_right_callers() {
+    let addrs = free_addrs(1);
+    let t = transport(&addrs);
+    let peer = scripted_peer(addrs[0], |_listener, mut stream| {
+        let asked: Vec<_> = (0..3).map(|_| next_request(&mut stream)).collect();
+        for (id, text) in asked.iter().rev() {
+            answer(&mut stream, *id, text);
+        }
+    });
+    let caller = shared_caller(&t);
+    let callers: Vec<_> = (0..3)
+        .map(|i| {
+            let caller = Arc::clone(&caller);
+            std::thread::spawn(move || {
+                let msg = format!("call-{i}");
+                let resp = caller.call(NodeId(0), Echo(msg.clone()), Duration::from_secs(5));
+                assert_eq!(resp, Ok(Echo(msg)), "reply crossed over to another call");
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().expect("caller thread");
+    }
+    peer.join().expect("scripted peer");
+}
+
+/// The holder of the read turn gives up at its own deadline, between
+/// frames; the caller sleeping behind it is handed the turn and reads its
+/// reply when it comes — not at its own deadline, and not never. The
+/// abandoned call's reply, arriving later still, is nobody's: the next
+/// call on the connection gets its own.
+#[test]
+fn follower_is_handed_the_turn_when_the_holder_times_out() {
+    let addrs = free_addrs(1);
+    let t = transport(&addrs);
+    let (asked_tx, asked) = mpsc::channel();
+    let (go, go_rx) = mpsc::channel::<()>();
+    let peer = scripted_peer(addrs[0], move |listener, mut stream| {
+        // One connection for the whole script: a redial would be refused.
+        drop(listener);
+        let (hasty, _) = next_request(&mut stream);
+        asked_tx.send(()).expect("test alive");
+        let (patient, text) = next_request(&mut stream);
+        asked_tx.send(()).expect("test alive");
+        go_rx.recv().expect("test alive");
+        answer(&mut stream, patient, &text);
+        go_rx.recv().expect("test alive");
+        answer(&mut stream, hasty, "too late");
+        let (after, text) = next_request(&mut stream);
+        answer(&mut stream, after, &text);
+    });
+    let caller = shared_caller(&t);
+    let clock = ClockHandle::wall();
+
+    let holder = {
+        let caller = Arc::clone(&caller);
+        std::thread::spawn(move || {
+            caller.call(NodeId(0), Echo("hasty".into()), Duration::from_millis(100))
+        })
+    };
+    asked.recv().expect("peer has the first request");
+    let follower = {
+        let caller = Arc::clone(&caller);
+        std::thread::spawn(move || {
+            caller.call(NodeId(0), Echo("patient".into()), Duration::from_secs(10))
+        })
+    };
+    asked.recv().expect("peer has the second request");
+
+    assert_eq!(
+        holder.join().expect("holder thread"),
+        Err(RpcError::Timeout { to: NodeId(0) })
+    );
+    let t0 = clock.now();
+    go.send(()).expect("peer alive");
+    assert_eq!(
+        follower.join().expect("follower thread"),
+        Ok(Echo("patient".into()))
+    );
+    let took = clock.since(t0);
+    assert!(
+        took < Duration::from_secs(2),
+        "follower slept {took:?} on a reply that was there"
+    );
+
+    go.send(()).expect("peer alive");
+    let resp = caller.call(NodeId(0), Echo("after".into()), Duration::from_secs(5));
+    assert_eq!(resp, Ok(Echo("after".into())));
+    peer.join().expect("scripted peer");
+}
+
+/// A reply that stops half-way cannot be abandoned at the deadline — the
+/// stream would be unparseable for everyone after — so the call waits one
+/// more poll interval for the rest, then the connection is torn and the
+/// next call redials.
+#[test]
+fn peer_that_stops_mid_frame_tears_the_connection() {
+    let addrs = free_addrs(1);
+    let t = transport(&addrs);
+    let (hang_up, hold) = mpsc::channel::<()>();
+    let peer = scripted_peer(addrs[0], move |listener, mut stream| {
+        let (id, _) = next_request(&mut stream);
+        let mut reply = Vec::new();
+        let body = Echo("x".repeat(200)).encode_vec();
+        write_frame(
+            &mut reply,
+            FrameKind::Response,
+            id,
+            &body,
+            DEFAULT_MAX_FRAME,
+        )
+        .expect("encode reply");
+        stream.write_all(&reply[..40]).expect("half a reply");
+        // The client gives the connection up and dials again.
+        let mut second = accept_and_greet(&listener);
+        let (id, text) = next_request(&mut second);
+        answer(&mut second, id, &text);
+        let _ = hold.recv();
+    });
+    let caller = shared_caller(&t);
+    let clock = ClockHandle::wall();
+    let ttl = Duration::from_millis(150);
+    let slack = Duration::from_millis(350);
+
+    let t0 = clock.now();
+    let err = caller
+        .call(NodeId(0), Echo("first".into()), ttl)
+        .expect_err("half a reply is no reply");
+    let took = clock.since(t0);
+    assert_eq!(err, RpcError::Timeout { to: NodeId(0) });
+    assert!(took >= ttl, "gave up after {took:?}, before the deadline");
+    assert!(
+        took < ttl + config().io_timeout + slack,
+        "call took {took:?} against ttl {ttl:?}"
+    );
+
+    let resp = caller.call(NodeId(0), Echo("second".into()), Duration::from_secs(5));
+    assert_eq!(
+        resp,
+        Ok(Echo("second".into())),
+        "torn connection not redialed"
+    );
+    hang_up.send(()).expect("peer alive");
+    peer.join().expect("scripted peer");
+}
+
+/// Dialing runs on the caller's clock, not on a fixed `connect_timeout`:
+/// against a peer that accepts and never says hello, the caller that
+/// dials and the caller that waits for that dial are both back at their
+/// own deadlines.
+#[test]
+fn dial_gives_up_at_the_callers_deadline() {
+    let addrs = free_addrs(1);
+    let t: TcpTransport<Echo, Echo> = TcpTransport::from_peer_list(
+        &addrs,
+        TcpConfig {
+            connect_timeout: Duration::from_secs(5),
+            ..config()
+        },
+    );
+    // The kernel completes the TCP handshake from the listen backlog;
+    // nobody ever accepts, so no hello comes back.
+    let mute = TcpListener::bind(addrs[0]).expect("bind mute peer");
+    let caller = shared_caller(&t);
+    let ttl = Duration::from_millis(150);
+    let slack = Duration::from_millis(350);
+    let start = Arc::new(Barrier::new(2));
+    let callers: Vec<_> = (0..2)
+        .map(|_| {
+            let (caller, start) = (Arc::clone(&caller), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let clock = ClockHandle::wall();
+                start.wait();
+                let t0 = clock.now();
+                let err = caller
+                    .call(NodeId(0), Echo("anyone?".into()), ttl)
+                    .expect_err("no hello, no call");
+                assert_eq!(err, RpcError::Timeout { to: NodeId(0) });
+                let took = clock.since(t0);
+                assert!(took < ttl + slack, "call took {took:?} against ttl {ttl:?}");
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().expect("caller thread");
+    }
+    drop(mute);
+}
+
+/// With a sink installed the connection thread that decoded a request
+/// serves it: nothing reaches `accept`, eight callers hammering the one
+/// pooled connection lose nothing, and once the listener is dropped —
+/// the client's connection still open — no thread holds the sink.
+#[test]
+fn sink_serves_on_the_connection_thread_and_dies_with_the_listener() {
+    let addrs = free_addrs(1);
+    let t = transport(&addrs);
+    let listener = Transport::<Echo, Echo>::register(&t, NodeId(0)).expect("bind");
+    let held = Arc::new(());
+    let probe = Arc::clone(&held);
+    let installed = listener.set_sink(Arc::new(move |inc| {
+        let _held = &probe;
+        let thread = std::thread::current();
+        let reply = Echo(format!("{}|{}", thread.name().unwrap_or("?"), inc.req().0));
+        inc.reply(reply);
+    }));
+    assert!(installed, "the TCP listener takes a sink");
+
+    let caller = shared_caller(&t);
+    let callers: Vec<_> = (0..8)
+        .map(|w| {
+            let caller = Arc::clone(&caller);
+            std::thread::spawn(move || {
+                for i in 0..500 {
+                    let msg = format!("w{w}-{i}");
+                    let resp = caller
+                        .call(NodeId(0), Echo(msg.clone()), Duration::from_secs(5))
+                        .expect("served");
+                    assert_eq!(resp.0, format!("wire-srv-conn-n0|{msg}"));
+                }
+            })
+        })
+        .collect();
+    for c in callers {
+        c.join().expect("caller thread");
+    }
+    assert!(
+        listener.accept(Duration::ZERO).is_none(),
+        "a request went to the queue past the sink"
+    );
+    drop(listener);
+    assert_eq!(
+        Arc::strong_count(&held),
+        1,
+        "a thread outlived the listener"
+    );
+    drop(caller);
 }
 
 #[test]

@@ -91,6 +91,25 @@ pub mod thread {
     pub fn yield_now() {
         crate::yield_point();
     }
+
+    pub use std::thread::{current, Thread};
+
+    /// How long [`park`] waits before calling the model deadlocked.
+    const LOST_WAKEUP: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// Park until [`Thread::unpark`], after a randomized yield. The real
+    /// loom reports a model whose every thread is blocked; the nearest
+    /// this shim gets is a park nobody ends, which panics instead of
+    /// hanging the suite.
+    pub fn park() {
+        crate::yield_point();
+        let parked = std::time::Instant::now();
+        std::thread::park_timeout(LOST_WAKEUP);
+        assert!(
+            parked.elapsed() < LOST_WAKEUP,
+            "model thread parked and never woken: lost wake-up"
+        );
+    }
 }
 
 pub mod sync {
