@@ -30,7 +30,7 @@
 //!
 //! [`forge_stale_linz_read`] and [`forge_corrupt_read_value`] fabricate
 //! one violation of each rule into a clean history — the self-tests
-//! behind `chaos --check-linz --sabotage-linz`.
+//! behind `chaos --self-test linz-forgery`.
 
 use ftc_net::{OpKind, OpRecord};
 use std::collections::{BTreeMap, HashMap};

@@ -1,105 +1,80 @@
-//! Chaos campaigns — seeded gray-failure schedules against the threaded
-//! cluster, with invariants checked after every campaign (read integrity,
-//! recache economy, livelock freedom, no false failure declarations for
-//! degraded-but-alive nodes; and under `--recovery proactive`: no stale
-//! serving, recovery quiescence, no foreground starvation).
+//! Chaos campaigns — a thin CLI over `ft_cache::chaos`'s tables.
 //!
-//! `cargo run -p ftc-bench --release --bin chaos [--seed 1] [--campaigns 50] [--policy ring|pfs|noft] [--recovery lazy|proactive|adaptive] [--scenarios] [--scenario cascading-overload] [--compare] [--compare-adaptive] [--adaptive [--virtual]] [--sabotage] [--sabotage-recovery] [--sabotage-flap] [--sabotage-shed] [--virtual [--nodes 128] [--files 256]] [--explore [--explore-strategy random|pct|dfs] [--schedules N] [--depth D]] [--sabotage-atomicity] [--check-linz] [--sabotage-linz]`
+//! ```text
+//! chaos [--seed 1] [--campaigns 1] [--policy noft|pfs|ring] [--recovery lazy|proactive|adaptive]
+//! chaos --scenario NAME [--seed 1] [--nodes N] [--files N]
+//! chaos --self-test [NAME] [--seed 1]
+//! chaos --compare [--seed 1] [--campaigns 1]
+//! chaos --compare-adaptive [--seed 1] [--campaigns 1]
+//! chaos --explore [--explore-strategy random|pct|dfs] [--schedules 8] [--depth 16] [--seed 1]
+//! chaos --check-linz [--campaigns 50] [--seed 1]
+//! ```
 //!
-//! The fault schedule and every verdict are pure functions of the seed:
-//! `chaos --seed N` replays the same PASS/FAIL outcome byte-identically.
-//! Measured degraded-window latencies (printed per kill, and aggregated
-//! as p50/p99 across all campaigns at the end) are wall-clock and vary
-//! run to run. Exits non-zero if any invariant is violated.
+//! * No mode flag: the generated sweep — `--campaigns` seeded plans from
+//!   `--seed`, each under every policy (or `--policy`), wall clock.
+//!   Verdicts are pure functions of the seed; the per-kill window
+//!   latencies (and their p50/p99 at the end) are wall-clock.
+//! * `--scenario NAME`: one `SCENARIOS` row. Stdout is the plan summary
+//!   plus the full render, so a virtual-clock row run twice must `diff`
+//!   clean. `--nodes`/`--files` resize a sized plan (`scale-sweep`).
+//! * `--self-test [NAME]`: every `SELF_TESTS` row (or one): each planted
+//!   bug must trip its invariant (with a flight dump) or move its
+//!   counter. Exit 0 means every checker proved it can fail.
+//! * `--compare`: lazy vs proactive on the same generated seeds, plus the
+//!   degraded-window probe (kill → detect → compute gap → next epoch).
+//! * `--compare-adaptive`: the shifting-intensity row under every static
+//!   posture × RF contender and the adaptive controller; adaptive must
+//!   match or beat each on degraded window and faulted-read p99.
+//! * `--explore`: the failure-during-recache row under explored schedules
+//!   (random-walk + PCT by default); a violating schedule prints as a
+//!   replay file.
+//! * `--check-linz`: linearizability over recorded virtual campaigns.
 //!
-//! `--scenarios` runs the three named recovery scenarios (independent
-//! failure during recache, double failure of node + successor, revive
-//! during recache) under proactive recovery instead of generated plans.
-//!
-//! `--compare` runs each seed under RingRecache twice — lazy then
-//! proactive — and prints a degraded-window comparison table (the
-//! EXPERIMENTS.md "lazy vs proactive" numbers).
-//!
-//! `--sabotage` runs the flight-recorder self-test instead: one campaign
-//! with the recache budget forced to zero, which must FAIL and must emit
-//! a flight dump — proving the postmortem path works before anyone needs
-//! it in anger. `--sabotage-recovery` does the same for the new
-//! quiescence invariant by starving the recovery engine's token bucket.
-//! The forced violation does not affect the exit code; a *missing* dump
-//! or violation does.
-//!
-//! `--virtual` runs one large-ring kill sweep (`--nodes`, default 128;
-//! `--files`, default 256) with the whole real stack on a virtual clock
-//! under proactive recovery, and prints the fully deterministic report
-//! rendering to stdout — every latency included. Same seed ⇒
-//! byte-identical output; CI runs it twice and diffs. Exits non-zero on
-//! any invariant violation.
-//!
-//! `--adaptive` runs the shifting-intensity scenario (quiet pass →
-//! fault burst → correlated kill) under the runtime policy controller,
-//! traced, on the virtual clock, and prints the deterministic render —
-//! including the `policy:` line (switches, suppressed flaps, retired
-//! reads). Exits non-zero on a violation, a retired-policy-epoch read,
-//! or a controller that never switched. `--sabotage-flap` is the flap
-//! self-test: the controller is forced to attempt the opposite posture
-//! every tick, and the run must show suppressed flaps while staying
-//! invariant-clean.
-//!
-//! `--compare-adaptive` runs the shifting-intensity scenario for each
-//! seed under every static posture × replication contender plus the
-//! adaptive controller, prints the comparison table, and exits non-zero
-//! unless adaptive matches or beats every static contender on both the
-//! degraded-window p99 and the faulted-read p99 (5% + 1ms tolerance).
-//!
-//! `--explore` model-checks the failure-during-recache scenario: the
-//! campaign re-runs under explored schedules (random-walk + PCT smoke by
-//! default; `--explore-strategy dfs` for the bounded-DFS budget run) and
-//! every schedule must keep the invariants. A violating schedule is
-//! printed as a replay file that re-runs it byte-identically.
-//! `--sabotage-atomicity` is the explorer's self-test: a seeded
-//! check-then-act bug FIFO never exhibits must be found by the DFS and
-//! its schedule file must replay to the identical verdict.
-//!
-//! `--scenario cascading-overload` runs the overload-armor scenario —
-//! a kill (recache burst) plus an open-loop six-reader surge against
-//! tight admission queues — under adaptive recovery, traced on the
-//! virtual clock, and prints the deterministic render including the
-//! `overload:` counters line. The campaign must hold the goodput floor
-//! (the armor degrades shed reads to the PFS, it never loses them), keep
-//! shed accounting consistent (client-observed typed sheds bounded by
-//! server sheds, no shedding-but-alive node declared failed) and cycle
-//! the brownout posture (entered under the surge, exited after it
-//! clears). Same seed ⇒ byte-identical output; CI diffs two runs.
-//! `--sabotage-shed` is the matching self-test: the client misclassifies
-//! typed sheds as detector evidence, and the run must FAIL with the
-//! shed-false-positive violation plus a flight dump.
-//!
-//! `--check-linz` runs `--campaigns` (default 50) virtual campaigns with
-//! the fabric op-history recorder on — always including the three named
-//! kill/revive scenarios, cycling lazy/proactive/adaptive recovery — and
-//! checks every history for linearizability (per-key register semantics
-//! plus the ring-epoch freshness rule). Every campaign fires the
-//! single-flight duplicate storm: concurrent duplicate readers race
-//! each kill, so coalesced (follower-accepted) reads are part of the
-//! checked histories, and the campaign itself asserts that every storm
-//! read returns ground truth and resolves exactly once (leader,
-//! fresh-epoch accept, or independent stale retry). `--sabotage-linz`
-//! forges a stale-epoch read into a clean history and requires the
-//! checker to flag it.
+//! Unknown options, missing or unparseable values, and options the mode
+//! does not take exit 2. Otherwise the exit code is 0 iff every check
+//! held.
 
 use ft_cache::chaos::{
-    adaptive_losses, compare_adaptive_contenders, compare_label, run_campaign_compare_adaptive,
-    run_campaign_recovery_sabotaged, run_campaign_sabotaged, run_campaign_virtual,
-    run_campaign_with, run_degraded_window_probe, CampaignOptions, CampaignReport, ChaosAction,
-    ChaosPlan, DegradedWindowReport, RecoveryMode,
+    adaptive_losses, compare_adaptive_contenders, compare_label, run_campaign_on,
+    run_degraded_window_probe_on, scenario, CampaignOptions, CampaignReport, ChaosPlan, Expect,
+    RecoveryMode, SelfCheck, FAILURE_DURING_RECACHE, SCENARIOS, SELF_TESTS, SHIFTING_INTENSITY,
 };
-use ft_cache::modelcheck::{
-    check_linz_campaigns, explore_campaign, sabotage_atomicity, sabotage_linz, ExploreStrategy,
-};
-use ftc_bench::{arg_or, has_flag, header};
+use ft_cache::fleet::Args;
+use ft_cache::modelcheck::{check_linz_campaigns, explore_campaign, ExploreStrategy};
+use ft_cache::time::ClockHandle;
+use ftc_bench::header;
 use ftc_core::FtPolicy;
 use ftc_obs::percentile;
 use std::time::Duration;
+
+/// Each mode flag and the options it takes; no mode flag runs the
+/// generated sweep.
+const MODES: [(&str, &[&str]); 7] = [
+    ("", &["seed", "campaigns", "policy", "recovery"]),
+    ("scenario", &["seed", "nodes", "files"]),
+    ("self-test", &["seed"]),
+    ("compare", &["seed", "campaigns"]),
+    ("compare-adaptive", &["seed", "campaigns"]),
+    (
+        "explore",
+        &["seed", "explore-strategy", "schedules", "depth"],
+    ),
+    ("check-linz", &["seed", "campaigns"]),
+];
+
+/// Report a command-line error and exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("chaos: {msg}");
+    let scenarios: Vec<&str> = SCENARIOS.iter().map(|s| s.name).collect();
+    let tests: Vec<&str> = SELF_TESTS.iter().map(|t| t.name).collect();
+    eprintln!("scenarios: {}", scenarios.join(" "));
+    eprintln!("self-tests: {}", tests.join(" "));
+    std::process::exit(2);
+}
+
+fn num<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> T {
+    args.parsed_or(key, default).unwrap_or_else(|e| usage(&e))
+}
 
 fn fmt_ms(d: Option<Duration>) -> String {
     match d {
@@ -123,448 +98,134 @@ fn print_percentiles(label: &str, samples: &[Duration]) {
     );
 }
 
-/// The first seed at or after `base_seed` whose generated plan schedules
-/// a kill — both sabotage self-tests need one to force their violation.
-fn plan_with_kill(base_seed: u64) -> ChaosPlan {
-    (base_seed..base_seed + 1000)
-        .map(ChaosPlan::generate)
-        .find(|p| {
-            p.events
-                .iter()
-                .any(|e| matches!(e.action, ChaosAction::Kill(_)))
-        })
-        .unwrap_or_else(|| {
-            eprintln!("no plan with a kill in 1000 seeds from {base_seed}");
-            std::process::exit(2);
-        })
-}
-
-/// Shared self-test verdict: the forced violation must fire AND carry a
-/// flight dump; anything else is a failure of the harness itself.
-fn selftest_verdict(report: &CampaignReport) -> ! {
-    match report.flight_dump.as_deref() {
-        Some(dump) if !report.passed() => {
-            println!("\n{dump}");
-            println!("\nsabotage self-test OK: violation fired and flight dump emitted");
-            std::process::exit(0);
-        }
-        Some(_) => {
-            println!("\nFAIL: dump emitted but no invariant fired");
-            std::process::exit(1);
-        }
-        None => {
-            println!("\nFAIL: sabotaged campaign produced no flight dump");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--sabotage` self-test: force a recache-economy violation on a plan
-/// with a guaranteed kill and require the flight dump to materialize.
-fn sabotage_selftest(base_seed: u64) -> ! {
-    header("chaos --sabotage — forced-violation flight-recorder self-test");
-    let plan = plan_with_kill(base_seed);
-    println!("seed={} plan: {}", plan.seed, plan.summary());
-    let report = run_campaign_sabotaged(FtPolicy::RingRecache, &plan);
+/// One wall-clock campaign; prints the verdict (and the dump on failure).
+fn wall_campaign(policy: FtPolicy, plan: &ChaosPlan, opts: CampaignOptions) -> CampaignReport {
+    let report = run_campaign_on(policy, plan, opts, ClockHandle::wall()).report;
     println!("  {report}");
-    selftest_verdict(&report)
+    if let Some(dump) = &report.flight_dump {
+        println!("{dump}");
+    }
+    report
 }
 
-/// `--sabotage-recovery` self-test: starve the recovery engine's token
-/// bucket so the quiescence invariant must fire.
-fn sabotage_recovery_selftest(base_seed: u64) -> ! {
-    header("chaos --sabotage-recovery — forced quiescence-violation self-test");
-    let plan = plan_with_kill(base_seed);
-    println!("seed={} plan: {}", plan.seed, plan.summary());
-    let report = run_campaign_recovery_sabotaged(FtPolicy::RingRecache, &plan);
-    println!("  {report}");
-    if !report
-        .violations
-        .iter()
-        .any(|v| v.contains("recovery quiescence"))
-    {
-        println!("\nFAIL: starved engine did not trip the quiescence invariant");
-        std::process::exit(1);
-    }
-    selftest_verdict(&report)
-}
-
-/// `--virtual`: one large-ring kill sweep on the virtual clock. Stdout is
-/// exactly the plan summary plus the deterministic report rendering, so
-/// CI can diff two runs of the same seed byte-for-byte.
-fn run_virtual_sweep(seed: u64, nodes: u32, files: usize) -> ! {
-    let plan = ChaosPlan::scenario_scale_sweep(seed, nodes, files);
-    println!("seed={} plan: {}", plan.seed, plan.summary());
-    let report = run_campaign_virtual(
-        FtPolicy::RingRecache,
-        &plan,
-        CampaignOptions {
-            recovery: RecoveryMode::Proactive,
-            ..Default::default()
-        },
-    );
-    print!("{}", report.render());
-    if !report.passed() {
-        if let Some(dump) = &report.flight_dump {
-            eprintln!("{dump}");
-        }
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `--adaptive`: the shifting-intensity scenario under the runtime
-/// policy controller, traced on the virtual clock. Stdout is the plan
-/// summary plus the deterministic render (policy line included), so CI
-/// diffs two runs of the same seed byte-for-byte. With `sabotage_flap`
-/// the run doubles as the flap self-test: the suppressed-flap counter
-/// must move while every invariant still holds.
-fn run_adaptive_campaign(seed: u64, sabotage_flap: bool) -> ! {
-    let plan = ChaosPlan::scenario_shifting_intensity(seed);
-    println!("seed={} plan: {}", plan.seed, plan.summary());
-    let report = run_campaign_virtual(
-        FtPolicy::RingRecache,
-        &plan,
-        CampaignOptions {
-            recovery: RecoveryMode::Adaptive,
-            sabotage_flap,
-            trace: true,
-            ..Default::default()
-        },
-    );
-    print!("{}", report.render());
-    if !report.passed() {
-        if let Some(dump) = &report.flight_dump {
-            eprintln!("{dump}");
-        }
-        std::process::exit(1);
-    }
-    if report.retired_policy_reads > 0 {
-        eprintln!(
-            "FAIL: {} read(s) attributed to a retired policy epoch",
-            report.retired_policy_reads
-        );
-        std::process::exit(1);
-    }
-    if sabotage_flap {
-        if report.policy_flaps_suppressed == 0 {
-            eprintln!("FAIL: flap sabotage never hit the cooldown suppressor");
-            std::process::exit(1);
-        }
-        eprintln!("flap self-test OK: cooldown suppressed the forced flapping");
-    } else if report.policy_switches == 0 {
-        eprintln!("FAIL: the fault burst never moved the controller off the quiet posture");
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `--scenario cascading-overload`: kill + recache burst + open-loop
-/// client surge under the full overload armor, adaptive recovery, traced
-/// on the virtual clock. Stdout is the plan summary plus the
-/// deterministic render (`overload:` line included), so CI diffs two
-/// runs of the same seed byte-for-byte. Exits non-zero on any violation,
-/// a surge that never shed, or a brownout that never entered or exited.
-fn run_cascading_overload(seed: u64) -> ! {
-    let plan = ChaosPlan::scenario_cascading_overload(seed);
-    println!("seed={} plan: {}", plan.seed, plan.summary());
-    let report = run_campaign_virtual(
-        FtPolicy::RingRecache,
-        &plan,
-        CampaignOptions {
-            recovery: RecoveryMode::Adaptive,
-            overload: true,
-            trace: true,
-            ..Default::default()
-        },
-    );
-    print!("{}", report.render());
-    if !report.passed() {
-        if let Some(dump) = &report.flight_dump {
-            eprintln!("{dump}");
-        }
-        std::process::exit(1);
-    }
-    let Some(o) = report.overload else {
-        eprintln!("FAIL: overload campaign carried no overload stats");
-        std::process::exit(1);
-    };
-    if o.observed == 0 || o.brownout_entries == 0 || o.brownout_exits == 0 {
-        eprintln!(
-            "FAIL: the surge must shed and cycle brownout (observed={} brownout={}/{})",
-            o.observed, o.brownout_entries, o.brownout_exits
-        );
-        std::process::exit(1);
-    }
-    if report.retired_policy_reads > 0 {
-        eprintln!(
-            "FAIL: {} read(s) attributed to a retired policy epoch",
-            report.retired_policy_reads
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
-}
-
-/// `--sabotage-shed` self-test: the client misclassifies typed sheds as
-/// detector evidence (the exact bug the typed `Overloaded` reply exists
-/// to prevent), so the shed-false-positive invariant must fire and dump
-/// the flight recorder.
-fn sabotage_shed_selftest(seed: u64) -> ! {
-    header("chaos --sabotage-shed — misclassified-shed self-test");
-    let plan = ChaosPlan::scenario_cascading_overload(seed);
-    println!("seed={} plan: {}", plan.seed, plan.summary());
-    let report = run_campaign_virtual(
-        FtPolicy::RingRecache,
-        &plan,
-        CampaignOptions {
-            sabotage_shed: true,
-            ..Default::default()
-        },
-    );
-    println!("  {report}");
-    if !report
-        .violations
-        .iter()
-        .any(|v| v.contains("shed false positive"))
-    {
-        println!("\nFAIL: misclassified sheds did not trip the false-positive invariant");
-        std::process::exit(1);
-    }
-    selftest_verdict(&report)
-}
-
-/// `--compare-adaptive`: shifting-intensity campaigns for each seed under
-/// every static contender plus the adaptive controller, with the
-/// matches-or-beats assertion on both headline metrics.
-fn run_compare_adaptive(base_seed: u64, campaigns: u64) -> ! {
+/// No mode flag: generated plans under each policy.
+fn sweep(base_seed: u64, campaigns: u64, policies: &[FtPolicy], recovery: RecoveryMode) -> bool {
     header(&format!(
-        "chaos --compare-adaptive — adaptive vs static postures, {campaigns} campaign(s) from seed {base_seed}"
+        "chaos — {campaigns} campaign(s) from seed {base_seed}, {} policies, {recovery} recovery",
+        policies.len()
     ));
-    let contenders = compare_adaptive_contenders();
-    let mut per_contender: Vec<ModeAgg> = contenders.iter().map(|_| ModeAgg::default()).collect();
-    let mut losses = 0u64;
-    let mut switches = 0u64;
-    let mut retired = 0u64;
-    for offset in 0..campaigns {
-        let seed = base_seed + offset;
-        let reports = run_campaign_compare_adaptive(seed);
-        let adaptive = reports.last().expect("adaptive contender");
-        switches += adaptive.policy_switches;
-        retired += adaptive.retired_policy_reads;
-        for ((&(mode, rf), report), agg) in contenders
-            .iter()
-            .zip(&reports)
-            .zip(per_contender.iter_mut())
-        {
-            println!("  {report}");
-            if !report.passed() {
-                if let Some(dump) = &report.flight_dump {
-                    println!("{dump}");
-                }
-            }
-            agg.absorb(report);
-            if mode == RecoveryMode::Adaptive {
-                continue;
-            }
-            let label = compare_label(mode, rf);
-            for metric in adaptive_losses(adaptive, report) {
-                println!("  LOSS: adaptive {metric} worse than {label} (seed {seed})");
-                losses += 1;
-            }
-        }
-    }
-    println!(
-        "\n{:<14} {:>5} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "contender", "kills", "rec p50", "rec p99", "quiesce", "warm rd p99", "fault rd p99"
-    );
-    for (&(mode, rf), agg) in contenders.iter().zip(&per_contender) {
-        println!("{}", agg.row(&compare_label(mode, rf)));
-    }
-    println!(
-        "\nadaptive: switches={switches} retired_policy_reads={retired} across {campaigns} campaign(s)"
-    );
-    let failures: u64 = per_contender.iter().map(|a| a.failures).sum();
-    if failures > 0 || losses > 0 || retired > 0 || switches == 0 {
-        println!(
-            "\nFAIL: failures={failures} losses={losses} retired_reads={retired} switches={switches}"
-        );
-        std::process::exit(1);
-    }
-    println!("\nadaptive matched or beat every static contender");
-    std::process::exit(0);
-}
-
-/// `--explore --sabotage-atomicity` (or standalone `--sabotage-atomicity`):
-/// the explorer's self-test. The seeded check-then-act bug must be found
-/// by the bounded DFS (FIFO hides it), the emitted schedule file must
-/// replay byte-identically, or the harness itself is broken.
-fn sabotage_atomicity_selftest() -> ! {
-    header("chaos --sabotage-atomicity — seeded-bug schedule-explorer self-test");
-    match sabotage_atomicity() {
-        Ok((schedule_file, verdict)) => {
-            println!("explorer found the seeded lost update: {verdict}");
-            println!("replay verified byte-identical; schedule file:\n");
-            print!("{schedule_file}");
-            println!("\nsabotage self-test OK: explorer found and replayed the seeded bug");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            println!("\nFAIL: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--explore`: model-check the failure-during-recache scenario under
-/// explored schedules. Default is the smoke pair (random-walk then PCT);
-/// `--explore-strategy dfs|random|pct` picks one search. Exits non-zero
-/// if any explored schedule violates a campaign invariant.
-fn run_explore(base_seed: u64, schedules: usize, depth: usize, strategy_arg: Option<&str>) -> ! {
-    let strategies: Vec<ExploreStrategy> = match strategy_arg {
-        Some("random") => vec![ExploreStrategy::RandomWalk],
-        Some("pct") => vec![ExploreStrategy::Pct { d: 3 }],
-        Some("dfs") => vec![ExploreStrategy::Dfs],
-        Some(other) => {
-            eprintln!("unknown --explore-strategy {other:?} (expected random|pct|dfs)");
-            std::process::exit(2);
-        }
-        None => vec![ExploreStrategy::RandomWalk, ExploreStrategy::Pct { d: 3 }],
-    };
-    header(&format!(
-        "chaos --explore — schedule exploration, {schedules} schedule(s)/strategy, depth {depth}, seed {base_seed}"
-    ));
-    let plan = ChaosPlan::scenario_failure_during_recache(base_seed);
-    println!("plan: {}", plan.summary());
-    let mut failed = false;
-    for strategy in strategies {
-        let summary = explore_campaign(
-            FtPolicy::RingRecache,
-            &plan,
-            CampaignOptions {
-                recovery: RecoveryMode::Proactive,
-                ..Default::default()
-            },
-            strategy,
-            schedules,
-            depth,
-            base_seed,
-        );
-        println!("  {summary}");
-        for (verdict, schedule_file) in &summary.violations {
-            failed = true;
-            println!("\n  VIOLATION: {verdict}");
-            println!("  replay file (re-runs this interleaving byte-identically):");
-            for line in schedule_file.lines() {
-                println!("    {line}");
-            }
-        }
-    }
-    if failed {
-        println!("\nFAIL: explored schedule(s) violated campaign invariants");
-        std::process::exit(1);
-    }
-    println!("\nall explored schedules kept the invariants");
-    std::process::exit(0);
-}
-
-/// `--check-linz`: linearizability over `campaigns` recorded virtual
-/// campaigns (named kill/revive scenarios always included, recovery mode
-/// cycling). Exits non-zero on any violation or campaign failure.
-fn run_check_linz(base_seed: u64, campaigns: usize) -> ! {
-    header(&format!(
-        "chaos --check-linz — linearizability over {campaigns} recorded campaign(s) from seed {base_seed}"
-    ));
-    let summary = check_linz_campaigns(campaigns, base_seed);
-    println!("{summary}");
-    for v in &summary.violations {
-        println!("  VIOLATION: {v}");
-    }
-    for f in &summary.campaign_failures {
-        println!("  campaign failure: {f}");
-    }
-    if !summary.passed() {
-        println!("\nFAIL: linearizability sweep found violations");
-        std::process::exit(1);
-    }
-    println!("\nall recorded histories linearizable");
-    std::process::exit(0);
-}
-
-/// `--sabotage-linz`: forge a stale-epoch read into a clean recorded
-/// history; the checker must flag it.
-fn sabotage_linz_selftest(base_seed: u64) -> ! {
-    header("chaos --sabotage-linz — forged-stale-read checker self-test");
-    match sabotage_linz(base_seed) {
-        Ok(v) => {
-            println!("checker flagged the forgery: {v}");
-            println!("\nsabotage self-test OK: forged stale read was caught");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            println!("\nFAIL: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `--scenarios`: the three named recovery scenarios under proactive
-/// recovery. Exits non-zero on any violation.
-fn run_scenarios(base_seed: u64) -> ! {
-    header("chaos --scenarios — named recovery scenarios (proactive)");
     let mut failures = 0u64;
-    for (name, plan) in [
-        (
-            "failure-during-recache",
-            ChaosPlan::scenario_failure_during_recache(base_seed),
-        ),
-        (
-            "double-failure-node+successor",
-            ChaosPlan::scenario_double_failure(base_seed),
-        ),
-        (
-            "revive-during-recache",
-            ChaosPlan::scenario_revive_during_recache(base_seed),
-        ),
-    ] {
-        let (report, _) = run_campaign_with(
-            FtPolicy::RingRecache,
-            &plan,
-            CampaignOptions {
-                recovery: RecoveryMode::Proactive,
-                ..Default::default()
-            },
-        );
-        println!("{name}: {report}");
-        if let Some(stats) = &report.recovery {
-            println!(
-                "  recache pushed={} skipped={} failed={} stale_rejected={} hints drained={}",
-                stats.recache_pushed,
-                stats.recache_skipped,
-                stats.recache_failed,
-                stats.stale_epoch_rejected,
-                stats.hints_drained
-            );
-        }
-        if !report.passed() {
-            failures += 1;
-            if let Some(dump) = &report.flight_dump {
-                println!("{dump}");
+    let mut detection: Vec<Duration> = Vec::new();
+    let mut recovery_lats: Vec<Duration> = Vec::new();
+    let mut quiesce: Vec<Duration> = Vec::new();
+    for seed in base_seed..base_seed + campaigns {
+        let plan = ChaosPlan::generate(seed);
+        println!("seed={seed} plan: {}", plan.summary());
+        for &policy in policies {
+            let opts = CampaignOptions {
+                recovery,
+                ..CampaignOptions::PLAIN
+            };
+            let report = wall_campaign(policy, &plan, opts);
+            for line in report.latency_summary() {
+                println!("    window: {line}");
+            }
+            failures += u64::from(!report.passed());
+            // NoFt aborts by design, so a kill never completes an
+            // incident there.
+            if policy != FtPolicy::NoFt {
+                detection.extend(report.detection_latencies());
+                recovery_lats.extend(report.recovery_latencies());
+                quiesce.extend(report.quiesce_latencies());
             }
         }
+    }
+    println!("\ndegraded-window latency across all campaigns:");
+    print_percentiles("detection (kill -> declare)", &detection);
+    print_percentiles("recovery  (kill -> first recached hit)", &recovery_lats);
+    if recovery == RecoveryMode::Proactive {
+        print_percentiles("quiesce   (kill -> engine drained)", &quiesce);
     }
     if failures > 0 {
-        println!("\nFAIL: {failures} scenario(s) violated invariants");
-        std::process::exit(1);
+        println!("\nFAIL: {failures} campaign run(s) violated invariants");
+        return false;
     }
-    println!("\nall scenarios passed");
-    std::process::exit(0);
+    println!("\nall campaigns passed");
+    true
 }
 
-/// Accumulated degraded-window samples for one recovery mode.
+/// `--scenario NAME`: one row; stdout is the plan summary plus the render.
+fn run_scenario(args: &Args, name: &str, seed: u64) -> bool {
+    let row = scenario(name).unwrap_or_else(|| usage(&format!("unknown scenario {name:?}")));
+    let (nodes, files) = (args.get("nodes"), args.get("files"));
+    let plan = match row.size {
+        Some((n, f)) => (row.plan)(seed, (num(args, "nodes", n), num(args, "files", f))),
+        None if nodes.is_none() && files.is_none() => row.default_plan(seed),
+        None => usage(&format!("scenario {name} has a fixed size")),
+    };
+    println!("seed={} plan: {}", plan.seed, plan.summary());
+    let report = row
+        .clock
+        .run(|c| run_campaign_on(row.policy, &plan, row.opts, c))
+        .report;
+    print!("{}", report.render());
+    if let Some(dump) = &report.flight_dump {
+        eprintln!("{dump}");
+    }
+    let extra = row.expect.map(|c| Expect::Moves(c).judge(&report));
+    if let Some(Err(e)) = &extra {
+        eprintln!("FAIL: {e}");
+    }
+    report.passed() && !matches!(extra, Some(Err(_)))
+}
+
+/// `--self-test [NAME]`: each planted bug must be caught.
+fn self_test(which: &str, seed: u64) -> bool {
+    let rows: Vec<_> = SELF_TESTS
+        .iter()
+        .filter(|t| which == "all" || t.name == which)
+        .collect();
+    if rows.is_empty() {
+        usage(&format!("unknown self-test {which:?}"));
+    }
+    header(&format!(
+        "chaos --self-test {which} — every planted bug must be caught"
+    ));
+    let mut failed = 0;
+    for t in rows {
+        let verdict = match t.check {
+            SelfCheck::Campaign {
+                scenario: row,
+                sabotage,
+                expect,
+            } => {
+                let plan = row.default_plan(seed);
+                let opts = CampaignOptions {
+                    sabotage: Some(sabotage),
+                    ..row.opts
+                };
+                let report = row
+                    .clock
+                    .run(|c| run_campaign_on(row.policy, &plan, opts, c))
+                    .report;
+                expect.judge(&report)
+            }
+            SelfCheck::Checker(run) => run(seed),
+        };
+        match verdict {
+            Ok(evidence) => println!("{} OK: {evidence}", t.name),
+            Err(e) => {
+                failed += 1;
+                println!("{} FAIL: {e}", t.name);
+            }
+        }
+    }
+    failed == 0
+}
+
+/// Accumulated degraded-window samples for one contender.
 #[derive(Default)]
 struct ModeAgg {
-    detection: Vec<Duration>,
     recovery: Vec<Duration>,
     quiesce: Vec<Duration>,
     warm_p99: Vec<Duration>,
@@ -574,14 +235,11 @@ struct ModeAgg {
 
 impl ModeAgg {
     fn absorb(&mut self, report: &CampaignReport) {
-        self.detection.extend(report.detection_latencies());
         self.recovery.extend(report.recovery_latencies());
         self.quiesce.extend(report.quiesce_latencies());
         self.warm_p99.extend(report.warm_read_p99);
         self.fault_p99.extend(report.faulted_read_p99);
-        if !report.passed() {
-            self.failures += 1;
-        }
+        self.failures += u64::from(!report.passed());
     }
 
     fn row(&self, mode: &str) -> String {
@@ -597,238 +255,258 @@ impl ModeAgg {
     }
 }
 
-/// `--compare`: the same seeds under RingRecache, lazy vs proactive —
-/// the degraded-window table EXPERIMENTS.md quotes.
-fn run_compare(base_seed: u64, campaigns: u64) -> ! {
+fn table_header(first: &str) {
+    println!(
+        "\n{first:<14} {:>5} {:>10} {:>10} {:>10} {:>12} {:>12}",
+        "kills", "rec p50", "rec p99", "quiesce", "warm rd p99", "fault rd p99"
+    );
+}
+
+/// `--compare`: the same seeds under RingRecache, lazy vs proactive,
+/// then the demand-visible degraded-window probe.
+fn compare(base_seed: u64, campaigns: u64) -> bool {
     header(&format!(
         "chaos --compare — lazy vs proactive recovery, {campaigns} campaign(s) from seed {base_seed}"
     ));
-    let mut lazy = ModeAgg::default();
-    let mut proactive = ModeAgg::default();
-    for offset in 0..campaigns {
-        let plan = ChaosPlan::generate(base_seed + offset);
-        for (mode, agg) in [
-            (RecoveryMode::Lazy, &mut lazy),
-            (RecoveryMode::Proactive, &mut proactive),
-        ] {
-            let (report, _) = run_campaign_with(
-                FtPolicy::RingRecache,
-                &plan,
-                CampaignOptions {
-                    recovery: mode,
-                    ..Default::default()
-                },
-            );
-            println!("  {report}");
-            if !report.passed() {
-                if let Some(dump) = &report.flight_dump {
-                    println!("{dump}");
-                }
-            }
-            agg.absorb(&report);
+    let modes = [RecoveryMode::Lazy, RecoveryMode::Proactive];
+    let mut aggs = [ModeAgg::default(), ModeAgg::default()];
+    for seed in base_seed..base_seed + campaigns {
+        let plan = ChaosPlan::generate(seed);
+        for (&recovery, agg) in modes.iter().zip(aggs.iter_mut()) {
+            let opts = CampaignOptions {
+                recovery,
+                ..CampaignOptions::PLAIN
+            };
+            agg.absorb(&wall_campaign(FtPolicy::RingRecache, &plan, opts));
         }
     }
-    println!(
-        "\n{:<14} {:>5} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "mode", "kills", "rec p50", "rec p99", "quiesce", "warm rd p99", "fault rd p99"
-    );
-    println!("{}", lazy.row("lazy"));
-    println!("{}", proactive.row("proactive"));
+    table_header("mode");
+    for (mode, agg) in modes.iter().zip(&aggs) {
+        println!("{}", agg.row(&mode.to_string()));
+    }
     println!("\n(rec = kill -> first recached hit; quiesce = kill -> engine drained)");
 
     // The first-hit latency is detection-bound for both modes (the read
     // that trips the declaration fails over inline), so also measure the
-    // demand-visible window: kill -> detect -> compute gap -> next epoch,
-    // counting the reads that stall on a cold PFS fetch.
+    // demand-visible window, counting reads that stall on a cold fetch.
     println!("\ndegraded-window probe (kill -> detect -> compute gap -> next epoch sweep):");
     println!(
         "{:<10} {:>9} {:>10} {:>10} {:>11} {:>11} {:>10}",
         "mode", "lost keys", "cold reads", "detect p50", "quiesce p50", "epoch p99", "warm p99"
     );
-    let mut probe_failures = 0u64;
-    for mode in [RecoveryMode::Lazy, RecoveryMode::Proactive] {
-        let probes: Vec<DegradedWindowReport> = (0..campaigns.min(5))
-            .map(|o| run_degraded_window_probe(mode, base_seed + o))
+    let mut failures: u64 = aggs.iter().map(|a| a.failures).sum();
+    for mode in modes {
+        let probes: Vec<_> = (base_seed..base_seed + campaigns.min(5))
+            .map(|seed| run_degraded_window_probe_on(mode, seed, ClockHandle::wall()))
             .collect();
         for p in &probes {
             for v in &p.violations {
                 println!("  probe violation (seed {}, {mode}): {v}", p.seed);
-                probe_failures += 1;
+                failures += 1;
             }
         }
-        let lost: u64 = probes.iter().map(|p| p.lost_keys).sum();
-        let cold: u64 = probes.iter().map(|p| p.cold_reads).sum();
-        let detect: Vec<Duration> = probes.iter().map(|p| p.detect).collect();
-        let quiesce: Vec<Duration> = probes.iter().filter_map(|p| p.quiesce).collect();
-        let epoch: Vec<Duration> = probes.iter().filter_map(|p| p.epoch_p99).collect();
-        let warm: Vec<Duration> = probes.iter().filter_map(|p| p.warm_p99).collect();
+        let p50 = |d: Vec<Duration>| fmt_ms(percentile(&d, 0.50));
         println!(
             "{:<10} {:>9} {:>10} {:>10} {:>11} {:>11} {:>10}",
             mode.to_string(),
-            lost,
-            cold,
-            fmt_ms(percentile(&detect, 0.50)),
-            fmt_ms(percentile(&quiesce, 0.50)),
-            fmt_ms(percentile(&epoch, 0.50)),
-            fmt_ms(percentile(&warm, 0.50)),
+            probes.iter().map(|p| p.lost_keys).sum::<u64>(),
+            probes.iter().map(|p| p.cold_reads).sum::<u64>(),
+            p50(probes.iter().map(|p| p.detect).collect()),
+            p50(probes.iter().filter_map(|p| p.quiesce).collect()),
+            p50(probes.iter().filter_map(|p| p.epoch_p99).collect()),
+            p50(probes.iter().filter_map(|p| p.warm_p99).collect()),
         );
     }
     println!("\n(cold reads = epoch reads that stalled on a PFS fetch; lazy pays one per");
     println!(" un-demanded lost key, proactive re-homed the range during the compute gap)");
-
-    if lazy.failures + proactive.failures + probe_failures > 0 {
-        println!(
-            "\nFAIL: {} campaign/probe run(s) violated invariants",
-            lazy.failures + proactive.failures + probe_failures
-        );
-        std::process::exit(1);
+    if failures > 0 {
+        println!("\nFAIL: {failures} campaign/probe run(s) violated invariants");
+        return false;
     }
     println!("\nall campaigns passed");
-    std::process::exit(0);
+    true
+}
+
+/// `--compare-adaptive`: the shifting-intensity row under every static
+/// contender plus the adaptive controller.
+fn compare_adaptive(base_seed: u64, campaigns: u64) -> bool {
+    header(&format!(
+        "chaos --compare-adaptive — adaptive vs static postures, {campaigns} campaign(s) from seed {base_seed}"
+    ));
+    let row = SHIFTING_INTENSITY;
+    let contenders = compare_adaptive_contenders();
+    let mut aggs: Vec<ModeAgg> = contenders.iter().map(|_| ModeAgg::default()).collect();
+    let (mut losses, mut switches, mut retired) = (0u64, 0u64, 0u64);
+    for seed in base_seed..base_seed + campaigns {
+        let plan = row.default_plan(seed);
+        let reports: Vec<CampaignReport> = contenders
+            .iter()
+            .map(|&(recovery, replication)| {
+                let opts = CampaignOptions {
+                    recovery,
+                    replication,
+                    ..row.opts
+                };
+                row.clock
+                    .run(|c| run_campaign_on(row.policy, &plan, opts, c))
+                    .report
+            })
+            .collect();
+        let Some(adaptive) = reports.last() else {
+            continue;
+        };
+        switches += adaptive.policy_switches;
+        retired += adaptive.retired_policy_reads;
+        for ((&(mode, rf), report), agg) in contenders.iter().zip(&reports).zip(&mut aggs) {
+            println!("  {report}");
+            if let Some(dump) = &report.flight_dump {
+                println!("{dump}");
+            }
+            agg.absorb(report);
+            if mode == RecoveryMode::Adaptive {
+                continue;
+            }
+            let label = compare_label(mode, rf);
+            for metric in adaptive_losses(adaptive, report) {
+                println!("  LOSS: adaptive {metric} worse than {label} (seed {seed})");
+                losses += 1;
+            }
+        }
+    }
+    table_header("contender");
+    for (&(mode, rf), agg) in contenders.iter().zip(&aggs) {
+        println!("{}", agg.row(&compare_label(mode, rf)));
+    }
+    println!(
+        "\nadaptive: switches={switches} retired_policy_reads={retired} across {campaigns} campaign(s)"
+    );
+    let failures: u64 = aggs.iter().map(|a| a.failures).sum();
+    if failures > 0 || losses > 0 || retired > 0 || switches == 0 {
+        println!(
+            "\nFAIL: failures={failures} losses={losses} retired_reads={retired} switches={switches}"
+        );
+        return false;
+    }
+    println!("\nadaptive matched or beat every static contender");
+    true
+}
+
+/// `--explore`: the failure-during-recache row under explored schedules.
+fn explore(args: &Args, base_seed: u64) -> bool {
+    let strategies = match args.get("explore-strategy") {
+        Some("random") => vec![ExploreStrategy::RandomWalk],
+        Some("pct") => vec![ExploreStrategy::Pct { d: 3 }],
+        Some("dfs") => vec![ExploreStrategy::Dfs],
+        Some(other) => usage(&format!(
+            "unknown --explore-strategy {other:?} (expected random|pct|dfs)"
+        )),
+        None => vec![ExploreStrategy::RandomWalk, ExploreStrategy::Pct { d: 3 }],
+    };
+    let (schedules, depth) = (num(args, "schedules", 8), num(args, "depth", 16));
+    let row = FAILURE_DURING_RECACHE;
+    header(&format!(
+        "chaos --explore — schedule exploration, {schedules} schedule(s)/strategy, depth {depth}, seed {base_seed}"
+    ));
+    let plan = row.default_plan(base_seed);
+    println!("plan: {}", plan.summary());
+    let mut failed = false;
+    for strategy in strategies {
+        let summary = explore_campaign(
+            row.policy, &plan, row.opts, strategy, schedules, depth, base_seed,
+        );
+        println!("  {summary}");
+        for (verdict, schedule_file) in &summary.violations {
+            failed = true;
+            println!("\n  VIOLATION: {verdict}");
+            println!("  replay file (re-runs this interleaving byte-identically):");
+            for line in schedule_file.lines() {
+                println!("    {line}");
+            }
+        }
+    }
+    if failed {
+        println!("\nFAIL: explored schedule(s) violated campaign invariants");
+        return false;
+    }
+    println!("\nall explored schedules kept the invariants");
+    true
+}
+
+/// `--check-linz`: linearizability over recorded virtual campaigns.
+fn check_linz(base_seed: u64, campaigns: usize) -> bool {
+    header(&format!(
+        "chaos --check-linz — linearizability over {campaigns} recorded campaign(s) from seed {base_seed}"
+    ));
+    let summary = check_linz_campaigns(campaigns, base_seed);
+    println!("{summary}");
+    for v in &summary.violations {
+        println!("  VIOLATION: {v}");
+    }
+    for f in &summary.campaign_failures {
+        println!("  campaign failure: {f}");
+    }
+    if !summary.passed() {
+        println!("\nFAIL: linearizability sweep found violations");
+        return false;
+    }
+    println!("\nall recorded histories linearizable");
+    true
 }
 
 fn main() {
-    let base_seed: u64 = arg_or("--seed", 1);
-    let campaigns: u64 = arg_or("--campaigns", 1);
-    if has_flag("--sabotage-atomicity") {
-        sabotage_atomicity_selftest();
-    }
-    if has_flag("--sabotage-linz") {
-        sabotage_linz_selftest(base_seed);
-    }
-    if has_flag("--explore") {
-        let strategy = std::env::args()
-            .position(|a| a == "--explore-strategy")
-            .and_then(|i| std::env::args().nth(i + 1));
-        run_explore(
-            base_seed,
-            arg_or("--schedules", 8),
-            arg_or("--depth", 16),
-            strategy.as_deref(),
-        );
-    }
-    if has_flag("--check-linz") {
-        run_check_linz(base_seed, arg_or("--campaigns", 50));
-    }
-    if has_flag("--sabotage-shed") {
-        sabotage_shed_selftest(base_seed);
-    }
-    let scenario = std::env::args()
-        .position(|a| a == "--scenario")
-        .and_then(|i| std::env::args().nth(i + 1));
-    if let Some(name) = scenario.as_deref() {
-        match name {
-            "cascading-overload" => run_cascading_overload(base_seed),
-            other => {
-                eprintln!("unknown --scenario {other:?} (expected cascading-overload)");
-                std::process::exit(2);
-            }
+    let mut argv: Vec<String> = std::env::args().skip(1).collect();
+    // `--self-test` takes an optional row name; bare, it runs every row.
+    if let Some(i) = argv.iter().position(|a| a == "--self-test") {
+        if argv.get(i + 1).is_none_or(|a| a.starts_with("--")) {
+            argv.insert(i + 1, "all".to_owned());
         }
     }
-    if has_flag("--sabotage-flap") {
-        run_adaptive_campaign(base_seed, true);
-    }
-    if has_flag("--adaptive") {
-        run_adaptive_campaign(base_seed, false);
-    }
-    if has_flag("--compare-adaptive") {
-        run_compare_adaptive(base_seed, campaigns);
-    }
-    if has_flag("--virtual") {
-        run_virtual_sweep(base_seed, arg_or("--nodes", 128), arg_or("--files", 256));
-    }
-    if has_flag("--sabotage") {
-        sabotage_selftest(base_seed);
-    }
-    if has_flag("--sabotage-recovery") {
-        sabotage_recovery_selftest(base_seed);
-    }
-    if has_flag("--scenarios") {
-        run_scenarios(base_seed);
-    }
-    if has_flag("--compare") {
-        run_compare(base_seed, campaigns);
-    }
-    let policy_filter = std::env::args()
-        .position(|a| a == "--policy")
-        .and_then(|i| std::env::args().nth(i + 1));
-    let policies: Vec<FtPolicy> = match policy_filter.as_deref() {
-        Some("noft") => vec![FtPolicy::NoFt],
-        Some("pfs") => vec![FtPolicy::PfsRedirect],
-        Some("ring") => vec![FtPolicy::RingRecache],
-        Some(other) => {
-            eprintln!("unknown --policy {other:?} (expected noft|pfs|ring)");
-            std::process::exit(2);
-        }
-        None => vec![FtPolicy::NoFt, FtPolicy::PfsRedirect, FtPolicy::RingRecache],
+    let given: Vec<&str> = MODES[1..]
+        .iter()
+        .map(|&(m, _)| m)
+        .filter(|m| argv.iter().any(|a| a.strip_prefix("--") == Some(m)))
+        .collect();
+    let (mode, options) = match given[..] {
+        [] => MODES[0],
+        [m] => MODES[MODES.iter().position(|&(n, _)| n == m).unwrap_or(0)],
+        _ => usage(&format!("pick one mode, got --{}", given.join(" --"))),
     };
-    let recovery = match std::env::args()
-        .position(|a| a == "--recovery")
-        .and_then(|i| std::env::args().nth(i + 1))
-        .as_deref()
-    {
-        Some("proactive") => RecoveryMode::Proactive,
-        Some("adaptive") => RecoveryMode::Adaptive,
-        Some("lazy") | None => RecoveryMode::Lazy,
-        Some(other) => {
-            eprintln!("unknown --recovery {other:?} (expected lazy|proactive|adaptive)");
-            std::process::exit(2);
+    let mut keys = options.to_vec();
+    let mut switches = Vec::new();
+    match mode {
+        "scenario" | "self-test" => keys.push(mode),
+        "" => {}
+        _ => switches.push(mode),
+    }
+    let args = Args::parse(argv, &keys, &switches).unwrap_or_else(|e| usage(&e));
+    let seed: u64 = num(&args, "seed", 1);
+    let ok = match mode {
+        "scenario" => run_scenario(&args, args.get("scenario").unwrap_or_default(), seed),
+        "self-test" => self_test(args.get("self-test").unwrap_or("all"), seed),
+        "compare" => compare(seed, num(&args, "campaigns", 1)),
+        "compare-adaptive" => compare_adaptive(seed, num(&args, "campaigns", 1)),
+        "explore" => explore(&args, seed),
+        "check-linz" => check_linz(seed, num(&args, "campaigns", 50)),
+        _ => {
+            let policies = match args.get("policy") {
+                Some("noft") => vec![FtPolicy::NoFt],
+                Some("pfs") => vec![FtPolicy::PfsRedirect],
+                Some("ring") => vec![FtPolicy::RingRecache],
+                Some(other) => usage(&format!(
+                    "unknown --policy {other:?} (expected noft|pfs|ring)"
+                )),
+                None => vec![FtPolicy::NoFt, FtPolicy::PfsRedirect, FtPolicy::RingRecache],
+            };
+            let recovery = match args.get("recovery") {
+                Some("proactive") => RecoveryMode::Proactive,
+                Some("adaptive") => RecoveryMode::Adaptive,
+                Some("lazy") | None => RecoveryMode::Lazy,
+                Some(other) => usage(&format!(
+                    "unknown --recovery {other:?} (expected lazy|proactive|adaptive)"
+                )),
+            };
+            sweep(seed, num(&args, "campaigns", 1), &policies, recovery)
         }
     };
-
-    header(&format!(
-        "chaos — {campaigns} campaign(s) from seed {base_seed}, {} policies, {recovery} recovery",
-        policies.len()
-    ));
-
-    let mut failures = 0u64;
-    let mut detection: Vec<Duration> = Vec::new();
-    let mut recovery_lats: Vec<Duration> = Vec::new();
-    let mut quiesce: Vec<Duration> = Vec::new();
-    for offset in 0..campaigns {
-        let seed = base_seed + offset;
-        let plan = ChaosPlan::generate(seed);
-        println!("seed={seed} plan: {}", plan.summary());
-        for &policy in &policies {
-            let (report, _) = run_campaign_with(
-                policy,
-                &plan,
-                CampaignOptions {
-                    recovery,
-                    ..Default::default()
-                },
-            );
-            println!("  {report}");
-            for line in report.latency_summary() {
-                println!("    window: {line}");
-            }
-            if !report.passed() {
-                failures += 1;
-                if let Some(dump) = &report.flight_dump {
-                    println!("{dump}");
-                }
-            }
-            // Aggregate degraded-window latencies only for the policies
-            // that recover (NoFt aborts by design, so a kill never
-            // completes an incident there).
-            if policy != FtPolicy::NoFt {
-                detection.extend(report.detection_latencies());
-                recovery_lats.extend(report.recovery_latencies());
-                quiesce.extend(report.quiesce_latencies());
-            }
-        }
-    }
-
-    println!("\ndegraded-window latency across all campaigns:");
-    print_percentiles("detection (kill -> declare)", &detection);
-    print_percentiles("recovery  (kill -> first recached hit)", &recovery_lats);
-    if recovery == RecoveryMode::Proactive {
-        print_percentiles("quiesce   (kill -> engine drained)", &quiesce);
-    }
-
-    if failures > 0 {
-        println!("\nFAIL: {failures} campaign run(s) violated invariants");
-        std::process::exit(1);
-    }
-    println!("\nall campaigns passed");
+    std::process::exit(i32::from(!ok));
 }

@@ -8,17 +8,25 @@
 //! implementation reports **zero races** across every campaign; `--inject`
 //! forges one unsynchronised stale-epoch read into each trace and
 //! verifies the detector flags it (exit codes invert accordingly, so both
-//! modes are CI-able).
+//! modes are CI-able). Unknown options and unparseable values exit 2.
 
-use ft_cache::chaos::{run_campaign_traced, ChaosPlan};
+use ft_cache::chaos::{run_campaign_on, Campaign, CampaignOptions, ChaosPlan};
+use ft_cache::fleet::Args;
+use ft_cache::time::ClockHandle;
 use ftc_analysis::{check_trace, forge_stale_epoch_read, RaceKind};
-use ftc_bench::{arg_or, has_flag, header};
+use ftc_bench::header;
 use ftc_core::FtPolicy;
 
 fn main() {
-    let base_seed: u64 = arg_or("--seed", 1);
-    let campaigns: u64 = arg_or("--campaigns", 50);
-    let inject = has_flag("--inject");
+    let args = Args::parse(
+        std::env::args().skip(1),
+        &["seed", "campaigns"],
+        &["inject"],
+    )
+    .unwrap_or_else(|e| usage(&e));
+    let num = |key, default: u64| args.parsed_or(key, default).unwrap_or_else(|e| usage(&e));
+    let (base_seed, campaigns) = (num("seed", 1), num("campaigns", 50));
+    let inject = args.flag("inject");
 
     header(&format!(
         "races — {campaigns} traced campaign(s) from seed {base_seed}{}",
@@ -37,7 +45,12 @@ fn main() {
     for offset in 0..campaigns {
         let seed = base_seed + offset;
         let plan = ChaosPlan::generate(seed);
-        let (report, trace) = run_campaign_traced(FtPolicy::RingRecache, &plan, true);
+        let opts = CampaignOptions {
+            trace: true,
+            ..CampaignOptions::PLAIN
+        };
+        let Campaign { report, trace, .. } =
+            run_campaign_on(FtPolicy::RingRecache, &plan, opts, ClockHandle::wall());
         if !report.passed() {
             campaign_failures += 1;
         }
@@ -103,4 +116,10 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
+}
+
+/// Report a command-line error and exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("races: {msg}\nusage: races [--seed 1] [--campaigns 50] [--inject]");
+    std::process::exit(2);
 }

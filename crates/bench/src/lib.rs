@@ -20,7 +20,7 @@
 //! | `chaos` | seeded gray-failure campaigns, invariant-checked |
 //! | `races` | vector-clock race detection over traced campaigns |
 //!
-//! Criterion micro/meso benchmarks live under `benches/` (`cargo bench`).
+//! Per-layer timings live in the standalone `benchmark/` package.
 
 #![warn(missing_docs)]
 

@@ -103,6 +103,39 @@ proptest! {
         }
     }
 
+    /// The streaming `verify_synth` agrees with the materialised
+    /// reference on every single-byte flip and every truncation of a
+    /// value whose length is not a multiple of 8 (so the partial last
+    /// word is exercised): every flip is rejected, every truncation is a
+    /// prefix of the stream and verifies, and every truncation with its
+    /// last byte flipped is rejected.
+    #[test]
+    fn synth_verify_streams_like_the_reference(
+        path in "[a-z0-9/_.]{1,40}",
+        words in 0usize..16,
+        tail in 1usize..8,
+        flip in 1u8..=255,
+    ) {
+        let len = words * 8 + tail;
+        let data = synth_bytes(&path, len);
+        prop_assert!(verify_synth(&path, &data));
+        for i in 0..len {
+            let mut bad = data.to_vec();
+            bad[i] ^= flip;
+            prop_assert!(!verify_synth(&path, &bad), "flip at {} of {}", i, len);
+        }
+        for cut in 0..len {
+            let prefix = &data[..cut];
+            prop_assert_eq!(verify_synth(&path, prefix), synth_bytes(&path, cut)[..] == *prefix);
+            prop_assert!(verify_synth(&path, prefix));
+            if cut > 0 {
+                let mut bad = prefix.to_vec();
+                bad[cut - 1] ^= flip;
+                prop_assert!(!verify_synth(&path, &bad), "truncated to {} then flipped", cut);
+            }
+        }
+    }
+
     /// Synthetic content is verifiable, path-sensitive, and prefix-stable.
     #[test]
     fn synth_integrity(path in "[a-z0-9/_.]{1,40}", len in 0usize..2048) {

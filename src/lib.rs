@@ -65,8 +65,7 @@ pub use ftc_wire as wire;
 /// The names most programs need.
 pub mod prelude {
     pub use crate::chaos::{
-        run_campaign, run_campaign_all_policies, run_campaign_sabotaged, run_campaign_traced,
-        run_campaign_virtual, CampaignReport, ChaosPlan,
+        run_campaign_on, CampaignOptions, CampaignReport, ChaosPlan, Invariant, SCENARIOS,
     };
     pub use ftc_core::{
         Cluster, ClusterConfig, FtConfig, FtPolicy, HvacClient, PlacementKind, ReadError, ReadVia,

@@ -15,7 +15,8 @@
 //!   history recorder on ([`CampaignOptions::history`]) and feeds each
 //!   history through `ftc_analysis::linz`: per-key register
 //!   linearizability plus the epoch-freshness rule.
-//! * [`sabotage_atomicity`] and [`sabotage_linz`] are the self-tests:
+//! * [`sabotage_atomicity`] and [`sabotage_linz`] are the self-tests
+//!   (rows of [`crate::chaos::SELF_TESTS`]):
 //!   the first seeds a known check-then-act bug whose bad interleaving
 //!   FIFO never takes and requires the explorer to find and replay it;
 //!   the second forges a stale-epoch read into a clean history and
@@ -23,13 +24,13 @@
 //!   checking anything.
 
 use crate::chaos::{
-    run_campaign_explored, run_campaign_history, CampaignOptions, ChaosPlan, RecoveryMode,
+    run_campaign_on, Campaign, CampaignOptions, CampaignReport, ChaosPlan, Load, RecoveryMode,
 };
 use ftc_analysis::explore::{bounded_dfs, fingerprint_trace, DfsConfig, RunOutcome};
 use ftc_analysis::linz::check_history;
 use ftc_analysis::replay::Replayable;
-use ftc_analysis::Violation;
 use ftc_core::FtPolicy;
+use ftc_net::OpRecord;
 use ftc_time::{ForcedPrefix, Pct, RandomWalk, ScheduleTrace, Scheduler};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -105,15 +106,27 @@ impl fmt::Display for ExploreSummary {
 /// are deliberately excluded — under a virtual clock they are
 /// deterministic too, but the verdict is what replay must reproduce and
 /// shorter is easier to eyeball.
-fn run_verdict(report: &crate::chaos::CampaignReport) -> String {
+fn run_verdict(report: &CampaignReport) -> String {
+    let violations: Vec<String> = report.violations.iter().map(ToString::to_string).collect();
     format!(
         "seed={} policy={:?} reads={} aborted={} violations=[{}]",
         report.seed,
         report.policy,
         report.reads_attempted,
         report.aborted,
-        report.violations.join("; ")
+        violations.join("; ")
     )
+}
+
+/// One campaign on a fresh virtual clock whose choice points `strategy`
+/// decides, with the schedule it recorded.
+fn explored(
+    policy: FtPolicy,
+    plan: &ChaosPlan,
+    opts: CampaignOptions,
+    strategy: Box<dyn Scheduler>,
+) -> (Campaign, ScheduleTrace) {
+    ftc_time::with_virtual_sched(strategy, |clock| run_campaign_on(policy, plan, opts, clock))
 }
 
 /// Explore one campaign's schedule space under `strategy`, asserting the
@@ -129,6 +142,10 @@ pub fn explore_campaign(
     depth: usize,
     seed: u64,
 ) -> ExploreSummary {
+    let opts = CampaignOptions {
+        trace: true,
+        ..opts
+    };
     match strategy {
         ExploreStrategy::RandomWalk | ExploreStrategy::Pct { .. } => {
             let mut summary = ExploreSummary {
@@ -139,17 +156,13 @@ pub fn explore_campaign(
                 violations: Vec::new(),
             };
             let mut seen = std::collections::HashSet::new();
-            let opts = CampaignOptions {
-                trace: true,
-                ..opts
-            };
             for i in 0..schedules {
                 let run_seed = seed.wrapping_add(i as u64);
                 let boxed: Box<dyn Scheduler> = match strategy {
                     ExploreStrategy::Pct { d } => Box::new(Pct::new(run_seed, d, 1 << 16)),
                     _ => Box::new(RandomWalk::new(run_seed)),
                 };
-                let (report, sched, trace, _) = run_campaign_explored(policy, plan, opts, boxed);
+                let (Campaign { report, trace, .. }, sched) = explored(policy, plan, opts, boxed);
                 summary.runs += 1;
                 summary.choice_points += sched.len() as u64;
                 if let Some(t) = &trace {
@@ -166,18 +179,10 @@ pub fn explore_campaign(
             summary
         }
         ExploreStrategy::Dfs => {
-            let opts = CampaignOptions {
-                trace: true,
-                ..opts
-            };
             let dfs = bounded_dfs(
                 |prefix| {
-                    let (report, sched, trace, _) = run_campaign_explored(
-                        policy,
-                        plan,
-                        opts,
-                        Box::new(ForcedPrefix::new(prefix)),
-                    );
+                    let (Campaign { report, trace, .. }, sched) =
+                        explored(policy, plan, opts, Box::new(ForcedPrefix::new(prefix)));
                     let fingerprint = trace.as_deref().map(fingerprint_trace);
                     (
                         sched,
@@ -307,21 +312,6 @@ pub fn sabotage_atomicity() -> Result<(String, String), String> {
     ))
 }
 
-/// Parse a schedule file (the text [`sabotage_atomicity`] /
-/// [`explore_campaign`] emit) back into the forced choice list it
-/// replays with.
-pub fn parse_schedule_file(text: &str) -> Result<Vec<u32>, String> {
-    let r = Replayable::parse(text)?;
-    if r.kind != "schedule" {
-        return Err(format!("replay file is a {:?}, not a schedule", r.kind));
-    }
-    Ok(r.schedule_trace()?
-        .choices
-        .iter()
-        .map(|&(c, _)| c)
-        .collect())
-}
-
 /// One linearizability sweep over many campaigns.
 pub struct LinzSummary {
     /// Campaigns run with history recording on.
@@ -409,8 +399,8 @@ fn linz_plan_mix(count: usize, base_seed: u64) -> Vec<(ChaosPlan, RecoveryMode)>
 /// history for linearizability. The mix always includes the three named
 /// kill/revive scenarios and cycles lazy/proactive/adaptive recovery;
 /// every campaign runs the single-flight duplicate storm
-/// ([`CampaignOptions::dup_storm`]) so coalesced reads are part of the
-/// checked histories.
+/// ([`Load::DupStorm`]) so coalesced reads are part of the checked
+/// histories.
 pub fn check_linz_campaigns(count: usize, base_seed: u64) -> LinzSummary {
     let mut summary = LinzSummary {
         campaigns: 0,
@@ -424,20 +414,17 @@ pub fn check_linz_campaigns(count: usize, base_seed: u64) -> LinzSummary {
         campaign_failures: Vec::new(),
     };
     for (plan, mode) in linz_plan_mix(count, base_seed) {
-        let (report, history) = run_campaign_history(
-            FtPolicy::RingRecache,
-            &plan,
-            CampaignOptions {
-                recovery: mode,
-                // Duplicate readers race every kill, so the recorded
-                // histories contain coalesced (follower-accepted) reads
-                // and the epoch-freshness rule checks them too: a
-                // follower that accepted a stale-epoch publish would
-                // surface here as a linearizability violation.
-                dup_storm: true,
-                ..Default::default()
-            },
-        );
+        // Duplicate readers race every kill, so the recorded histories
+        // contain coalesced (follower-accepted) reads and the
+        // epoch-freshness rule checks them too: a follower that accepted
+        // a stale-epoch publish would surface here as a linearizability
+        // violation.
+        let opts = CampaignOptions {
+            recovery: mode,
+            load: Load::DupStorm,
+            ..CampaignOptions::PLAIN
+        };
+        let (report, history) = recorded(&plan, opts);
         summary.campaigns += 1;
         if !report.passed() {
             summary.campaign_failures.push(run_verdict(&report));
@@ -462,14 +449,11 @@ pub fn check_linz_campaigns(count: usize, base_seed: u64) -> LinzSummary {
 /// stale-epoch read into it, and require the checker to flag exactly the
 /// forgery. Returns the flagged violation, rendered.
 pub fn sabotage_linz(seed: u64) -> Result<String, String> {
-    let (report, mut history) = run_campaign_history(
-        FtPolicy::RingRecache,
-        &ChaosPlan::scenario_failure_during_recache(seed),
-        CampaignOptions {
-            recovery: RecoveryMode::Proactive,
-            ..Default::default()
-        },
-    );
+    let opts = CampaignOptions {
+        recovery: RecoveryMode::Proactive,
+        ..CampaignOptions::PLAIN
+    };
+    let (report, mut history) = recorded(&ChaosPlan::scenario_failure_during_recache(seed), opts);
     if !report.passed() {
         return Err(format!(
             "baseline campaign failed: {}",
@@ -494,15 +478,36 @@ pub fn sabotage_linz(seed: u64) -> Result<String, String> {
     }
 }
 
-/// Re-export for callers that want to attach schedule files to explore
-/// violations without reaching into `ftc_analysis` directly.
-pub fn violation_schedule_file(v: &Violation, strategy: &str, seed: u64) -> String {
-    ftc_analysis::explore::schedule_file(v, strategy, seed)
+/// One `RingRecache` campaign on a fresh virtual clock with the op
+/// history recorder on: its report and its history.
+fn recorded(plan: &ChaosPlan, opts: CampaignOptions) -> (CampaignReport, Vec<OpRecord>) {
+    let opts = CampaignOptions {
+        history: true,
+        ..opts
+    };
+    let campaign =
+        ftc_time::with_virtual(|clock| run_campaign_on(FtPolicy::RingRecache, plan, opts, clock));
+    (campaign.report, campaign.history.unwrap_or_default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse a schedule file (the text [`sabotage_atomicity`] /
+    /// [`explore_campaign`] emit) back into the forced choice list it
+    /// replays with.
+    fn parse_schedule_file(text: &str) -> Result<Vec<u32>, String> {
+        let r = Replayable::parse(text)?;
+        if r.kind != "schedule" {
+            return Err(format!("replay file is a {:?}, not a schedule", r.kind));
+        }
+        Ok(r.schedule_trace()?
+            .choices
+            .iter()
+            .map(|&(c, _)| c)
+            .collect())
+    }
 
     #[test]
     fn sabotage_atomicity_self_test_passes() {
@@ -537,7 +542,7 @@ mod tests {
             &plan,
             CampaignOptions {
                 recovery: RecoveryMode::Proactive,
-                ..Default::default()
+                ..CampaignOptions::PLAIN
             },
             ExploreStrategy::RandomWalk,
             3,

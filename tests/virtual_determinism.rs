@@ -5,23 +5,26 @@
 //!
 //! 1. **Determinism** — the same seed replays byte-identically, including
 //!    every measured latency (they are simulated, not wall-clock). CI
-//!    additionally diffs two full 128-node runs via `chaos --virtual`.
+//!    additionally diffs two runs of every virtual `chaos --scenario`.
 //! 2. **Scale** — a 256-node kill→detect→recache sweep completes within a
 //!    small wall-time budget; in wall-clock mode the same campaign would
 //!    spend minutes just sleeping through detector TTLs and settle waits.
 
-use ft_cache::chaos::{run_campaign_virtual, CampaignOptions, ChaosPlan, RecoveryMode};
-use ftc_core::FtPolicy;
+use ft_cache::chaos::{run_campaign_on, CampaignReport, ChaosPlan, SCALE_SWEEP};
+
+/// The `scale-sweep` scenario row's campaign for `plan`.
+fn sweep(plan: &ChaosPlan) -> CampaignReport {
+    let row = SCALE_SWEEP;
+    row.clock
+        .run(|c| run_campaign_on(row.policy, plan, row.opts, c))
+        .report
+}
 
 #[test]
 fn virtual_sweep_128_nodes_is_byte_identical() {
     let plan = ChaosPlan::scenario_scale_sweep(42, 128, 256);
-    let opts = CampaignOptions {
-        recovery: RecoveryMode::Proactive,
-        ..Default::default()
-    };
-    let a = run_campaign_virtual(FtPolicy::RingRecache, &plan, opts);
-    let b = run_campaign_virtual(FtPolicy::RingRecache, &plan, opts);
+    let a = sweep(&plan);
+    let b = sweep(&plan);
     assert!(a.passed(), "campaign failed: {a}");
     assert_eq!(
         a.render(),
@@ -38,14 +41,7 @@ fn virtual_sweep_128_nodes_is_byte_identical() {
 fn virtual_sweep_256_nodes_fits_wall_budget() {
     let plan = ChaosPlan::scenario_scale_sweep(7, 256, 256);
     let started = std::time::Instant::now();
-    let report = run_campaign_virtual(
-        FtPolicy::RingRecache,
-        &plan,
-        CampaignOptions {
-            recovery: RecoveryMode::Proactive,
-            ..Default::default()
-        },
-    );
+    let report = sweep(&plan);
     let wall = started.elapsed();
     assert!(report.passed(), "campaign failed: {report}");
     // 8 nodes die at this scale; only victims that owned at least one of
