@@ -24,7 +24,6 @@ use crate::policy::{FtConfig, FtPolicy};
 use crate::proto::{CacheRequest, CacheResponse, ServeSource};
 use crate::recovery::{RecoveryConfig, RecoveryEngine};
 use crate::singleflight::{Join, SingleFlight};
-use bytes::Bytes;
 use ftc_hashring::{NodeId, Placement};
 use ftc_net::xport::{Caller, Transport};
 use ftc_net::{HistoryRecorder, RpcError, TraceEventKind};
@@ -67,8 +66,9 @@ impl std::error::Error for ReadError {}
 /// came from (benches and tests mostly).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadOutcome {
-    /// The file contents.
-    pub bytes: Bytes,
+    /// The file contents: over TCP, a window into the reply frame's
+    /// own allocation; in-process, the serving cache's object itself.
+    pub bytes: ValueBuf,
     /// Which path produced them.
     pub via: ReadVia,
 }
@@ -464,7 +464,7 @@ impl HvacClient {
     }
 
     /// Read a file through the fault-tolerant cache.
-    pub fn read(&self, path: &str) -> Result<Bytes, ReadError> {
+    pub fn read(&self, path: &str) -> Result<ValueBuf, ReadError> {
         self.read_traced(path).map(|o| o.bytes)
     }
 
@@ -780,13 +780,7 @@ impl HvacClient {
                 ReadVia::ServerPfsFetch(served_by)
             }
         };
-        // `into_bytes` reuses the decoded window's allocation when it
-        // spans the whole buffer; a window into a larger frame detaches
-        // here so the frame can drop.
-        ReadOutcome {
-            bytes: bytes.into_bytes(),
-            via,
-        }
+        ReadOutcome { bytes, via }
     }
 
     /// Served-read bookkeeping, identical for a leader and a coalesced
@@ -916,16 +910,6 @@ impl HvacClient {
             Some(engine) if joined => engine.notify_rejoined(node),
             Some(engine) => engine.notify_failed(node, self.ring_epoch()),
             None => {}
-        }
-    }
-
-    /// Declare a node failed out-of-band (e.g. the scheduler told us) and
-    /// apply the policy's membership consequence immediately.
-    pub fn mark_failed(&self, node: NodeId) {
-        self.detector.lock().mark_failed(node);
-        self.emit_verdict(node, Verdict::JustFailed);
-        if self.config.policy == FtPolicy::RingRecache {
-            self.set_member(node, false);
         }
     }
 
@@ -1088,7 +1072,7 @@ impl HvacClient {
                 ClientMetrics::inc(&self.metrics.pfs_direct_reads);
                 ClientMetrics::add(&self.metrics.bytes_read, bytes.len() as u64);
                 Ok(ReadOutcome {
-                    bytes: bytes.into_bytes(),
+                    bytes,
                     via: ReadVia::DirectPfs,
                 })
             }
@@ -1431,20 +1415,57 @@ mod tests {
     }
 
     #[test]
-    fn mark_failed_and_readmit_roundtrip() {
+    fn declared_failure_and_readmit_roundtrip() {
         let r = rig(4, 8);
         let c = client(&r, FtPolicy::RingRecache);
         let owners_before: Vec<_> = (0..8)
             .map(|i| c.owner_of(&format!("train/s{i}.bin")))
             .collect();
-        c.mark_failed(NodeId(2));
+        assert!(
+            owners_before.contains(&Some(NodeId(2))),
+            "node 2 owns a file"
+        );
+        r.net.kill(NodeId(2));
+        // Reads that time out on node 2 are the detector's only evidence.
+        for _ in 0..4 {
+            if c.failed_nodes().contains(&NodeId(2)) {
+                break;
+            }
+            read_all(&c, 8);
+        }
+        assert_eq!(c.failed_nodes(), vec![NodeId(2)]);
         assert!(!c.live_nodes().contains(&NodeId(2)));
+        r.net.revive(NodeId(2));
         c.readmit(NodeId(2));
         let owners_after: Vec<_> = (0..8)
             .map(|i| c.owner_of(&format!("train/s{i}.bin")))
             .collect();
         assert_eq!(owners_before, owners_after, "rejoin restores placement");
+        assert!(c.failed_nodes().is_empty());
         read_all(&c, 8);
+    }
+
+    #[test]
+    fn warm_read_returns_the_cached_object_itself() {
+        let r = rig(4, 12);
+        let c = client(&r, FtPolicy::RingRecache);
+        read_all(&c, 12);
+        settle(&r);
+        for i in 0..12 {
+            let p = format!("train/s{i}.bin");
+            let out = c.read_traced(&p).unwrap();
+            let ReadVia::ServerNvme(node) = out.via else {
+                panic!("{p}: warm read served via {:?}", out.via);
+            };
+            let cached = r.servers[node.0 as usize]
+                .cache()
+                .get(&p)
+                .expect("resident");
+            assert!(
+                out.bytes.shares_backing_with(&cached),
+                "{p}: the value was copied between the cache and the caller"
+            );
+        }
     }
 
     #[test]
@@ -1862,7 +1883,7 @@ mod tests {
             let scripted = state.replies.lock().pop_front();
             scripted.unwrap_or_else(|| match req {
                 CacheRequest::Read { path } => Ok(CacheResponse::Data {
-                    bytes: synth_bytes(&path, FILE_SIZE).into(),
+                    bytes: synth_bytes(&path, FILE_SIZE),
                     path,
                     source: ServeSource::NvmeHit,
                 }),

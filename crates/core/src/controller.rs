@@ -1,4 +1,4 @@
-//! Runtime policy controller — adaptive fault-tolerance (ROADMAP item 4).
+//! Runtime policy controller — adaptive fault-tolerance.
 //!
 //! The paper (and every static configuration of this reproduction) picks
 //! one recovery posture at startup, but PR 4's lazy-vs-proactive tables

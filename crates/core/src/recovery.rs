@@ -824,8 +824,9 @@ impl Worker {
                     eng.flight("policy_fenced", format!("recache {node}: lazy posture"));
                     eng.task_done();
                 } else if !self.inflight.insert(node.0) {
-                    // A job for this node is already queued (e.g. verdict
-                    // raced an out-of-band mark_failed).
+                    // A job for this node is already queued (e.g. it
+                    // failed, rejoined and failed again before the first
+                    // job ran).
                     eng.flight("recache_dup", node.to_string());
                     eng.task_done();
                 } else {

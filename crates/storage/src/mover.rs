@@ -210,7 +210,6 @@ pub type SharedMover = Arc<Mutex<DataMover>>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use std::time::Duration;
 
     #[test]
@@ -218,7 +217,7 @@ mod tests {
         let cache = Arc::new(NvmeCache::unbounded());
         let mover = DataMover::spawn(Arc::clone(&cache)).expect("spawn mover");
         for i in 0..50 {
-            assert!(mover.enqueue(&format!("k{i}"), Bytes::from(vec![1u8; 10])));
+            assert!(mover.enqueue(&format!("k{i}"), ValueBuf::from(vec![1u8; 10])));
         }
         assert!(mover.drain(50, Duration::from_secs(5)));
         assert_eq!(cache.len(), 50);
@@ -233,7 +232,7 @@ mod tests {
         let cache = Arc::new(NvmeCache::unbounded());
         let mover = DataMover::spawn(Arc::clone(&cache)).expect("spawn mover");
         for i in 0..200 {
-            mover.enqueue(&format!("k{i}"), Bytes::from(vec![0u8; 4]));
+            mover.enqueue(&format!("k{i}"), ValueBuf::from(vec![0u8; 4]));
         }
         mover.shutdown(); // must not lose queued copies
         assert_eq!(cache.len(), 200);
@@ -244,7 +243,7 @@ mod tests {
         let cache = Arc::new(NvmeCache::unbounded());
         let mut mover = DataMover::spawn(cache).expect("spawn mover");
         mover.shutdown_inner();
-        assert!(!mover.enqueue("x", Bytes::new()));
+        assert!(!mover.enqueue("x", ValueBuf::new()));
         assert_eq!(mover.rejected(), 1);
     }
 
@@ -252,7 +251,7 @@ mod tests {
     fn drain_times_out_when_short() {
         let cache = Arc::new(NvmeCache::unbounded());
         let mover = DataMover::spawn(cache).expect("spawn mover");
-        mover.enqueue("a", Bytes::new());
+        mover.enqueue("a", ValueBuf::new());
         // Expecting 2 moves when only 1 was enqueued must time out.
         assert!(!mover.drain(2, Duration::from_millis(50)));
     }
@@ -263,8 +262,8 @@ mod tests {
         // Capacity zero: every enqueue must bounce, deterministically —
         // no race with the worker draining.
         let mover = DataMover::spawn_bounded(Arc::clone(&cache), 0).expect("spawn mover");
-        assert!(!mover.enqueue("a", Bytes::from(vec![1u8; 8])));
-        assert!(!mover.enqueue("b", Bytes::from(vec![1u8; 8])));
+        assert!(!mover.enqueue("a", ValueBuf::from(vec![1u8; 8])));
+        assert!(!mover.enqueue("b", ValueBuf::from(vec![1u8; 8])));
         assert_eq!(mover.rejected(), 2);
         assert_eq!(mover.moved(), 0);
         assert_eq!(cache.len(), 0);
@@ -277,7 +276,7 @@ mod tests {
         let mover = DataMover::spawn_bounded(Arc::clone(&cache), 1000).expect("spawn mover");
         let mut accepted = 0u64;
         for i in 0..1000 {
-            if mover.enqueue(&format!("k{i}"), Bytes::from(vec![0u8; 2])) {
+            if mover.enqueue(&format!("k{i}"), ValueBuf::from(vec![0u8; 2])) {
                 accepted += 1;
             }
         }
@@ -293,7 +292,7 @@ mod tests {
         let cache = Arc::new(NvmeCache::unbounded());
         let mover = DataMover::spawn_bounded(cache, 0).expect("spawn mover");
         let (depth, rejected) = mover.pressure_handles();
-        mover.enqueue("x", Bytes::new());
+        mover.enqueue("x", ValueBuf::new());
         mover.shutdown();
         // ordering: Relaxed — test-side observation of the statistic.
         assert_eq!(rejected.load(Ordering::Relaxed), 1);

@@ -307,10 +307,9 @@ impl NvmeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
 
-    fn b(n: usize) -> Bytes {
-        Bytes::from(vec![0xAB; n])
+    fn b(n: usize) -> ValueBuf {
+        ValueBuf::from(vec![0xAB; n])
     }
 
     #[test]

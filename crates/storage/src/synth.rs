@@ -5,7 +5,7 @@
 //! content that is a *pure function of the path* — any byte served for a
 //! path can be verified without storing a reference copy.
 
-use bytes::Bytes;
+use crate::ValueBuf;
 
 /// The stream's first state for `path` (never zero).
 fn seed(path: &str) -> u64 {
@@ -22,7 +22,7 @@ fn next_word(state: &mut u64) -> u64 {
 
 /// Deterministic pseudo-random bytes for a path: `xorshift*` stream seeded
 /// by the path hash. Same `(path, len)` always yields the same bytes.
-pub fn synth_bytes(path: &str, len: usize) -> Bytes {
+pub fn synth_bytes(path: &str, len: usize) -> ValueBuf {
     let mut state = seed(path);
     let mut out = Vec::with_capacity(len);
     while out.len() < len {
@@ -30,7 +30,7 @@ pub fn synth_bytes(path: &str, len: usize) -> Bytes {
         let take = chunk.len().min(len - out.len());
         out.extend_from_slice(&chunk[..take]);
     }
-    Bytes::from(out)
+    ValueBuf::from(out)
 }
 
 /// Verify that `data` is exactly what [`synth_bytes`] generates for

@@ -1,21 +1,18 @@
 //! [`ValueBuf`] — the one value type every tier of the data plane shares.
 //!
 //! A cached object travels a long way: PFS → server NVMe → wire frame →
-//! client → replica push → recache push. Before this type each hop that
-//! wanted ownership re-allocated (`Vec<u8>` → `Bytes` → `Vec<u8>` on the
-//! codec floor). `ValueBuf` is an immutable `Arc<[u8]>` with an
-//! offset/len window, so:
+//! client → caller, plus the replica and recache pushes. Every API that
+//! hands value bytes to a caller speaks this one type. `ValueBuf` is an
+//! immutable `Arc<[u8]>` with an offset/len window, so:
 //!
 //! * **clone is a refcount bump** — handing a value to the reply path,
 //!   the data mover, the replicator and the hint store are four clones
 //!   of one allocation, not four copies;
-//! * **views are free** — the wire codec can expose a value decoded
-//!   from the middle of a frame body as a window into the frame's own
-//!   allocation, with no per-value copy at all;
-//! * **interop is lossless** — [`Bytes`] ⇄ `ValueBuf` conversions reuse
-//!   the underlying `Arc` whenever the window spans the whole backing
-//!   (the overwhelmingly common case), so the migration boundary with
-//!   code still speaking `Bytes` costs nothing.
+//! * **views are free** — the wire codec exposes a value decoded from
+//!   the middle of a frame body as a window into the frame's own
+//!   allocation, and `HvacClient::read` returns that window as it is, so
+//!   a served read copies no value bytes between the socket and the
+//!   caller.
 //!
 //! ## Ownership rules
 //!
@@ -27,7 +24,6 @@
 //! residency) get a compact private copy via [`ValueBuf::detach`] when
 //! the window covers less than the whole backing.
 
-use bytes::Bytes;
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -121,7 +117,7 @@ impl ValueBuf {
     }
 
     /// True when the window spans its whole backing allocation (so
-    /// conversions can reuse the `Arc` instead of copying).
+    /// [`detach`](Self::detach) is free).
     pub fn is_full_window(&self) -> bool {
         self.off == 0 && self.len == self.data.len()
     }
@@ -137,21 +133,6 @@ impl ValueBuf {
             // point — it unpins the rest of the original backing.
             ValueBuf::copy_from_slice(self.as_slice())
         }
-    }
-
-    /// The shared backing, reusing the `Arc` for full windows and
-    /// copying only partial ones.
-    pub fn into_shared(self) -> Arc<[u8]> {
-        if self.is_full_window() {
-            self.data
-        } else {
-            Arc::from(self.as_slice())
-        }
-    }
-
-    /// Convert to [`Bytes`], reusing the allocation for full windows.
-    pub fn into_bytes(self) -> Bytes {
-        Bytes::from_shared(self.into_shared())
     }
 
     /// True when `self` and `other` are windows over the same backing
@@ -202,20 +183,6 @@ impl From<&[u8]> for ValueBuf {
     }
 }
 
-impl From<Bytes> for ValueBuf {
-    fn from(b: Bytes) -> Self {
-        let data = b.into_shared();
-        let len = data.len();
-        ValueBuf { data, off: 0, len }
-    }
-}
-
-impl From<ValueBuf> for Bytes {
-    fn from(v: ValueBuf) -> Self {
-        v.into_bytes()
-    }
-}
-
 impl fmt::Debug for ValueBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "v\"")?;
@@ -256,18 +223,6 @@ impl PartialEq<Vec<u8>> for ValueBuf {
     }
 }
 
-impl PartialEq<Bytes> for ValueBuf {
-    fn eq(&self, other: &Bytes) -> bool {
-        self.as_slice() == &other[..]
-    }
-}
-
-impl PartialEq<ValueBuf> for Bytes {
-    fn eq(&self, other: &ValueBuf) -> bool {
-        &self[..] == other.as_slice()
-    }
-}
-
 impl PartialOrd for ValueBuf {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -290,14 +245,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_equality_and_interop() {
+    fn construction_and_equality() {
         let a = ValueBuf::from(vec![1, 2, 3]);
         let b = ValueBuf::copy_from_slice(&[1, 2, 3]);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3);
         assert_eq!(&a[..], &[1, 2, 3]);
-        assert_eq!(a, Bytes::from(vec![1, 2, 3]));
-        assert_eq!(Bytes::from(vec![1, 2, 3]), a);
         assert!(ValueBuf::new().is_empty());
         assert_eq!(a, vec![1u8, 2, 3]);
     }
@@ -313,19 +266,6 @@ mod tests {
         assert!(!mid.is_full_window());
         let inner = mid.slice(1, 2);
         assert_eq!(&inner[..], &[3, 4]);
-    }
-
-    #[test]
-    fn bytes_round_trip_is_zero_copy_for_full_windows() {
-        let bytes = Bytes::from(vec![9u8; 32]);
-        let arc_before = bytes.clone().into_shared();
-        let v = ValueBuf::from(bytes);
-        assert!(v.is_full_window());
-        let back = v.into_bytes().into_shared();
-        assert!(
-            Arc::ptr_eq(&arc_before, &back),
-            "full window reuses the Arc"
-        );
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //! invariants under arbitrary operation sequences and synthetic-content
 //! integrity.
 
-use bytes::Bytes;
 use ftc_hashring::hash::key_hash;
-use ftc_storage::{synth_bytes, verify_synth, KeyIndex, NvmeCache, NvmeStats, Pfs};
+use ftc_storage::{synth_bytes, verify_synth, KeyIndex, NvmeCache, NvmeStats, Pfs, ValueBuf};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -56,7 +55,7 @@ proptest! {
                 Op::Insert(k, size) => {
                     let key = format!("k{k}");
                     let size = size as usize;
-                    let evicted = cache.insert(&key, Bytes::from(vec![0; size]));
+                    let evicted = cache.insert(&key, ValueBuf::from(vec![0; size]));
                     if size as u64 > capacity {
                         // Rejected insert: nothing evicted, and any
                         // previously cached value under this key survives.
@@ -208,7 +207,7 @@ proptest! {
             match op {
                 Op::Insert(k, size) => {
                     let key = format!("k{k}");
-                    let data = Bytes::from(vec![0x5A; size as usize]);
+                    let data = ValueBuf::from(vec![0x5A; size as usize]);
                     let evicted = sharded.insert(&key, data.clone());
                     let expected = singles[route(&key)].insert(&key, data);
                     prop_assert_eq!(evicted, expected);

@@ -14,8 +14,8 @@ use crate::batch::BatchPlan;
 use crate::dataset::Dataset;
 use crate::elastic::ElasticState;
 use crate::sampler::ShuffleSampler;
-use bytes::Bytes;
 use ftc_hashring::NodeId;
+use ftc_storage::ValueBuf;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -48,11 +48,11 @@ impl std::error::Error for BackendError {}
 /// double.
 pub trait ReadBackend: Send + Sync {
     /// Read one sample file.
-    fn read(&self, path: &str) -> Result<Bytes, BackendError>;
+    fn read(&self, path: &str) -> Result<ValueBuf, BackendError>;
 }
 
 impl ReadBackend for ftc_core::HvacClient {
-    fn read(&self, path: &str) -> Result<Bytes, BackendError> {
+    fn read(&self, path: &str) -> Result<ValueBuf, BackendError> {
         use ftc_core::ReadError;
         ftc_core::HvacClient::read(self, path).map_err(|e| match e {
             ReadError::NotFound(p) => BackendError::Missing(p),
@@ -385,12 +385,12 @@ mod tests {
     /// Backend that reads straight from a shared map (no cluster): isolates
     /// driver logic from cache logic.
     struct MapBackend {
-        files: Arc<parking_lot::RwLock<std::collections::HashMap<String, Bytes>>>,
+        files: Arc<parking_lot::RwLock<std::collections::HashMap<String, ValueBuf>>>,
         log: Arc<Mutex<Vec<String>>>,
     }
 
     impl ReadBackend for MapBackend {
-        fn read(&self, path: &str) -> Result<Bytes, BackendError> {
+        fn read(&self, path: &str) -> Result<ValueBuf, BackendError> {
             self.log.lock().push(path.to_owned());
             self.files
                 .read()
@@ -530,7 +530,7 @@ mod tests {
             let p = ds.train_path(i);
             files.insert(p.clone(), synth_bytes(&p, 16));
         }
-        files.insert(p0, Bytes::from_static(b"corrupted-not-synth!")); // wrong bytes
+        files.insert(p0, ValueBuf::copy_from_slice(b"corrupted-not-synth!")); // wrong bytes
         let files = Arc::new(parking_lot::RwLock::new(files));
         let log = Arc::new(Mutex::new(Vec::new()));
         let backends: Vec<Arc<dyn ReadBackend>> = (0..2)

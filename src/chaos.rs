@@ -22,12 +22,11 @@
 //! one row per sabotage self-test (what it runs and the [`Invariant`] it
 //! must trip or the counter it must move). The `chaos` binary reads both.
 
-use bytes::Bytes;
 use ftc_core::{Cluster, ClusterConfig, CoreError, FtPolicy, HvacClient, ReadError};
 use ftc_hashring::NodeId;
 use ftc_net::{OpRecord, TraceEventKind, TraceRecord};
 use ftc_sim::{FaultEvent, FaultPlan, SimCalibration, SimCluster, SimWorkload};
-use ftc_storage::synth_bytes;
+use ftc_storage::{synth_bytes, ValueBuf};
 use ftc_time::ClockHandle;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -1026,7 +1025,7 @@ impl Readers {
         clock: &ClockHandle,
         client: &Arc<HvacClient>,
         (name, count, rounds): (&str, usize, usize),
-        keys: Vec<(String, Bytes)>,
+        keys: Vec<(String, ValueBuf)>,
     ) -> (Self, Vec<(usize, std::io::Error)>) {
         let keys = Arc::new(keys);
         let ok = Arc::new(AtomicU64::new(0));
@@ -1125,7 +1124,7 @@ pub fn run_campaign_on(
         cluster.network().enable_history();
     }
     let paths = cluster.stage_dataset("train", plan.files, plan.file_size);
-    let truth: Vec<Bytes> = paths
+    let truth: Vec<ValueBuf> = paths
         .iter()
         .map(|p| synth_bytes(p, plan.file_size))
         .collect();
@@ -1221,7 +1220,7 @@ pub fn run_campaign_on(
                     _ => None,
                 })
                 .collect();
-            let keys: Vec<(String, Bytes)> = (0..paths.len())
+            let keys: Vec<(String, ValueBuf)> = (0..paths.len())
                 .filter(|&i| {
                     client
                         .owner_of(&paths[i])
@@ -1761,7 +1760,7 @@ pub fn run_degraded_window_probe_on(
         }
     };
     let paths = cluster.stage_dataset("probe", 64, 48);
-    let truth: Vec<Bytes> = paths.iter().map(|p| synth_bytes(p, 48)).collect();
+    let truth: Vec<ValueBuf> = paths.iter().map(|p| synth_bytes(p, 48)).collect();
     let opts = CampaignOptions {
         recovery: mode,
         ..CampaignOptions::PLAIN

@@ -6,7 +6,6 @@
 //! Everything here is pure and unit-tested; the binaries stay thin
 //! wrappers that wire these helpers to a [`ftc_wire::TcpTransport`].
 
-use bytes::Bytes;
 use ftc_storage::{synth_bytes, Pfs};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -96,11 +95,6 @@ pub fn stage_dataset(pfs: &Pfs, prefix: &str, count: usize, size: usize) -> Vec<
         pfs.stage(p, synth_bytes(p, size));
     }
     paths
-}
-
-/// One file's worth of synthetic bytes (re-exported shape for binaries).
-pub fn synth_file(path: &str, size: usize) -> Bytes {
-    synth_bytes(path, size)
 }
 
 /// Parse a `--stage` spec list: `PREFIX:COUNT:SIZE[,PREFIX:COUNT:SIZE…]`.
@@ -258,7 +252,7 @@ mod tests {
         // A second process staging independently produces identical bytes.
         for p in &paths {
             let data = pfs.read(p).expect("staged");
-            assert_eq!(data, synth_file(p, 512));
+            assert_eq!(data, synth_bytes(p, 512));
             assert!(verify_synth(p, &data));
         }
     }

@@ -5,9 +5,13 @@
 //! built for, reached here over real sockets: a key missed by all four
 //! at once costs one PFS read, mixed traffic over an NVMe smaller than
 //! the set keeps the striped accounting consistent, and shutdown still
-//! reclaims the server while the clients' connections are open.
+//! reclaims the server while the clients' connections are open. A
+//! second test pins the client's receive path: a 1 MiB read reaches the
+//! caller as a window into its reply frame, with no copy of the value.
 
-use ftc_core::{CacheRequest, CacheResponse, ServerHandle};
+use ftc_core::{
+    CacheRequest, CacheResponse, FtConfig, FtPolicy, HvacClient, ReadVia, ServerHandle,
+};
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Caller, Transport};
 use ftc_storage::{synth_bytes, verify_synth, MemStore, NvmeCache, ObjectStore, Pfs, ValueBuf};
@@ -108,7 +112,7 @@ fn four_connections_reach_the_servers_concurrency_machinery() {
                         let path = mixed_path(i * (c + 1) + c);
                         let req = if i % 10 == 9 {
                             CacheRequest::Put {
-                                bytes: synth_bytes(&path, MIXED_SIZE).into(),
+                                bytes: synth_bytes(&path, MIXED_SIZE),
                                 path: path.clone(),
                             }
                         } else {
@@ -167,4 +171,48 @@ fn four_connections_reach_the_servers_concurrency_machinery() {
         .call(NodeId(0), CacheRequest::Ping, TTL)
         .expect_err("nobody serves any more");
     assert!(err.indicates_failure(), "got {err:?}");
+}
+
+#[test]
+fn a_served_read_hands_the_caller_its_reply_frame() {
+    const PATH: &str = "large/sample.bin";
+    const SIZE: usize = 1 << 20;
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserve a port");
+    let transport: TcpTransport<CacheRequest, CacheResponse> =
+        TcpTransport::from_peer_list(&[addr], TcpConfig::default());
+    let pfs = Arc::new(Pfs::in_memory());
+    pfs.stage(PATH, synth_bytes(PATH, SIZE));
+    let cache = Arc::new(NvmeCache::unbounded());
+    let server = ServerHandle::spawn_on(NodeId(0), &transport, Arc::clone(&pfs), cache)
+        .expect("spawn server");
+    let client = HvacClient::with_transport(
+        NodeId(10),
+        &transport,
+        pfs,
+        1,
+        FtConfig::for_policy(FtPolicy::RingRecache),
+    );
+
+    // Cold (a server-side PFS fetch), then warm (an NVMe hit): both come
+    // back over the socket as a `Data` reply.
+    for _ in 0..2 {
+        let out = client.read_traced(PATH).expect("read over TCP");
+        assert!(
+            matches!(
+                out.via,
+                ReadVia::ServerPfsFetch(NodeId(0)) | ReadVia::ServerNvme(NodeId(0))
+            ),
+            "served by {:?}",
+            out.via
+        );
+        assert_eq!(out.bytes.len(), SIZE);
+        assert!(
+            !out.bytes.is_full_window(),
+            "the value was copied out of its reply frame"
+        );
+        assert!(verify_synth(PATH, &out.bytes), "wrong bytes");
+    }
+    server.shutdown().expect("server reclaimed");
 }
