@@ -1109,8 +1109,14 @@ mod tests {
         }
         let servers = (0..nodes)
             .map(|i| {
-                ServerHandle::spawn(NodeId(i), &net, Arc::clone(&pfs), u64::MAX)
-                    .expect("spawn server")
+                ServerHandle::spawn(
+                    NodeId(i),
+                    &net,
+                    Arc::clone(&pfs),
+                    Arc::new(ftc_storage::NvmeCache::unbounded()),
+                    crate::overload::AdmissionConfig::default(),
+                )
+                .expect("spawn server")
             })
             .collect();
         Rig { net, pfs, servers }
@@ -1207,7 +1213,6 @@ mod tests {
             .find(|p| c.owner_of(p) == Some(NodeId(2)))
             .expect("some file on node 2");
         r.net.kill(NodeId(2));
-        r.servers[2].request_stop();
         assert_eq!(
             c.read(&victim_file).unwrap_err(),
             ReadError::NodeFailed(NodeId(2))
@@ -1275,7 +1280,6 @@ mod tests {
             .collect();
         assert!(!lost.is_empty());
         r.net.kill(NodeId(1));
-        r.servers[1].request_stop();
         r.pfs.reset_read_counters();
 
         read_all(&c, 16); // epoch after failure
@@ -1304,7 +1308,6 @@ mod tests {
             .collect();
         assert!(!lost.is_empty());
         r.net.kill(NodeId(1));
-        r.servers[1].request_stop();
         r.pfs.reset_read_counters();
 
         read_all(&c, 16); // failure epoch: detection + recache begins
@@ -1372,7 +1375,6 @@ mod tests {
         read_all(&c, 16);
         for dead in 0..3u32 {
             r.net.kill(NodeId(dead));
-            r.servers[dead as usize].request_stop();
             // Two passes: detection (timeout_limit = 2) needs at least two
             // timed-out reads against the dead node.
             read_all(&c, 16);
@@ -1390,7 +1392,6 @@ mod tests {
         read_all(&c, 4);
         for dead in 0..2u32 {
             r.net.kill(NodeId(dead));
-            r.servers[dead as usize].request_stop();
         }
         // Reads keep succeeding (via retries/failover) until the ring is
         // empty, then report NoLiveNodes.
@@ -1486,7 +1487,6 @@ mod tests {
         assert_eq!(m.replicas_written, 16, "each file pushed to one successor");
 
         r.net.kill(NodeId(1));
-        r.servers[1].request_stop();
         // Detection passes (suspect windows may redirect a couple of reads).
         read_all(&c, 16);
         read_all(&c, 16);
@@ -1520,7 +1520,6 @@ mod tests {
 
         hub.timeline.mark(1, Phase::Kill); // what the injector would stamp
         r.net.kill(NodeId(1));
-        r.servers[1].request_stop();
         read_all(&c, 16); // detection pass
         read_all(&c, 16); // failover pass: first recached hits
         assert!(
@@ -1586,7 +1585,6 @@ mod tests {
         assert_eq!(c.key_index().count_of(1), lost.len());
 
         r.net.kill(NodeId(1));
-        r.servers[1].request_stop();
         // Drive detection with ONE key only — the engine must recache the
         // rest without any foreground read touching them.
         let probe_key = &lost[0];
@@ -1650,7 +1648,6 @@ mod tests {
             .collect();
         assert!(!to_n2.is_empty(), "need files replicating to node 2");
         r.net.kill(NodeId(2));
-        r.servers[2].request_stop();
         for p in &to_n2 {
             c.read(p).unwrap();
         }
@@ -1733,13 +1730,13 @@ mod tests {
     fn armored_client_degrades_shed_reads_to_pfs() {
         use crate::overload::{AdmissionConfig, OverloadConfig};
         use ftc_storage::NvmeCache;
-        // A zero-capacity admission queue sheds every data request at
-        // enqueue: the armored client must degrade those reads to the PFS
+        // A zero-capacity admission gate sheds every data request: the
+        // armored client must degrade those reads to the PFS
         // without feeding the failure detector a single timeout.
         let net: CacheNet = Network::instant(7);
         let pfs = Arc::new(Pfs::in_memory());
         pfs.stage("train/s0.bin", synth_bytes("train/s0.bin", FILE_SIZE));
-        let h = ServerHandle::spawn_on_with_admission(
+        let h = ServerHandle::spawn(
             NodeId(0),
             &net,
             Arc::clone(&pfs),
@@ -1766,7 +1763,6 @@ mod tests {
         let (capacity_sheds, deadline_sheds) = h.sheds();
         assert_eq!(capacity_sheds, 1);
         assert_eq!(deadline_sheds, 0);
-        h.request_stop();
     }
 
     #[test]
@@ -1815,7 +1811,6 @@ mod tests {
         let p = "train/s0.bin";
         let owner = c.owner_of(p).expect("owner");
         r.net.kill(owner);
-        r.servers[owner.0 as usize].request_stop();
         let out = c.read_traced(p).expect("hedge serves the read");
         match out.via {
             ReadVia::ServerNvme(n) | ReadVia::ServerPfsFetch(n) => {

@@ -1,11 +1,11 @@
-//! The threaded "real mode" cluster: one HVAC server thread per node, a
+//! The threaded "real mode" cluster: one HVAC server per node, a
 //! shared PFS, and per-rank FT-Cache clients — the whole Fig. 3 topology
 //! in one process.
 //!
 //! This is the mode the integration tests and examples drive: real
 //! threads, real timeouts, real byte verification. Node failure is
 //! injected as in the paper's experiments ("disabling one or more nodes
-//! during runtime"): the fabric silences the node and its server thread is
+//! during runtime"): the fabric silences the node and its server is
 //! reclaimed, so clients observe only timeouts.
 
 use crate::client::HvacClient;
@@ -38,8 +38,7 @@ pub struct ClusterConfig {
     /// RNG seed for jitter/drop decisions.
     pub seed: u64,
     /// Server-side admission control, applied to every server spawn
-    /// (including revives). Default disabled: the exact legacy serve
-    /// loop, no queue, no shedding.
+    /// (including revives). Default disabled: every request is served.
     #[serde(default)]
     pub admission: AdmissionConfig,
 }
@@ -71,16 +70,8 @@ pub struct Cluster {
     clients: Mutex<Vec<Arc<HvacClient>>>,
     killed: Mutex<HashSet<NodeId>>,
     recache_counts: Mutex<Vec<(u64, u64)>>,
-    /// Per-node shed counters `(capacity, deadline)`, shared with each
-    /// server's admission loop. The Arcs outlive kills, so shed totals
-    /// survive a node's death; respawns fold the old values into
-    /// `shed_base` before adopting the new server's counters.
-    shed_counters: Mutex<
-        Vec<(
-            Arc<std::sync::atomic::AtomicU64>,
-            Arc<std::sync::atomic::AtomicU64>,
-        )>,
-    >,
+    /// Per-node shed totals `(capacity, deadline)` of the node's dead
+    /// incarnations, folded in as each is killed.
     shed_base: Mutex<Vec<(u64, u64)>>,
     /// The cluster's observability plane: attached to the fabric at boot
     /// and to every client at creation; kills stamp the timeline here.
@@ -107,9 +98,8 @@ impl Cluster {
         let pfs = Arc::new(Pfs::in_memory());
         let mut servers = Vec::with_capacity(config.nodes as usize);
         let mut caches = Vec::with_capacity(config.nodes as usize);
-        let mut shed_counters = Vec::with_capacity(config.nodes as usize);
         for i in 0..config.nodes {
-            let h = ServerHandle::spawn_on_with_admission(
+            let h = ServerHandle::spawn(
                 NodeId(i),
                 &net,
                 Arc::clone(&pfs),
@@ -117,12 +107,10 @@ impl Cluster {
                 config.admission,
             )?;
             caches.push(h.cache());
-            shed_counters.push(h.shed_handles());
             servers.push(Some(h));
         }
         Ok(Cluster {
             recache_counts: Mutex::new(vec![(0, 0); config.nodes as usize]),
-            shed_counters: Mutex::new(shed_counters),
             shed_base: Mutex::new(vec![(0, 0); config.nodes as usize]),
             config,
             net,
@@ -256,18 +244,20 @@ impl Cluster {
         self.hub.timeline.mark(node.0, ftc_obs::Phase::Kill);
         self.hub.flight.record("cluster", "kill", node.to_string());
         self.net.kill(node);
-        // Reclaim the thread; record its mover totals first so cluster
+        // Reclaim the server; record its mover and shed totals so cluster
         // metrics stay complete after the handle is gone.
-        if let Some(h) = self
+        let handle = self
             .servers
             .lock()
             .get_mut(node.index())
-            .and_then(Option::take)
-        {
-            if let Some(server) = h.shutdown() {
-                let mut rc = self.recache_counts.lock();
-                rc[node.index()] = (server.files_recached(), server.recached_bytes());
-            }
+            .and_then(Option::take);
+        if let Some(server) = handle.and_then(ServerHandle::shutdown) {
+            self.recache_counts.lock()[node.index()] =
+                (server.files_recached(), server.recached_bytes());
+            let (capacity, deadline) = server.sheds();
+            let base = &mut self.shed_base.lock()[node.index()];
+            base.0 += capacity;
+            base.1 += deadline;
         }
     }
 
@@ -329,7 +319,7 @@ impl Cluster {
         } else {
             Arc::new(NvmeCache::for_serving(self.config.nvme_capacity))
         };
-        let spawned = ServerHandle::spawn_on_with_admission(
+        let spawned = ServerHandle::spawn(
             node,
             &self.net,
             Arc::clone(&self.pfs),
@@ -346,18 +336,6 @@ impl Cluster {
                 return Err(e);
             }
         };
-        {
-            // Fold the dead incarnation's shed totals into the base, then
-            // adopt the fresh server's counters.
-            use std::sync::atomic::Ordering;
-            let mut counters = self.shed_counters.lock();
-            let (old_cap, old_dead) = &counters[node.index()];
-            let mut base = self.shed_base.lock();
-            // ordering: Relaxed — monotone tallies read for accounting.
-            base[node.index()].0 += old_cap.load(Ordering::Relaxed);
-            base[node.index()].1 += old_dead.load(Ordering::Relaxed);
-            counters[node.index()] = h.shed_handles();
-        }
         self.caches.lock()[node.index()] = h.cache();
         self.servers.lock()[node.index()] = Some(h);
         Ok(())
@@ -368,18 +346,14 @@ impl Cluster {
     /// the dead server shed while alive, so client-side observation
     /// counts can always be reconciled against these.
     pub fn sheds_per_node(&self) -> Vec<(u64, u64)> {
-        use std::sync::atomic::Ordering;
-        let counters = self.shed_counters.lock();
+        let servers = self.servers.lock();
         let base = self.shed_base.lock();
-        counters
+        servers
             .iter()
             .zip(base.iter())
-            // ordering: Relaxed — monotone tallies read for accounting.
-            .map(|((c, d), &(bc, bd))| {
-                (
-                    bc + c.load(Ordering::Relaxed),
-                    bd + d.load(Ordering::Relaxed),
-                )
+            .map(|(slot, &(bc, bd))| {
+                let (c, d) = slot.as_ref().map_or((0, 0), |h| h.sheds());
+                (bc + c, bd + d)
             })
             .collect()
     }
@@ -482,7 +456,7 @@ impl Cluster {
             out.push(rejected);
             // Miss single-flight: how many PFS fetches the node led vs
             // answered from an already-open flight.
-            let (leaders, coalesced, stale) = h.singleflight_handles().snapshot();
+            let (leaders, coalesced, stale) = h.miss_flight_counts();
             for (name, v) in [
                 ("ftc_server_pfs_flight_leaders_total", leaders),
                 ("ftc_server_pfs_coalesced_total", coalesced),

@@ -54,8 +54,8 @@ pub use detector::{DetectorConfig, FailureDetector, Verdict};
 pub use error::CoreError;
 pub use metrics::{ClientMetrics, ClientMetricsSnapshot, ClusterMetrics};
 pub use overload::{
-    AdmissionConfig, AdmissionQueue, BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker,
-    HedgeConfig, OverloadConfig, Priority, RetryBudget, ShedReason,
+    Admission, AdmissionConfig, BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker,
+    HedgeConfig, OverloadConfig, RetryBudget, ShedReason,
 };
 pub use policy::{FtConfig, FtPolicy, PlacementKind, RetryPolicy};
 pub use proto::{CacheRequest, CacheResponse, ServeSource};

@@ -6,12 +6,13 @@
 //! suspicion. Four building blocks, shared by the in-process fabric and
 //! the TCP wire because they all sit above the transport seam:
 //!
-//! * [`AdmissionQueue`] — server side: a bounded, priority-classed
-//!   request queue. Work is shed (a typed `Overloaded` reply, *not* a
-//!   timeout) when a class queue is full or when, at pop time, the time
-//!   already spent queued plus the EWMA service-time estimate exceeds
-//!   the client's assumed deadline — serving it would only burn cycles
-//!   on a reply the caller has stopped waiting for.
+//! * [`Admission`] — server side: a gate each request passes on the
+//!   thread that serves it. Work is shed (a typed `Overloaded` reply,
+//!   *not* a timeout) when the node already holds `queue_capacity`
+//!   requests, or when the time the request has waited plus the EWMA
+//!   service-time estimate exceeds the client's assumed deadline —
+//!   serving it would only burn cycles on a reply the caller has stopped
+//!   waiting for.
 //! * [`CircuitBreaker`] — client side, per node: closed → open on
 //!   consecutive failures, open → half-open after a cool-off, half-open
 //!   admits exactly a probe quota. Short-circuited calls never hit the
@@ -31,20 +32,20 @@
 //! `now: Instant` readings and [`Armor`] reads the client's clock handle,
 //! so the whole layer runs deterministically on the virtual clock.
 
-use crate::proto::CacheRequest;
 use ftc_hashring::NodeId;
 use ftc_time::ClockHandle;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Default per-class admission queue capacity when armored.
+/// Default admission capacity when armored.
 pub const DEFAULT_ADMISSION_CAPACITY: usize = 64;
 /// Default client-deadline assumption for deadline-aware shedding.
 pub const DEFAULT_ASSUMED_TTL: Duration = Duration::from_millis(100);
-/// Default EWMA smoothing factor for the service-time estimate.
-pub const DEFAULT_EWMA_ALPHA: f64 = 0.2;
+/// EWMA smoothing factor for the service-time estimate.
+pub const EWMA_ALPHA: f64 = 0.2;
 /// Default consecutive failures that trip a breaker open.
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 5;
 /// Default cool-off before an open breaker admits probes.
@@ -62,38 +63,6 @@ pub const DEFAULT_HEDGE_MIN_DELAY: Duration = Duration::from_micros(200);
 pub const DEFAULT_HEDGE_MAX_DELAY: Duration = Duration::from_millis(20);
 /// Read latencies remembered for the hedge-delay p99.
 pub const HEDGE_WINDOW: usize = 256;
-
-// ---------------------------------------------------------------------------
-// Priority classes
-// ---------------------------------------------------------------------------
-
-/// Admission priority of one request. Foreground reads outrank the
-/// background traffic (recache pushes, anti-entropy digests/evicts,
-/// hint drains) that a recovering cluster generates in bursts; control
-/// probes are never shed, so a breaker's half-open probe or the
-/// readmission prober always learns the truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Priority {
-    /// Liveness probes (`Ping`): tiny, and shedding one would turn
-    /// "overloaded" into "suspect dead" on the prober.
-    Control,
-    /// Training-path reads: the SLO traffic.
-    Foreground,
-    /// Recache / anti-entropy / replication writes: retryable by their
-    /// own engines, so they absorb the shedding first.
-    Background,
-}
-
-/// The admission class of a protocol request.
-pub fn priority_of(req: &CacheRequest) -> Priority {
-    match req {
-        CacheRequest::Ping => Priority::Control,
-        CacheRequest::Read { .. } => Priority::Foreground,
-        CacheRequest::Put { .. } | CacheRequest::Digest | CacheRequest::Evict { .. } => {
-            Priority::Background
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // EWMA service-time estimator
@@ -136,26 +105,24 @@ impl EwmaEstimator {
 }
 
 // ---------------------------------------------------------------------------
-// Admission queue
+// Admission control
 // ---------------------------------------------------------------------------
 
-/// Server-side admission tuning. The default is *disabled*: requests are
-/// served in arrival order with no shedding, byte-identical to the
-/// pre-armor server. [`AdmissionConfig::armored`] turns the queue on.
+/// Server-side admission tuning. The default is *disabled*: every
+/// request is served and nothing is measured. [`AdmissionConfig::armored`]
+/// turns the gate on.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdmissionConfig {
     /// Whether admission control is active at all.
     pub enabled: bool,
-    /// Per-class queue capacity; a full class sheds at enqueue.
+    /// Requests a node may already hold — being served on other threads
+    /// plus queued ahead of an arrival — before that arrival is shed.
     pub queue_capacity: usize,
-    /// Shed at pop when `queue_wait + ewma_estimate > assumed_ttl`
-    /// (the caller has a deadline; serving past it is pure waste).
-    pub deadline_aware: bool,
     /// The per-RPC deadline clients are assumed to run with — the wire
     /// does not carry deadlines, so the server mirrors the detector TTL.
+    /// A request whose wait plus the EWMA service estimate exceeds it is
+    /// shed.
     pub assumed_ttl: Duration,
-    /// EWMA smoothing factor for the service-time estimate.
-    pub ewma_alpha: f64,
 }
 
 impl Default for AdmissionConfig {
@@ -163,125 +130,103 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             enabled: false,
             queue_capacity: DEFAULT_ADMISSION_CAPACITY,
-            deadline_aware: false,
             assumed_ttl: DEFAULT_ASSUMED_TTL,
-            ewma_alpha: DEFAULT_EWMA_ALPHA,
         }
     }
 }
 
 impl AdmissionConfig {
-    /// Armored preset: bounded queues, deadline-aware shedding against
+    /// Armored preset: bounded capacity, deadline-aware shedding against
     /// `assumed_ttl`.
     pub fn armored(assumed_ttl: Duration) -> Self {
         AdmissionConfig {
             enabled: true,
-            deadline_aware: true,
             assumed_ttl,
             ..Default::default()
         }
     }
 }
 
-/// Why the admission queue shed a request.
+/// Why admission control shed a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The class queue was at capacity when the request arrived.
+    /// The node already held `queue_capacity` requests.
     QueueFull,
-    /// At pop, queue wait + estimated service time exceeded the assumed
-    /// client deadline.
+    /// The time already waited plus the estimated service time exceeded
+    /// the assumed client deadline.
     DeadlineHopeless,
 }
 
-/// One queued item: the payload plus its admission stamp and class.
-struct Admitted<T> {
-    item: T,
-    enqueued: Instant,
-}
-
-/// A bounded, priority-classed admission queue with deadline-aware
-/// shedding. Pure data structure — the server's event loop feeds it
-/// `(item, priority, now)` and drains it with `pop(now)`; all shedding
-/// decisions come back as values so the caller owns the `Overloaded`
-/// replies and the shed accounting.
-pub struct AdmissionQueue<T> {
+/// Admission control as a gate on the serving thread: the server asks
+/// [`Admission::admit`] before it serves a request and reports the
+/// service time to [`Admission::done`] after. Sheds are counted per
+/// cause; the caller owns the `Overloaded` reply.
+#[derive(Debug)]
+pub struct Admission {
     config: AdmissionConfig,
-    ewma: EwmaEstimator,
-    // One VecDeque per priority class, indexed by Priority discriminant
-    // order (Control, Foreground, Background). Bounded by
-    // `config.queue_capacity` at push — never grows past it.
-    classes: [VecDeque<Admitted<T>>; 3],
+    /// Requests admitted and not yet [`done`](Admission::done).
+    in_flight: AtomicUsize,
+    ewma: Mutex<EwmaEstimator>,
+    shed_capacity: AtomicU64,
+    shed_deadline: AtomicU64,
 }
 
-impl<T> AdmissionQueue<T> {
-    /// Empty queue under `config`.
+impl Admission {
+    /// A gate under `config`, holding nothing.
     pub fn new(config: AdmissionConfig) -> Self {
-        let cap = config.queue_capacity.min(4096);
-        AdmissionQueue {
-            ewma: EwmaEstimator::new(config.ewma_alpha),
-            classes: std::array::from_fn(|_| VecDeque::with_capacity(cap.min(64))),
+        Admission {
             config,
+            in_flight: AtomicUsize::new(0),
+            ewma: Mutex::new(EwmaEstimator::new(EWMA_ALPHA)),
+            shed_capacity: AtomicU64::new(0),
+            shed_deadline: AtomicU64::new(0),
         }
     }
 
-    fn class_index(p: Priority) -> usize {
-        match p {
-            Priority::Control => 0,
-            Priority::Foreground => 1,
-            Priority::Background => 2,
+    /// Whether the gate is on; when it is off nothing needs asking.
+    pub fn enabled(&self) -> bool {
+        self.config.enabled
+    }
+
+    /// Admit a request that has `waited` and found `ahead` requests
+    /// queued when it arrived; an `exempt` one (a liveness probe, whose
+    /// shedding would turn "overloaded" into "suspect dead") always
+    /// passes. An admitted request holds the node until
+    /// [`done`](Self::done); `Err` is a shed, already counted.
+    pub fn admit(&self, exempt: bool, waited: Duration, ahead: usize) -> Result<(), ShedReason> {
+        // ordering: Relaxed — the counts are an admission heuristic and
+        // monotone shed tallies; a momentarily stale view admits or sheds
+        // one request early, both fine, and no data rides on them.
+        if !exempt {
+            if self.in_flight.load(Ordering::Relaxed) + ahead >= self.config.queue_capacity {
+                self.shed_capacity.fetch_add(1, Ordering::Relaxed);
+                return Err(ShedReason::QueueFull);
+            }
+            if waited + self.ewma.lock().estimate() > self.config.assumed_ttl {
+                self.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                return Err(ShedReason::DeadlineHopeless);
+            }
         }
-    }
-
-    /// Total queued items across all classes.
-    pub fn len(&self) -> usize {
-        self.classes.iter().map(VecDeque::len).sum()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Offer one item. `Err` returns the item with the shed reason —
-    /// control traffic is never capacity-shed.
-    pub fn push(
-        &mut self,
-        item: T,
-        priority: Priority,
-        now: Instant,
-    ) -> Result<(), (T, ShedReason)> {
-        let q = &mut self.classes[Self::class_index(priority)];
-        if priority != Priority::Control && q.len() >= self.config.queue_capacity {
-            return Err((item, ShedReason::QueueFull));
-        }
-        q.push_back(Admitted {
-            item,
-            enqueued: now,
-        });
+        // ordering: Relaxed — see above.
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Take the next serveable item, highest class first. Items whose
-    /// deadline is already hopeless are returned as sheds instead.
-    pub fn pop(&mut self, now: Instant) -> Option<Result<T, (T, ShedReason)>> {
-        let est = self.ewma.estimate();
-        for (ci, q) in self.classes.iter_mut().enumerate() {
-            let Some(adm) = q.pop_front() else { continue };
-            let control = ci == Self::class_index(Priority::Control);
-            if self.config.deadline_aware && !control {
-                let waited = now.saturating_duration_since(adm.enqueued);
-                if waited + est > self.config.assumed_ttl {
-                    return Some(Err((adm.item, ShedReason::DeadlineHopeless)));
-                }
-            }
-            return Some(Ok(adm.item));
-        }
-        None
+    /// An admitted request was served in `took`: release it and feed the
+    /// estimate the deadline check runs on.
+    pub fn done(&self, took: Duration) {
+        // ordering: Relaxed — see `admit`.
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.ewma.lock().observe(took);
     }
 
-    /// Record a measured service time into the EWMA.
-    pub fn observe_service(&mut self, took: Duration) {
-        self.ewma.observe(took);
+    /// Requests shed so far, by cause: `(queue_full, deadline_hopeless)`.
+    pub fn sheds(&self) -> (u64, u64) {
+        // ordering: Relaxed — monotone statistics, metrics tolerate lag.
+        (
+            self.shed_capacity.load(Ordering::Relaxed),
+            self.shed_deadline.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -662,29 +607,12 @@ impl Armor {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::time::Instant;
 
     fn t0() -> Instant {
         Instant::now()
     }
 
     const MS: Duration = Duration::from_millis(1);
-
-    #[test]
-    fn priorities_classify_the_protocol() {
-        assert_eq!(priority_of(&CacheRequest::Ping), Priority::Control);
-        assert_eq!(
-            priority_of(&CacheRequest::Read { path: "a".into() }),
-            Priority::Foreground
-        );
-        assert_eq!(priority_of(&CacheRequest::Digest), Priority::Background);
-        assert_eq!(
-            priority_of(&CacheRequest::Evict { path: "a".into() }),
-            Priority::Background
-        );
-        assert!(Priority::Control < Priority::Foreground);
-        assert!(Priority::Foreground < Priority::Background);
-    }
 
     #[test]
     fn ewma_tracks_and_smooths() {
@@ -698,78 +626,49 @@ mod tests {
     }
 
     #[test]
-    fn admission_sheds_on_capacity_but_never_control() {
-        let cfg = AdmissionConfig {
-            enabled: true,
+    fn admission_sheds_on_capacity_but_never_exempt() {
+        let gate = Admission::new(AdmissionConfig {
             queue_capacity: 2,
-            ..Default::default()
-        };
-        let mut q: AdmissionQueue<u32> = AdmissionQueue::new(cfg);
-        let now = t0();
-        assert!(q.push(1, Priority::Foreground, now).is_ok());
-        assert!(q.push(2, Priority::Foreground, now).is_ok());
-        let (item, reason) = q.push(3, Priority::Foreground, now).unwrap_err();
-        assert_eq!((item, reason), (3, ShedReason::QueueFull));
-        // Control is exempt from the capacity shed.
-        assert!(q.push(90, Priority::Control, now).is_ok());
-        assert!(q.push(91, Priority::Control, now).is_ok());
-        assert!(q.push(92, Priority::Control, now).is_ok());
-        assert_eq!(q.len(), 5);
+            ..AdmissionConfig::armored(Duration::from_secs(1))
+        });
+        assert_eq!(gate.admit(false, Duration::ZERO, 0), Ok(()));
+        // One in flight plus one queued ahead: the node holds two.
+        assert_eq!(
+            gate.admit(false, Duration::ZERO, 1),
+            Err(ShedReason::QueueFull)
+        );
+        assert_eq!(gate.admit(false, Duration::ZERO, 0), Ok(()));
+        assert_eq!(
+            gate.admit(false, Duration::ZERO, 0),
+            Err(ShedReason::QueueFull)
+        );
+        // Liveness probes pass a full node.
+        assert_eq!(gate.admit(true, Duration::ZERO, 5), Ok(()));
+        // Finishing releases the node.
+        for _ in 0..3 {
+            gate.done(MS);
+        }
+        assert_eq!(gate.admit(false, Duration::ZERO, 1), Ok(()));
+        assert_eq!(gate.sheds(), (2, 0));
     }
 
     #[test]
-    fn pop_orders_control_foreground_background() {
-        let mut q: AdmissionQueue<&str> = AdmissionQueue::new(AdmissionConfig::default());
-        let now = t0();
-        q.push("bg", Priority::Background, now).unwrap();
-        q.push("fg", Priority::Foreground, now).unwrap();
-        q.push("ctl", Priority::Control, now).unwrap();
-        assert_eq!(q.pop(now).unwrap().unwrap(), "ctl");
-        assert_eq!(q.pop(now).unwrap().unwrap(), "fg");
-        assert_eq!(q.pop(now).unwrap().unwrap(), "bg");
-        assert!(q.pop(now).is_none());
-    }
-
-    #[test]
-    fn deadline_aware_pop_sheds_hopeless_work() {
-        let cfg = AdmissionConfig {
-            enabled: true,
-            deadline_aware: true,
-            assumed_ttl: 10 * MS,
-            ..Default::default()
-        };
-        let mut q: AdmissionQueue<u32> = AdmissionQueue::new(cfg);
-        let now = t0();
+    fn admission_sheds_hopeless_deadlines() {
+        let gate = Admission::new(AdmissionConfig::armored(10 * MS));
         // Teach the EWMA an 8ms service time.
-        q.observe_service(8 * MS);
-        q.push(1, Priority::Foreground, now).unwrap();
-        q.push(2, Priority::Control, now).unwrap();
-        // 5ms queued + 8ms estimate > 10ms ttl → the read is hopeless,
-        // but the control probe is still served.
-        let later = now + 5 * MS;
+        assert_eq!(gate.admit(false, Duration::ZERO, 0), Ok(()));
+        gate.done(8 * MS);
+        // 5ms waited + 8ms estimate > 10ms ttl: the read is hopeless, but
+        // a probe is still served.
         assert_eq!(
-            q.pop(later).unwrap().unwrap(),
-            2,
-            "control first, never shed"
+            gate.admit(false, 5 * MS, 0),
+            Err(ShedReason::DeadlineHopeless)
         );
-        let (item, reason) = q.pop(later).unwrap().unwrap_err();
-        assert_eq!((item, reason), (1, ShedReason::DeadlineHopeless));
-        // Within deadline it serves normally.
-        q.push(3, Priority::Foreground, later).unwrap();
-        assert_eq!(q.pop(later + MS).unwrap().unwrap(), 3);
-    }
-
-    #[test]
-    fn disabled_default_config_never_deadline_sheds() {
-        let mut q: AdmissionQueue<u32> = AdmissionQueue::new(AdmissionConfig::default());
-        let now = t0();
-        q.observe_service(Duration::from_secs(10));
-        q.push(1, Priority::Foreground, now).unwrap();
-        assert_eq!(
-            q.pop(now + Duration::from_secs(5)).unwrap().unwrap(),
-            1,
-            "deadline shedding is opt-in"
-        );
+        assert_eq!(gate.admit(true, 5 * MS, 0), Ok(()));
+        gate.done(8 * MS);
+        // Within the deadline it serves normally.
+        assert_eq!(gate.admit(false, MS, 0), Ok(()));
+        assert_eq!(gate.sheds(), (0, 1));
     }
 
     #[test]

@@ -7,16 +7,14 @@
 //! failed node's keys — the recache path *is* the miss path.
 
 use crate::error::CoreError;
-use crate::overload::{priority_of, AdmissionConfig, AdmissionQueue, ShedReason};
+use crate::overload::{Admission, AdmissionConfig};
 use crate::proto::{CacheRequest, CacheResponse, ServeSource};
-use crate::singleflight::{Join, SingleFlight, SingleFlightStats};
+use crate::singleflight::{Join, SingleFlight};
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Inbound, Listener, Transport};
-use ftc_net::{Incoming, Network, TraceEventKind};
+use ftc_net::{Network, TraceEventKind};
 use ftc_storage::{DataMover, NvmeCache, Pfs, ValueBuf};
-use ftc_time::{ClockHandle, TaskHandle};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use ftc_time::ClockHandle;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,34 +38,38 @@ pub struct HvacServer {
     /// Open PFS fetches, single-flighted by key: a storm of concurrent
     /// misses for one file costs one PFS read, not one per request.
     miss_flights: SingleFlight<Option<ValueBuf>>,
+    /// The gate [`serve`](Self::serve) puts in front of every request.
+    admission: Admission,
 }
 
 impl HvacServer {
-    /// Server for `node`, caching onto an NVMe of `nvme_capacity` bytes.
-    /// Errors if the data-mover thread cannot be spawned.
-    pub fn new(node: NodeId, pfs: Arc<Pfs>, nvme_capacity: u64) -> Result<Self, CoreError> {
-        Self::with_cache(node, pfs, Arc::new(NvmeCache::for_serving(nvme_capacity)))
-    }
-
     /// Server for `node` over an existing NVMe cache — the warm-rejoin
     /// path: a revived node kept its disk (the paper's node-local model),
     /// so the new server process adopts the surviving contents instead of
-    /// restarting cold.
+    /// restarting cold. Wall clock, no admission control. Errors if the
+    /// data-mover thread cannot be spawned.
     pub fn with_cache(
         node: NodeId,
         pfs: Arc<Pfs>,
         cache: Arc<NvmeCache>,
     ) -> Result<Self, CoreError> {
-        Self::with_cache_clock(node, pfs, cache, ClockHandle::wall())
+        Self::build(
+            node,
+            pfs,
+            cache,
+            ClockHandle::wall(),
+            AdmissionConfig::default(),
+        )
     }
 
-    /// [`HvacServer::with_cache`] with an injected clock: the data mover
-    /// becomes a cooperative task under a virtual clock.
-    pub fn with_cache_clock(
+    /// [`HvacServer::with_cache`] on `clock` — the data mover becomes a
+    /// cooperative task under a virtual clock — behind `admission`.
+    fn build(
         node: NodeId,
         pfs: Arc<Pfs>,
         cache: Arc<NvmeCache>,
         clock: ClockHandle,
+        admission: AdmissionConfig,
     ) -> Result<Self, CoreError> {
         let mover =
             DataMover::spawn_with_clock(Arc::clone(&cache), clock.clone()).map_err(|source| {
@@ -84,6 +86,7 @@ impl HvacServer {
             mover,
             clock,
             miss_flights: SingleFlight::default(),
+            admission: Admission::new(admission),
         })
     }
 
@@ -107,36 +110,52 @@ impl HvacServer {
         self.mover.moved_bytes()
     }
 
-    /// Shared handles to the mover's (files, bytes) counters.
-    pub fn mover_counters(
-        &self,
-    ) -> (
-        Arc<std::sync::atomic::AtomicU64>,
-        Arc<std::sync::atomic::AtomicU64>,
-    ) {
-        self.mover.counter_handles()
+    /// Current mover queue depth (pending recache inserts).
+    pub fn mover_queue_depth(&self) -> u64 {
+        self.mover.queue_depth()
     }
 
-    /// Shared handles to the mover's (queue depth, rejected) counters.
-    pub fn mover_pressure(
-        &self,
-    ) -> (
-        Arc<std::sync::atomic::AtomicU64>,
-        Arc<std::sync::atomic::AtomicU64>,
-    ) {
-        self.mover.pressure_handles()
+    /// Recache enqueues rejected because the mover queue was full.
+    pub fn mover_enqueue_rejected(&self) -> u64 {
+        self.mover.rejected()
     }
 
-    /// Synchronously process one incoming request from the in-process
-    /// fabric (DES-mode parity hook; the event loops go through
-    /// [`handle_inbound`](Self::handle_inbound)).
-    pub fn handle(&self, inc: Incoming<CacheRequest, CacheResponse>) {
-        self.handle_inbound(Box::new(inc));
+    /// Requests shed by admission control, split by cause:
+    /// `(queue_full, deadline_hopeless)`. Zero while admission is off.
+    pub fn sheds(&self) -> (u64, u64) {
+        self.admission.sheds()
+    }
+
+    /// The miss single-flight counters: `(leaders, coalesced, stale
+    /// retries)` — PFS fetches this node led vs answered from a fetch
+    /// already open.
+    pub fn miss_flight_counts(&self) -> (u64, u64, u64) {
+        self.miss_flights.stats().snapshot()
+    }
+
+    /// Serve one request behind admission control: the sink every
+    /// [`ServerHandle`] installs, run on the thread that delivered the
+    /// request. A shed request is answered with the typed `Overloaded`,
+    /// so the client learns the node is alive-but-full instead of burning
+    /// a TTL on silence. `Ping` is never shed.
+    pub fn serve(&self, inc: Box<dyn Inbound<CacheRequest, CacheResponse>>) {
+        if !self.admission.enabled() {
+            return self.handle_inbound(inc);
+        }
+        let (waited, ahead) = inc.queued();
+        let probe = matches!(inc.req(), CacheRequest::Ping);
+        if self.admission.admit(probe, waited, ahead).is_err() {
+            return inc.reply(CacheResponse::Overloaded);
+        }
+        let begun = self.clock.now();
+        self.handle_inbound(inc);
+        self.admission.done(self.clock.since(begun));
     }
 
     /// Synchronously process one incoming request from any transport
-    /// backend. The protocol brain is backend-blind: tracing and history
-    /// hooks are live on the simulated fabric and no-ops over TCP.
+    /// backend, with no admission check. The protocol brain is
+    /// backend-blind: tracing and history hooks are live on the simulated
+    /// fabric and no-ops over TCP.
     pub fn handle_inbound(&self, mut inc: Box<dyn Inbound<CacheRequest, CacheResponse>>) {
         // Absorb the request's clock stamp up front so cache-map events
         // recorded below are causally after the client's send.
@@ -252,11 +271,10 @@ impl HvacServer {
     /// leader owns the recache enqueue). `None` when the PFS has no such
     /// file.
     ///
-    /// Requests that reach one node through a single event loop — the
-    /// in-process fabric, an armored server — serialize and never
-    /// coalesce here. Over TCP an unarmored server is called from every
-    /// connection thread at once (see [`ServerHandle::spawn_on`]), and a
-    /// key that several clients miss together costs one PFS read.
+    /// Requests that reach one node through the in-process fabric's one
+    /// delivery task serialize and never coalesce here. Over TCP the
+    /// server is called from every connection thread at once, and a key
+    /// that several clients miss together costs one PFS read.
     fn pfs_fetch_coalesced(&self, path: &str) -> Option<(ValueBuf, bool)> {
         let stats = Arc::clone(self.miss_flights.stats());
         match self.miss_flights.join(path) {
@@ -284,83 +302,41 @@ impl HvacServer {
             }
         }
     }
-
-    /// Leader/coalesce counters for the miss single-flight group.
-    pub fn singleflight_stats(&self) -> Arc<SingleFlightStats> {
-        Arc::clone(self.miss_flights.stats())
-    }
 }
 
-/// Handle to a server's event-loop thread (or cooperative task, under a
-/// virtual clock).
+/// A node that is serving: its listener delivers every request to
+/// [`HvacServer::serve`] on the backend's own threads — TCP connection
+/// threads, the in-process fabric's delivery task. The handle owns no
+/// thread and dereferences to the server for inspection.
 pub struct ServerHandle {
-    node: NodeId,
-    stop: Arc<AtomicBool>,
-    join: Option<TaskHandle>,
-    /// The event loop parks the reclaimed [`HvacServer`] here on exit —
-    /// task handles carry no return value, so `shutdown` joins and then
-    /// takes it from this slot.
-    reclaimed: Arc<Mutex<Option<HvacServer>>>,
-    cache: Arc<NvmeCache>,
-    moved: Arc<std::sync::atomic::AtomicU64>,
-    moved_bytes: Arc<std::sync::atomic::AtomicU64>,
-    queue_depth: Arc<std::sync::atomic::AtomicU64>,
-    enqueue_rejected: Arc<std::sync::atomic::AtomicU64>,
-    shed_capacity: Arc<AtomicU64>,
-    shed_deadline: Arc<AtomicU64>,
-    singleflight: Arc<SingleFlightStats>,
+    /// Declared first, so it drops first: once it is gone nothing else
+    /// holds the server.
+    listener: Box<dyn Listener<CacheRequest, CacheResponse>>,
+    server: Arc<HvacServer>,
 }
 
 impl ServerHandle {
-    /// Spawn a server thread for `node` on `net`. Errors if either the
-    /// data-mover or the event-loop thread cannot be created.
+    /// Serve `node` on any transport backend — the in-process fabric, or
+    /// real TCP sockets in `ftc-server` — from `cache` (on warm rejoin
+    /// the revived node kept its disk), behind `admission`. The data
+    /// mover runs on the transport's clock, so virtual-time clusters get
+    /// cooperative tasks and TCP gets plain threads from the same code.
+    /// Errors if the data mover, the listener or its delivery cannot be
+    /// started.
     pub fn spawn(
-        node: NodeId,
-        net: &CacheNet,
-        pfs: Arc<Pfs>,
-        nvme_capacity: u64,
-    ) -> Result<Self, CoreError> {
-        Self::spawn_on(
-            node,
-            net,
-            pfs,
-            Arc::new(NvmeCache::for_serving(nvme_capacity)),
-        )
-    }
-
-    /// Spawn a server event loop over *any* transport backend — the
-    /// in-process fabric here, real TCP sockets in `ftc-server` — and an
-    /// existing NVMe cache (on warm rejoin the revived node kept its
-    /// disk). The transport's clock drives the loop, so virtual-time
-    /// clusters get cooperative tasks and TCP gets plain threads from
-    /// the same code.
-    ///
-    /// Where the backend reads requests on threads of its own
-    /// ([`Listener::set_sink`]: TCP's connection threads), those threads
-    /// call [`HvacServer::handle_inbound`] themselves, concurrently, and
-    /// the event loop is left waiting for the stop request.
-    pub fn spawn_on(
-        node: NodeId,
-        transport: &dyn Transport<CacheRequest, CacheResponse>,
-        pfs: Arc<Pfs>,
-        cache: Arc<NvmeCache>,
-    ) -> Result<Self, CoreError> {
-        Self::spawn_on_with_admission(node, transport, pfs, cache, AdmissionConfig::default())
-    }
-
-    /// [`ServerHandle::spawn_on`] with explicit admission control. With
-    /// `admission.enabled` the event loop drains arrivals into a bounded
-    /// priority queue and sheds (typed `Overloaded` replies, counted per
-    /// cause) instead of queueing without limit — one queue needs one
-    /// consumer, so an armored server always serves from the event loop.
-    pub fn spawn_on_with_admission(
         node: NodeId,
         transport: &dyn Transport<CacheRequest, CacheResponse>,
         pfs: Arc<Pfs>,
         cache: Arc<NvmeCache>,
         admission: AdmissionConfig,
     ) -> Result<Self, CoreError> {
-        let server = HvacServer::with_cache_clock(node, pfs, cache, transport.clock())?;
+        let server = Arc::new(HvacServer::build(
+            node,
+            pfs,
+            cache,
+            transport.clock(),
+            admission,
+        )?);
         let listener = transport
             .register(node)
             .map_err(|source| CoreError::Spawn {
@@ -368,262 +344,34 @@ impl ServerHandle {
                 node,
                 source,
             })?;
-        Self::spawn_inner(server, transport.clock(), listener, admission)
-    }
-
-    /// Absorb and answer one shed request: the reply is the typed
-    /// `Overloaded`, so the client learns the node is alive-but-full
-    /// instead of burning a TTL on silence.
-    fn shed(mut inc: Box<dyn Inbound<CacheRequest, CacheResponse>>) {
-        inc.absorb();
-        inc.reply(CacheResponse::Overloaded);
-    }
-
-    fn spawn_inner(
-        server: HvacServer,
-        clock: ClockHandle,
-        listener: Box<dyn Listener<CacheRequest, CacheResponse>>,
-        admission: AdmissionConfig,
-    ) -> Result<Self, CoreError> {
-        let node = server.node();
-        let cache = server.cache();
-        let singleflight = server.singleflight_stats();
-        let (moved, moved_bytes) = server.mover_counters();
-        let (queue_depth, enqueue_rejected) = server.mover_pressure();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let reclaimed: Arc<Mutex<Option<HvacServer>>> = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&reclaimed);
-        let shed_capacity = Arc::new(AtomicU64::new(0));
-        let shed_deadline = Arc::new(AtomicU64::new(0));
-        let shed_cap2 = Arc::clone(&shed_capacity);
-        let shed_dead2 = Arc::clone(&shed_deadline);
-        let server = Arc::new(server);
-        if !admission.enabled {
-            // The thread that decoded a request serves it, where the
-            // backend has such threads; everywhere else this is refused
-            // and the loop below is the server.
-            let inline = Arc::clone(&server);
-            listener.set_sink(Arc::new(move |inc| inline.handle_inbound(inc)));
-        }
-        let spawner = clock.clone();
-        let join = spawner
-            .spawn(&format!("hvac-server-{node}"), move || {
-                if admission.enabled {
-                    Self::admission_loop(
-                        &server,
-                        &clock,
-                        &*listener,
-                        admission,
-                        &stop2,
-                        &shed_cap2,
-                        &shed_dead2,
-                    );
-                } else {
-                    // Poll with a short tick so a stop request is honored
-                    // even when no traffic arrives — or, with a sink
-                    // installed, when none comes this way at all: the
-                    // queue then holds at most what was decoded before
-                    // the sink went in.
-                    //
-                    // ordering: Relaxed — stop is a plain flag; the 5 ms
-                    // poll bounds how late a store is observed, and no
-                    // other state rides on it.
-                    while !stop2.load(Ordering::Relaxed) {
-                        if let Some(inc) = listener.accept(Duration::from_millis(5)) {
-                            server.handle_inbound(inc);
-                        }
-                    }
-                }
-                // The listener (and with it every accept and connection
-                // thread a real backend runs, sink included) dies with
-                // the loop; once it is gone this is the last handle on
-                // the server, which is parked so shutdown fully
-                // quiesces the node.
-                drop(listener);
-                *slot.lock() = Arc::try_unwrap(server).ok();
-            })
+        let sink = Arc::clone(&server);
+        listener
+            .set_sink(Arc::new(move |inc| sink.serve(inc)))
             .map_err(|source| CoreError::Spawn {
-                what: "hvac server",
+                what: "request delivery",
                 node,
                 source,
             })?;
-        Ok(ServerHandle {
-            node,
-            stop,
-            join: Some(join),
-            reclaimed,
-            cache,
-            moved,
-            moved_bytes,
-            queue_depth,
-            enqueue_rejected,
-            shed_capacity,
-            shed_deadline,
-            singleflight,
-        })
+        Ok(ServerHandle { listener, server })
     }
 
-    /// The armored event loop: drain arrivals into the bounded priority
-    /// queue (capacity sheds at enqueue), then serve by class with
-    /// deadline sheds at pop, feeding measured service times back into
-    /// the EWMA the deadline check runs on.
-    fn admission_loop(
-        server: &HvacServer,
-        clock: &ClockHandle,
-        listener: &dyn Listener<CacheRequest, CacheResponse>,
-        admission: AdmissionConfig,
-        stop: &AtomicBool,
-        shed_capacity: &AtomicU64,
-        shed_deadline: &AtomicU64,
-    ) {
-        let mut queue: AdmissionQueue<Box<dyn Inbound<CacheRequest, CacheResponse>>> =
-            AdmissionQueue::new(admission);
-        // ordering: Relaxed — stop is a plain flag; the 5 ms poll bounds
-        // how late a store is observed, and no other state rides on it.
-        while !stop.load(Ordering::Relaxed) {
-            // Block briefly for the first arrival, then sweep whatever
-            // else is already waiting so the queue sees the real backlog
-            // (the priority classes only matter when there is a backlog).
-            if let Some(first) = listener.accept(Duration::from_millis(5)) {
-                let mut arrival = Some(first);
-                while let Some(inc) = arrival {
-                    let class = priority_of(inc.req());
-                    if let Err((rejected, ShedReason::QueueFull)) =
-                        queue.push(inc, class, clock.now())
-                    {
-                        // ordering: Relaxed — monotone shed tally.
-                        shed_capacity.fetch_add(1, Ordering::Relaxed);
-                        Self::shed(rejected);
-                    }
-                    arrival = listener.accept(Duration::ZERO);
-                }
-            }
-            // Serve the backlog in class order; pops whose deadline is
-            // already hopeless come back as sheds.
-            while let Some(popped) = queue.pop(clock.now()) {
-                match popped {
-                    Ok(inc) => {
-                        let begun = clock.now();
-                        server.handle_inbound(inc);
-                        queue.observe_service(clock.since(begun));
-                    }
-                    Err((inc, _reason)) => {
-                        // ordering: Relaxed — monotone shed tally.
-                        shed_deadline.fetch_add(1, Ordering::Relaxed);
-                        Self::shed(inc);
-                    }
-                }
-            }
-        }
-        // Graceful exit: answer everything still queued with `Overloaded`
-        // rather than leaving callers to time out against a dead mailbox.
-        while let Some(popped) = queue.pop(clock.now()) {
-            let inc = match popped {
-                Ok(inc) | Err((inc, _)) => inc,
-            };
-            // ordering: Relaxed — monotone shed tally.
-            shed_deadline.fetch_add(1, Ordering::Relaxed);
-            Self::shed(inc);
-        }
-    }
-
-    /// The served node id.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The node's cache (for inspection and warm-up).
-    pub fn cache(&self) -> Arc<NvmeCache> {
-        Arc::clone(&self.cache)
-    }
-
-    /// Files the data mover has recached so far.
-    pub fn files_recached(&self) -> u64 {
-        // ordering: Relaxed — monotone statistic, metrics tolerate lag.
-        self.moved.load(Ordering::Relaxed)
-    }
-
-    /// Bytes the data mover has recached so far.
-    pub fn recached_bytes(&self) -> u64 {
-        // ordering: Relaxed — monotone statistic, metrics tolerate lag.
-        self.moved_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Current mover queue depth (pending recache inserts).
-    pub fn mover_queue_depth(&self) -> u64 {
-        // ordering: Relaxed — observability read of a live gauge.
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
-    /// Recache enqueues rejected because the mover queue was full.
-    pub fn mover_enqueue_rejected(&self) -> u64 {
-        // ordering: Relaxed — monotone statistic, metrics tolerate lag.
-        self.enqueue_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Requests shed by admission control, split by cause:
-    /// `(queue_full, deadline_hopeless)`. Zero unless the server was
-    /// spawned with [`ServerHandle::spawn_on_with_admission`].
-    pub fn sheds(&self) -> (u64, u64) {
-        // ordering: Relaxed — monotone statistics, metrics tolerate lag.
-        (
-            self.shed_capacity.load(Ordering::Relaxed),
-            self.shed_deadline.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Total requests shed by admission control.
-    pub fn total_sheds(&self) -> u64 {
-        let (cap, dead) = self.sheds();
-        cap + dead
-    }
-
-    /// Shared handles to the `(queue_full, deadline)` shed counters, for
-    /// per-node obs export (mirrors [`HvacServer::mover_pressure`]).
-    pub fn shed_handles(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
-        (
-            Arc::clone(&self.shed_capacity),
-            Arc::clone(&self.shed_deadline),
-        )
-    }
-
-    /// Shared miss single-flight counters (leaders, coalesced, stale
-    /// retries), for per-node obs export.
-    pub fn singleflight_handles(&self) -> Arc<SingleFlightStats> {
-        Arc::clone(&self.singleflight)
-    }
-
-    /// Ask the loop to exit without waiting (used by abrupt kill: the
-    /// network is silenced separately, this only reclaims the thread).
-    pub fn request_stop(&self) {
-        // ordering: Relaxed — plain flag paired with the Relaxed load in
-        // the poll loop; the join in `shutdown` is the synchronization.
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Stop the loop and reclaim the server (drains the data mover).
-    pub fn shutdown(mut self) -> Option<HvacServer> {
-        self.request_stop();
-        let joined = self.join.take()?;
-        if joined.join().is_err() {
-            return None; // loop panicked; nothing was parked in the slot
-        }
-        self.reclaimed.lock().take()
-    }
-
-    /// Whether the thread has been reclaimed already.
-    pub fn is_shutdown(&self) -> bool {
-        self.join.is_none()
+    /// Stop serving and reclaim the server (its data mover drains when it
+    /// is dropped). Dropping the listener waits for every thread that
+    /// delivers requests, so the server comes back by value even with
+    /// clients still connected; `None` only if something else still
+    /// holds it.
+    pub fn shutdown(self) -> Option<HvacServer> {
+        let ServerHandle { listener, server } = self;
+        drop(listener);
+        Arc::try_unwrap(server).ok()
     }
 }
 
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.request_stop();
-        if let Some(j) = self.join.take() {
-            let _ = j.join();
-        }
+impl std::ops::Deref for ServerHandle {
+    type Target = HvacServer;
+
+    fn deref(&self) -> &HvacServer {
+        &self.server
     }
 }
 
@@ -645,11 +393,24 @@ mod tests {
         (net, pfs)
     }
 
+    /// Node 0 on `net` over a fresh NVMe of `nvme_capacity` bytes,
+    /// unarmored.
+    fn spawn(net: &CacheNet, pfs: &Arc<Pfs>, nvme_capacity: u64) -> ServerHandle {
+        let cache = Arc::new(NvmeCache::for_serving(nvme_capacity));
+        ServerHandle::spawn(
+            NodeId(0),
+            net,
+            Arc::clone(pfs),
+            cache,
+            AdmissionConfig::default(),
+        )
+        .expect("spawn server")
+    }
+
     #[test]
     fn first_read_fetches_then_caches() {
         let (net, pfs) = setup();
-        let h =
-            ServerHandle::spawn(NodeId(0), &net, Arc::clone(&pfs), u64::MAX).expect("spawn server");
+        let h = spawn(&net, &pfs, u64::MAX);
         let ep = net.endpoint(NodeId(1));
 
         let r1 = ep
@@ -701,7 +462,7 @@ mod tests {
     #[test]
     fn unknown_file_is_not_found() {
         let (net, pfs) = setup();
-        let _h = ServerHandle::spawn(NodeId(0), &net, pfs, u64::MAX).expect("spawn server");
+        let _h = spawn(&net, &pfs, u64::MAX);
         let ep = net.endpoint(NodeId(1));
         let r = ep
             .call(
@@ -723,7 +484,7 @@ mod tests {
     #[test]
     fn ping_pong() {
         let (net, pfs) = setup();
-        let _h = ServerHandle::spawn(NodeId(0), &net, pfs, u64::MAX).expect("spawn server");
+        let _h = spawn(&net, &pfs, u64::MAX);
         let ep = net.endpoint(NodeId(1));
         assert_eq!(
             ep.call(NodeId(0), CacheRequest::Ping, TTL).unwrap(),
@@ -734,9 +495,8 @@ mod tests {
     #[test]
     fn killed_server_goes_silent() {
         let (net, pfs) = setup();
-        let h = ServerHandle::spawn(NodeId(0), &net, pfs, u64::MAX).expect("spawn server");
+        let _h = spawn(&net, &pfs, u64::MAX);
         net.kill(NodeId(0));
-        h.request_stop();
         let ep = net.endpoint(NodeId(1));
         let err = ep
             .call(NodeId(0), CacheRequest::Ping, Duration::from_millis(50))
@@ -747,7 +507,7 @@ mod tests {
     #[test]
     fn shutdown_returns_server_with_stats() {
         let (net, pfs) = setup();
-        let h = ServerHandle::spawn(NodeId(0), &net, pfs, u64::MAX).expect("spawn server");
+        let h = spawn(&net, &pfs, u64::MAX);
         let ep = net.endpoint(NodeId(1));
         ep.call(
             NodeId(0),
@@ -768,7 +528,7 @@ mod tests {
     fn tiny_nvme_still_serves_with_evictions() {
         let (net, pfs) = setup();
         // Capacity for exactly 2 x 64-byte files.
-        let h = ServerHandle::spawn(NodeId(0), &net, pfs, 128).expect("spawn server");
+        let h = spawn(&net, &pfs, 128);
         let ep = net.endpoint(NodeId(1));
         for i in 0..20 {
             let r = ep
@@ -790,7 +550,7 @@ mod tests {
     #[test]
     fn digest_lists_and_evict_drops_cached_keys() {
         let (net, pfs) = setup();
-        let h = ServerHandle::spawn(NodeId(0), &net, pfs, u64::MAX).expect("spawn server");
+        let h = spawn(&net, &pfs, u64::MAX);
         h.cache().insert("b.bin", synth_bytes("b.bin", 8));
         h.cache().insert("a.bin", synth_bytes("a.bin", 8));
         let ep = net.endpoint(NodeId(1));
@@ -846,7 +606,7 @@ mod tests {
         // Admission control must be invisible off-peak: an armored server
         // with no backlog serves every class and sheds nothing.
         let (net, pfs) = setup();
-        let h = ServerHandle::spawn_on_with_admission(
+        let h = ServerHandle::spawn(
             NodeId(0),
             &net,
             pfs,
@@ -872,15 +632,13 @@ mod tests {
             assert!(matches!(r, CacheResponse::Data { .. }));
         }
         assert_eq!(h.sheds(), (0, 0), "no backlog, no sheds");
-        assert_eq!(h.total_sheds(), 0);
         drop(h);
     }
 
     #[test]
     fn warm_respawn_adopts_surviving_cache() {
         let (net, pfs) = setup();
-        let h =
-            ServerHandle::spawn(NodeId(0), &net, Arc::clone(&pfs), u64::MAX).expect("spawn server");
+        let h = spawn(&net, &pfs, u64::MAX);
         h.cache().insert("warm.bin", synth_bytes("warm.bin", 16));
         let cache = h.cache();
         net.kill(NodeId(0));
@@ -889,7 +647,8 @@ mod tests {
         // Respawn over the surviving NVMe: contents must be served as
         // hits, not refetched from the PFS.
         net.revive(NodeId(0));
-        let h2 = ServerHandle::spawn_on(NodeId(0), &net, pfs, cache).expect("respawn");
+        let h2 = ServerHandle::spawn(NodeId(0), &net, pfs, cache, AdmissionConfig::default())
+            .expect("respawn");
         let ep = net.endpoint(NodeId(1));
         let r = ep
             .call(
@@ -908,37 +667,5 @@ mod tests {
             }
         ));
         drop(h2);
-    }
-
-    #[test]
-    fn handle_direct_without_thread() {
-        // HvacServer::handle is usable synchronously (DES-mode parity).
-        let (net, pfs) = setup();
-        let server = HvacServer::new(NodeId(0), Arc::clone(&pfs), u64::MAX).expect("build server");
-        let mbox = net.register(NodeId(0));
-        let ep = net.endpoint(NodeId(2));
-        let t = std::thread::spawn(move || {
-            ep.call(
-                NodeId(0),
-                CacheRequest::Read {
-                    path: "train/s1.bin".into(),
-                },
-                TTL,
-            )
-        });
-        let inc = mbox.recv().unwrap();
-        server.handle(inc);
-        let r = t.join().unwrap().unwrap();
-        assert!(matches!(
-            r,
-            CacheResponse::Data {
-                source: ServeSource::PfsFetch,
-                ..
-            }
-        ));
-        let d = synth_bytes("train/s1.bin", 64);
-        if let CacheResponse::Data { bytes, .. } = r {
-            assert_eq!(bytes, d);
-        }
     }
 }

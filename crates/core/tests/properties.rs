@@ -1,12 +1,12 @@
 //! Property tests for the failure detector and policy plumbing.
 
 use ftc_core::{
-    CacheNet, DetectorConfig, FailureDetector, FtConfig, FtPolicy, HvacClient, PlacementKind,
-    RetryPolicy, ServerHandle, Verdict,
+    AdmissionConfig, CacheNet, DetectorConfig, FailureDetector, FtConfig, FtPolicy, HvacClient,
+    PlacementKind, RetryPolicy, ServerHandle, Verdict,
 };
 use ftc_hashring::NodeId;
 use ftc_net::Network;
-use ftc_storage::{synth_bytes, Pfs};
+use ftc_storage::{synth_bytes, NvmeCache, Pfs};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -196,8 +196,14 @@ proptest! {
         }
         let _servers: Vec<ServerHandle> = (0..3)
             .map(|i| {
-                ServerHandle::spawn(NodeId(i), &net, Arc::clone(&pfs), u64::MAX)
-                    .expect("spawn server")
+                ServerHandle::spawn(
+                    NodeId(i),
+                    &net,
+                    Arc::clone(&pfs),
+                    Arc::new(NvmeCache::unbounded()),
+                    AdmissionConfig::default(),
+                )
+                .expect("spawn server")
             })
             .collect();
         let mut cfg = FtConfig::for_policy(policy);

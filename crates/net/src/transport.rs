@@ -38,13 +38,15 @@ use crate::latency::LatencyModel;
 use crate::stats::{NetStats, NetStatsSnapshot};
 use crate::trace::{TraceEventKind, Tracer, VClock};
 use ftc_hashring::NodeId;
-use ftc_time::{ClockHandle, ClockReceiver, ClockSender, RecvTimeoutError};
+use ftc_time::{ClockHandle, ClockReceiver, ClockSender, RecvTimeoutError, TaskHandle};
 use parking_lot::{Mutex, RwLock};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::collections::{HashMap, HashSet};
+use std::io;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Anything that can cross the transport. `wire_size` feeds the latency
 /// model's bandwidth term; the default suits small control messages.
@@ -90,6 +92,10 @@ pub struct Incoming<Req, Resp> {
     served_by: NodeId,
     /// The sender's vector-clock stamp, if tracing was on at send time.
     stamp: Option<VClock>,
+    /// When the request reached the node's mailbox.
+    arrived: Instant,
+    /// Requests queued in the mailbox ahead of this one when it arrived.
+    ahead: usize,
     reply_to: ClockSender<Traced<Resp>>,
     net: Arc<Inner<Req, Resp>>,
 }
@@ -98,6 +104,12 @@ impl<Req: Payload, Resp: Payload> Incoming<Req, Resp> {
     /// The node this request was addressed to (the one now serving it).
     pub fn served_by(&self) -> NodeId {
         self.served_by
+    }
+
+    /// How long the request has waited since it reached the mailbox, and
+    /// how many requests were queued ahead of it then.
+    pub fn queued(&self) -> (Duration, usize) {
+        (self.net.clock.since(self.arrived), self.ahead)
     }
 
     /// Merge the request's piggybacked clock stamp into the serving node's
@@ -187,10 +199,49 @@ impl<Req: Payload, Resp: Payload> Incoming<Req, Resp> {
     }
 }
 
+/// What a mailbox queue carries: a request, or `None`, the word a
+/// closing [`Mailbox`] sends its own delivery task.
+type Letter<Req, Resp> = Option<Incoming<Req, Resp>>;
+
+/// A registered node's queue as callers see it.
+struct Inbox<Req, Resp> {
+    tx: ClockSender<Letter<Req, Resp>>,
+    /// Requests sent and not yet taken: what a new arrival finds ahead of
+    /// it.
+    depth: Arc<AtomicUsize>,
+}
+
+impl<Req, Resp> Clone for Inbox<Req, Resp> {
+    fn clone(&self) -> Self {
+        Inbox {
+            tx: self.tx.clone(),
+            depth: Arc::clone(&self.depth),
+        }
+    }
+}
+
+/// One letter off the queue: the request it carries, now no longer
+/// counted as queued.
+fn taken<Req, Resp>(
+    depth: &AtomicUsize,
+    letter: Option<Letter<Req, Resp>>,
+) -> Option<Incoming<Req, Resp>> {
+    let inc = letter.flatten()?;
+    // ordering: Relaxed — the depth is an admission input; a momentarily
+    // stale view sheds or admits one request early, both fine.
+    depth.fetch_sub(1, Ordering::Relaxed);
+    Some(inc)
+}
+
 /// Server-side receive handle for one node.
 pub struct Mailbox<Req, Resp> {
     node: NodeId,
-    rx: ClockReceiver<Incoming<Req, Resp>>,
+    rx: Arc<ClockReceiver<Letter<Req, Resp>>>,
+    /// The mailbox's own way in, for the closing letter.
+    inbox: Inbox<Req, Resp>,
+    clock: ClockHandle,
+    /// The task [`set_sink`](Self::set_sink) started, if any.
+    delivery: Mutex<Option<TaskHandle>>,
 }
 
 impl<Req: Payload, Resp: Payload> Mailbox<Req, Resp> {
@@ -199,24 +250,64 @@ impl<Req: Payload, Resp: Payload> Mailbox<Req, Resp> {
         self.node
     }
 
-    /// Block until a request arrives or every endpoint is gone.
+    /// Block until a request arrives.
     pub fn recv(&self) -> Option<Incoming<Req, Resp>> {
-        self.rx.recv().ok()
+        taken(&self.inbox.depth, self.rx.recv().ok())
     }
 
-    /// Block with a deadline; `None` on timeout or disconnect.
+    /// Block with a deadline; `None` on timeout.
     pub fn recv_timeout(&self, d: Duration) -> Option<Incoming<Req, Resp>> {
-        self.rx.recv_timeout(d).ok()
+        taken(&self.inbox.depth, self.rx.recv_timeout(d).ok())
     }
 
     /// Non-blocking poll.
     pub fn try_recv(&self) -> Option<Incoming<Req, Resp>> {
-        self.rx.try_recv().ok()
+        taken(&self.inbox.depth, self.rx.try_recv().ok())
     }
 
     /// Number of queued requests (server load introspection).
     pub fn backlog(&self) -> usize {
         self.rx.len()
+    }
+
+    /// Hand every request from now on to `sink`, in arrival order, on one
+    /// delivery task this mailbox starts on the fabric's clock — the
+    /// in-process counterpart of a TCP connection thread. The task blocks
+    /// on the mailbox with no timeout, and requests no longer reach
+    /// [`recv`](Self::recv). Dropping the mailbox ends it once
+    /// the requests already queued are served, and waits for that, so
+    /// nothing holds the sink afterwards. Errors if the task cannot be
+    /// spawned or a sink is already installed.
+    pub fn set_sink(&self, sink: impl Fn(Incoming<Req, Resp>) + Send + 'static) -> io::Result<()> {
+        let mut delivery = self.delivery.lock();
+        if delivery.is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                "the mailbox already delivers to a sink",
+            ));
+        }
+        let rx = Arc::clone(&self.rx);
+        let depth = Arc::clone(&self.inbox.depth);
+        let task = self
+            .clock
+            .spawn(&format!("net-deliver-{}", self.node), move || {
+                while let Some(inc) = taken(&depth, rx.recv().ok()) {
+                    sink(inc);
+                }
+            })?;
+        *delivery = Some(task);
+        Ok(())
+    }
+}
+
+impl<Req, Resp> Drop for Mailbox<Req, Resp> {
+    fn drop(&mut self) {
+        if let Some(task) = self.delivery.get_mut().take() {
+            // Queued behind every request already sent, which the task
+            // serves first. A send only fails once the task has died.
+            let _ = self.inbox.tx.send(None);
+            let _ = task.join();
+        }
     }
 }
 
@@ -257,7 +348,7 @@ struct NetObs {
 
 struct Inner<Req, Resp> {
     clock: ClockHandle,
-    mailboxes: RwLock<HashMap<NodeId, ClockSender<Incoming<Req, Resp>>>>,
+    mailboxes: RwLock<HashMap<NodeId, Inbox<Req, Resp>>>,
     down: RwLock<HashSet<NodeId>>,
     extra_delay: RwLock<HashMap<NodeId, Duration>>,
     partitions: RwLock<HashSet<(NodeId, NodeId)>>,
@@ -376,13 +467,25 @@ impl<Req: Payload, Resp: Payload> Network<Req, Resp> {
     /// Register a node and obtain its server mailbox. Re-registering an id
     /// replaces the previous mailbox (elastic rejoin).
     pub fn register(&self, node: NodeId) -> Mailbox<Req, Resp> {
-        // Bounded by the campaign workload (closed-loop clients, finite
-        // plans); server-side admission control bounds the serve queue
-        // behind it. lint:allow(bounded-queue)
+        // Bounded by the callers, not here: every call blocks until its
+        // reply or its deadline, so the queue holds at most the calls
+        // issued within one deadline. Admission control answers what it
+        // will not serve; it does not bound this queue.
+        // lint:allow(bounded-queue)
         let (tx, rx) = self.inner.clock.channel();
-        self.inner.mailboxes.write().insert(node, tx);
+        let inbox = Inbox {
+            tx,
+            depth: Arc::new(AtomicUsize::new(0)),
+        };
+        self.inner.mailboxes.write().insert(node, inbox.clone());
         self.inner.down.write().remove(&node);
-        Mailbox { node, rx }
+        Mailbox {
+            node,
+            rx: Arc::new(rx),
+            inbox,
+            clock: self.inner.clock.clone(),
+            delivery: Mutex::new(None),
+        }
     }
 
     /// The clock this fabric runs on.
@@ -604,8 +707,8 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
         let start = clock.now();
         NetStats::inc(&self.net.stats.rpcs_sent);
 
-        let mbox = match self.net.mailboxes.read().get(&to) {
-            Some(tx) => tx.clone(),
+        let inbox = match self.net.mailboxes.read().get(&to) {
+            Some(inbox) => inbox.clone(),
             None => return Err(RpcError::UnknownNode(to)),
         };
 
@@ -633,15 +736,22 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
             false
         } else {
             NetStats::add(&self.net.stats.bytes_sent, req_bytes as u64);
-            mbox.send(Incoming {
-                from: self.me,
-                req,
-                served_by: to,
-                stamp,
-                reply_to: reply_tx.clone(),
-                net: Arc::clone(&self.net),
-            })
-            .is_ok()
+            // ordering: Relaxed — the depth is an admission input; see
+            // `taken`.
+            let ahead = inbox.depth.fetch_add(1, Ordering::Relaxed);
+            inbox
+                .tx
+                .send(Some(Incoming {
+                    from: self.me,
+                    req,
+                    served_by: to,
+                    stamp,
+                    arrived: clock.now(),
+                    ahead,
+                    reply_to: reply_tx.clone(),
+                    net: Arc::clone(&self.net),
+                }))
+                .is_ok()
         };
         // Hold our clone of the reply sender so an undelivered request
         // waits out the full deadline instead of erroring fast — a silent

@@ -1,7 +1,7 @@
 //! Backend-agnostic transport traits — the seam between the protocol
 //! stack and the fabric that carries it.
 //!
-//! Everything above the network (client retry loop, server serve loop,
+//! Everything above the network (client retry loop, server sink,
 //! detector, recovery engine) talks to four object-safe traits instead of
 //! the concrete in-process types:
 //!
@@ -9,8 +9,8 @@
 //!   (extracted from [`crate::Endpoint`]).
 //! * [`Inbound`] — one delivered request carrying its reply path
 //!   (extracted from [`crate::Incoming`]).
-//! * [`Listener`] — server side: block for the next request
-//!   (extracted from [`crate::Mailbox`]).
+//! * [`Listener`] — server side: deliver requests to a sink, or block
+//!   for the next one (extracted from [`crate::Mailbox`]).
 //! * [`Transport`] — the factory that mints both sides
 //!   (extracted from [`crate::Network`]).
 //!
@@ -94,6 +94,15 @@ pub trait Inbound<Req, Resp>: Send {
         None
     }
 
+    /// How long this request has waited for a thread to serve it, and how
+    /// many requests were queued ahead of it when it arrived — what
+    /// admission control charges against the node. The in-process fabric
+    /// queues requests in a mailbox; a backend whose decoding thread
+    /// serves the request at once keeps the default: no wait, none ahead.
+    fn queued(&self) -> (Duration, usize) {
+        (Duration::ZERO, 0)
+    }
+
     /// Reply immediately (zero modeled serialization cost).
     fn reply(self: Box<Self>, resp: Resp);
 
@@ -108,9 +117,10 @@ pub trait Inbound<Req, Resp>: Send {
     fn ignore(self: Box<Self>) {}
 }
 
-/// Where a [`Listener`] delivers decoded requests once one is installed
-/// with [`Listener::set_sink`]: called on the thread that decoded the
-/// request, concurrently from as many threads as the backend reads on.
+/// Where a [`Listener`] delivers requests once one is installed with
+/// [`Listener::set_sink`]: called on the backend's own threads, each
+/// request on the thread that took it in, concurrently from as many
+/// threads as the backend reads on.
 pub type RequestSink<Req, Resp> = Arc<dyn Fn(Box<dyn Inbound<Req, Resp>>) + Send + Sync>;
 
 /// Server-side receive handle for one node: the abstract face of
@@ -119,26 +129,16 @@ pub trait Listener<Req, Resp>: Send {
     /// The owning node.
     fn node(&self) -> NodeId;
 
-    /// Block until a request arrives or the deadline lapses. `None` on
-    /// timeout or fabric shutdown — callers poll in a loop and check
-    /// their stop flag between calls.
+    /// Block until a request arrives or the deadline lapses; `None` on
+    /// timeout. Requests reach it only while no sink is installed.
     fn accept(&self, timeout: Duration) -> Option<Box<dyn Inbound<Req, Resp>>>;
 
-    /// Number of queued requests, where the backend can know it cheaply
-    /// (load introspection; 0 otherwise).
-    fn backlog(&self) -> usize {
-        0
-    }
-
-    /// Hand every request decoded from now on to `sink`, on the thread
-    /// that decoded it, instead of queueing it for [`Listener::accept`].
-    /// `false` — and the queue stays the only way in — on a backend whose
-    /// requests do not arrive on threads of their own: the in-process
-    /// fabric, where the serve loop is the thread virtual time schedules.
-    fn set_sink(&self, sink: RequestSink<Req, Resp>) -> bool {
-        let _ = sink;
-        false
-    }
+    /// Hand every request from now on to `sink` instead of queueing it
+    /// for [`Listener::accept`]. TCP calls the sink on the connection
+    /// thread that decoded the request; the in-process fabric on one
+    /// delivery task per node, in arrival order. Dropping the listener
+    /// waits for those threads, so nothing holds the sink afterwards.
+    fn set_sink(&self, sink: RequestSink<Req, Resp>) -> io::Result<()>;
 }
 
 /// A message fabric: mints [`Listener`]s (server side) and [`Caller`]s
@@ -208,6 +208,10 @@ impl<Req: Payload, Resp: Payload> Inbound<Req, Resp> for Incoming<Req, Resp> {
         Incoming::history(self)
     }
 
+    fn queued(&self) -> (Duration, usize) {
+        Incoming::queued(self)
+    }
+
     fn reply(self: Box<Self>, resp: Resp) {
         Incoming::reply(*self, resp)
     }
@@ -231,8 +235,8 @@ impl<Req: Payload, Resp: Payload> Listener<Req, Resp> for Mailbox<Req, Resp> {
             .map(|inc| Box::new(inc) as Box<dyn Inbound<Req, Resp>>)
     }
 
-    fn backlog(&self) -> usize {
-        Mailbox::backlog(self)
+    fn set_sink(&self, sink: RequestSink<Req, Resp>) -> io::Result<()> {
+        Mailbox::set_sink(self, move |inc| sink(Box::new(inc)))
     }
 }
 
@@ -281,6 +285,71 @@ mod tests {
         assert_eq!(caller.call(NodeId(0), "a".into(), TTL).unwrap(), "n9:a");
         assert_eq!(caller.call(NodeId(0), "b".into(), TTL).unwrap(), "n9:b");
         h.join().unwrap();
+    }
+
+    /// With a sink installed the in-process fabric serves on one delivery
+    /// task per node: nothing reaches `accept`, a second sink is refused,
+    /// and once the listener is dropped nothing holds the sink.
+    #[test]
+    fn in_process_sink_serves_on_the_delivery_task_and_dies_with_the_listener() {
+        let net: Network<String, String> = Network::instant(8);
+        let listener = Transport::<String, String>::register(&net, NodeId(0)).expect("bind");
+        let held = Arc::new(());
+        let probe = Arc::clone(&held);
+        listener
+            .set_sink(Arc::new(move |inc| {
+                let _held = &probe;
+                let thread = std::thread::current();
+                let reply = format!("{}|{}", thread.name().unwrap_or("?"), inc.req());
+                inc.reply(reply);
+            }))
+            .expect("the in-process listener takes a sink");
+        assert!(
+            listener.set_sink(Arc::new(|inc| inc.ignore())).is_err(),
+            "one delivery task per node"
+        );
+        let caller = net.caller(NodeId(9));
+        for msg in ["a", "b"] {
+            let resp = caller.call(NodeId(0), msg.into(), TTL).expect("served");
+            assert_eq!(resp, format!("net-deliver-n0|{msg}"));
+        }
+        assert!(listener.accept(Duration::ZERO).is_none());
+        drop(listener);
+        assert_eq!(Arc::strong_count(&held), 1, "a task outlived the listener");
+    }
+
+    /// Under virtual time the delivery task serves in arrival order, each
+    /// request knows how many were queued ahead of it, and the task is
+    /// gone once the listener drops (`with_virtual` fails on a leak).
+    #[test]
+    fn virtual_delivery_reports_the_queue_ahead_in_arrival_order() {
+        ftc_time::with_virtual(|clock| {
+            let net: Network<String, String> =
+                Network::with_clock(LatencyModel::instant(), 3, clock.clone());
+            let listener = Transport::<String, String>::register(&net, NodeId(0)).expect("bind");
+            listener
+                .set_sink(Arc::new(|inc| {
+                    let reply = format!("{}@{}", inc.req(), inc.queued().1);
+                    inc.reply(reply);
+                }))
+                .expect("sink");
+            let callers: Vec<_> = ["a", "b", "c"]
+                .into_iter()
+                .enumerate()
+                .map(|(ahead, msg)| {
+                    let caller = net.caller(NodeId(9));
+                    let spawned = clock.spawn(msg, move || {
+                        let resp = caller.call(NodeId(0), msg.into(), TTL).expect("served");
+                        assert_eq!(resp, format!("{msg}@{ahead}"));
+                    });
+                    spawned.expect("spawn caller")
+                })
+                .collect();
+            for c in callers {
+                c.join().expect("caller clean");
+            }
+            drop(listener);
+        });
     }
 
     #[test]

@@ -160,18 +160,6 @@ impl DataMover {
         self.capacity
     }
 
-    /// Shared handles to the (files, bytes) counters, so totals stay
-    /// observable after the mover (and its owner) are moved elsewhere.
-    pub fn counter_handles(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
-        (Arc::clone(&self.moved), Arc::clone(&self.moved_bytes))
-    }
-
-    /// Shared handles to the (queue depth, rejected) pressure counters,
-    /// for per-node exposition that outlives the mover.
-    pub fn pressure_handles(&self) -> (Arc<AtomicU64>, Arc<AtomicU64>) {
-        (Arc::clone(&self.depth), Arc::clone(&self.rejected))
-    }
-
     /// Block until every enqueued copy has landed, then stop the thread.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
@@ -285,17 +273,5 @@ mod tests {
         assert_eq!(cache.len(), accepted as usize);
         assert_eq!(accepted + mover.rejected(), 1000, "every enqueue accounted");
         mover.shutdown();
-    }
-
-    #[test]
-    fn pressure_handles_outlive_mover() {
-        let cache = Arc::new(NvmeCache::unbounded());
-        let mover = DataMover::spawn_bounded(cache, 0).expect("spawn mover");
-        let (depth, rejected) = mover.pressure_handles();
-        mover.enqueue("x", ValueBuf::new());
-        mover.shutdown();
-        // ordering: Relaxed — test-side observation of the statistic.
-        assert_eq!(rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(depth.load(Ordering::Relaxed), 0);
     }
 }

@@ -916,13 +916,9 @@ where
         self.rx.recv_timeout(timeout).ok()
     }
 
-    fn backlog(&self) -> usize {
-        self.rx.len()
-    }
-
-    fn set_sink(&self, sink: RequestSink<Req, Resp>) -> bool {
+    fn set_sink(&self, sink: RequestSink<Req, Resp>) -> io::Result<()> {
         *self.delivery.sink.write() = Some(sink);
-        true
+        Ok(())
     }
 }
 

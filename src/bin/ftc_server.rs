@@ -17,10 +17,12 @@
 //!
 //! `--stage` stages several datasets at once (the bench needs its three
 //! value sizes); when absent, one dataset from `--prefix/--files/--size`.
-//! `--armored` turns on server-side admission control: a bounded
-//! priority queue (`--queue`, default 64) with deadline-aware shedding
-//! against the assumed client deadline (`--ttl-ms`, default 500) —
-//! overload gets a typed `Overloaded` reply instead of unbounded queueing.
+//! Each request is served on the connection thread that decoded it.
+//! `--armored` puts admission control in front of that: a request is
+//! shed when the node already serves `--queue` requests (default 64), or
+//! when its estimated service time overruns the assumed client deadline
+//! (`--ttl-ms`, default 500) — overload gets a typed `Overloaded` reply
+//! instead of a slow one.
 //!
 //! Prints `READY node=<n> addr=<addr>` on stdout once the listener is
 //! bound, then serves until killed. SIGTERM shuts down gracefully: the
@@ -173,13 +175,12 @@ fn main() {
         AdmissionConfig::default()
     };
 
-    // The handle owns the event-loop thread; it must stay alive until the
-    // graceful drain below reclaims it.
-    let handle =
-        match ServerHandle::spawn_on_with_admission(node, &transport, pfs, cache, admission) {
-            Ok(h) => h,
-            Err(e) => die(&format!("cannot start node {node}: {e}")),
-        };
+    // The handle owns the listener; it must stay alive until the graceful
+    // drain below reclaims the server.
+    let handle = match ServerHandle::spawn(node, &transport, pfs, cache, admission) {
+        Ok(h) => h,
+        Err(e) => die(&format!("cannot start node {node}: {e}")),
+    };
 
     // SAFETY: installs a handler that performs a single atomic store; no
     // allocation, locking, or I/O happens in signal context.
@@ -191,8 +192,8 @@ fn main() {
     let _ = std::io::stdout().flush();
 
     // Serve until SIGTERM (graceful drain) or SIGKILL (the crash path the
-    // loopback test exercises); the event loop lives on its spawned
-    // thread and this thread only keeps the process alive.
+    // loopback test exercises); the connection threads serve, and this
+    // thread only keeps the process alive.
     let clock = ClockHandle::wall();
     // ordering: Relaxed — paired with the handler's Relaxed store; the
     // poll interval bounds observation latency.
@@ -200,16 +201,16 @@ fn main() {
         clock.sleep(Duration::from_millis(50));
     }
 
-    // Graceful shutdown: stop accepting (the listener dies with the event
-    // loop), let the reclaimed server drain its data mover, then report a
-    // final snapshot so operators see what the node did with its life.
-    // Best-effort writes: the parent may have closed our stdout pipe
-    // already, and a drain must never panic on EPIPE.
-    let (shed_capacity, shed_deadline) = handle.sheds();
+    // Graceful shutdown: stop accepting (the listener closes, in-flight
+    // requests finish), let the reclaimed server drain its data mover,
+    // then report a final snapshot so operators see what the node did
+    // with its life. Best-effort writes: the parent may have closed our
+    // stdout pipe already, and a drain must never panic on EPIPE.
     let mut out = std::io::stdout();
     match handle.shutdown() {
         Some(server) => {
             let stats = server.cache().stats();
+            let (shed_capacity, shed_deadline) = server.sheds();
             let _ = writeln!(
                 out,
                 "DRAINED node={} hits={} misses={} sheds={}+{} recached={}",
@@ -222,7 +223,7 @@ fn main() {
             );
         }
         None => {
-            let _ = writeln!(out, "DRAINED node={} (event loop panicked)", node.0);
+            let _ = writeln!(out, "DRAINED node={} (server not reclaimed)", node.0);
         }
     }
     let _ = out.flush();

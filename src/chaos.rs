@@ -129,6 +129,9 @@ impl Prng {
 /// strictly below this).
 pub const CAMPAIGN_TTL: Duration = Duration::from_millis(15);
 
+/// The adaptive controller's tick in campaign time.
+const CAMPAIGN_TICK: Duration = Duration::from_millis(5);
+
 impl ChaosPlan {
     /// Sample a campaign schedule from `seed`.
     pub fn generate(seed: u64) -> Self {
@@ -436,8 +439,8 @@ pub enum Load {
     /// Sequential passes only.
     None,
     /// Arm the overload pipeline — deadline-aware admission with a tight
-    /// foreground queue, the full client armor, brownout thresholds on
-    /// the adaptive controller, coalescing off so the queue sees real
+    /// capacity, the full client armor, brownout thresholds on the
+    /// adaptive controller, coalescing off so admission sees real
     /// duplicate load — and fire an open-loop [`SURGE_READERS`]-task
     /// surge before pass [`SURGE_PASS`]. Adds the goodput, shed
     /// accounting, shed false positive and (adaptive) brownout invariants.
@@ -646,9 +649,9 @@ pub struct OverloadStats {
     pub surge_reads: u64,
     /// Surge reads that completed with ground-truth bytes.
     pub surge_ok: u64,
-    /// Server-side sheds at queue admission (foreground queue full).
+    /// Server-side sheds because the node was full.
     pub shed_capacity: u64,
-    /// Server-side sheds at dequeue (deadline already hopeless).
+    /// Server-side sheds because the deadline was already hopeless.
     pub shed_deadline: u64,
     /// Typed `Overloaded` replies the client observed.
     pub observed: u64,
@@ -883,7 +886,7 @@ pub const SURGE_PASS: u32 = 1;
 
 /// Concurrent open-loop readers in the surge. They share one client and
 /// read every path in the same order, convoying on one owner at a time so
-/// the tight foreground admission queue actually sheds.
+/// the tight admission capacity actually sheds.
 const SURGE_READERS: usize = 6;
 
 /// Goodput floor (percent): the fraction of surge reads that must
@@ -929,7 +932,7 @@ fn campaign_cluster(nodes: u32, policy: FtPolicy, seed: u64) -> ClusterConfig {
 /// stay at the controller defaults.
 fn campaign_controller_config(sabotage_flap: bool, overload: bool) -> ftc_core::ControllerConfig {
     let mut cc = ftc_core::ControllerConfig {
-        tick: Duration::from_millis(5),
+        tick: CAMPAIGN_TICK,
         cooldown: Duration::from_millis(60),
         decay: Duration::from_millis(300),
         prior_weight: 0.05,
@@ -1085,7 +1088,7 @@ pub fn run_campaign_on(
     // it, so unloaded campaigns are byte-identical to pre-armor ones.
     let overload_on = opts.load == Load::Surge && policy != FtPolicy::NoFt;
     if overload_on {
-        // A deliberately tight foreground queue, so the convoying surge
+        // A deliberately tight admission capacity, so the convoying surge
         // actually sheds, plus the full client armor.
         cfg.admission = ftc_core::AdmissionConfig {
             queue_capacity: 2,
@@ -1332,7 +1335,7 @@ pub fn run_campaign_on(
 
         // Open-loop surge: SURGE_READERS tasks sharing this client hammer
         // every path in the same order, so they convoy on one owner at a
-        // time and the tight foreground queue sheds. Sharing the client
+        // time and the tight admission capacity sheds. Sharing the client
         // feeds the sheds to the controller (brownout) and one metrics
         // snapshot; every task joins before the pass reads resume.
         if overload_on && pass == SURGE_PASS {
@@ -1346,6 +1349,12 @@ pub fn run_campaign_on(
             (surge_issued, surge_ok, panicked) = readers.join();
             if panicked {
                 fire!(Surge, "a reader panicked");
+            }
+            // On an instant fabric the surge takes no virtual time: hold
+            // the pass reads for one controller tick, so the controller
+            // samples the shed pressure while it is fresh.
+            if client.controller().is_some() {
+                clock.sleep(CAMPAIGN_TICK);
             }
         }
 

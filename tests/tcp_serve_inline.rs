@@ -1,16 +1,19 @@
-//! An unarmored `ServerHandle` over `TcpTransport` serves each request on
-//! the connection thread that decoded it, so four clients on four
-//! connections drive `HvacServer::handle_inbound` four at a time — the
-//! concurrency the miss single-flight and the striped `NvmeCache` were
-//! built for, reached here over real sockets: a key missed by all four
-//! at once costs one PFS read, mixed traffic over an NVMe smaller than
-//! the set keeps the striped accounting consistent, and shutdown still
-//! reclaims the server while the clients' connections are open. A
-//! second test pins the client's receive path: a 1 MiB read reaches the
-//! caller as a window into its reply frame, with no copy of the value.
+//! A `ServerHandle` over `TcpTransport` serves each request on the
+//! connection thread that decoded it, armored or not, so four clients on
+//! four connections drive `HvacServer::handle_inbound` four at a time —
+//! the concurrency the miss single-flight and the striped `NvmeCache`
+//! were built for, reached here over real sockets: a key missed by all
+//! four at once costs one PFS read, mixed traffic over an NVMe smaller
+//! than the set keeps the striped accounting consistent, and shutdown
+//! still reclaims the server while the clients' connections are open.
+//! Admission control gates those threads: a node with no room sheds a
+//! read with the typed `Overloaded` and still answers a `Ping`. A last
+//! test pins the client's receive path: a 1 MiB read reaches the caller
+//! as a window into its reply frame, with no copy of the value.
 
 use ftc_core::{
-    CacheRequest, CacheResponse, FtConfig, FtPolicy, HvacClient, ReadVia, ServerHandle,
+    AdmissionConfig, CacheRequest, CacheResponse, FtConfig, FtPolicy, HvacClient, ReadVia,
+    ServerHandle,
 };
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Caller, Transport};
@@ -65,13 +68,32 @@ fn mixed_path(i: usize) -> String {
     format!("mix/s{}.bin", i % MIXED_FILES)
 }
 
-#[test]
-fn four_connections_reach_the_servers_concurrency_machinery() {
+/// A one-node TCP fabric on a free loopback port.
+fn one_node_transport() -> TcpTransport<CacheRequest, CacheResponse> {
     let addr = TcpListener::bind("127.0.0.1:0")
         .and_then(|l| l.local_addr())
         .expect("reserve a port");
-    let transport: TcpTransport<CacheRequest, CacheResponse> =
-        TcpTransport::from_peer_list(&[addr], TcpConfig::default());
+    TcpTransport::from_peer_list(&[addr], TcpConfig::default())
+}
+
+#[test]
+fn four_connections_reach_the_servers_concurrency_machinery() {
+    four_connections(AdmissionConfig::default());
+}
+
+/// Room for all four clients, and a deadline no request comes near: the
+/// gate sheds nothing, and the four connection threads still serve at
+/// once.
+#[test]
+fn four_connections_reach_the_servers_concurrency_machinery_when_armored() {
+    four_connections(AdmissionConfig {
+        queue_capacity: CLIENTS,
+        ..AdmissionConfig::armored(TTL)
+    });
+}
+
+fn four_connections(admission: AdmissionConfig) {
+    let transport = one_node_transport();
 
     let pfs = Arc::new(Pfs::with_store(Arc::new(SlowCold(MemStore::new()))));
     pfs.stage(COLD, synth_bytes(COLD, 64 * 1024));
@@ -79,7 +101,7 @@ fn four_connections_reach_the_servers_concurrency_machinery() {
         pfs.stage(&mixed_path(i), synth_bytes(&mixed_path(i), MIXED_SIZE));
     }
     let cache = Arc::new(NvmeCache::sharded(NVME_BYTES, 4));
-    let server = ServerHandle::spawn_on(NodeId(0), &transport, Arc::clone(&pfs), cache)
+    let server = ServerHandle::spawn(NodeId(0), &transport, Arc::clone(&pfs), cache, admission)
         .expect("spawn server");
 
     // One caller each: four pooled connections, four connection threads.
@@ -146,11 +168,12 @@ fn four_connections_reach_the_servers_concurrency_machinery() {
         1,
         "concurrent misses were not coalesced"
     );
-    let (leaders, coalesced, _stale) = server.singleflight_handles().snapshot();
+    let (leaders, coalesced, _stale) = server.miss_flight_counts();
     assert!(
         coalesced >= 1,
         "no request joined another's fetch (leaders={leaders})"
     );
+    assert_eq!(server.sheds(), (0, 0), "a request was shed");
 
     // Shutdown reclaims the server although every client connection is
     // still open: the listener outlives no thread that holds the sink.
@@ -174,19 +197,42 @@ fn four_connections_reach_the_servers_concurrency_machinery() {
 }
 
 #[test]
+fn a_full_armored_node_sheds_reads_but_answers_pings() {
+    let transport = one_node_transport();
+    let pfs = Arc::new(Pfs::in_memory());
+    pfs.stage(COLD, synth_bytes(COLD, 64));
+    let full = AdmissionConfig {
+        queue_capacity: 0,
+        ..AdmissionConfig::armored(TTL)
+    };
+    let cache = Arc::new(NvmeCache::unbounded());
+    let server =
+        ServerHandle::spawn(NodeId(0), &transport, pfs, cache, full).expect("spawn server");
+    let caller = transport.caller(NodeId(10));
+    let read = caller.call(NodeId(0), CacheRequest::Read { path: COLD.into() }, TTL);
+    assert_eq!(read, Ok(CacheResponse::Overloaded));
+    let ping = caller.call(NodeId(0), CacheRequest::Ping, TTL);
+    assert_eq!(ping, Ok(CacheResponse::Pong), "a probe is never shed");
+    assert_eq!(server.sheds(), (1, 0));
+    server.shutdown().expect("server reclaimed");
+}
+
+#[test]
 fn a_served_read_hands_the_caller_its_reply_frame() {
     const PATH: &str = "large/sample.bin";
     const SIZE: usize = 1 << 20;
-    let addr = TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .expect("reserve a port");
-    let transport: TcpTransport<CacheRequest, CacheResponse> =
-        TcpTransport::from_peer_list(&[addr], TcpConfig::default());
+    let transport = one_node_transport();
     let pfs = Arc::new(Pfs::in_memory());
     pfs.stage(PATH, synth_bytes(PATH, SIZE));
     let cache = Arc::new(NvmeCache::unbounded());
-    let server = ServerHandle::spawn_on(NodeId(0), &transport, Arc::clone(&pfs), cache)
-        .expect("spawn server");
+    let server = ServerHandle::spawn(
+        NodeId(0),
+        &transport,
+        Arc::clone(&pfs),
+        cache,
+        AdmissionConfig::default(),
+    )
+    .expect("spawn server");
     let client = HvacClient::with_transport(
         NodeId(10),
         &transport,
