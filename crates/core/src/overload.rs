@@ -6,7 +6,7 @@
 //! suspicion. Four building blocks, shared by the in-process fabric and
 //! the TCP wire because they all sit above the transport seam:
 //!
-//! * [`Admission`] — server side: a gate each request passes on the
+//! * `Admission` — server side: a gate each request passes on the
 //!   thread that serves it. Work is shed (a typed `Overloaded` reply,
 //!   *not* a timeout) when the node already holds `queue_capacity`
 //!   requests, or when the time the request has waited plus the EWMA
@@ -162,7 +162,7 @@ pub enum ShedReason {
 /// service time to [`Admission::done`] after. Sheds are counted per
 /// cause; the caller owns the `Overloaded` reply.
 #[derive(Debug)]
-pub struct Admission {
+pub(crate) struct Admission {
     config: AdmissionConfig,
     /// Requests admitted and not yet [`done`](Admission::done).
     in_flight: AtomicUsize,

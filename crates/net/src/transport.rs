@@ -260,16 +260,6 @@ impl<Req: Payload, Resp: Payload> Mailbox<Req, Resp> {
         taken(&self.inbox.depth, self.rx.recv_timeout(d).ok())
     }
 
-    /// Non-blocking poll.
-    pub fn try_recv(&self) -> Option<Incoming<Req, Resp>> {
-        taken(&self.inbox.depth, self.rx.try_recv().ok())
-    }
-
-    /// Number of queued requests (server load introspection).
-    pub fn backlog(&self) -> usize {
-        self.rx.len()
-    }
-
     /// Hand every request from now on to `sink`, in arrival order, on one
     /// delivery task this mailbox starts on the fabric's clock — the
     /// in-process counterpart of a TCP connection thread. The task blocks
@@ -948,33 +938,6 @@ mod tests {
         let err = ep.call(NodeId(0), "x".into(), TTL).unwrap_err();
         assert_eq!(err, RpcError::Timeout { to: NodeId(0) });
         assert!(t0.elapsed() >= TTL);
-    }
-
-    #[test]
-    fn backlog_counts_queued_requests() {
-        let net: Network<String, String> = Network::instant(11);
-        let mbox = net.register(NodeId(0));
-        let ep = net.endpoint(NodeId(1));
-        let h: Vec<_> = (0..3)
-            .map(|_| {
-                let ep = ep.clone();
-                thread::spawn(move || {
-                    let _ = ep.call(NodeId(0), "q".into(), Duration::from_millis(100));
-                })
-            })
-            .collect();
-        // Wait for all three to be enqueued.
-        let t0 = Instant::now();
-        while mbox.backlog() < 3 && t0.elapsed() < Duration::from_secs(1) {
-            thread::yield_now();
-        }
-        assert_eq!(mbox.backlog(), 3);
-        while let Some(inc) = mbox.try_recv() {
-            inc.reply("ok".into());
-        }
-        for j in h {
-            j.join().unwrap();
-        }
     }
 
     #[test]
