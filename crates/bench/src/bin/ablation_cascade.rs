@@ -3,14 +3,19 @@
 //!
 //! `cargo run -p ftc-bench --release --bin ablation_cascade [--nodes 64] [--scale 64]`
 
-use ftc_bench::{arg_or, fmt_mmss};
+use ftc_bench::{fmt_mmss, Cli};
 use ftc_core::FtPolicy;
 use ftc_hashring::NodeId;
 use ftc_sim::{FaultEvent, SimCalibration, SimCluster, SimWorkload};
 
 fn main() {
-    let nodes: u32 = arg_or("--nodes", 64);
-    let scale: u32 = arg_or("--scale", 64);
+    let cli = Cli::parse(
+        "ablation_cascade [--nodes 64] [--scale 64]",
+        &["nodes", "scale"],
+        &[],
+    );
+    let nodes: u32 = cli.get("nodes", 64);
+    let scale: u32 = cli.get("scale", 64);
     let workload = SimWorkload::cosmoflow(scale);
     let cal = SimCalibration::frontier();
 

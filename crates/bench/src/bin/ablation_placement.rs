@@ -1,15 +1,20 @@
 //! Ablation — the §IV-B placement alternatives, quantified: how many keys
 //! move when one node fails, per strategy.
 //!
-//! `cargo run -p ftc-bench --release --bin ablation_placement [--nodes 64] [--keys 100000]`
+//! `cargo run -p ftc-bench --release --bin ablation_placement [--nodes 64] [--keys 100000] [--seed 1]`
 
-use ftc_bench::arg_or;
+use ftc_bench::Cli;
 use ftc_sim::placement_disruption;
 
 fn main() {
-    let nodes: u32 = arg_or("--nodes", 64);
-    let keys: u32 = arg_or("--keys", 100_000);
-    let seed: u64 = arg_or("--seed", 1);
+    let cli = Cli::parse(
+        "ablation_placement [--nodes 64] [--keys 100000] [--seed 1]",
+        &["nodes", "keys", "seed"],
+        &[],
+    );
+    let nodes: u32 = cli.get("nodes", 64);
+    let keys: u32 = cli.get("keys", 100_000);
+    let seed: u64 = cli.get("seed", 1);
 
     ftc_bench::header(&format!(
         "Ablation — placement disruption on one failure ({nodes} nodes, {keys} keys)"

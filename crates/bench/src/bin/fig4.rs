@@ -4,13 +4,18 @@
 //!
 //! `cargo run -p ftc-bench --release --bin fig4 [--nodes 4] [--vnodes 4] [--files 8]`
 
-use ftc_bench::arg_or;
+use ftc_bench::Cli;
 use ftc_hashring::{hash::key_hash, HashRing, Placement};
 
 fn main() {
-    let nodes: u32 = arg_or("--nodes", 4);
-    let vnodes: u32 = arg_or("--vnodes", 4);
-    let files: u32 = arg_or("--files", 8);
+    let cli = Cli::parse(
+        "fig4 [--nodes 4] [--vnodes 4] [--files 8]",
+        &["nodes", "vnodes", "files"],
+        &[],
+    );
+    let nodes: u32 = cli.get("nodes", 4);
+    let vnodes: u32 = cli.get("vnodes", 4);
+    let files: u32 = cli.get("files", 8);
 
     ftc_bench::header("Fig 4 — ring reassignment on failure");
     let mut ring = HashRing::with_nodes(nodes, vnodes);

@@ -7,14 +7,19 @@
 //! sample preserved). `--scale 1` is the paper's full 524,288-sample
 //! dataset (slower; minutes of wall time).
 
-use ftc_bench::{arg_or, fmt_mmss};
+use ftc_bench::{fmt_mmss, Cli};
 use ftc_core::FtPolicy;
 use ftc_sim::{fig5, SimCalibration, SimWorkload, PAPER_NODE_COUNTS};
 
 fn main() {
-    let scale: u32 = arg_or("--scale", 16);
-    let failures: u32 = arg_or("--failures", 5);
-    let seed: u64 = arg_or("--seed", 2024);
+    let cli = Cli::parse(
+        "fig5 [--scale 16] [--failures 5] [--seed 2024]",
+        &["scale", "failures", "seed"],
+        &[],
+    );
+    let scale: u32 = cli.get("scale", 16);
+    let failures: u32 = cli.get("failures", 5);
+    let seed: u64 = cli.get("seed", 2024);
     let workload = SimWorkload::cosmoflow(scale);
     let cal = SimCalibration::frontier();
 

@@ -3,12 +3,13 @@
 //!
 //! `cargo run -p ftc-bench --release --bin fig6a [--scale 16] [--seed 7]`
 
-use ftc_bench::{arg_or, fmt_mmss};
+use ftc_bench::{fmt_mmss, Cli};
 use ftc_sim::{fig6a, SimCalibration, SimWorkload, PAPER_NODE_COUNTS};
 
 fn main() {
-    let scale: u32 = arg_or("--scale", 16);
-    let seed: u64 = arg_or("--seed", 7);
+    let cli = Cli::parse("fig6a [--scale 16] [--seed 7]", &["scale", "seed"], &[]);
+    let scale: u32 = cli.get("scale", 16);
+    let seed: u64 = cli.get("seed", 7);
     let workload = SimWorkload::cosmoflow(scale);
     let cal = SimCalibration::frontier();
 

@@ -1,16 +1,21 @@
 //! Figure 6(b) — impact of virtual-node count on post-failure load
 //! redistribution: 1024 physical nodes, 500 trials, 524,288 files.
 //!
-//! `cargo run -p ftc-bench --release --bin fig6b [--nodes 1024] [--files 524288] [--trials 500]`
+//! `cargo run -p ftc-bench --release --bin fig6b [--nodes 1024] [--files 524288] [--trials 500] [--seed 42]`
 
-use ftc_bench::arg_or;
+use ftc_bench::Cli;
 use ftc_sim::{fig6b, PAPER_VNODE_COUNTS};
 
 fn main() {
-    let nodes: u32 = arg_or("--nodes", 1024);
-    let files: u32 = arg_or("--files", 524_288);
-    let trials: u32 = arg_or("--trials", 500);
-    let seed: u64 = arg_or("--seed", 42);
+    let cli = Cli::parse(
+        "fig6b [--nodes 1024] [--files 524288] [--trials 500] [--seed 42]",
+        &["nodes", "files", "trials", "seed"],
+        &[],
+    );
+    let nodes: u32 = cli.get("nodes", 1024);
+    let files: u32 = cli.get("files", 524_288);
+    let trials: u32 = cli.get("trials", 500);
+    let seed: u64 = cli.get("seed", 42);
 
     ftc_bench::header(&format!(
         "Fig 6(b) — load redistribution after a failure ({nodes} nodes, {files} files, {trials} trials)"

@@ -8,7 +8,7 @@
 //!
 //! `cargo run -p ftc-bench --release --bin ftc-top -- [--once] [--prom]
 //!   [--nodes 4] [--files 48] [--passes 3] [--kill 1] [--kill-at 1]
-//!   [--no-kill] [--adaptive] [--armored] [--seed 7]`
+//!   [--no-kill] [--adaptive] [--armored] [--seed 7] [--refresh-ms 250]`
 //!
 //! `--armored` arms server-side admission control and the client overload
 //! armor (breaker, retry budget, hedged reads); the `overload:` row then
@@ -25,7 +25,7 @@
 //! replication factor, recache rate, failure-rate estimate, switches —
 //! to every frame.
 
-use ftc_bench::{arg_or, has_flag};
+use ftc_bench::Cli;
 use ftc_core::{Cluster, ClusterConfig, FtPolicy};
 use ftc_hashring::NodeId;
 use ftc_obs::{HistogramSnapshot, Sample, Value};
@@ -226,18 +226,33 @@ fn render(cluster: &Cluster, nodes: u32, armored: bool, pass_label: &str) {
 }
 
 fn main() {
-    let nodes: u32 = arg_or("--nodes", 4);
-    let files: usize = arg_or("--files", 48);
-    let passes: u32 = arg_or("--passes", 3);
-    let kill: u32 = arg_or("--kill", 1);
-    let kill_at: u32 = arg_or("--kill-at", 1);
-    let seed: u64 = arg_or("--seed", 7);
-    let once = has_flag("--once");
-    let no_kill = has_flag("--no-kill") || kill >= nodes;
+    let cli = Cli::parse(
+        "ftc-top [--once] [--prom] [--nodes 4] [--files 48] [--passes 3] [--kill 1] \
+         [--kill-at 1] [--no-kill] [--adaptive] [--armored] [--seed 7] [--refresh-ms 250]",
+        &[
+            "nodes",
+            "files",
+            "passes",
+            "kill",
+            "kill-at",
+            "seed",
+            "refresh-ms",
+        ],
+        &["once", "no-kill", "armored", "adaptive", "prom"],
+    );
+    let nodes: u32 = cli.get("nodes", 4);
+    let files: usize = cli.get("files", 48);
+    let passes: u32 = cli.get("passes", 3);
+    let kill: u32 = cli.get("kill", 1);
+    let kill_at: u32 = cli.get("kill-at", 1);
+    let seed: u64 = cli.get("seed", 7);
+    let refresh_ms: u64 = cli.get("refresh-ms", 250);
+    let once = cli.flag("once");
+    let no_kill = cli.flag("no-kill") || kill >= nodes;
 
     let mut cfg = ClusterConfig::small(nodes, FtPolicy::RingRecache);
     cfg.seed = seed;
-    let armored = has_flag("--armored");
+    let armored = cli.flag("armored");
     if armored {
         cfg.admission = ftc_core::AdmissionConfig::armored(cfg.ft.detector.ttl);
         cfg.ft.overload = ftc_core::OverloadConfig::armored();
@@ -250,7 +265,7 @@ fn main() {
         }
     };
     let paths = cluster.stage_dataset("top", files, 64);
-    let client = if has_flag("--adaptive") {
+    let client = if cli.flag("adaptive") {
         match cluster.client_adaptive(0, Default::default(), Default::default()) {
             Ok(c) => c,
             Err(e) => {
@@ -280,10 +295,7 @@ fn main() {
                 armored,
                 &format!("pass {pass}/{passes} (live, seed {seed})"),
             );
-            std::thread::sleep(std::time::Duration::from_millis(arg_or(
-                "--refresh-ms",
-                250,
-            )));
+            std::thread::sleep(std::time::Duration::from_millis(refresh_ms));
         }
     }
     // Let movers settle so the final residency/recache numbers are stable.
@@ -297,7 +309,7 @@ fn main() {
             &format!("final snapshot (seed {seed})"),
         );
     }
-    if has_flag("--prom") {
+    if cli.flag("prom") {
         println!();
         print!("{}", ftc_obs::render_prometheus(&cluster.obs_samples()));
     }

@@ -31,7 +31,7 @@
 //!   `new` dropped any key present in `old` (schema regressions).
 
 use ft_cache::fleet::{json_array, percentile, Json};
-use ftc_bench::{arg_or, has_flag, header};
+use ftc_bench::{header, usage_error, Cli};
 use ftc_core::{Cluster, ClusterConfig, FtPolicy, HvacClient};
 use ftc_net::LatencyModel;
 use ftc_storage::{KeyIndex, NvmeCache};
@@ -44,27 +44,27 @@ mod json;
 /// Threads swept by the store microbenchmarks.
 const THREAD_STEPS: &[usize] = &[1, 4, 8];
 
+const USAGE: &str =
+    "hotpath [--smoke] [--out FILE] | hotpath --validate FILE | hotpath --diff-keys OLD NEW";
+
 fn main() {
     // Inspection modes first: they read files and never run a workload.
-    let validate: String = arg_or("--validate", String::new());
-    if !validate.is_empty() {
-        std::process::exit(run_validate(&validate));
-    }
-    if has_flag("--diff-keys") {
-        let args: Vec<String> = std::env::args().collect();
-        let pos = args.iter().position(|a| a == "--diff-keys");
-        let (old, new) = match pos.and_then(|i| Some((args.get(i + 1)?, args.get(i + 2)?))) {
-            Some(pair) => pair,
-            None => {
-                eprintln!("usage: hotpath --diff-keys <old.json> <new.json>");
-                std::process::exit(2);
-            }
+    // `--diff-keys` takes two values, so it is matched before `Cli`.
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().is_some_and(|a| a == "--diff-keys") {
+        let [_, old, new] = argv.as_slice() else {
+            usage_error(USAGE, "--diff-keys takes <old.json> <new.json>");
         };
         std::process::exit(run_diff_keys(old, new));
     }
+    let cli = Cli::parse(USAGE, &["validate", "out"], &["smoke"]);
+    let validate: String = cli.get("validate", String::new());
+    if !validate.is_empty() {
+        std::process::exit(run_validate(&validate));
+    }
 
-    let smoke = has_flag("--smoke");
-    let out: String = arg_or("--out", "results/BENCH_hotpath.json".to_string());
+    let smoke = cli.flag("smoke");
+    let out: String = cli.get("out", "results/BENCH_hotpath.json".to_string());
     let cores = thread::available_parallelism().map_or(1, |n| n.get());
     header(&format!(
         "hotpath data-plane bench ({}, {cores} core(s))",

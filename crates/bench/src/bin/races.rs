@@ -11,22 +11,19 @@
 //! modes are CI-able). Unknown options and unparseable values exit 2.
 
 use ft_cache::chaos::{run_campaign_on, Campaign, CampaignOptions, ChaosPlan};
-use ft_cache::fleet::Args;
 use ft_cache::time::ClockHandle;
 use ftc_analysis::{check_trace, forge_stale_epoch_read, RaceKind};
-use ftc_bench::header;
+use ftc_bench::{header, Cli};
 use ftc_core::FtPolicy;
 
 fn main() {
-    let args = Args::parse(
-        std::env::args().skip(1),
+    let cli = Cli::parse(
+        "races [--seed 1] [--campaigns 50] [--inject]",
         &["seed", "campaigns"],
         &["inject"],
-    )
-    .unwrap_or_else(|e| usage(&e));
-    let num = |key, default: u64| args.parsed_or(key, default).unwrap_or_else(|e| usage(&e));
-    let (base_seed, campaigns) = (num("seed", 1), num("campaigns", 50));
-    let inject = args.flag("inject");
+    );
+    let (base_seed, campaigns): (u64, u64) = (cli.get("seed", 1), cli.get("campaigns", 50));
+    let inject = cli.flag("inject");
 
     header(&format!(
         "races — {campaigns} traced campaign(s) from seed {base_seed}{}",
@@ -116,10 +113,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-/// Report a command-line error and exit 2.
-fn usage(msg: &str) -> ! {
-    eprintln!("races: {msg}\nusage: races [--seed 1] [--campaigns 50] [--inject]");
-    std::process::exit(2);
 }

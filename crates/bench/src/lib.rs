@@ -24,20 +24,43 @@
 
 #![warn(missing_docs)]
 
-/// Parse `--flag value` style arguments: returns the value following
-/// `name`, parsed, or `default`.
-pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+use ft_cache::fleet::Args;
+
+/// This process's command line, parsed strictly by [`Args`]: an unknown
+/// option, a missing or unparsable value, or a positional argument prints
+/// the bin's usage line and exits 2 — a typo never becomes a silently
+/// different run.
+pub struct Cli {
+    args: Args,
+    usage: &'static str,
 }
 
-/// True when `--flag` is present.
-pub fn has_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
+impl Cli {
+    /// Parse `std::env::args()`: `keys` take a value, `switches` do not.
+    pub fn parse(usage: &'static str, keys: &[&str], switches: &[&str]) -> Self {
+        match Args::parse(std::env::args().skip(1), keys, switches) {
+            Ok(args) => Cli { args, usage },
+            Err(e) => usage_error(usage, &e),
+        }
+    }
+
+    /// `--key` parsed as `T`, or `default` when absent.
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        self.args
+            .parsed_or(key, default)
+            .unwrap_or_else(|e| usage_error(self.usage, &e))
+    }
+
+    /// Whether the bare `--name` was given.
+    pub fn flag(&self, name: &str) -> bool {
+        self.args.flag(name)
+    }
+}
+
+/// Report a command-line error with the `usage` line and exit 2.
+pub fn usage_error(usage: &str, msg: &str) -> ! {
+    eprintln!("{msg}\nusage: {usage}");
+    std::process::exit(2);
 }
 
 /// Print a boxed section header.
@@ -111,12 +134,5 @@ mod tests {
         assert_eq!(fmt_mmss(0.0), "00:00.0");
         assert_eq!(fmt_mmss(61.5), "01:01.5");
         assert_eq!(fmt_mmss(3599.9), "59:59.9");
-    }
-
-    #[test]
-    fn arg_or_falls_back() {
-        // No such flag in the test harness args.
-        assert_eq!(arg_or("--definitely-not-present", 42u32), 42);
-        assert!(!has_flag("--definitely-not-present"));
     }
 }

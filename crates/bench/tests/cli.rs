@@ -1,5 +1,5 @@
-//! The `chaos` and `races` command lines are strict: a typo is an error
-//! (exit 2), never a silently different run.
+//! Every bench command line is strict: a typo or an unparsable value is
+//! an error (exit 2), never a silently different run.
 
 use std::process::Command;
 
@@ -26,8 +26,21 @@ fn typoed_flags_exit_2() {
     ] {
         assert_eq!(exit_code(chaos, args), Some(2), "chaos {args:?}");
     }
-    let races = env!("CARGO_BIN_EXE_races");
-    assert_eq!(exit_code(races, &["--campaign", "2"]), Some(2));
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_races"), &["--campaign", "2"][..]),
+        (env!("CARGO_BIN_EXE_fig4"), &["--node", "4"]),
+        (env!("CARGO_BIN_EXE_fig5"), &["--scael", "4"]),
+        (env!("CARGO_BIN_EXE_fig5"), &["--scale", "four"]),
+        (env!("CARGO_BIN_EXE_fig6a"), &["--sede", "7"]),
+        (env!("CARGO_BIN_EXE_fig6b"), &["--trial", "5"]),
+        (env!("CARGO_BIN_EXE_ablation_placement"), &["--key", "10"]),
+        (env!("CARGO_BIN_EXE_ablation_cascade"), &["--scale"]),
+        (env!("CARGO_BIN_EXE_ftc-top"), &["--once", "--armoured"]),
+        (env!("CARGO_BIN_EXE_hotpath"), &["--smoek"]),
+        (env!("CARGO_BIN_EXE_hotpath"), &["--diff-keys", "old.json"]),
+    ] {
+        assert_eq!(exit_code(bin, args), Some(2), "{bin} {args:?}");
+    }
 }
 
 #[test]

@@ -353,7 +353,7 @@ impl HvacClient {
     ) -> Result<CacheResponse, RpcError> {
         let r = self.endpoint.call(to, req, ttl);
         if matches!(r, Ok(CacheResponse::Overloaded)) {
-            ClientMetrics::inc(&self.metrics.overloaded_observed);
+            self.metrics.overloaded_observed.inc();
             self.signals.note_shed();
             if self.config.overload.shed_counts_as_failure {
                 // Sabotage self-test: feed the shed to the detector as if
@@ -409,11 +409,11 @@ impl HvacClient {
                 // expiry is armor-internal — it is NOT counted as an rpc
                 // timeout and never reaches the detector; the breaker
                 // (client-local) absorbs it instead.
-                ClientMetrics::inc(&self.metrics.hedges_launched);
+                self.metrics.hedges_launched.inc();
                 self.armor.on_failure(owner);
                 match self.call_counted(second, read(), ttl) {
                     Ok(resp) => {
-                        ClientMetrics::inc(&self.metrics.hedges_won);
+                        self.metrics.hedges_won.inc();
                         (second, Ok(resp))
                     }
                     Err(_hedge_loss) => {
@@ -516,7 +516,7 @@ impl HvacClient {
         }
         match self.inflight.join(path) {
             Join::Leader(leader) => {
-                ClientMetrics::inc(&self.metrics.singleflight_leaders);
+                self.metrics.singleflight_leaders.inc();
                 let result = self.read_attempts(path);
                 leader.publish(self.ring_epoch(), result.clone());
                 result
@@ -529,7 +529,7 @@ impl HvacClient {
                 let published = follower.wait(&self.clock, self.config.retry.deadline_budget);
                 match published {
                     Some(p) if p.epoch == self.ring_epoch() => {
-                        ClientMetrics::inc(&self.metrics.coalesced_reads);
+                        self.metrics.coalesced_reads.inc();
                         if let Ok(out) = &p.value {
                             let node = match out.via {
                                 ReadVia::ServerNvme(n) | ReadVia::ServerPfsFetch(n) => n,
@@ -548,7 +548,7 @@ impl HvacClient {
                     // take the ordinary retry loop against the current
                     // ring — correctness over reuse.
                     _ => {
-                        ClientMetrics::inc(&self.metrics.coalesced_stale_retries);
+                        self.metrics.coalesced_stale_retries.inc();
                         self.read_attempts(path)
                     }
                 }
@@ -576,7 +576,7 @@ impl HvacClient {
                     // amplifies into at most `capacity` extra RPCs
                     // instead of a retry storm.
                     if !self.armor.admit_retry() {
-                        ClientMetrics::inc(&self.metrics.budget_denied);
+                        self.metrics.budget_denied.inc();
                         break 'attempt Cause::BudgetDenied;
                     }
                     let spent = self.clock.since(started);
@@ -604,7 +604,7 @@ impl HvacClient {
                 // no queue slot consumed on a node that just failed
                 // repeatedly. Half-open admits its probe quota through.
                 if !self.armor.admit(owner) {
-                    ClientMetrics::inc(&self.metrics.breaker_short_circuits);
+                    self.metrics.breaker_short_circuits.inc();
                     break 'attempt Cause::BreakerOpen(owner);
                 }
                 let (served_by, outcome) = self.call_read(owner, path, ttl);
@@ -663,13 +663,13 @@ impl HvacClient {
         let m = &self.metrics;
         let policy = self.config.policy;
         if policy != NoFt && matches!(cause, Cause::Silent(_, Verdict::JustFailed)) {
-            ClientMetrics::inc(&m.nodes_declared_failed);
+            m.nodes_declared_failed.inc();
         }
         match (policy, cause) {
             // A shed is proof of life: under NoFT the same owner is worth
             // another attempt after backoff.
             (_, Cause::WrongReply) | (NoFt, Cause::Shed) => {
-                ClientMetrics::inc(&m.retries);
+                m.retries.inc();
                 Next::Retry
             }
             (NoFt, Cause::BudgetDenied) => Next::Fail(ReadError::Exhausted(path.to_owned())),
@@ -677,15 +677,15 @@ impl HvacClient {
                 Next::Fail(ReadError::NodeFailed(n))
             }
             (RingRecache, Cause::Silent(n, Verdict::JustFailed | Verdict::AlreadyFailed)) => {
-                ClientMetrics::inc(&m.retries);
+                m.retries.inc();
                 Next::EvictAndRetry(n)
             }
             (PfsRedirect | RingRecache, Cause::BreakerOpen(_) | Cause::Shed) => {
-                ClientMetrics::inc(&m.shed_pfs_fallbacks);
+                m.shed_pfs_fallbacks.inc();
                 Next::Pfs
             }
             (PfsRedirect | RingRecache, Cause::Rpc(_)) => {
-                ClientMetrics::inc(&m.retries);
+                m.retries.inc();
                 Next::Pfs
             }
             // Budget denial is not an error, and a suspect (under
@@ -766,11 +766,11 @@ impl HvacClient {
         }
         let via = match source {
             ServeSource::NvmeHit => {
-                ClientMetrics::inc(&self.metrics.nvme_hits);
+                self.metrics.nvme_hits.inc();
                 ReadVia::ServerNvme(served_by)
             }
             ServeSource::PfsFetch => {
-                ClientMetrics::inc(&self.metrics.pfs_fetches_via_server);
+                self.metrics.pfs_fetches_via_server.inc();
                 // Write-through replication: the file just entered the
                 // cache tier; copies on the ring successors mean even
                 // the owner's failure needs no PFS fallback.
@@ -795,8 +795,8 @@ impl HvacClient {
         epoch: u64,
         handoff: impl FnOnce() -> bool,
     ) {
-        ClientMetrics::inc(&self.metrics.reads_ok);
-        ClientMetrics::add(&self.metrics.bytes_read, bytes.len() as u64);
+        self.metrics.reads_ok.inc();
+        self.metrics.bytes_read.add(bytes.len() as u64);
         if let Some((h, invoke)) = hist {
             h.record(ftc_net::OpRecord {
                 id: 0,
@@ -816,7 +816,7 @@ impl HvacClient {
     /// The owner stayed silent for a full TTL: count it, feed the
     /// breaker and the detector, and publish the detector's verdict.
     fn note_silence(&self, owner: NodeId) -> Verdict {
-        ClientMetrics::inc(&self.metrics.rpc_timeouts);
+        self.metrics.rpc_timeouts.inc();
         self.armor.on_failure(owner);
         if let Some(obs) = self.obs.get() {
             // First timeout per incident; later ones are no-ops inside
@@ -1015,7 +1015,7 @@ impl HvacClient {
                 (d.is_failed(node), d.is_suspect_at(node, self.clock.now()))
             };
             if dead {
-                ClientMetrics::inc(&self.metrics.replica_write_failures);
+                self.metrics.replica_write_failures.inc();
                 self.park_replica_hint(node, path, bytes);
                 continue;
             }
@@ -1026,10 +1026,10 @@ impl HvacClient {
                 continue;
             }
             if self.push_object(node, path, bytes) {
-                ClientMetrics::inc(&self.metrics.replicas_written);
+                self.metrics.replicas_written.inc();
                 continue;
             }
-            ClientMetrics::inc(&self.metrics.replica_write_failures);
+            self.metrics.replica_write_failures.inc();
             let nap = self
                 .config
                 .retry
@@ -1038,9 +1038,9 @@ impl HvacClient {
                 self.clock.sleep(nap);
             }
             if self.push_object(node, path, bytes) {
-                ClientMetrics::inc(&self.metrics.replicas_written);
+                self.metrics.replicas_written.inc();
             } else {
-                ClientMetrics::inc(&self.metrics.replica_write_failures);
+                self.metrics.replica_write_failures.inc();
                 self.park_replica_hint(node, path, bytes);
             }
         }
@@ -1061,16 +1061,16 @@ impl HvacClient {
     fn park_replica_hint(&self, node: NodeId, path: &str, bytes: &ValueBuf) {
         if let Some(engine) = self.recovery.get() {
             engine.park_hint(node, path, bytes, self.ring_epoch());
-            ClientMetrics::inc(&self.metrics.replicas_hinted);
+            self.metrics.replicas_hinted.inc();
         }
     }
 
     fn read_pfs_direct(&self, path: &str) -> Result<ReadOutcome, ReadError> {
         match self.pfs.read(path) {
             Some(bytes) => {
-                ClientMetrics::inc(&self.metrics.reads_ok);
-                ClientMetrics::inc(&self.metrics.pfs_direct_reads);
-                ClientMetrics::add(&self.metrics.bytes_read, bytes.len() as u64);
+                self.metrics.reads_ok.inc();
+                self.metrics.pfs_direct_reads.inc();
+                self.metrics.bytes_read.add(bytes.len() as u64);
                 Ok(ReadOutcome {
                     bytes,
                     via: ReadVia::DirectPfs,
@@ -1760,9 +1760,7 @@ mod tests {
         assert_eq!(m.rpc_timeouts, 0, "a shed is liveness, not a timeout");
         assert!(c.failed_nodes().is_empty(), "shedding node is NOT dead");
         assert_eq!(c.policy_signals().sheds_total(), 1);
-        let (capacity_sheds, deadline_sheds) = h.sheds();
-        assert_eq!(capacity_sheds, 1);
-        assert_eq!(deadline_sheds, 0);
+        assert_eq!((h.sheds().capacity, h.sheds().deadline), (1, 0));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 use crate::client::HvacClient;
 use crate::error::CoreError;
 use crate::metrics::ClusterMetrics;
-use crate::overload::AdmissionConfig;
+use crate::overload::{AdmissionConfig, ShedStatsSnapshot};
 use crate::policy::{FtConfig, FtPolicy};
-use crate::server::{CacheNet, ServerHandle};
+use crate::server::{label_node, CacheNet, ServerHandle};
 use ftc_hashring::NodeId;
 use ftc_net::{LatencyModel, Network};
 use ftc_storage::{synth_bytes, NvmeCache, Pfs};
@@ -70,9 +70,9 @@ pub struct Cluster {
     clients: Mutex<Vec<Arc<HvacClient>>>,
     killed: Mutex<HashSet<NodeId>>,
     recache_counts: Mutex<Vec<(u64, u64)>>,
-    /// Per-node shed totals `(capacity, deadline)` of the node's dead
-    /// incarnations, folded in as each is killed.
-    shed_base: Mutex<Vec<(u64, u64)>>,
+    /// Per-node sheds of the node's dead incarnations, folded in as each
+    /// is killed.
+    shed_base: Mutex<Vec<ShedStatsSnapshot>>,
     /// The cluster's observability plane: attached to the fabric at boot
     /// and to every client at creation; kills stamp the timeline here.
     hub: Arc<ftc_obs::ObsHub>,
@@ -111,7 +111,7 @@ impl Cluster {
         }
         Ok(Cluster {
             recache_counts: Mutex::new(vec![(0, 0); config.nodes as usize]),
-            shed_base: Mutex::new(vec![(0, 0); config.nodes as usize]),
+            shed_base: Mutex::new(vec![ShedStatsSnapshot::default(); config.nodes as usize]),
             config,
             net,
             pfs,
@@ -254,10 +254,8 @@ impl Cluster {
         if let Some(server) = handle.and_then(ServerHandle::shutdown) {
             self.recache_counts.lock()[node.index()] =
                 (server.files_recached(), server.recached_bytes());
-            let (capacity, deadline) = server.sheds();
             let base = &mut self.shed_base.lock()[node.index()];
-            base.0 += capacity;
-            base.1 += deadline;
+            *base = base.merge(&server.sheds());
         }
     }
 
@@ -341,26 +339,18 @@ impl Cluster {
         Ok(())
     }
 
-    /// Per-node shed totals `(capacity_sheds, deadline_sheds)`, summed
-    /// across every incarnation of the node — a kill does not erase what
-    /// the dead server shed while alive, so client-side observation
-    /// counts can always be reconciled against these.
-    pub fn sheds_per_node(&self) -> Vec<(u64, u64)> {
+    /// Per-node sheds, summed across every incarnation of the node — a
+    /// kill does not erase what the dead server shed while alive, so
+    /// client-side observation counts can always be reconciled against
+    /// these.
+    pub fn sheds_per_node(&self) -> Vec<ShedStatsSnapshot> {
         let servers = self.servers.lock();
         let base = self.shed_base.lock();
         servers
             .iter()
             .zip(base.iter())
-            .map(|(slot, &(bc, bd))| {
-                let (c, d) = slot.as_ref().map_or((0, 0), |h| h.sheds());
-                (bc + c, bd + d)
-            })
+            .map(|(slot, base)| slot.as_ref().map_or(*base, |h| base.merge(&h.sheds())))
             .collect()
-    }
-
-    /// Total requests shed by every server, all causes, all incarnations.
-    pub fn total_sheds(&self) -> u64 {
-        self.sheds_per_node().iter().map(|(c, d)| c + d).sum()
     }
 
     /// Nodes currently killed.
@@ -410,19 +400,19 @@ impl Cluster {
     }
 
     /// Flatten every observable in the cluster into exposition samples:
-    /// the obs registry (latency histograms, gauges), the legacy flat
-    /// snapshots (client counters, net stats, per-node NVMe stats, each
-    /// node labelled), and the ring health gauges. One call renders to
-    /// Prometheus text or JSON via `ftc_obs::render_*`.
+    /// the obs registry (latency histograms, gauges), the client, net and
+    /// recovery counter sets, the shared PFS, every node's
+    /// [`HvacServer::obs_samples`](crate::HvacServer::obs_samples), and
+    /// the ring health gauges. A killed node keeps what outlives its
+    /// server: its NVMe and what it shed. A revived node's server samples
+    /// restart from zero, as a restarted `ftc-server`'s do. One call
+    /// renders to Prometheus text or JSON via `ftc_obs::render_*`.
     pub fn obs_samples(&self) -> Vec<ftc_obs::Sample> {
         use ftc_obs::Export;
         let mut out = self.hub.registry.export();
         let metrics = self.metrics();
         metrics.clients.export_into(&mut out);
-        out.push(ftc_obs::Sample::counter(
-            "ftc_pfs_reads_total",
-            metrics.pfs_total_reads,
-        ));
+        self.pfs.export_into(&mut out);
         out.push(ftc_obs::Sample::counter(
             "ftc_mover_files_recached_total",
             metrics.files_recached,
@@ -432,51 +422,23 @@ impl Cluster {
             metrics.recached_bytes,
         ));
         self.net.stats().export_into(&mut out);
-        for (i, cache) in self.caches.lock().iter().enumerate() {
-            let mut per_node = Vec::new();
-            cache.stats().export_into(&mut per_node);
-            for mut s in per_node {
-                s.labels.push(("node".to_owned(), i.to_string()));
-                out.push(s);
+        let mut nodes = Vec::new();
+        {
+            let servers = self.servers.lock();
+            let shed_base = self.shed_base.lock();
+            for (i, cache) in self.caches.lock().iter().enumerate() {
+                nodes.extend(match &servers[i] {
+                    Some(h) => h.obs_samples(),
+                    None => label_node(
+                        NodeId(i as u32),
+                        [cache.stats().export(), shed_base[i].export()].concat(),
+                    ),
+                });
             }
         }
-        // Per-node mover backpressure: queue depth (live gauge) and
-        // rejected enqueues (the observable cost of the bounded queue).
-        for (i, slot) in self.servers.lock().iter().enumerate() {
-            let Some(h) = slot else { continue };
-            let mut depth =
-                ftc_obs::Sample::gauge("ftc_mover_queue_depth", h.mover_queue_depth() as f64);
-            depth.labels.push(("node".to_owned(), i.to_string()));
-            out.push(depth);
-            let mut rejected = ftc_obs::Sample::counter(
-                "ftc_mover_enqueue_rejected_total",
-                h.mover_enqueue_rejected(),
-            );
-            rejected.labels.push(("node".to_owned(), i.to_string()));
-            out.push(rejected);
-            // Miss single-flight: how many PFS fetches the node led vs
-            // answered from an already-open flight.
-            let (leaders, coalesced, stale) = h.miss_flight_counts();
-            for (name, v) in [
-                ("ftc_server_pfs_flight_leaders_total", leaders),
-                ("ftc_server_pfs_coalesced_total", coalesced),
-                ("ftc_server_pfs_flight_retries_total", stale),
-            ] {
-                let mut s = ftc_obs::Sample::counter(name, v);
-                s.labels.push(("node".to_owned(), i.to_string()));
-                out.push(s);
-            }
-        }
-        // Per-node admission sheds, split by cause. Always exported (zero
-        // when admission is off) so overload dashboards are stable.
-        for (i, (cap, dead)) in self.sheds_per_node().into_iter().enumerate() {
-            let mut c = ftc_obs::Sample::counter("ftc_server_shed_capacity_total", cap);
-            c.labels.push(("node".to_owned(), i.to_string()));
-            out.push(c);
-            let mut d = ftc_obs::Sample::counter("ftc_server_shed_deadline_total", dead);
-            d.labels.push(("node".to_owned(), i.to_string()));
-            out.push(d);
-        }
+        // One contiguous block per family, nodes in order within it.
+        nodes.sort_by(|a, b| a.name.cmp(&b.name));
+        out.extend(nodes);
         // Recovery-engine counters, aggregated across every client that
         // runs one (zero-valued when none does, so dashboards are stable).
         let recovery = self
@@ -745,6 +707,41 @@ mod tests {
         assert!(text.contains("# TYPE ftc_ring_imbalance gauge"));
         let json = ftc_obs::render_json(&samples);
         assert!(json.contains("\"ftc_client_read_nvme_us\""));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn obs_samples_emit_each_series_once() {
+        let cluster = Cluster::start(ClusterConfig::small(3, FtPolicy::RingRecache)).expect("boot");
+        let paths = cluster.stage_dataset("train", 9, 16);
+        let c = cluster
+            .client_adaptive(0, Default::default(), Default::default())
+            .expect("client with engine and controller");
+        cluster.kill(NodeId(1));
+        for p in &paths {
+            c.read(p).unwrap();
+        }
+        let samples = cluster.obs_samples();
+        let mut seen = HashSet::new();
+        for s in &samples {
+            assert!(
+                seen.insert((&s.name, &s.labels)),
+                "{}{:?} exported twice",
+                s.name,
+                s.labels
+            );
+        }
+        // The dead node keeps what outlives its server: NVMe and sheds.
+        let dead: Vec<&str> = samples
+            .iter()
+            .filter(|s| s.labels == [("node".to_owned(), "1".to_owned())])
+            .map(|s| s.name.as_str())
+            .collect();
+        assert!(
+            dead.contains(&"ftc_nvme_hits_total")
+                && dead.contains(&"ftc_server_shed_capacity_total")
+        );
+        assert!(!dead.contains(&"ftc_mover_queue_depth"), "{dead:?}");
         cluster.shutdown();
     }
 

@@ -61,4 +61,4 @@ pub use policy::{FtConfig, FtPolicy, PlacementKind, RetryPolicy};
 pub use proto::{CacheRequest, CacheResponse, ServeSource};
 pub use recovery::{RecoveryConfig, RecoveryEngine, RecoveryStatsSnapshot};
 pub use server::{CacheNet, HvacServer, ServerHandle};
-pub use singleflight::{SingleFlight, SingleFlightStats};
+pub use singleflight::SingleFlight;

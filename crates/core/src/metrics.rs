@@ -7,287 +7,65 @@
 
 use ftc_storage::NvmeStats;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free per-client counters (shared across threads via `Arc`).
-#[derive(Debug, Default)]
-pub struct ClientMetrics {
-    /// Successful reads returned to the application.
-    pub reads_ok: AtomicU64,
-    /// Reads served from some node's NVMe (local or remote).
-    pub nvme_hits: AtomicU64,
-    /// Reads a server satisfied by fetching from the PFS (miss + recache
-    /// path).
-    pub pfs_fetches_via_server: AtomicU64,
-    /// Reads the client satisfied by going to the PFS directly (the
-    /// PFS-redirection policy, or the pre-declaration suspect window).
-    pub pfs_direct_reads: AtomicU64,
-    /// RPC timeouts observed.
-    pub rpc_timeouts: AtomicU64,
-    /// Requests retried after a timeout.
-    pub retries: AtomicU64,
-    /// Nodes this client has declared failed.
-    pub nodes_declared_failed: AtomicU64,
-    /// Bytes delivered to the application.
-    pub bytes_read: AtomicU64,
-    /// Replicas pushed to ring successors (replication extension).
-    pub replicas_written: AtomicU64,
-    /// Replica puts that failed (counted per failed attempt, including
-    /// the retry — a silent replica loss is a durability lie).
-    pub replica_write_failures: AtomicU64,
-    /// Replicas parked as hints for an unreachable target, to be drained
-    /// by the recovery engine when the node rejoins.
-    pub replicas_hinted: AtomicU64,
-    /// `Overloaded` replies observed (server shed the request). Balanced
-    /// against the servers' shed counters by the chaos accounting
-    /// invariant — and deliberately disjoint from `rpc_timeouts`.
-    pub overloaded_observed: AtomicU64,
-    /// Foreground reads diverted to the PFS because the owner shed them.
-    pub shed_pfs_fallbacks: AtomicU64,
-    /// Hedged reads actually launched (second RPC issued).
-    pub hedges_launched: AtomicU64,
-    /// Hedged reads where the hedge beat the primary.
-    pub hedges_won: AtomicU64,
-    /// Reads short-circuited by an open per-node circuit breaker.
-    pub breaker_short_circuits: AtomicU64,
-    /// Retries refused because the retry token budget ran dry.
-    pub budget_denied: AtomicU64,
-    /// Reads answered from another reader's in-flight result (the
-    /// single-flight follower path): no RPC issued at all.
-    pub coalesced_reads: AtomicU64,
-    /// Reads that led a single-flight group (executed while duplicates
-    /// waited). Equals `reads_ok + errors` when no duplicates exist.
-    pub singleflight_leaders: AtomicU64,
-    /// Follower waits discarded because the published result carried a
-    /// stale ring epoch (or the leader vanished) — the read re-executed
-    /// independently rather than serve old-regime bytes.
-    pub coalesced_stale_retries: AtomicU64,
-}
-
-/// Plain-value snapshot of [`ClientMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClientMetricsSnapshot {
-    /// See [`ClientMetrics::reads_ok`].
-    pub reads_ok: u64,
-    /// See [`ClientMetrics::nvme_hits`].
-    pub nvme_hits: u64,
-    /// See [`ClientMetrics::pfs_fetches_via_server`].
-    pub pfs_fetches_via_server: u64,
-    /// See [`ClientMetrics::pfs_direct_reads`].
-    pub pfs_direct_reads: u64,
-    /// See [`ClientMetrics::rpc_timeouts`].
-    pub rpc_timeouts: u64,
-    /// See [`ClientMetrics::retries`].
-    pub retries: u64,
-    /// See [`ClientMetrics::nodes_declared_failed`].
-    pub nodes_declared_failed: u64,
-    /// See [`ClientMetrics::bytes_read`].
-    pub bytes_read: u64,
-    /// See [`ClientMetrics::replicas_written`].
-    pub replicas_written: u64,
-    /// See [`ClientMetrics::replica_write_failures`].
-    pub replica_write_failures: u64,
-    /// See [`ClientMetrics::replicas_hinted`].
-    pub replicas_hinted: u64,
-    /// See [`ClientMetrics::overloaded_observed`].
-    pub overloaded_observed: u64,
-    /// See [`ClientMetrics::shed_pfs_fallbacks`].
-    pub shed_pfs_fallbacks: u64,
-    /// See [`ClientMetrics::hedges_launched`].
-    pub hedges_launched: u64,
-    /// See [`ClientMetrics::hedges_won`].
-    pub hedges_won: u64,
-    /// See [`ClientMetrics::breaker_short_circuits`].
-    pub breaker_short_circuits: u64,
-    /// See [`ClientMetrics::budget_denied`].
-    pub budget_denied: u64,
-    /// See [`ClientMetrics::coalesced_reads`].
-    #[serde(default)]
-    pub coalesced_reads: u64,
-    /// See [`ClientMetrics::singleflight_leaders`].
-    #[serde(default)]
-    pub singleflight_leaders: u64,
-    /// See [`ClientMetrics::coalesced_stale_retries`].
-    #[serde(default)]
-    pub coalesced_stale_retries: u64,
-}
-
-impl ClientMetrics {
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> ClientMetricsSnapshot {
-        // ordering: Relaxed on every load — these are independent
-        // monotone tallies with no cross-counter invariant (unlike
-        // ftc-net's NetStats): reports tolerate a torn view, and each
-        // counter is exact once its writer threads are joined.
-        ClientMetricsSnapshot {
-            reads_ok: self.reads_ok.load(Ordering::Relaxed),
-            nvme_hits: self.nvme_hits.load(Ordering::Relaxed),
-            pfs_fetches_via_server: self.pfs_fetches_via_server.load(Ordering::Relaxed),
-            pfs_direct_reads: self.pfs_direct_reads.load(Ordering::Relaxed),
-            // ordering: Relaxed — same independent-tally argument as above.
-            rpc_timeouts: self.rpc_timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            nodes_declared_failed: self.nodes_declared_failed.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            replicas_written: self.replicas_written.load(Ordering::Relaxed),
-            replica_write_failures: self.replica_write_failures.load(Ordering::Relaxed),
-            replicas_hinted: self.replicas_hinted.load(Ordering::Relaxed),
-            // ordering: Relaxed — same independent-tally argument as above.
-            overloaded_observed: self.overloaded_observed.load(Ordering::Relaxed),
-            shed_pfs_fallbacks: self.shed_pfs_fallbacks.load(Ordering::Relaxed),
-            hedges_launched: self.hedges_launched.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
-            breaker_short_circuits: self.breaker_short_circuits.load(Ordering::Relaxed),
-            budget_denied: self.budget_denied.load(Ordering::Relaxed),
-            // ordering: Relaxed — same independent-tally argument as above.
-            coalesced_reads: self.coalesced_reads.load(Ordering::Relaxed),
-            singleflight_leaders: self.singleflight_leaders.load(Ordering::Relaxed),
-            coalesced_stale_retries: self.coalesced_stale_retries.load(Ordering::Relaxed),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn inc(c: &AtomicU64) {
-        // ordering: Relaxed — pure statistic, publishes no data.
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn add(c: &AtomicU64, v: u64) {
-        // ordering: Relaxed — pure statistic, publishes no data.
-        c.fetch_add(v, Ordering::Relaxed);
-    }
-}
-
-impl ClientMetricsSnapshot {
-    /// Element-wise sum (aggregation across ranks). Saturating: a
-    /// long-running campaign or a fuzzed snapshot near `u64::MAX` must
-    /// aggregate to a pinned ceiling, not panic in debug or wrap in
-    /// release.
-    pub fn merge(&self, other: &Self) -> Self {
-        ClientMetricsSnapshot {
-            reads_ok: self.reads_ok.saturating_add(other.reads_ok),
-            nvme_hits: self.nvme_hits.saturating_add(other.nvme_hits),
-            pfs_fetches_via_server: self
-                .pfs_fetches_via_server
-                .saturating_add(other.pfs_fetches_via_server),
-            pfs_direct_reads: self.pfs_direct_reads.saturating_add(other.pfs_direct_reads),
-            rpc_timeouts: self.rpc_timeouts.saturating_add(other.rpc_timeouts),
-            retries: self.retries.saturating_add(other.retries),
-            nodes_declared_failed: self
-                .nodes_declared_failed
-                .saturating_add(other.nodes_declared_failed),
-            bytes_read: self.bytes_read.saturating_add(other.bytes_read),
-            replicas_written: self.replicas_written.saturating_add(other.replicas_written),
-            replica_write_failures: self
-                .replica_write_failures
-                .saturating_add(other.replica_write_failures),
-            replicas_hinted: self.replicas_hinted.saturating_add(other.replicas_hinted),
-            overloaded_observed: self
-                .overloaded_observed
-                .saturating_add(other.overloaded_observed),
-            shed_pfs_fallbacks: self
-                .shed_pfs_fallbacks
-                .saturating_add(other.shed_pfs_fallbacks),
-            hedges_launched: self.hedges_launched.saturating_add(other.hedges_launched),
-            hedges_won: self.hedges_won.saturating_add(other.hedges_won),
-            breaker_short_circuits: self
-                .breaker_short_circuits
-                .saturating_add(other.breaker_short_circuits),
-            budget_denied: self.budget_denied.saturating_add(other.budget_denied),
-            coalesced_reads: self.coalesced_reads.saturating_add(other.coalesced_reads),
-            singleflight_leaders: self
-                .singleflight_leaders
-                .saturating_add(other.singleflight_leaders),
-            coalesced_stale_retries: self
-                .coalesced_stale_retries
-                .saturating_add(other.coalesced_stale_retries),
-        }
-    }
-}
-
-impl ftc_obs::Export for ClientMetricsSnapshot {
-    fn export_into(&self, out: &mut Vec<ftc_obs::Sample>) {
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_reads_ok_total",
-            self.reads_ok,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_nvme_hits_total",
-            self.nvme_hits,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_pfs_fetches_via_server_total",
-            self.pfs_fetches_via_server,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_pfs_direct_reads_total",
-            self.pfs_direct_reads,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_rpc_timeouts_total",
-            self.rpc_timeouts,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_retries_total",
-            self.retries,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_nodes_declared_failed_total",
-            self.nodes_declared_failed,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_bytes_read_total",
-            self.bytes_read,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_replicas_written_total",
-            self.replicas_written,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_replica_write_failures_total",
-            self.replica_write_failures,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_replicas_hinted_total",
-            self.replicas_hinted,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_overloaded_total",
-            self.overloaded_observed,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_shed_pfs_fallbacks_total",
-            self.shed_pfs_fallbacks,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_hedges_launched_total",
-            self.hedges_launched,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_hedges_won_total",
-            self.hedges_won,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_breaker_short_circuits_total",
-            self.breaker_short_circuits,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_budget_denied_total",
-            self.budget_denied,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_coalesced_reads_total",
-            self.coalesced_reads,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_singleflight_leaders_total",
-            self.singleflight_leaders,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_client_coalesced_stale_retries_total",
-            self.coalesced_stale_retries,
-        ));
+ftc_obs::counter_set! {
+    /// Lock-free per-client counters (shared across threads via `Arc`).
+    /// Independent monotone tallies with no cross-counter invariant:
+    /// reports tolerate a torn view, and each counter is exact once its
+    /// writer threads are joined.
+    pub struct ClientMetrics => ClientMetricsSnapshot {
+        /// Successful reads returned to the application.
+        reads_ok: "ftc_client_reads_ok_total",
+        /// Reads served from some node's NVMe (local or remote).
+        nvme_hits: "ftc_client_nvme_hits_total",
+        /// Reads a server satisfied by fetching from the PFS (miss +
+        /// recache path).
+        pfs_fetches_via_server: "ftc_client_pfs_fetches_via_server_total",
+        /// Reads the client satisfied by going to the PFS directly (the
+        /// PFS-redirection policy, or the pre-declaration suspect window).
+        pfs_direct_reads: "ftc_client_pfs_direct_reads_total",
+        /// RPC timeouts observed.
+        rpc_timeouts: "ftc_client_rpc_timeouts_total",
+        /// Requests retried after a timeout.
+        retries: "ftc_client_retries_total",
+        /// Nodes this client has declared failed.
+        nodes_declared_failed: "ftc_client_nodes_declared_failed_total",
+        /// Bytes delivered to the application.
+        bytes_read: "ftc_client_bytes_read_total",
+        /// Replicas pushed to ring successors (replication extension).
+        replicas_written: "ftc_client_replicas_written_total",
+        /// Replica puts that failed (counted per failed attempt, including
+        /// the retry — a silent replica loss is a durability lie).
+        replica_write_failures: "ftc_client_replica_write_failures_total",
+        /// Replicas parked as hints for an unreachable target, to be
+        /// drained by the recovery engine when the node rejoins.
+        replicas_hinted: "ftc_client_replicas_hinted_total",
+        /// `Overloaded` replies observed (server shed the request).
+        /// Balanced against the servers' shed counters by the chaos
+        /// accounting invariant — and deliberately disjoint from
+        /// `rpc_timeouts`.
+        overloaded_observed: "ftc_client_overloaded_total",
+        /// Foreground reads diverted to the PFS because the owner shed
+        /// them.
+        shed_pfs_fallbacks: "ftc_client_shed_pfs_fallbacks_total",
+        /// Hedged reads actually launched (second RPC issued).
+        hedges_launched: "ftc_client_hedges_launched_total",
+        /// Hedged reads where the hedge beat the primary.
+        hedges_won: "ftc_client_hedges_won_total",
+        /// Reads short-circuited by an open per-node circuit breaker.
+        breaker_short_circuits: "ftc_client_breaker_short_circuits_total",
+        /// Retries refused because the retry token budget ran dry.
+        budget_denied: "ftc_client_budget_denied_total",
+        /// Reads answered from another reader's in-flight result (the
+        /// single-flight follower path): no RPC issued at all.
+        coalesced_reads: "ftc_client_coalesced_reads_total",
+        /// Reads that led a single-flight group (executed while duplicates
+        /// waited). Equals `reads_ok + errors` when no duplicates exist.
+        singleflight_leaders: "ftc_client_singleflight_leaders_total",
+        /// Follower waits discarded because the published result carried
+        /// a stale ring epoch (or the leader vanished) — the read
+        /// re-executed independently rather than serve old-regime bytes.
+        coalesced_stale_retries: "ftc_client_coalesced_stale_retries_total",
     }
 }
 
@@ -334,8 +112,8 @@ mod tests {
     #[test]
     fn snapshot_and_merge() {
         let m = ClientMetrics::default();
-        ClientMetrics::inc(&m.reads_ok);
-        ClientMetrics::add(&m.bytes_read, 100);
+        m.reads_ok.inc();
+        m.bytes_read.add(100);
         let a = m.snapshot();
         let b = ClientMetricsSnapshot {
             reads_ok: 2,

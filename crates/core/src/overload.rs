@@ -37,7 +37,7 @@ use ftc_time::ClockHandle;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Default admission capacity when armored.
@@ -157,6 +157,16 @@ pub enum ShedReason {
     DeadlineHopeless,
 }
 
+ftc_obs::counter_set! {
+    /// Requests admission control shed, by [`ShedReason`].
+    pub struct ShedStats => ShedStatsSnapshot {
+        /// [`ShedReason::QueueFull`].
+        capacity: "ftc_server_shed_capacity_total",
+        /// [`ShedReason::DeadlineHopeless`].
+        deadline: "ftc_server_shed_deadline_total",
+    }
+}
+
 /// Admission control as a gate on the serving thread: the server asks
 /// [`Admission::admit`] before it serves a request and reports the
 /// service time to [`Admission::done`] after. Sheds are counted per
@@ -167,8 +177,7 @@ pub(crate) struct Admission {
     /// Requests admitted and not yet [`done`](Admission::done).
     in_flight: AtomicUsize,
     ewma: Mutex<EwmaEstimator>,
-    shed_capacity: AtomicU64,
-    shed_deadline: AtomicU64,
+    sheds: ShedStats,
 }
 
 impl Admission {
@@ -178,8 +187,7 @@ impl Admission {
             config,
             in_flight: AtomicUsize::new(0),
             ewma: Mutex::new(EwmaEstimator::new(EWMA_ALPHA)),
-            shed_capacity: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
+            sheds: ShedStats::default(),
         }
     }
 
@@ -194,16 +202,16 @@ impl Admission {
     /// passes. An admitted request holds the node until
     /// [`done`](Self::done); `Err` is a shed, already counted.
     pub fn admit(&self, exempt: bool, waited: Duration, ahead: usize) -> Result<(), ShedReason> {
-        // ordering: Relaxed — the counts are an admission heuristic and
-        // monotone shed tallies; a momentarily stale view admits or sheds
-        // one request early, both fine, and no data rides on them.
+        // ordering: Relaxed — the count is an admission heuristic; a
+        // momentarily stale view admits or sheds one request early, both
+        // fine, and no data rides on it.
         if !exempt {
             if self.in_flight.load(Ordering::Relaxed) + ahead >= self.config.queue_capacity {
-                self.shed_capacity.fetch_add(1, Ordering::Relaxed);
+                self.sheds.capacity.inc();
                 return Err(ShedReason::QueueFull);
             }
             if waited + self.ewma.lock().estimate() > self.config.assumed_ttl {
-                self.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                self.sheds.deadline.inc();
                 return Err(ShedReason::DeadlineHopeless);
             }
         }
@@ -220,13 +228,9 @@ impl Admission {
         self.ewma.lock().observe(took);
     }
 
-    /// Requests shed so far, by cause: `(queue_full, deadline_hopeless)`.
-    pub fn sheds(&self) -> (u64, u64) {
-        // ordering: Relaxed — monotone statistics, metrics tolerate lag.
-        (
-            self.shed_capacity.load(Ordering::Relaxed),
-            self.shed_deadline.load(Ordering::Relaxed),
-        )
+    /// Requests shed so far, by cause.
+    pub fn sheds(&self) -> ShedStatsSnapshot {
+        self.sheds.snapshot()
     }
 }
 
@@ -649,7 +653,8 @@ mod tests {
             gate.done(MS);
         }
         assert_eq!(gate.admit(false, Duration::ZERO, 1), Ok(()));
-        assert_eq!(gate.sheds(), (2, 0));
+        let sheds = gate.sheds();
+        assert_eq!((sheds.capacity, sheds.deadline), (2, 0));
     }
 
     #[test]
@@ -668,7 +673,8 @@ mod tests {
         gate.done(8 * MS);
         // Within the deadline it serves normally.
         assert_eq!(gate.admit(false, MS, 0), Ok(()));
-        assert_eq!(gate.sheds(), (0, 1));
+        let sheds = gate.sheds();
+        assert_eq!((sheds.capacity, sheds.deadline), (0, 1));
     }
 
     #[test]

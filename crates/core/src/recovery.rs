@@ -233,225 +233,54 @@ impl HintStore {
     }
 }
 
-/// Lock-free counters for everything the engine does. All orderings are
-/// Relaxed: pure monotone statistics, no cross-counter invariant.
-#[derive(Debug, Default)]
-pub struct RecoveryStats {
-    /// Keys pushed to their new owner by proactive recache.
-    pub recache_pushed: AtomicU64,
-    /// Times the token bucket made the engine wait.
-    pub recache_throttled: AtomicU64,
-    /// Bucket refills clamped because `now` was behind the last refill
-    /// (stale snapshot under a virtual-time burst): no credit granted.
-    pub throttle_refill_clamped: AtomicU64,
-    /// Keys skipped because the lazy path already re-homed them.
-    pub recache_skipped: AtomicU64,
-    /// Keys abandoned after exhausting push retries.
-    pub recache_failed: AtomicU64,
-    /// Recache/hint work rejected by epoch fencing.
-    pub stale_epoch_rejected: AtomicU64,
-    /// Recovery work rejected because the runtime controller retired its
-    /// policy epoch (or posture) before it ran.
-    pub policy_fenced: AtomicU64,
-    /// Hints parked.
-    pub hints_parked: AtomicU64,
-    /// Hints dropped by the bound (drop-oldest).
-    pub hints_dropped: AtomicU64,
-    /// Hints delivered on rejoin.
-    pub hints_drained: AtomicU64,
-    /// Readmission probes sent.
-    pub probes_sent: AtomicU64,
-    /// Rejoins detected by probing.
-    pub rejoins_detected: AtomicU64,
-    /// Keys a revived node re-adopted after digest reconciliation.
-    pub reconcile_adopted: AtomicU64,
-    /// Keys evicted from a revived node (no longer owned).
-    pub reconcile_evicted: AtomicU64,
-    /// Recovery jobs started (one per declared node).
-    pub recoveries_started: AtomicU64,
-    /// Recovery jobs completed.
-    pub recoveries_quiesced: AtomicU64,
-}
-
-/// Plain-value snapshot of [`RecoveryStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct RecoveryStatsSnapshot {
-    pub recache_pushed: u64,
-    pub recache_throttled: u64,
-    pub throttle_refill_clamped: u64,
-    pub recache_skipped: u64,
-    pub recache_failed: u64,
-    pub stale_epoch_rejected: u64,
-    pub policy_fenced: u64,
-    pub hints_parked: u64,
-    pub hints_dropped: u64,
-    pub hints_drained: u64,
-    pub probes_sent: u64,
-    pub rejoins_detected: u64,
-    pub reconcile_adopted: u64,
-    pub reconcile_evicted: u64,
-    pub recoveries_started: u64,
-    pub recoveries_quiesced: u64,
-}
-
-impl RecoveryStats {
-    fn inc(c: &AtomicU64) {
-        // ordering: Relaxed — pure statistic, publishes no data.
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn add(c: &AtomicU64, v: u64) {
-        // ordering: Relaxed — pure statistic, publishes no data.
-        c.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Snapshot every counter.
-    pub fn snapshot(&self) -> RecoveryStatsSnapshot {
-        // ordering: Relaxed on every load — independent monotone tallies;
-        // reports tolerate a torn view.
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        RecoveryStatsSnapshot {
-            recache_pushed: ld(&self.recache_pushed),
-            recache_throttled: ld(&self.recache_throttled),
-            throttle_refill_clamped: ld(&self.throttle_refill_clamped),
-            recache_skipped: ld(&self.recache_skipped),
-            recache_failed: ld(&self.recache_failed),
-            stale_epoch_rejected: ld(&self.stale_epoch_rejected),
-            policy_fenced: ld(&self.policy_fenced),
-            hints_parked: ld(&self.hints_parked),
-            hints_dropped: ld(&self.hints_dropped),
-            hints_drained: ld(&self.hints_drained),
-            probes_sent: ld(&self.probes_sent),
-            rejoins_detected: ld(&self.rejoins_detected),
-            reconcile_adopted: ld(&self.reconcile_adopted),
-            reconcile_evicted: ld(&self.reconcile_evicted),
-            recoveries_started: ld(&self.recoveries_started),
-            recoveries_quiesced: ld(&self.recoveries_quiesced),
-        }
+ftc_obs::counter_set! {
+    /// Lock-free counters for everything the engine does: independent
+    /// monotone tallies, no cross-counter invariant.
+    pub struct RecoveryStats => RecoveryStatsSnapshot {
+        /// Keys pushed to their new owner by proactive recache.
+        recache_pushed: "ftc_recovery_pushed_total",
+        /// Times the token bucket made the engine wait.
+        recache_throttled: "ftc_recovery_throttled_total",
+        /// Bucket refills clamped because `now` was behind the last refill
+        /// (stale snapshot under a virtual-time burst): no credit granted.
+        throttle_refill_clamped: "ftc_recovery_throttle_refill_clamped_total",
+        /// Keys skipped because the lazy path already re-homed them.
+        recache_skipped: "ftc_recovery_skipped_total",
+        /// Keys abandoned after exhausting push retries.
+        recache_failed: "ftc_recovery_failed_total",
+        /// Recache/hint work rejected by epoch fencing.
+        stale_epoch_rejected: "ftc_recovery_stale_epoch_rejected_total",
+        /// Recovery work rejected because the runtime controller retired
+        /// its policy epoch (or posture) before it ran.
+        policy_fenced: "ftc_recovery_policy_fenced_total",
+        /// Hints parked.
+        hints_parked: "ftc_recovery_hints_parked_total",
+        /// Hints dropped by the bound (drop-oldest).
+        hints_dropped: "ftc_recovery_hints_dropped_total",
+        /// Hints delivered on rejoin.
+        hints_drained: "ftc_recovery_hints_drained_total",
+        /// Readmission probes sent.
+        probes_sent: "ftc_recovery_probes_total",
+        /// Rejoins detected by probing.
+        rejoins_detected: "ftc_recovery_rejoins_detected_total",
+        /// Keys a revived node re-adopted after digest reconciliation.
+        reconcile_adopted: "ftc_recovery_reconcile_adopted_total",
+        /// Keys evicted from a revived node (no longer owned).
+        reconcile_evicted: "ftc_recovery_reconcile_evicted_total",
+        /// Recovery jobs started (one per declared node).
+        recoveries_started: "ftc_recovery_started_total",
+        /// Recovery jobs completed.
+        recoveries_quiesced: "ftc_recovery_quiesced_total",
     }
 }
 
-impl RecoveryStatsSnapshot {
-    /// Element-wise saturating sum (aggregation across clients).
-    pub fn merge(&self, other: &Self) -> Self {
-        RecoveryStatsSnapshot {
-            recache_pushed: self.recache_pushed.saturating_add(other.recache_pushed),
-            recache_throttled: self
-                .recache_throttled
-                .saturating_add(other.recache_throttled),
-            throttle_refill_clamped: self
-                .throttle_refill_clamped
-                .saturating_add(other.throttle_refill_clamped),
-            recache_skipped: self.recache_skipped.saturating_add(other.recache_skipped),
-            recache_failed: self.recache_failed.saturating_add(other.recache_failed),
-            stale_epoch_rejected: self
-                .stale_epoch_rejected
-                .saturating_add(other.stale_epoch_rejected),
-            policy_fenced: self.policy_fenced.saturating_add(other.policy_fenced),
-            hints_parked: self.hints_parked.saturating_add(other.hints_parked),
-            hints_dropped: self.hints_dropped.saturating_add(other.hints_dropped),
-            hints_drained: self.hints_drained.saturating_add(other.hints_drained),
-            probes_sent: self.probes_sent.saturating_add(other.probes_sent),
-            rejoins_detected: self.rejoins_detected.saturating_add(other.rejoins_detected),
-            reconcile_adopted: self
-                .reconcile_adopted
-                .saturating_add(other.reconcile_adopted),
-            reconcile_evicted: self
-                .reconcile_evicted
-                .saturating_add(other.reconcile_evicted),
-            recoveries_started: self
-                .recoveries_started
-                .saturating_add(other.recoveries_started),
-            recoveries_quiesced: self
-                .recoveries_quiesced
-                .saturating_add(other.recoveries_quiesced),
-        }
-    }
-}
-
-impl ftc_obs::Export for RecoveryStatsSnapshot {
-    fn export_into(&self, out: &mut Vec<ftc_obs::Sample>) {
-        use ftc_obs::Sample;
-        out.push(Sample::counter(
-            "ftc_recovery_pushed_total",
-            self.recache_pushed,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_throttled_total",
-            self.recache_throttled,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_throttle_refill_clamped_total",
-            self.throttle_refill_clamped,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_skipped_total",
-            self.recache_skipped,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_failed_total",
-            self.recache_failed,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_stale_epoch_rejected_total",
-            self.stale_epoch_rejected,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_policy_fenced_total",
-            self.policy_fenced,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_hints_parked_total",
-            self.hints_parked,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_hints_dropped_total",
-            self.hints_dropped,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_hints_drained_total",
-            self.hints_drained,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_probes_total",
-            self.probes_sent,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_rejoins_detected_total",
-            self.rejoins_detected,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_reconcile_adopted_total",
-            self.reconcile_adopted,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_reconcile_evicted_total",
-            self.reconcile_evicted,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_started_total",
-            self.recoveries_started,
-        ));
-        out.push(Sample::counter(
-            "ftc_recovery_quiesced_total",
-            self.recoveries_quiesced,
-        ));
-    }
-}
-
-/// Registry handles cached at engine start (no-op when the client has no
-/// observability hub attached).
+/// The cluster hub's instruments the engine feeds (unset when the client
+/// has no observability hub attached). The counters are not here: the
+/// cluster exports [`RecoveryStats`] itself.
 struct RecoveryObs {
     hub: Arc<ftc_obs::ObsHub>,
     actor: String,
     queue_depth: Arc<ftc_obs::Gauge>,
-    throttled: Arc<ftc_obs::Counter>,
-    refill_clamped: Arc<ftc_obs::Counter>,
-    stale_rejected: Arc<ftc_obs::Counter>,
-    policy_fenced: Arc<ftc_obs::Counter>,
-    hints_parked: Arc<ftc_obs::Counter>,
-    hints_drained: Arc<ftc_obs::Counter>,
     duration_us: Arc<ftc_obs::Histogram>,
 }
 
@@ -536,16 +365,6 @@ impl RecoveryEngine {
                 hub: Arc::clone(&hub),
                 actor: format!("recovery:{}", client.node()),
                 queue_depth: hub.registry.gauge("ftc_recovery_queue_depth"),
-                throttled: hub.registry.counter("ftc_recovery_throttled_total"),
-                refill_clamped: hub
-                    .registry
-                    .counter("ftc_recovery_throttle_refill_clamped_total"),
-                stale_rejected: hub
-                    .registry
-                    .counter("ftc_recovery_stale_epoch_rejected_total"),
-                policy_fenced: hub.registry.counter("ftc_recovery_policy_fenced_total"),
-                hints_parked: hub.registry.counter("ftc_recovery_hints_parked_total"),
-                hints_drained: hub.registry.counter("ftc_recovery_hints_drained_total"),
                 duration_us: hub.registry.histogram("ftc_recovery_duration_us"),
             });
         }
@@ -618,11 +437,8 @@ impl RecoveryEngine {
             },
             self.config.max_hints,
         );
-        RecoveryStats::inc(&self.stats.hints_parked);
-        RecoveryStats::add(&self.stats.hints_dropped, dropped as u64);
-        if let Some(obs) = self.obs.get() {
-            obs.hints_parked.inc();
-        }
+        self.stats.hints_parked.inc();
+        self.stats.hints_dropped.add(dropped as u64);
     }
 
     /// Hints currently parked.
@@ -817,10 +633,7 @@ impl Worker {
                 // path re-homes keys on first access instead. Probes
                 // still run below; readmission is posture-independent.
                 if !cli.live_policy().proactive() {
-                    RecoveryStats::inc(&eng.stats.policy_fenced);
-                    if let Some(obs) = eng.obs.get() {
-                        obs.policy_fenced.inc();
-                    }
+                    eng.stats.policy_fenced.inc();
                     eng.flight("policy_fenced", format!("recache {node}: lazy posture"));
                     eng.task_done();
                 } else if !self.inflight.insert(node.0) {
@@ -831,7 +644,7 @@ impl Worker {
                     eng.task_done();
                 } else {
                     let keys: VecDeque<String> = cli.key_index().keys_of(node.0).into();
-                    RecoveryStats::inc(&eng.stats.recoveries_started);
+                    eng.stats.recoveries_started.inc();
                     eng.mark_phase(node, ftc_obs::Phase::RecoveryStart);
                     eng.flight("recovery_start", format!("{node}: {} keys", keys.len()));
                     self.jobs.push_back(RecacheJob {
@@ -877,10 +690,7 @@ impl Worker {
         // (wrong posture, wrong throttle, wrong RF). Reject the rest of
         // the job — the lazy read path re-homes any key still needed.
         if cli.live_policy().epoch() != job.policy_epoch {
-            RecoveryStats::inc(&eng.stats.policy_fenced);
-            if let Some(obs) = eng.obs.get() {
-                obs.policy_fenced.inc();
-            }
+            eng.stats.policy_fenced.inc();
             eng.flight(
                 "policy_fenced",
                 format!(
@@ -901,16 +711,10 @@ impl Worker {
             // the PFS.
             let (granted, clamped) = eng.bucket.lock().try_take(self.clock.now());
             if clamped {
-                RecoveryStats::inc(&eng.stats.throttle_refill_clamped);
-                if let Some(obs) = eng.obs.get() {
-                    obs.refill_clamped.inc();
-                }
+                eng.stats.throttle_refill_clamped.inc();
             }
             if !granted {
-                RecoveryStats::inc(&eng.stats.recache_throttled);
-                if let Some(obs) = eng.obs.get() {
-                    obs.throttled.inc();
-                }
+                eng.stats.recache_throttled.inc();
                 job.keys.push_front(key);
                 let nap = eng
                     .bucket
@@ -928,16 +732,13 @@ impl Worker {
             match cli.owner_of(&key) {
                 None => {
                     // Ring emptied out from under us; nothing to push to.
-                    RecoveryStats::inc(&eng.stats.recache_failed);
+                    eng.stats.recache_failed.inc();
                 }
                 Some(owner) if owner == job.node => {
                     // The dead node re-owns the key: it rejoined while
                     // this job was queued. Pushing the stale assignment
                     // would fight the warm-rejoin reconcile — reject it.
-                    RecoveryStats::inc(&eng.stats.stale_epoch_rejected);
-                    if let Some(obs) = eng.obs.get() {
-                        obs.stale_rejected.inc();
-                    }
+                    eng.stats.stale_epoch_rejected.inc();
                     eng.flight(
                         "stale_epoch_rejected",
                         format!("{key}: epoch {} -> {cur_epoch}", job.epoch),
@@ -948,15 +749,15 @@ impl Worker {
                         // The lazy path already re-homed this key (a
                         // foreground read recached it); pushing again
                         // would double the PFS traffic.
-                        RecoveryStats::inc(&eng.stats.recache_skipped);
+                        eng.stats.recache_skipped.inc();
                         continue;
                     }
                     match cli.pfs_read(&key) {
-                        None => RecoveryStats::inc(&eng.stats.recache_failed),
+                        None => eng.stats.recache_failed.inc(),
                         Some(bytes) => {
                             if cli.push_object(owner, &key, &bytes) {
                                 cli.key_index().record(owner.0, &key);
-                                RecoveryStats::inc(&eng.stats.recache_pushed);
+                                eng.stats.recache_pushed.inc();
                             } else {
                                 // Push failed — likely the successor is in
                                 // trouble too. Retry a bounded number of
@@ -967,7 +768,7 @@ impl Worker {
                                 if *tries <= eng.config.push_retries {
                                     job.keys.push_back(key);
                                 } else {
-                                    RecoveryStats::inc(&eng.stats.recache_failed);
+                                    eng.stats.recache_failed.inc();
                                     cli.key_index().forget(&key);
                                     eng.flight("recache_abandoned", key);
                                 }
@@ -983,7 +784,7 @@ impl Worker {
     fn finish(&mut self, eng: &Arc<RecoveryEngine>, job: RecacheJob) {
         self.inflight.remove(&job.node.0);
         let elapsed = self.clock.since(job.started);
-        RecoveryStats::inc(&eng.stats.recoveries_quiesced);
+        eng.stats.recoveries_quiesced.inc();
         eng.mark_phase(job.node, ftc_obs::Phase::RecoveryQuiesced);
         if let Some(obs) = eng.obs.get() {
             obs.duration_us.record_micros(elapsed);
@@ -1007,10 +808,10 @@ impl Worker {
             self.probing.remove(&node.0);
             return;
         }
-        RecoveryStats::inc(&eng.stats.probes_sent);
+        eng.stats.probes_sent.inc();
         if cli.probe_ping(node) {
             self.probing.remove(&node.0);
-            RecoveryStats::inc(&eng.stats.rejoins_detected);
+            eng.stats.rejoins_detected.inc();
             eng.flight("probe_rejoin", node.to_string());
             // readmit() notifies the engine, whose Rejoined task performs
             // the warm reconcile and hint drain.
@@ -1042,8 +843,8 @@ impl Worker {
                 evicted += 1;
             }
         }
-        RecoveryStats::add(&eng.stats.reconcile_adopted, adopted);
-        RecoveryStats::add(&eng.stats.reconcile_evicted, evicted);
+        eng.stats.reconcile_adopted.add(adopted);
+        eng.stats.reconcile_evicted.add(evicted);
         eng.flight(
             "reconcile",
             format!("{node}: adopted {adopted}, evicted {evicted}"),
@@ -1071,19 +872,11 @@ impl Worker {
                 }
                 drained += 1;
             } else {
-                RecoveryStats::inc(&eng.stats.stale_epoch_rejected);
-                if let Some(obs) = eng.obs.get() {
-                    obs.stale_rejected.inc();
-                }
+                eng.stats.stale_epoch_rejected.inc();
                 rejected += 1;
             }
         }
-        RecoveryStats::add(&eng.stats.hints_drained, drained);
-        if let Some(obs) = eng.obs.get() {
-            for _ in 0..drained {
-                obs.hints_drained.inc();
-            }
-        }
+        eng.stats.hints_drained.add(drained);
         eng.flight(
             "hints_drained",
             format!("{node}: delivered {drained}, rejected {rejected}"),
@@ -1222,8 +1015,8 @@ mod tests {
     fn stats_snapshot_and_export() {
         use ftc_obs::{Export, Value};
         let st = RecoveryStats::default();
-        RecoveryStats::inc(&st.recache_pushed);
-        RecoveryStats::add(&st.hints_drained, 5);
+        st.recache_pushed.inc();
+        st.hints_drained.add(5);
         let snap = st.snapshot();
         assert_eq!(snap.recache_pushed, 1);
         assert_eq!(snap.hints_drained, 5);

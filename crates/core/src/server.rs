@@ -7,15 +7,16 @@
 //! failed node's keys — the recache path *is* the miss path.
 
 use crate::error::CoreError;
-use crate::overload::{Admission, AdmissionConfig};
+use crate::overload::{Admission, AdmissionConfig, ShedStatsSnapshot};
 use crate::proto::{CacheRequest, CacheResponse, ServeSource};
 use crate::singleflight::{Join, SingleFlight};
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Inbound, Listener, Transport};
 use ftc_net::{Network, TraceEventKind};
+use ftc_obs::{Export, Sample};
 use ftc_storage::{DataMover, NvmeCache, Pfs, ValueBuf};
 use ftc_time::ClockHandle;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Shorthand for the cache-protocol network.
@@ -25,6 +26,28 @@ pub type CacheNet = Network<CacheRequest, CacheResponse>;
 /// fetching independently. Generous against any simulated PFS latency;
 /// reached only if the leading request unwound without publishing.
 const MISS_FLIGHT_TIMEOUT: Duration = Duration::from_secs(10);
+
+ftc_obs::counter_set! {
+    /// The miss single-flight's tallies: PFS fetches a node led vs
+    /// answered from a fetch already open.
+    pub struct MissFlightStats => MissFlightStatsSnapshot {
+        /// Misses that led a flight: one PFS read each.
+        leaders: "ftc_server_pfs_flight_leaders_total",
+        /// Misses answered from another request's open fetch.
+        coalesced: "ftc_server_pfs_coalesced_total",
+        /// Follower waits that ended without a result (the leader
+        /// unwound) and fetched independently.
+        stale_retries: "ftc_server_pfs_flight_retries_total",
+    }
+}
+
+/// Label every sample with `node`.
+pub(crate) fn label_node(node: NodeId, samples: Vec<Sample>) -> Vec<Sample> {
+    samples
+        .into_iter()
+        .map(|s| s.with_label("node", node.0))
+        .collect()
+}
 
 /// The request-serving half of a node.
 pub struct HvacServer {
@@ -38,6 +61,7 @@ pub struct HvacServer {
     /// Open PFS fetches, single-flighted by key: a storm of concurrent
     /// misses for one file costs one PFS read, not one per request.
     miss_flights: SingleFlight<Option<ValueBuf>>,
+    flight_stats: MissFlightStats,
     /// The gate [`serve`](Self::serve) puts in front of every request.
     admission: Admission,
 }
@@ -86,6 +110,7 @@ impl HvacServer {
             mover,
             clock,
             miss_flights: SingleFlight::default(),
+            flight_stats: MissFlightStats::default(),
             admission: Admission::new(admission),
         })
     }
@@ -115,22 +140,34 @@ impl HvacServer {
         self.mover.queue_depth()
     }
 
-    /// Recache enqueues rejected because the mover queue was full.
-    pub fn mover_enqueue_rejected(&self) -> u64 {
-        self.mover.rejected()
-    }
-
-    /// Requests shed by admission control, split by cause:
-    /// `(queue_full, deadline_hopeless)`. Zero while admission is off.
-    pub fn sheds(&self) -> (u64, u64) {
+    /// Requests shed by admission control, by cause. Zero while
+    /// admission is off.
+    pub fn sheds(&self) -> ShedStatsSnapshot {
         self.admission.sheds()
     }
 
-    /// The miss single-flight counters: `(leaders, coalesced, stale
-    /// retries)` — PFS fetches this node led vs answered from a fetch
-    /// already open.
-    pub fn miss_flight_counts(&self) -> (u64, u64, u64) {
-        self.miss_flights.stats().snapshot()
+    /// The miss single-flight counters.
+    pub fn miss_flight_stats(&self) -> MissFlightStatsSnapshot {
+        self.flight_stats.snapshot()
+    }
+
+    /// This node's samples, each labelled `node`: its NVMe cache, the
+    /// mover's backlog and rejected enqueues (the cost of its bounded
+    /// queue), admission sheds and the miss single-flight. The in-process
+    /// cluster and `ftc-server --prom` both expose this set per node.
+    pub fn obs_samples(&self) -> Vec<Sample> {
+        let mut out = self.cache.stats().export();
+        out.push(Sample::gauge(
+            "ftc_mover_queue_depth",
+            self.mover.queue_depth() as f64,
+        ));
+        out.push(Sample::counter(
+            "ftc_mover_enqueue_rejected_total",
+            self.mover.rejected(),
+        ));
+        self.sheds().export_into(&mut out);
+        self.miss_flight_stats().export_into(&mut out);
+        label_node(self.node, out)
     }
 
     /// Serve one request behind admission control: the sink every
@@ -276,10 +313,9 @@ impl HvacServer {
     /// server is called from every connection thread at once, and a key
     /// that several clients miss together costs one PFS read.
     fn pfs_fetch_coalesced(&self, path: &str) -> Option<(ValueBuf, bool)> {
-        let stats = Arc::clone(self.miss_flights.stats());
         match self.miss_flights.join(path) {
             Join::Leader(leader) => {
-                stats.note_leader();
+                self.flight_stats.leaders.inc();
                 let fetched = self.pfs.read(path);
                 // Servers have no ring view; the epoch stamp is unused
                 // on this path (PFS contents are immutable per key).
@@ -289,13 +325,13 @@ impl HvacServer {
             Join::Follower(follower) => {
                 match follower.wait(&self.clock, MISS_FLIGHT_TIMEOUT) {
                     Some(p) => {
-                        stats.note_coalesced();
+                        self.flight_stats.coalesced.inc();
                         p.value.map(|b| (b, false))
                     }
                     // Leader unwound without publishing: fetch
                     // independently and take over its recache duty.
                     None => {
-                        stats.note_stale_retry();
+                        self.flight_stats.stale_retries.inc();
                         self.pfs.read(path).map(|b| (b, true))
                     }
                 }
@@ -364,6 +400,13 @@ impl ServerHandle {
         let ServerHandle { listener, server } = self;
         drop(listener);
         Arc::try_unwrap(server).ok()
+    }
+
+    /// A reference that does not keep the server alive, for a hook (an
+    /// exposition scrape) that must not stop [`shutdown`](Self::shutdown)
+    /// from reclaiming it.
+    pub fn downgrade(&self) -> Weak<HvacServer> {
+        Arc::downgrade(&self.server)
     }
 }
 
@@ -631,7 +674,7 @@ mod tests {
                 .unwrap();
             assert!(matches!(r, CacheResponse::Data { .. }));
         }
-        assert_eq!(h.sheds(), (0, 0), "no backlog, no sheds");
+        assert_eq!(h.sheds(), Default::default(), "no backlog, no sheds");
         drop(h);
     }
 

@@ -52,7 +52,6 @@
 use ftc_time::ClockHandle;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -80,60 +79,15 @@ struct Flight<T> {
 
 type FlightMap<T> = Arc<Mutex<HashMap<String, Arc<Flight<T>>>>>;
 
-/// Leader/follower counters, shared with dashboards (`ftc-top`) and the
-/// bench harness.
-#[derive(Debug, Default)]
-pub struct SingleFlightStats {
-    /// Flights led: reads that actually executed.
-    pub leaders: AtomicU64,
-    /// Reads answered from another flight's published result.
-    pub coalesced: AtomicU64,
-    /// Follower waits that ended in a stale epoch or a vanished leader,
-    /// forcing an independent re-execution.
-    pub stale_retries: AtomicU64,
-}
-
-impl SingleFlightStats {
-    /// `(leaders, coalesced, stale_retries)` snapshot.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        // ordering: Relaxed — independent monotone tallies.
-        (
-            self.leaders.load(Ordering::Relaxed),
-            self.coalesced.load(Ordering::Relaxed),
-            self.stale_retries.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Count a led flight.
-    pub fn note_leader(&self) {
-        // ordering: Relaxed — pure statistic, publishes no data.
-        self.leaders.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a coalesced (follower-served) read.
-    pub fn note_coalesced(&self) {
-        // ordering: Relaxed — pure statistic, publishes no data.
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a follower wait that had to re-execute.
-    pub fn note_stale_retry(&self) {
-        // ordering: Relaxed — pure statistic, publishes no data.
-        self.stale_retries.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// A per-instance single-flight group keyed by path.
 pub struct SingleFlight<T> {
     flights: FlightMap<T>,
-    stats: Arc<SingleFlightStats>,
 }
 
 impl<T> Default for SingleFlight<T> {
     fn default() -> Self {
         SingleFlight {
             flights: Arc::new(Mutex::new(HashMap::new())),
-            stats: Arc::new(SingleFlightStats::default()),
         }
     }
 }
@@ -199,9 +153,8 @@ impl<T: Clone> Follower<T> {
 
 impl<T> SingleFlight<T> {
     /// Join the flight for `key`: the first caller leads, the rest
-    /// follow. Leader/coalesce accounting is the *caller's* job (via
-    /// [`Self::stats`]) so accepted vs stale follower outcomes are
-    /// attributed correctly.
+    /// follow. Leader/coalesce accounting is the *caller's* job, so
+    /// accepted vs stale follower outcomes are attributed correctly.
     pub fn join(&self, key: &str) -> Join<T> {
         let mut map = self.flights.lock();
         if let Some(flight) = map.get(key) {
@@ -221,11 +174,6 @@ impl<T> SingleFlight<T> {
         })
     }
 
-    /// Shared counters.
-    pub fn stats(&self) -> &Arc<SingleFlightStats> {
-        &self.stats
-    }
-
     /// Open flights right now (tests and dashboards).
     pub fn open_flights(&self) -> usize {
         self.flights.lock().len()
@@ -235,7 +183,7 @@ impl<T> SingleFlight<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     #[test]

@@ -11,14 +11,15 @@
 //! program-order preceded it (`rpcs_sent`, `dropped`), yielding nonsense
 //! like `rpcs_ok > rpcs_sent` or a cause-sum exceeding `dropped`.
 //!
-//! The fix is one-directional publication: completion counters are
-//! incremented with `Release`, and [`NetStats::snapshot`] loads every
-//! completion with `Acquire` *before* loading the initiations. `Release`
-//! read-modify-writes on one counter form a release sequence, so an
-//! `Acquire` load that observes a completion value synchronizes with all
-//! the increments it sums — making each writer's earlier
-//! initiation-increment visible to the snapshot's later loads. Hence a
-//! snapshot always satisfies:
+//! The fix is one-directional publication, and it lives in `ftc-obs`:
+//! the fields marked `completion` in the [`ftc_obs::counter_set!`]
+//! declaration below are incremented with `Release`, and
+//! [`NetStats::snapshot`] loads every completion with `Acquire` *before*
+//! loading the initiations. `Release` read-modify-writes on one counter
+//! form a release sequence, so an `Acquire` load that observes a
+//! completion value synchronizes with all the increments it sums — making
+//! each writer's earlier initiation-increment visible to the snapshot's
+//! later loads. Hence a snapshot always satisfies:
 //!
 //! * `rpcs_ok + timeouts ≤ rpcs_sent`
 //! * `dropped ≤ rpcs_sent` and `dropped_killed + dropped_link +
@@ -28,154 +29,61 @@
 //! with its completion not yet visible — an RPC that looks in-flight),
 //! which consumers tolerate by construction.
 
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use ftc_obs::Counter;
 
-/// Counters maintained by the transport; cheap enough to update on every
-/// RPC. See the module docs for the publication protocol that keeps
-/// snapshots free of completion-before-initiation anomalies.
-#[derive(Debug, Default)]
-pub struct NetStats {
-    /// RPCs initiated by any endpoint.
-    pub rpcs_sent: AtomicU64,
-    /// RPCs that received a response before their deadline.
-    pub rpcs_ok: AtomicU64,
-    /// RPCs that expired (including those to killed nodes).
-    pub timeouts: AtomicU64,
-    /// Messages discarded by fault injection, all causes. Always equals
-    /// `dropped_killed + dropped_link + dropped_partition`.
-    pub dropped: AtomicU64,
-    /// Messages discarded because the destination node was killed.
-    pub dropped_killed: AtomicU64,
-    /// Messages lost to link faults: i.i.d. drop probability or a flaky
-    /// link in its down phase.
-    pub dropped_link: AtomicU64,
-    /// Messages blocked by a (possibly one-way) partition rule.
-    pub dropped_partition: AtomicU64,
-    /// Payload bytes carried by delivered requests and replies.
-    pub bytes_sent: AtomicU64,
-}
-
-/// Plain-value copy of [`NetStats`] at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NetStatsSnapshot {
-    /// See [`NetStats::rpcs_sent`].
-    pub rpcs_sent: u64,
-    /// See [`NetStats::rpcs_ok`].
-    pub rpcs_ok: u64,
-    /// See [`NetStats::timeouts`].
-    pub timeouts: u64,
-    /// See [`NetStats::dropped`].
-    pub dropped: u64,
-    /// See [`NetStats::dropped_killed`].
-    pub dropped_killed: u64,
-    /// See [`NetStats::dropped_link`].
-    pub dropped_link: u64,
-    /// See [`NetStats::dropped_partition`].
-    pub dropped_partition: u64,
-    /// See [`NetStats::bytes_sent`].
-    pub bytes_sent: u64,
+ftc_obs::counter_set! {
+    /// Counters maintained by the transport; cheap enough to update on
+    /// every RPC. See the module docs for the publication protocol that
+    /// keeps snapshots free of completion-before-initiation anomalies.
+    pub struct NetStats => NetStatsSnapshot {
+        /// RPCs initiated by any endpoint.
+        rpcs_sent: "ftc_net_rpcs_sent_total",
+        /// RPCs that received a response before their deadline.
+        rpcs_ok: "ftc_net_rpcs_ok_total" completion,
+        /// RPCs that expired (including those to killed nodes).
+        timeouts: "ftc_net_timeouts_total" completion,
+        /// Messages discarded because the destination node was killed.
+        dropped_killed: "ftc_net_dropped_cause_total" {cause = "killed"} completion,
+        /// Messages lost to link faults: i.i.d. drop probability or a flaky
+        /// link in its down phase.
+        dropped_link: "ftc_net_dropped_cause_total" {cause = "link"} completion,
+        /// Messages blocked by a (possibly one-way) partition rule.
+        dropped_partition: "ftc_net_dropped_cause_total" {cause = "partition"} completion,
+        /// Messages discarded by fault injection, all causes. Always equals
+        /// `dropped_killed + dropped_link + dropped_partition`; declared
+        /// after them, so a snapshot loads the causes first.
+        dropped: "ftc_net_dropped_total" completion,
+        /// Payload bytes carried by delivered requests and replies.
+        bytes_sent: "ftc_net_bytes_sent_total",
+    }
 }
 
 impl NetStats {
-    /// Snapshot with one-directional consistency: a completion visible
-    /// here implies its initiation is too (never `rpcs_ok > rpcs_sent`).
-    pub fn snapshot(&self) -> NetStatsSnapshot {
-        // ordering: Acquire-load every completion counter FIRST; each
-        // pairs with the Release increments in `inc_completion`, so the
-        // initiation increments that preceded them (program order in the
-        // transport: sent before ok/timeout, dropped before its cause)
-        // happen-before the Relaxed initiation loads below.
-        let dropped_killed = self.dropped_killed.load(Ordering::Acquire);
-        let dropped_link = self.dropped_link.load(Ordering::Acquire);
-        let dropped_partition = self.dropped_partition.load(Ordering::Acquire);
-        let dropped = self.dropped.load(Ordering::Acquire);
-        let rpcs_ok = self.rpcs_ok.load(Ordering::Acquire);
-        let timeouts = self.timeouts.load(Ordering::Acquire);
-        // ordering: Relaxed is enough for initiations — they are loaded
-        // after the Acquire fence-points above and may only err toward
-        // over-counting in-flight RPCs, which consumers tolerate.
-        let rpcs_sent = self.rpcs_sent.load(Ordering::Relaxed);
-        let bytes_sent = self.bytes_sent.load(Ordering::Relaxed);
-        NetStatsSnapshot {
-            rpcs_sent,
-            rpcs_ok,
-            timeouts,
-            dropped,
-            dropped_killed,
-            dropped_link,
-            dropped_partition,
-            bytes_sent,
-        }
-    }
-
     /// Count an *initiation* (`rpcs_sent`) — something later completions
     /// refer back to.
     #[inline]
-    pub(crate) fn inc(counter: &AtomicU64) {
-        // ordering: Relaxed — initiations need no publication of their
-        // own; visibility is carried by the completion that follows.
-        counter.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn inc(counter: &Counter) {
+        counter.inc();
     }
 
     /// Count a *completion* (`rpcs_ok`, `timeouts`, `dropped` and its
     /// per-cause splits) — publishes the initiation that preceded it.
     #[inline]
-    pub(crate) fn inc_completion(counter: &AtomicU64) {
-        // ordering: Release pairs with the Acquire loads in `snapshot`;
-        // RMWs keep the release sequence alive across threads.
-        counter.fetch_add(1, Ordering::Release);
+    pub(crate) fn inc_completion(counter: &Counter) {
+        counter.inc_completion();
     }
 
     /// Add to a byte/volume counter.
     #[inline]
-    pub(crate) fn add(counter: &AtomicU64, v: u64) {
-        // ordering: Relaxed — pure statistic, no cross-counter invariant.
-        counter.fetch_add(v, Ordering::Relaxed);
-    }
-}
-
-impl ftc_obs::Export for NetStatsSnapshot {
-    fn export_into(&self, out: &mut Vec<ftc_obs::Sample>) {
-        out.push(ftc_obs::Sample::counter(
-            "ftc_net_rpcs_sent_total",
-            self.rpcs_sent,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_net_rpcs_ok_total",
-            self.rpcs_ok,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_net_timeouts_total",
-            self.timeouts,
-        ));
-        out.push(ftc_obs::Sample::counter(
-            "ftc_net_dropped_total",
-            self.dropped,
-        ));
-        out.push(
-            ftc_obs::Sample::counter("ftc_net_dropped_cause_total", self.dropped_killed)
-                .with_label("cause", "killed"),
-        );
-        out.push(
-            ftc_obs::Sample::counter("ftc_net_dropped_cause_total", self.dropped_link)
-                .with_label("cause", "link"),
-        );
-        out.push(
-            ftc_obs::Sample::counter("ftc_net_dropped_cause_total", self.dropped_partition)
-                .with_label("cause", "partition"),
-        );
-        out.push(ftc_obs::Sample::counter(
-            "ftc_net_bytes_sent_total",
-            self.bytes_sent,
-        ));
+    pub(crate) fn add(counter: &Counter, v: u64) {
+        counter.add(v);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     #[test]

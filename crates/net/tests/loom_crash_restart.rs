@@ -50,7 +50,8 @@ fn stats_snapshot_never_sees_completion_without_initiation() {
             .collect();
 
         // Snapshot mid-flight: completions Acquire-first, then
-        // initiations — the order `NetStats::snapshot` uses.
+        // initiations — the order every `ftc_obs::counter_set!` snapshot
+        // (`NetStats::snapshot` among them) uses.
         // ordering: Acquire — pairs with the Release increments above.
         let seen_ok = ok.load(Ordering::Acquire);
         // ordering: Relaxed — ordered by the Acquire load above.

@@ -1,11 +1,11 @@
 //! Exposition: one sample model, two renderers.
 //!
-//! Everything observable — registry metrics, legacy flat snapshots,
+//! Everything observable — registry metrics, counter-set snapshots,
 //! per-node stats — flattens into a `Vec<Sample>` via the [`Export`]
 //! trait, and the two renderers ([`render_prometheus`], [`render_json`])
 //! work on that flat list. That keeps the wire formats in exactly one
-//! place: a new subsystem implements `Export` and both formats pick it up
-//! unchanged.
+//! place: a new subsystem declares a [`counter_set!`](crate::counter_set!)
+//! (or implements `Export`) and both formats pick it up unchanged.
 //!
 //! The Prometheus renderer follows the text exposition conventions:
 //! `# TYPE` comment per metric family, `_total`-suffixed counters,
@@ -66,9 +66,9 @@ impl Sample {
 }
 
 /// Anything that can flatten itself into exposition samples. Implemented
-/// by the registry and by the legacy flat snapshots (`ClientMetrics`,
-/// `NetStats`, `NvmeStats`) so one exporter reaches every counter in the
-/// system.
+/// by the registry, by every [`counter_set!`](crate::counter_set!)
+/// snapshot and by the other flat snapshots (`NvmeStats`, `RingStats`),
+/// so one exporter reaches every counter in the system.
 pub trait Export {
     /// Append this object's samples to `out`. Implementations should use
     /// stable names and push in deterministic order.

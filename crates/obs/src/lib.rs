@@ -19,9 +19,14 @@
 //! - [`FlightRecorder`] — a bounded ring of recent structured events,
 //!   dumped when a chaos invariant fires or a test panics, so a red
 //!   campaign ships its own black-box transcript.
+//! - [`counter_set!`] — one declaration per counter: a subsystem's live
+//!   [`Counter`] struct, its `Copy` snapshot, `snapshot()`, `merge()` and
+//!   [`Export`] all come from one `field: "exposition_name"` list
+//!   (`ClientMetrics`, `NetStats`, `RecoveryStats`, the server's sheds and
+//!   miss single-flight).
 //! - [`Export`] + [`render_prometheus`] / [`render_json`] — one sample
-//!   model, two wire formats, covering both the registry and the legacy
-//!   flat snapshots (`ClientMetrics`, `NetStats`, `NvmeStats`).
+//!   model, two wire formats, covering the registry, the counter sets and
+//!   the other flat snapshots (`NvmeStats`, `RingStats`).
 //!
 //! The three instruments travel together as an [`ObsHub`]: the cluster
 //! owns one, hands an `Arc` to every client/server/injector, and the
@@ -41,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+mod counter_set;
 mod export;
 mod flight;
 mod hist;

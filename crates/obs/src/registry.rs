@@ -23,21 +23,46 @@ pub struct Counter(AtomicU64);
 
 impl Counter {
     /// Add 1.
+    #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
 
     /// Add `v`.
+    #[inline]
     pub fn add(&self, v: u64) {
         // ordering: Relaxed — pure statistic: independent monotone tally,
         // no cross-counter invariant, snapshots tolerate lag.
         self.0.fetch_add(v, Ordering::Relaxed);
     }
 
+    /// Add 1 to a field a [`counter_set!`](crate::counter_set) marks
+    /// `completion`: the increment publishes every count this thread made
+    /// before it to the snapshot that loads the completion.
+    #[inline]
+    pub fn inc_completion(&self) {
+        // ordering: Release pairs with the Acquire load in
+        // `get_completion`; RMWs keep the release sequence alive across
+        // threads, so one Acquire load sees every earlier initiation.
+        self.0.fetch_add(1, Ordering::Release);
+    }
+
     /// Current value.
+    #[inline]
     pub fn get(&self) -> u64 {
         // ordering: Relaxed — observational read of a monotone tally.
         self.0.load(Ordering::Relaxed)
+    }
+
+    /// Current value of a `completion` field, for the snapshot a
+    /// [`counter_set!`](crate::counter_set) generates: it loads every
+    /// completion this way before it loads any other field.
+    #[inline]
+    pub fn get_completion(&self) -> u64 {
+        // ordering: Acquire pairs with `inc_completion`'s Release: the
+        // initiations that preceded the increments seen here happen-before
+        // the snapshot's later Relaxed loads.
+        self.0.load(Ordering::Acquire)
     }
 }
 

@@ -103,6 +103,15 @@ impl Pfs {
     }
 }
 
+impl ftc_obs::Export for Pfs {
+    fn export_into(&self, out: &mut Vec<ftc_obs::Sample>) {
+        out.push(ftc_obs::Sample::counter(
+            "ftc_pfs_reads_total",
+            self.total_reads(),
+        ));
+    }
+}
+
 /// Simulated PFS read-cost model.
 ///
 /// A read of `b` bytes with `r` concurrent readers costs

@@ -4,9 +4,10 @@
 //! PFS model (staged synthetically — every process derives the identical
 //! dataset from the paths alone, so a fleet needs no shared storage), the
 //! data mover, and the request brain shared verbatim with the in-process
-//! simulated clusters. The observability exposition (`--prom`) is served
-//! over the same socket listener via the wire protocol's `ObsScrape`
-//! frame, not a separate HTTP port.
+//! simulated clusters. The observability exposition (`--prom`: the
+//! node's `HvacServer::obs_samples` plus its PFS reads) is served over
+//! the same socket listener via the wire protocol's `ObsScrape` frame,
+//! not a separate HTTP port.
 //!
 //! ```text
 //! ftc-server --node 0 --peers 127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402 \
@@ -35,7 +36,7 @@
 use ft_cache::fleet::{parse_stage_specs, stage_dataset, Args};
 use ftc_core::{AdmissionConfig, CacheRequest, CacheResponse, ServerHandle};
 use ftc_hashring::NodeId;
-use ftc_obs::{render_prometheus, ObsHub, Sample};
+use ftc_obs::{render_prometheus, Export};
 use ftc_storage::{NvmeCache, Pfs};
 use ftc_time::ClockHandle;
 use ftc_wire::tcp::{parse_peers, TcpConfig, TcpTransport};
@@ -136,36 +137,6 @@ fn main() {
     let transport: TcpTransport<CacheRequest, CacheResponse> =
         TcpTransport::from_peer_list(&peers, TcpConfig::default());
 
-    if args.flag("prom") {
-        let hub = ObsHub::shared();
-        let scrape_cache = Arc::clone(&cache);
-        let scrape_pfs = Arc::clone(&pfs);
-        let scrape_node = node;
-        transport.set_obs_handler(Arc::new(move || {
-            let mut samples = hub.registry.samples();
-            let stats = scrape_cache.stats();
-            let label = |s: Sample| s.with_label("node", scrape_node.0);
-            samples.extend([
-                label(Sample::counter("ftc_nvme_hits_total", stats.hits)),
-                label(Sample::counter("ftc_nvme_misses_total", stats.misses)),
-                label(Sample::counter("ftc_nvme_evictions_total", stats.evictions)),
-                label(Sample::gauge(
-                    "ftc_nvme_resident_bytes",
-                    stats.resident_bytes as f64,
-                )),
-                label(Sample::gauge(
-                    "ftc_nvme_resident_objects",
-                    stats.resident_objects as f64,
-                )),
-                label(Sample::counter(
-                    "ftc_pfs_reads_total",
-                    scrape_pfs.total_reads(),
-                )),
-            ]);
-            render_prometheus(&samples)
-        }));
-    }
-
     let admission = if args.flag("armored") {
         let ttl_ms: u64 = args.parsed_or("ttl-ms", 500).unwrap_or_else(|e| die(&e));
         let mut a = AdmissionConfig::armored(Duration::from_millis(ttl_ms));
@@ -177,10 +148,27 @@ fn main() {
 
     // The handle owns the listener; it must stay alive until the graceful
     // drain below reclaims the server.
-    let handle = match ServerHandle::spawn(node, &transport, pfs, cache, admission) {
+    let handle = match ServerHandle::spawn(node, &transport, Arc::clone(&pfs), cache, admission) {
         Ok(h) => h,
         Err(e) => die(&format!("cannot start node {node}: {e}")),
     };
+    if args.flag("prom") {
+        // The node's server samples, plus its PFS: private to this
+        // process, so labelled with the node like everything else.
+        let server = handle.downgrade();
+        transport.set_obs_handler(Arc::new(move || {
+            let Some(server) = server.upgrade() else {
+                return String::new();
+            };
+            let mut samples = server.obs_samples();
+            samples.extend(
+                pfs.export()
+                    .into_iter()
+                    .map(|s| s.with_label("node", node.0)),
+            );
+            render_prometheus(&samples)
+        }));
+    }
 
     // SAFETY: installs a handler that performs a single atomic store; no
     // allocation, locking, or I/O happens in signal context.
@@ -210,15 +198,15 @@ fn main() {
     match handle.shutdown() {
         Some(server) => {
             let stats = server.cache().stats();
-            let (shed_capacity, shed_deadline) = server.sheds();
+            let sheds = server.sheds();
             let _ = writeln!(
                 out,
                 "DRAINED node={} hits={} misses={} sheds={}+{} recached={}",
                 node.0,
                 stats.hits,
                 stats.misses,
-                shed_capacity,
-                shed_deadline,
+                sheds.capacity,
+                sheds.deadline,
                 server.files_recached(),
             );
         }

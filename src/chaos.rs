@@ -1486,9 +1486,8 @@ pub fn run_campaign_on(
     let overload_stats = if overload_on {
         let snap = client.metrics().snapshot();
         let per_node = cluster.sheds_per_node();
-        let (shed_capacity, shed_deadline) = per_node
-            .iter()
-            .fold((0u64, 0u64), |(c, d), (pc, pd)| (c + pc, d + pd));
+        let sheds = per_node.iter().fold(Default::default(), |a, s| s.merge(&a));
+        let (shed_capacity, shed_deadline) = (sheds.capacity, sheds.deadline);
         let server_sheds = shed_capacity + shed_deadline;
         if surge_issued > 0 && surge_ok * 100 < surge_issued * GOODPUT_FLOOR_PCT {
             fire!(
@@ -1513,9 +1512,9 @@ pub fn run_campaign_on(
         // A shed is a liveness signal: a node that shed but kept serving
         // must never be declared failed.
         let killed: HashSet<NodeId> = cluster.killed_nodes().into_iter().collect();
-        for (i, (c, d)) in per_node.iter().enumerate() {
+        for (i, s) in per_node.iter().enumerate() {
             let n = NodeId(i as u32);
-            if c + d > 0 && !killed.contains(&n) && failed.contains(&n) {
+            if s.capacity + s.deadline > 0 && !killed.contains(&n) && failed.contains(&n) {
                 fire!(
                     ShedFalsePositive,
                     "shedding-but-alive node {n} declared failed"

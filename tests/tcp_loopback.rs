@@ -6,11 +6,14 @@
 //! real sockets and real process death instead of the simulated fabric.
 
 use ft_cache::fleet::dataset_paths;
-use ftc_core::{CacheRequest, CacheResponse, FtConfig, FtPolicy, HvacClient, ReadVia};
+use ftc_core::{
+    CacheRequest, CacheResponse, Cluster, ClusterConfig, FtConfig, FtPolicy, HvacClient, ReadVia,
+};
 use ftc_hashring::NodeId;
 use ftc_storage::{synth_bytes, verify_synth, Pfs};
 use ftc_time::ClockHandle;
 use ftc_wire::tcp::{scrape_obs, TcpConfig, TcpTransport};
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command, Stdio};
@@ -40,24 +43,22 @@ extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
 }
 
-/// Start one `ftc-server` process and block until it prints `READY`.
-/// The stdout reader stays alive so teardown can read the `DRAINED`
-/// snapshot the graceful SIGTERM path prints.
+/// Start one `ftc-server` process with `extra` flags and block until it
+/// prints `READY`. The stdout reader stays alive so teardown can read the
+/// `DRAINED` snapshot the graceful SIGTERM path prints.
 fn start_server(
     node: u32,
     peers: &str,
-    prom: bool,
+    extra: &[&str],
 ) -> (Child, BufReader<std::process::ChildStdout>) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ftc-server"));
     cmd.args(["--node", &node.to_string(), "--peers", peers])
         .args(["--files", &FILES.to_string()])
         .args(["--size", &SIZE.to_string()])
         .args(["--prefix", PREFIX])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit());
-    if prom {
-        cmd.arg("--prom");
-    }
     let mut child = cmd.spawn().expect("spawn ftc-server");
     let stdout = child.stdout.take().expect("piped stdout");
     let mut reader = BufReader::new(stdout);
@@ -144,7 +145,8 @@ fn three_process_fleet_survives_a_mid_run_kill() {
     let mut fleet = Fleet {
         children: (0..3)
             .map(|n| {
-                let (child, reader) = start_server(n, &peers, n == 0);
+                let prom: &[&str] = if n == 0 { &["--prom"] } else { &[] };
+                let (child, reader) = start_server(n, &peers, prom);
                 (child, Some(reader))
             })
             .collect(),
@@ -233,5 +235,47 @@ fn three_process_fleet_survives_a_mid_run_kill() {
 
     // Orderly teardown: the survivors drain on SIGTERM and exit 0 with a
     // DRAINED snapshot; only the crashed node went down without one.
+    fleet.shutdown_gracefully();
+}
+
+/// Names of the samples labelled `node="0"` in a Prometheus exposition.
+fn node0_names<'a>(lines: impl Iterator<Item = &'a str>) -> BTreeSet<String> {
+    lines
+        .filter(|l| !l.starts_with('#') && l.contains("node=\"0\""))
+        .filter_map(|l| l.split('{').next())
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn a_tcp_scrape_carries_the_nodes_server_samples() {
+    let addr = free_addrs(1)[0];
+    let (child, reader) = start_server(0, &addr.to_string(), &["--prom", "--armored"]);
+    let mut fleet = Fleet {
+        children: vec![(child, Some(reader))],
+    };
+    let scrape = scrape_obs(addr, Duration::from_secs(2)).expect("prom scrape");
+    let scraped = node0_names(scrape.lines());
+
+    // The in-process backend exposes the same server sample set per node.
+    // Its PFS is shared by every node and client, so it is exported once,
+    // unlabelled; `ftc-server`'s PFS is its own and carries the label.
+    let cluster = Cluster::start(ClusterConfig::small(1, FtPolicy::RingRecache)).expect("boot");
+    let text = ftc_obs::render_prometheus(&cluster.obs_samples());
+    let mut in_process = node0_names(text.lines());
+    cluster.shutdown();
+    in_process.insert("ftc_pfs_reads_total".to_owned());
+    assert_eq!(scraped, in_process, "scrape:\n{scrape}");
+    // What the benchmark parses out of every scrape.
+    for name in [
+        "ftc_nvme_hits_total",
+        "ftc_nvme_misses_total",
+        "ftc_nvme_evictions_total",
+        "ftc_nvme_resident_bytes",
+        "ftc_nvme_resident_objects",
+        "ftc_pfs_reads_total",
+    ] {
+        assert!(scraped.contains(name), "scrape lacks {name}");
+    }
     fleet.shutdown_gracefully();
 }
