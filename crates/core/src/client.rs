@@ -13,8 +13,13 @@
 //!   the PFS on first miss.
 //!
 //! During the suspect window (timeouts seen but below `TIMEOUT_LIMIT`),
-//! fault-tolerant policies redirect *the affected request* to the PFS so
-//! training never stalls on detection, mirroring the artifact's client.
+//! fault-tolerant policies redirect the request that timed out to the
+//! PFS, mirroring the artifact's client. With a recovery engine attached,
+//! that first suspicion also hands the node to the engine, whose pings
+//! gather the rest of the evidence; until it rules, every read placed on
+//! the node goes straight to the PFS, so a reader pays one TTL per
+//! incident instead of one per read. Without an engine, each such read
+//! still pays its own TTL.
 
 use crate::controller::{ControllerConfig, LivePolicy, PolicyController, PolicySignals};
 use crate::detector::{FailureDetector, Verdict};
@@ -172,6 +177,9 @@ enum Cause {
     Shed,
     /// The owner stayed silent for a TTL; the detector's verdict rides along.
     Silent(NodeId, Verdict),
+    /// The owner is suspect and the recovery engine is settling it; no
+    /// RPC was issued.
+    Settling(NodeId),
     /// An RPC error that is no liveness signal (`UnknownNode`, local shutdown).
     Rpc(NodeId),
     /// A reply to some other request type (protocol confusion).
@@ -186,7 +194,7 @@ enum Next {
     Pfs,
     /// Try again after backoff.
     Retry,
-    /// Remove the dead node from the ring, then retry on its successor.
+    /// Retry on the dead node's successor, once it is out of the ring.
     EvictAndRetry(NodeId),
 }
 
@@ -600,6 +608,11 @@ impl HvacClient {
                 {
                     return self.read_pfs_direct(path);
                 }
+                // Nor is a suspect owner the recovery engine is settling:
+                // its pings gather the evidence while this read moves on.
+                if self.recovery.get().is_some_and(|e| e.is_settling(owner)) {
+                    break 'attempt Cause::Settling(owner);
+                }
                 // A tripped owner is not called at all — no TTL burned,
                 // no queue slot consumed on a node that just failed
                 // repeatedly. Half-open admits its probe quota through.
@@ -644,7 +657,9 @@ impl HvacClient {
                 Next::Pfs => return self.read_pfs_direct(path),
                 Next::Retry => {}
                 Next::EvictAndRetry(dead) => {
-                    self.set_member(dead, false); // the clockwise successor now owns it
+                    // A no-op unless a racing declarer has not yet
+                    // removed the node: the successor now owns the key.
+                    self.set_member(dead, false);
                     failed_over = Some(dead);
                 }
             }
@@ -661,11 +676,7 @@ impl HvacClient {
     fn fall_back(&self, path: &str, cause: Cause) -> Next {
         use FtPolicy::{NoFt, PfsRedirect, RingRecache};
         let m = &self.metrics;
-        let policy = self.config.policy;
-        if policy != NoFt && matches!(cause, Cause::Silent(_, Verdict::JustFailed)) {
-            m.nodes_declared_failed.inc();
-        }
-        match (policy, cause) {
+        match (self.config.policy, cause) {
             // A shed is proof of life: under NoFT the same owner is worth
             // another attempt after backoff.
             (_, Cause::WrongReply) | (NoFt, Cause::Shed) => {
@@ -673,9 +684,12 @@ impl HvacClient {
                 Next::Retry
             }
             (NoFt, Cause::BudgetDenied) => Next::Fail(ReadError::Exhausted(path.to_owned())),
-            (NoFt, Cause::BreakerOpen(n) | Cause::Silent(n, _) | Cause::Rpc(n)) => {
-                Next::Fail(ReadError::NodeFailed(n))
-            }
+            // NoFT hands no suspect to the engine, so it never meets
+            // `Settling`: its reads call a suspect owner and fail there.
+            (
+                NoFt,
+                Cause::BreakerOpen(n) | Cause::Silent(n, _) | Cause::Rpc(n) | Cause::Settling(n),
+            ) => Next::Fail(ReadError::NodeFailed(n)),
             (RingRecache, Cause::Silent(n, Verdict::JustFailed | Verdict::AlreadyFailed)) => {
                 m.retries.inc();
                 Next::EvictAndRetry(n)
@@ -692,7 +706,11 @@ impl HvacClient {
             // PFS-redirect also a declared) owner redirects this request
             // now (§IV-A operational flow ③): training keeps moving
             // through the detection window without paying another TTL.
-            (PfsRedirect | RingRecache, Cause::BudgetDenied | Cause::Silent(..)) => Next::Pfs,
+            // A settling owner gets the same ruling without the TTL.
+            (
+                PfsRedirect | RingRecache,
+                Cause::BudgetDenied | Cause::Silent(..) | Cause::Settling(_),
+            ) => Next::Pfs,
         }
     }
 
@@ -737,9 +755,10 @@ impl HvacClient {
         self.armor.on_success(served_by);
         self.key_index.record(served_by.0, path);
         if let Some(engine) = self.recovery.get() {
-            // A formerly-suspect node answered: any replica hints parked
-            // against it can flush now.
-            engine.notify_reachable(served_by);
+            // A formerly-suspect node answered (its parked hints can
+            // flush), or a survivor served a key of a node the engine
+            // declared (that node's first recached hit).
+            engine.notify_served(served_by, path);
         }
         self.trace_with(|| TraceEventKind::ReadServed {
             key: path.to_owned(),
@@ -814,7 +833,10 @@ impl HvacClient {
     }
 
     /// The owner stayed silent for a full TTL: count it, feed the
-    /// breaker and the detector, and publish the detector's verdict.
+    /// breaker and the detector, publish the detector's verdict and act
+    /// on its edges. A fault-tolerant client hands a suspect to its
+    /// recovery engine, and a declaration goes to [`Self::declare`].
+    /// Readers and the engine's settling pings both land here.
     fn note_silence(&self, owner: NodeId) -> Verdict {
         self.metrics.rpc_timeouts.inc();
         self.armor.on_failure(owner);
@@ -828,7 +850,30 @@ impl HvacClient {
             .lock()
             .record_timeout_at(owner, self.clock.now());
         self.emit_verdict(owner, verdict);
+        match verdict {
+            Verdict::Suspect { .. } if self.config.policy != FtPolicy::NoFt => {
+                if let Some(engine) = self.recovery.get() {
+                    engine.notify_suspect(owner);
+                }
+            }
+            Verdict::JustFailed => self.declare(owner),
+            _ => {}
+        }
         verdict
+    }
+
+    /// The declaration edge, shared by the read path and the recovery
+    /// engine: a fault-tolerant client counts the node once, and under
+    /// RingRecache drops it from the ring. NoFT counts nothing; the read
+    /// that saw the declaration is already failing the job.
+    fn declare(&self, node: NodeId) {
+        if self.config.policy == FtPolicy::NoFt {
+            return;
+        }
+        self.metrics.nodes_declared_failed.inc();
+        if self.config.policy == FtPolicy::RingRecache {
+            self.set_member(node, false);
+        }
     }
 
     /// Publish a detector verdict: controller signal, `Suspect`/`Declare`
@@ -996,6 +1041,26 @@ impl HvacClient {
             self.call_counted(node, CacheRequest::Ping, self.config.detector.ttl),
             Ok(CacheResponse::Pong)
         )
+    }
+
+    /// One settling ping at TTL grade. Silence goes through
+    /// [`Self::note_silence`] like a reader's, and its verdict comes
+    /// back. A pong clears the node's suspicion; it and an error that is
+    /// no liveness signal both end the settle with `None`.
+    pub(crate) fn settle_ping(&self, node: NodeId) -> Option<Verdict> {
+        match self.call_counted(node, CacheRequest::Ping, self.config.detector.ttl) {
+            Ok(CacheResponse::Pong) => {
+                self.detector.lock().record_success(node);
+                None
+            }
+            Err(e) if e.indicates_failure() => Some(self.note_silence(node)),
+            _ => None,
+        }
+    }
+
+    /// Timeouts inside the suspicion window that declare a node.
+    pub(crate) fn timeout_limit(&self) -> u32 {
+        self.config.detector.timeout_limit
     }
 
     /// Push `bytes` to the next `replication - 1` ring successors of
@@ -1520,12 +1585,12 @@ mod tests {
 
         hub.timeline.mark(1, Phase::Kill); // what the injector would stamp
         r.net.kill(NodeId(1));
-        read_all(&c, 16); // detection pass
-        read_all(&c, 16); // failover pass: first recached hits
+        read_all(&c, 16); // first timeout: the engine settles n1
         assert!(
             engine.wait_quiesced(Duration::from_secs(10)),
             "recovery engine must quiesce"
         );
+        read_all(&c, 16); // first recached hits
 
         let incidents = hub.timeline.incidents();
         let inc = incidents
@@ -1585,17 +1650,15 @@ mod tests {
         assert_eq!(c.key_index().count_of(1), lost.len());
 
         r.net.kill(NodeId(1));
-        // Drive detection with ONE key only — the engine must recache the
-        // rest without any foreground read touching them.
-        let probe_key = &lost[0];
-        for _ in 0..3 {
-            let _ = c.read(probe_key);
-        }
-        assert!(!c.live_nodes().contains(&NodeId(1)), "declared + removed");
+        // One read of ONE key raises the suspicion; the engine declares
+        // the node and must recache the rest without any foreground read
+        // touching them.
+        c.read(&lost[0]).unwrap();
         assert!(
             engine.wait_quiesced(Duration::from_secs(10)),
-            "engine must finish the recache job"
+            "engine must settle the suspect and finish the recache job"
         );
+        assert!(!c.live_nodes().contains(&NodeId(1)), "declared + removed");
         let stats = engine.stats();
         assert_eq!(stats.recoveries_started, 1);
         assert_eq!(stats.recoveries_quiesced, 1);
@@ -1832,16 +1895,21 @@ mod tests {
     /// A fabric with no servers behind it: every RPC pops the next canned
     /// reply, and an exhausted script answers reads with an NVMe hit. The
     /// hooks let a test watch a read cross `history()` / `call()` and hold
-    /// it inside `call()` until released.
+    /// it inside `call()` until released. A `Ping` (only the recovery
+    /// engine sends one) waits for its reply on `pings` and is not
+    /// counted in `calls`.
     struct Scripted(Arc<ScriptState>);
+
+    type Reply = Result<CacheResponse, RpcError>;
 
     #[derive(Default)]
     struct ScriptState {
-        replies: Mutex<std::collections::VecDeque<Result<CacheResponse, RpcError>>>,
+        replies: Mutex<std::collections::VecDeque<Reply>>,
         calls: AtomicU64,
         history: Option<Arc<ftc_net::HistoryRecorder>>,
         events: Mutex<Option<std::sync::mpsc::Sender<&'static str>>>,
         release: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+        pings: Mutex<Option<std::sync::mpsc::Receiver<Reply>>>,
     }
 
     impl ScriptState {
@@ -1861,13 +1929,14 @@ mod tests {
         fn clock(&self) -> ClockHandle {
             ClockHandle::wall()
         }
-        fn call(
-            &self,
-            _to: NodeId,
-            req: CacheRequest,
-            _timeout: Duration,
-        ) -> Result<CacheResponse, RpcError> {
+        fn call(&self, to: NodeId, req: CacheRequest, _timeout: Duration) -> Reply {
             let state = &self.1;
+            if matches!(req, CacheRequest::Ping) {
+                let pings = state.pings.lock();
+                let replies = pings.as_ref().expect("the test scripts every ping");
+                // A test that stops replying leaves the node silent.
+                return replies.recv().unwrap_or(Err(RpcError::Timeout { to }));
+            }
             state.calls.fetch_add(1, Ordering::SeqCst);
             state.announce("call");
             if let Some(gate) = state.release.lock().as_ref() {
@@ -1938,6 +2007,9 @@ mod tests {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Cell {
         Suspect,
+        /// The read after a first suspicion, with a recovery engine
+        /// holding its settling ping.
+        Settling,
         Declared,
         Shed,
         BreakerOpen,
@@ -1987,6 +2059,10 @@ mod tests {
                 Want::DirectPfs,
                 [&PFS[..], &[("rpc_timeouts", 1)]].concat(),
             ),
+            // NoFT hands no suspect to the engine: it calls the owner.
+            (NoFt, Settling, Want::Owner, HIT.to_vec()),
+            (PfsRedirect, Settling, Want::DirectPfs, PFS.to_vec()),
+            (RingRecache, Settling, Want::DirectPfs, PFS.to_vec()),
             (NoFt, Declared, Want::NodeFailed, vec![("rpc_timeouts", 1)]),
             (
                 PfsRedirect,
@@ -2098,7 +2174,7 @@ mod tests {
                 [&PFS[..], &[("retries", 1)]].concat(),
             ),
         ];
-        assert_eq!(table.len(), 3 * 6, "every policy × cause cell is pinned");
+        assert_eq!(table.len(), 3 * 7, "every policy × cause cell is pinned");
 
         for (policy, cell, want, mut expect_moved) in table {
             let state = Arc::new(ScriptState::default());
@@ -2122,21 +2198,36 @@ mod tests {
                     refill_per_sec: 0.0,
                 };
             }
-            let c = scripted_client(&state, cfg);
+            let c = Arc::new(scripted_client(&state, cfg));
+            // The engine's settling ping waits on `pong`, so the read under
+            // test meets an owner that is still being settled.
+            let pong = (cell == Settling).then(|| {
+                let (pong, pings) = std::sync::mpsc::channel();
+                *state.pings.lock() = Some(pings);
+                let rc = crate::recovery::RecoveryConfig {
+                    probe: false,
+                    ..Default::default()
+                };
+                c.enable_recovery(rc).expect("start engine");
+                pong
+            });
             let owner = c.owner_of(SCRIPT_FILE).expect("owner");
             let silence = Err(ftc_net::RpcError::Timeout { to: owner });
             // The reply that provokes the cause; BudgetDenied needs some
             // first attempt that ends in a retry, which differs by policy.
             let provoke = match (cell, policy) {
-                (Suspect | Declared | BreakerOpen, _) | (BudgetDenied, RingRecache) => silence,
+                (Suspect | Settling | Declared | BreakerOpen, _) | (BudgetDenied, RingRecache) => {
+                    silence
+                }
                 (Shed, _) | (BudgetDenied, NoFt) => Ok(CacheResponse::Overloaded),
                 (BudgetDenied, PfsRedirect) => Ok(CacheResponse::Pong),
                 (RpcError, _) => Err(ftc_net::RpcError::UnknownNode(owner)),
             };
             state.replies.lock().push_back(provoke);
-            if cell == BreakerOpen {
-                // One silent attempt trips the breaker; the cell under
-                // test is the *next* read, which must not issue an RPC.
+            if matches!(cell, BreakerOpen | Settling) {
+                // One silent attempt trips the breaker, or hands the
+                // suspect to the engine; the cell under test is the
+                // *next* read.
                 let _ = c.read_traced(SCRIPT_FILE);
             }
             let before = c.metrics().snapshot();
@@ -2170,17 +2261,53 @@ mod tests {
             got_moved.sort_unstable();
             expect_moved.sort_unstable();
             assert_eq!(got_moved, expect_moved, "{ctx}: counters moved");
-            if cell == BreakerOpen {
+            if cell == BreakerOpen || (cell == Settling && policy != NoFt) {
                 assert_eq!(
                     state.calls.load(Ordering::SeqCst),
                     calls_before,
-                    "{ctx}: an open breaker issues no RPC"
+                    "{ctx}: an open breaker or a settling owner issues no RPC"
                 );
+            }
+            if let (Some(pong), Some(engine)) = (pong, c.recovery()) {
+                // The held ping is answered: the engine clears the owner.
+                pong.send(Ok(CacheResponse::Pong))
+                    .expect("ping channel open");
+                assert!(engine.wait_quiesced(Duration::from_secs(10)), "{ctx}");
+                assert!(!engine.is_settling(owner), "{ctx}: settled");
             }
             // Only RingRecache on a declared owner may touch the ring.
             let evicts = policy == RingRecache && matches!(cell, Declared | BudgetDenied);
             assert_eq!(c.live_nodes().len(), if evicts { 3 } else { 4 }, "{ctx}");
         }
+    }
+
+    #[test]
+    fn engine_less_client_pays_each_ttl() {
+        // With no recovery engine, nobody settles a suspect off the read
+        // path: every read placed on it calls it and waits out its TTL.
+        let state = Arc::new(ScriptState::default());
+        let mut cfg = fast_config(FtPolicy::RingRecache);
+        cfg.coalesce = false;
+        cfg.detector.timeout_limit = 3;
+        let c = scripted_client(&state, cfg);
+        let owner = c.owner_of(SCRIPT_FILE).expect("owner");
+        for _ in 0..2 {
+            let silence = Err(RpcError::Timeout { to: owner });
+            state.replies.lock().push_back(silence);
+        }
+        for n in 1..=2 {
+            let out = c
+                .read_traced(SCRIPT_FILE)
+                .expect("the suspect window reads the PFS");
+            assert_eq!(out.via, ReadVia::DirectPfs);
+            assert_eq!(
+                state.calls.load(Ordering::SeqCst),
+                n,
+                "read {n} called the suspect"
+            );
+            assert_eq!(c.metrics().snapshot().rpc_timeouts, n);
+        }
+        assert!(c.failed_nodes().is_empty(), "two of three timeouts");
     }
 
     #[test]

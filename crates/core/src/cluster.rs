@@ -592,7 +592,14 @@ mod tests {
                 c.read(p).unwrap();
             }
         }
-        assert!(!c.live_nodes().contains(&NodeId(0)));
+        // With a recovery engine, its pings declare the node off the
+        // read path.
+        assert!(
+            cluster.wait_until(Duration::from_secs(5), Duration::from_millis(1), || !c
+                .live_nodes()
+                .contains(&NodeId(0))),
+            "node 0 must be declared"
+        );
         lost
     }
 

@@ -4,8 +4,14 @@
 //! The paper's RingRecache policy is *lazy*: a lost key is recached only
 //! when some reader next asks for it, so the degraded window of a dead
 //! node stretches until the tail of the access distribution comes around.
-//! The engine closes that window proactively with three mechanisms:
+//! The engine closes that window proactively, and keeps readers out of
+//! the detection window that precedes it:
 //!
+//! * **Suspect settling** — a fault-tolerant client hands the engine a
+//!   node on its first `Suspect` verdict. The engine pings it at TTL
+//!   grade until the detector rules (a pong clears it, silence is one
+//!   more timeout), while readers whose owner it is go to the PFS
+//!   instead of each paying a TTL.
 //! * **Proactive recache** — on a `Declared` verdict the engine walks the
 //!   dead node's key range (the client's [`KeyIndex`] of observed
 //!   assignments), refetches each key from the PFS and pushes it to the
@@ -25,6 +31,7 @@
 //! never applied.
 
 use crate::client::HvacClient;
+use crate::detector::Verdict;
 use ftc_hashring::NodeId;
 use ftc_storage::ValueBuf;
 use ftc_time::{
@@ -33,7 +40,7 @@ use ftc_time::{
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -60,7 +67,8 @@ pub struct RecoveryConfig {
     pub push_retries: u32,
     /// Hints parked across all nodes before drop-oldest kicks in.
     pub max_hints: usize,
-    /// Probe declared-failed nodes for autonomous readmission.
+    /// Probe declared-failed nodes for autonomous readmission. Gates
+    /// only these probes: suspect settling runs either way.
     pub probe: bool,
     /// First probe delay after a failure verdict.
     pub probe_base: Duration,
@@ -285,6 +293,8 @@ struct RecoveryObs {
 }
 
 enum Task {
+    /// A node turned suspect: ping it until the detector rules.
+    Suspect { node: NodeId },
     /// A node was declared failed under `epoch`: recache its key range.
     Recache { node: NodeId, epoch: u64 },
     /// A node rejoined: reconcile its surviving cache and drain hints.
@@ -325,13 +335,35 @@ pub struct RecoveryEngine {
     bucket: Mutex<TokenBucket>,
     hints: HintStore,
     stats: RecoveryStats,
-    /// Queued-or-running recovery tasks (recache + rejoin); probes are
-    /// deliberately excluded so a never-returning node cannot hold
-    /// quiescence hostage.
+    /// Queued-or-running recovery tasks: suspect settling, recache,
+    /// rejoin and hint drains. A settle ends after at most
+    /// `timeout_limit` pings, so it counts; readmission probes are
+    /// excluded because they last as long as the node stays away, and a
+    /// never-returning node must not hold quiescence hostage.
     pending: AtomicU64,
     /// Keys awaiting recache across all jobs (the queue-depth gauge).
     queue_depth: AtomicU64,
+    suspicion: Mutex<Suspicion>,
+    /// `suspicion.settling.len()`, kept under the lock: a read checks it
+    /// before taking the lock, so with no suspect node the check is one
+    /// atomic load.
+    settling_len: AtomicUsize,
+    /// `suspicion.unhit.len()`, kept the same way for served reads.
+    unhit_len: AtomicUsize,
     obs: OnceLock<RecoveryObs>,
+}
+
+/// The engine's view of suspect and freshly declared nodes.
+#[derive(Default)]
+struct Suspicion {
+    /// Handed over by the client and not yet settled: a read placed on
+    /// one goes to the PFS without calling it.
+    settling: Vec<NodeId>,
+    /// Nodes the engine declared, with the keys the index filed under
+    /// each, until a survivor serves one of them: readers never time out
+    /// on such a node, so no failed-over read stamps its
+    /// `FirstRecachedHit`.
+    unhit: Vec<(NodeId, HashSet<String>)>,
 }
 
 impl RecoveryEngine {
@@ -358,6 +390,9 @@ impl RecoveryEngine {
             stats: RecoveryStats::default(),
             pending: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
+            suspicion: Mutex::new(Suspicion::default()),
+            settling_len: AtomicUsize::new(0),
+            unhit_len: AtomicUsize::new(0),
             obs: OnceLock::new(),
         });
         if let Some(hub) = client.obs_hub() {
@@ -405,25 +440,61 @@ impl RecoveryEngine {
         self.bucket.lock().set_rate(rate, now);
     }
 
-    /// A node was declared failed: queue proactive recache of its keys
-    /// and, when probing is enabled, start readmission probes.
-    pub fn notify_failed(&self, node: NodeId, epoch: u64) {
+    /// Queue `task` for the worker, counted in `pending` until it is done.
+    fn enqueue(&self, task: Task) {
         // ordering: Relaxed — pending is a saturation-tolerant work tally;
         // the mpsc channel is the synchronizing handoff.
         self.pending.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(Task::Recache { node, epoch }).is_err() {
+        if self.tx.send(task).is_err() {
             self.pending.fetch_sub(1, Ordering::Relaxed);
         }
+    }
+
+    /// A node turned suspect: settle it off the read path. Until the
+    /// worker's pings get a verdict, [`Self::is_settling`] holds for it.
+    /// No-op while the node is already being settled.
+    pub(crate) fn notify_suspect(&self, node: NodeId) {
+        {
+            let mut s = self.suspicion.lock();
+            if s.settling.contains(&node) {
+                return;
+            }
+            s.settling.push(node);
+            // ordering: Relaxed — written under the lock; see is_settling.
+            self.settling_len.store(s.settling.len(), Ordering::Relaxed);
+        }
+        self.enqueue(Task::Suspect { node });
+    }
+
+    /// Whether a read placed on `node` should skip it: the node is
+    /// suspect and the engine has not settled it yet.
+    pub(crate) fn is_settling(&self, node: NodeId) -> bool {
+        // ordering: Relaxed — a hint that guards the lock, not a
+        // publication: a reader that misses a fresh hand-off calls the
+        // owner and pays the TTL it always did, and a stale non-zero only
+        // costs the lock, under which the answer is exact.
+        self.settling_len.load(Ordering::Relaxed) > 0
+            && self.suspicion.lock().settling.contains(&node)
+    }
+
+    /// The worker is done with `node`: reads may place on it again.
+    fn settled(&self, node: NodeId) {
+        let mut s = self.suspicion.lock();
+        s.settling.retain(|&n| n != node);
+        // ordering: Relaxed — see is_settling.
+        self.settling_len.store(s.settling.len(), Ordering::Relaxed);
+    }
+
+    /// A node was declared failed: queue proactive recache of its keys
+    /// and, when probing is enabled, start readmission probes.
+    pub fn notify_failed(&self, node: NodeId, epoch: u64) {
+        self.enqueue(Task::Recache { node, epoch });
     }
 
     /// A node rejoined the placement: reconcile its surviving cache
     /// against the current ring and drain its parked hints.
     pub fn notify_rejoined(&self, node: NodeId) {
-        // ordering: Relaxed — see notify_failed.
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(Task::Rejoined { node }).is_err() {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
-        }
+        self.enqueue(Task::Rejoined { node });
     }
 
     /// Park a replica write for an unreachable node.
@@ -451,19 +522,41 @@ impl RecoveryEngine {
         self.hints.pending_for(node)
     }
 
-    /// A node that had hints parked against it answered a foreground
-    /// request: it is reachable after all (a suspicion blip, not a
-    /// death), so flush its hints now instead of waiting for a rejoin
-    /// that will never come. No-op when nothing is parked.
-    pub fn notify_reachable(&self, node: NodeId) {
-        if self.hints.pending_for(node) == 0 {
-            return;
+    /// `node` served a foreground read of `path`. A node with hints
+    /// parked against it is reachable after all (a suspicion blip, not a
+    /// death), so its hints flush now instead of waiting for a rejoin
+    /// that will never come. And when `path` was filed under a node the
+    /// engine declared, this read is that node's first recached hit.
+    pub(crate) fn notify_served(&self, node: NodeId, path: &str) {
+        // ordering: Relaxed — same guard as is_settling: a missed fresh
+        // declaration only moves the stamp to a later read.
+        if self.unhit_len.load(Ordering::Relaxed) > 0 {
+            let mut s = self.suspicion.lock();
+            let hit =
+                |(dead, keys): &(NodeId, HashSet<String>)| *dead != node && keys.contains(path);
+            if let Some(i) = s.unhit.iter().position(hit) {
+                let (dead, _) = s.unhit.swap_remove(i);
+                self.unhit_len.store(s.unhit.len(), Ordering::Relaxed);
+                drop(s);
+                self.mark_phase(dead, ftc_obs::Phase::FirstRecachedHit);
+                self.flight(
+                    "first_recached_hit",
+                    format!("{path} now served by {node} (was {dead})"),
+                );
+            }
         }
-        // ordering: Relaxed — see notify_failed.
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(Task::DrainHints { node }).is_err() {
-            self.pending.fetch_sub(1, Ordering::Relaxed);
+        if self.hints.pending_for(node) > 0 {
+            self.enqueue(Task::DrainHints { node });
         }
+    }
+
+    /// The engine declared `node`, whose keys the index filed as `keys`:
+    /// the first of them a survivor serves stamps its first recached hit.
+    fn await_first_hit(&self, node: NodeId, keys: Vec<String>) {
+        let mut s = self.suspicion.lock();
+        s.unhit.push((node, keys.into_iter().collect()));
+        // ordering: Relaxed — see notify_served.
+        self.unhit_len.store(s.unhit.len(), Ordering::Relaxed);
     }
 
     /// Keys still queued for recache.
@@ -485,8 +578,18 @@ impl RecoveryEngine {
             .wait_until(timeout, Duration::from_millis(1), || self.quiesced())
     }
 
+    /// Block until no suspect awaits the engine's verdict or `timeout`
+    /// elapses. Recache and hint work may still be running.
+    pub fn wait_settled(&self, timeout: Duration) -> bool {
+        // ordering: Relaxed — see is_settling; the poll loops.
+        self.clock
+            .wait_until(timeout, Duration::from_millis(1), || {
+                self.settling_len.load(Ordering::Relaxed) == 0
+            })
+    }
+
     fn task_done(&self) {
-        // ordering: Relaxed — see notify_failed.
+        // ordering: Relaxed — see enqueue.
         self.pending.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -627,6 +730,11 @@ impl Worker {
     fn admit(&mut self, eng: &Arc<RecoveryEngine>, cli: &Arc<HvacClient>, task: Task) {
         match task {
             Task::Stop => {}
+            Task::Suspect { node } => {
+                self.settle(eng, cli, node);
+                eng.settled(node);
+                eng.task_done();
+            }
             Task::Recache { node, epoch } => {
                 // Posture gate: under a lazy live policy, proactive
                 // recache is rejected-and-counted — the foreground lazy
@@ -674,6 +782,27 @@ impl Worker {
             Task::DrainHints { node } => {
                 self.drain_hints(eng, cli, node);
                 eng.task_done();
+            }
+        }
+    }
+
+    /// Ping a suspect node at TTL grade until the detector rules on it.
+    /// A silent ping is one more timeout through the readers' own
+    /// `note_silence`, so a verdict still takes `timeout_limit` full-TTL
+    /// timeouts; a declaration there has already left the ring. At most
+    /// `timeout_limit` pings, in case timeouts age out of the window.
+    fn settle(&mut self, eng: &Arc<RecoveryEngine>, cli: &Arc<HvacClient>, node: NodeId) {
+        for _ in 0..cli.timeout_limit() {
+            match cli.settle_ping(node) {
+                Some(Verdict::Suspect { .. }) => {}
+                Some(Verdict::JustFailed) => {
+                    // Only a ring edit moves the node's keys to survivors.
+                    if cli.policy() == crate::policy::FtPolicy::RingRecache {
+                        eng.await_first_hit(node, cli.key_index().keys_of(node.0));
+                    }
+                    return;
+                }
+                Some(Verdict::AlreadyFailed) | None => return,
             }
         }
     }

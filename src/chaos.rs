@@ -468,6 +468,10 @@ pub enum Sabotage {
     /// Count typed `Overloaded` replies as detector evidence — the bug
     /// the typed shed exists to prevent; needs [`Load::Surge`].
     MisclassifiedShed,
+    /// Run a non-lazy [`RecoveryMode`] without its recovery engine, yet
+    /// hold the reader to the engine's silent-stall bound: every read on
+    /// a suspect owner then pays its own TTL.
+    EngineLess,
 }
 
 /// Knobs for one campaign run beyond policy and plan.
@@ -554,6 +558,11 @@ pub enum Invariant {
     /// No read is attributed to a policy epoch the controller had
     /// already retired (virtual traced campaigns).
     RetiredPolicyEpoch,
+    /// With a recovery engine, the pass reader spends at most one TTL
+    /// plus the retry backoff cap in reads placed on a killed node, per
+    /// kill: the engine gathers the rest of the evidence (virtual
+    /// campaigns).
+    SilentStall,
 }
 
 impl Invariant {
@@ -578,6 +587,7 @@ impl Invariant {
             Invariant::Brownout => "brownout",
             Invariant::SimMirror => "sim mirror",
             Invariant::RetiredPolicyEpoch => "retired policy epoch",
+            Invariant::SilentStall => "silent stall",
         }
     }
 }
@@ -977,6 +987,9 @@ fn campaign_client(
     } else {
         rc
     };
+    if opts.sabotage == Some(Sabotage::EngineLess) {
+        return Ok(cluster.client(0));
+    }
     match opts.recovery {
         RecoveryMode::Lazy => Ok(cluster.client(0)),
         RecoveryMode::Proactive => cluster.client_with_recovery(0, rc),
@@ -1203,6 +1216,14 @@ pub fn run_campaign_on(
             .filter(|p| client.owner_of(p) == Some(n))
             .count() as u64
     };
+    // Silent-stall accounting: per killed node, the pass reader's time in
+    // reads placed on it since the kill. Armed where an engine should
+    // settle suspects, on the virtual clock, where a read's time is
+    // exactly its silent calls plus its backoff.
+    let stall_bound =
+        (opts.recovery != RecoveryMode::Lazy && policy != FtPolicy::NoFt && clock.is_virtual())
+            .then(|| CAMPAIGN_TTL + cfg.ft.retry.max_backoff);
+    let mut stalled: HashMap<NodeId, Duration> = HashMap::new();
 
     'passes: for pass in 0..plan.passes {
         // Duplicate storm: readers over the keys this pass's kill is
@@ -1256,16 +1277,25 @@ pub fn run_campaign_on(
                 ChaosAction::Kill(n) => {
                     budget += owned_by(n);
                     lossy_applied = true;
+                    stalled.insert(n, Duration::ZERO);
                     cluster.kill(n);
                 }
                 ChaosAction::KillSuccessorOf(n) => {
+                    // With an engine, the verdict on n lands off the read
+                    // path: let it land before asking who inherited n's
+                    // range.
+                    if let Some(engine) = client.recovery() {
+                        let _ = engine.wait_settled(QUIESCE_DEADLINE);
+                    }
                     if let Some(t) = successor_of(n) {
                         budget += owned_by(t);
                         lossy_applied = true;
+                        stalled.insert(t, Duration::ZERO);
                         cluster.kill(t);
                     }
                 }
                 ChaosAction::Revive(n) => {
+                    stalled.remove(&n);
                     if let Err(e) = cluster.revive(n) {
                         fire!(Revive, "node {n} failed to rejoin: {e}");
                     }
@@ -1368,10 +1398,23 @@ pub fn run_campaign_on(
         for idx in order {
             let p = &paths[idx];
             reads_attempted += 1;
+            let placed_on = stall_bound.and_then(|_| client.owner_of(p));
             let t0 = clock.now();
             let result = client.read(p);
             let took = clock.since(t0);
             fault_lats.push(took);
+            if let Some((bound, n)) = stall_bound.zip(placed_on) {
+                if let Some(spent) = stalled.get_mut(&n) {
+                    *spent += took;
+                    if *spent > bound {
+                        fire!(
+                            SilentStall,
+                            "reads placed on killed {n} took {spent:?}, bound {bound:?}"
+                        );
+                        stalled.remove(&n);
+                    }
+                }
+            }
             if took > cfg.ft.retry.deadline_budget + LIVELOCK_SLACK {
                 fire!(
                     Liveness,
@@ -2099,6 +2142,14 @@ pub const SELF_TESTS: &[SelfTest] = &[
             scenario: &CASCADING_OVERLOAD,
             sabotage: Sabotage::MisclassifiedShed,
             expect: Expect::Trips(Invariant::ShedFalsePositive),
+        },
+    },
+    SelfTest {
+        name: "engine-less",
+        check: SelfCheck::Campaign {
+            scenario: &SCALE_SWEEP,
+            sabotage: Sabotage::EngineLess,
+            expect: Expect::Trips(Invariant::SilentStall),
         },
     },
     SelfTest {
