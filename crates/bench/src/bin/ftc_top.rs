@@ -265,17 +265,16 @@ fn main() {
         }
     };
     let paths = cluster.stage_dataset("top", files, 64);
-    let client = if cli.flag("adaptive") {
-        match cluster.client_adaptive(0, Default::default(), Default::default()) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("adaptive client failed to start: {e}");
-                std::process::exit(1);
-            }
+    let client = cluster.client(0);
+    if cli.flag("adaptive") {
+        let started = client
+            .enable_recovery(Default::default())
+            .and_then(|_| client.enable_controller(Default::default()));
+        if let Err(e) = started {
+            eprintln!("adaptive client failed to start: {e}");
+            std::process::exit(1);
         }
-    } else {
-        cluster.client(0)
-    };
+    }
 
     for pass in 0..=passes {
         if !no_kill && pass == kill_at {

@@ -58,7 +58,7 @@ impl Cli {
 }
 
 /// Report a command-line error with the `usage` line and exit 2.
-pub fn usage_error(usage: &str, msg: &str) -> ! {
+fn usage_error(usage: &str, msg: &str) -> ! {
     eprintln!("{msg}\nusage: {usage}");
     std::process::exit(2);
 }

@@ -36,8 +36,6 @@ fn typoed_flags_exit_2() {
         (env!("CARGO_BIN_EXE_ablation_placement"), &["--key", "10"]),
         (env!("CARGO_BIN_EXE_ablation_cascade"), &["--scale"]),
         (env!("CARGO_BIN_EXE_ftc-top"), &["--once", "--armoured"]),
-        (env!("CARGO_BIN_EXE_hotpath"), &["--smoek"]),
-        (env!("CARGO_BIN_EXE_hotpath"), &["--diff-keys", "old.json"]),
     ] {
         assert_eq!(exit_code(bin, args), Some(2), "{bin} {args:?}");
     }

@@ -33,7 +33,7 @@ use ftc_hashring::{NodeId, Placement};
 use ftc_net::xport::{Caller, Transport};
 use ftc_net::{HistoryRecorder, RpcError, TraceEventKind};
 use ftc_storage::{KeyIndex, Pfs, ValueBuf};
-use ftc_time::ClockHandle;
+use ftc_time::{ClockHandle, SplitMix64};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -120,9 +120,9 @@ pub struct HvacClient {
     config: FtConfig,
     pfs: Arc<Pfs>,
     metrics: Arc<ClientMetrics>,
-    /// SplitMix64 state for backoff jitter — client-local and seeded from
-    /// the rank, so a chaos campaign replays the exact sleep schedule.
-    jitter_rng: Mutex<u64>,
+    /// Backoff jitter stream — client-local and seeded from the rank, so
+    /// a chaos campaign replays the exact sleep schedule.
+    jitter_rng: Mutex<SplitMix64>,
     /// This client's placement-view epoch: bumped (under the placement
     /// lock) on every membership change, stamped onto `ReadServed` trace
     /// events so the race detector can relate reads to ring updates.
@@ -221,7 +221,7 @@ impl HvacClient {
             config,
             pfs,
             metrics: Arc::new(ClientMetrics::default()),
-            jitter_rng: Mutex::new(0x9E37_79B9_7F4A_7C15 ^ u64::from(me.0)),
+            jitter_rng: Mutex::new(SplitMix64::new(0x9E37_79B9_7F4A_7C15 ^ u64::from(me.0))),
             epoch: AtomicU64::new(0),
             obs: OnceLock::new(),
             key_index: KeyIndex::new(),
@@ -339,13 +339,7 @@ impl HvacClient {
 
     /// Next uniform draw in `[0, 1)` from the client's jitter stream.
     fn jitter_unit(&self) -> f64 {
-        let mut state = self.jitter_rng.lock();
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
+        self.jitter_rng.lock().unit()
     }
 
     /// Issue one RPC and normalize the overload signal: an `Overloaded`
@@ -1828,7 +1822,7 @@ mod tests {
 
     #[test]
     fn armored_client_retry_budget_denial_degrades_to_pfs() {
-        use crate::overload::BudgetConfig;
+        use crate::overload::{BudgetConfig, DEFAULT_HEDGE_MAX_DELAY};
         // Total message loss with an immediate-declare detector: the
         // unarmored client would burn max_attempts RPCs; the armored one
         // spends its two retry tokens, is denied the third, and degrades
@@ -1838,6 +1832,8 @@ mod tests {
         cfg.detector.timeout_limit = 1;
         cfg.retry.max_attempts = 8;
         cfg.overload.armored = true;
+        // No hedge: its cold-start delay is not under this TTL.
+        cfg.detector.ttl = DEFAULT_HEDGE_MAX_DELAY;
         cfg.overload.budget = BudgetConfig {
             capacity: 2.0,
             refill_per_sec: 0.0,
@@ -2030,7 +2026,7 @@ mod tests {
 
     #[test]
     fn fallback_rule_matrix() {
-        use crate::overload::{BreakerConfig, BudgetConfig};
+        use crate::overload::{BreakerConfig, BudgetConfig, DEFAULT_HEDGE_MAX_DELAY};
         use Cell::*;
         use FtPolicy::*;
         // One PFS-served read moves exactly these.
@@ -2185,7 +2181,9 @@ mod tests {
                 _ => 3,
             };
             if matches!(cell, BreakerOpen | BudgetDenied) {
-                cfg.overload.armored = true; // hedging stays off
+                cfg.overload.armored = true;
+                // No hedge: its cold-start delay is not under this TTL.
+                cfg.detector.ttl = DEFAULT_HEDGE_MAX_DELAY;
                 cfg.overload.breaker = BreakerConfig {
                     failure_threshold: if cell == BreakerOpen { 1 } else { 100 },
                     open_for: Duration::from_secs(3600),

@@ -196,35 +196,6 @@ impl Cluster {
         c
     }
 
-    /// Create a client with a running [`RecoveryEngine`] — proactive
-    /// recache, hinted handoff and (when configured) autonomous
-    /// readmission probing. Errors if the engine thread cannot spawn.
-    pub fn client_with_recovery(
-        &self,
-        rank: u32,
-        recovery: crate::recovery::RecoveryConfig,
-    ) -> Result<Arc<HvacClient>, CoreError> {
-        let c = self.client(rank);
-        let _ = c.enable_recovery(recovery)?;
-        Ok(c)
-    }
-
-    /// Create a client governed by a runtime [`crate::PolicyController`]
-    /// on top of a running recovery engine: the controller watches the
-    /// client's detector signals and switches recovery posture,
-    /// replication factor and recache rate at runtime, epoch-fenced.
-    /// Errors if either worker thread cannot spawn.
-    pub fn client_adaptive(
-        &self,
-        rank: u32,
-        recovery: crate::recovery::RecoveryConfig,
-        controller: crate::controller::ControllerConfig,
-    ) -> Result<Arc<HvacClient>, CoreError> {
-        let c = self.client_with_recovery(rank, recovery)?;
-        let _ = c.enable_controller(controller)?;
-        Ok(c)
-    }
-
     /// The cluster's observability hub (registry + timeline + flight
     /// recorder). The chaos harness stamps kills and embeds snapshots
     /// through this handle.
@@ -653,16 +624,13 @@ mod tests {
     fn silent_revive_is_discovered_by_probing() {
         let cluster = Cluster::start(ClusterConfig::small(3, FtPolicy::RingRecache)).expect("boot");
         let paths = cluster.stage_dataset("train", 12, 16);
-        let c = cluster
-            .client_with_recovery(
-                0,
-                crate::recovery::RecoveryConfig {
-                    probe_base: Duration::from_millis(10),
-                    probe_max: Duration::from_millis(40),
-                    ..Default::default()
-                },
-            )
-            .expect("client with engine");
+        let c = cluster.client(0);
+        c.enable_recovery(crate::recovery::RecoveryConfig {
+            probe_base: Duration::from_millis(10),
+            probe_max: Duration::from_millis(40),
+            ..Default::default()
+        })
+        .expect("engine");
         kill_node0_and_absorb(&cluster, &c, &paths);
         // The node comes back on the fabric, but nobody tells the client.
         cluster.revive_silent(NodeId(0)).expect("revive");
@@ -721,9 +689,9 @@ mod tests {
     fn obs_samples_emit_each_series_once() {
         let cluster = Cluster::start(ClusterConfig::small(3, FtPolicy::RingRecache)).expect("boot");
         let paths = cluster.stage_dataset("train", 9, 16);
-        let c = cluster
-            .client_adaptive(0, Default::default(), Default::default())
-            .expect("client with engine and controller");
+        let c = cluster.client(0);
+        c.enable_recovery(Default::default()).expect("engine");
+        c.enable_controller(Default::default()).expect("controller");
         cluster.kill(NodeId(1));
         for p in &paths {
             c.read(p).unwrap();

@@ -24,7 +24,7 @@
 //!   cannot oscillate the posture.
 //! * **Cooldown** — after any switch the controller refuses further
 //!   switches for a configured window; suppressed attempts are counted
-//!   (`flaps_suppressed`), which the `--sabotage-flap` self-test asserts.
+//!   (`flaps_suppressed`), which the chaos `flap` self-test asserts.
 
 use crate::client::HvacClient;
 use crate::policy::DEFAULT_RECACHE_RATE;
@@ -208,7 +208,9 @@ pub struct ControllerConfig {
     /// escalates to the burst decision.
     pub escalate: f64,
     /// Estimated rate (events/s) at or below which it de-escalates to the
-    /// quiet decision. Must be `< escalate`; the gap is the hysteresis.
+    /// quiet decision. Keep it `< escalate`: the gap is the hysteresis.
+    /// Inverted, every tick wants the opposite posture (the chaos `flap`
+    /// self-test does this to exercise the cooldown).
     pub deescalate: f64,
     /// Decision installed in the quiet regime.
     pub quiet: PolicyDecision,
@@ -222,9 +224,6 @@ pub struct ControllerConfig {
     /// Shed rate at or below which brownout exits. Must be `< shed_enter`
     /// when enabled; the gap is the hysteresis.
     pub shed_exit: f64,
-    /// Self-test hook: force a posture-flip attempt every tick so the
-    /// cooldown's flap suppression is observable (`--sabotage-flap`).
-    pub sabotage_flap: bool,
 }
 
 impl Default for ControllerConfig {
@@ -249,7 +248,6 @@ impl Default for ControllerConfig {
             },
             shed_enter: 0.0,
             shed_exit: 0.0,
-            sabotage_flap: false,
         }
     }
 }
@@ -525,15 +523,7 @@ impl PolicyController {
             let rate = st.est.rate();
             let shed_rate = st.shed_est.rate();
             let proactive = self.live.proactive();
-            let desired = if self.config.sabotage_flap {
-                // Forced oscillation: want the opposite posture every
-                // tick, so the cooldown's suppression is exercised.
-                Some(if proactive {
-                    self.config.quiet
-                } else {
-                    self.config.burst
-                })
-            } else if rate >= self.config.escalate && !proactive {
+            let desired = if rate >= self.config.escalate && !proactive {
                 Some(self.config.burst)
             } else if rate <= self.config.deescalate && proactive {
                 Some(self.config.quiet)

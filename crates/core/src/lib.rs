@@ -54,8 +54,8 @@ pub use detector::{DetectorConfig, FailureDetector, Verdict};
 pub use error::CoreError;
 pub use metrics::{ClientMetrics, ClientMetricsSnapshot, ClusterMetrics};
 pub use overload::{
-    AdmissionConfig, BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, HedgeConfig,
-    OverloadConfig, RetryBudget, ShedReason,
+    AdmissionConfig, BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, OverloadConfig,
+    ShedReason,
 };
 pub use policy::{FtConfig, FtPolicy, PlacementKind, RetryPolicy};
 pub use proto::{CacheRequest, CacheResponse, ServeSource};

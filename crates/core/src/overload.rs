@@ -18,11 +18,12 @@
 //!   admits exactly a probe quota. Short-circuited calls never hit the
 //!   wire, so a struggling node sees its offered load collapse instead
 //!   of compound.
-//! * [`RetryBudget`] — client side: a token bucket that every *retry*
+//! * Retry budget — client side: a `TokenBucket` that every *retry*
 //!   (never a first attempt) must pay for, replacing unconditional
 //!   `RetryPolicy` retries. A cluster-wide incident then costs at most
 //!   `capacity + refill·t` extra requests instead of `attempts × load`.
-//! * [`HedgeConfig`] — client side: after a latency-derived p99 delay, a
+//!   The recovery engine paces its recache pushes with the same type.
+//! * Hedged reads — client side: after a latency-derived p99 delay, a
 //!   read is hedged to the next replica owner and the first success
 //!   wins; the armor disables hedging in brownout so the cure cannot
 //!   become the disease.
@@ -56,10 +57,10 @@ pub const DEFAULT_BREAKER_PROBES: u32 = 2;
 pub const DEFAULT_BUDGET_CAPACITY: f64 = 32.0;
 /// Default retry-budget refill rate (tokens/second).
 pub const DEFAULT_BUDGET_REFILL: f64 = 50.0;
-/// Default clamp bounds for the hedge delay.
+/// Lower clamp on the hedge delay.
 pub const DEFAULT_HEDGE_MIN_DELAY: Duration = Duration::from_micros(200);
-/// Default upper clamp for the hedge delay (also the cold-start value
-/// before any latency samples exist).
+/// Upper clamp on the hedge delay, and its cold-start value before any
+/// latency samples exist.
 pub const DEFAULT_HEDGE_MAX_DELAY: Duration = Duration::from_millis(20);
 /// Read latencies remembered for the hedge-delay p99.
 pub const HEDGE_WINDOW: usize = 256;
@@ -382,82 +383,73 @@ impl Default for BudgetConfig {
     }
 }
 
-/// A token bucket that bounds retry amplification: every retry must
-/// `try_spend` one token; first attempts are free. When the bucket runs
-/// dry the caller degrades (PFS fallback / typed error) instead of
-/// hammering a struggling cluster.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryBudget {
-    config: BudgetConfig,
+/// A token bucket: up to `capacity` tokens, refilled at `rate` tokens per
+/// second, fractional in between. The client's retry budget spends one
+/// per *retry* (first attempts are free), so an incident costs at most
+/// `capacity + rate·t` extra requests; the recovery engine spends one per
+/// recache push. Refill is monotone: a `now` behind the last refill (a
+/// stale reading racing a virtual-time burst) credits nothing and leaves
+/// the refill clock where it was, so no interval is ever paid out twice.
+#[derive(Debug)]
+pub(crate) struct TokenBucket {
+    rate: f64,
+    capacity: f64,
     tokens: f64,
-    last_refill: Instant,
-    spent: u64,
-    denied: u64,
+    last: Instant,
 }
 
-impl RetryBudget {
-    /// A full bucket, refill clock anchored at `now`.
-    pub fn new(config: BudgetConfig, now: Instant) -> Self {
-        RetryBudget {
-            tokens: config.capacity.max(0.0),
-            config,
-            last_refill: now,
-            spent: 0,
-            denied: 0,
+impl TokenBucket {
+    /// A full bucket, refill clock anchored at `now`. A negative rate or
+    /// capacity counts as zero.
+    pub(crate) fn new(rate: f64, capacity: f64, now: Instant) -> Self {
+        let capacity = capacity.max(0.0);
+        TokenBucket {
+            rate: rate.max(0.0),
+            capacity,
+            tokens: capacity,
+            last: now,
         }
     }
 
-    fn refill(&mut self, now: Instant) {
-        let dt = now
-            .saturating_duration_since(self.last_refill)
-            .as_secs_f64();
-        self.last_refill = now;
-        self.tokens = (self.tokens + dt * self.config.refill_per_sec).min(self.config.capacity);
+    /// Credit the time since the last refill. Returns true when `now` was
+    /// behind it, so nothing was credited.
+    fn refill(&mut self, now: Instant) -> bool {
+        if now < self.last {
+            return true;
+        }
+        let dt = now.duration_since(self.last).as_secs_f64();
+        self.tokens = (self.tokens + dt * self.rate).min(self.capacity);
+        self.last = now;
+        false
     }
 
-    /// Spend one token for a retry; `false` means the budget is
-    /// exhausted and the retry must not be sent.
-    pub fn try_spend(&mut self, now: Instant) -> bool {
-        self.refill(now);
-        if self.tokens >= 1.0 {
+    /// Take one token if available: `(granted, refill_clamped)`.
+    pub(crate) fn try_take(&mut self, now: Instant) -> (bool, bool) {
+        let clamped = self.refill(now);
+        let granted = self.tokens >= 1.0;
+        if granted {
             self.tokens -= 1.0;
-            self.spent += 1;
-            true
-        } else {
-            self.denied += 1;
-            false
         }
+        (granted, clamped)
     }
 
-    /// `(spent, denied)` lifetime totals.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.spent, self.denied)
+    /// Retune the refill rate. The bucket is settled at the old rate up
+    /// to `now` first, so the change is never retroactive.
+    pub(crate) fn set_rate(&mut self, rate: f64, now: Instant) {
+        let _ = self.refill(now);
+        self.rate = rate.max(0.0);
     }
-}
 
-// ---------------------------------------------------------------------------
-// Hedged reads
-// ---------------------------------------------------------------------------
-
-/// Hedged-read tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HedgeConfig {
-    /// Whether hedging is active.
-    pub enabled: bool,
-    /// Lower clamp on the hedge delay.
-    pub min_delay: Duration,
-    /// Upper clamp on the hedge delay; also the cold-start delay before
-    /// any latency samples exist.
-    pub max_delay: Duration,
-}
-
-impl Default for HedgeConfig {
-    fn default() -> Self {
-        HedgeConfig {
-            enabled: false,
-            min_delay: DEFAULT_HEDGE_MIN_DELAY,
-            max_delay: DEFAULT_HEDGE_MAX_DELAY,
+    /// Time until one token is available; `None` when the bucket is dry
+    /// and the rate is zero.
+    pub(crate) fn eta(&self) -> Option<Duration> {
+        if self.tokens >= 1.0 {
+            return Some(Duration::ZERO);
         }
+        if self.rate <= 0.0 {
+            return None;
+        }
+        Some(Duration::from_secs_f64((1.0 - self.tokens) / self.rate))
     }
 }
 
@@ -477,8 +469,6 @@ pub struct OverloadConfig {
     pub breaker: BreakerConfig,
     /// Retry token-budget tuning.
     pub budget: BudgetConfig,
-    /// Hedged-read tuning.
-    pub hedge: HedgeConfig,
     /// Self-test sabotage: misclassify `Overloaded` replies as failure
     /// evidence for the detector — exactly the bug the typed shed reply
     /// exists to prevent, so the chaos harness can prove its
@@ -493,10 +483,6 @@ impl OverloadConfig {
     pub fn armored() -> Self {
         OverloadConfig {
             armored: true,
-            hedge: HedgeConfig {
-                enabled: true,
-                ..Default::default()
-            },
             ..Default::default()
         }
     }
@@ -514,7 +500,7 @@ pub(crate) struct Armor {
     config: OverloadConfig,
     clock: ClockHandle,
     breakers: Mutex<HashMap<NodeId, CircuitBreaker>>,
-    retry_budget: Mutex<RetryBudget>,
+    retry_budget: Mutex<TokenBucket>,
     /// The last [`HEDGE_WINDOW`] successful read latencies.
     read_lat: Mutex<VecDeque<Duration>>,
 }
@@ -523,7 +509,11 @@ impl Armor {
     /// No breakers, a full retry budget, an empty latency window.
     pub(crate) fn new(config: OverloadConfig, clock: ClockHandle) -> Self {
         Armor {
-            retry_budget: Mutex::new(RetryBudget::new(config.budget, clock.now())),
+            retry_budget: Mutex::new(TokenBucket::new(
+                config.budget.refill_per_sec,
+                config.budget.capacity,
+                clock.now(),
+            )),
             config,
             clock,
             breakers: Mutex::new(HashMap::new()),
@@ -553,7 +543,7 @@ impl Armor {
 
     /// Spend one retry token; `false` means the retry must not be sent.
     pub(crate) fn admit_retry(&self) -> bool {
-        !self.config.armored || self.retry_budget.lock().try_spend(self.clock.now())
+        !self.config.armored || self.retry_budget.lock().try_take(self.clock.now()).0
     }
 
     /// A call to `node` succeeded: closes a half-open breaker, clears
@@ -573,25 +563,24 @@ impl Armor {
         }
     }
 
-    /// May a read whose primary is `node` be hedged? Only with hedging
-    /// on and the breaker fully closed: half-open probes must run at the
+    /// May a read whose primary is `node` be hedged? Only when armored
+    /// and with the breaker fully closed: half-open probes must run at the
     /// full TTL so a dead node still accumulates detector-grade evidence.
     pub(crate) fn may_hedge(&self, node: NodeId) -> bool {
         self.config.armored
-            && self.config.hedge.enabled
             && match self.breakers.lock().get(&node) {
                 None => true,
                 Some(b) => matches!(b.state(), BreakerState::Closed { .. }),
             }
     }
 
-    /// The hedge delay: the p99 of recent read latencies clamped to the
-    /// configured band; the upper clamp before any samples exist. Sorts
-    /// the window, so ask only once a hedge target is known.
+    /// The hedge delay: the p99 of recent read latencies clamped to
+    /// `DEFAULT_HEDGE_{MIN,MAX}_DELAY`; the upper clamp before any samples
+    /// exist. Sorts the window, so ask only once a hedge target is known.
     pub(crate) fn hedge_delay(&self) -> Duration {
-        let h = self.config.hedge;
         let p99 = ftc_obs::percentile(self.read_lat.lock().make_contiguous(), 0.99);
-        p99.unwrap_or(h.max_delay).clamp(h.min_delay, h.max_delay)
+        p99.unwrap_or(DEFAULT_HEDGE_MAX_DELAY)
+            .clamp(DEFAULT_HEDGE_MIN_DELAY, DEFAULT_HEDGE_MAX_DELAY)
     }
 
     /// Record the latency of a successful read begun at `begun`.
@@ -720,19 +709,69 @@ mod tests {
 
     #[test]
     fn budget_spends_denies_and_refills() {
-        let cfg = BudgetConfig {
-            capacity: 2.0,
-            refill_per_sec: 1.0,
-        };
         let now = t0();
-        let mut budget = RetryBudget::new(cfg, now);
-        assert!(budget.try_spend(now));
-        assert!(budget.try_spend(now));
-        assert!(!budget.try_spend(now), "deposit exhausted");
-        assert_eq!(budget.totals(), (2, 1));
-        // 1.5s of idle refills 1.5 tokens (capped at capacity).
-        assert!(budget.try_spend(now + Duration::from_millis(1500)));
-        assert!(!budget.try_spend(now + Duration::from_millis(1500)));
+        let mut budget = TokenBucket::new(1.0, 2.0, now);
+        assert!(budget.try_take(now).0);
+        assert!(budget.try_take(now).0);
+        assert!(!budget.try_take(now).0, "deposit exhausted");
+        // 1.5s of idle refills 1.5 tokens.
+        assert!(budget.try_take(now + 1500 * MS).0);
+        assert!(!budget.try_take(now + 1500 * MS).0);
+        // A long idle stretch refills no more than the capacity.
+        let later = now + Duration::from_secs(60);
+        assert!(budget.try_take(later).0);
+        assert!(budget.try_take(later).0);
+        assert!(!budget.try_take(later).0);
+    }
+
+    #[test]
+    fn zero_capacity_budget_denies_every_retry() {
+        let now = t0();
+        let mut budget = TokenBucket::new(DEFAULT_BUDGET_REFILL, 0.0, now);
+        for s in 0..4 {
+            assert!(!budget.try_take(now + Duration::from_secs(s)).0);
+        }
+        // A zero rate never refills, and says so.
+        let mut dry = TokenBucket::new(0.0, 1.0, now);
+        assert!(dry.try_take(now).0);
+        assert!(!dry.try_take(now + Duration::from_secs(3600)).0);
+        assert_eq!(dry.eta(), None);
+    }
+
+    #[test]
+    fn budget_credits_nothing_for_a_stale_now() {
+        let now = t0();
+        let mut budget = TokenBucket::new(10.0, 1.0, now);
+        assert_eq!(budget.try_take(now), (true, false));
+        let later = now + 100 * MS;
+        assert_eq!(budget.try_take(later), (true, false), "100ms refills one");
+        // A reading from before the last refill is clamped: no credit,
+        // and the refill clock stays at `later`...
+        assert_eq!(budget.try_take(now), (false, true));
+        // ...so `later` is not credited the interval since `now` again.
+        assert_eq!(budget.try_take(later), (false, false));
+        assert_eq!(budget.try_take(later + 100 * MS), (true, false));
+    }
+
+    #[test]
+    fn set_rate_settles_before_switching() {
+        let now = t0();
+        let mut b = TokenBucket::new(10.0, 5.0, now);
+        for _ in 0..5 {
+            assert!(b.try_take(now).0);
+        }
+        // 100ms at the old 10/s rate earns exactly one token even though
+        // the rate is raised at the same instant: never retroactive.
+        b.set_rate(1000.0, now + 100 * MS);
+        assert!(b.try_take(now + 100 * MS).0);
+        assert!(!b.try_take(now + 100 * MS).0);
+        // From here the new rate applies: 10ms at 1000/s is 10 tokens,
+        // capped at the capacity of 5.
+        let later = now + 110 * MS;
+        for _ in 0..5 {
+            assert!(b.try_take(later).0);
+        }
+        assert!(!b.try_take(later).0);
     }
 
     #[test]
@@ -749,10 +788,6 @@ mod tests {
                 capacity: 0.0,
                 refill_per_sec: 0.0,
             },
-            hedge: HedgeConfig {
-                enabled: true,
-                ..Default::default()
-            },
             shed_counts_as_failure: false,
         };
         let node = NodeId(3);
@@ -767,13 +802,9 @@ mod tests {
         assert!(!armor.may_hedge(node), "unarmored never hedges");
         assert!(armor.breakers.lock().is_empty(), "no breaker allocated");
         assert!(armor.read_lat.lock().is_empty(), "no latency recorded");
-        assert_eq!(
-            armor.retry_budget.lock().totals(),
-            (0, 0),
-            "budget untouched"
-        );
 
-        // The same settings, armed, refuse after one failure.
+        // The same settings, armed, hedge a fresh node and refuse after
+        // one failure.
         let armed = Armor::new(
             OverloadConfig {
                 armored: true,
@@ -864,20 +895,17 @@ mod tests {
             refill_centi in 0u32..2000,
             gaps_ms in prop::collection::vec(0u64..200, 1..128),
         ) {
-            let cfg = BudgetConfig {
-                capacity: f64::from(capacity),
-                refill_per_sec: f64::from(refill_centi) / 100.0,
-            };
+            let rate = f64::from(refill_centi) / 100.0;
             let base = t0();
-            let mut budget = RetryBudget::new(cfg, base);
+            let mut budget = TokenBucket::new(rate, f64::from(capacity), base);
             let mut now = base;
+            let mut spent = 0u64;
             for gap in gaps_ms {
                 now += Duration::from_millis(gap);
-                let _ = budget.try_spend(now);
+                spent += u64::from(budget.try_take(now).0);
             }
-            let (spent, _denied) = budget.totals();
             let elapsed = now.saturating_duration_since(base).as_secs_f64();
-            let ceiling = f64::from(capacity) + cfg.refill_per_sec * elapsed;
+            let ceiling = f64::from(capacity) + rate * elapsed;
             prop_assert!(
                 (spent as f64) <= ceiling + 1.0,
                 "spent {} > deposit+refill {}", spent, ceiling
@@ -888,17 +916,13 @@ mod tests {
         /// stretch always restores at least one token.
         #[test]
         fn budget_refills_after_idle(capacity in 1u32..16) {
-            let cfg = BudgetConfig {
-                capacity: f64::from(capacity),
-                refill_per_sec: 2.0,
-            };
             let base = t0();
-            let mut budget = RetryBudget::new(cfg, base);
+            let mut budget = TokenBucket::new(2.0, f64::from(capacity), base);
             let mut now = base;
-            while budget.try_spend(now) {}
-            prop_assert!(!budget.try_spend(now));
+            while budget.try_take(now).0 {}
+            prop_assert!(!budget.try_take(now).0);
             now += Duration::from_secs(1);
-            prop_assert!(budget.try_spend(now), "idle second refills 2 tokens");
+            prop_assert!(budget.try_take(now).0, "idle second refills 2 tokens");
         }
     }
 }

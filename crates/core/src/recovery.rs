@@ -32,6 +32,7 @@
 
 use crate::client::HvacClient;
 use crate::detector::Verdict;
+use crate::overload::TokenBucket;
 use ftc_hashring::NodeId;
 use ftc_storage::ValueBuf;
 use ftc_time::{
@@ -61,7 +62,7 @@ pub struct RecoveryConfig {
     /// Token-bucket refill rate in recache pushes per second. Zero means
     /// the bucket never refills — recache stalls forever (sabotage mode).
     pub recache_rate: f64,
-    /// Token-bucket burst capacity.
+    /// Token-bucket burst capacity; 0 counts as 1.
     pub recache_burst: u32,
     /// Push retries per key before the key is abandoned to the lazy path.
     pub push_retries: u32,
@@ -87,73 +88,6 @@ impl Default for RecoveryConfig {
             probe_base: Duration::from_millis(50),
             probe_max: Duration::from_secs(1),
         }
-    }
-}
-
-/// Classic token bucket; time-driven refill, fractional tokens.
-#[derive(Debug)]
-struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    fn new(rate: f64, burst: u32, now: Instant) -> Self {
-        let burst = f64::from(burst.max(1));
-        TokenBucket {
-            rate: rate.max(0.0),
-            burst,
-            tokens: burst,
-            last: now,
-        }
-    }
-
-    /// Credit elapsed time. Monotone: a `now` behind the last refill
-    /// (a stale snapshot racing a virtual-time burst) grants nothing and
-    /// leaves `last` untouched — regressing `last` would let the next
-    /// caller re-credit an interval that was already paid out. Returns
-    /// true when the call was clamped for that reason.
-    fn refill(&mut self, now: Instant) -> bool {
-        if now < self.last {
-            return true;
-        }
-        let dt = now.duration_since(self.last).as_secs_f64();
-        self.tokens = (self.tokens + dt * self.rate).min(self.burst);
-        self.last = now;
-        false
-    }
-
-    /// Take one token if available: `(granted, refill_clamped)`.
-    fn try_take(&mut self, now: Instant) -> (bool, bool) {
-        let clamped = self.refill(now);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            (true, clamped)
-        } else {
-            (false, clamped)
-        }
-    }
-
-    /// Retune the refill rate (runtime policy controller). The bucket is
-    /// settled at the old rate up to `now` first, so the change is never
-    /// retroactive.
-    fn set_rate(&mut self, rate: f64, now: Instant) {
-        let _ = self.refill(now);
-        self.rate = rate.max(0.0);
-    }
-
-    /// Time until one token is available (`None` when the bucket can
-    /// never refill, i.e. rate is zero).
-    fn eta(&self, _now: Instant) -> Option<Duration> {
-        if self.tokens >= 1.0 {
-            return Some(Duration::ZERO);
-        }
-        if self.rate <= 0.0 {
-            return None;
-        }
-        Some(Duration::from_secs_f64((1.0 - self.tokens) / self.rate))
     }
 }
 
@@ -382,7 +316,7 @@ impl RecoveryEngine {
             worker_thread: Arc::new(OnceLock::new()),
             bucket: Mutex::new(TokenBucket::new(
                 config.recache_rate,
-                config.recache_burst,
+                f64::from(config.recache_burst.max(1)),
                 clock.now(),
             )),
             clock,
@@ -848,7 +782,7 @@ impl Worker {
                 let nap = eng
                     .bucket
                     .lock()
-                    .eta(self.clock.now())
+                    .eta()
                     .unwrap_or(THROTTLE_NAP)
                     .min(THROTTLE_NAP);
                 if !nap.is_zero() {
@@ -1024,78 +958,6 @@ impl RecoveryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn token_bucket_enforces_rate() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(10.0, 2, t0);
-        assert!(b.try_take(t0).0);
-        assert!(b.try_take(t0).0);
-        assert!(!b.try_take(t0).0, "burst of 2 exhausted");
-        // 100 ms refills exactly one token at 10/s.
-        assert!(b.try_take(t0 + Duration::from_millis(100)).0);
-        assert!(!b.try_take(t0 + Duration::from_millis(100)).0);
-    }
-
-    #[test]
-    fn token_bucket_caps_at_burst() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(1000.0, 3, t0);
-        // A long idle period must not accumulate more than the burst.
-        let later = t0 + Duration::from_secs(60);
-        for _ in 0..3 {
-            assert!(b.try_take(later).0);
-        }
-        assert!(!b.try_take(later).0);
-    }
-
-    #[test]
-    fn zero_rate_bucket_never_refills() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(0.0, 1, t0);
-        assert!(b.try_take(t0).0);
-        assert!(!b.try_take(t0 + Duration::from_secs(3600)).0);
-        assert_eq!(b.eta(t0), None, "no eta when the rate is zero");
-    }
-
-    #[test]
-    fn token_bucket_refill_is_monotone_under_stale_snapshots() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(10.0, 1, t0);
-        assert!(b.try_take(t0).0);
-        let later = t0 + Duration::from_millis(100);
-        let (granted, clamped) = b.try_take(later);
-        assert!(granted && !clamped, "100ms at 10/s refills one token");
-        // A snapshot taken before the last refill must not regress the
-        // bucket: clamped, no credit, `last` untouched.
-        let (granted, clamped) = b.try_take(t0);
-        assert!(!granted && clamped, "stale now: clamped, nothing granted");
-        // Because `last` did not regress, replaying `later` cannot
-        // re-credit the interval that was already paid out.
-        let (granted, clamped) = b.try_take(later);
-        assert!(!granted && !clamped, "no double-counted refill");
-    }
-
-    #[test]
-    fn token_bucket_set_rate_settles_before_switching() {
-        let t0 = Instant::now();
-        let mut b = TokenBucket::new(10.0, 5, t0);
-        for _ in 0..5 {
-            assert!(b.try_take(t0).0);
-        }
-        // 100ms at the old 10/s rate earns exactly one token even though
-        // the rate is raised at the same instant: never retroactive.
-        b.set_rate(1000.0, t0 + Duration::from_millis(100));
-        assert!(b.try_take(t0 + Duration::from_millis(100)).0);
-        assert!(!b.try_take(t0 + Duration::from_millis(100)).0);
-        // From here the new rate applies: 10ms at 1000/s is 10 tokens,
-        // capped at the burst of 5.
-        let later = t0 + Duration::from_millis(110);
-        for _ in 0..5 {
-            assert!(b.try_take(later).0);
-        }
-        assert!(!b.try_take(later).0);
-    }
 
     #[test]
     fn hint_store_parks_and_drains_per_node() {

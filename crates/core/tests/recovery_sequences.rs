@@ -39,19 +39,16 @@ fn drive_until_declared(c: &ftc_core::HvacClient, paths: &[String], node: NodeId
 fn successor_death_mid_recache_reroutes_pushes() {
     let cluster = Cluster::start(ClusterConfig::small(4, FtPolicy::RingRecache)).expect("boot");
     let paths = cluster.stage_dataset("train", 48, FILE_SIZE);
-    let c = cluster
-        .client_with_recovery(
-            0,
-            RecoveryConfig {
-                probe: false,
-                // Slow the bucket down so the first job is still mid-flight
-                // when the second failure lands.
-                recache_rate: 4_000.0,
-                recache_burst: 4,
-                ..Default::default()
-            },
-        )
-        .expect("client");
+    let c = cluster.client(0);
+    c.enable_recovery(RecoveryConfig {
+        probe: false,
+        // Slow the bucket down so the first job is still mid-flight
+        // when the second failure lands.
+        recache_rate: 4_000.0,
+        recache_burst: 4,
+        ..Default::default()
+    })
+    .expect("engine");
     for p in &paths {
         c.read(p).unwrap();
     }
@@ -110,9 +107,9 @@ proptest! {
         let cluster =
             Cluster::start(ClusterConfig::small(4, FtPolicy::RingRecache)).expect("boot");
         let paths = cluster.stage_dataset("train", 24, FILE_SIZE);
-        let c = cluster
-            .client_with_recovery(0, RecoveryConfig { probe: false, ..Default::default() })
-            .expect("client");
+        let c = cluster.client(0);
+        c.enable_recovery(RecoveryConfig { probe: false, ..Default::default() })
+            .expect("engine");
         for p in &paths {
             c.read(p).unwrap();
         }

@@ -24,15 +24,14 @@ fn boot(clock: &ClockHandle, engine: bool) -> (Cluster, Arc<HvacClient>, Vec<Str
     cfg.ft.coalesce = false;
     let cluster = Cluster::start_with_clock(cfg, clock.clone()).expect("boot");
     let paths = cluster.stage_dataset("train", FILES, FILE_SIZE);
-    let c = if engine {
+    let c = cluster.client(0);
+    if engine {
         let rc = RecoveryConfig {
             probe: false,
             ..Default::default()
         };
-        cluster.client_with_recovery(0, rc).expect("engine")
-    } else {
-        cluster.client(0)
-    };
+        c.enable_recovery(rc).expect("engine");
+    }
     for p in &paths {
         c.read(p).expect("warm read");
     }

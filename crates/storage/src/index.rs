@@ -60,9 +60,9 @@ impl KeyIndex {
         KeyIndex::with_shards(Self::DEFAULT_SHARDS)
     }
 
-    /// Empty index with an explicit stripe count (benchmarks compare
-    /// `with_shards(1)` — the old single-lock layout — against the
-    /// default). Clamped to at least one shard.
+    /// Empty index with an explicit stripe count (the equivalence tests
+    /// compare `with_shards(1)`, the single-lock layout, against N
+    /// shards). Clamped to at least one shard.
     pub fn with_shards(shards: usize) -> Self {
         let n = shards.max(1);
         let mut v = Vec::with_capacity(n);

@@ -48,7 +48,9 @@ mod virt;
 
 pub use chan::{ClockReceiver, ClockSender};
 pub use crossbeam::channel::{RecvError, RecvTimeoutError, SendError, TryRecvError};
-pub use sched::{Choice, ForcedPrefix, Pct, RandomWalk, RoundRobin, ScheduleTrace, Scheduler};
+pub use sched::{
+    Choice, ForcedPrefix, Pct, RandomWalk, RoundRobin, ScheduleTrace, Scheduler, SplitMix64,
+};
 pub use virt::{with_virtual, with_virtual_sched, TaskHandle, TaskPanicked, VirtualClock};
 
 use std::sync::Arc;

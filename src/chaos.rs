@@ -27,7 +27,7 @@ use ftc_hashring::NodeId;
 use ftc_net::{OpRecord, TraceEventKind, TraceRecord};
 use ftc_sim::{FaultEvent, FaultPlan, SimCalibration, SimCluster, SimWorkload};
 use ftc_storage::{synth_bytes, ValueBuf};
-use ftc_time::ClockHandle;
+use ftc_time::{ClockHandle, SplitMix64};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,24 +107,6 @@ pub struct ChaosPlan {
     pub clean_node: NodeId,
 }
 
-/// Deterministic SplitMix64 stream (no external RNG: the plan must be a
-/// pure function of the seed).
-struct Prng(u64);
-
-impl Prng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n.max(1)
-    }
-}
-
 /// Detector TTL used by every campaign (degrade latencies are sampled
 /// strictly below this).
 pub const CAMPAIGN_TTL: Duration = Duration::from_millis(15);
@@ -135,7 +117,7 @@ const CAMPAIGN_TICK: Duration = Duration::from_millis(5);
 impl ChaosPlan {
     /// Sample a campaign schedule from `seed`.
     pub fn generate(seed: u64) -> Self {
-        let mut rng = Prng(seed ^ 0xC0A5_F0F1_E5C4_A0E5);
+        let mut rng = SplitMix64::new(seed ^ 0xC0A5_F0F1_E5C4_A0E5);
         let nodes = 3 + rng.below(3) as u32; // 3..=5
         let files = 12 + rng.below(13) as usize; // 12..=24
         let passes = 2 + rng.below(2) as u32; // 2..=3
@@ -371,7 +353,7 @@ impl ChaosPlan {
     /// If `nodes < 2` (there must be a clean node and a victim).
     pub fn scenario_scale_sweep(seed: u64, nodes: u32, files: usize) -> Self {
         assert!(nodes >= 2, "scale sweep needs at least 2 nodes");
-        let mut rng = Prng(seed ^ 0x5CA1_AB1E_0F01_D5EE);
+        let mut rng = SplitMix64::new(seed ^ 0x5CA1_AB1E_0F01_D5EE);
         let kills = (nodes / 32).clamp(1, 8) as usize;
         let mut victims: Vec<NodeId> = Vec::with_capacity(kills);
         while victims.len() < kills {
@@ -462,8 +444,8 @@ pub enum Sabotage {
     /// Starve the recovery engine's token bucket (rate 0, burst 0); needs
     /// an engine, i.e. a non-lazy [`RecoveryMode`].
     StarvedRecovery,
-    /// Force the adaptive controller to attempt the opposite posture every
-    /// tick; hysteresis must suppress and count it.
+    /// Invert the adaptive controller's thresholds so it attempts the
+    /// opposite posture every tick; the cooldown must suppress and count it.
     Flap,
     /// Count typed `Overloaded` replies as detector evidence — the bug
     /// the typed shed exists to prevent; needs [`Load::Surge`].
@@ -940,15 +922,22 @@ fn campaign_cluster(nodes: u32, policy: FtPolicy, seed: u64) -> ClusterConfig {
 /// detector events, so the posture actually moves within a campaign that
 /// lasts tens of virtual milliseconds. Decision presets (quiet/burst)
 /// stay at the controller defaults.
-fn campaign_controller_config(sabotage_flap: bool, overload: bool) -> ftc_core::ControllerConfig {
+fn campaign_controller_config(flap: bool, overload: bool) -> ftc_core::ControllerConfig {
+    let (escalate, deescalate) = if flap {
+        // Inverted thresholds: every rate escalates a lazy posture and
+        // de-escalates a proactive one, so the controller wants the
+        // opposite posture on every tick and the cooldown must suppress it.
+        (0.0, f64::INFINITY)
+    } else {
+        (2.0, 0.5)
+    };
     let mut cc = ftc_core::ControllerConfig {
         tick: CAMPAIGN_TICK,
         cooldown: Duration::from_millis(60),
         decay: Duration::from_millis(300),
         prior_weight: 0.05,
-        escalate: 2.0,
-        deescalate: 0.5,
-        sabotage_flap,
+        escalate,
+        deescalate,
         ..Default::default()
     };
     if overload {
@@ -990,14 +979,15 @@ fn campaign_client(
     if opts.sabotage == Some(Sabotage::EngineLess) {
         return Ok(cluster.client(0));
     }
-    match opts.recovery {
-        RecoveryMode::Lazy => Ok(cluster.client(0)),
-        RecoveryMode::Proactive => cluster.client_with_recovery(0, rc),
-        RecoveryMode::Adaptive => {
-            let flap = opts.sabotage == Some(Sabotage::Flap);
-            cluster.client_adaptive(0, rc, campaign_controller_config(flap, overload_on))
-        }
+    let c = cluster.client(0);
+    if opts.recovery != RecoveryMode::Lazy {
+        c.enable_recovery(rc)?;
     }
+    if opts.recovery == RecoveryMode::Adaptive {
+        let flap = opts.sabotage == Some(Sabotage::Flap);
+        c.enable_controller(campaign_controller_config(flap, overload_on))?;
+    }
+    Ok(c)
 }
 
 /// Scan a trace for reads attributed to a policy epoch the controller had
@@ -1390,7 +1380,7 @@ pub fn run_campaign_on(
 
         // Deterministic per-pass read order.
         let mut order: Vec<usize> = (0..paths.len()).collect();
-        let mut rng = Prng(plan.seed.wrapping_add(u64::from(pass) + 1));
+        let mut rng = SplitMix64::new(plan.seed.wrapping_add(u64::from(pass) + 1));
         for i in (1..order.len()).rev() {
             order.swap(i, rng.below(i as u64 + 1) as usize);
         }

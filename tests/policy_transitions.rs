@@ -87,14 +87,13 @@ proptest! {
                 .expect("cluster boots");
             cluster.network().enable_tracing();
             let paths = cluster.stage_dataset("policy", FILES, FILE_SIZE);
-            let client = cluster
-                .client_adaptive(
-                    0,
-                    RecoveryConfig { probe: false, ..Default::default() },
-                    controller_config(),
-                )
-                .expect("adaptive client boots");
-            let controller = client.controller().expect("controller attached").clone();
+            let client = cluster.client(0);
+            client
+                .enable_recovery(RecoveryConfig { probe: false, ..Default::default() })
+                .expect("engine boots");
+            let controller = client
+                .enable_controller(controller_config())
+                .expect("controller boots");
             let cc = controller_config();
 
             let read_pass = |label: &str| {
