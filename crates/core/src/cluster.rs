@@ -16,7 +16,7 @@ use crate::policy::{FtConfig, FtPolicy};
 use crate::server::{label_node, CacheNet, ServerHandle};
 use ftc_hashring::NodeId;
 use ftc_net::{LatencyModel, Network};
-use ftc_storage::{synth_bytes, NvmeCache, Pfs};
+use ftc_storage::{NvmeCache, Pfs};
 use ftc_time::ClockHandle;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -167,14 +167,14 @@ impl Cluster {
         })
     }
 
-    /// Stage `count` synthetic files of `size` bytes onto the PFS under
+    /// Declare `count` synthetic files of `size` bytes on the PFS under
     /// `prefix`, returning their paths. This is the dataset-download step
-    /// of the artifact workflow.
+    /// of the artifact workflow; each file is generated by its first read.
     pub fn stage_dataset(&self, prefix: &str, count: usize, size: usize) -> Vec<String> {
         let mut paths = Vec::with_capacity(count);
         for i in 0..count {
             let p = format!("{prefix}/sample_{i:06}.tfrecord");
-            self.pfs.stage(&p, synth_bytes(&p, size));
+            self.pfs.declare(&p, size);
             paths.push(p);
         }
         paths
@@ -480,6 +480,7 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftc_storage::synth_bytes;
 
     #[test]
     fn boot_stage_read_shutdown() {

@@ -30,7 +30,7 @@ pub use cost::{frontier, frontier_node, CostModel, NodeSpec, TierCost};
 pub use index::KeyIndex;
 pub use mover::{DataMover, DEFAULT_MOVER_QUEUE_CAP};
 pub use nvme::{NvmeCache, NvmeStats};
-pub use object::{FileStore, MemStore, ObjectStore};
+pub use object::{MemStore, ObjectStore};
 pub use pfs::{Pfs, PfsModel};
 pub use synth::{synth_bytes, verify_synth};
 pub use value::ValueBuf;

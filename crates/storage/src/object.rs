@@ -1,15 +1,12 @@
-//! Object stores: the byte-level substrate under both storage tiers.
+//! Object stores: the byte-level substrate under the PFS tier.
 //!
-//! [`MemStore`] keeps objects in memory (the default for tests and
-//! simulations — cheap and exact); [`FileStore`] keeps them as real files
-//! under a directory, for examples that want actual disk I/O through the
-//! same interface.
+//! [`MemStore`] keeps objects in memory, cheap and exact. The
+//! [`ObjectStore`] trait is the seam a test wraps to change how reads
+//! behave (e.g. a slow PFS). Nothing here touches a disk.
 
 use crate::value::ValueBuf;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::path::PathBuf;
 
 /// A flat keyed byte store. Keys are file paths relative to the dataset
 /// root (`train/sample_00001.tfrecord`).
@@ -88,82 +85,6 @@ impl ObjectStore for MemStore {
     }
 }
 
-/// File-backed object store rooted at a directory. Keys map to relative
-/// paths; parent directories are created on demand.
-#[derive(Debug)]
-pub struct FileStore {
-    root: PathBuf,
-    /// Index kept in memory so len/total_bytes are O(1) and `get` avoids
-    /// hitting the filesystem for absent keys.
-    index: RwLock<HashMap<String, u64>>,
-}
-
-impl FileStore {
-    /// Store rooted at `root` (created if missing). Pre-existing files are
-    /// not indexed — the store manages only what it wrote.
-    pub fn new(root: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)?;
-        Ok(FileStore {
-            root,
-            index: RwLock::new(HashMap::new()),
-        })
-    }
-
-    fn path_for(&self, key: &str) -> PathBuf {
-        // Keys are trusted (generated by the dataset layer), but strip any
-        // leading separators so they can't escape the root.
-        self.root.join(key.trim_start_matches('/'))
-    }
-}
-
-impl ObjectStore for FileStore {
-    fn get(&self, key: &str) -> Option<ValueBuf> {
-        if !self.index.read().contains_key(key) {
-            return None;
-        }
-        let mut f = std::fs::File::open(self.path_for(key)).ok()?;
-        let mut buf = Vec::new();
-        f.read_to_end(&mut buf).ok()?;
-        Some(ValueBuf::from(buf))
-    }
-
-    fn put(&self, key: &str, value: ValueBuf) {
-        let path = self.path_for(key);
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Ok(mut f) = std::fs::File::create(&path) {
-            if f.write_all(&value).is_ok() {
-                self.index
-                    .write()
-                    .insert(key.to_owned(), value.len() as u64);
-            }
-        }
-    }
-
-    fn remove(&self, key: &str) -> bool {
-        if self.index.write().remove(key).is_some() {
-            let _ = std::fs::remove_file(self.path_for(key));
-            true
-        } else {
-            false
-        }
-    }
-
-    fn contains(&self, key: &str) -> bool {
-        self.index.read().contains_key(key)
-    }
-
-    fn len(&self) -> usize {
-        self.index.read().len()
-    }
-
-    fn total_bytes(&self) -> u64 {
-        self.index.read().values().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,32 +127,5 @@ mod tests {
         let mut keys = s.keys();
         keys.sort();
         assert_eq!(keys, vec!["x", "y"]);
-    }
-
-    #[test]
-    fn filestore_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("ftc-filestore-{}", std::process::id()));
-        let store = FileStore::new(&dir).unwrap();
-        roundtrip(&store);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn filestore_persists_real_files() {
-        let dir = std::env::temp_dir().join(format!("ftc-filestore2-{}", std::process::id()));
-        let store = FileStore::new(&dir).unwrap();
-        store.put("sub/dir/file.bin", vb(b"abc"));
-        assert!(dir.join("sub/dir/file.bin").exists());
-        assert_eq!(store.get("sub/dir/file.bin").unwrap(), vb(b"abc"));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn filestore_leading_slash_stays_inside_root() {
-        let dir = std::env::temp_dir().join(format!("ftc-filestore3-{}", std::process::id()));
-        let store = FileStore::new(&dir).unwrap();
-        store.put("/abs.bin", vb(b"z"));
-        assert!(dir.join("abs.bin").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,21 +3,25 @@
 //!
 //! Two halves:
 //!
-//! * [`Pfs`] — a real (in-memory or file-backed) store holding the full
-//!   dataset, with *per-file read accounting*. The paper's key claim —
-//!   "only one additional PFS access per lost data item" under hash-ring
-//!   recaching, versus one per epoch under PFS redirection — is asserted
-//!   directly against these counters in the integration tests.
+//! * [`Pfs`] — an in-memory store of the dataset, with *per-file read
+//!   accounting*. Synthetic files are declared and generated by their
+//!   first read, so a process holds only the files it has read. The
+//!   paper's key claim — "only one additional PFS access per lost data
+//!   item" under hash-ring recaching, versus one per epoch under PFS
+//!   redirection — is asserted directly against these counters in the
+//!   integration tests.
 //! * [`PfsModel`] — the simulated cost of a PFS read: a per-open metadata
 //!   latency (the MDS bottleneck of §II-A) plus an aggregate bandwidth
 //!   shared among all concurrent readers (processor sharing). This is what
 //!   makes post-failure PFS traffic produce *stragglers* at scale.
 
 use crate::object::{MemStore, ObjectStore};
+use crate::synth::synth_bytes;
 use crate::value::ValueBuf;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The shared PFS: every training file originates here (datasets are
@@ -25,8 +29,12 @@ use std::sync::Arc;
 /// read from here.
 pub struct Pfs {
     store: Arc<dyn ObjectStore>,
+    /// Declared synthetic files, path → size. A declared file enters
+    /// `store` on its first read. Holding the write lock is the turn that
+    /// commits a generated file, so racing first reads keep one copy.
+    declared: RwLock<HashMap<String, usize>>,
     reads: Mutex<HashMap<String, u64>>,
-    total_reads: Mutex<u64>,
+    total_reads: AtomicU64,
 }
 
 impl Pfs {
@@ -35,43 +43,93 @@ impl Pfs {
         Self::with_store(Arc::new(MemStore::new()))
     }
 
-    /// PFS backed by an arbitrary object store (e.g. a
-    /// [`crate::FileStore`] for real-disk examples).
+    /// PFS backed by an arbitrary object store (tests wrap a
+    /// [`MemStore`] to slow chosen reads down).
     pub fn with_store(store: Arc<dyn ObjectStore>) -> Self {
         Pfs {
             store,
+            declared: RwLock::new(HashMap::new()),
             reads: Mutex::new(HashMap::new()),
-            total_reads: Mutex::new(0),
+            total_reads: AtomicU64::new(0),
         }
     }
 
     /// Stage a file onto the PFS (dataset preparation; not counted as a
-    /// read).
+    /// read). Real content replaces a declared file's synthetic bytes.
     pub fn stage(&self, key: &str, data: impl Into<ValueBuf>) {
+        let _turn = self.declared.write();
         self.store.put(key, data.into());
+    }
+
+    /// Declare the synthetic file `synth_bytes(key, size)` without
+    /// generating it: its first read does, and later reads share that
+    /// allocation. Replaces whatever `key` held.
+    pub fn declare(&self, key: &str, size: usize) {
+        let mut declared = self.declared.write();
+        self.store.remove(key);
+        declared.insert(key.to_owned(), size);
     }
 
     /// Read a file, bumping the per-file and total read counters.
     pub fn read(&self, key: &str) -> Option<ValueBuf> {
-        let data = self.store.get(key)?;
-        *self.reads.lock().entry(key.to_owned()).or_insert(0) += 1;
-        *self.total_reads.lock() += 1;
+        let data = match self.store.get(key) {
+            Some(data) => data,
+            None => self.materialise(key)?,
+        };
+        let mut reads = self.reads.lock();
+        match reads.get_mut(key) {
+            Some(n) => *n += 1,
+            None => {
+                reads.insert(key.to_owned(), 1);
+            }
+        }
+        drop(reads);
+        // ordering: Relaxed — a statistic; it publishes no data.
+        self.total_reads.fetch_add(1, Ordering::Relaxed);
         Some(data)
     }
 
-    /// True if the file is staged.
+    /// A declared file's first read: generate it outside every lock,
+    /// then keep whichever copy reached the store first.
+    fn materialise(&self, key: &str) -> Option<ValueBuf> {
+        let size = *self.declared.read().get(key)?;
+        let fresh = synth_bytes(key, size);
+        let _turn = self.declared.write();
+        if let Some(first) = self.store.get(key) {
+            return Some(first);
+        }
+        self.store.put(key, fresh.clone());
+        Some(fresh)
+    }
+
+    /// Files and bytes: everything stored, plus the declared files not
+    /// read yet.
+    fn footprint(&self) -> (usize, u64) {
+        // Holding the read lock holds off commits, so no file is counted
+        // twice or missed.
+        let declared = self.declared.read();
+        declared
+            .iter()
+            .filter(|(k, _)| !self.store.contains(k))
+            .fold(
+                (self.store.len(), self.store.total_bytes()),
+                |(n, bytes), (_, &size)| (n + 1, bytes + size as u64),
+            )
+    }
+
+    /// True if the file is staged or declared.
     pub fn contains(&self, key: &str) -> bool {
-        self.store.contains(key)
+        self.store.contains(key) || self.declared.read().contains_key(key)
     }
 
-    /// Number of staged files.
+    /// Number of staged or declared files.
     pub fn file_count(&self) -> usize {
-        self.store.len()
+        self.footprint().0
     }
 
-    /// Total bytes staged.
+    /// Total bytes staged or declared.
     pub fn total_bytes(&self) -> u64 {
-        self.store.total_bytes()
+        self.footprint().1
     }
 
     /// How many times `key` has been read since staging.
@@ -81,14 +139,16 @@ impl Pfs {
 
     /// Total reads across all files.
     pub fn total_reads(&self) -> u64 {
-        *self.total_reads.lock()
+        // ordering: Relaxed — a statistic; see `read`.
+        self.total_reads.load(Ordering::Relaxed)
     }
 
     /// Reset read accounting (e.g. after the warm-up epoch, to isolate
-    /// post-failure PFS traffic).
+    /// post-failure PFS traffic). Files stay staged or declared.
     pub fn reset_read_counters(&self) {
-        self.reads.lock().clear();
-        *self.total_reads.lock() = 0;
+        self.reads.lock().values_mut().for_each(|n| *n = 0);
+        // ordering: Relaxed — a statistic; see `read`.
+        self.total_reads.store(0, Ordering::Relaxed);
     }
 
     /// Per-file read counts above a threshold — used to find files that
@@ -205,6 +265,90 @@ mod tests {
         let over = pfs.files_read_more_than(1);
         assert_eq!(over, vec![("a".to_string(), 2)]);
         assert!(pfs.files_read_more_than(2).is_empty());
+    }
+
+    #[test]
+    fn declared_files_are_catalogued_without_generating() {
+        let pfs = Pfs::in_memory();
+        pfs.declare("d/a", 100);
+        pfs.declare("d/b", 28);
+        pfs.stage("s", ValueBuf::copy_from_slice(b"xyz"));
+        assert_eq!(pfs.file_count(), 3);
+        assert_eq!(pfs.total_bytes(), 131);
+        assert!(pfs.contains("d/a") && pfs.contains("s") && !pfs.contains("d/c"));
+        assert_eq!(pfs.store.len(), 1, "declaring generates nothing");
+
+        // A first read generates the file once; the catalogue is unchanged.
+        let a = pfs.read("d/a").expect("declared");
+        assert!(crate::verify_synth("d/a", &a) && a.len() == 100);
+        assert_eq!(pfs.store.len(), 2);
+        assert_eq!((pfs.file_count(), pfs.total_bytes()), (3, 131));
+    }
+
+    #[test]
+    fn declared_reads_share_one_allocation_and_count() {
+        let pfs = Pfs::in_memory();
+        pfs.declare("d/a", 64);
+        let first = pfs.read("d/a").expect("declared");
+        let second = pfs.read("d/a").expect("declared");
+        assert!(second.shares_backing_with(&first));
+        assert_eq!(pfs.reads_of("d/a"), 2);
+        assert_eq!(pfs.read("d/undeclared"), None);
+        assert_eq!(pfs.reads_of("d/undeclared"), 0);
+        assert_eq!(pfs.total_reads(), 2, "an undeclared path is not counted");
+    }
+
+    #[test]
+    fn racing_first_reads_keep_one_allocation() {
+        let pfs = Pfs::in_memory();
+        pfs.declare("d/hot", 1 << 16);
+        let barrier = std::sync::Barrier::new(4);
+        let got: Vec<ValueBuf> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        pfs.read("d/hot").expect("declared")
+                    })
+                })
+                .collect();
+            readers
+                .into_iter()
+                .map(|r| r.join().expect("reader"))
+                .collect()
+        });
+        let kept = pfs.read("d/hot").expect("declared");
+        assert!(got.iter().all(|v| v.shares_backing_with(&kept)));
+        assert_eq!(pfs.reads_of("d/hot"), 5);
+    }
+
+    #[test]
+    fn reset_keeps_declarations() {
+        let pfs = Pfs::in_memory();
+        pfs.declare("d/a", 8);
+        pfs.declare("d/b", 8);
+        pfs.read("d/a");
+        pfs.reset_read_counters();
+        assert_eq!((pfs.reads_of("d/a"), pfs.total_reads()), (0, 0));
+        assert!(pfs.files_read_more_than(0).is_empty());
+        assert_eq!(pfs.file_count(), 2);
+        assert!(crate::verify_synth(
+            "d/b",
+            &pfs.read("d/b").expect("declared")
+        ));
+    }
+
+    #[test]
+    fn staged_content_beats_a_declaration() {
+        let pfs = Pfs::in_memory();
+        pfs.declare("d/a", 8);
+        pfs.declare("d/b", 8);
+        pfs.read("d/b");
+        pfs.stage("d/a", ValueBuf::copy_from_slice(b"real"));
+        pfs.stage("d/b", ValueBuf::copy_from_slice(b"real"));
+        assert_eq!(pfs.read("d/a").expect("staged"), b"real"[..]);
+        assert_eq!(pfs.read("d/b").expect("staged"), b"real"[..]);
+        assert_eq!((pfs.file_count(), pfs.total_bytes()), (2, 8));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! path can be verified without storing a reference copy.
 
 use crate::ValueBuf;
+use std::sync::Arc;
 
 /// The stream's first state for `path` (never zero).
 fn seed(path: &str) -> u64 {
@@ -22,15 +23,23 @@ fn next_word(state: &mut u64) -> u64 {
 
 /// Deterministic pseudo-random bytes for a path: `xorshift*` stream seeded
 /// by the path hash. Same `(path, len)` always yields the same bytes.
+///
+/// Writes the stream word by word into the value's final allocation, so
+/// a file costs one allocation and no copy.
 pub fn synth_bytes(path: &str, len: usize) -> ValueBuf {
     let mut state = seed(path);
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        let chunk = next_word(&mut state).to_le_bytes();
-        let take = chunk.len().min(len - out.len());
-        out.extend_from_slice(&chunk[..take]);
+    let mut data: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let Some(out) = Arc::get_mut(&mut data) else {
+        unreachable!("a freshly collected Arc has no other owner")
+    };
+    let mut words = out.chunks_exact_mut(8);
+    for w in words.by_ref() {
+        w.copy_from_slice(&next_word(&mut state).to_le_bytes());
     }
-    ValueBuf::from(out)
+    let tail = words.into_remainder();
+    let n = tail.len();
+    tail.copy_from_slice(&next_word(&mut state).to_le_bytes()[..n]);
+    ValueBuf::from_shared(data, 0, len)
 }
 
 /// Verify that `data` is exactly what [`synth_bytes`] generates for
@@ -63,6 +72,20 @@ mod tests {
         for len in [0, 1, 7, 8, 9, 1000] {
             assert_eq!(synth_bytes("x", len).len(), len);
         }
+    }
+
+    #[test]
+    fn stream_bytes_are_pinned() {
+        // Servers and clients of different builds each generate a file
+        // from its path alone; a changed stream would fail every
+        // cross-version read. An odd length covers the partial last word.
+        assert_eq!(
+            synth_bytes("pin/f00007", 21)[..],
+            [
+                0x2e, 0x41, 0x20, 0xd3, 0x2f, 0xf3, 0x83, 0x0a, 0x3d, 0xc7, 0x2a, 0x1f, 0x6a, 0x7e,
+                0xf8, 0x3a, 0x31, 0x6d, 0x38, 0x90, 0x8d
+            ]
+        );
     }
 
     #[test]

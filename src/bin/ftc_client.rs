@@ -187,9 +187,9 @@ fn main() {
         return;
     }
 
-    // The client stages its own PFS mirror: direct-PFS fallback reads and
-    // verification both come from the same deterministic generator the
-    // servers used.
+    // The client declares its own PFS mirror: direct-PFS fallback reads
+    // and verification both come from the same deterministic generator
+    // the servers use, and only the files it falls back on are generated.
     let pfs = Arc::new(Pfs::in_memory());
     let paths = stage_dataset(&pfs, &prefix, files, size);
     let client = build_client(

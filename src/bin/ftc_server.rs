@@ -1,10 +1,11 @@
 //! `ftc-server` — one FT-Cache node over real TCP sockets.
 //!
 //! Hosts the full server stack of a cache node: the NVMe LRU tier, the
-//! PFS model (staged synthetically — every process derives the identical
-//! dataset from the paths alone, so a fleet needs no shared storage), the
-//! data mover, and the request brain shared verbatim with the in-process
-//! simulated clusters. The observability exposition (`--prom`: the
+//! PFS model (synthetic — every process derives the identical dataset
+//! from the paths alone, so a fleet needs no shared storage), the data
+//! mover, and the request brain shared verbatim with the in-process
+//! simulated clusters. The PFS files are declared at boot and generated
+//! by their first read, so a node holds only the files it has fetched. The observability exposition (`--prom`: the
 //! node's `HvacServer::obs_samples` plus its PFS reads) is served over
 //! the same socket listener via the wire protocol's `ObsScrape` frame,
 //! not a separate HTTP port.
@@ -16,8 +17,10 @@
 //!     [--armored [--queue N] [--ttl-ms MS]]
 //! ```
 //!
-//! `--stage` stages several datasets at once (the bench needs its three
-//! value sizes); when absent, one dataset from `--prefix/--files/--size`.
+//! `--stage` declares several datasets at once (the bench needs its
+//! three value sizes); when absent, one dataset from
+//! `--prefix/--files/--size`. Either way, no file is generated before
+//! `READY`.
 //! Each request is served on the connection thread that decoded it.
 //! `--armored` puts admission control in front of that: a request is
 //! shed when the node already serves `--queue` requests (default 64), or
@@ -119,8 +122,9 @@ fn main() {
         ));
     }
 
-    // Stage the synthetic PFS locally. Deterministic: each server in the
-    // fleet stages the identical dataset(s) from the same flags.
+    // Declare the synthetic PFS locally. Deterministic: each server in
+    // the fleet declares the identical dataset(s) from the same flags, and
+    // generates a file on its first fetch of it.
     let specs = match args.get("stage") {
         Some(s) => parse_stage_specs(s).unwrap_or_else(|e| die(&e)),
         None => vec![(prefix, files, size)],

@@ -6,7 +6,7 @@
 //! Everything here is pure and unit-tested; the binaries stay thin
 //! wrappers that wire these helpers to a [`ftc_wire::TcpTransport`].
 
-use ftc_storage::{synth_bytes, Pfs};
+use ftc_storage::Pfs;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -83,16 +83,19 @@ impl Args {
 ///
 /// Every process in a fleet derives the identical list independently, so
 /// no staging coordination (or shared filesystem) is needed: the bytes of
-/// each file are a pure function of its path via [`synth_bytes`].
+/// each file are a pure function of its path via
+/// [`synth_bytes`](ftc_storage::synth_bytes).
 pub fn dataset_paths(prefix: &str, count: usize) -> Vec<String> {
     (0..count).map(|i| format!("{prefix}/f{i:05}")).collect()
 }
 
-/// Stage the synthetic dataset into `pfs` and return the paths.
+/// Declare the synthetic dataset on `pfs` and return the paths. Nothing
+/// is generated here: each file is generated by its first read, so a
+/// process holds only the files it reads.
 pub fn stage_dataset(pfs: &Pfs, prefix: &str, count: usize, size: usize) -> Vec<String> {
     let paths = dataset_paths(prefix, count);
     for p in &paths {
-        pfs.stage(p, synth_bytes(p, size));
+        pfs.declare(p, size);
     }
     paths
 }
@@ -215,7 +218,7 @@ pub fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftc_storage::verify_synth;
+    use ftc_storage::{synth_bytes, verify_synth};
 
     #[test]
     fn args_parse_values_flags_and_errors() {

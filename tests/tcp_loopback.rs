@@ -279,3 +279,63 @@ fn a_tcp_scrape_carries_the_nodes_server_samples() {
     }
     fleet.shutdown_gracefully();
 }
+
+/// A process's peak resident set (`VmHWM`), in bytes.
+fn peak_rss_bytes(pid: u32) -> u64 {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("read status");
+    let kib: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("VmHWM line");
+    kib * 1024
+}
+
+#[test]
+fn a_server_holds_only_the_files_it_has_fetched() {
+    const BIG_FILES: usize = 64;
+    const BIG_SIZE: usize = 1 << 20;
+    const READS: usize = 3;
+    let addr = free_addrs(1)[0];
+    // A 64 MiB dataset: these flags come after, and override,
+    // `start_server`'s own `--files`/`--size`.
+    let (files, size) = (BIG_FILES.to_string(), BIG_SIZE.to_string());
+    let big = ["--files", &files, "--size", &size, "--prom"];
+    let (child, reader) = start_server(0, &addr.to_string(), &big);
+    let peak = peak_rss_bytes(child.id());
+    let mut fleet = Fleet {
+        children: vec![(child, Some(reader))],
+    };
+    assert!(
+        peak < 32 << 20,
+        "VmHWM at READY is {} MiB: the PFS was generated before any read",
+        peak >> 20
+    );
+
+    // An empty client-side PFS: every byte must come from the server.
+    let transport: TcpTransport<CacheRequest, CacheResponse> =
+        TcpTransport::from_peer_list(&[addr], TcpConfig::default());
+    let client = HvacClient::with_transport(
+        NodeId(100),
+        &transport,
+        Arc::new(Pfs::in_memory()),
+        1,
+        FtConfig::for_policy(FtPolicy::RingRecache),
+    );
+    for p in &dataset_paths(PREFIX, BIG_FILES)[..READS] {
+        let out = client.read_traced(p).expect("served read");
+        assert!(matches!(out.via, ReadVia::ServerPfsFetch(_)), "{p}");
+        assert_eq!(out.bytes.len(), BIG_SIZE);
+        assert!(verify_synth(p, &out.bytes), "corrupt bytes for {p}");
+    }
+    let text = scrape_obs(addr, Duration::from_secs(2)).expect("prom scrape");
+    let pfs_reads = text
+        .lines()
+        .find(|l| l.starts_with("ftc_pfs_reads_total"))
+        .and_then(|l| l.rsplit(' ').next())
+        .and_then(|v| v.parse::<u64>().ok())
+        .expect("ftc_pfs_reads_total sample");
+    assert_eq!(pfs_reads, READS as u64, "scrape:\n{text}");
+    fleet.shutdown_gracefully();
+}
