@@ -15,11 +15,13 @@
 //! During the suspect window (timeouts seen but below `TIMEOUT_LIMIT`),
 //! fault-tolerant policies redirect the request that timed out to the
 //! PFS, mirroring the artifact's client. With a recovery engine attached,
-//! that first suspicion also hands the node to the engine, whose pings
-//! gather the rest of the evidence; until it rules, every read placed on
-//! the node goes straight to the PFS, so a reader pays one TTL per
-//! incident instead of one per read. Without an engine, each such read
-//! still pays its own TTL.
+//! a read waits only half a TTL: a call still unanswered then is *late*,
+//! is no detector evidence by itself, and hands the node to the engine,
+//! whose TTL-grade pings gather the evidence (a silent ping also counts
+//! every late call sent before it). Until the engine rules, every read
+//! placed on the node goes straight to the PFS, so a reader pays half a
+//! TTL per incident instead of a TTL per read. Without an engine, each
+//! such read still pays its own TTL.
 
 use crate::controller::{ControllerConfig, LivePolicy, PolicyController, PolicySignals};
 use crate::detector::{FailureDetector, Verdict};
@@ -38,7 +40,7 @@ use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Why a read could not be satisfied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,8 +179,8 @@ enum Cause {
     Shed,
     /// The owner stayed silent for a TTL; the detector's verdict rides along.
     Silent(NodeId, Verdict),
-    /// The owner is suspect and the recovery engine is settling it; no
-    /// RPC was issued.
+    /// The owner is suspect and the recovery engine is settling it: no
+    /// RPC was issued, or the call went late and was handed to the engine.
     Settling(NodeId),
     /// An RPC error that is no liveness signal (`UnknownNode`, local shutdown).
     Rpc(NodeId),
@@ -390,21 +392,22 @@ impl HvacClient {
     /// The read RPC, hedged when [`hedge_plan`](Self::hedge_plan) finds a
     /// target: the primary call runs with a deadline of the hedge delay;
     /// past that, a second read goes to the next replica owner at the
-    /// full TTL and the first success wins. If both lag, the primary is
-    /// retried at the full TTL so the evidence the failure detector sees
-    /// stays TTL-grade.
+    /// full read deadline and the first success wins. If both lag, the
+    /// primary is retried at the full read deadline, so the call that
+    /// expires is an ordinary read's. Returns who answered, when the
+    /// returned call was sent, and its outcome.
     fn call_read(
         &self,
         owner: NodeId,
         path: &str,
-        ttl: Duration,
-    ) -> (NodeId, Result<CacheResponse, RpcError>) {
+        deadline: Duration,
+    ) -> (NodeId, Instant, Result<CacheResponse, RpcError>) {
         let read = || CacheRequest::Read {
             path: path.to_owned(),
         };
-        let hedge = self.hedge_plan(owner, path, ttl);
+        let hedge = self.hedge_plan(owner, path, deadline);
         let begun = self.clock.now();
-        let first = self.call_counted(owner, read(), hedge.map_or(ttl, |(_, delay)| delay));
+        let first = self.call_counted(owner, read(), hedge.map_or(deadline, |(_, delay)| delay));
         match (first, hedge) {
             (Err(RpcError::Timeout { .. }), Some((second, _))) => {
                 // Primary is past its p99: launch the hedge. The short
@@ -413,16 +416,17 @@ impl HvacClient {
                 // (client-local) absorbs it instead.
                 self.metrics.hedges_launched.inc();
                 self.armor.on_failure(owner);
-                match self.call_counted(second, read(), ttl) {
+                match self.call_counted(second, read(), deadline) {
                     Ok(resp) => {
                         self.metrics.hedges_won.inc();
-                        (second, Ok(resp))
+                        (second, begun, Ok(resp))
                     }
                     Err(_hedge_loss) => {
                         self.armor.on_failure(second);
-                        // Both lag: re-try the primary at the full TTL so
-                        // a timeout here is legitimate detector evidence.
-                        (owner, self.call_counted(owner, read(), ttl))
+                        // Both lag: re-try the primary at the full read
+                        // deadline, so its expiry means what any read's does.
+                        let sent = self.clock.now();
+                        (owner, sent, self.call_counted(owner, read(), deadline))
                     }
                 }
             }
@@ -430,7 +434,7 @@ impl HvacClient {
                 if matches!(first, Ok(CacheResponse::Data { .. })) {
                     self.armor.note_latency(begun);
                 }
-                (owner, first)
+                (owner, begun, first)
             }
         }
     }
@@ -562,7 +566,14 @@ impl HvacClient {
     /// attempt is pace → place → admit → call and ends served, or with a
     /// [`Cause`] that [`fall_back`](Self::fall_back) rules on.
     fn read_attempts(&self, path: &str) -> Result<ReadOutcome, ReadError> {
+        // A fault-tolerant client whose engine settles suspects waits half
+        // a TTL on a read; NoFT and engine-less clients wait the full TTL.
+        let engine = self
+            .recovery
+            .get()
+            .filter(|_| self.config.policy != FtPolicy::NoFt);
         let ttl = self.config.detector.ttl;
+        let deadline = if engine.is_some() { ttl / 2 } else { ttl };
         let retry = self.config.retry;
         let started = self.clock.now();
         let mut backoff = Duration::ZERO;
@@ -604,7 +615,7 @@ impl HvacClient {
                 }
                 // Nor is a suspect owner the recovery engine is settling:
                 // its pings gather the evidence while this read moves on.
-                if self.recovery.get().is_some_and(|e| e.is_settling(owner)) {
+                if engine.is_some_and(|e| e.is_settling(owner)) {
                     break 'attempt Cause::Settling(owner);
                 }
                 // A tripped owner is not called at all — no TTL burned,
@@ -614,7 +625,7 @@ impl HvacClient {
                     self.metrics.breaker_short_circuits.inc();
                     break 'attempt Cause::BreakerOpen(owner);
                 }
-                let (served_by, outcome) = self.call_read(owner, path, ttl);
+                let (served_by, sent, outcome) = self.call_read(owner, path, deadline);
                 match outcome {
                     Ok(CacheResponse::Data { bytes, source, .. }) => {
                         return Ok(self.served(path, at, served_by, bytes, source, failed_over));
@@ -640,9 +651,16 @@ impl HvacClient {
                     | Ok(CacheResponse::PutAck { .. })
                     | Ok(CacheResponse::DigestReply { .. })
                     | Ok(CacheResponse::EvictAck { .. }) => Cause::WrongReply,
-                    Err(e) if e.indicates_failure() => {
-                        Cause::Silent(owner, self.note_silence(owner))
-                    }
+                    Err(e) if e.indicates_failure() => match (engine, e) {
+                        // Late after half a TTL: no evidence yet. The
+                        // engine settles the owner, and this call counts
+                        // only if a ping sent after it goes unanswered.
+                        (Some(engine), RpcError::Timeout { .. }) => {
+                            engine.notify_late(owner, sent);
+                            Cause::Settling(owner)
+                        }
+                        _ => Cause::Silent(owner, self.note_silence(owner)),
+                    },
                     Err(_not_liveness) => Cause::Rpc(owner),
                 }
             };
@@ -700,7 +718,8 @@ impl HvacClient {
             // PFS-redirect also a declared) owner redirects this request
             // now (§IV-A operational flow ③): training keeps moving
             // through the detection window without paying another TTL.
-            // A settling owner gets the same ruling without the TTL.
+            // A settling owner, or a late call, gets the same ruling
+            // without the TTL.
             (
                 PfsRedirect | RingRecache,
                 Cause::BudgetDenied | Cause::Silent(..) | Cause::Settling(_),
@@ -830,7 +849,8 @@ impl HvacClient {
     /// breaker and the detector, publish the detector's verdict and act
     /// on its edges. A fault-tolerant client hands a suspect to its
     /// recovery engine, and a declaration goes to [`Self::declare`].
-    /// Readers and the engine's settling pings both land here.
+    /// Readers, the engine's settling pings and the late calls a silent
+    /// ping vouches for all land here.
     fn note_silence(&self, owner: NodeId) -> Verdict {
         self.metrics.rpc_timeouts.inc();
         self.armor.on_failure(owner);
@@ -1038,16 +1058,33 @@ impl HvacClient {
     }
 
     /// One settling ping at TTL grade. Silence goes through
-    /// [`Self::note_silence`] like a reader's, and its verdict comes
-    /// back. A pong clears the node's suspicion; it and an error that is
-    /// no liveness signal both end the settle with `None`.
-    pub(crate) fn settle_ping(&self, node: NodeId) -> Option<Verdict> {
+    /// [`Self::note_silence`] like a reader's timeout, and so does each
+    /// late read call `late_before` hands back for the ping's send
+    /// instant: a call older than an unanswered ping has gone unanswered
+    /// for more than a TTL. The last verdict comes back. A pong clears the
+    /// node's suspicion; it and an error that is no liveness signal both
+    /// end the settle with `None`.
+    pub(crate) fn settle_ping(
+        &self,
+        node: NodeId,
+        late_before: impl FnOnce(Instant) -> usize,
+    ) -> Option<Verdict> {
+        let sent = self.clock.now();
         match self.call_counted(node, CacheRequest::Ping, self.config.detector.ttl) {
             Ok(CacheResponse::Pong) => {
                 self.detector.lock().record_success(node);
                 None
             }
-            Err(e) if e.indicates_failure() => Some(self.note_silence(node)),
+            Err(e) if e.indicates_failure() => {
+                let mut verdict = self.note_silence(node);
+                for _ in 0..late_before(sent) {
+                    if !matches!(verdict, Verdict::Suspect { .. }) {
+                        break;
+                    }
+                    verdict = self.note_silence(node);
+                }
+                Some(verdict)
+            }
             _ => None,
         }
     }
@@ -1893,7 +1930,8 @@ mod tests {
     /// hooks let a test watch a read cross `history()` / `call()` and hold
     /// it inside `call()` until released. A `Ping` (only the recovery
     /// engine sends one) waits for its reply on `pings` and is not
-    /// counted in `calls`.
+    /// counted in `calls`; every other call's deadline lands in
+    /// `deadlines`.
     struct Scripted(Arc<ScriptState>);
 
     type Reply = Result<CacheResponse, RpcError>;
@@ -1902,6 +1940,7 @@ mod tests {
     struct ScriptState {
         replies: Mutex<std::collections::VecDeque<Reply>>,
         calls: AtomicU64,
+        deadlines: Mutex<Vec<Duration>>,
         history: Option<Arc<ftc_net::HistoryRecorder>>,
         events: Mutex<Option<std::sync::mpsc::Sender<&'static str>>>,
         release: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
@@ -1925,7 +1964,7 @@ mod tests {
         fn clock(&self) -> ClockHandle {
             ClockHandle::wall()
         }
-        fn call(&self, to: NodeId, req: CacheRequest, _timeout: Duration) -> Reply {
+        fn call(&self, to: NodeId, req: CacheRequest, timeout: Duration) -> Reply {
             let state = &self.1;
             if matches!(req, CacheRequest::Ping) {
                 let pings = state.pings.lock();
@@ -1934,6 +1973,7 @@ mod tests {
                 return replies.recv().unwrap_or(Err(RpcError::Timeout { to }));
             }
             state.calls.fetch_add(1, Ordering::SeqCst);
+            state.deadlines.lock().push(timeout);
             state.announce("call");
             if let Some(gate) = state.release.lock().as_ref() {
                 gate.recv().expect("test releases every gated call");
@@ -2006,6 +2046,9 @@ mod tests {
         /// The read after a first suspicion, with a recovery engine
         /// holding its settling ping.
         Settling,
+        /// A silent read call with a recovery engine attached: late after
+        /// half a TTL under the fault-tolerant policies.
+        Late,
         Declared,
         Shed,
         BreakerOpen,
@@ -2059,6 +2102,10 @@ mod tests {
             (NoFt, Settling, Want::Owner, HIT.to_vec()),
             (PfsRedirect, Settling, Want::DirectPfs, PFS.to_vec()),
             (RingRecache, Settling, Want::DirectPfs, PFS.to_vec()),
+            // NoFT keeps the full TTL: its silent call is a timeout.
+            (NoFt, Late, Want::NodeFailed, vec![("rpc_timeouts", 1)]),
+            (PfsRedirect, Late, Want::DirectPfs, PFS.to_vec()),
+            (RingRecache, Late, Want::DirectPfs, PFS.to_vec()),
             (NoFt, Declared, Want::NodeFailed, vec![("rpc_timeouts", 1)]),
             (
                 PfsRedirect,
@@ -2170,7 +2217,7 @@ mod tests {
                 [&PFS[..], &[("retries", 1)]].concat(),
             ),
         ];
-        assert_eq!(table.len(), 3 * 7, "every policy × cause cell is pinned");
+        assert_eq!(table.len(), 3 * 8, "every policy × cause cell is pinned");
 
         for (policy, cell, want, mut expect_moved) in table {
             let state = Arc::new(ScriptState::default());
@@ -2199,7 +2246,8 @@ mod tests {
             let c = Arc::new(scripted_client(&state, cfg));
             // The engine's settling ping waits on `pong`, so the read under
             // test meets an owner that is still being settled.
-            let pong = (cell == Settling).then(|| {
+            let engine_on = matches!(cell, Settling | Late);
+            let pong = engine_on.then(|| {
                 let (pong, pings) = std::sync::mpsc::channel();
                 *state.pings.lock() = Some(pings);
                 let rc = crate::recovery::RecoveryConfig {
@@ -2214,9 +2262,8 @@ mod tests {
             // The reply that provokes the cause; BudgetDenied needs some
             // first attempt that ends in a retry, which differs by policy.
             let provoke = match (cell, policy) {
-                (Suspect | Settling | Declared | BreakerOpen, _) | (BudgetDenied, RingRecache) => {
-                    silence
-                }
+                (Suspect | Settling | Late | Declared | BreakerOpen, _)
+                | (BudgetDenied, RingRecache) => silence,
                 (Shed, _) | (BudgetDenied, NoFt) => Ok(CacheResponse::Overloaded),
                 (BudgetDenied, PfsRedirect) => Ok(CacheResponse::Pong),
                 (RpcError, _) => Err(ftc_net::RpcError::UnknownNode(owner)),
@@ -2266,12 +2313,29 @@ mod tests {
                     "{ctx}: an open breaker or a settling owner issues no RPC"
                 );
             }
+            // Only a fault-tolerant client with an engine waits half a TTL.
+            let ttl = cfg.detector.ttl;
+            let deadline = if engine_on && policy != NoFt {
+                ttl / 2
+            } else {
+                ttl
+            };
+            for d in state.deadlines.lock().iter() {
+                assert_eq!(*d, deadline, "{ctx}: read deadline");
+            }
             if let (Some(pong), Some(engine)) = (pong, c.recovery()) {
-                // The held ping is answered: the engine clears the owner.
+                assert_eq!(engine.is_settling(owner), policy != NoFt, "{ctx}");
+                // The held ping is answered: the engine clears the owner,
+                // and a late call is forgotten, never a timeout.
                 pong.send(Ok(CacheResponse::Pong))
                     .expect("ping channel open");
                 assert!(engine.wait_quiesced(Duration::from_secs(10)), "{ctx}");
                 assert!(!engine.is_settling(owner), "{ctx}: settled");
+                if cell == Late {
+                    let m = c.metrics().snapshot();
+                    assert_eq!(m.rpc_timeouts, after.rpc_timeouts, "{ctx}");
+                    assert!(c.failed_nodes().is_empty(), "{ctx}");
+                }
             }
             // Only RingRecache on a declared owner may touch the ring.
             let evicts = policy == RingRecache && matches!(cell, Declared | BudgetDenied);

@@ -8,10 +8,11 @@
 //! the detection window that precedes it:
 //!
 //! * **Suspect settling** — a fault-tolerant client hands the engine a
-//!   node on its first `Suspect` verdict. The engine pings it at TTL
-//!   grade until the detector rules (a pong clears it, silence is one
-//!   more timeout), while readers whose owner it is go to the PFS
-//!   instead of each paying a TTL.
+//!   node on its first late read call (or first `Suspect` verdict). The
+//!   engine pings it at TTL grade until the detector rules (a pong clears
+//!   it; silence is one more timeout, plus one per late call sent before
+//!   the ping), while readers whose owner it is go to the PFS instead of
+//!   each paying a TTL.
 //! * **Proactive recache** — on a `Declared` verdict the engine walks the
 //!   dead node's key range (the client's [`KeyIndex`] of observed
 //!   assignments), refetches each key from the PFS and pushes it to the
@@ -293,6 +294,9 @@ struct Suspicion {
     /// Handed over by the client and not yet settled: a read placed on
     /// one goes to the PFS without calling it.
     settling: Vec<NodeId>,
+    /// Late read calls on settling nodes, with their send instants, not
+    /// yet vouched for by a silent ping nor forgotten by a pong.
+    late: Vec<(NodeId, Instant)>,
     /// Nodes the engine declared, with the keys the index filed under
     /// each, until a survivor serves one of them: readers never time out
     /// on such a node, so no failed-over read stamps its
@@ -400,21 +404,39 @@ impl RecoveryEngine {
         self.enqueue(Task::Suspect { node });
     }
 
+    /// A read call to `node` sent at `sent` went late: remember it for
+    /// the next settling ping, and settle the node if nobody does yet.
+    pub(crate) fn notify_late(&self, node: NodeId, sent: Instant) {
+        self.suspicion.lock().late.push((node, sent));
+        self.notify_suspect(node);
+    }
+
+    /// Forget `node`'s late calls sent before `ping`, returning how many:
+    /// that ping went unanswered, so each of them counts as a timeout.
+    fn take_late(&self, node: NodeId, ping: Instant) -> usize {
+        let mut s = self.suspicion.lock();
+        let before = s.late.len();
+        s.late.retain(|&(n, sent)| n != node || sent >= ping);
+        before - s.late.len()
+    }
+
     /// Whether a read placed on `node` should skip it: the node is
     /// suspect and the engine has not settled it yet.
     pub(crate) fn is_settling(&self, node: NodeId) -> bool {
         // ordering: Relaxed — a hint that guards the lock, not a
         // publication: a reader that misses a fresh hand-off calls the
-        // owner and pays the TTL it always did, and a stale non-zero only
+        // owner and goes late as the first reader did, and a stale non-zero only
         // costs the lock, under which the answer is exact.
         self.settling_len.load(Ordering::Relaxed) > 0
             && self.suspicion.lock().settling.contains(&node)
     }
 
-    /// The worker is done with `node`: reads may place on it again.
+    /// The worker is done with `node`: reads may place on it again, and
+    /// its remaining late calls are forgotten.
     fn settled(&self, node: NodeId) {
         let mut s = self.suspicion.lock();
         s.settling.retain(|&n| n != node);
+        s.late.retain(|&(n, _)| n != node);
         // ordering: Relaxed — see is_settling.
         self.settling_len.store(s.settling.len(), Ordering::Relaxed);
     }
@@ -722,12 +744,14 @@ impl Worker {
 
     /// Ping a suspect node at TTL grade until the detector rules on it.
     /// A silent ping is one more timeout through the readers' own
-    /// `note_silence`, so a verdict still takes `timeout_limit` full-TTL
-    /// timeouts; a declaration there has already left the ring. At most
-    /// `timeout_limit` pings, in case timeouts age out of the window.
+    /// `note_silence`, and so is each late call sent before it, so a
+    /// verdict still takes `timeout_limit` calls unanswered for a TTL; a
+    /// declaration there has already left the ring. A pong forgets the
+    /// late calls. At most `timeout_limit` pings, in case timeouts age out
+    /// of the window.
     fn settle(&mut self, eng: &Arc<RecoveryEngine>, cli: &Arc<HvacClient>, node: NodeId) {
         for _ in 0..cli.timeout_limit() {
-            match cli.settle_ping(node) {
+            match cli.settle_ping(node, |ping| eng.take_late(node, ping)) {
                 Some(Verdict::Suspect { .. }) => {}
                 Some(Verdict::JustFailed) => {
                     // Only a ring edit moves the node's keys to survivors.

@@ -19,7 +19,7 @@
 //! value sizes and writes a JSON report (with `schema`, `commit` and
 //! host `cores`) to `--out` (or stdout).
 
-use ft_cache::fleet::{json_array, percentile, stage_dataset, Args, Json};
+use ft_cache::fleet::{json_array, stage_dataset, Args, Json};
 use ftc_core::{
     CacheRequest, CacheResponse, FtConfig, FtPolicy, HvacClient, ReadVia, RecoveryConfig,
 };
@@ -96,6 +96,12 @@ fn run_epoch(client: &HvacClient, paths: &[String], clock: &ClockHandle) -> Epoc
     s
 }
 
+/// The `q` quantile of ascending `sorted` by the workspace's one
+/// definition ([`ftc_obs::nearest_rank`]); 0 when empty.
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    ftc_obs::nearest_rank(sorted.len(), q).map_or(0, |i| sorted[i])
+}
+
 fn stats_json(s: &EpochStats) -> Json {
     let secs = s.elapsed.as_secs_f64().max(1e-9);
     Json::obj()
@@ -105,9 +111,9 @@ fn stats_json(s: &EpochStats) -> Json {
         .u("server_pfs", s.server_pfs)
         .u("direct_pfs", s.direct_pfs)
         .f("reads_per_sec", (s.ok + s.errors) as f64 / secs)
-        .u("p50_us", percentile(&s.lat_us, 0.50))
-        .u("p99_us", percentile(&s.lat_us, 0.99))
-        .u("p999_us", percentile(&s.lat_us, 0.999))
+        .u("p50_us", quantile(&s.lat_us, 0.50))
+        .u("p99_us", quantile(&s.lat_us, 0.99))
+        .u("p999_us", quantile(&s.lat_us, 0.999))
 }
 
 fn build_client(
@@ -220,8 +226,8 @@ fn main() {
             s.server_pfs,
             s.direct_pfs,
             failed.join(","),
-            percentile(&s.lat_us, 0.50),
-            percentile(&s.lat_us, 0.99),
+            quantile(&s.lat_us, 0.50),
+            quantile(&s.lat_us, 0.99),
         );
         let _ = std::io::stdout().flush();
         epoch_docs.push(stats_json(&s).u("epoch", e as u64).render());
@@ -304,9 +310,9 @@ fn run_bench(
                 .u("errors", errors)
                 .f("reads_per_sec", reads as f64 / secs)
                 .f("mb_per_sec", (reads * size as u64) as f64 / secs / 1e6)
-                .u("p50_us", percentile(&lat_us, 0.50))
-                .u("p99_us", percentile(&lat_us, 0.99))
-                .u("p999_us", percentile(&lat_us, 0.999))
+                .u("p50_us", quantile(&lat_us, 0.50))
+                .u("p99_us", quantile(&lat_us, 0.99))
+                .u("p999_us", quantile(&lat_us, 0.999))
                 .render(),
         );
     }

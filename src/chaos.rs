@@ -540,10 +540,10 @@ pub enum Invariant {
     /// No read is attributed to a policy epoch the controller had
     /// already retired (virtual traced campaigns).
     RetiredPolicyEpoch,
-    /// With a recovery engine, the pass reader spends at most one TTL
+    /// With a recovery engine, the pass reader spends at most half a TTL
     /// plus the retry backoff cap in reads placed on a killed node, per
-    /// kill: the engine gathers the rest of the evidence (virtual
-    /// campaigns).
+    /// kill: its first call goes late and the engine gathers the evidence
+    /// (virtual campaigns).
     SilentStall,
 }
 
@@ -1212,7 +1212,7 @@ pub fn run_campaign_on(
     // exactly its silent calls plus its backoff.
     let stall_bound =
         (opts.recovery != RecoveryMode::Lazy && policy != FtPolicy::NoFt && clock.is_virtual())
-            .then(|| CAMPAIGN_TTL + cfg.ft.retry.max_backoff);
+            .then(|| CAMPAIGN_TTL / 2 + cfg.ft.retry.max_backoff);
     let mut stalled: HashMap<NodeId, Duration> = HashMap::new();
 
     'passes: for pass in 0..plan.passes {
@@ -1224,6 +1224,11 @@ pub fn run_campaign_on(
         // evidence on unrelated flaky/degraded nodes would perturb the
         // economy the other invariants calibrate against.
         let storm = if storm_on {
+            // Reads of a node the engine is still settling go straight to
+            // the PFS and open no flight to share: let its verdict land.
+            if let Some(engine) = client.recovery() {
+                let _ = engine.wait_settled(QUIESCE_DEADLINE);
+            }
             let doomed: Vec<NodeId> = plan
                 .events
                 .iter()

@@ -1,7 +1,7 @@
 //! Shared plumbing for the `ftc-server` / `ftc-client` binaries: a tiny
-//! flag parser, deterministic dataset staging, exact percentile math for
-//! the loopback bench, and hand-rolled JSON emission (the serde shim has
-//! no serializer, and the bench output is a flat document anyway).
+//! flag parser, deterministic dataset staging, and hand-rolled JSON
+//! emission (the serde shim has no serializer, and the bench output is a
+//! flat document anyway).
 //!
 //! Everything here is pure and unit-tested; the binaries stay thin
 //! wrappers that wire these helpers to a [`ftc_wire::TcpTransport`].
@@ -123,17 +123,6 @@ pub fn parse_stage_specs(s: &str) -> Result<Vec<(String, usize, usize)>, String>
             Ok(((*prefix).to_string(), count, size))
         })
         .collect()
-}
-
-/// Exact percentile of a sample set: the value at rank `ceil(q·n)`
-/// (nearest-rank definition, via the shared [`ftc_obs::nearest_rank`]),
-/// 0 for an empty set. `sorted` must be ascending — debug builds assert
-/// it.
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-    ftc_obs::nearest_rank(sorted.len(), q)
-        .map(|i| sorted[i])
-        .unwrap_or(0)
 }
 
 /// A flat JSON document builder — objects, arrays, strings, numbers.
@@ -273,17 +262,6 @@ mod tests {
         assert!(parse_stage_specs(":64:100").is_err());
         assert!(parse_stage_specs("t:x:100").is_err());
         assert!(parse_stage_specs("t:64:y").is_err());
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 50);
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&v, 0.999), 100);
-        assert_eq!(percentile(&v, 1.0), 100);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[42], 0.5), 42);
     }
 
     #[test]
