@@ -845,7 +845,7 @@ impl HvacClient {
         }
     }
 
-    /// The owner stayed silent for a full TTL: count it, feed the
+    /// The owner stayed silent for a TTL or more: count it, feed the
     /// breaker and the detector, publish the detector's verdict and act
     /// on its edges. A fault-tolerant client hands a suspect to its
     /// recovery engine, and a declaration goes to [`Self::declare`].

@@ -565,7 +565,7 @@ impl Armor {
 
     /// May a read whose primary is `node` be hedged? Only when armored
     /// and with the breaker fully closed: half-open probes must run at the
-    /// full TTL so a dead node still accumulates detector-grade evidence.
+    /// full read deadline, so their expiry means what any read's does.
     pub(crate) fn may_hedge(&self, node: NodeId) -> bool {
         self.config.armored
             && match self.breakers.lock().get(&node) {

@@ -425,8 +425,8 @@ impl RecoveryEngine {
     pub(crate) fn is_settling(&self, node: NodeId) -> bool {
         // ordering: Relaxed — a hint that guards the lock, not a
         // publication: a reader that misses a fresh hand-off calls the
-        // owner and goes late as the first reader did, and a stale non-zero only
-        // costs the lock, under which the answer is exact.
+        // owner and goes late as the first reader did, and a stale
+        // non-zero only costs the lock, under which the answer is exact.
         self.settling_len.load(Ordering::Relaxed) > 0
             && self.suspicion.lock().settling.contains(&node)
     }
