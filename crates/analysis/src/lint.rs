@@ -244,8 +244,8 @@ fn bounded_queue_scoped(label: &Path) -> bool {
 /// Exact files (repo-relative) where the `hot-path-alloc` rule applies:
 /// the serving read path, where every per-read allocation multiplies by
 /// request rate. Deliberately a file list, not a prefix list — the miss
-/// path (`pfs.rs`, where synthesis allocates by nature) and the
-/// background movers copy legitimately and stay out of scope.
+/// path (`pfs.rs`, where synthesis allocates by nature) copies
+/// legitimately and stays out of scope.
 const HOT_PATH_ALLOC_SCOPE: &[&str] = &[
     "crates/core/src/client.rs",
     "crates/core/src/overload.rs",
@@ -1105,10 +1105,10 @@ mod tests {
     #[test]
     fn hot_path_alloc_is_file_scoped_and_waivable() {
         let src = "fn f(b: &[u8]) { let v = b.to_vec(); }\n";
-        // Miss path, movers, harness, and non-protocol crates copy freely.
+        // Miss path, synthesis, harness, and non-protocol crates copy freely.
         for exempt in [
             "crates/storage/src/pfs.rs",
-            "crates/storage/src/mover.rs",
+            "crates/storage/src/synth.rs",
             "crates/core/src/recovery.rs",
             "src/chaos.rs",
             "test.rs",

@@ -297,8 +297,6 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_millis(refresh_ms));
         }
     }
-    // Let movers settle so the final residency/recache numbers are stable.
-    std::thread::sleep(std::time::Duration::from_millis(80));
 
     if once {
         render(

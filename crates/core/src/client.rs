@@ -1256,22 +1256,6 @@ mod tests {
         }
     }
 
-    /// Condition-wait until every server's mover queue has drained —
-    /// each enqueue happens before its read's reply, so once the reads
-    /// return, depth 0 means every copy landed. Replaces the bare settle
-    /// sleeps that made these tests flaky on loaded machines.
-    fn settle(r: &Rig) {
-        assert!(
-            r.net
-                .clock()
-                .wait_until(Duration::from_secs(5), Duration::from_micros(200), || r
-                    .servers
-                    .iter()
-                    .all(|s| s.mover_queue_depth() == 0),),
-            "movers failed to drain"
-        );
-    }
-
     #[test]
     fn healthy_reads_verify_for_all_policies() {
         for policy in [FtPolicy::NoFt, FtPolicy::PfsRedirect, FtPolicy::RingRecache] {
@@ -1290,7 +1274,6 @@ mod tests {
         let r = rig(4, 12);
         let c = client(&r, FtPolicy::RingRecache);
         read_all(&c, 12); // epoch 1: populates caches
-        settle(&r); // movers land everything
         let before = r.pfs.total_reads();
         read_all(&c, 12); // epoch 2
         assert_eq!(r.pfs.total_reads(), before, "epoch 2 must not touch PFS");
@@ -1369,7 +1352,6 @@ mod tests {
         let r = rig(4, 16);
         let c = client(&r, FtPolicy::PfsRedirect);
         read_all(&c, 16); // warm epoch
-        settle(&r);
         let lost: Vec<String> = (0..16)
             .map(|i| format!("train/s{i}.bin"))
             .filter(|p| c.owner_of(p) == Some(NodeId(1)))
@@ -1397,7 +1379,6 @@ mod tests {
         let r = rig(4, 16);
         let c = client(&r, FtPolicy::RingRecache);
         read_all(&c, 16); // warm epoch
-        settle(&r);
         let lost: Vec<String> = (0..16)
             .map(|i| format!("train/s{i}.bin"))
             .filter(|p| c.owner_of(p) == Some(NodeId(1)))
@@ -1408,10 +1389,9 @@ mod tests {
 
         read_all(&c, 16); // failure epoch: detection + recache begins
         read_all(&c, 16); // files read via direct-PFS during detection recache now
-        settle(&r);
-        // Detection itself may redirect up to (timeout_limit - 1) reads to
-        // the PFS before the node is declared failed; beyond that, each
-        // lost file costs exactly one recache fetch.
+                          // Detection itself may redirect up to (timeout_limit - 1) reads to
+                          // the PFS before the node is declared failed; beyond that, each
+                          // lost file costs exactly one recache fetch.
         for p in &lost {
             assert!(
                 r.pfs.reads_of(p) <= 2,
@@ -1547,7 +1527,6 @@ mod tests {
         let r = rig(4, 12);
         let c = client(&r, FtPolicy::RingRecache);
         read_all(&c, 12);
-        settle(&r);
         for i in 0..12 {
             let p = format!("train/s{i}.bin");
             let out = c.read_traced(&p).unwrap();
@@ -1578,7 +1557,6 @@ mod tests {
             cfg,
         );
         read_all(&c, 16); // warm epoch: fetch + replicate to successors
-        settle(&r);
         let m = c.metrics().snapshot();
         assert_eq!(m.replicas_written, 16, "each file pushed to one successor");
 
@@ -1612,7 +1590,6 @@ mod tests {
             })
             .expect("start engine");
         read_all(&c, 16); // warm epoch
-        settle(&r);
 
         hub.timeline.mark(1, Phase::Kill); // what the injector would stamp
         r.net.kill(NodeId(1));
@@ -1672,7 +1649,6 @@ mod tests {
             })
             .expect("start engine");
         read_all(&c, 24); // warm epoch: index learns every assignment
-        settle(&r);
         let lost: Vec<String> = (0..24)
             .map(|i| format!("train/s{i}.bin"))
             .filter(|p| c.owner_of(p) == Some(NodeId(1)))

@@ -79,14 +79,14 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Boot all server threads. Errors if any server (or its data mover)
-    /// cannot be spawned; already-started servers shut down via `Drop`.
+    /// Boot every node's server. Errors if any server's listener cannot
+    /// be started; already-started servers shut down via `Drop`.
     pub fn start(config: ClusterConfig) -> Result<Self, CoreError> {
         Self::start_with_clock(config, ClockHandle::wall())
     }
 
-    /// Boot on an injected clock: the fabric, every server and data-mover
-    /// task, every client's retry/backoff/detector, and the observability
+    /// Boot on an injected clock: the fabric and its delivery tasks, every
+    /// client's retry/backoff/detector, and the observability
     /// plane's stamps all go through it. On a
     /// [`VirtualClock`](ftc_time::VirtualClock) (inside
     /// [`ftc_time::with_virtual`]) the whole cluster runs deterministically
@@ -155,18 +155,6 @@ impl Cluster {
         self.net.clock().wait_until(timeout, poll, pred)
     }
 
-    /// Condition-wait until every live server's mover queue is empty —
-    /// i.e. all enqueued PFS→NVMe copies have landed. True on success.
-    pub fn wait_movers_drained(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, Duration::from_micros(200), || {
-            self.servers
-                .lock()
-                .iter()
-                .flatten()
-                .all(|h| h.mover_queue_depth() == 0)
-        })
-    }
-
     /// Declare `count` synthetic files of `size` bytes on the PFS under
     /// `prefix`, returning their paths. This is the dataset-download step
     /// of the artifact workflow; each file is generated by its first read.
@@ -215,7 +203,7 @@ impl Cluster {
         self.hub.timeline.mark(node.0, ftc_obs::Phase::Kill);
         self.hub.flight.record("cluster", "kill", node.to_string());
         self.net.kill(node);
-        // Reclaim the server; record its mover and shed totals so cluster
+        // Reclaim the server; record its recache and shed totals so cluster
         // metrics stay complete after the handle is gone.
         let handle = self
             .servers
@@ -385,11 +373,11 @@ impl Cluster {
         metrics.clients.export_into(&mut out);
         self.pfs.export_into(&mut out);
         out.push(ftc_obs::Sample::counter(
-            "ftc_mover_files_recached_total",
+            "ftc_recached_files_total",
             metrics.files_recached,
         ));
         out.push(ftc_obs::Sample::counter(
-            "ftc_mover_recached_bytes_total",
+            "ftc_recached_bytes_total",
             metrics.recached_bytes,
         ));
         self.net.stats().export_into(&mut out);
@@ -515,7 +503,6 @@ mod tests {
         for p in &paths {
             c.read(p).unwrap();
         }
-        assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
         let before = cluster.cached_objects_per_node();
         assert_eq!(before.iter().sum::<u64>(), 40);
 
@@ -525,7 +512,6 @@ mod tests {
                 c.read(p).unwrap();
             }
         }
-        assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
         let after = cluster.cached_objects_per_node();
         // Survivors absorbed the dead node's keys.
         let survivor_total: u64 = after
@@ -585,7 +571,6 @@ mod tests {
         assert!(c.live_nodes().contains(&NodeId(0)));
         // Warm rejoin: node 0 kept its NVMe, so its restored arcs serve
         // from cache — no PFS traffic at all after the rejoin.
-        assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
         cluster.pfs().reset_read_counters();
         for p in &paths {
             assert_eq!(c.read(p).unwrap(), synth_bytes(p, 16));
@@ -608,7 +593,6 @@ mod tests {
         assert!(c.live_nodes().contains(&NodeId(0)));
         // Cold rejoin: the re-provisioned node refills through the miss
         // path — exactly one PFS fetch per key it owns.
-        assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
         cluster.pfs().reset_read_counters();
         for p in &paths {
             assert_eq!(c.read(p).unwrap(), synth_bytes(p, 16));
@@ -717,7 +701,10 @@ mod tests {
             dead.contains(&"ftc_nvme_hits_total")
                 && dead.contains(&"ftc_server_shed_capacity_total")
         );
-        assert!(!dead.contains(&"ftc_mover_queue_depth"), "{dead:?}");
+        assert!(
+            !dead.contains(&"ftc_server_pfs_flight_leaders_total"),
+            "{dead:?}"
+        );
         cluster.shutdown();
     }
 
@@ -745,14 +732,12 @@ mod tests {
             for p in &paths {
                 assert_eq!(c.read(p).unwrap(), synth_bytes(p, 16));
             }
-            assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
             cluster.kill(NodeId(1));
             for _ in 0..2 {
                 for p in &paths {
                     c.read(p).unwrap();
                 }
             }
-            assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
             let after = cluster.cached_objects_per_node();
             let survivor_total: u64 = after
                 .iter()

@@ -15,7 +15,7 @@ pub enum CoreError {
     /// Spawning a background thread failed (typically OS thread or memory
     /// exhaustion).
     Spawn {
-        /// What was being spawned (e.g. `"hvac server"`, `"data mover"`).
+        /// What was being spawned (e.g. `"transport listener"`).
         what: &'static str,
         /// The node the thread belongs to.
         node: NodeId,

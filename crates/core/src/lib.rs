@@ -8,7 +8,7 @@
 //! Architecture (Fig. 3 of the paper):
 //!
 //! * [`server::HvacServer`] — per-node daemon serving `Read` RPCs from its
-//!   NVMe cache, falling back to the PFS and recaching via a data mover.
+//!   NVMe cache, falling back to the PFS and persisting what it fetched.
 //! * [`client::HvacClient`] — the training process's shim: placement
 //!   lookup → RPC → timeout-based failure detection
 //!   ([`detector::FailureDetector`]) → one of three policies

@@ -78,9 +78,9 @@ pub struct ClusterMetrics {
     pub nvme_per_node: Vec<NvmeStats>,
     /// Total PFS reads (all sources: server misses + client redirects).
     pub pfs_total_reads: u64,
-    /// Files recached by data movers after fetches.
+    /// Files servers fetched from the PFS and persisted to their NVMe.
     pub files_recached: u64,
-    /// Bytes moved by data movers.
+    /// Bytes of those files.
     pub recached_bytes: u64,
 }
 

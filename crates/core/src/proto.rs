@@ -15,8 +15,8 @@ use serde::{Deserialize, Serialize};
 pub enum ServeSource {
     /// Served from the server's node-local NVMe cache.
     NvmeHit,
-    /// Missed NVMe; fetched from the PFS (and handed to the data mover to
-    /// recache). After a failure this is the "first epoch after the
+    /// Missed NVMe; fetched from the PFS (and persisted to the NVMe right
+    /// after the reply). After a failure this is the "first epoch after the
     /// failure where the lost files are not yet cached" path of §IV-B.
     PfsFetch,
 }

@@ -2,9 +2,10 @@
 //! from the training process (§II-B).
 //!
 //! Serves `Read` RPCs: NVMe hit → serve from cache; miss → fetch from the
-//! PFS, serve, and hand the bytes to the data mover for recaching. After a
-//! node failure, surviving servers run exactly this code to absorb the
-//! failed node's keys — the recache path *is* the miss path.
+//! PFS, serve, then persist the bytes to the NVMe cache on the same thread
+//! (HVAC's serve-first order). After a node failure, surviving servers run
+//! exactly this code to absorb the failed node's keys — the recache path
+//! *is* the miss path.
 
 use crate::error::CoreError;
 use crate::overload::{Admission, AdmissionConfig, ShedStatsSnapshot};
@@ -13,9 +14,10 @@ use crate::singleflight::{Join, SingleFlight};
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Inbound, Listener, Transport};
 use ftc_net::{Network, TraceEventKind};
-use ftc_obs::{Export, Sample};
-use ftc_storage::{DataMover, NvmeCache, Pfs, ValueBuf};
+use ftc_obs::{Counter, Export, Sample};
+use ftc_storage::{NvmeCache, Pfs, ValueBuf};
 use ftc_time::ClockHandle;
+use std::convert::Infallible;
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -54,9 +56,12 @@ pub struct HvacServer {
     node: NodeId,
     cache: Arc<NvmeCache>,
     pfs: Arc<Pfs>,
-    mover: DataMover,
-    /// Clock shared with the mover: follower waits on coalesced misses
-    /// must be cooperative under a virtual driver.
+    /// Files this node fetched from the PFS and persisted to its cache.
+    recached: Counter,
+    /// Their bytes.
+    recached_bytes: Counter,
+    /// The transport's clock: follower waits on coalesced misses must be
+    /// cooperative under a virtual driver.
     clock: ClockHandle,
     /// Open PFS fetches, single-flighted by key: a storm of concurrent
     /// misses for one file costs one PFS read, not one per request.
@@ -70,49 +75,42 @@ impl HvacServer {
     /// Server for `node` over an existing NVMe cache — the warm-rejoin
     /// path: a revived node kept its disk (the paper's node-local model),
     /// so the new server process adopts the surviving contents instead of
-    /// restarting cold. Wall clock, no admission control. Errors if the
-    /// data-mover thread cannot be spawned.
+    /// restarting cold. Wall clock, no admission control. A server owns
+    /// no thread, so this cannot fail; the `Result` is the signature its
+    /// callers already handle.
     pub fn with_cache(
         node: NodeId,
         pfs: Arc<Pfs>,
         cache: Arc<NvmeCache>,
-    ) -> Result<Self, CoreError> {
-        Self::build(
+    ) -> Result<Self, Infallible> {
+        Ok(Self::build(
             node,
             pfs,
             cache,
             ClockHandle::wall(),
             AdmissionConfig::default(),
-        )
+        ))
     }
 
-    /// [`HvacServer::with_cache`] on `clock` — the data mover becomes a
-    /// cooperative task under a virtual clock — behind `admission`.
+    /// [`HvacServer::with_cache`] on `clock`, behind `admission`.
     fn build(
         node: NodeId,
         pfs: Arc<Pfs>,
         cache: Arc<NvmeCache>,
         clock: ClockHandle,
         admission: AdmissionConfig,
-    ) -> Result<Self, CoreError> {
-        let mover =
-            DataMover::spawn_with_clock(Arc::clone(&cache), clock.clone()).map_err(|source| {
-                CoreError::Spawn {
-                    what: "data mover",
-                    node,
-                    source,
-                }
-            })?;
-        Ok(HvacServer {
+    ) -> Self {
+        HvacServer {
             node,
             cache,
             pfs,
-            mover,
+            recached: Counter::default(),
+            recached_bytes: Counter::default(),
             clock,
             miss_flights: SingleFlight::default(),
             flight_stats: MissFlightStats::default(),
             admission: Admission::new(admission),
-        })
+        }
     }
 
     /// This server's node id.
@@ -125,19 +123,14 @@ impl HvacServer {
         Arc::clone(&self.cache)
     }
 
-    /// Files recached by the data mover so far.
+    /// Files fetched from the PFS and persisted to the cache so far.
     pub fn files_recached(&self) -> u64 {
-        self.mover.moved()
+        self.recached.get()
     }
 
-    /// Bytes recached by the data mover so far.
+    /// Bytes of those files.
     pub fn recached_bytes(&self) -> u64 {
-        self.mover.moved_bytes()
-    }
-
-    /// Current mover queue depth (pending recache inserts).
-    pub fn mover_queue_depth(&self) -> u64 {
-        self.mover.queue_depth()
+        self.recached_bytes.get()
     }
 
     /// Requests shed by admission control, by cause. Zero while
@@ -151,20 +144,11 @@ impl HvacServer {
         self.flight_stats.snapshot()
     }
 
-    /// This node's samples, each labelled `node`: its NVMe cache, the
-    /// mover's backlog and rejected enqueues (the cost of its bounded
-    /// queue), admission sheds and the miss single-flight. The in-process
-    /// cluster and `ftc-server --prom` both expose this set per node.
+    /// This node's samples, each labelled `node`: its NVMe cache,
+    /// admission sheds and the miss single-flight. The in-process cluster
+    /// and `ftc-server --prom` both expose this set per node.
     pub fn obs_samples(&self) -> Vec<Sample> {
         let mut out = self.cache.stats().export();
-        out.push(Sample::gauge(
-            "ftc_mover_queue_depth",
-            self.mover.queue_depth() as f64,
-        ));
-        out.push(Sample::counter(
-            "ftc_mover_enqueue_rejected_total",
-            self.mover.rejected(),
-        ));
         self.sheds().export_into(&mut out);
         self.miss_flight_stats().export_into(&mut out);
         label_node(self.node, out)
@@ -205,6 +189,7 @@ impl HvacServer {
         let mut traces: Vec<TraceEventKind> = Vec::new();
         // `sized` replies charge the response's serialization time to
         // this server thread (data-bearing responses only).
+        let mut persist = None;
         let (resp, sized) = match inc.req() {
             CacheRequest::Ping => (CacheResponse::Pong, false),
             CacheRequest::Put { path, bytes } => {
@@ -244,17 +229,14 @@ impl HvacServer {
                         true,
                     )
                 } else if let Some((bytes, led)) = self.pfs_fetch_coalesced(path) {
-                    // Serve first, persist in the background (HVAC's
-                    // data-mover pattern keeps the PFS fetch off the next
-                    // reader's critical path only; this one pays it). A
-                    // full mover queue drops the recache — the read still
-                    // succeeds, only the insert trace is withheld so the
-                    // model never records an insert that didn't happen.
-                    // Only the flight leader recaches: a coalesced
-                    // follower re-enqueueing the same bytes would just
-                    // double-copy into the mover queue.
-                    if led && self.mover.enqueue(path, bytes.clone()) {
+                    // Serve first, persist right after, on this thread
+                    // (HVAC's order): the reply does not wait for the
+                    // insert, and the next request this thread or task
+                    // serves finds the file cached. Only the flight leader
+                    // persists; a coalesced follower holds the same bytes.
+                    if led {
                         traces.push(TraceEventKind::CacheInsert { key: path.clone() });
+                        persist = Some((path.clone(), bytes.clone()));
                     }
                     (
                         CacheResponse::Data {
@@ -296,17 +278,16 @@ impl HvacServer {
         } else {
             inc.reply(resp);
         }
-    }
-
-    /// Wait until the mover has persisted `expected` files (test hook).
-    pub fn drain_mover(&self, expected: u64, timeout: Duration) -> bool {
-        self.mover.drain(expected, timeout)
+        if let Some((path, bytes)) = persist {
+            self.recached_bytes.add(bytes.len() as u64);
+            self.cache.insert(&path, bytes);
+            self.recached.inc();
+        }
     }
 
     /// Fetch `path` from the PFS through the miss single-flight group.
     /// Returns the bytes plus whether *this* request led the flight (the
-    /// leader owns the recache enqueue). `None` when the PFS has no such
-    /// file.
+    /// leader persists them). `None` when the PFS has no such file.
     ///
     /// Requests that reach one node through the in-process fabric's one
     /// delivery task serialize and never coalesce here. Over TCP the
@@ -329,7 +310,7 @@ impl HvacServer {
                         p.value.map(|b| (b, false))
                     }
                     // Leader unwound without publishing: fetch
-                    // independently and take over its recache duty.
+                    // independently and persist in its place.
                     None => {
                         self.flight_stats.stale_retries.inc();
                         self.pfs.read(path).map(|b| (b, true))
@@ -354,11 +335,10 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Serve `node` on any transport backend — the in-process fabric, or
     /// real TCP sockets in `ftc-server` — from `cache` (on warm rejoin
-    /// the revived node kept its disk), behind `admission`. The data
-    /// mover runs on the transport's clock, so virtual-time clusters get
-    /// cooperative tasks and TCP gets plain threads from the same code.
-    /// Errors if the data mover, the listener or its delivery cannot be
-    /// started.
+    /// the revived node kept its disk), behind `admission`. Follower waits
+    /// on coalesced misses run on the transport's clock, so the same code
+    /// serves virtual-time clusters and TCP. Errors if the listener or its
+    /// delivery cannot be started.
     pub fn spawn(
         node: NodeId,
         transport: &dyn Transport<CacheRequest, CacheResponse>,
@@ -372,7 +352,7 @@ impl ServerHandle {
             cache,
             transport.clock(),
             admission,
-        )?);
+        ));
         let listener = transport
             .register(node)
             .map_err(|source| CoreError::Spawn {
@@ -391,11 +371,10 @@ impl ServerHandle {
         Ok(ServerHandle { listener, server })
     }
 
-    /// Stop serving and reclaim the server (its data mover drains when it
-    /// is dropped). Dropping the listener waits for every thread that
-    /// delivers requests, so the server comes back by value even with
-    /// clients still connected; `None` only if something else still
-    /// holds it.
+    /// Stop serving and reclaim the server. Dropping the listener waits
+    /// for every thread that delivers requests, so the server comes back
+    /// by value even with clients still connected; `None` only if
+    /// something else still holds it.
     pub fn shutdown(self) -> Option<HvacServer> {
         let ServerHandle { listener, server } = self;
         drop(listener);
@@ -474,13 +453,9 @@ mod tests {
         }
         assert_eq!(pfs.reads_of("train/s3.bin"), 1);
 
-        // Wait for the mover, then the second read must be an NVMe hit
-        // with no further PFS traffic.
-        assert!(net
-            .clock()
-            .wait_until(Duration::from_secs(2), Duration::from_micros(200), || h
-                .cache()
-                .peek("train/s3.bin"),));
+        // The miss persisted before the delivery task took the next
+        // request: with no wait in between, the second read is an NVMe
+        // hit with no further PFS traffic.
         let r2 = ep
             .call(
                 NodeId(0),
@@ -552,18 +527,15 @@ mod tests {
         let (net, pfs) = setup();
         let h = spawn(&net, &pfs, u64::MAX);
         let ep = net.endpoint(NodeId(1));
-        ep.call(
-            NodeId(0),
-            CacheRequest::Read {
-                path: "train/s0.bin".into(),
-            },
-            TTL,
-        )
-        .unwrap();
+        // Two misses persist inline; the repeat is a hit and persists
+        // nothing.
+        for path in ["train/s0.bin", "train/s1.bin", "train/s0.bin"] {
+            ep.call(NodeId(0), CacheRequest::Read { path: path.into() }, TTL)
+                .unwrap();
+        }
         let server = h.shutdown().expect("join");
-        assert!(server.drain_mover(1, Duration::from_secs(2)));
-        assert_eq!(server.files_recached(), 1);
-        assert_eq!(server.recached_bytes(), 64);
+        assert_eq!(server.files_recached(), 2);
+        assert_eq!(server.recached_bytes(), 128);
         assert_eq!(server.node(), NodeId(0));
     }
 

@@ -27,7 +27,6 @@ fn storm(coalesce: bool) -> (ClientMetricsSnapshot, u64) {
         // Warm the key onto its owner's NVMe through another client.
         let warmer = cluster.client(1);
         warmer.read(&hot).expect("warm read");
-        assert!(cluster.wait_movers_drained(Duration::from_secs(1)));
         let owner = warmer.owner_of(&hot).expect("owner").0 as usize;
         let owner_hits = || cluster.metrics().nvme_per_node[owner].hits;
 

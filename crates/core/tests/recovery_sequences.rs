@@ -78,9 +78,7 @@ fn successor_death_mid_recache_reroutes_pushes() {
     for p in &paths {
         assert_eq!(c.read(p).unwrap(), synth_bytes(p, FILE_SIZE), "corrupt {p}");
     }
-    // …and after the movers settle, wholly from cache: nothing stayed
-    // lost.
-    assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
+    // …and a second pass is wholly from cache: nothing stayed lost.
     cluster.pfs().reset_read_counters();
     for p in &paths {
         c.read(p).unwrap();

@@ -181,7 +181,8 @@ pub enum TraceEventKind {
         /// The re-admitted node.
         node: NodeId,
     },
-    /// A key landed in the actor's cache map (put, recache, or mover).
+    /// A key landed in the actor's cache map (put, recache push, or a
+    /// persisted PFS fetch).
     CacheInsert {
         /// The cache key.
         key: String,

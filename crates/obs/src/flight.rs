@@ -3,8 +3,8 @@
 //! When a chaos invariant fires, the campaign's aggregate counters tell
 //! you *that* something went wrong; the flight recorder tells you *what
 //! happened just before*. Every layer appends cheap structured events
-//! (RPC timed out, detector transitioned, ring dropped a node, mover
-//! recached a file) into a fixed-capacity ring; old events fall off the
+//! (RPC timed out, detector transitioned, ring dropped a node, recovery
+//! pushed a file) into a fixed-capacity ring; old events fall off the
 //! back, so memory stays bounded no matter how long a campaign runs. On a
 //! violation — or a panic, via [`FlightRecorder::install_panic_dump`] —
 //! the ring is rendered to text and attached to the report.

@@ -44,7 +44,7 @@ pub struct SimCalibration {
     /// Cost multiplier for *client-direct* PFS reads (the §IV-A redirect
     /// path and the suspect-window redirects) relative to a server-side
     /// HVAC fetch. The HVAC server's PFS path is an optimized bulk
-    /// fetch feeding the data mover; a redirected client read is a raw
+    /// fetch feeding the NVMe cache; a redirected client read is a raw
     /// intercepted POSIX read from a process that is simultaneously
     /// feeding GPUs — measured on Frontier to be several times slower for
     /// the same file. This is the straggler term of §V-B1.

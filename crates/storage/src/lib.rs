@@ -3,8 +3,8 @@
 //! Reproduces the two storage tiers of the paper's environment:
 //!
 //! * **Node-local NVMe** ([`NvmeCache`]) — per-node, fast, capacity-bounded
-//!   with LRU eviction; fed off the critical path by the [`DataMover`],
-//!   mirroring HVAC's data-mover thread.
+//!   with LRU eviction; a server persists each file it fetched from the
+//!   PFS into it right after serving the read, as HVAC does.
 //! * **Parallel file system** ([`Pfs`]) — shared, slow, with per-file read
 //!   accounting (so the "one extra PFS access per lost file" invariant of
 //!   the hash-ring recaching design is directly testable) and a
@@ -19,7 +19,6 @@
 
 pub mod cost;
 pub mod index;
-pub mod mover;
 pub mod nvme;
 pub mod object;
 pub mod pfs;
@@ -28,7 +27,6 @@ pub mod value;
 
 pub use cost::{frontier, frontier_node, CostModel, NodeSpec, TierCost};
 pub use index::KeyIndex;
-pub use mover::{DataMover, DEFAULT_MOVER_QUEUE_CAP};
 pub use nvme::{NvmeCache, NvmeStats};
 pub use object::{MemStore, ObjectStore};
 pub use pfs::{Pfs, PfsModel};

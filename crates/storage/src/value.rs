@@ -6,7 +6,7 @@
 //! immutable `Arc<[u8]>` with an offset/len window, so:
 //!
 //! * **clone is a refcount bump** — handing a value to the reply path,
-//!   the data mover, the replicator and the hint store are four clones
+//!   the NVMe insert, the replicator and the hint store are four clones
 //!   of one allocation, not four copies;
 //! * **views are free** — the wire codec exposes a value decoded from
 //!   the middle of a frame body as a window into the frame's own

@@ -111,8 +111,8 @@ fn evicted_windows_stay_valid_and_accounting_is_exact() {
                     e
                 };
                 // The evictor's own handle outlives the map entry too:
-                // eviction returns the victim's bytes intact (the data
-                // mover re-homes them without re-reading the PFS).
+                // eviction returns the victim's bytes intact (a recache
+                // re-homes them without re-reading the PFS).
                 assert_eq!(&evicted[..], OLD, "evicted window invalidated");
             })
         };

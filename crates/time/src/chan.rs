@@ -1,6 +1,6 @@
 //! Clock-aware channels: the one blocking primitive the protocol stack
 //! uses for cross-task handoff (transport mailboxes, reply slots, the
-//! recovery queue, the data mover).
+//! recovery queue).
 //!
 //! Wall mode delegates to ordinary condvar-backed channels. Virtual mode
 //! keeps the queue under a small per-channel mutex and routes *blocking*

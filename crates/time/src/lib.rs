@@ -79,7 +79,7 @@ enum Repr {
 /// A cheap-to-clone handle to either the wall clock or a virtual clock.
 ///
 /// This is the type threaded through every layer: transport, client,
-/// server, detector, recovery engine, mover, observability. `Default` is
+/// server, detector, recovery engine, observability. `Default` is
 /// wall mode, so existing constructors keep their behaviour.
 #[derive(Clone, Default)]
 pub struct ClockHandle(Repr);

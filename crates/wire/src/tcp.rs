@@ -6,8 +6,8 @@
 //! One [`TcpTransport`] holds the peer map (`NodeId` → socket address)
 //! and mints both sides:
 //!
-//! * [`Transport::register`] binds the node's listed address and runs an
-//!   accept loop; each accepted connection is handshaken
+//! * [`Transport::register`] binds the node's listed address and runs a
+//!   blocking accept loop; each accepted connection is handshaken
 //!   ([`crate::frame::Hello`]) and then owned by one `wire-srv-conn-*`
 //!   thread that decodes request frames into [`Inbound`]s. Where they go
 //!   is the listener's one decision: into the queue [`Listener::accept`]
@@ -42,7 +42,11 @@
 //! holder of the turn; a frame that has started is read to its end while
 //! bytes keep arriving, and one that stalls for an `io_timeout` past the
 //! deadline — like a write abandoned part-way — has torn the stream, so
-//! it kills the connection. Torn connections surface as
+//! it kills the connection. The wait between frames is the socket's read
+//! timeout, armed with the call's timeout (at most an `io_timeout`) while
+//! the call is on time: calls that are answered in time leave it as they
+//! found it and cost no `setsockopt`. Only a wait that starts late in its
+//! call re-arms it with what is left. Torn connections surface as
 //! [`RpcError::Disconnected`] (also detector-feeding) to every call in
 //! flight at once; addresses missing from the peer map as
 //! [`RpcError::UnknownNode`]; a request over the frame cap, refused
@@ -76,7 +80,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::marker::PhantomData;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::thread::{self, Thread};
@@ -94,8 +98,6 @@ pub struct TcpConfig {
     /// Socket read/write poll granularity: how often blocked I/O wakes
     /// to check stop/dead flags and deadlines.
     pub io_timeout: Duration,
-    /// Accept-loop poll interval while no connection is pending.
-    pub accept_poll: Duration,
     /// Frame length cap, both directions.
     pub max_frame: u32,
 }
@@ -105,7 +107,6 @@ impl Default for TcpConfig {
         TcpConfig {
             connect_timeout: Duration::from_secs(1),
             io_timeout: Duration::from_millis(50),
-            accept_poll: Duration::from_millis(10),
             max_frame: DEFAULT_MAX_FRAME,
         }
     }
@@ -421,6 +422,8 @@ struct SockReader {
     /// The socket's read timeout as last set, so it is set again only
     /// when it has to change — never on a call that is answered in time.
     patience: Duration,
+    /// How often the read timeout was set since the dial.
+    rearms: u64,
 }
 
 impl SockReader {
@@ -428,8 +431,34 @@ impl SockReader {
         if patience != self.patience {
             self.stream.set_read_timeout(Some(patience))?;
             self.patience = patience;
+            self.rearms += 1;
         }
         Ok(())
+    }
+}
+
+/// When a call's read must end, and how long one wait may block.
+#[derive(Clone, Copy)]
+struct Due {
+    deadline: Instant,
+    /// The call's timeout, at most an `io_timeout`.
+    timeout: Duration,
+}
+
+impl Due {
+    /// The socket read timeout for a wait with `left` of the call to go:
+    /// the call's `timeout` while the call is on time, so every call with
+    /// the same timeout arms the same value. A wait that starts late —
+    /// after a dial, a wait for the turn or another caller's frame — gets
+    /// what is left, but never less than an eighth of `timeout`: no wait
+    /// blocks past the deadline by more than that eighth, and none spins.
+    fn patience(self, left: Duration) -> Duration {
+        let eighth = self.timeout / 8;
+        if left + eighth >= self.timeout {
+            self.timeout
+        } else {
+            left.max(eighth)
+        }
     }
 }
 
@@ -551,18 +580,18 @@ impl PeerConn {
     }
 
     /// Holding the read turn, read frames until the reply to `id`.
-    fn pull(&self, r: &mut FrameReader, id: u64, deadline: Instant) -> Result<Arc<[u8]>, RpcError> {
+    fn pull(&self, r: &mut FrameReader, id: u64, due: Due) -> Result<Arc<[u8]>, RpcError> {
         let clock = &self.writer.clock;
         loop {
             // Between frames the read can be given up: nothing of the
             // next frame has been consumed, and `fill_buf` keeps what was
             // read ahead for the next holder of the turn.
             while r.buffer().is_empty() {
-                let left = deadline.saturating_duration_since(clock.now());
+                let left = due.deadline.saturating_duration_since(clock.now());
                 if left.is_zero() {
                     return Err(RpcError::Timeout { to: self.to });
                 }
-                let waited = r.get_mut().wait_at_most(left.min(self.io_timeout));
+                let waited = r.get_mut().wait_at_most(due.patience(left));
                 match waited.and_then(|()| r.fill_buf().map(<[u8]>::len)) {
                     Ok(0) => return Err(self.torn(&io::ErrorKind::UnexpectedEof.into())),
                     Ok(_) => break,
@@ -571,19 +600,17 @@ impl PeerConn {
                 }
             }
             // A frame that has started is read to its end while bytes
-            // keep arriving; one that stalls for a poll interval past the
+            // keep arriving; one that stalls for an `io_timeout` past the
             // deadline has torn the stream, like a write abandoned
             // part-way. Any other failure — oversized or malformed frame,
             // a kind servers never send here — is a protocol break with
             // the same end; the pool redials on the next call.
-            let frame = r
-                .get_mut()
-                .wait_at_most(self.io_timeout)
-                .map_err(FrameError::Io)
-                .and_then(|()| {
-                    let mut r = UntilDeadline { r, deadline, clock };
-                    read_frame_shared(&mut r, self.writer.max_frame)
-                });
+            let mut rest = UntilDeadline {
+                r,
+                deadline: due.deadline + self.io_timeout,
+                clock,
+            };
+            let frame = read_frame_shared(&mut rest, self.writer.max_frame);
             let frame = match frame {
                 Ok(frame) if frame.kind == FrameKind::Response => frame,
                 Err(FrameError::Io(e)) => return Err(self.torn(&e)),
@@ -631,7 +658,8 @@ struct InFlight<'a> {
 impl InFlight<'_> {
     /// Wait for this call's reply: read it off the socket if the read
     /// turn is free, sleep on the slot otherwise.
-    fn reply(&mut self, deadline: Instant) -> Result<Arc<[u8]>, RpcError> {
+    fn reply(&mut self, due: Due) -> Result<Arc<[u8]>, RpcError> {
+        let deadline = due.deadline;
         let conn = self.conn;
         loop {
             {
@@ -654,7 +682,7 @@ impl InFlight<'_> {
                 }
             }
             if let Some(r) = self.reader.as_mut() {
-                return conn.pull(r, self.id, deadline);
+                return conn.pull(r, self.id, due);
             }
             let left = deadline.saturating_duration_since(conn.writer.clock.now());
             if left.is_zero() {
@@ -750,6 +778,7 @@ where
                 idle: Some(frame_reader(SockReader {
                     stream,
                     patience: cfg.io_timeout,
+                    rearms: 0,
                 })),
                 waiters: HashMap::new(),
             }),
@@ -817,7 +846,10 @@ where
                 SendError::Busy => RpcError::Timeout { to },
                 SendError::Torn(e) => conn.torn(&e),
             })?;
-        let body = flight.reply(deadline);
+        let body = flight.reply(Due {
+            deadline,
+            timeout: timeout.min(self.shared.cfg.io_timeout),
+        });
         // Decoding needs no turn: let the next reader at the socket.
         drop(flight);
         match Resp::decode_all_shared(&body?) {
@@ -900,6 +932,9 @@ struct TcpListenerHandle<Req, Resp> {
     rx: ftc_time::ClockReceiver<Box<dyn Inbound<Req, Resp>>>,
     delivery: Arc<Delivery<Req, Resp>>,
     stop: Arc<AtomicBool>,
+    /// Where a dial reaches the listening socket: what wakes the blocked
+    /// accept on drop.
+    wake: SocketAddr,
     accept_thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -924,12 +959,37 @@ where
 
 impl<Req, Resp> Drop for TcpListenerHandle<Req, Resp> {
     fn drop(&mut self) {
-        // ordering: Relaxed - shutdown latch, polled by accept/conn loops.
-        self.stop.store(true, Ordering::Relaxed);
+        // ordering: Release - pairs with the accept loop's Acquire load
+        // after the wake-up dial below; connection threads poll it.
+        self.stop.store(true, Ordering::Release);
         if let Some(h) = self.accept_thread.take() {
+            // The accept loop blocks in `accept`: one dial of our own
+            // wakes it to find the latch set. Nothing else would end it,
+            // so a dial that fails (no descriptors left) is retried.
+            while TcpStream::connect_timeout(&self.wake, WAKE_DIAL).is_err() && !h.is_finished() {
+                // Socket-bound back-off, wall time by nature.
+                // lint:allow(wall-clock)
+                thread::sleep(WAKE_DIAL);
+            }
             let _ = h.join();
         }
     }
+}
+
+/// Patience of the dial that wakes a dropped listener's accept loop, and
+/// the pause before another try if it fails.
+const WAKE_DIAL: Duration = Duration::from_millis(100);
+
+/// Where a dial reaches a socket listening on `local`: itself, or
+/// loopback if it listens on every interface.
+fn dialable(mut local: SocketAddr) -> SocketAddr {
+    if local.ip().is_unspecified() {
+        local.set_ip(match local {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    local
 }
 
 /// One accepted server-side connection: handshake, then decode request
@@ -1031,7 +1091,7 @@ where
             )
         })?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let wake = dialable(listener.local_addr()?);
         let (queue, rx) = self.shared.clock.channel::<Box<dyn Inbound<Req, Resp>>>();
         let delivery = Arc::new(Delivery {
             sink: RwLock::new(None),
@@ -1047,12 +1107,15 @@ where
             .spawn(move || {
                 let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
                 loop {
-                    // ordering: Relaxed - shutdown latch.
-                    if astop.load(Ordering::Relaxed) {
+                    let accepted = listener.accept();
+                    // ordering: Acquire - pairs with the Release in drop,
+                    // which stores the latch before its wake-up dial.
+                    if astop.load(Ordering::Acquire) {
                         break;
                     }
-                    match listener.accept() {
+                    match accepted {
                         Ok((stream, _peer)) => {
+                            conns.retain(|c| !c.is_finished());
                             let shared = Arc::clone(&shared);
                             let delivery = Arc::clone(&adelivery);
                             let cstop = Arc::clone(&astop);
@@ -1067,22 +1130,16 @@ where
                             // the client sees Disconnected and retries.
                             conns.extend(spawned);
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            conns.retain(|c| !c.is_finished());
-                            // Socket-bound idle wait: the accept loop never
-                            // runs under virtual time, and routing this nap
-                            // through a ClockHandle would only pretend it
-                            // could. lint:allow(wall-clock)
-                            thread::sleep(shared.cfg.accept_poll);
-                        }
+                        // A client that hung up before being accepted.
+                        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
                         // Listener socket itself failed (fd torn down,
                         // EMFILE storm): the node is done accepting.
                         // lint:allow(err-catchall)
                         Err(_) => break,
                     }
                 }
-                // Connection threads see the same latch within one poll
-                // interval; a request being served finishes first.
+                // Connection threads see the same latch within one
+                // `io_timeout`; a request being served finishes first.
                 for c in conns {
                     let _ = c.join();
                 }
@@ -1093,6 +1150,7 @@ where
             rx,
             delivery,
             stop,
+            wake,
             accept_thread: Some(accept_thread),
         }))
     }
@@ -1221,5 +1279,107 @@ mod tests {
         let same = caller.slots[&NodeId(0)].live().expect("still connected");
         assert!(Arc::ptr_eq(&conn, &same), "the connection was redialed");
         peer.join().expect("peer thread");
+    }
+
+    /// A loopback address nobody listens on.
+    fn free_addr() -> SocketAddr {
+        TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("free port")
+    }
+
+    /// Node 0 of `t`, echoing every request from its connection thread.
+    fn echo_node(t: &TcpTransport<Num, Num>) -> Box<dyn Listener<Num, Num>> {
+        let node = Transport::register(t, NodeId(0)).expect("bind");
+        node.set_sink(Arc::new(|inc| {
+            let n = inc.req().0;
+            inc.reply(Num(n));
+        }))
+        .expect("sink");
+        node
+    }
+
+    /// Calls with one timeout below `io_timeout`, each answered in time,
+    /// arm the socket's read timeout once between them: the first call
+    /// sets it from the dial's value, the other 99 find it set.
+    #[test]
+    fn calls_answered_in_time_leave_the_read_timeout_alone() {
+        let cfg = TcpConfig {
+            io_timeout: Duration::from_secs(1),
+            ..TcpConfig::default()
+        };
+        let t = TcpTransport::from_peer_list(&[free_addr()], cfg);
+        let _node = echo_node(&t);
+        let caller = t.pooled_caller(NodeId(1));
+        for i in 0..100 {
+            let resp = caller.call(NodeId(0), Num(i), Duration::from_millis(500));
+            assert_eq!(resp, Ok(Num(i)));
+        }
+        let conn = caller.slots[&NodeId(0)].live().expect("connected");
+        let reads = conn.reads.lock();
+        let rearms = reads.idle.as_ref().expect("turn free").get_ref().rearms;
+        assert!(rearms <= 1, "{rearms} re-arms over 100 calls");
+    }
+
+    /// Every dial is answered as soon as it is accepted: 50 scrapes, each
+    /// on a connection of its own, take far less than one poll interval
+    /// apiece would.
+    #[test]
+    fn scrapes_are_answered_without_waiting_for_the_accept_loop() {
+        let addr = free_addr();
+        let t: TcpTransport<Num, Num> = TcpTransport::from_peer_list(&[addr], TcpConfig::default());
+        t.set_obs_handler(Arc::new(|| "ftc_up 1\n".to_owned()));
+        let _node = Transport::register(&t, NodeId(0)).expect("bind");
+        let clock = ClockHandle::wall();
+        let t0 = clock.now();
+        for _ in 0..50 {
+            let text = scrape_obs(addr, Duration::from_secs(1)).expect("scrape");
+            assert_eq!(text, "ftc_up 1\n");
+        }
+        let took = clock.since(t0);
+        assert!(
+            took < Duration::from_millis(250),
+            "50 scrapes took {took:?}"
+        );
+    }
+
+    /// A dropped listener wakes its blocked accept loop at once, and with
+    /// a call in flight returns as soon as that call is answered.
+    #[test]
+    fn dropping_a_listener_returns_promptly() {
+        let clock = ClockHandle::wall();
+        let t: TcpTransport<Num, Num> =
+            TcpTransport::from_peer_list(&[free_addr()], TcpConfig::default());
+        let t0 = clock.now();
+        drop(echo_node(&t));
+        let idle = clock.since(t0);
+        assert!(idle < Duration::from_millis(25), "idle drop took {idle:?}");
+
+        let serve = Duration::from_millis(100);
+        let node = Transport::register(&t, NodeId(0)).expect("rebind");
+        let (started, serving) = mpsc::channel::<()>();
+        let started = Mutex::new(started);
+        node.set_sink(Arc::new(move |inc| {
+            let _ = started.lock().send(());
+            thread::sleep(serve);
+            let n = inc.req().0;
+            inc.reply(Num(n));
+        }))
+        .expect("sink");
+        let caller = t.pooled_caller(NodeId(1));
+        let call = thread::spawn(move || caller.call(NodeId(0), Num(7), Duration::from_secs(5)));
+        serving.recv().expect("request reached the sink");
+        let t0 = clock.now();
+        drop(node);
+        let busy = clock.since(t0);
+        assert_eq!(
+            call.join().expect("caller"),
+            Ok(Num(7)),
+            "in-flight call lost"
+        );
+        assert!(
+            busy < serve + TcpConfig::default().io_timeout,
+            "drop with a call in flight took {busy:?}"
+        );
     }
 }

@@ -21,8 +21,8 @@ fn main() {
         4096 / 1024
     );
 
-    // 2. Epoch 1: every read misses, servers fetch from the PFS and the
-    //    data movers recache onto node-local NVMe.
+    // 2. Epoch 1: every read misses, servers fetch from the PFS and
+    //    persist each file onto node-local NVMe behind its reply.
     let client = cluster.client(0);
     for p in &paths {
         client.read(p).unwrap();

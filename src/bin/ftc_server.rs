@@ -2,10 +2,11 @@
 //!
 //! Hosts the full server stack of a cache node: the NVMe LRU tier, the
 //! PFS model (synthetic — every process derives the identical dataset
-//! from the paths alone, so a fleet needs no shared storage), the data
-//! mover, and the request brain shared verbatim with the in-process
-//! simulated clusters. The PFS files are declared at boot and generated
-//! by their first read, so a node holds only the files it has fetched. The observability exposition (`--prom`: the
+//! from the paths alone, so a fleet needs no shared storage), and the
+//! request brain shared verbatim with the in-process simulated clusters.
+//! The PFS files are declared at boot and generated by their first read,
+//! so a node holds only the files it has fetched. The observability
+//! exposition (`--prom`: the
 //! node's `HvacServer::obs_samples` plus its PFS reads) is served over
 //! the same socket listener via the wire protocol's `ObsScrape` frame,
 //! not a separate HTTP port.
@@ -31,9 +32,10 @@
 //! Prints `READY node=<n> addr=<addr>` on stdout once the listener is
 //! bound, then serves until killed. SIGTERM shuts down gracefully: the
 //! listener closes (in-flight requests finish, new connections are
-//! refused), the data mover drains, and a final
+//! refused), and a final
 //! `DRAINED node=<n> hits=<h> misses=<m> sheds=<c>+<d> recached=<r>`
-//! snapshot is printed before exit 0. SIGKILL remains the crash path the
+//! snapshot is printed before exit 0 (`recached` counts the PFS fetches
+//! the node persisted to its NVMe). SIGKILL remains the crash path the
 //! loopback test exercises.
 
 use ft_cache::fleet::{parse_stage_specs, stage_dataset, Args};
@@ -194,8 +196,8 @@ fn main() {
     }
 
     // Graceful shutdown: stop accepting (the listener closes, in-flight
-    // requests finish), let the reclaimed server drain its data mover,
-    // then report a final snapshot so operators see what the node did
+    // requests finish, each miss persisted behind its reply), then
+    // report a final snapshot so operators see what the node did
     // with its life. Best-effort writes: the parent may have closed our
     // stdout pipe already, and a drain must never panic on EPIPE.
     let mut out = std::io::stdout();

@@ -1073,7 +1073,7 @@ impl Readers {
 }
 
 /// Run one campaign of `plan` under `policy` on `clock`: the cluster, its
-/// movers, the client's retry/backoff/detector and the recovery engine
+/// delivery tasks, the client's retry/backoff/detector and the recovery engine
 /// all share the clock, so the campaign runs identically on wall or
 /// virtual time.
 pub fn run_campaign_on(
@@ -1179,8 +1179,6 @@ pub fn run_campaign_on(
             Err(e) => fire!(Integrity, "warm read of {p} failed: {e}"),
         }
     }
-    // Let the movers land everything before accounting starts.
-    let _ = cluster.wait_movers_drained(Duration::from_secs(2));
     let warm = client.metrics().snapshot();
     // Ownership at the healthy-ring baseline: `KillSuccessorOf` resolves
     // against it. Whoever the ring now routes n's first baseline key to
@@ -1295,8 +1293,8 @@ pub fn run_campaign_on(
                         fire!(Revive, "node {n} failed to rejoin: {e}");
                     }
                     // The rejoin is warm, but budget one fetch per
-                    // re-owned key anyway: a mover may not have landed a
-                    // key before the crash took the node out.
+                    // re-owned key anyway: a key the node had not served
+                    // before the crash is not on its disk.
                     budget += owned_by(n);
                 }
                 ChaosAction::Flaky { node, up, down } => {
@@ -1429,9 +1427,6 @@ pub fn run_campaign_on(
                 Err(e) => fire!(Integrity, "read of {p} failed under {policy:?}: {e}"),
             }
         }
-        // Give movers a beat so recache fetches are attributed to the
-        // pass that caused them.
-        let _ = cluster.wait_movers_drained(Duration::from_secs(2));
     }
 
     // The surge pushed an adaptive controller into brownout; give the
@@ -1834,7 +1829,6 @@ pub fn run_degraded_window_probe_on(
         }
     }
     report.warm_p99 = ftc_obs::percentile(&warm_lats, 0.99);
-    let _ = cluster.wait_movers_drained(Duration::from_secs(2));
 
     let victim = NodeId(1);
     let lost: Vec<&String> = paths

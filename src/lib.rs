@@ -15,7 +15,7 @@
 //! | [`hashring`] | placement: consistent hash ring + §IV-B alternatives |
 //! | [`net`] | interconnect: mailbox RPC, deadlines, fault injection |
 //! | [`wire`] | real TCP transport: framing, codec, pooled connections |
-//! | [`storage`] | NVMe cache (LRU), PFS with read accounting, data mover |
+//! | [`storage`] | NVMe cache (LRU), PFS with read accounting |
 //! | [`core`] | FT-Cache client/server/policies, threaded cluster |
 //! | [`train`] | CosmoFlow-shaped workload + Horovod-elastic driver |
 //! | [`sim`] | discrete-event simulator: Figures 5/6 at 64–1024 nodes |

@@ -16,12 +16,6 @@ fn epoch(client: &HvacClient, paths: &[String]) {
     }
 }
 
-/// Clock-aware settle: wait until every live server's mover queue has
-/// drained, so PFS accounting sees all landed copies.
-fn settle(cluster: &Cluster) {
-    assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
-}
-
 #[test]
 fn ring_recache_full_lifecycle() {
     let cluster =
@@ -30,7 +24,6 @@ fn ring_recache_full_lifecycle() {
     let client = cluster.client(0);
 
     epoch(&client, &paths); // warm
-    settle(&cluster);
     assert_eq!(
         cluster.pfs().total_reads(),
         FILES as u64,
@@ -47,7 +40,6 @@ fn ring_recache_full_lifecycle() {
     cluster.pfs().reset_read_counters();
     epoch(&client, &paths); // detection + first recaches
     epoch(&client, &paths); // suspect-window files recache now
-    settle(&cluster);
     let recovery_reads = cluster.pfs().total_reads();
     assert!(recovery_reads > 0, "lost files must be refetched");
     assert!(
@@ -78,7 +70,6 @@ fn pfs_redirect_pays_every_epoch() {
     let client = cluster.client(0);
 
     epoch(&client, &paths);
-    settle(&cluster);
     let lost: Vec<&String> = paths
         .iter()
         .filter(|p| client.owner_of(p) == Some(NodeId(1)))

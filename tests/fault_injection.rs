@@ -72,7 +72,6 @@ fn replicated_cluster_survives_failure_without_recache_burst() {
     let client = cluster.client(0);
 
     epoch(&client, &paths); // warm: fetch + write-through replicas
-    assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
     let m = client.metrics().snapshot();
     assert_eq!(m.replicas_written, 40);
 
@@ -110,7 +109,6 @@ fn revive_under_pfs_redirect_restores_cache_service() {
     assert!(!client.failed_nodes().contains(&NodeId(0)));
     // One epoch to refill the revived node's cold cache…
     epoch(&client, &paths);
-    assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
     cluster.pfs().reset_read_counters();
     // …then its keys are served from NVMe again.
     epoch(&client, &paths);

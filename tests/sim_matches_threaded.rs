@@ -7,7 +7,6 @@
 //! - the calibrated **discrete-event simulator** fast path.
 
 use ft_cache::prelude::*;
-use std::time::Duration;
 
 const NODES: u32 = 6;
 const FILES: u32 = 60;
@@ -27,14 +26,12 @@ fn post_failure_reads_on(policy: FtPolicy, victim: NodeId, clock: ClockHandle) -
     for p in &paths {
         client.read(p).unwrap();
     }
-    assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
     cluster.kill(victim);
     cluster.pfs().reset_read_counters();
     for _ in 0..3 {
         for p in &paths {
             client.read(p).unwrap();
         }
-        assert!(cluster.wait_movers_drained(Duration::from_secs(5)));
     }
     let reads = cluster.pfs().total_reads();
     cluster.shutdown();

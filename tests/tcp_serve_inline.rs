@@ -7,13 +7,15 @@
 //! than the set keeps the striped accounting consistent, and shutdown
 //! still reclaims the server while the clients' connections are open.
 //! Admission control gates those threads: a node with no room sheds a
-//! read with the typed `Overloaded` and still answers a `Ping`. A last
-//! test pins the client's receive path: a 1 MiB read reaches the caller
-//! as a window into its reply frame, with no copy of the value.
+//! read with the typed `Overloaded` and still answers a `Ping`. A miss
+//! is persisted on the connection thread right after its reply, so the
+//! connection's next read of the key is an NVMe hit with no wait between.
+//! A last test pins the client's receive path: a 1 MiB read reaches the
+//! caller as a window into its reply frame, with no copy of the value.
 
 use ftc_core::{
     AdmissionConfig, CacheRequest, CacheResponse, FtConfig, FtPolicy, HvacClient, ReadVia,
-    ServerHandle,
+    ServeSource, ServerHandle,
 };
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Caller, Transport};
@@ -216,6 +218,34 @@ fn a_full_armored_node_sheds_reads_but_answers_pings() {
     assert_eq!(ping, Ok(CacheResponse::Pong), "a probe is never shed");
     assert_eq!((server.sheds().capacity, server.sheds().deadline), (1, 0));
     server.shutdown().expect("server reclaimed");
+}
+
+#[test]
+fn a_miss_is_cached_before_the_connections_next_read() {
+    let transport = one_node_transport();
+    let pfs = Arc::new(Pfs::in_memory());
+    pfs.stage(COLD, synth_bytes(COLD, 64));
+    let server = ServerHandle::spawn(
+        NodeId(0),
+        &transport,
+        Arc::clone(&pfs),
+        Arc::new(NvmeCache::unbounded()),
+        AdmissionConfig::default(),
+    )
+    .expect("spawn server");
+    let caller = transport.caller(NodeId(10));
+    let read = || match caller.call(NodeId(0), CacheRequest::Read { path: COLD.into() }, TTL) {
+        Ok(CacheResponse::Data { source, bytes, .. }) => {
+            assert_eq!(bytes, synth_bytes(COLD, 64));
+            source
+        }
+        other => panic!("read: {other:?}"),
+    };
+    assert_eq!(read(), ServeSource::PfsFetch);
+    assert_eq!(read(), ServeSource::NvmeHit, "the miss was not persisted");
+    assert_eq!(pfs.reads_of(COLD), 1);
+    let server = server.shutdown().expect("server reclaimed");
+    assert_eq!((server.files_recached(), server.recached_bytes()), (1, 64));
 }
 
 #[test]

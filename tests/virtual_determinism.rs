@@ -1,5 +1,5 @@
 //! Virtual-time determinism and scale: the real threaded stack — servers,
-//! movers, clients, detector, recovery engine — boots on a
+//! clients, detector, recovery engine — boots on a
 //! `ftc_time::VirtualClock`, so entire chaos campaigns run in simulated
 //! time. Two properties are asserted here:
 //!
