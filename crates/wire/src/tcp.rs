@@ -1353,7 +1353,7 @@ mod tests {
         let t0 = clock.now();
         drop(echo_node(&t));
         let idle = clock.since(t0);
-        assert!(idle < Duration::from_millis(25), "idle drop took {idle:?}");
+        assert!(idle < Duration::from_millis(50), "idle drop took {idle:?}");
 
         let serve = Duration::from_millis(100);
         let node = Transport::register(&t, NodeId(0)).expect("rebind");
@@ -1378,7 +1378,7 @@ mod tests {
             "in-flight call lost"
         );
         assert!(
-            busy < serve + TcpConfig::default().io_timeout,
+            busy < serve + 4 * TcpConfig::default().io_timeout,
             "drop with a call in flight took {busy:?}"
         );
     }
