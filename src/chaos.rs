@@ -1073,9 +1073,9 @@ impl Readers {
 }
 
 /// Run one campaign of `plan` under `policy` on `clock`: the cluster, its
-/// delivery tasks, the client's retry/backoff/detector and the recovery engine
-/// all share the clock, so the campaign runs identically on wall or
-/// virtual time.
+/// delivery tasks, the client's retry/backoff/detector and the recovery
+/// engine all share the clock, so the campaign runs identically on wall
+/// or virtual time.
 pub fn run_campaign_on(
     policy: FtPolicy,
     plan: &ChaosPlan,
