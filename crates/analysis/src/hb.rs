@@ -18,11 +18,7 @@
 //!   `Readmit` of the same node (failover racing rejoin);
 //! * [`RaceKind::EpochRegression`] — two `RingUpdate`s that are ordered
 //!   by happens-before but whose epochs do not advance monotonically, or
-//!   that are concurrent with each other;
-//! * [`RaceKind::RetiredPolicyRead`] — a `PolicyRead` attributed to
-//!   policy epoch `e` concurrent with the `PolicyChange` that retired
-//!   `e` (a read served under recovery-policy assumptions the runtime
-//!   controller had already switched away from).
+//!   that are concurrent with each other.
 //!
 //! Clean chaos campaigns must produce zero findings;
 //! [`forge_stale_epoch_read`] injects a synthetic unsynchronised record so
@@ -41,9 +37,6 @@ pub enum RaceKind {
     /// Ring epochs that fail to advance monotonically along
     /// happens-before (or membership updates concurrent with each other).
     EpochRegression,
-    /// A read attributed to a policy epoch concurrently retired by the
-    /// runtime policy controller.
-    RetiredPolicyRead,
 }
 
 impl fmt::Display for RaceKind {
@@ -52,7 +45,6 @@ impl fmt::Display for RaceKind {
             RaceKind::StaleEpochRead => "stale-epoch-read",
             RaceKind::MembershipRace => "membership-race",
             RaceKind::EpochRegression => "epoch-regression",
-            RaceKind::RetiredPolicyRead => "retired-policy-read",
         };
         f.write_str(s)
     }
@@ -176,24 +168,6 @@ fn conflict(a: &TraceRecord, b: &TraceRecord) -> Option<RaceFinding> {
                 ),
             })
         }
-        // A read attributed to policy epoch `e` must be ordered against
-        // the controller switch that retired `e`.
-        (
-            K::PolicyRead { key, policy_epoch },
-            K::PolicyChange { old_epoch, .. },
-        )
-        | (
-            K::PolicyChange { old_epoch, .. },
-            K::PolicyRead { key, policy_epoch },
-        ) if policy_epoch == old_epoch && concurrent => Some(RaceFinding {
-            kind: RaceKind::RetiredPolicyRead,
-            first_seq: a.seq,
-            second_seq: b.seq,
-            detail: format!(
-                "read of {key:?} attributed to policy epoch {policy_epoch} is                      concurrent with the controller switch retiring that epoch                      ({} vs {})",
-                a.clock, b.clock
-            ),
-        }),
         (K::RingUpdate { .. }, K::RingUpdate { .. }) if concurrent => Some(RaceFinding {
             kind: RaceKind::EpochRegression,
             first_seq: a.seq,
@@ -252,41 +226,6 @@ pub fn forge_stale_epoch_read(log: &mut Vec<TraceRecord>) -> bool {
     true
 }
 
-/// Append a *forged* `PolicyRead` record causally concurrent with the
-/// first `PolicyChange` in `log`, attributed to the policy epoch that
-/// change retired — a read served under a policy the controller had
-/// already switched away from, without an ordering edge. Returns `false`
-/// (log unchanged) when the log contains no `PolicyChange`.
-pub fn forge_retired_policy_read(log: &mut Vec<TraceRecord>) -> bool {
-    let Some(chg) = log
-        .iter()
-        .find(|r| matches!(r.kind, TraceEventKind::PolicyChange { .. }))
-        .cloned()
-    else {
-        return false;
-    };
-    let TraceEventKind::PolicyChange { old_epoch, .. } = chg.kind else {
-        return false;
-    };
-    // Same construction as forge_stale_epoch_read: drop one own tick,
-    // add a component the switch never saw — concurrent both ways.
-    let mut clock = chg.clock.clone();
-    let own = clock.get(chg.actor.0);
-    clock.set(chg.actor.0, own.saturating_sub(1));
-    clock.set(u32::MAX, 1);
-    let seq = log.last().map_or(0, |r| r.seq + 1);
-    log.push(TraceRecord {
-        seq,
-        actor: chg.actor,
-        clock,
-        kind: TraceEventKind::PolicyRead {
-            key: "<forged-retired-policy-read>".to_owned(),
-            policy_epoch: old_epoch,
-        },
-    });
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,50 +274,6 @@ mod tests {
     fn forge_needs_a_ring_update() {
         let mut log = Vec::new();
         assert!(!forge_stale_epoch_read(&mut log));
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn ordered_policy_read_then_change_is_clean() {
-        let t = Tracer::new();
-        t.record(
-            NodeId(100),
-            TraceEventKind::PolicyRead {
-                key: "f".into(),
-                policy_epoch: 1,
-            },
-        );
-        t.record(
-            NodeId(100),
-            TraceEventKind::PolicyChange {
-                old_epoch: 1,
-                new_epoch: 2,
-            },
-        );
-        assert!(check_trace(&t.take()).is_empty());
-    }
-
-    #[test]
-    fn forged_retired_policy_read_is_flagged() {
-        let t = Tracer::new();
-        t.record(
-            NodeId(100),
-            TraceEventKind::PolicyChange {
-                old_epoch: 1,
-                new_epoch: 2,
-            },
-        );
-        let mut log = t.take();
-        assert!(forge_retired_policy_read(&mut log));
-        let findings = check_trace(&log);
-        assert_eq!(findings.len(), 1, "{findings:?}");
-        assert_eq!(findings[0].kind, RaceKind::RetiredPolicyRead);
-    }
-
-    #[test]
-    fn forge_retired_policy_read_needs_a_change() {
-        let mut log = Vec::new();
-        assert!(!forge_retired_policy_read(&mut log));
         assert!(log.is_empty());
     }
 

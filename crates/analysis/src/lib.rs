@@ -47,9 +47,7 @@ pub mod replay;
 
 pub use explore::{bounded_dfs, fingerprint_trace, DfsConfig, DfsReport, RunOutcome, Violation};
 pub use fsm::{check_fsm, FsmConfig, FsmReport};
-pub use hb::{
-    check_trace, forge_retired_policy_read, forge_stale_epoch_read, RaceFinding, RaceKind,
-};
+pub use hb::{check_trace, forge_stale_epoch_read, RaceFinding, RaceKind};
 pub use lint::{lint_source, lint_workspace, LintFinding};
 pub use linz::{
     check_history, forge_corrupt_read_value, forge_stale_linz_read, LinzReport, LinzViolation,

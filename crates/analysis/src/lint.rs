@@ -6,10 +6,10 @@
 //! `Relaxed` snapshot that could report more completions than
 //! initiations, bare wall-clock calls that made whole subsystems
 //! impossible to run deterministically in virtual time, recovery
-//! tunables scattered as magic numbers that the runtime policy
-//! controller could not govern, the unbounded serve queue that the
-//! overload-armor PR replaced with admission control, and the per-hop
-//! value copies that the zero-copy data-plane PR removed):
+//! tunables scattered as magic numbers that no one module owned, the
+//! unbounded serve queue that the overload-armor PR replaced with
+//! admission control, and the per-hop value copies that the zero-copy
+//! data-plane PR removed):
 //!
 //! * **unwrap** — no `.unwrap()` / `.expect(` in non-test library code.
 //!   Typed errors or destructuring `let-else` are required; a deliberate
@@ -32,9 +32,8 @@
 //! * **policy-const** — in `crates/core` and the umbrella `src/`, the
 //!   recovery-policy tunables (`recache_rate`, `recache_burst`,
 //!   `replication`) must not be initialised from numeric literals outside
-//!   `policy.rs` / `controller.rs`: every tunable flows through the named
-//!   defaults in `ftc_core::policy` or the controller's config surface,
-//!   so a runtime policy switch governs *all* of them. A deliberate
+//!   `policy.rs`: every tunable flows through the named defaults in
+//!   `ftc_core::policy`, so one module states all of them. A deliberate
 //!   exception (e.g. a sabotage harness zeroing the bucket) carries
 //!   `lint:allow(policy-const)`.
 //! * **bounded-queue** — in the protocol ingress layers (`crates/net`,
@@ -274,8 +273,8 @@ fn hot_path_alloc_scoped(label: &Path) -> bool {
 }
 
 /// Path prefixes where the `policy-const` rule applies: the core crate
-/// (where the tunables are consumed) and the umbrella harness. The two
-/// files that *define* the tunables are exempt by name.
+/// (where the tunables are consumed) and the umbrella harness. The file
+/// that *defines* the tunables is exempt by name.
 const POLICY_CONST_SCOPE: &[&str] = &["crates/core/", "src/"];
 
 /// The recovery-policy tunables the `policy-const` rule guards.
@@ -284,8 +283,7 @@ const POLICY_CONST_FIELDS: &[&str] = &["recache_rate", "recache_burst", "replica
 /// True when `label` falls under the policy-const rule's scope.
 fn policy_const_scoped(label: &Path) -> bool {
     let l = label.to_string_lossy().replace('\\', "/");
-    POLICY_CONST_SCOPE.iter().any(|p| l.starts_with(p))
-        && !(l.ends_with("policy.rs") || l.ends_with("controller.rs"))
+    POLICY_CONST_SCOPE.iter().any(|p| l.starts_with(p)) && !l.ends_with("policy.rs")
 }
 
 /// `recache_rate: 50_000.0` / `replication: 2` … — a policy tunable
@@ -493,7 +491,9 @@ pub fn lint_source(label: &Path, source: &str) -> Vec<LintFinding> {
                         line: line_no,
                         rule: "policy-const",
                         message: format!(
-                            "hard-coded recovery-policy tunable `{field}`; route it                              through the named defaults in ftc_core::policy or the                              controller's config surface, or waive with                              lint:allow(policy-const)"
+                            "hard-coded recovery-policy tunable `{field}`; route it \
+                             through the named defaults in ftc_core::policy, or waive \
+                             with lint:allow(policy-const)"
                         ),
                     });
                 }
@@ -1004,7 +1004,7 @@ mod tests {
         let src = "fn f() { let c = RecoveryConfig { recache_rate: 100.0, ..d }; }\n";
         let f = lint_source(Path::new("crates/core/src/recovery.rs"), src);
         assert_eq!(rules(&f), vec!["policy-const"]);
-        let src = "fn f() { cfg.quiet = PolicyDecision { replication: 2, ..q }; }\n";
+        let src = "fn f() { let c = FtConfig { replication: 2, ..q }; }\n";
         assert_eq!(
             rules(&lint_source(Path::new("src/chaos.rs"), src)),
             vec!["policy-const"]
@@ -1015,7 +1015,6 @@ mod tests {
     fn policy_const_defining_files_are_exempt() {
         let src = "pub const X: f64 = 1.0; fn f() { let c = C { recache_burst: 512 }; }\n";
         assert!(lint_source(Path::new("crates/core/src/policy.rs"), src).is_empty());
-        assert!(lint_source(Path::new("crates/core/src/controller.rs"), src).is_empty());
         // Out-of-scope crates own their literals.
         assert!(lint_source(Path::new("crates/sim/src/lib.rs"), src).is_empty());
     }

@@ -1,11 +1,10 @@
 //! Chaos campaigns — a thin CLI over `ft_cache::chaos`'s tables.
 //!
 //! ```text
-//! chaos [--seed 1] [--campaigns 1] [--policy noft|pfs|ring] [--recovery lazy|proactive|adaptive]
+//! chaos [--seed 1] [--campaigns 1] [--policy noft|pfs|ring] [--recovery lazy|proactive]
 //! chaos --scenario NAME [--seed 1] [--nodes N] [--files N]
 //! chaos --self-test [NAME] [--seed 1]
 //! chaos --compare [--seed 1] [--campaigns 1]
-//! chaos --compare-adaptive [--seed 1] [--campaigns 1]
 //! chaos --explore [--explore-strategy random|pct|dfs] [--schedules 8] [--depth 16] [--seed 1]
 //! chaos --check-linz [--campaigns 50] [--seed 1]
 //! ```
@@ -22,9 +21,6 @@
 //!   counter. Exit 0 means every checker proved it can fail.
 //! * `--compare`: lazy vs proactive on the same generated seeds, plus the
 //!   degraded-window probe (kill → detect → compute gap → next epoch).
-//! * `--compare-adaptive`: the shifting-intensity row under every static
-//!   posture × RF contender and the adaptive controller; adaptive must
-//!   match or beat each on degraded window and faulted-read p99.
 //! * `--explore`: the failure-during-recache row under explored schedules
 //!   (random-walk + PCT by default); a violating schedule prints as a
 //!   replay file.
@@ -35,9 +31,8 @@
 //! held.
 
 use ft_cache::chaos::{
-    adaptive_losses, compare_adaptive_contenders, compare_label, run_campaign_on,
-    run_degraded_window_probe_on, scenario, CampaignOptions, CampaignReport, ChaosPlan, Expect,
-    RecoveryMode, SelfCheck, FAILURE_DURING_RECACHE, SCENARIOS, SELF_TESTS, SHIFTING_INTENSITY,
+    run_campaign_on, run_degraded_window_probe_on, scenario, CampaignOptions, CampaignReport,
+    ChaosPlan, Expect, RecoveryMode, SelfCheck, FAILURE_DURING_RECACHE, SCENARIOS, SELF_TESTS,
 };
 use ft_cache::fleet::Args;
 use ft_cache::modelcheck::{check_linz_campaigns, explore_campaign, ExploreStrategy};
@@ -49,12 +44,11 @@ use std::time::Duration;
 
 /// Each mode flag and the options it takes; no mode flag runs the
 /// generated sweep.
-const MODES: [(&str, &[&str]); 7] = [
+const MODES: [(&str, &[&str]); 6] = [
     ("", &["seed", "campaigns", "policy", "recovery"]),
     ("scenario", &["seed", "nodes", "files"]),
     ("self-test", &["seed"]),
     ("compare", &["seed", "campaigns"]),
-    ("compare-adaptive", &["seed", "campaigns"]),
     (
         "explore",
         &["seed", "explore-strategy", "schedules", "depth"],
@@ -223,7 +217,7 @@ fn self_test(which: &str, seed: u64) -> bool {
     failed == 0
 }
 
-/// Accumulated degraded-window samples for one contender.
+/// Accumulated degraded-window samples for one recovery mode.
 #[derive(Default)]
 struct ModeAgg {
     recovery: Vec<Duration>,
@@ -255,13 +249,6 @@ impl ModeAgg {
     }
 }
 
-fn table_header(first: &str) {
-    println!(
-        "\n{first:<14} {:>5} {:>10} {:>10} {:>10} {:>12} {:>12}",
-        "kills", "rec p50", "rec p99", "quiesce", "warm rd p99", "fault rd p99"
-    );
-}
-
 /// `--compare`: the same seeds under RingRecache, lazy vs proactive,
 /// then the demand-visible degraded-window probe.
 fn compare(base_seed: u64, campaigns: u64) -> bool {
@@ -280,7 +267,10 @@ fn compare(base_seed: u64, campaigns: u64) -> bool {
             agg.absorb(&wall_campaign(FtPolicy::RingRecache, &plan, opts));
         }
     }
-    table_header("mode");
+    println!(
+        "\n{:<14} {:>5} {:>10} {:>10} {:>10} {:>12} {:>12}",
+        "mode", "kills", "rec p50", "rec p99", "quiesce", "warm rd p99", "fault rd p99"
+    );
     for (mode, agg) in modes.iter().zip(&aggs) {
         println!("{}", agg.row(&mode.to_string()));
     }
@@ -324,70 +314,6 @@ fn compare(base_seed: u64, campaigns: u64) -> bool {
         return false;
     }
     println!("\nall campaigns passed");
-    true
-}
-
-/// `--compare-adaptive`: the shifting-intensity row under every static
-/// contender plus the adaptive controller.
-fn compare_adaptive(base_seed: u64, campaigns: u64) -> bool {
-    header(&format!(
-        "chaos --compare-adaptive — adaptive vs static postures, {campaigns} campaign(s) from seed {base_seed}"
-    ));
-    let row = SHIFTING_INTENSITY;
-    let contenders = compare_adaptive_contenders();
-    let mut aggs: Vec<ModeAgg> = contenders.iter().map(|_| ModeAgg::default()).collect();
-    let (mut losses, mut switches, mut retired) = (0u64, 0u64, 0u64);
-    for seed in base_seed..base_seed + campaigns {
-        let plan = row.default_plan(seed);
-        let reports: Vec<CampaignReport> = contenders
-            .iter()
-            .map(|&(recovery, replication)| {
-                let opts = CampaignOptions {
-                    recovery,
-                    replication,
-                    ..row.opts
-                };
-                row.clock
-                    .run(|c| run_campaign_on(row.policy, &plan, opts, c))
-                    .report
-            })
-            .collect();
-        let Some(adaptive) = reports.last() else {
-            continue;
-        };
-        switches += adaptive.policy_switches;
-        retired += adaptive.retired_policy_reads;
-        for ((&(mode, rf), report), agg) in contenders.iter().zip(&reports).zip(&mut aggs) {
-            println!("  {report}");
-            if let Some(dump) = &report.flight_dump {
-                println!("{dump}");
-            }
-            agg.absorb(report);
-            if mode == RecoveryMode::Adaptive {
-                continue;
-            }
-            let label = compare_label(mode, rf);
-            for metric in adaptive_losses(adaptive, report) {
-                println!("  LOSS: adaptive {metric} worse than {label} (seed {seed})");
-                losses += 1;
-            }
-        }
-    }
-    table_header("contender");
-    for (&(mode, rf), agg) in contenders.iter().zip(&aggs) {
-        println!("{}", agg.row(&compare_label(mode, rf)));
-    }
-    println!(
-        "\nadaptive: switches={switches} retired_policy_reads={retired} across {campaigns} campaign(s)"
-    );
-    let failures: u64 = aggs.iter().map(|a| a.failures).sum();
-    if failures > 0 || losses > 0 || retired > 0 || switches == 0 {
-        println!(
-            "\nFAIL: failures={failures} losses={losses} retired_reads={retired} switches={switches}"
-        );
-        return false;
-    }
-    println!("\nadaptive matched or beat every static contender");
     true
 }
 
@@ -484,7 +410,6 @@ fn main() {
         "scenario" => run_scenario(&args, args.get("scenario").unwrap_or_default(), seed),
         "self-test" => self_test(args.get("self-test").unwrap_or("all"), seed),
         "compare" => compare(seed, num(&args, "campaigns", 1)),
-        "compare-adaptive" => compare_adaptive(seed, num(&args, "campaigns", 1)),
         "explore" => explore(&args, seed),
         "check-linz" => check_linz(seed, num(&args, "campaigns", 50)),
         _ => {
@@ -499,10 +424,9 @@ fn main() {
             };
             let recovery = match args.get("recovery") {
                 Some("proactive") => RecoveryMode::Proactive,
-                Some("adaptive") => RecoveryMode::Adaptive,
                 Some("lazy") | None => RecoveryMode::Lazy,
                 Some(other) => usage(&format!(
-                    "unknown --recovery {other:?} (expected lazy|proactive|adaptive)"
+                    "unknown --recovery {other:?} (expected lazy|proactive)"
                 )),
             };
             sweep(seed, num(&args, "campaigns", 1), &policies, recovery)

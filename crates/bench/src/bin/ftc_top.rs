@@ -8,22 +8,18 @@
 //!
 //! `cargo run -p ftc-bench --release --bin ftc-top -- [--once] [--prom]
 //!   [--nodes 4] [--files 48] [--passes 3] [--kill 1] [--kill-at 1]
-//!   [--no-kill] [--adaptive] [--armored] [--seed 7] [--refresh-ms 250]`
+//!   [--no-kill] [--armored] [--seed 7] [--refresh-ms 250]`
 //!
 //! `--armored` arms server-side admission control and the client overload
 //! armor (breaker, retry budget, hedged reads); the `overload:` row then
-//! shows sheds, hedges, breaker short-circuits, budget denials, and the
-//! live brownout posture. The row always renders under `--armored`; on
-//! unarmored runs it appears only when some armor counter moved.
+//! shows sheds, hedges, breaker short-circuits and budget denials. The
+//! row always renders under `--armored`; on unarmored runs it appears
+//! only when some armor counter moved.
 //!
 //! `--once` renders a single frame after the workload finishes (CI
 //! mode); the default renders a frame after every pass, clearing the
 //! screen between frames. `--prom` additionally dumps the Prometheus
-//! text exposition after the final frame. `--adaptive` runs the reads
-//! through a controller-governed client (recovery engine + runtime
-//! policy controller) and adds a `policy:` row — epoch, posture,
-//! replication factor, recache rate, failure-rate estimate, switches —
-//! to every frame.
+//! text exposition after the final frame.
 
 use ftc_bench::Cli;
 use ftc_core::{Cluster, ClusterConfig, FtPolicy};
@@ -124,25 +120,6 @@ fn render(cluster: &Cluster, nodes: u32, armored: bool, pass_label: &str) {
         counter(&samples, "ftc_client_retries_total", None),
         counter(&samples, "ftc_client_nodes_declared_failed_total", None),
     );
-    // A live controller pushes its gauges every tick; epoch 0 means no
-    // controller ever booted, so the row only appears under --adaptive.
-    let policy_epoch = gauge(&samples, "ftc_policy_epoch", None);
-    if policy_epoch > 0.0 {
-        println!(
-            "policy: epoch={policy_epoch:.0} posture={} rf={:.0} recache_rate={:.0}/s \
-             failure_rate={:.1}/ks switches={} flaps_suppressed={}",
-            if gauge(&samples, "ftc_policy_proactive", None) > 0.0 {
-                "proactive"
-            } else {
-                "lazy"
-            },
-            gauge(&samples, "ftc_policy_replication", None),
-            gauge(&samples, "ftc_policy_recache_rate", None),
-            gauge(&samples, "ftc_policy_failure_rate_milli", None),
-            counter(&samples, "ftc_policy_switches_total", None),
-            counter(&samples, "ftc_policy_flap_suppressed_total", None),
-        );
-    }
     // The row always renders under --armored (CI greps for it); on
     // unarmored runs it appears only if some counter moved anyway.
     let sheds = counter_sum(&samples, "ftc_server_shed_capacity_total")
@@ -154,14 +131,9 @@ fn render(cluster: &Cluster, nodes: u32, armored: bool, pass_label: &str) {
     if armored || sheds + shed_seen + hedges + breaker + budget_denied > 0 {
         println!(
             "overload: sheds={sheds} observed={shed_seen} fallbacks={} \
-             hedges={}/{hedges} breaker={breaker} budget_denied={budget_denied} brownout={}",
+             hedges={}/{hedges} breaker={breaker} budget_denied={budget_denied}",
             counter(&samples, "ftc_client_shed_pfs_fallbacks_total", None),
             counter(&samples, "ftc_client_hedges_won_total", None),
-            if gauge(&samples, "ftc_policy_brownout", None) > 0.0 {
-                "ON"
-            } else {
-                "off"
-            },
         );
     }
     // Single-flight: always rendered — leaders tick on every read, so
@@ -228,7 +200,7 @@ fn render(cluster: &Cluster, nodes: u32, armored: bool, pass_label: &str) {
 fn main() {
     let cli = Cli::parse(
         "ftc-top [--once] [--prom] [--nodes 4] [--files 48] [--passes 3] [--kill 1] \
-         [--kill-at 1] [--no-kill] [--adaptive] [--armored] [--seed 7] [--refresh-ms 250]",
+         [--kill-at 1] [--no-kill] [--armored] [--seed 7] [--refresh-ms 250]",
         &[
             "nodes",
             "files",
@@ -238,7 +210,7 @@ fn main() {
             "seed",
             "refresh-ms",
         ],
-        &["once", "no-kill", "armored", "adaptive", "prom"],
+        &["once", "no-kill", "armored", "prom"],
     );
     let nodes: u32 = cli.get("nodes", 4);
     let files: usize = cli.get("files", 48);
@@ -266,16 +238,6 @@ fn main() {
     };
     let paths = cluster.stage_dataset("top", files, 64);
     let client = cluster.client(0);
-    if cli.flag("adaptive") {
-        let started = client
-            .enable_recovery(Default::default())
-            .and_then(|_| client.enable_controller(Default::default()));
-        if let Err(e) = started {
-            eprintln!("adaptive client failed to start: {e}");
-            std::process::exit(1);
-        }
-    }
-
     for pass in 0..=passes {
         if !no_kill && pass == kill_at {
             cluster.kill(NodeId(kill));

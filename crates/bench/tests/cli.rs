@@ -23,6 +23,9 @@ fn typoed_flags_exit_2() {
         &["--compare", "--explore"],
         &["--scenario", "no-such-scenario"],
         &["--self-test", "no-such-test"],
+        &["--compare-adaptive"],
+        &["--recovery", "adaptive"],
+        &["--self-test", "flap"],
     ] {
         assert_eq!(exit_code(chaos, args), Some(2), "chaos {args:?}");
     }
@@ -36,6 +39,7 @@ fn typoed_flags_exit_2() {
         (env!("CARGO_BIN_EXE_ablation_placement"), &["--key", "10"]),
         (env!("CARGO_BIN_EXE_ablation_cascade"), &["--scale"]),
         (env!("CARGO_BIN_EXE_ftc-top"), &["--once", "--armoured"]),
+        (env!("CARGO_BIN_EXE_ftc-top"), &["--once", "--adaptive"]),
     ] {
         assert_eq!(exit_code(bin, args), Some(2), "{bin} {args:?}");
     }

@@ -28,7 +28,6 @@
 //! traffic never queues in front of a read. Without an engine, each such
 //! read still pays its own TTL.
 
-use crate::controller::{ControllerConfig, LivePolicy, PolicyController, PolicySignals};
 use crate::detector::{FailureDetector, Verdict};
 use crate::metrics::ClientMetrics;
 use crate::overload::Armor;
@@ -161,15 +160,6 @@ pub struct HvacClient {
     /// Background recovery engine (proactive recache, hinted handoff,
     /// warm rejoin). Started once via [`Self::enable_recovery`].
     recovery: OnceLock<Arc<RecoveryEngine>>,
-    /// Runtime-mutable policy knobs (replication factor, recovery
-    /// posture, recache rate), consulted at use time. Mutated only by a
-    /// [`PolicyController`]; static clients never see it change.
-    live: Arc<LivePolicy>,
-    /// Detector signal counters the policy controller delta-polls.
-    signals: Arc<PolicySignals>,
-    /// Adaptive policy controller. Started once via
-    /// [`Self::enable_controller`].
-    controller: OnceLock<Arc<PolicyController>>,
     /// Overload armor (breakers, retry budget, hedge window); inert
     /// unless [`FtConfig::overload`] turns it on.
     armor: Armor,
@@ -262,12 +252,6 @@ impl HvacClient {
             obs: OnceLock::new(),
             key_index: KeyIndex::new(),
             recovery: OnceLock::new(),
-            live: Arc::new(LivePolicy::new(
-                config.replication,
-                crate::policy::DEFAULT_RECACHE_RATE,
-            )),
-            signals: Arc::new(PolicySignals::default()),
-            controller: OnceLock::new(),
             inflight: SingleFlight::default(),
         }
     }
@@ -292,40 +276,6 @@ impl HvacClient {
     /// The recovery engine, if enabled.
     pub fn recovery(&self) -> Option<&Arc<RecoveryEngine>> {
         self.recovery.get()
-    }
-
-    /// Start the adaptive [`PolicyController`] for this client. Call
-    /// after [`attach_obs`](Self::attach_obs) (for the decision gauges)
-    /// and [`enable_recovery`](Self::enable_recovery) (so rate retunes
-    /// reach the engine). First call wins; later calls return the
-    /// existing controller. Errors only if the worker cannot be spawned.
-    pub fn enable_controller(
-        self: &Arc<Self>,
-        config: ControllerConfig,
-    ) -> Result<Arc<PolicyController>, crate::error::CoreError> {
-        if let Some(c) = self.controller.get() {
-            return Ok(Arc::clone(c));
-        }
-        let controller = PolicyController::start(self, config)?;
-        // If a racing enable won, ours stops on drop and the winner is
-        // returned.
-        Ok(Arc::clone(self.controller.get_or_init(|| controller)))
-    }
-
-    /// The policy controller, if enabled.
-    pub fn controller(&self) -> Option<&Arc<PolicyController>> {
-        self.controller.get()
-    }
-
-    /// The runtime-mutable policy knobs shared with the controller and
-    /// the recovery engine.
-    pub fn live_policy(&self) -> &Arc<LivePolicy> {
-        &self.live
-    }
-
-    /// The detector signal counters the controller delta-polls.
-    pub fn policy_signals(&self) -> &Arc<PolicySignals> {
-        &self.signals
     }
 
     /// The client's observed key→owner index.
@@ -380,9 +330,9 @@ impl HvacClient {
 
     /// Issue one RPC through `via` (the read caller or the engine's lane)
     /// and normalize the overload signal: an `Overloaded` reply is
-    /// counted, reported to the policy controller, and treated as proof
-    /// of liveness (the node answered — clear its timeout window),
-    /// exactly so that shedding never feeds the failure detector.
+    /// counted and treated as proof of liveness (the node answered —
+    /// clear its timeout window), exactly so that shedding never feeds
+    /// the failure detector.
     fn call_counted(
         &self,
         via: &dyn Caller<CacheRequest, CacheResponse>,
@@ -393,7 +343,6 @@ impl HvacClient {
         let r = via.call(to, req, ttl);
         if matches!(r, Ok(CacheResponse::Overloaded)) {
             self.metrics.overloaded_observed.inc();
-            self.signals.note_shed();
             if self.config.overload.shed_counts_as_failure {
                 // Sabotage self-test: feed the shed to the detector as if
                 // it were a timeout. A shedding-but-alive node then gets
@@ -407,11 +356,10 @@ impl HvacClient {
     }
 
     /// Where and when to hedge a read whose primary is `owner`: the next
-    /// distinct replica owner and the p99-derived delay. Never in brownout
-    /// (a hedge is optional load by definition); the delay is computed
-    /// last because it sorts the latency window.
+    /// distinct replica owner and the p99-derived delay; the delay is
+    /// computed last because it sorts the latency window.
     fn hedge_plan(&self, owner: NodeId, path: &str, ttl: Duration) -> Option<(NodeId, Duration)> {
-        if self.live.brownout() || !self.armor.may_hedge(owner) {
+        if !self.armor.may_hedge(owner) {
             return None;
         }
         let second = self
@@ -682,10 +630,10 @@ impl HvacClient {
                         return Err(ReadError::NotFound(path.to_owned()));
                     }
                     Ok(CacheResponse::Overloaded) => {
-                        // The node is alive but shedding (counted and fed
-                        // to the controller inside `call_counted`). Never
-                        // a detector signal — but the breaker notes it, so
-                        // a client hammering a saturated node backs off.
+                        // The node is alive but shedding (counted inside
+                        // `call_counted`). Never a detector signal — but
+                        // the breaker notes it, so a client hammering a
+                        // saturated node backs off.
                         self.armor.on_failure(served_by);
                         if let Some(obs) = self.obs.get() {
                             let detail = format!("{path} shed by {served_by}");
@@ -806,8 +754,8 @@ impl HvacClient {
     }
 
     /// `served_by` answered the attempt placed at `at` with data: feed
-    /// the liveness evidence, emit the `ReadServed` → `PolicyRead` trace
-    /// pair, account the read, replicate a fresh PFS fetch.
+    /// the liveness evidence, emit the `ReadServed` trace event, account
+    /// the read, replicate a fresh PFS fetch.
     fn served(
         &self,
         path: &str,
@@ -831,13 +779,6 @@ impl HvacClient {
             owner: served_by,
             epoch: at.epoch,
         });
-        // Attribute the read to the policy epoch current at completion;
-        // the race detector proves the record is ordered against every
-        // PolicyChange.
-        self.trace_with(|| TraceEventKind::PolicyRead {
-            key: path.to_owned(),
-            policy_epoch: self.live.epoch(),
-        });
         // Served after failing over from a removed owner, or by a hedge
         // to the next replica owner — the documented handoff exception.
         let handoff = failed_over.is_some() || served_by != at.owner;
@@ -859,7 +800,7 @@ impl HvacClient {
                 // Write-through replication: the file just entered the
                 // cache tier; copies on the ring successors mean even
                 // the owner's failure needs no PFS fallback.
-                if self.live.replication() > 1 {
+                if self.config.replication > 1 {
                     self.replicate(path, &bytes, served_by);
                 }
                 ReadVia::ServerPfsFetch(served_by)
@@ -943,19 +884,17 @@ impl HvacClient {
         }
     }
 
-    /// Publish a detector verdict: controller signal, `Suspect`/`Declare`
-    /// trace event, then the timeline phase with its flight-recorder line.
+    /// Publish a detector verdict: `Suspect`/`Declare` trace event, then
+    /// the timeline phase with its flight-recorder line.
     fn emit_verdict(&self, node: NodeId, verdict: Verdict) {
         match verdict {
             Verdict::Suspect { count } => {
-                self.signals.note_suspect();
                 self.trace_with(|| TraceEventKind::Suspect { node, count });
                 self.obs_phase(node, ftc_obs::Phase::Suspect, || {
                     format!("{node} timeout #{count}")
                 });
             }
             Verdict::JustFailed => {
-                self.signals.note_declare();
                 self.trace_with(|| TraceEventKind::Declare { node });
                 self.obs_phase(node, ftc_obs::Phase::Declare, || {
                     format!("{node} declared failed")
@@ -1043,15 +982,6 @@ impl HvacClient {
     /// The clock every timed operation of this client goes through.
     pub(crate) fn clock(&self) -> &ClockHandle {
         &self.clock
-    }
-
-    /// Record a policy-epoch transition under this client's actor, so
-    /// the happens-before checker can order reads against it.
-    pub(crate) fn trace_policy_change(&self, old_epoch: u64, new_epoch: u64) {
-        self.trace_with(|| TraceEventKind::PolicyChange {
-            old_epoch,
-            new_epoch,
-        });
     }
 
     /// The attached observability hub, if any.
@@ -1206,12 +1136,12 @@ impl HvacClient {
 
     /// Every node the ring routes `path` to (primary first, then the
     /// replica successors), re-resolved from the current ring and the
-    /// *live* replication factor on every call. The recovery engine
+    /// configured replication factor on every call. The recovery engine
     /// re-fences parked hints against this set at drain time.
     pub(crate) fn replica_targets(&self, path: &str) -> Vec<NodeId> {
         self.placement
             .lock()
-            .successors(path, self.live.replication() as usize)
+            .successors(path, self.config.replication as usize)
     }
 
     /// A read detoured to the PFS around `owner` while the engine settles
@@ -1923,7 +1853,6 @@ mod tests {
         assert_eq!(m.shed_pfs_fallbacks, 1);
         assert_eq!(m.rpc_timeouts, 0, "a shed is liveness, not a timeout");
         assert!(c.failed_nodes().is_empty(), "shedding node is NOT dead");
-        assert_eq!(c.policy_signals().sheds_total(), 1);
         assert_eq!((h.sheds().capacity, h.sheds().deadline), (1, 0));
     }
 

@@ -448,12 +448,6 @@ impl Cluster {
     /// must be joined before the driver exits).
     pub fn shutdown(self) {
         for c in self.clients.lock().iter() {
-            // Controllers first: a live controller mutates the policy the
-            // engines are fenced on, so it must stop re-deciding before
-            // the engines drain.
-            if let Some(ctl) = c.controller() {
-                ctl.stop();
-            }
             if let Some(engine) = c.recovery() {
                 engine.stop();
             }
@@ -497,34 +491,40 @@ mod tests {
 
     #[test]
     fn failure_and_recache_shifts_cached_objects() {
-        let cluster = Cluster::start(ClusterConfig::small(4, FtPolicy::RingRecache)).expect("boot");
-        let paths = cluster.stage_dataset("train", 40, 16);
-        let c = cluster.client(0);
-        for p in &paths {
-            c.read(p).unwrap();
-        }
-        let before = cluster.cached_objects_per_node();
-        assert_eq!(before.iter().sum::<u64>(), 40);
-
-        cluster.kill(NodeId(2));
-        for _pass in 0..2 {
+        // Virtual time: a 30 ms TTL on the wall clock let a host stall
+        // declare a healthy node and strand its keys.
+        ftc_time::with_virtual(|clock| {
+            let cluster =
+                Cluster::start_with_clock(ClusterConfig::small(4, FtPolicy::RingRecache), clock)
+                    .expect("boot");
+            let paths = cluster.stage_dataset("train", 40, 16);
+            let c = cluster.client(0);
             for p in &paths {
                 c.read(p).unwrap();
             }
-        }
-        let after = cluster.cached_objects_per_node();
-        // Survivors absorbed the dead node's keys.
-        let survivor_total: u64 = after
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != 2)
-            .map(|(_, &v)| v)
-            .sum();
-        assert_eq!(
-            survivor_total, 40,
-            "all files re-owned by survivors: {after:?}"
-        );
-        cluster.shutdown();
+            let before = cluster.cached_objects_per_node();
+            assert_eq!(before.iter().sum::<u64>(), 40);
+
+            cluster.kill(NodeId(2));
+            for _pass in 0..2 {
+                for p in &paths {
+                    c.read(p).unwrap();
+                }
+            }
+            let after = cluster.cached_objects_per_node();
+            // Survivors absorbed the dead node's keys.
+            let survivor_total: u64 = after
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != 2)
+                .map(|(_, &v)| v)
+                .sum();
+            assert_eq!(
+                survivor_total, 40,
+                "all files re-owned by survivors: {after:?}"
+            );
+            cluster.shutdown();
+        });
     }
 
     /// Shared setup for the revive tests: warm the cluster, kill node 0,
@@ -676,7 +676,6 @@ mod tests {
         let paths = cluster.stage_dataset("train", 9, 16);
         let c = cluster.client(0);
         c.enable_recovery(Default::default()).expect("engine");
-        c.enable_controller(Default::default()).expect("controller");
         cluster.kill(NodeId(1));
         for p in &paths {
             c.read(p).unwrap();

@@ -34,7 +34,6 @@
 
 pub mod client;
 pub mod cluster;
-pub mod controller;
 pub mod detector;
 pub mod error;
 pub mod metrics;
@@ -47,9 +46,6 @@ pub mod singleflight;
 
 pub use client::{HvacClient, ReadError, ReadOutcome, ReadVia};
 pub use cluster::{Cluster, ClusterConfig};
-pub use controller::{
-    ControllerConfig, LivePolicy, PolicyController, PolicyDecision, PolicySignals,
-};
 pub use detector::{DetectorConfig, FailureDetector, Verdict};
 pub use error::CoreError;
 pub use metrics::{ClientMetrics, ClientMetricsSnapshot, ClusterMetrics};

@@ -25,8 +25,7 @@
 //!   The recovery engine paces its recache pushes with the same type.
 //! * Hedged reads — client side: after a latency-derived p99 delay, a
 //!   read is hedged to the next replica owner and the first success
-//!   wins; the armor disables hedging in brownout so the cure cannot
-//!   become the disease.
+//!   wins.
 //!
 //! The client-side blocks sit behind one [`Armor`] value whose methods
 //! are inert when the config is unarmored. The blocks take explicit
@@ -433,13 +432,6 @@ impl TokenBucket {
         (granted, clamped)
     }
 
-    /// Retune the refill rate. The bucket is settled at the old rate up
-    /// to `now` first, so the change is never retroactive.
-    pub(crate) fn set_rate(&mut self, rate: f64, now: Instant) {
-        let _ = self.refill(now);
-        self.rate = rate.max(0.0);
-    }
-
     /// Time until one token is available; `None` when the bucket is dry
     /// and the rate is zero.
     pub(crate) fn eta(&self) -> Option<Duration> {
@@ -751,27 +743,6 @@ mod tests {
         // ...so `later` is not credited the interval since `now` again.
         assert_eq!(budget.try_take(later), (false, false));
         assert_eq!(budget.try_take(later + 100 * MS), (true, false));
-    }
-
-    #[test]
-    fn set_rate_settles_before_switching() {
-        let now = t0();
-        let mut b = TokenBucket::new(10.0, 5.0, now);
-        for _ in 0..5 {
-            assert!(b.try_take(now).0);
-        }
-        // 100ms at the old 10/s rate earns exactly one token even though
-        // the rate is raised at the same instant: never retroactive.
-        b.set_rate(1000.0, now + 100 * MS);
-        assert!(b.try_take(now + 100 * MS).0);
-        assert!(!b.try_take(now + 100 * MS).0);
-        // From here the new rate applies: 10ms at 1000/s is 10 tokens,
-        // capped at the capacity of 5.
-        let later = now + 110 * MS;
-        for _ in 0..5 {
-            assert!(b.try_take(later).0);
-        }
-        assert!(!b.try_take(later).0);
     }
 
     #[test]

@@ -8,10 +8,9 @@ use std::time::Duration;
 
 /// Default proactive-recache token-bucket rate, tokens (keys) per second.
 ///
-/// All recovery-policy tunables are named here (or set through
-/// [`crate::controller::ControllerConfig`]) so the runtime controller is
-/// the single surface that owns them; the `policy-const` repo lint flags
-/// hard-coded values anywhere else in ftc-core.
+/// All recovery-policy tunables are named here so one module owns them;
+/// the `policy-const` repo lint flags hard-coded values anywhere else in
+/// ftc-core.
 pub const DEFAULT_RECACHE_RATE: f64 = 50_000.0;
 /// Default recache token-bucket burst, in keys.
 pub const DEFAULT_RECACHE_BURST: u32 = 512;

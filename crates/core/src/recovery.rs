@@ -196,9 +196,6 @@ ftc_obs::counter_set! {
         recache_failed: "ftc_recovery_failed_total",
         /// Recache/hint work rejected by epoch fencing.
         stale_epoch_rejected: "ftc_recovery_stale_epoch_rejected_total",
-        /// Recovery work rejected because the runtime controller retired
-        /// its policy epoch (or posture) before it ran.
-        policy_fenced: "ftc_recovery_policy_fenced_total",
         /// Hints parked.
         hints_parked: "ftc_recovery_hints_parked_total",
         /// Hints dropped by the bound (drop-oldest).
@@ -247,9 +244,6 @@ enum Task {
 struct RecacheJob {
     node: NodeId,
     epoch: u64,
-    /// Live-policy epoch at admission; a controller switch retires it
-    /// and the job is rejected-and-counted on its next slice.
-    policy_epoch: u64,
     keys: VecDeque<String>,
     retries: HashMap<String, u32>,
     started: Instant,
@@ -375,14 +369,6 @@ impl RecoveryEngine {
     /// Counter snapshot.
     pub fn stats(&self) -> RecoveryStatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Retune the recache token-bucket rate at runtime (the policy
-    /// controller's throttle knob). Settles the bucket at the old rate
-    /// first, so the change applies only from now on.
-    pub fn set_recache_rate(&self, rate: f64) {
-        let now = self.clock.now();
-        self.bucket.lock().set_rate(rate, now);
     }
 
     /// Queue `task` for the worker, counted in `pending` until it is done.
@@ -720,15 +706,7 @@ impl Worker {
                 eng.task_done();
             }
             Task::Recache { node, epoch } => {
-                // Posture gate: under a lazy live policy, proactive
-                // recache is rejected-and-counted — the foreground lazy
-                // path re-homes keys on first access instead. Probes
-                // still run below; readmission is posture-independent.
-                if !cli.live_policy().proactive() {
-                    eng.stats.policy_fenced.inc();
-                    eng.flight("policy_fenced", format!("recache {node}: lazy posture"));
-                    eng.task_done();
-                } else if !self.inflight.insert(node.0) {
+                if !self.inflight.insert(node.0) {
                     // A job for this node is already queued (e.g. it
                     // failed, rejoined and failed again before the first
                     // job ran).
@@ -742,7 +720,6 @@ impl Worker {
                     self.jobs.push_back(RecacheJob {
                         node,
                         epoch,
-                        policy_epoch: cli.live_policy().epoch(),
                         keys,
                         retries: HashMap::new(),
                         started: self.clock.now(),
@@ -802,24 +779,6 @@ impl Worker {
         cli: &Arc<HvacClient>,
         job: &mut RecacheJob,
     ) -> bool {
-        // Policy fence: the controller retired the epoch this job was
-        // admitted under; running on would act on retired assumptions
-        // (wrong posture, wrong throttle, wrong RF). Reject the rest of
-        // the job — the lazy read path re-homes any key still needed.
-        if cli.live_policy().epoch() != job.policy_epoch {
-            eng.stats.policy_fenced.inc();
-            eng.flight(
-                "policy_fenced",
-                format!(
-                    "{}: policy epoch {} retired, {} keys dropped",
-                    job.node,
-                    job.policy_epoch,
-                    job.keys.len()
-                ),
-            );
-            job.keys.clear();
-            return true;
-        }
         for _ in 0..RECACHE_CHUNK {
             let Some(key) = job.keys.pop_front() else {
                 return true;
@@ -1066,7 +1025,7 @@ mod tests {
         assert_eq!(snap.recache_pushed, 1);
         assert_eq!(snap.hints_drained, 5);
         let samples = snap.export();
-        assert_eq!(samples.len(), 16, "one sample per counter");
+        assert_eq!(samples.len(), 15, "one sample per counter");
         assert!(samples
             .iter()
             .any(|s| s.name == "ftc_recovery_pushed_total" && s.value == Value::Counter(1)));

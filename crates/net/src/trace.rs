@@ -192,23 +192,6 @@ pub enum TraceEventKind {
         /// The cache key.
         key: String,
     },
-    /// A read completed under the actor's *policy* epoch (adaptive FT):
-    /// the read is attributed to the live-policy generation current when
-    /// its bytes were returned to the caller.
-    PolicyRead {
-        /// The cache key (file path).
-        key: String,
-        /// The actor's policy epoch at completion.
-        policy_epoch: u64,
-    },
-    /// The runtime policy controller installed a new live policy for the
-    /// actor (policy epoch bump).
-    PolicyChange {
-        /// Policy epoch before the switch.
-        old_epoch: u64,
-        /// Policy epoch after the switch (must be `old_epoch + 1`).
-        new_epoch: u64,
-    },
 }
 
 /// One entry of the event log: who, when (causally), and what.

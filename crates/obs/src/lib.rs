@@ -57,7 +57,7 @@ pub use export::{render_json, render_prometheus, Export, Sample, Value};
 pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry};
-pub use timeline::{nearest_rank, percentile, Incident, Phase, PolicyChanged, TimelineRecorder};
+pub use timeline::{nearest_rank, percentile, Incident, Phase, TimelineRecorder};
 
 use std::sync::Arc;
 

@@ -175,21 +175,6 @@ struct TimelineInner {
     incidents: Vec<Incident>,
     /// node → index into `incidents` of its open (incomplete) incident.
     open: HashMap<u32, usize>,
-    /// Runtime policy-controller switches, a separate track from the
-    /// per-node failure incidents (a switch is cluster-wide, not tied to
-    /// one node's kill→readmit arc).
-    policy: Vec<PolicyChanged>,
-}
-
-/// One runtime policy switch, stamped on the shared timeline origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyChanged {
-    /// Offset from the recorder's origin.
-    pub at: Duration,
-    /// Policy epoch before the switch.
-    pub old_epoch: u64,
-    /// Policy epoch after the switch.
-    pub new_epoch: u64,
 }
 
 /// Thread-safe recorder of failure incidents. One per cluster/campaign;
@@ -229,7 +214,6 @@ impl TimelineRecorder {
             inner: Mutex::new(TimelineInner {
                 incidents: Vec::new(),
                 open: HashMap::new(),
-                policy: Vec::new(),
             }),
         }
     }
@@ -276,21 +260,6 @@ impl TimelineRecorder {
     /// All incidents recorded so far (clone; ordering = creation order).
     pub fn incidents(&self) -> Vec<Incident> {
         self.lock().incidents.clone()
-    }
-
-    /// Stamp a runtime policy switch (controller epoch bump) at "now".
-    pub fn mark_policy_changed(&self, old_epoch: u64, new_epoch: u64) {
-        let at = self.clock.since(self.origin);
-        self.lock().policy.push(PolicyChanged {
-            at,
-            old_epoch,
-            new_epoch,
-        });
-    }
-
-    /// All policy switches recorded so far (stamp order).
-    pub fn policy_changes(&self) -> Vec<PolicyChanged> {
-        self.lock().policy.clone()
     }
 
     /// Detection latencies (kill → declare) of every incident that has
