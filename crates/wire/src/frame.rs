@@ -10,7 +10,7 @@
 //!
 //! `len` counts everything after itself (kind + id + body), so a frame
 //! occupies `4 + len` bytes on the wire. `id` matches a response to its
-//! request over a multiplexed connection. A declared `len` above the
+//! request, and lets a caller skip the late reply to a call that gave up. A declared `len` above the
 //! negotiated cap is rejected *before any allocation or body read*
 //! ([`FrameError::Oversized`]) and the connection is torn down — frames
 //! after a framing error cannot be trusted.

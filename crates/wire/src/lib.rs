@@ -16,9 +16,9 @@
 //!   body`) with a hard length cap, written with one gather write and
 //!   read through a fixed read-ahead, plus the versioned `FTCW`
 //!   handshake.
-//! * [`tcp`] — [`tcp::TcpTransport`]: server accept loops and pooled,
-//!   multiplexed client connections whose callers write their own
-//!   frames, reconnect-on-error, and deadlines mapped onto
+//! * [`tcp`] — [`tcp::TcpTransport`]: server accept loops and pooled
+//!   client connections, one call on each at a time and each calling
+//!   thread on its own, reconnect-on-error, and deadlines mapped onto
 //!   [`ftc_net::RpcError`].
 //!
 //! The `ftc-server` / `ftc-client` binaries in the workspace root are

@@ -15,53 +15,54 @@
 //!   into the sink, so the thread that decoded a request also serves it
 //!   and writes the reply, with no hand-off in between. Replies travel
 //!   back over the same connection, matched by frame id.
-//! * [`Transport::caller`] returns a pooled client: one connection per
-//!   destination peer, dialed lazily, multiplexed by frame id, torn down
-//!   and re-dialed on the next call after any error
-//!   (*reconnect-on-error*). A pooled connection owns **no thread**:
-//!   callers take turns on both halves of it. `call` writes its own
-//!   frame under the write turn ([`ConnWriter`]) and then reads under the
-//!   read turn ([`Reads`]): whoever finds the turn free pulls frames off
-//!   the socket until its own reply arrives, parking every other reply
-//!   in the slot of the call that waits for it; a caller that finds the
-//!   turn taken sleeps on its slot until it is served or handed the turn.
+//! * [`Transport::caller`] returns a pooled client: per destination peer
+//!   a list of idle connections, each tagged with the thread whose call
+//!   used it last. A call takes its own thread's idle connection, else
+//!   any idle one, else dials a new one, and has it to itself: it writes
+//!   its frame, reads frames until its own reply arrives and puts the
+//!   connection back. A peer thus has as many connections as there are
+//!   calls to it at once, and a thread that keeps calling keeps its
+//!   connection, so the same server connection thread serves it every
+//!   time. A pooled connection owns **no thread**, and one whose stream
+//!   tore is dropped, not put back (*reconnect-on-error*).
 //!
 //! ## Backpressure and deadlines
 //!
 //! There is no queue and no helper thread in either direction. What
 //! bounds a stalled peer is the socket — once its send buffer is full the
-//! write blocks — and the wait for a turn, the write and the read all end
-//! at the call's own deadline, so a peer that stops draining or stops
-//! answering surfaces as [`RpcError::Timeout`], feeding the failure
-//! detector exactly like a silent peer in the simulated fabric. Dialing
-//! runs on the same clock: connect, handshake and the wait for another
-//! caller's dial get `min(connect_timeout, what is left of the call)`.
+//! write blocks — and the write and the read both end at the call's own
+//! deadline, so a peer that stops draining or stops answering surfaces as
+//! [`RpcError::Timeout`], feeding the failure detector exactly like a
+//! silent peer in the simulated fabric. Dialing runs on the same clock:
+//! connect and handshake get `min(connect_timeout, what is left of the
+//! call)`.
 //!
 //! A deadline abandons I/O only where the stream stays parseable. A read
-//! is given up *between* frames, with the read-ahead intact for the next
-//! holder of the turn; a frame that has started is read to its end while
-//! bytes keep arriving, and one that stalls for an `io_timeout` past the
-//! deadline — like a write abandoned part-way — has torn the stream, so
-//! it kills the connection. The wait between frames is the socket's read
-//! timeout, armed with the call's timeout (at most an `io_timeout`) while
-//! the call is on time: calls that are answered in time leave it as they
-//! found it and cost no `setsockopt`. Only a wait that starts late in its
-//! call re-arms it with what is left. Past its deadline a call reads the
-//! socket once without blocking before it times out, and a call asleep
-//! behind another's read turn sleeps on, up to one more timeout, for its
-//! reply or the turn: a reply that came in while no reader had a CPU is
-//! not late. Torn connections surface as
-//! [`RpcError::Disconnected`] (also detector-feeding) to every call in
-//! flight at once; addresses missing from the peer map as
-//! [`RpcError::UnknownNode`]; a request over the frame cap, refused
-//! before its first byte, as [`RpcError::Overloaded`] (no evidence
-//! against the peer). This is the whole mapping from socket reality onto
-//! the retry-policy error taxonomy.
+//! is given up *between* frames, with the read-ahead intact: the next
+//! call on the connection reads the late reply and drops it. A frame
+//! that has started is read to its end while bytes keep arriving, and
+//! one that stalls for an `io_timeout` past the deadline — like a write
+//! abandoned part-way — has torn the stream, so the connection is
+//! dropped. The wait between frames is the socket's read timeout, armed
+//! with the call's timeout (at most an `io_timeout`) while the call is on
+//! time: calls that are answered in time leave it as they found it and
+//! cost no `setsockopt`. Only a wait that starts late in its call re-arms
+//! it with what is left. Past its deadline a call reads the socket once
+//! without blocking before it times out: a reply that came in while the
+//! caller had no CPU is not late. A stream that breaks surfaces as
+//! [`RpcError::Disconnected`] (also detector-feeding); addresses missing
+//! from the peer map as [`RpcError::UnknownNode`]; a request over the
+//! frame cap, refused before its first byte, as [`RpcError::Overloaded`]
+//! (no evidence against the peer, and the connection goes back to the
+//! pool). This is the whole mapping from socket reality onto the
+//! retry-policy error taxonomy.
 //!
 //! Nobody reads an idle connection, so one the peer closed while idle is
 //! found by the *next* call on it: its read meets the close at once and
-//! fails as `Disconnected` — never a deadline's wait — and the call after
-//! that redials.
+//! fails as `Disconnected` — never a deadline's wait. A torn connection
+//! takes every idle connection to its peer with it, since a restarted
+//! peer has closed them all: the restart costs one `Disconnected`, not
+//! one per connection, and the calls after it redial.
 //!
 //! ## Clocks
 //!
@@ -86,8 +87,8 @@ use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::marker::PhantomData;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
-use std::thread::{self, Thread};
+use std::sync::Arc;
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 /// The node id anonymous connections (observability scrapers) present
@@ -203,10 +204,6 @@ pub fn parse_peers(s: &str) -> io::Result<Vec<SocketAddr>> {
 // Small plumbing shared by both sides.
 // ---------------------------------------------------------------------------
 
-fn lock_poisoned<T>(e: PoisonError<T>) -> T {
-    e.into_inner()
-}
-
 /// A socket timeout expired: on a socket whose read/write timeout is the
 /// poll granularity that is a wake-up to look around, not a failure.
 fn poll_tick(e: &io::Error) -> bool {
@@ -244,10 +241,10 @@ impl Read for PatientReader<'_> {
 /// Blocking-write adapter, the same idea: a write the socket took nothing
 /// of for one poll interval is retried until `deadline`, so a frame gets
 /// as long as the call that sends it — a peer slow to start draining is
-/// not a dead one. `None` gives up at the first stall.
+/// not a dead one.
 struct PatientWriter<'a> {
     stream: &'a TcpStream,
-    deadline: Option<Instant>,
+    deadline: Instant,
     clock: &'a ClockHandle,
 }
 
@@ -259,9 +256,7 @@ impl Write for PatientWriter<'_> {
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         loop {
             match self.stream.write_vectored(bufs) {
-                Err(e) if poll_tick(&e) && self.deadline.is_some_and(|d| self.clock.now() < d) => {
-                    continue
-                }
+                Err(e) if poll_tick(&e) && self.clock.now() < self.deadline => continue,
                 other => return other,
             }
         }
@@ -272,137 +267,32 @@ impl Write for PatientWriter<'_> {
     }
 }
 
-/// Why a frame did not go out, and what that did to the connection.
-enum SendError {
-    /// Over the frame cap: refused before the first byte, stream intact.
-    Refused,
-    /// The write turn stayed taken until the deadline: nothing written,
-    /// stream intact (its holder is the one facing the stalled peer).
-    Busy,
-    /// The write failed part-way. A torn frame desynchronises the
-    /// stream, so the socket has been shut down.
-    Torn(io::Error),
-}
-
-/// A lock whose waiters can give up: whoever wants the `T` waits for its
-/// turn no longer than a deadline. A plain mutex cannot do that, and the
-/// holder of one of these may be blocked on a peer that stopped answering.
-struct TurnLock<T> {
-    turns: StdMutex<Turns<T>>,
-    released: Condvar,
-}
-
-struct Turns<T> {
-    /// The guarded value while nobody holds it: taking it is taking the
-    /// turn.
-    idle: Option<T>,
-    /// Threads blocked in [`TurnLock::take`]; lets the common uncontended
-    /// release skip the condvar's wake-up syscall.
-    waiting: usize,
-}
-
-/// A turn; gives it back on every exit, unwinding included.
-struct Turn<'a, T: Default> {
-    lock: &'a TurnLock<T>,
-    held: T,
-}
-
-impl<T: Default> Drop for Turn<'_, T> {
-    fn drop(&mut self) {
-        let mut turns = self.lock.turns.lock().unwrap_or_else(lock_poisoned);
-        turns.idle = Some(std::mem::take(&mut self.held));
-        if turns.waiting > 0 {
-            self.lock.released.notify_one();
-        }
-    }
-}
-
-impl<T: Default> TurnLock<T> {
-    fn new(value: T) -> Self {
-        TurnLock {
-            turns: StdMutex::new(Turns {
-                idle: Some(value),
-                waiting: 0,
-            }),
-            released: Condvar::new(),
-        }
-    }
-
-    /// Wait for the turn; `None` if it is still taken at `deadline`.
-    fn take(&self, clock: &ClockHandle, deadline: Option<Instant>) -> Option<Turn<'_, T>> {
-        let mut turns = self.turns.lock().unwrap_or_else(lock_poisoned);
-        turns.waiting += 1;
-        let held = loop {
-            if let Some(held) = turns.idle.take() {
-                break Some(held);
-            }
-            let left = deadline.map(|d| d.saturating_duration_since(clock.now()));
-            turns = match left {
-                None => self.released.wait(turns).unwrap_or_else(lock_poisoned),
-                Some(left) if left.is_zero() => break None,
-                Some(left) => {
-                    self.released
-                        .wait_timeout(turns, left)
-                        .unwrap_or_else(lock_poisoned)
-                        .0
-                }
-            };
-        };
-        turns.waiting -= 1;
-        held.map(|held| Turn { lock: self, held })
-    }
-}
-
-/// The write half of one connection, shared by everyone who sends on it.
-/// Senders take turns on the connection's encode buffer, which holds
-/// frame headers and the few message bytes around a value, never a
-/// value, so it stays small.
+/// The write half of one server-side connection, shared by every thread
+/// that replies on it. Repliers take turns on the connection's encode
+/// buffer, which holds frame headers and the few message bytes around a
+/// value, never a value, so it stays small.
 struct ConnWriter {
     stream: Arc<TcpStream>,
     max_frame: u32,
-    clock: ClockHandle,
-    scratch: TurnLock<Vec<u8>>,
+    scratch: Mutex<Vec<u8>>,
 }
 
 impl ConnWriter {
-    fn new(stream: Arc<TcpStream>, max_frame: u32, clock: ClockHandle) -> Self {
-        ConnWriter {
-            stream,
-            max_frame,
-            clock,
-            scratch: TurnLock::new(Vec::new()),
-        }
-    }
-
     /// Write one frame with `write`, which gets the stream, the encode
-    /// buffer and the frame cap for the duration of this sender's turn.
-    /// Both the wait for the turn and the write end at `deadline`; the
-    /// server's replies have none to spend and pass `None`: they wait
-    /// their turn and give up at the first `io_timeout` stall.
+    /// buffer and the frame cap. A reply has no deadline to spend: it
+    /// gives up at the first `io_timeout` stall. A frame that failed
+    /// part-way desynchronises the stream, so the socket is shut down;
+    /// one over the cap is refused before its first byte.
     fn send(
         &self,
-        deadline: Option<Instant>,
-        write: impl FnOnce(&mut PatientWriter<'_>, &mut Vec<u8>, u32) -> Result<(), FrameError>,
-    ) -> Result<(), SendError> {
-        let mut turn = self
-            .scratch
-            .take(&self.clock, deadline)
-            .ok_or(SendError::Busy)?;
-        let mut w = PatientWriter {
-            stream: &self.stream,
-            deadline,
-            clock: &self.clock,
-        };
-        match write(&mut w, &mut turn.held, self.max_frame) {
-            Ok(()) => Ok(()),
-            Err(FrameError::Io(e)) => {
-                let _ = self.stream.shutdown(Shutdown::Both);
-                Err(SendError::Torn(e))
-            }
-            // The only other way a write fails is the cap check, which
-            // runs before the first byte.
-            Err(_refused) => Err(SendError::Refused),
+        write: impl FnOnce(&mut &TcpStream, &mut Vec<u8>, u32) -> Result<(), FrameError>,
+    ) -> Result<(), FrameError> {
+        let mut scratch = self.scratch.lock();
+        let sent = write(&mut &*self.stream, &mut scratch, self.max_frame);
+        if let Err(FrameError::Io(_)) = sent {
+            let _ = self.stream.shutdown(Shutdown::Both);
         }
+        sent
     }
 }
 
@@ -415,14 +305,14 @@ fn io_to_rpc(e: &io::Error, to: NodeId) -> RpcError {
 }
 
 // ---------------------------------------------------------------------------
-// Client side: pooled, multiplexed connections.
+// Client side: pooled connections, one call on each at a time.
 // ---------------------------------------------------------------------------
 
 /// The socket under a pooled connection's [`frame_reader`]. One attempt
-/// per `read`: a poll tick comes back as the error it is, for the holder
-/// of the read turn to weigh against its deadline.
+/// per `read`: a poll tick comes back as the error it is, for the call
+/// to weigh against its deadline.
 struct SockReader {
-    stream: Arc<TcpStream>,
+    stream: TcpStream,
     /// The socket's read timeout as last set, so it is set again only
     /// when it has to change — never on a call that is answered in time.
     patience: Duration,
@@ -455,8 +345,8 @@ impl Due {
     /// The socket read timeout for a wait with `left` of the call to go:
     /// the call's `timeout` while the call is on time, so every call with
     /// the same timeout arms the same value. A wait that starts late —
-    /// after a dial, a wait for the turn or another caller's frame — gets
-    /// what is left, but never less than an eighth of `timeout`, so none
+    /// after a dial, a slow write or a late reply it skipped — gets what
+    /// is left, but never less than an eighth of `timeout`, so none
     /// spins. How far past the deadline a wait blocks is the kernel's
     /// call: it rounds `SO_RCVTIMEO` up to its timer tick, and on a Linux
     /// kernel with HZ=250 armed waits of 1 / 5 / 10 / 50 ms return after
@@ -475,10 +365,10 @@ impl Due {
 impl Read for SockReader {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if !std::mem::take(&mut self.glance) {
-            return (&*self.stream).read(buf);
+            return self.stream.read(buf);
         }
         self.stream.set_nonblocking(true)?;
-        let got = (&*self.stream).read(buf);
+        let got = self.stream.read(buf);
         self.stream.set_nonblocking(false)?;
         got
     }
@@ -504,124 +394,75 @@ impl<R: Read> Read for UntilDeadline<'_, R> {
     }
 }
 
-type FrameReader = BufReader<SockReader>;
-
-/// The read half of one pooled connection, shared by every call in
-/// flight on it. The twin of the write turn, with one difference: a
-/// frame read under the turn may be somebody else's, so every call has a
-/// slot where the holder can leave its reply.
-struct Reads {
-    /// The connection's frame reader while nobody is reading: taking it
-    /// is taking the read turn.
-    idle: Option<FrameReader>,
-    /// One slot per call in flight, by frame id.
-    waiters: HashMap<u64, Waiter>,
-}
-
-#[derive(Default)]
-struct Waiter {
-    /// The reply's body, left here by whoever held the turn when it came.
-    reply: Option<Arc<[u8]>>,
-    /// Set once the caller sleeps on this slot: who to wake when it is
-    /// served, handed the turn, or the connection dies. A call that
-    /// never finds the turn taken never registers, and costs no wake-up.
-    parked: Option<Thread>,
-}
-
-impl Reads {
-    /// Pass the turn on: while it is free and calls sleep unserved, one
-    /// of them must be on its way to take it. Every path that frees the
-    /// turn or takes a sleeper off the list ends here, which is what
-    /// keeps a reply from sitting unread behind sleeping callers.
-    fn hand_on(&self) {
-        if self.idle.is_none() {
-            return;
-        }
-        let next = self
-            .waiters
-            .values()
-            .find_map(|w| w.parked.as_ref().filter(|_| w.reply.is_none()));
-        if let Some(next) = next {
-            next.unpark();
-        }
-    }
-}
-
+/// One pooled connection. A call has it to itself from the write of its
+/// request to the read of its reply.
 struct PeerConn {
     to: NodeId,
-    io_timeout: Duration,
-    dead: AtomicBool,
-    writer: ConnWriter,
-    reads: Mutex<Reads>,
+    reader: BufReader<SockReader>,
+    /// The encode buffer: frame headers and the few message bytes around
+    /// a value, never a value, so it stays small.
+    scratch: Vec<u8>,
+    /// The thread whose call used it last.
+    user: ThreadId,
+    /// The stream can no longer be trusted: the connection is dropped,
+    /// not put back.
+    torn: bool,
 }
 
 impl PeerConn {
-    fn is_dead(&self) -> bool {
-        // ordering: Relaxed - dead is a one-way latch; a stale read only
-        // delays reconnect by one call.
-        self.dead.load(Ordering::Relaxed)
-    }
-
-    /// Tear the connection down: shut the socket (which fails any read or
-    /// write in progress) and wake every sleeping call, which finds the
-    /// latch set and fails with `Disconnected` — the detector hears about
-    /// it immediately instead of waiting out TTLs.
-    fn kill(&self) {
-        // ordering: Relaxed - latch; callers re-check it under the reads
-        // lock, which is what orders it against their registration.
-        if self.dead.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let _ = self.writer.stream.shutdown(Shutdown::Both);
-        for w in self.reads.lock().waiters.values() {
-            if let Some(sleeper) = &w.parked {
-                sleeper.unpark();
-            }
-        }
-    }
-
-    /// Register call `id` before its request is written, so its reply
-    /// has a slot whenever it arrives.
-    fn enter(&self, id: u64) -> Result<InFlight<'_>, RpcError> {
-        let mut reads = self.reads.lock();
-        if self.is_dead() {
-            return Err(RpcError::Disconnected(self.to));
-        }
-        reads.waiters.insert(id, Waiter::default());
-        Ok(InFlight {
-            conn: self,
+    /// Write request `id`, then read frames until its reply, all of it
+    /// over by `due` (give or take the rules in the module doc).
+    fn exchange<Req: Wire>(
+        &mut self,
+        id: u64,
+        req: &Req,
+        due: Due,
+        shared: &Shared,
+    ) -> Result<Arc<[u8]>, RpcError> {
+        let (cfg, clock) = (&shared.cfg, &shared.clock);
+        let mut w = PatientWriter {
+            stream: &self.reader.get_ref().stream,
+            deadline: due.deadline,
+            clock,
+        };
+        match write_msg(
+            &mut w,
+            &mut self.scratch,
+            FrameKind::Request,
             id,
-            reader: None,
-        })
-    }
-
-    /// Holding the read turn, read frames until the reply to `id`.
-    fn pull(&self, r: &mut FrameReader, id: u64, due: Due) -> Result<Arc<[u8]>, RpcError> {
-        let clock = &self.writer.clock;
+            req,
+            cfg.max_frame,
+        ) {
+            Ok(()) => {}
+            Err(FrameError::Io(e)) => return Err(self.tear(&e)),
+            // The only other way a write fails is the cap check, which
+            // runs before the first byte: the stream is untouched.
+            Err(_refused) => return Err(RpcError::Overloaded { to: self.to }),
+        }
         loop {
             // Between frames the read can be given up: nothing of the
             // next frame has been consumed, and `fill_buf` keeps what was
-            // read ahead for the next holder of the turn.
+            // read ahead for the next call on the connection.
             //
             // Past the deadline the socket gets one look that does not
-            // block: a reply that came in while this thread waited for the
-            // turn or for a CPU is on time, even though nobody read it.
-            while r.buffer().is_empty() {
+            // block: a reply that came in while this thread waited for a
+            // CPU is on time, even though nobody read it.
+            while self.reader.buffer().is_empty() {
                 let left = due.deadline.saturating_duration_since(clock.now());
                 let waited = if left.is_zero() {
-                    r.get_mut().glance = true;
+                    self.reader.get_mut().glance = true;
                     Ok(())
                 } else {
-                    r.get_mut().wait_at_most(due.patience(left))
+                    self.reader.get_mut().wait_at_most(due.patience(left))
                 };
-                match waited.and_then(|()| r.fill_buf().map(<[u8]>::len)) {
-                    Ok(0) => return Err(self.torn(&io::ErrorKind::UnexpectedEof.into())),
+                match waited.and_then(|()| self.reader.fill_buf().map(<[u8]>::len)) {
+                    Ok(0) => return Err(self.tear(&io::ErrorKind::UnexpectedEof.into())),
                     Ok(_) => break,
                     Err(e) if poll_tick(&e) && left.is_zero() => {
                         return Err(RpcError::Timeout { to: self.to })
                     }
                     Err(e) if poll_tick(&e) => {}
-                    Err(e) => return Err(self.torn(&e)),
+                    Err(e) => return Err(self.tear(&e)),
                 }
             }
             // A frame that has started is read to its end while bytes
@@ -629,16 +470,15 @@ impl PeerConn {
             // deadline has torn the stream, like a write abandoned
             // part-way. Any other failure — oversized or malformed frame,
             // a kind servers never send here — is a protocol break with
-            // the same end; the pool redials on the next call.
+            // the same end.
             let mut rest = UntilDeadline {
-                r,
-                deadline: due.deadline + self.io_timeout,
+                r: &mut self.reader,
+                deadline: due.deadline + cfg.io_timeout,
                 clock,
             };
-            let frame = read_frame_shared(&mut rest, self.writer.max_frame);
-            let frame = match frame {
+            let frame = match read_frame_shared(&mut rest, cfg.max_frame) {
                 Ok(frame) if frame.kind == FrameKind::Response => frame,
-                Err(FrameError::Io(e)) => return Err(self.torn(&e)),
+                Err(FrameError::Io(e)) => return Err(self.tear(&e)),
                 Ok(_)
                 | Err(
                     FrameError::Closed
@@ -646,109 +486,56 @@ impl PeerConn {
                     | FrameError::Runt { .. }
                     | FrameError::BadKind(_)
                     | FrameError::Codec(_),
-                ) => return Err(self.torn(&io::ErrorKind::InvalidData.into())),
+                ) => return Err(self.tear(&io::ErrorKind::InvalidData.into())),
             };
             if frame.id == id {
                 return Ok(frame.body);
             }
-            // Somebody else's. A reply to a call that gave up has no slot
-            // and is dropped.
-            if let Some(w) = self.reads.lock().waiters.get_mut(&frame.id) {
-                w.reply = Some(frame.body);
-                if let Some(sleeper) = &w.parked {
-                    sleeper.unpark();
-                }
-            }
+            // The late reply to an earlier call on this connection, which
+            // gave up on it.
         }
     }
 
-    /// The stream can no longer be trusted: kill the connection and name
-    /// the failure for the caller that met it.
-    fn torn(&self, e: &io::Error) -> RpcError {
-        self.kill();
+    /// Mark the stream untrustworthy and name the failure for the call
+    /// that met it.
+    fn tear(&mut self, e: &io::Error) -> RpcError {
+        self.torn = true;
         io_to_rpc(e, self.to)
-    }
-}
-
-/// One registered call. Dropping it — reply, timeout, failed write,
-/// unwinding — takes the call off the connection and, if it held the read
-/// turn, gives the turn back.
-struct InFlight<'a> {
-    conn: &'a PeerConn,
-    id: u64,
-    /// The connection's reader while this call holds the read turn.
-    reader: Option<FrameReader>,
-}
-
-impl InFlight<'_> {
-    /// Wait for this call's reply: read it off the socket if the read
-    /// turn is free, sleep on the slot otherwise. A call still asleep at
-    /// its deadline sleeps on, up to one more `timeout`, until its reply
-    /// is left in the slot or the turn comes to it for a last look: its
-    /// reply may be in the socket behind a holder that has not had a CPU
-    /// since. The holder of the turn at a silent peer hands it on at its
-    /// own deadline.
-    fn reply(&mut self, due: Due) -> Result<Arc<[u8]>, RpcError> {
-        let give_up = due.deadline + due.timeout;
-        let conn = self.conn;
-        loop {
-            {
-                let mut reads = conn.reads.lock();
-                let reads = &mut *reads;
-                // Only `drop` takes the slot out, so it is there; `entry`
-                // is the way to it that needs no unwrap.
-                let me = reads.waiters.entry(self.id).or_default();
-                if let Some(body) = me.reply.take() {
-                    return Ok(body);
-                }
-                if conn.is_dead() {
-                    return Err(RpcError::Disconnected(conn.to));
-                }
-                match reads.idle.take() {
-                    Some(r) => self.reader = Some(r),
-                    None => {
-                        me.parked.get_or_insert_with(thread::current);
-                    }
-                }
-            }
-            if let Some(r) = self.reader.as_mut() {
-                return conn.pull(r, self.id, due);
-            }
-            let left = give_up.saturating_duration_since(conn.writer.clock.now());
-            if left.is_zero() {
-                return Err(RpcError::Timeout { to: conn.to });
-            }
-            // Woken by the holder of the turn (served, or handed the
-            // turn), by `kill`, or by the time to give up; a stale token
-            // from an earlier call only costs one more look.
-            thread::park_timeout(left);
-        }
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        let mut reads = self.conn.reads.lock();
-        reads.waiters.remove(&self.id);
-        if let Some(r) = self.reader.take() {
-            reads.idle = Some(r);
-        }
-        reads.hand_on();
     }
 }
 
 /// One destination in a caller's pool.
 struct PeerSlot {
     addr: SocketAddr,
-    conn: Mutex<Option<Arc<PeerConn>>>,
-    /// Callers that find no live connection dial one at a time, and wait
-    /// for each other no longer than their own deadlines.
-    dialing: TurnLock<()>,
+    /// Connections no call is using.
+    idle: Mutex<Vec<PeerConn>>,
 }
 
 impl PeerSlot {
-    fn live(&self) -> Option<Arc<PeerConn>> {
-        self.conn.lock().as_ref().filter(|c| !c.is_dead()).cloned()
+    /// An idle connection for a call on thread `me`: the one `me` used
+    /// last, else any, tagged as `me`'s from now on.
+    fn take(&self, me: ThreadId) -> Option<PeerConn> {
+        let mut idle = self.idle.lock();
+        let at = idle
+            .iter()
+            .position(|c| c.user == me)
+            .or(idle.len().checked_sub(1))?;
+        let mut conn = idle.swap_remove(at);
+        conn.user = me;
+        Some(conn)
+    }
+
+    /// Give a connection back after a call. A torn one is dropped, and
+    /// every idle connection to the peer with it: what tears one stream —
+    /// most often a restart of the peer — has closed the others too, and
+    /// each would cost a call a `Disconnected` of its own.
+    fn put_back(&self, conn: PeerConn) {
+        let mut idle = self.idle.lock();
+        if conn.torn {
+            idle.clear();
+        } else {
+            idle.push(conn);
+        }
     }
 }
 
@@ -767,8 +554,15 @@ where
     Req: Wire + Send + 'static,
     Resp: Wire + Send + 'static,
 {
-    /// Dial + handshake, all of it over by `give_up`.
-    fn dial(&self, to: NodeId, addr: SocketAddr, give_up: Instant) -> Result<PeerConn, RpcError> {
+    /// Dial + handshake for a call on thread `user`, all of it over by
+    /// `give_up`.
+    fn dial(
+        &self,
+        to: NodeId,
+        addr: SocketAddr,
+        give_up: Instant,
+        user: ThreadId,
+    ) -> Result<PeerConn, RpcError> {
         let cfg = &self.shared.cfg;
         let clock = &self.shared.clock;
         let left = || match give_up.saturating_duration_since(clock.now()) {
@@ -797,50 +591,18 @@ where
             return Err(RpcError::Disconnected(to));
         }
         stream.set_read_timeout(Some(cfg.io_timeout)).map_err(io)?;
-
-        let stream = Arc::new(stream);
         Ok(PeerConn {
             to,
-            io_timeout: cfg.io_timeout,
-            dead: AtomicBool::new(false),
-            writer: ConnWriter::new(Arc::clone(&stream), cfg.max_frame, clock.clone()),
-            reads: Mutex::new(Reads {
-                idle: Some(frame_reader(SockReader {
-                    stream,
-                    patience: cfg.io_timeout,
-                    rearms: 0,
-                    glance: false,
-                })),
-                waiters: HashMap::new(),
+            reader: frame_reader(SockReader {
+                stream,
+                patience: cfg.io_timeout,
+                rearms: 0,
+                glance: false,
             }),
+            scratch: Vec::new(),
+            user,
+            torn: false,
         })
-    }
-
-    /// The pooled connection to `to`, dialed on this call's clock if
-    /// there is none: connect, handshake and the wait for another
-    /// caller's dial all end at `min(connect_timeout, deadline)`.
-    fn conn_for(
-        &self,
-        to: NodeId,
-        slot: &PeerSlot,
-        deadline: Instant,
-    ) -> Result<Arc<PeerConn>, RpcError> {
-        if let Some(conn) = slot.live() {
-            return Ok(conn);
-        }
-        let clock = &self.shared.clock;
-        let give_up = deadline.min(clock.deadline(self.shared.cfg.connect_timeout));
-        let _dialing = slot
-            .dialing
-            .take(clock, Some(give_up))
-            .ok_or(RpcError::Timeout { to })?;
-        if let Some(conn) = slot.live() {
-            // Dialed by whoever held the turn before.
-            return Ok(conn);
-        }
-        let fresh = Arc::new(self.dial(to, slot.addr, give_up)?);
-        *slot.conn.lock() = Some(Arc::clone(&fresh));
-        Ok(fresh)
     }
 }
 
@@ -858,38 +620,36 @@ where
     }
 
     fn call(&self, to: NodeId, req: Req, timeout: Duration) -> Result<Resp, RpcError> {
-        let deadline = self.shared.clock.deadline(timeout);
+        let clock = &self.shared.clock;
+        let deadline = clock.deadline(timeout);
         let slot = self.slots.get(&to).ok_or(RpcError::UnknownNode(to))?;
-        let conn = self.conn_for(to, slot, deadline)?;
+        let me = thread::current().id();
+        let mut conn = match slot.take(me) {
+            Some(conn) => conn,
+            None => {
+                let give_up = deadline.min(clock.deadline(self.shared.cfg.connect_timeout));
+                self.dial(to, slot.addr, give_up, me)?
+            }
+        };
 
         // ordering: Relaxed - ids only need uniqueness, not ordering.
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut flight = conn.enter(id)?;
-
         // No thread hop either way: this caller encodes and writes its
         // own frame, then reads its own reply.
-        conn.writer
-            .send(Some(deadline), |w, scratch, cap| {
-                write_msg(w, scratch, FrameKind::Request, id, &req, cap)
-            })
-            .map_err(|e| match e {
-                SendError::Refused => RpcError::Overloaded { to },
-                SendError::Busy => RpcError::Timeout { to },
-                SendError::Torn(e) => conn.torn(&e),
-            })?;
-        let body = flight.reply(Due {
+        let due = Due {
             deadline,
             timeout: timeout.min(self.shared.cfg.io_timeout),
-        });
-        // Decoding needs no turn: let the next reader at the socket.
-        drop(flight);
-        match Resp::decode_all_shared(&body?) {
+        };
+        let body = conn.exchange(id, &req, due, &self.shared);
+        let resp = body.and_then(|body| match Resp::decode_all_shared(&body) {
             Ok(resp) => Ok(resp),
             // Every decode failure maps to the same verdict — schema
             // disagreement: nothing later on this stream can be trusted
             // either. lint:allow(err-catchall)
-            Err(_) => Err(conn.torn(&io::ErrorKind::InvalidData.into())),
-        }
+            Err(_) => Err(conn.tear(&io::ErrorKind::InvalidData.into())),
+        });
+        slot.put_back(conn);
+        resp
     }
 }
 
@@ -927,7 +687,7 @@ where
         // A failed reply write means the client is gone (or the reply is
         // over the frame cap, refused whole); it will observe the outcome
         // as Disconnected/Timeout and retry elsewhere.
-        let _ = self.writer.send(None, |w, scratch, cap| {
+        let _ = self.writer.send(|w, scratch, cap| {
             write_msg(w, scratch, FrameKind::Response, self.id, &resp, cap)
         });
     }
@@ -1055,11 +815,11 @@ where
     stream.set_read_timeout(Some(cfg.io_timeout))?;
 
     let stream = Arc::new(stream);
-    let writer = Arc::new(ConnWriter::new(
-        Arc::clone(&stream),
-        cfg.max_frame,
-        shared.clock.clone(),
-    ));
+    let writer = Arc::new(ConnWriter {
+        stream: Arc::clone(&stream),
+        max_frame: cfg.max_frame,
+        scratch: Mutex::new(Vec::new()),
+    });
     let mut r = frame_reader(PatientReader {
         stream: &stream,
         stop,
@@ -1093,7 +853,7 @@ where
             },
             FrameKind::ObsScrape => {
                 let text = shared.obs.read().clone().map(|h| h()).unwrap_or_default();
-                let sent = writer.send(None, |w, _scratch, cap| {
+                let sent = writer.send(|w, _scratch, cap| {
                     write_frame(w, FrameKind::ObsText, frame.id, text.as_bytes(), cap)
                 });
                 if sent.is_err() {
@@ -1196,8 +956,7 @@ impl<Req, Resp> TcpTransport<Req, Resp> {
         let slots = self.shared.peers.iter().map(|(&node, &addr)| {
             let slot = PeerSlot {
                 addr,
-                conn: Mutex::new(None),
-                dialing: TurnLock::new(()),
+                idle: Mutex::new(Vec::new()),
             };
             (node, slot)
         });
@@ -1243,8 +1002,9 @@ pub fn scrape_obs(addr: SocketAddr, timeout: Duration) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{put_u64, CodecError, Reader};
-    use std::sync::mpsc;
+    use crate::codec::{put_bytes, put_u64, CodecError, Reader};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Barrier};
 
     #[derive(Debug, PartialEq)]
     struct Num(u64);
@@ -1259,12 +1019,33 @@ mod tests {
         }
     }
 
-    /// What a call leaves on its connection once it is over, whichever
-    /// way it ended: nothing. The slot of a call that timed out is gone
-    /// before its reply comes, the late reply is dropped by whoever reads
-    /// it, and the read turn is free again after every call.
+    /// The idle connections to node 0: who used each last, and its local
+    /// address, which tells one connection from another; in address
+    /// order.
+    fn idle<Req, Resp>(caller: &TcpCaller<Req, Resp>) -> Vec<(ThreadId, SocketAddr)> {
+        let idle = caller.slots[&NodeId(0)].idle.lock();
+        let tag = |c: &PeerConn| {
+            let local = c.reader.get_ref().stream.local_addr();
+            (c.user, local.expect("local address"))
+        };
+        let mut tags: Vec<_> = idle.iter().map(tag).collect();
+        tags.sort_by_key(|&(_, local)| local);
+        tags
+    }
+
+    /// The idle connection to node 0 this thread used last.
+    fn mine<Req, Resp>(caller: &TcpCaller<Req, Resp>) -> Option<SocketAddr> {
+        let me = thread::current().id();
+        idle(caller)
+            .into_iter()
+            .find_map(|(user, local)| (user == me).then_some(local))
+    }
+
+    /// A call that gave up leaves its connection in the pool with its
+    /// reply still to come. The next call on that connection reads the
+    /// late reply, drops it, and returns its own.
     #[test]
-    fn abandoned_call_and_its_late_reply_leave_no_waiter_behind() {
+    fn the_next_call_skips_the_late_reply_of_a_call_that_gave_up() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
         let addr = listener.local_addr().expect("peer address");
         let (go, go_rx) = mpsc::channel::<()>();
@@ -1291,24 +1072,19 @@ mod tests {
 
         let t: TcpTransport<Num, Num> = TcpTransport::from_peer_list(&[addr], TcpConfig::default());
         let caller = t.pooled_caller(NodeId(1));
-        let at_rest = |conn: &PeerConn| {
-            let reads = conn.reads.lock();
-            reads.waiters.is_empty() && reads.idle.is_some() && !conn.is_dead()
-        };
 
         let err = caller.call(NodeId(0), Num(1), Duration::from_millis(50));
         assert_eq!(err, Err(RpcError::Timeout { to: NodeId(0) }));
-        let conn = caller.slots[&NodeId(0)]
-            .live()
-            .expect("a timeout keeps the connection");
-        assert!(at_rest(&conn), "a timed-out call left state behind");
+        let conn = mine(&caller).expect("a timeout keeps the connection");
 
         go.send(()).expect("peer alive");
         let resp = caller.call(NodeId(0), Num(2), Duration::from_secs(5));
         assert_eq!(resp, Ok(Num(2)), "the late reply reached the wrong call");
-        assert!(at_rest(&conn), "a late reply left state behind");
-        let same = caller.slots[&NodeId(0)].live().expect("still connected");
-        assert!(Arc::ptr_eq(&conn, &same), "the connection was redialed");
+        assert_eq!(
+            idle(&caller),
+            [(thread::current().id(), conn)],
+            "the connection was redialed"
+        );
         peer.join().expect("peer thread");
     }
 
@@ -1346,56 +1122,40 @@ mod tests {
         peer.join().expect("peer thread");
     }
 
-    /// A call asleep behind another call's read turn is not late at its
-    /// deadline: it sleeps on, up to one more timeout, and a reply the
-    /// holder reads for it in that time is its answer.
+    /// Past its deadline a call looks at its socket once without
+    /// blocking: a reply already there is its answer, not a timeout. A
+    /// call with no time at all to wait shows it.
     #[test]
-    fn a_reply_read_by_the_turn_holder_after_the_deadline_is_not_late() {
+    fn a_reply_already_in_the_socket_at_the_deadline_is_not_late() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
         let addr = listener.local_addr().expect("peer address");
-        let timeout = Duration::from_millis(100);
         let peer = thread::spawn(move || {
             let (mut s, _) = listener.accept().expect("client dials");
             read_hello(&mut s).expect("client hello");
             send_hello(&mut s, NodeId(0)).expect("server hello");
-            let first = read_frame(&mut s, DEFAULT_MAX_FRAME).expect("holder's request");
-            let second = read_frame(&mut s, DEFAULT_MAX_FRAME).expect("sleeper's request");
-            // Halfway between the sleeper's deadline and one more timeout.
-            thread::sleep(timeout.mul_f64(1.5));
-            for req in [second, first] {
-                write_frame(
-                    &mut s,
-                    FrameKind::Response,
-                    req.id,
-                    &req.body,
-                    DEFAULT_MAX_FRAME,
-                )
-                .expect("reply");
+            let first = read_frame(&mut s, DEFAULT_MAX_FRAME).expect("first request");
+            // The reply to the next request goes out before it is asked.
+            let body = Num(2).encode_vec();
+            for (id, body) in [(first.id, &first.body), (first.id + 1, &body)] {
+                write_frame(&mut s, FrameKind::Response, id, body, DEFAULT_MAX_FRAME)
+                    .expect("reply");
             }
+            let second = read_frame(&mut s, DEFAULT_MAX_FRAME).expect("second request");
+            assert_eq!(second.id, first.id + 1);
             while read_frame(&mut s, DEFAULT_MAX_FRAME).is_ok() {}
         });
-        // An `io_timeout` over the call's timeout, so the call keeps it.
-        let cfg = TcpConfig {
-            io_timeout: timeout * 5,
-            ..TcpConfig::default()
-        };
-        let t: TcpTransport<Num, Num> = TcpTransport::from_peer_list(&[addr], cfg);
-        let caller = Arc::new(t.pooled_caller(NodeId(1)));
-        let holder = {
-            let caller = Arc::clone(&caller);
-            thread::spawn(move || caller.call(NodeId(0), Num(1), Duration::from_secs(5)))
-        };
-        let turn_taken = || {
-            let conn = caller.slots[&NodeId(0)].live();
-            conn.is_some_and(|c| c.reads.lock().idle.is_none())
-        };
-        while !turn_taken() {
-            thread::sleep(Duration::from_millis(1));
+        let t: TcpTransport<Num, Num> = TcpTransport::from_peer_list(&[addr], TcpConfig::default());
+        let caller = t.pooled_caller(NodeId(1));
+        assert_eq!(
+            caller.call(NodeId(0), Num(1), Duration::from_secs(5)),
+            Ok(Num(1))
+        );
+        {
+            let idle = caller.slots[&NodeId(0)].idle.lock();
+            let stream = &idle[0].reader.get_ref().stream;
+            while stream.peek(&mut [0u8]).is_err() {}
         }
-        let t0 = Instant::now();
-        assert_eq!(caller.call(NodeId(0), Num(2), timeout), Ok(Num(2)));
-        assert!(t0.elapsed() >= timeout, "answered before its deadline");
-        assert_eq!(holder.join().expect("holder thread"), Ok(Num(1)));
+        assert_eq!(caller.call(NodeId(0), Num(2), Duration::ZERO), Ok(Num(2)));
         drop(caller);
         peer.join().expect("peer thread");
     }
@@ -1434,10 +1194,97 @@ mod tests {
             let resp = caller.call(NodeId(0), Num(i), Duration::from_millis(500));
             assert_eq!(resp, Ok(Num(i)));
         }
-        let conn = caller.slots[&NodeId(0)].live().expect("connected");
-        let reads = conn.reads.lock();
-        let rearms = reads.idle.as_ref().expect("turn free").get_ref().rearms;
+        let idle = caller.slots[&NodeId(0)].idle.lock();
+        let [conn] = &idle[..] else {
+            panic!("{} connections for one thread", idle.len());
+        };
+        let rearms = conn.reader.get_ref().rearms;
         assert!(rearms <= 1, "{rearms} re-arms over 100 calls");
+    }
+
+    /// Two threads whose first calls overlap open two connections, and
+    /// from then on each calls on its own one, taking turns: the pool
+    /// hands a thread the connection it used last, not just any idle one.
+    #[test]
+    fn a_thread_calls_again_on_the_connection_it_used_last() {
+        let t: TcpTransport<Num, Num> =
+            TcpTransport::from_peer_list(&[free_addr()], TcpConfig::default());
+        let node = Transport::register(&t, NodeId(0)).expect("bind");
+        // The first two requests are served together, so they arrive on
+        // two connections.
+        let together = Barrier::new(2);
+        let served = AtomicUsize::new(0);
+        node.set_sink(Arc::new(move |inc| {
+            // ordering: Relaxed - a count only, read by nothing else.
+            if served.fetch_add(1, Ordering::Relaxed) < 2 {
+                together.wait();
+            }
+            let n = inc.req().0;
+            inc.reply(Num(n));
+        }))
+        .expect("sink");
+        let caller = t.pooled_caller(NodeId(1));
+        let warm = Barrier::new(2);
+        let (to_a, a_turn) = mpsc::channel::<()>();
+        let (to_b, b_turn) = mpsc::channel::<()>();
+        to_a.send(()).expect("a alive");
+        thread::scope(|s| {
+            for (n, turn, next) in [(1, a_turn, to_b), (2, b_turn, to_a)] {
+                let (caller, warm) = (&caller, &warm);
+                s.spawn(move || {
+                    let call = || caller.call(NodeId(0), Num(n), Duration::from_secs(5));
+                    assert_eq!(call(), Ok(Num(n)));
+                    warm.wait();
+                    let warmed = idle(caller);
+                    warm.wait();
+                    for _ in 0..5 {
+                        turn.recv().expect("the other thread is alive");
+                        assert_eq!(call(), Ok(Num(n)));
+                        assert_eq!(idle(caller), warmed, "thread {n} changed connection");
+                        // The other thread may be done already.
+                        let _ = next.send(());
+                    }
+                });
+            }
+        });
+        assert_eq!(idle(&caller).len(), 2, "a connection was dialed twice");
+    }
+
+    /// A request over the frame cap is refused before its first byte, so
+    /// the connection it was to go out on is still sound: it goes back to
+    /// the pool and carries the next call.
+    #[test]
+    fn an_over_cap_request_puts_its_connection_back() {
+        /// `n` zero bytes, answered with their count.
+        struct Zeros(usize);
+        impl Wire for Zeros {
+            fn encode_scatter<'a>(&'a self, out: &mut Vec<u8>) -> Option<(usize, &'a [u8])> {
+                put_bytes(out, &vec![0; self.0]);
+                None
+            }
+            fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(Zeros(r.bytes("zeros")?.len()))
+            }
+        }
+        let cfg = TcpConfig {
+            max_frame: 1024,
+            ..TcpConfig::default()
+        };
+        let t: TcpTransport<Zeros, Num> = TcpTransport::from_peer_list(&[free_addr()], cfg);
+        let node = Transport::register(&t, NodeId(0)).expect("bind");
+        node.set_sink(Arc::new(|inc| {
+            let n = inc.req().0 as u64;
+            inc.reply(Num(n));
+        }))
+        .expect("sink");
+        let caller = t.pooled_caller(NodeId(1));
+        let call = |n| caller.call(NodeId(0), Zeros(n), Duration::from_secs(5));
+        assert_eq!(call(10), Ok(Num(10)));
+        let conn = idle(&caller);
+        assert_eq!(call(4096), Err(RpcError::Overloaded { to: NodeId(0) }));
+        assert_eq!(idle(&caller), conn, "the refusal cost the connection");
+        assert_eq!(call(20), Ok(Num(20)));
+        assert_eq!(idle(&caller), conn, "the next call dialed again");
     }
 
     /// Every dial is answered as soon as it is accepted: 50 scrapes, each

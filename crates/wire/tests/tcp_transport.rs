@@ -1,11 +1,12 @@
 //! End-to-end exercises of the TCP backend with a toy protocol: echo
 //! round trips, deadline behavior against silent peers, reconnect after
-//! a server restart, backpressure from a peer that stops reading, frames
-//! over the cap, the read turn against peers scripted frame by frame,
-//! requests served on the connection thread, and the obs scrape path.
+//! a server restart, one connection per calling thread, backpressure
+//! from a peer that stops reading, frames over the cap, peers scripted
+//! frame by frame, requests served on the connection thread, and the obs
+//! scrape path.
 
 use ftc_hashring::NodeId;
-use ftc_net::xport::Transport;
+use ftc_net::xport::{Listener, Transport};
 use ftc_net::RpcError;
 use ftc_time::ClockHandle;
 use ftc_wire::codec::CodecError;
@@ -13,8 +14,10 @@ use ftc_wire::codec::{put_str, put_window, Reader, Wire};
 use ftc_wire::frame::{read_frame, read_hello, send_hello, write_frame};
 use ftc_wire::tcp::{scrape_obs, TcpConfig, TcpTransport};
 use ftc_wire::{FrameKind, DEFAULT_MAX_FRAME};
+use std::collections::HashSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
@@ -171,40 +174,127 @@ fn client_reconnects_after_server_restart() {
     h2.join().expect("second server");
 }
 
+/// Node 0 of `t`, answering each request with the name of the serving
+/// thread's id and the request, on the connection thread. The first
+/// `together` requests are answered only once they have all arrived, so
+/// they are in flight at once.
+fn thread_echo(t: &TcpTransport<Echo, Echo>, together: usize) -> Box<dyn Listener<Echo, Echo>> {
+    let listener = Transport::<Echo, Echo>::register(t, NodeId(0)).expect("bind");
+    let barrier = Barrier::new(together);
+    let arrived = AtomicUsize::new(0);
+    listener
+        .set_sink(Arc::new(move |inc| {
+            // ordering: Relaxed - a count only, read by nothing else.
+            if arrived.fetch_add(1, Ordering::Relaxed) < together {
+                barrier.wait();
+            }
+            let thread = std::thread::current().id();
+            let reply = Echo(format!("{thread:?}|{}", inc.req().0));
+            inc.reply(reply);
+        }))
+        .expect("the TCP listener takes a sink");
+    listener
+}
+
+/// The serving thread and the echoed text of a `thread_echo` reply.
+fn served_by(resp: Echo) -> (String, String) {
+    let (thread, text) = resp.0.split_once('|').expect("thread|text");
+    (thread.to_owned(), text.to_owned())
+}
+
+/// N threads calling at once open exactly N connections — N server
+/// connection threads — and each gets its own replies, every one from
+/// the server thread that answered its first.
 #[test]
-fn concurrent_callers_multiplex_one_connection() {
+fn concurrent_callers_open_one_connection_each() {
+    const N: usize = 4;
     let addrs = free_addrs(1);
     let t = transport(&addrs);
-    let listener = Transport::<Echo, Echo>::register(&t, NodeId(0)).expect("bind");
-    let server = std::thread::spawn(move || {
-        let mut served = 0;
-        while served < 40 {
-            if let Some(inc) = listener.accept(Duration::from_millis(20)) {
-                let reply = Echo(inc.req().0.clone());
-                inc.reply(reply);
-                served += 1;
-            }
-        }
-    });
+    let _listener = thread_echo(&t, N);
     let caller: Arc<dyn ftc_net::Caller<Echo, Echo>> = Arc::from(t.caller(NodeId(5)));
-    let joins: Vec<_> = (0..4)
+    let joins: Vec<_> = (0..N)
         .map(|w| {
             let caller = Arc::clone(&caller);
             std::thread::spawn(move || {
+                let mut servers = HashSet::new();
                 for i in 0..10 {
                     let msg = format!("w{w}-{i}");
                     let resp = caller
-                        .call(NodeId(0), Echo(msg.clone()), Duration::from_secs(2))
+                        .call(NodeId(0), Echo(msg.clone()), Duration::from_secs(5))
                         .expect("served");
-                    assert_eq!(resp.0, msg, "response matched to the wrong request");
+                    let (server, text) = served_by(resp);
+                    assert_eq!(text, msg, "response matched to the wrong request");
+                    servers.insert(server);
                 }
+                servers
             })
         })
         .collect();
+    let mut servers = HashSet::new();
     for j in joins {
-        j.join().expect("worker");
+        let one = j.join().expect("worker");
+        assert_eq!(one.len(), 1, "a caller moved between connections");
+        servers.extend(one);
     }
-    server.join().expect("server");
+    assert_eq!(
+        servers.len(),
+        N,
+        "{N} callers, {} connections",
+        servers.len()
+    );
+}
+
+/// A restart closes every connection to the peer at once, but only the
+/// first call that meets a closed one fails: it drops the other idle
+/// connections with its own, so each thread after it redials and is
+/// served, and the failure detector hears of the restart once.
+#[test]
+fn a_restart_costs_one_disconnected_however_many_connections_it_closed() {
+    const N: usize = 4;
+    let addrs = free_addrs(1);
+    let t = transport(&addrs);
+    let listener = thread_echo(&t, N);
+    let caller: Arc<dyn ftc_net::Caller<Echo, Echo>> = Arc::from(t.caller(NodeId(5)));
+    let call = |caller: &dyn ftc_net::Caller<Echo, Echo>, msg: &str| {
+        caller.call(NodeId(0), Echo(msg.into()), Duration::from_secs(5))
+    };
+    // One thread per connection, each kept alive between its calls so it
+    // calls again on the connection it warmed.
+    let (results, collect) = mpsc::channel();
+    let turns: Vec<mpsc::Sender<()>> = (0..N)
+        .map(|w| {
+            let (turn, my_turn) = mpsc::channel::<()>();
+            let (caller, results) = (Arc::clone(&caller), results.clone());
+            std::thread::spawn(move || {
+                while my_turn.recv().is_ok() {
+                    let resp = call(&*caller, &format!("w{w}"));
+                    results.send(resp.map(served_by)).expect("test alive");
+                }
+            });
+            turn
+        })
+        .collect();
+    for turn in &turns {
+        turn.send(()).expect("worker alive");
+    }
+    let warm: HashSet<String> = (0..N)
+        .map(|_| collect.recv().expect("worker alive").expect("warm call").0)
+        .collect();
+    assert_eq!(warm.len(), N, "the warm calls share connections");
+
+    drop(listener);
+    let _listener = thread_echo(&t, 1);
+    let mut disconnected = 0;
+    for turn in turns.iter().cycle().take(2 * N) {
+        turn.send(()).expect("worker alive");
+        match collect.recv().expect("worker alive") {
+            Ok(_) => {}
+            Err(RpcError::Disconnected(_)) => disconnected += 1,
+            Err(other) => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(disconnected, 1, "one restart, {disconnected} Disconnected");
+    drop(turns);
 }
 
 /// No queue stands between `call` and the socket, so what bounds a peer
@@ -231,9 +321,10 @@ fn stalled_peer_times_out_callers_then_the_connection_redials() {
     let ttl = Duration::from_millis(150);
     let slack = Duration::from_millis(350);
     let payload: Arc<[u8]> = vec![0xabu8; 4 << 20].into();
-    // Two callers share the connection: once the socket is full one of
-    // them stalls inside its write and the other waits for the write
-    // turn, and neither may outlive its own deadline.
+    // Two callers, each dialing its own connection: the peer accepts one
+    // and refuses the other. Once the accepted one's socket is full its
+    // caller stalls inside its write, and no call may outlive its own
+    // deadline.
     let workers: Vec<_> = (0..2)
         .map(|_| {
             let (caller, payload) = (Arc::clone(&caller), Arc::clone(&payload));
@@ -337,7 +428,8 @@ fn small_frames(addrs: &[SocketAddr]) -> TcpTransport<Echo, Echo> {
 
 /// A request over the frame cap is refused before its first byte: only
 /// that call fails — with an error that is no evidence against the peer
-/// — while a call already in flight on the same connection completes.
+/// — while a call already in flight to the same peer completes, and the
+/// refused call's connection carries the next call.
 #[test]
 fn oversized_request_fails_alone() {
     let addrs = free_addrs(1);
@@ -374,15 +466,16 @@ fn oversized_request_fails_alone() {
 }
 
 /// Same on the way back: a reply over the cap is dropped whole, not
-/// half-written — its caller times out, the stream stays parseable, and
-/// the other call in flight on it is answered.
+/// half-written — its caller times out, the stream stays parseable, so
+/// the next call on that connection is answered, and the call in flight
+/// to the same peer is answered too.
 #[test]
 fn oversized_reply_is_dropped_whole() {
     let addrs = free_addrs(1);
     let t = small_frames(&addrs);
     let (parked_tx, parked) = mpsc::channel();
     let (release, release_rx) = mpsc::channel();
-    let server = scripted_server(&t, 2, parked_tx, release_rx);
+    let server = scripted_server(&t, 3, parked_tx, release_rx);
     let caller: Arc<dyn ftc_net::Caller<Echo, Echo>> = Arc::from(t.caller(NodeId(2)));
 
     let in_flight = {
@@ -407,6 +500,12 @@ fn oversized_reply_is_dropped_whole() {
     assert_eq!(
         resp,
         Ok(Echo("slow".into())),
+        "in-flight call was collateral"
+    );
+    let resp = caller.call(NodeId(0), Echo("after".into()), Duration::from_secs(2));
+    assert_eq!(
+        resp,
+        Ok(Echo("after".into())),
         "stream was torn by the refusal"
     );
     server.join().expect("server");
@@ -448,101 +547,6 @@ fn answer(stream: &mut TcpStream, id: u64, text: &str) {
 
 fn shared_caller(t: &TcpTransport<Echo, Echo>) -> Arc<dyn ftc_net::Caller<Echo, Echo>> {
     Arc::from(t.caller(NodeId(1)))
-}
-
-/// Whoever holds the read turn reads everybody's replies: answered in
-/// the reverse of the order they were asked, each still reaches the call
-/// that waits for it.
-#[test]
-fn replies_in_reverse_order_reach_the_right_callers() {
-    let addrs = free_addrs(1);
-    let t = transport(&addrs);
-    let peer = scripted_peer(addrs[0], |_listener, mut stream| {
-        let asked: Vec<_> = (0..3).map(|_| next_request(&mut stream)).collect();
-        for (id, text) in asked.iter().rev() {
-            answer(&mut stream, *id, text);
-        }
-    });
-    let caller = shared_caller(&t);
-    let callers: Vec<_> = (0..3)
-        .map(|i| {
-            let caller = Arc::clone(&caller);
-            std::thread::spawn(move || {
-                let msg = format!("call-{i}");
-                let resp = caller.call(NodeId(0), Echo(msg.clone()), Duration::from_secs(5));
-                assert_eq!(resp, Ok(Echo(msg)), "reply crossed over to another call");
-            })
-        })
-        .collect();
-    for c in callers {
-        c.join().expect("caller thread");
-    }
-    peer.join().expect("scripted peer");
-}
-
-/// The holder of the read turn gives up at its own deadline, between
-/// frames; the caller sleeping behind it is handed the turn and reads its
-/// reply when it comes — not at its own deadline, and not never. The
-/// abandoned call's reply, arriving later still, is nobody's: the next
-/// call on the connection gets its own.
-#[test]
-fn follower_is_handed_the_turn_when_the_holder_times_out() {
-    let addrs = free_addrs(1);
-    let t = transport(&addrs);
-    let (asked_tx, asked) = mpsc::channel();
-    let (go, go_rx) = mpsc::channel::<()>();
-    let peer = scripted_peer(addrs[0], move |listener, mut stream| {
-        // One connection for the whole script: a redial would be refused.
-        drop(listener);
-        let (hasty, _) = next_request(&mut stream);
-        asked_tx.send(()).expect("test alive");
-        let (patient, text) = next_request(&mut stream);
-        asked_tx.send(()).expect("test alive");
-        go_rx.recv().expect("test alive");
-        answer(&mut stream, patient, &text);
-        go_rx.recv().expect("test alive");
-        answer(&mut stream, hasty, "too late");
-        let (after, text) = next_request(&mut stream);
-        answer(&mut stream, after, &text);
-    });
-    let caller = shared_caller(&t);
-    let clock = ClockHandle::wall();
-
-    let holder = {
-        let caller = Arc::clone(&caller);
-        std::thread::spawn(move || {
-            caller.call(NodeId(0), Echo("hasty".into()), Duration::from_millis(100))
-        })
-    };
-    asked.recv().expect("peer has the first request");
-    let follower = {
-        let caller = Arc::clone(&caller);
-        std::thread::spawn(move || {
-            caller.call(NodeId(0), Echo("patient".into()), Duration::from_secs(10))
-        })
-    };
-    asked.recv().expect("peer has the second request");
-
-    assert_eq!(
-        holder.join().expect("holder thread"),
-        Err(RpcError::Timeout { to: NodeId(0) })
-    );
-    let t0 = clock.now();
-    go.send(()).expect("peer alive");
-    assert_eq!(
-        follower.join().expect("follower thread"),
-        Ok(Echo("patient".into()))
-    );
-    let took = clock.since(t0);
-    assert!(
-        took < Duration::from_secs(2),
-        "follower slept {took:?} on a reply that was there"
-    );
-
-    go.send(()).expect("peer alive");
-    let resp = caller.call(NodeId(0), Echo("after".into()), Duration::from_secs(5));
-    assert_eq!(resp, Ok(Echo("after".into())));
-    peer.join().expect("scripted peer");
 }
 
 /// A reply that stops half-way cannot be abandoned at the deadline — the
@@ -601,9 +605,8 @@ fn peer_that_stops_mid_frame_tears_the_connection() {
 }
 
 /// Dialing runs on the caller's clock, not on a fixed `connect_timeout`:
-/// against a peer that accepts and never says hello, the caller that
-/// dials and the caller that waits for that dial are both back at their
-/// own deadlines.
+/// against a peer that accepts and never says hello, two callers, each
+/// dialing a connection of its own, are both back at their own deadlines.
 #[test]
 fn dial_gives_up_at_the_callers_deadline() {
     let addrs = free_addrs(1);
@@ -644,9 +647,9 @@ fn dial_gives_up_at_the_callers_deadline() {
 }
 
 /// With a sink installed the connection thread that decoded a request
-/// serves it: nothing reaches `accept`, eight callers hammering the one
-/// pooled connection lose nothing, and once the listener is dropped —
-/// the client's connection still open — no thread holds the sink.
+/// serves it: nothing reaches `accept`, eight callers hammering a
+/// connection each lose nothing, and once the listener is dropped — the
+/// client's connections still open — no thread holds the sink.
 #[test]
 fn sink_serves_on_the_connection_thread_and_dies_with_the_listener() {
     let addrs = free_addrs(1);
