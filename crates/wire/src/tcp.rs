@@ -410,8 +410,8 @@ struct PeerConn {
 }
 
 impl PeerConn {
-    /// Write request `id`, then read frames until its reply, all of it
-    /// over by `due` (give or take the rules in the module doc).
+    /// Write request `id`, then read frames until its reply, both cut
+    /// off at `due` by the deadline rules of the module doc.
     fn exchange<Req: Wire>(
         &mut self,
         id: u64,
@@ -1033,14 +1033,6 @@ mod tests {
         tags
     }
 
-    /// The idle connection to node 0 this thread used last.
-    fn mine<Req, Resp>(caller: &TcpCaller<Req, Resp>) -> Option<SocketAddr> {
-        let me = thread::current().id();
-        idle(caller)
-            .into_iter()
-            .find_map(|(user, local)| (user == me).then_some(local))
-    }
-
     /// A call that gave up leaves its connection in the pool with its
     /// reply still to come. The next call on that connection reads the
     /// late reply, drops it, and returns its own.
@@ -1075,16 +1067,13 @@ mod tests {
 
         let err = caller.call(NodeId(0), Num(1), Duration::from_millis(50));
         assert_eq!(err, Err(RpcError::Timeout { to: NodeId(0) }));
-        let conn = mine(&caller).expect("a timeout keeps the connection");
+        let conn = idle(&caller);
+        assert_eq!(conn.len(), 1, "a timeout keeps the connection");
 
         go.send(()).expect("peer alive");
         let resp = caller.call(NodeId(0), Num(2), Duration::from_secs(5));
         assert_eq!(resp, Ok(Num(2)), "the late reply reached the wrong call");
-        assert_eq!(
-            idle(&caller),
-            [(thread::current().id(), conn)],
-            "the connection was redialed"
-        );
+        assert_eq!(idle(&caller), conn, "the connection was redialed");
         peer.join().expect("peer thread");
     }
 
@@ -1129,17 +1118,32 @@ mod tests {
     fn a_reply_already_in_the_socket_at_the_deadline_is_not_late() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind peer");
         let addr = listener.local_addr().expect("peer address");
+        let (go, go_rx) = mpsc::channel::<()>();
         let peer = thread::spawn(move || {
             let (mut s, _) = listener.accept().expect("client dials");
             read_hello(&mut s).expect("client hello");
             send_hello(&mut s, NodeId(0)).expect("server hello");
             let first = read_frame(&mut s, DEFAULT_MAX_FRAME).expect("first request");
-            // The reply to the next request goes out before it is asked.
+            write_frame(
+                &mut s,
+                FrameKind::Response,
+                first.id,
+                &first.body,
+                DEFAULT_MAX_FRAME,
+            )
+            .expect("reply");
+            // Once the connection is idle, the reply to the next request
+            // goes out before it is asked.
+            go_rx.recv().expect("test alive");
             let body = Num(2).encode_vec();
-            for (id, body) in [(first.id, &first.body), (first.id + 1, &body)] {
-                write_frame(&mut s, FrameKind::Response, id, body, DEFAULT_MAX_FRAME)
-                    .expect("reply");
-            }
+            write_frame(
+                &mut s,
+                FrameKind::Response,
+                first.id + 1,
+                &body,
+                DEFAULT_MAX_FRAME,
+            )
+            .expect("early reply");
             let second = read_frame(&mut s, DEFAULT_MAX_FRAME).expect("second request");
             assert_eq!(second.id, first.id + 1);
             while read_frame(&mut s, DEFAULT_MAX_FRAME).is_ok() {}
@@ -1150,7 +1154,10 @@ mod tests {
             caller.call(NodeId(0), Num(1), Duration::from_secs(5)),
             Ok(Num(1))
         );
+        go.send(()).expect("peer alive");
         {
+            // Nobody reads an idle connection: the early reply stays in
+            // the socket until the next call.
             let idle = caller.slots[&NodeId(0)].idle.lock();
             let stream = &idle[0].reader.get_ref().stream;
             while stream.peek(&mut [0u8]).is_err() {}

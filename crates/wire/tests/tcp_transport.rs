@@ -174,8 +174,8 @@ fn client_reconnects_after_server_restart() {
     h2.join().expect("second server");
 }
 
-/// Node 0 of `t`, answering each request with the name of the serving
-/// thread's id and the request, on the connection thread. The first
+/// Node 0 of `t`, answering each request on its connection thread with
+/// that thread's id and the request's text. The first
 /// `together` requests are answered only once they have all arrived, so
 /// they are in flight at once.
 fn thread_echo(t: &TcpTransport<Echo, Echo>, together: usize) -> Box<dyn Listener<Echo, Echo>> {
@@ -261,19 +261,19 @@ fn a_restart_costs_one_disconnected_however_many_connections_it_closed() {
     // One thread per connection, each kept alive between its calls so it
     // calls again on the connection it warmed.
     let (results, collect) = mpsc::channel();
-    let turns: Vec<mpsc::Sender<()>> = (0..N)
+    let (turns, workers): (Vec<mpsc::Sender<()>>, Vec<_>) = (0..N)
         .map(|w| {
             let (turn, my_turn) = mpsc::channel::<()>();
             let (caller, results) = (Arc::clone(&caller), results.clone());
-            std::thread::spawn(move || {
+            let worker = std::thread::spawn(move || {
                 while my_turn.recv().is_ok() {
                     let resp = call(&*caller, &format!("w{w}"));
                     results.send(resp.map(served_by)).expect("test alive");
                 }
             });
-            turn
+            (turn, worker)
         })
-        .collect();
+        .unzip();
     for turn in &turns {
         turn.send(()).expect("worker alive");
     }
@@ -295,6 +295,9 @@ fn a_restart_costs_one_disconnected_however_many_connections_it_closed() {
     }
     assert_eq!(disconnected, 1, "one restart, {disconnected} Disconnected");
     drop(turns);
+    for w in workers {
+        w.join().expect("worker");
+    }
 }
 
 /// No queue stands between `call` and the socket, so what bounds a peer
