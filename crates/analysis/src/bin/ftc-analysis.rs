@@ -71,11 +71,12 @@ fn run_lint() -> ExitCode {
 }
 
 fn run_fsm() -> ExitCode {
+    let d = FsmConfig::default();
     let config = FsmConfig {
-        nodes: arg_or("--nodes", 3),
-        timeout_limit: arg_or("--limit", 2),
-        depth: arg_or("--depth", 6),
-        spurious: arg_or("--spurious", 1),
+        nodes: arg_or("--nodes", d.nodes),
+        timeout_limit: arg_or("--limit", d.timeout_limit),
+        depth: arg_or("--depth", d.depth),
+        spurious: arg_or("--spurious", d.spurious),
         sabotage: std::env::args().any(|a| a == "--sabotage"),
     };
     let report = check_fsm(&config);

@@ -10,12 +10,12 @@
 //!   and flags conflicting event pairs that are causally *unordered* —
 //!   e.g. a read served under ring epoch `e` concurrent with the
 //!   membership update that retired epoch `e`.
-//! * [`fsm`] — an exhaustive bounded model checker for the failure-
-//!   detector + recache lifecycle. It drives the *real*
-//!   `ftc_core::FailureDetector` and `ftc_hashring::HashRing` through
-//!   every interleaving of {timeout, reply, kill, revive} to a depth
-//!   bound, asserting the chaos-harness invariants on every reachable
-//!   state.
+//! * [`fsm`] — an exhaustive bounded model checker for the node-health
+//!   and recache lifecycle. It drives the *real* `ftc_core::NodeHealth`
+//!   table and `ftc_hashring::HashRing` through every interleaving of
+//!   {kill, revive, late, silent ping, pong, shed, reply} to a depth
+//!   bound, asserting the chaos-harness invariants and the settling
+//!   rules on every reachable state.
 //! * [`lint`] — repo-specific source lints enforced in CI: no
 //!   `unwrap`/`expect` outside test code, no `Err(_)` catch-alls in
 //!   fallback logic without an explicit waiver, and a justification
@@ -46,7 +46,7 @@ pub mod linz;
 pub mod replay;
 
 pub use explore::{bounded_dfs, fingerprint_trace, DfsConfig, DfsReport, RunOutcome, Violation};
-pub use fsm::{check_fsm, FsmConfig, FsmReport};
+pub use fsm::{check_fsm, check_fsm_with, FsmConfig, FsmReport, Sabotage};
 pub use hb::{check_trace, forge_stale_epoch_read, RaceFinding, RaceKind};
 pub use lint::{lint_source, lint_workspace, LintFinding};
 pub use linz::{

@@ -2,7 +2,9 @@
 //! exhaustive FSM checker at the CI depth, and an end-to-end race-detector
 //! regression over a real traced cluster run.
 
-use ftc_analysis::{check_fsm, check_trace, forge_stale_epoch_read, FsmConfig, RaceKind};
+use ftc_analysis::{
+    check_fsm, check_fsm_with, check_trace, forge_stale_epoch_read, FsmConfig, RaceKind, Sabotage,
+};
 use ftc_core::{Cluster, ClusterConfig, FtPolicy};
 use ftc_hashring::NodeId;
 use ftc_net::VClock;
@@ -101,20 +103,43 @@ proptest! {
 #[test]
 fn fsm_checker_at_ci_depth_is_clean() {
     // The same configuration CI runs: every interleaving of
-    // {kill, revive, timeout, reply} over 3 nodes to depth 6.
+    // {kill, revive, late, silent ping, pong, shed, reply} over 3 nodes
+    // to depth 6, through the real node-health table.
     let report = check_fsm(&FsmConfig {
         nodes: 3,
-        timeout_limit: 2,
+        timeout_limit: 3,
         depth: 6,
         spurious: 1,
         sabotage: false,
     });
     assert!(report.passed(), "{report}");
+    assert_eq!(report.distinct_states, 8222, "{report}");
     assert!(
         report.interleavings >= 100_000,
         "depth-6 exploration should cover >=100k interleavings, got {}",
         report.interleavings
     );
+}
+
+/// A broken transition must trip exactly the invariant aimed at it.
+fn sabotaged(sabotage: Sabotage, invariant: &str) {
+    let report = check_fsm_with(&FsmConfig::default(), Some(sabotage));
+    assert!(report.violates(invariant), "{sabotage:?}: {report}");
+}
+
+#[test]
+fn fsm_checker_catches_a_late_call_counted_as_a_timeout() {
+    sabotaged(Sabotage::LateCountsAsTimeout, "late-is-no-evidence");
+}
+
+#[test]
+fn fsm_checker_catches_a_pong_that_keeps_late_calls() {
+    sabotaged(Sabotage::PongKeepsLate, "pong-clears-late");
+}
+
+#[test]
+fn fsm_checker_catches_a_declared_node_left_in_the_ring() {
+    sabotaged(Sabotage::DeclaredStaysPlaced, "declared-unplaced");
 }
 
 #[test]

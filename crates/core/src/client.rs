@@ -1,9 +1,10 @@
 //! The FT-Cache client — the `LD_PRELOAD` shim's brain.
 //!
 //! Each training process holds one client. A read maps the file path to
-//! its owner via the placement structure, issues the RPC, and feeds the
-//! failure detector with the outcome. What happens when the detector
-//! declares the owner dead is the [`FtPolicy`]:
+//! its owner via the placement structure, asks the node-health table
+//! ([`crate::health`]) whether to call it, issues the RPC, and feeds the
+//! table the outcome. What happens when the table declares the owner
+//! dead is the [`FtPolicy`]:
 //!
 //! * **NoFT** — propagate the failure; the job dies (baseline HVAC).
 //! * **FT w/ PFS** (§IV-A) — remember the node is dead; this and all
@@ -15,20 +16,15 @@
 //! During the suspect window (timeouts seen but below `TIMEOUT_LIMIT`),
 //! fault-tolerant policies redirect the request that timed out to the
 //! PFS, mirroring the artifact's client. With a recovery engine attached,
-//! a read waits only a quarter of a TTL ([`late_bound`]): a call still
-//! unanswered then is *late*, is no detector evidence by itself, and
-//! hands the node to the engine, whose TTL-grade pings gather the
-//! evidence (a silent ping also counts every late call sent before it).
-//! Until the engine rules, every read placed on the node goes straight to
-//! the PFS, so a reader pays a quarter of a TTL per incident instead of a
-//! TTL per read. Such a detour parks its bytes as a hint for the owner,
-//! delivered if the owner answers after all, so a false alarm costs no
-//! cache fill. The engine's own calls (pings, pushes, digests, evicts)
-//! go through a second [`Caller`] from the same transport, so recovery
-//! traffic never queues in front of a read. Without an engine, each such
-//! read still pays its own TTL.
+//! a read waits only a quarter of a TTL ([`late_bound`]); a late call
+//! hands the node to the engine, and reads skip it until the engine's
+//! pings settle it, so a reader pays a quarter of a TTL per incident
+//! instead of a TTL per read. Such a detour parks its bytes as a hint for
+//! the owner, so a false alarm costs no cache fill. The engine's own
+//! calls go through a second [`Caller`] from the same transport, so
+//! recovery traffic never queues in front of a read.
 
-use crate::detector::{FailureDetector, Verdict};
+use crate::health::{Effect, Event, Health, NodeHealth, Route, State, Verdict};
 use crate::metrics::ClientMetrics;
 use crate::overload::Armor;
 use crate::policy::{FtConfig, FtPolicy};
@@ -140,7 +136,9 @@ pub struct HvacClient {
     /// front of a read; in-process it is the same fabric.
     lane: Box<dyn Caller<CacheRequest, CacheResponse>>,
     placement: Mutex<Box<dyn Placement + Send>>,
-    detector: Mutex<FailureDetector>,
+    /// Whether a read may call each node: timeouts, settles, breakers.
+    /// Shared with the recovery engine, which waits on its settles.
+    health: Arc<Health>,
     config: FtConfig,
     pfs: Arc<Pfs>,
     metrics: Arc<ClientMetrics>,
@@ -160,8 +158,8 @@ pub struct HvacClient {
     /// Background recovery engine (proactive recache, hinted handoff,
     /// warm rejoin). Started once via [`Self::enable_recovery`].
     recovery: OnceLock<Arc<RecoveryEngine>>,
-    /// Overload armor (breakers, retry budget, hedge window); inert
-    /// unless [`FtConfig::overload`] turns it on.
+    /// Overload armor (retry budget, hedge window); inert unless
+    /// [`FtConfig::overload`] turns it on.
     armor: Armor,
     /// Open read flights for single-flight coalescing (consulted only
     /// when [`FtConfig::coalesce`] is on). Duplicate concurrent reads of
@@ -201,16 +199,6 @@ enum Cause {
     WrongReply,
 }
 
-/// How one settling ping ended ([`HvacClient::settle_ping`]).
-pub(crate) enum Settle {
-    /// The node answered: its suspicion is cleared.
-    Answered,
-    /// Silence, counted, with the detector's last verdict.
-    Silent(Verdict),
-    /// An error that is no liveness signal, or some other reply.
-    Inconclusive,
-}
-
 /// [`HvacClient::fall_back`]'s ruling on a [`Cause`].
 enum Next {
     /// Surface a typed error.
@@ -239,11 +227,11 @@ impl HvacClient {
         HvacClient {
             me,
             armor: Armor::new(config.overload, clock.clone()),
+            health: Arc::new(Health::new(NodeHealth::new(&config), clock.clone())),
             clock,
             endpoint: transport.caller(me),
             lane: transport.caller(me),
             placement: Mutex::new(config.placement.build(server_count)),
-            detector: Mutex::new(FailureDetector::new(config.detector)),
             config,
             pfs,
             metrics: Arc::new(ClientMetrics::default()),
@@ -267,10 +255,14 @@ impl HvacClient {
         if let Some(e) = self.recovery.get() {
             return Ok(Arc::clone(e));
         }
-        let engine = RecoveryEngine::start(self, config)?;
+        let engine = RecoveryEngine::start(self, Arc::clone(&self.health), config)?;
         // If a racing enable won, ours drops (its worker exits via the
         // closed channel) and the winner is returned.
-        Ok(Arc::clone(self.recovery.get_or_init(|| engine)))
+        let engine = Arc::clone(self.recovery.get_or_init(|| engine));
+        if self.config.policy != FtPolicy::NoFt {
+            self.health.with(|t, _| t.enable_settling());
+        }
+        Ok(engine)
     }
 
     /// The recovery engine, if enabled.
@@ -330,9 +322,9 @@ impl HvacClient {
 
     /// Issue one RPC through `via` (the read caller or the engine's lane)
     /// and normalize the overload signal: an `Overloaded` reply is
-    /// counted and treated as proof of liveness (the node answered —
-    /// clear its timeout window), exactly so that shedding never feeds
-    /// the failure detector.
+    /// counted and is proof of liveness ([`Event::Shed`] clears the
+    /// node's timeout window), exactly so that shedding never feeds the
+    /// failure detector.
     fn call_counted(
         &self,
         via: &dyn Caller<CacheRequest, CacheResponse>,
@@ -343,39 +335,16 @@ impl HvacClient {
         let r = via.call(to, req, ttl);
         if matches!(r, Ok(CacheResponse::Overloaded)) {
             self.metrics.overloaded_observed.inc();
-            if self.config.overload.shed_counts_as_failure {
-                // Sabotage self-test: feed the shed to the detector as if
-                // it were a timeout. A shedding-but-alive node then gets
-                // declared dead, and the chaos harness must catch it.
-                let _ = self.detector.lock().record_timeout_at(to, self.clock.now());
-            } else {
-                self.detector.lock().record_success(to);
-            }
+            self.health.apply(to, Event::Shed);
         }
         r
     }
 
-    /// Where and when to hedge a read whose primary is `owner`: the next
-    /// distinct replica owner and the p99-derived delay; the delay is
-    /// computed last because it sorts the latency window.
-    fn hedge_plan(&self, owner: NodeId, path: &str, ttl: Duration) -> Option<(NodeId, Duration)> {
-        if !self.armor.may_hedge(owner) {
-            return None;
-        }
-        let second = self
-            .placement
-            .lock()
-            .successors(path, 2)
-            .into_iter()
-            .find(|&n| n != owner)?;
-        let delay = self.armor.hedge_delay();
-        (delay < ttl).then_some((second, delay))
-    }
-
-    /// The read RPC, hedged when [`hedge_plan`](Self::hedge_plan) finds a
-    /// target: the primary call runs with a deadline of the hedge delay;
-    /// past that, a second read goes to the next replica owner at the
-    /// full read deadline and the first success wins. If both lag, the
+    /// The read RPC, hedged when the health table allows it (`hedge`) to
+    /// the next distinct replica owner after a p99-derived delay below
+    /// `deadline`: the primary call runs with a deadline of the hedge
+    /// delay; past that, a second read goes to the next replica owner at
+    /// the full read deadline and the first success wins. If both lag, the
     /// primary is retried at the full read deadline, so the call that
     /// expires is an ordinary read's. Returns who answered, when the
     /// returned call was sent, and its outcome.
@@ -384,11 +353,16 @@ impl HvacClient {
         owner: NodeId,
         path: &str,
         deadline: Duration,
+        hedge: bool,
     ) -> (NodeId, Instant, Result<CacheResponse, RpcError>) {
         let read = || CacheRequest::Read {
             path: path.to_owned(),
         };
-        let hedge = self.hedge_plan(owner, path, deadline);
+        let second = hedge.then(|| self.placement.lock().successors(path, 2));
+        let second = second.into_iter().flatten().find(|&n| n != owner);
+        // The delay comes last: it sorts the latency window.
+        let hedge = second.map(|second| (second, self.armor.hedge_delay()));
+        let hedge = hedge.filter(|&(_, delay)| delay < deadline);
         let begun = self.clock.now();
         let via = &*self.endpoint;
         let first = self.call_counted(
@@ -404,14 +378,14 @@ impl HvacClient {
                 // timeout and never reaches the detector; the breaker
                 // (client-local) absorbs it instead.
                 self.metrics.hedges_launched.inc();
-                self.armor.on_failure(owner);
+                self.health.apply(owner, Event::Strike);
                 match self.call_counted(via, second, read(), deadline) {
                     Ok(resp) => {
                         self.metrics.hedges_won.inc();
                         (second, begun, Ok(resp))
                     }
                     Err(_hedge_loss) => {
-                        self.armor.on_failure(second);
+                        self.health.apply(second, Event::Strike);
                         // Both lag: re-try the primary at the full read
                         // deadline, so its expiry means what any read's does.
                         let sent = self.clock.now();
@@ -443,9 +417,14 @@ impl HvacClient {
         Arc::clone(&self.metrics)
     }
 
-    /// Nodes this client's detector has declared failed.
+    /// Nodes this client has declared failed.
     pub fn failed_nodes(&self) -> Vec<NodeId> {
-        self.detector.lock().failed_nodes()
+        self.health.with(|t, _| t.failed_nodes())
+    }
+
+    /// A copy of this client's node-health table.
+    pub fn node_health(&self) -> NodeHealth {
+        self.health.with(|t, _| t.clone())
     }
 
     /// Nodes the placement still routes to.
@@ -600,33 +579,27 @@ impl HvacClient {
                     return Err(ReadError::NoLiveNodes);
                 };
                 let owner = at.owner;
-                // PFS-redirect keeps its static placement: keys of dead
-                // owners divert here forever.
-                if self.config.policy == FtPolicy::PfsRedirect
-                    && self.detector.lock().is_failed(owner)
-                {
-                    return self.read_pfs_direct(path);
-                }
-                // Nor is a suspect owner the recovery engine is settling:
-                // its pings gather the evidence while this read moves on.
-                if engine.is_some_and(|e| e.is_settling(owner)) {
-                    break 'attempt Cause::Settling(owner);
-                }
-                // A tripped owner is not called at all — no TTL burned,
-                // no queue slot consumed on a node that just failed
-                // repeatedly. Half-open admits its probe quota through.
-                if !self.armor.admit(owner) {
-                    self.metrics.breaker_short_circuits.inc();
-                    break 'attempt Cause::BreakerOpen(owner);
-                }
-                let (served_by, sent, outcome) = self.call_read(owner, path, deadline);
+                let hedge = match self.health.route(owner) {
+                    Route::Call(hedge) => hedge,
+                    // PFS-redirect keeps its static placement: keys of
+                    // dead owners divert here forever.
+                    Route::Declared => return self.read_pfs_direct(path),
+                    // The engine's pings gather the evidence meanwhile.
+                    Route::Settling => break 'attempt Cause::Settling(owner),
+                    // No TTL burned, no queue slot consumed on a node that
+                    // just failed repeatedly.
+                    Route::BreakerOpen => {
+                        self.metrics.breaker_short_circuits.inc();
+                        break 'attempt Cause::BreakerOpen(owner);
+                    }
+                };
+                let (served_by, sent, outcome) = self.call_read(owner, path, deadline, hedge);
                 match outcome {
                     Ok(CacheResponse::Data { bytes, source, .. }) => {
                         return Ok(self.served(path, at, served_by, bytes, source, failed_over));
                     }
                     Ok(CacheResponse::NotFound { .. }) => {
-                        self.detector.lock().record_success(served_by);
-                        self.armor.on_success(served_by);
+                        self.health.apply(served_by, Event::Reply);
                         return Err(ReadError::NotFound(path.to_owned()));
                     }
                     Ok(CacheResponse::Overloaded) => {
@@ -634,7 +607,7 @@ impl HvacClient {
                         // `call_counted`). Never a detector signal — but
                         // the breaker notes it, so a client hammering a
                         // saturated node backs off.
-                        self.armor.on_failure(served_by);
+                        self.health.apply(served_by, Event::Strike);
                         if let Some(obs) = self.obs.get() {
                             let detail = format!("{path} shed by {served_by}");
                             obs.hub.flight.record(&obs.actor, "shed", detail);
@@ -649,11 +622,11 @@ impl HvacClient {
                         // Late after a quarter of a TTL: no evidence yet. The
                         // engine settles the owner, and this call counts
                         // only if a ping sent after it goes unanswered.
-                        (Some(engine), RpcError::Timeout { .. }) => {
-                            engine.notify_late(owner, sent);
+                        (Some(_), RpcError::Timeout { .. }) => {
+                            self.feed(owner, Event::Late(sent));
                             Cause::Settling(owner)
                         }
-                        _ => Cause::Silent(owner, self.note_silence(owner)),
+                        _ => Cause::Silent(owner, self.feed(owner, Event::Timeout)),
                     },
                     Err(_not_liveness) => Cause::Rpc(owner),
                 }
@@ -765,14 +738,13 @@ impl HvacClient {
         source: ServeSource,
         failed_over: Option<NodeId>,
     ) -> ReadOutcome {
-        self.detector.lock().record_success(served_by);
-        self.armor.on_success(served_by);
+        let first_hit = self.health.with(|t, now| t.served(served_by, path, now));
         self.key_index.record(served_by.0, path);
         if let Some(engine) = self.recovery.get() {
             // A formerly-suspect node answered (its parked hints can
             // flush), or a survivor served a key of a node the engine
             // declared (that node's first recached hit).
-            engine.notify_served(served_by, path);
+            engine.notify_served(served_by, path, first_hit);
         }
         self.trace_with(|| TraceEventKind::ReadServed {
             key: path.to_owned(),
@@ -839,69 +811,52 @@ impl HvacClient {
         }
     }
 
-    /// The owner stayed silent for a TTL or more: count it, feed the
-    /// breaker and the detector, publish the detector's verdict and act
-    /// on its edges. A fault-tolerant client hands a suspect to its
-    /// recovery engine, and a declaration goes to [`Self::declare`].
-    /// Readers, the engine's settling pings and the late calls a silent
-    /// ping vouches for all land here.
-    fn note_silence(&self, owner: NodeId) -> Verdict {
-        self.metrics.rpc_timeouts.inc();
-        self.armor.on_failure(owner);
-        if let Some(obs) = self.obs.get() {
-            // First timeout per incident; later ones are no-ops inside
-            // the recorder.
-            obs.hub.timeline.mark(owner.0, ftc_obs::Phase::FirstTimeout);
-        }
-        let verdict = self
-            .detector
-            .lock()
-            .record_timeout_at(owner, self.clock.now());
-        self.emit_verdict(owner, verdict);
-        match verdict {
-            Verdict::Suspect { .. } if self.config.policy != FtPolicy::NoFt => {
+    /// Feed `event` for `node` to the health table and carry out what it
+    /// rules: a hand-over queues a settle on the recovery engine; each
+    /// timeout counted bumps `rpc_timeouts` and publishes its verdict
+    /// (trace event, timeline phase). A fault-tolerant client counts a
+    /// declared node once and, under RingRecache, drops it from the ring;
+    /// under NoFT the read that saw it is already failing the job. Returns
+    /// the last verdict counted (`AlreadyFailed` when none was).
+    fn feed(&self, node: NodeId, event: Event) -> Verdict {
+        let mut last = Verdict::AlreadyFailed;
+        for effect in self.health.apply(node, event) {
+            let Effect::Counted(verdict) = effect else {
                 if let Some(engine) = self.recovery.get() {
-                    engine.notify_suspect(owner);
+                    engine.notify_suspect(node);
                 }
+                continue;
+            };
+            self.metrics.rpc_timeouts.inc();
+            if let Some(obs) = self.obs.get() {
+                // First timeout per incident; later ones are no-ops
+                // inside the recorder.
+                obs.hub.timeline.mark(node.0, ftc_obs::Phase::FirstTimeout);
             }
-            Verdict::JustFailed => self.declare(owner),
-            _ => {}
-        }
-        verdict
-    }
-
-    /// The declaration edge, shared by the read path and the recovery
-    /// engine: a fault-tolerant client counts the node once, and under
-    /// RingRecache drops it from the ring. NoFT counts nothing; the read
-    /// that saw the declaration is already failing the job.
-    fn declare(&self, node: NodeId) {
-        if self.config.policy == FtPolicy::NoFt {
-            return;
-        }
-        self.metrics.nodes_declared_failed.inc();
-        if self.config.policy == FtPolicy::RingRecache {
-            self.set_member(node, false);
-        }
-    }
-
-    /// Publish a detector verdict: `Suspect`/`Declare` trace event, then
-    /// the timeline phase with its flight-recorder line.
-    fn emit_verdict(&self, node: NodeId, verdict: Verdict) {
-        match verdict {
-            Verdict::Suspect { count } => {
-                self.trace_with(|| TraceEventKind::Suspect { node, count });
-                self.obs_phase(node, ftc_obs::Phase::Suspect, || {
-                    format!("{node} timeout #{count}")
-                });
+            match verdict {
+                Verdict::Suspect { count } => {
+                    self.trace_with(|| TraceEventKind::Suspect { node, count });
+                    self.obs_phase(node, ftc_obs::Phase::Suspect, || {
+                        format!("{node} timeout #{count}")
+                    });
+                }
+                Verdict::JustFailed => {
+                    self.trace_with(|| TraceEventKind::Declare { node });
+                    self.obs_phase(node, ftc_obs::Phase::Declare, || {
+                        format!("{node} declared failed")
+                    });
+                    if self.config.policy != FtPolicy::NoFt {
+                        self.metrics.nodes_declared_failed.inc();
+                    }
+                    if self.config.policy == FtPolicy::RingRecache {
+                        self.set_member(node, false);
+                    }
+                }
+                Verdict::AlreadyFailed => {}
             }
-            Verdict::JustFailed => {
-                self.trace_with(|| TraceEventKind::Declare { node });
-                self.obs_phase(node, ftc_obs::Phase::Declare, || {
-                    format!("{node} declared failed")
-                });
-            }
-            Verdict::AlreadyFailed => {}
+            last = verdict;
         }
+        last
     }
 
     /// Apply one membership change: the ring edit and the epoch bump under
@@ -972,7 +927,7 @@ impl HvacClient {
     /// ring and drains any hints parked for it; otherwise the cache
     /// refills through the ordinary miss path.
     pub fn readmit(&self, node: NodeId) {
-        self.detector.lock().clear_failed(node);
+        self.health.apply(node, Event::Readmit);
         self.trace_with(|| TraceEventKind::Readmit { node });
         self.set_member(node, true);
     }
@@ -1049,41 +1004,36 @@ impl HvacClient {
         )
     }
 
-    /// One settling ping at TTL grade. Silence goes through
-    /// [`Self::note_silence`] like a reader's timeout, and so does each
-    /// late read call `late_before` hands back for the ping's send
-    /// instant: a call older than an unanswered ping has gone unanswered
-    /// for more than a TTL; the last verdict comes back. A pong clears the
-    /// node's suspicion.
-    pub(crate) fn settle_ping(
-        &self,
-        node: NodeId,
-        late_before: impl FnOnce(Instant) -> usize,
-    ) -> Settle {
-        let sent = self.clock.now();
+    /// Settle a node handed to the recovery engine, on its worker: ping it
+    /// at TTL grade until the health table rules, at most `timeout_limit`
+    /// times in case timeouts age out of the window. A pong clears it; a
+    /// silent ping counts itself and each late read call sent before it
+    /// (unanswered for over a TTL by now). True when it answered.
+    pub(crate) fn settle(&self, node: NodeId) -> bool {
         let ttl = self.config.detector.ttl;
-        match self.call_counted(&*self.lane, node, CacheRequest::Ping, ttl) {
-            Ok(CacheResponse::Pong) => {
-                self.detector.lock().record_success(node);
-                Settle::Answered
-            }
-            Err(e) if e.indicates_failure() => {
-                let mut verdict = self.note_silence(node);
-                for _ in 0..late_before(sent) {
-                    if !matches!(verdict, Verdict::Suspect { .. }) {
-                        break;
-                    }
-                    verdict = self.note_silence(node);
+        for _ in 0..self.config.detector.timeout_limit {
+            let sent = self.clock.now();
+            match self.call_counted(&*self.lane, node, CacheRequest::Ping, ttl) {
+                Ok(CacheResponse::Pong) => {
+                    self.feed(node, Event::Pong);
+                    return true;
                 }
-                Settle::Silent(verdict)
+                Err(e) if e.indicates_failure() => match self.feed(node, Event::SilentPing(sent)) {
+                    Verdict::Suspect { .. } => {}
+                    // Only a ring edit moves the node's keys to survivors,
+                    // and the first a survivor serves is its recached hit.
+                    Verdict::JustFailed if self.config.policy == FtPolicy::RingRecache => {
+                        let keys = self.key_index.keys_of(node.0);
+                        self.health.with(|t, _| t.await_first_hit(node, keys));
+                        return false;
+                    }
+                    _ => break,
+                },
+                _ => break,
             }
-            _ => Settle::Inconclusive,
         }
-    }
-
-    /// Timeouts inside the suspicion window that declare a node.
-    pub(crate) fn timeout_limit(&self) -> u32 {
-        self.config.detector.timeout_limit
+        self.feed(node, Event::Unsettled);
+        false
     }
 
     /// Push `bytes` to the next `replication - 1` ring successors of
@@ -1098,10 +1048,12 @@ impl HvacClient {
             .into_iter()
             .filter(|&n| n != owner)
         {
-            let (dead, suspect) = {
-                let d = self.detector.lock();
-                (d.is_failed(node), d.is_suspect_at(node, self.clock.now()))
-            };
+            let (dead, suspect) = self.health.with(|t, now| {
+                (
+                    t.get(node).state == State::Declared,
+                    t.suspect_at(node, now),
+                )
+            });
             if dead {
                 self.metrics.replica_write_failures.inc();
                 self.park_replica_hint(node, path, bytes);
@@ -1156,7 +1108,7 @@ impl HvacClient {
             return;
         }
         engine.park_hint(owner, path, bytes, self.ring_epoch());
-        if engine.answered(owner) {
+        if self.health.with(|t, _| t.get(owner).answered) {
             engine.notify_reachable(owner);
         }
     }
@@ -1189,7 +1141,7 @@ impl HvacClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::DetectorConfig;
+    use crate::health::DetectorConfig;
     use crate::metrics::ClientMetricsSnapshot;
     use crate::policy::{PlacementKind, RetryPolicy};
     use crate::server::{CacheNet, ServerHandle};
@@ -1771,6 +1723,10 @@ mod tests {
             r.servers.len() as u32,
             cfg,
         ));
+        // One recent timeout, counted before the engine is there to
+        // settle it: node 2 is suspect, not dead — the replica write below
+        // detours to the hint store without burning a TTL.
+        c.health.apply(NodeId(2), Event::Timeout);
         let engine = c
             .enable_recovery(crate::recovery::RecoveryConfig {
                 probe: false,
@@ -1783,11 +1739,6 @@ mod tests {
             .map(name)
             .find(|p| c.owner_of(p) != Some(NodeId(2)) && c.replica_targets(p).contains(&NodeId(2)))
             .expect("a file replicating to node 2");
-        // One recent timeout: node 2 is suspect, not dead — the replica
-        // write detours to the hint store without burning a TTL.
-        c.detector
-            .lock()
-            .record_timeout_at(NodeId(2), std::time::Instant::now());
         c.read(&p).unwrap();
         assert_eq!(engine.hints_pending_for(NodeId(2)), 1);
         assert_eq!(
@@ -2098,7 +2049,8 @@ mod tests {
 
     #[test]
     fn fallback_rule_matrix() {
-        use crate::overload::{BreakerConfig, BudgetConfig, DEFAULT_HEDGE_MAX_DELAY};
+        use crate::health::DEFAULT_BREAKER_THRESHOLD;
+        use crate::overload::{BudgetConfig, DEFAULT_HEDGE_MAX_DELAY};
         use Cell::*;
         use FtPolicy::*;
         // One PFS-served read moves exactly these.
@@ -2260,11 +2212,10 @@ mod tests {
                 cfg.overload.armored = true;
                 // No hedge: its cold-start delay is not under this TTL.
                 cfg.detector.ttl = DEFAULT_HEDGE_MAX_DELAY;
-                cfg.overload.breaker = BreakerConfig {
-                    failure_threshold: if cell == BreakerOpen { 1 } else { 100 },
-                    open_for: Duration::from_secs(3600),
-                    half_open_probes: 1,
-                };
+            }
+            if cell == BreakerOpen {
+                // The breaker trips before the detector declares.
+                cfg.detector.timeout_limit = DEFAULT_BREAKER_THRESHOLD + 1;
             }
             if cell == BudgetDenied {
                 cfg.overload.budget = BudgetConfig {
@@ -2299,10 +2250,21 @@ mod tests {
             };
             state.replies.lock().push_back(provoke);
             if matches!(cell, BreakerOpen | Settling) {
-                // One silent attempt trips the breaker, or hands the
-                // suspect to the engine; the cell under test is the
-                // *next* read.
-                let _ = c.read_traced(SCRIPT_FILE);
+                // One silent attempt hands the suspect to the engine, and
+                // DEFAULT_BREAKER_THRESHOLD of them trip the breaker; the
+                // cell under test is the *next* read.
+                let trips = if cell == BreakerOpen {
+                    DEFAULT_BREAKER_THRESHOLD
+                } else {
+                    1
+                };
+                for _ in 1..trips {
+                    let silence = Err(ftc_net::RpcError::Timeout { to: owner });
+                    state.replies.lock().push_back(silence);
+                }
+                for _ in 0..trips {
+                    let _ = c.read_traced(SCRIPT_FILE);
+                }
             }
             let before = c.metrics().snapshot();
             let calls_before = state.calls.load(Ordering::SeqCst);
@@ -2449,7 +2411,7 @@ mod tests {
         let park = |path: &str| c.park_detour(&engine, owner, path, &synth_bytes(path, FILE_SIZE));
         let settle = |ping: Reply| {
             reply.send(ping).expect("ping channel");
-            engine.notify_suspect(owner);
+            c.feed(owner, Event::Late(c.clock.now()));
             assert!(engine.wait_quiesced(Duration::from_secs(10)));
         };
         let puts = || {

@@ -10,8 +10,8 @@
 //! * [`server::HvacServer`] — per-node daemon serving `Read` RPCs from its
 //!   NVMe cache, falling back to the PFS and persisting what it fetched.
 //! * [`client::HvacClient`] — the training process's shim: placement
-//!   lookup → RPC → timeout-based failure detection
-//!   ([`detector::FailureDetector`]) → one of three policies
+//!   lookup → RPC → timeout-based failure detection in one node-health
+//!   table ([`health::NodeHealth`]) → one of three policies
 //!   ([`policy::FtPolicy`]): NoFT abort, PFS redirection (§IV-A), or
 //!   hash-ring elastic recaching (§IV-B).
 //! * [`cluster::Cluster`] — a whole cluster in one process (threads +
@@ -34,8 +34,8 @@
 
 pub mod client;
 pub mod cluster;
-pub mod detector;
 pub mod error;
+pub mod health;
 pub mod metrics;
 pub mod overload;
 pub mod policy;
@@ -46,13 +46,10 @@ pub mod singleflight;
 
 pub use client::{HvacClient, ReadError, ReadOutcome, ReadVia};
 pub use cluster::{Cluster, ClusterConfig};
-pub use detector::{DetectorConfig, FailureDetector, Verdict};
 pub use error::CoreError;
+pub use health::{DetectorConfig, NodeHealth, Verdict};
 pub use metrics::{ClientMetrics, ClientMetricsSnapshot, ClusterMetrics};
-pub use overload::{
-    AdmissionConfig, BreakerConfig, BreakerState, BudgetConfig, CircuitBreaker, OverloadConfig,
-    ShedReason,
-};
+pub use overload::{AdmissionConfig, BudgetConfig, OverloadConfig, ShedReason};
 pub use policy::{FtConfig, FtPolicy, PlacementKind, RetryPolicy};
 pub use proto::{CacheRequest, CacheResponse, ServeSource};
 pub use recovery::{RecoveryConfig, RecoveryEngine, RecoveryStatsSnapshot};

@@ -3,8 +3,10 @@
 //! The ring keeps serving through node *death*; this module defends
 //! against the nastier regime: nodes that are slow-but-alive, retry
 //! storms after an incident, and recache traffic that itself triggers
-//! suspicion. Four building blocks, shared by the in-process fabric and
-//! the TCP wire because they all sit above the transport seam:
+//! suspicion. Three building blocks, shared by the in-process fabric and
+//! the TCP wire because they all sit above the transport seam (the fourth,
+//! a per-node circuit breaker, is a field of the node's [`crate::health`]
+//! entry):
 //!
 //! * `Admission` — server side: a gate each request passes on the
 //!   thread that serves it. Work is shed (a typed `Overloaded` reply,
@@ -13,11 +15,6 @@
 //!   service-time estimate exceeds the client's assumed deadline —
 //!   serving it would only burn cycles on a reply the caller has stopped
 //!   waiting for.
-//! * [`CircuitBreaker`] — client side, per node: closed → open on
-//!   consecutive failures, open → half-open after a cool-off, half-open
-//!   admits exactly a probe quota. Short-circuited calls never hit the
-//!   wire, so a struggling node sees its offered load collapse instead
-//!   of compound.
 //! * Retry budget — client side: a `TokenBucket` that every *retry*
 //!   (never a first attempt) must pay for, replacing unconditional
 //!   `RetryPolicy` retries. A cluster-wide incident then costs at most
@@ -27,16 +24,16 @@
 //!   read is hedged to the next replica owner and the first success
 //!   wins.
 //!
-//! The client-side blocks sit behind one [`Armor`] value whose methods
-//! are inert when the config is unarmored. The blocks take explicit
-//! `now: Instant` readings and [`Armor`] reads the client's clock handle,
-//! so the whole layer runs deterministically on the virtual clock.
+//! The retry budget and the hedge window sit behind one [`Armor`] value
+//! whose methods are inert when the config is unarmored. The blocks take
+//! explicit `now: Instant` readings and [`Armor`] reads the client's
+//! clock handle, so the whole layer runs deterministically on the
+//! virtual clock.
 
-use ftc_hashring::NodeId;
 use ftc_time::ClockHandle;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -46,12 +43,6 @@ pub const DEFAULT_ADMISSION_CAPACITY: usize = 64;
 pub const DEFAULT_ASSUMED_TTL: Duration = Duration::from_millis(100);
 /// EWMA smoothing factor for the service-time estimate.
 pub const EWMA_ALPHA: f64 = 0.2;
-/// Default consecutive failures that trip a breaker open.
-pub const DEFAULT_BREAKER_THRESHOLD: u32 = 5;
-/// Default cool-off before an open breaker admits probes.
-pub const DEFAULT_BREAKER_OPEN_FOR: Duration = Duration::from_millis(200);
-/// Default probe quota while half-open.
-pub const DEFAULT_BREAKER_PROBES: u32 = 2;
 /// Default retry-budget deposit (tokens).
 pub const DEFAULT_BUDGET_CAPACITY: f64 = 32.0;
 /// Default retry-budget refill rate (tokens/second).
@@ -235,132 +226,6 @@ impl Admission {
 }
 
 // ---------------------------------------------------------------------------
-// Circuit breaker
-// ---------------------------------------------------------------------------
-
-/// Per-node circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long an open breaker refuses traffic before going half-open.
-    pub open_for: Duration,
-    /// Probe quota admitted while half-open; one success closes, one
-    /// failure re-opens.
-    pub half_open_probes: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: DEFAULT_BREAKER_THRESHOLD,
-            open_for: DEFAULT_BREAKER_OPEN_FOR,
-            half_open_probes: DEFAULT_BREAKER_PROBES,
-        }
-    }
-}
-
-/// Breaker states. `Open` stores its reopen time; `HalfOpen` counts the
-/// probes it has admitted against the quota.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Normal service; counts consecutive failures.
-    Closed {
-        /// Consecutive failures so far.
-        failures: u32,
-    },
-    /// Refusing all traffic until the cool-off lapses.
-    Open {
-        /// When the breaker transitions to half-open.
-        until: Instant,
-    },
-    /// Admitting a bounded probe quota to test the node.
-    HalfOpen {
-        /// Probes admitted so far.
-        probes_used: u32,
-    },
-}
-
-/// One node's circuit breaker. All transitions take an explicit `now`
-/// so the machine is a pure function of its inputs — testable and
-/// deterministic under the virtual clock.
-#[derive(Debug, Clone, Copy)]
-pub struct CircuitBreaker {
-    config: BreakerConfig,
-    state: BreakerState,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker under `config`.
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            state: BreakerState::Closed { failures: 0 },
-        }
-    }
-
-    /// Current state (for metrics and tests).
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// May a call to this node proceed right now? An open breaker whose
-    /// cool-off has lapsed transitions to half-open and admits a probe.
-    pub fn allow(&mut self, now: Instant) -> bool {
-        match self.state {
-            BreakerState::Closed { .. } => true,
-            BreakerState::Open { until } => {
-                if now < until {
-                    false
-                } else {
-                    self.state = BreakerState::HalfOpen { probes_used: 1 };
-                    true
-                }
-            }
-            BreakerState::HalfOpen { probes_used } => {
-                if probes_used < self.config.half_open_probes {
-                    self.state = BreakerState::HalfOpen {
-                        probes_used: probes_used + 1,
-                    };
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// A call to the node succeeded: a half-open probe success closes
-    /// the breaker; a closed success clears the failure streak.
-    pub fn on_success(&mut self) {
-        self.state = BreakerState::Closed { failures: 0 };
-    }
-
-    /// A call failed (timeout / disconnect / shed): a half-open probe
-    /// failure re-opens; closed failures accumulate toward the trip.
-    pub fn on_failure(&mut self, now: Instant) {
-        match self.state {
-            BreakerState::Closed { failures } => {
-                let failures = failures + 1;
-                if failures >= self.config.failure_threshold {
-                    self.state = BreakerState::Open {
-                        until: now + self.config.open_for,
-                    };
-                } else {
-                    self.state = BreakerState::Closed { failures };
-                }
-            }
-            BreakerState::HalfOpen { .. } => {
-                self.state = BreakerState::Open {
-                    until: now + self.config.open_for,
-                };
-            }
-            BreakerState::Open { .. } => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Retry budget
 // ---------------------------------------------------------------------------
 
@@ -457,8 +322,6 @@ impl TokenBucket {
 pub struct OverloadConfig {
     /// Master switch for breaker + budget + hedging on the client.
     pub armored: bool,
-    /// Per-node circuit breaker tuning.
-    pub breaker: BreakerConfig,
     /// Retry token-budget tuning.
     pub budget: BudgetConfig,
     /// Self-test sabotage: misclassify `Overloaded` replies as failure
@@ -484,21 +347,21 @@ impl OverloadConfig {
 // The client's armor state, as one value
 // ---------------------------------------------------------------------------
 
-/// All client-side armor state. Every method is inert under an unarmored
-/// config — it admits everything, records nothing and takes neither a
-/// lock nor a clock reading — so the read path calls them
-/// unconditionally and the on/off decision lives here only.
+/// The client's retry budget and hedge window (its breakers live in the
+/// node-health table). Every method is inert under an unarmored config —
+/// it admits everything, records nothing and takes neither a lock nor a
+/// clock reading — so the read path calls them unconditionally and the
+/// on/off decision lives here only.
 pub(crate) struct Armor {
     config: OverloadConfig,
     clock: ClockHandle,
-    breakers: Mutex<HashMap<NodeId, CircuitBreaker>>,
     retry_budget: Mutex<TokenBucket>,
     /// The last [`HEDGE_WINDOW`] successful read latencies.
     read_lat: Mutex<VecDeque<Duration>>,
 }
 
 impl Armor {
-    /// No breakers, a full retry budget, an empty latency window.
+    /// A full retry budget, an empty latency window.
     pub(crate) fn new(config: OverloadConfig, clock: ClockHandle) -> Self {
         Armor {
             retry_budget: Mutex::new(TokenBucket::new(
@@ -508,62 +371,13 @@ impl Armor {
             )),
             config,
             clock,
-            breakers: Mutex::new(HashMap::new()),
             read_lat: Mutex::new(VecDeque::with_capacity(HEDGE_WINDOW)),
         }
-    }
-
-    /// Run `f` on `node`'s breaker, created closed on first contact.
-    fn with_breaker<R>(
-        &self,
-        node: NodeId,
-        f: impl FnOnce(&mut CircuitBreaker, Instant) -> R,
-    ) -> R {
-        let now = self.clock.now();
-        let mut map = self.breakers.lock();
-        let breaker = map
-            .entry(node)
-            .or_insert_with(|| CircuitBreaker::new(self.config.breaker));
-        f(breaker, now)
-    }
-
-    /// May a call to `node` proceed, per its circuit breaker? An open
-    /// breaker whose cool-off lapsed admits half-open probes.
-    pub(crate) fn admit(&self, node: NodeId) -> bool {
-        !self.config.armored || self.with_breaker(node, |b, now| b.allow(now))
     }
 
     /// Spend one retry token; `false` means the retry must not be sent.
     pub(crate) fn admit_retry(&self) -> bool {
         !self.config.armored || self.retry_budget.lock().try_take(self.clock.now()).0
-    }
-
-    /// A call to `node` succeeded: closes a half-open breaker, clears
-    /// the failure streak.
-    pub(crate) fn on_success(&self, node: NodeId) {
-        if self.config.armored {
-            if let Some(b) = self.breakers.lock().get_mut(&node) {
-                b.on_success();
-            }
-        }
-    }
-
-    /// A call to `node` failed (timeout, disconnect or shed).
-    pub(crate) fn on_failure(&self, node: NodeId) {
-        if self.config.armored {
-            self.with_breaker(node, |b, now| b.on_failure(now));
-        }
-    }
-
-    /// May a read whose primary is `node` be hedged? Only when armored
-    /// and with the breaker fully closed: half-open probes must run at the
-    /// full read deadline, so their expiry means what any read's does.
-    pub(crate) fn may_hedge(&self, node: NodeId) -> bool {
-        self.config.armored
-            && match self.breakers.lock().get(&node) {
-                None => true,
-                Some(b) => matches!(b.state(), BreakerState::Closed { .. }),
-            }
     }
 
     /// The hedge delay: the p99 of recent read latencies clamped to
@@ -659,47 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn breaker_trips_cools_probes_and_closes() {
-        let cfg = BreakerConfig {
-            failure_threshold: 3,
-            open_for: 100 * MS,
-            half_open_probes: 2,
-        };
-        let mut b = CircuitBreaker::new(cfg);
-        let now = t0();
-        for _ in 0..3 {
-            assert!(b.allow(now));
-            b.on_failure(now);
-        }
-        assert!(matches!(b.state(), BreakerState::Open { .. }));
-        assert!(!b.allow(now), "open refuses traffic");
-        assert!(!b.allow(now + 99 * MS), "still cooling off");
-        // Cool-off lapsed: half-open admits exactly the probe quota.
-        assert!(b.allow(now + 100 * MS));
-        assert!(b.allow(now + 100 * MS));
-        assert!(!b.allow(now + 100 * MS), "probe quota exhausted");
-        b.on_success();
-        assert_eq!(b.state(), BreakerState::Closed { failures: 0 });
-        assert!(b.allow(now + 101 * MS));
-    }
-
-    #[test]
-    fn half_open_failure_reopens() {
-        let cfg = BreakerConfig {
-            failure_threshold: 1,
-            open_for: 10 * MS,
-            half_open_probes: 1,
-        };
-        let mut b = CircuitBreaker::new(cfg);
-        let now = t0();
-        b.on_failure(now);
-        assert!(b.allow(now + 10 * MS), "half-open probe admitted");
-        b.on_failure(now + 10 * MS);
-        assert!(matches!(b.state(), BreakerState::Open { .. }));
-        assert!(!b.allow(now + 15 * MS));
-    }
-
-    #[test]
     fn budget_spends_denies_and_refills() {
         let now = t0();
         let mut budget = TokenBucket::new(1.0, 2.0, now);
@@ -750,32 +523,20 @@ mod tests {
         // Hair-trigger settings that would refuse everything if consulted.
         let disarmed = OverloadConfig {
             armored: false,
-            breaker: BreakerConfig {
-                failure_threshold: 1,
-                open_for: Duration::from_secs(3600),
-                half_open_probes: 1,
-            },
             budget: BudgetConfig {
                 capacity: 0.0,
                 refill_per_sec: 0.0,
             },
             shed_counts_as_failure: false,
         };
-        let node = NodeId(3);
         let armor = Armor::new(disarmed, ClockHandle::wall());
         for _ in 0..8 {
-            armor.on_failure(node);
-            assert!(armor.admit(node), "unarmored admits every call");
             assert!(armor.admit_retry(), "unarmored admits every retry");
         }
-        armor.on_success(node);
         armor.note_latency(Instant::now());
-        assert!(!armor.may_hedge(node), "unarmored never hedges");
-        assert!(armor.breakers.lock().is_empty(), "no breaker allocated");
         assert!(armor.read_lat.lock().is_empty(), "no latency recorded");
 
-        // The same settings, armed, hedge a fresh node and refuse after
-        // one failure.
+        // The same settings, armed, refuse the first retry and record.
         let armed = Armor::new(
             OverloadConfig {
                 armored: true,
@@ -783,79 +544,13 @@ mod tests {
             },
             ClockHandle::wall(),
         );
-        assert!(armed.may_hedge(node));
-        armed.on_failure(node);
-        assert!(!armed.admit(node));
         assert!(!armed.admit_retry());
-        assert!(!armed.may_hedge(node), "no hedging past an open breaker");
+        armed.note_latency(Instant::now());
+        assert_eq!(armed.read_lat.lock().len(), 1);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The breaker never serves from the open state: between a trip
-        /// and the cool-off lapse, every `allow` is false no matter the
-        /// event sequence that got it there.
-        #[test]
-        fn breaker_never_serves_from_open(
-            threshold in 1u32..6,
-            open_ms in 1u64..500,
-            probes in 1u32..4,
-            events in prop::collection::vec(any::<u8>(), 1..64),
-        ) {
-            let cfg = BreakerConfig {
-                failure_threshold: threshold,
-                open_for: Duration::from_millis(open_ms),
-                half_open_probes: probes,
-            };
-            let mut b = CircuitBreaker::new(cfg);
-            let base = t0();
-            let mut now = base;
-            for ev in events {
-                now += Duration::from_millis(u64::from(ev % 50));
-                if let BreakerState::Open { until } = b.state() {
-                    let allowed = b.allow(now);
-                    if now < until {
-                        prop_assert!(!allowed, "served from an open breaker");
-                    } else {
-                        prop_assert!(allowed, "first post-cool-off probe admitted");
-                    }
-                    continue;
-                }
-                match ev % 3 {
-                    0 => { let _ = b.allow(now); }
-                    1 => b.on_failure(now),
-                    _ => b.on_success(),
-                }
-            }
-        }
-
-        /// Half-open admits exactly the probe quota: once the cool-off
-        /// lapses, precisely `half_open_probes` calls pass before a
-        /// verdict, regardless of how many more are attempted.
-        #[test]
-        fn half_open_admits_exactly_the_quota(
-            threshold in 1u32..4,
-            probes in 1u32..6,
-            attempts in 6u32..32,
-        ) {
-            let cfg = BreakerConfig {
-                failure_threshold: threshold,
-                open_for: Duration::from_millis(10),
-                half_open_probes: probes,
-            };
-            let mut b = CircuitBreaker::new(cfg);
-            let now = t0();
-            for _ in 0..threshold {
-                b.on_failure(now);
-            }
-            prop_assert!(matches!(b.state(), BreakerState::Open { .. }));
-            let reopened = now + Duration::from_millis(10);
-            let admitted = (0..attempts.max(probes + 1))
-                .filter(|_| b.allow(reopened))
-                .count() as u32;
-            prop_assert_eq!(admitted, probes);
-        }
 
         /// Budget safety: tokens spent never exceed the deposit plus the
         /// refill accrued over the elapsed time (no retry amplification

@@ -1,6 +1,6 @@
 //! Fault-tolerance policies — the three systems compared in §V.
 
-use crate::detector::DetectorConfig;
+use crate::health::DetectorConfig;
 use crate::overload::OverloadConfig;
 use ftc_hashring::{HashRing, ModuloPlacement, Placement, RendezvousPlacement, DEFAULT_VNODES};
 use serde::{Deserialize, Serialize};

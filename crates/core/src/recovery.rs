@@ -7,12 +7,12 @@
 //! The engine closes that window proactively, and keeps readers out of
 //! the detection window that precedes it:
 //!
-//! * **Suspect settling** — a fault-tolerant client hands the engine a
-//!   node on its first late read call (or first `Suspect` verdict). The
-//!   engine pings it at TTL grade until the detector rules (a pong clears
-//!   it; silence is one more timeout, plus one per late call sent before
-//!   the ping), while readers whose owner it is go to the PFS instead of
-//!   each paying a TTL.
+//! * **Suspect settling** — a fault-tolerant client's health table hands
+//!   the engine a node on its first late read call (or first `Suspect`
+//!   verdict). The engine pings it at TTL grade until the table rules (a
+//!   pong clears it; silence is one more timeout, plus one per late call
+//!   sent before the ping), while readers whose owner it is go to the PFS
+//!   instead of each paying a TTL.
 //! * **Proactive recache** — on a `Declared` verdict the engine walks the
 //!   dead node's key range (the client's [`KeyIndex`] of observed
 //!   assignments), refetches each key from the PFS and pushes it to the
@@ -34,8 +34,8 @@
 //! client's second caller, its recovery lane, so none of it queues in
 //! front of a read.
 
-use crate::client::{HvacClient, Settle};
-use crate::detector::Verdict;
+use crate::client::HvacClient;
+use crate::health::Health;
 use crate::overload::TokenBucket;
 use ftc_hashring::NodeId;
 use ftc_storage::ValueBuf;
@@ -45,7 +45,7 @@ use ftc_time::{
 use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -228,7 +228,7 @@ struct RecoveryObs {
 }
 
 enum Task {
-    /// A node turned suspect: ping it until the detector rules.
+    /// A node turned suspect: ping it until the health table rules.
     Suspect { node: NodeId },
     /// A node was declared failed under `epoch`: recache its key range.
     Recache { node: NodeId, epoch: u64 },
@@ -275,34 +275,9 @@ pub struct RecoveryEngine {
     pending: AtomicU64,
     /// Keys awaiting recache across all jobs (the queue-depth gauge).
     queue_depth: AtomicU64,
-    suspicion: Mutex<Suspicion>,
-    /// `suspicion.settling.len()`, kept under the lock: a read checks it
-    /// before taking the lock, so with no suspect node the check is one
-    /// atomic load.
-    settling_len: AtomicUsize,
-    /// `suspicion.unhit.len()`, kept the same way for served reads.
-    unhit_len: AtomicUsize,
+    /// The client's node-health table, whose settles this engine runs.
+    health: Arc<Health>,
     obs: OnceLock<RecoveryObs>,
-}
-
-/// The engine's view of suspect and freshly declared nodes.
-#[derive(Default)]
-struct Suspicion {
-    /// Handed over by the client and not yet settled: a read placed on
-    /// one goes to the PFS without calling it.
-    settling: Vec<NodeId>,
-    /// Late read calls on settling nodes, with their send instants, not
-    /// yet vouched for by a silent ping nor forgotten by a pong.
-    late: Vec<(NodeId, Instant)>,
-    /// Nodes whose last settle ended in a pong, until they turn suspect
-    /// again: a detour hint parked after that settle's drain gets a drain
-    /// of its own.
-    answered: Vec<NodeId>,
-    /// Nodes the engine declared, with the keys the index filed under
-    /// each, until a survivor serves one of them: readers never time out
-    /// on such a node, so no failed-over read stamps its
-    /// `FirstRecachedHit`.
-    unhit: Vec<(NodeId, HashSet<String>)>,
 }
 
 impl RecoveryEngine {
@@ -310,6 +285,7 @@ impl RecoveryEngine {
     /// (normally [`HvacClient::enable_recovery`]) stores the `Arc`.
     pub(crate) fn start(
         client: &Arc<HvacClient>,
+        health: Arc<Health>,
         config: RecoveryConfig,
     ) -> Result<Arc<Self>, crate::error::CoreError> {
         let clock = client.clock().clone();
@@ -329,9 +305,7 @@ impl RecoveryEngine {
             stats: RecoveryStats::default(),
             pending: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
-            suspicion: Mutex::new(Suspicion::default()),
-            settling_len: AtomicUsize::new(0),
-            unhit_len: AtomicUsize::new(0),
+            health,
             obs: OnceLock::new(),
         });
         if let Some(hub) = client.obs_hub() {
@@ -381,68 +355,10 @@ impl RecoveryEngine {
         }
     }
 
-    /// A node turned suspect: settle it off the read path. Until the
-    /// worker's pings get a verdict, [`Self::is_settling`] holds for it.
-    /// No-op while the node is already being settled.
+    /// The health table handed `node` over: settle it off the read path
+    /// ([`HvacClient::settle`]).
     pub(crate) fn notify_suspect(&self, node: NodeId) {
-        {
-            let mut s = self.suspicion.lock();
-            if s.settling.contains(&node) {
-                return;
-            }
-            s.answered.retain(|&n| n != node);
-            s.settling.push(node);
-            // ordering: Relaxed — written under the lock; see is_settling.
-            self.settling_len.store(s.settling.len(), Ordering::Relaxed);
-        }
         self.enqueue(Task::Suspect { node });
-    }
-
-    /// A read call to `node` sent at `sent` went late: remember it for
-    /// the next settling ping, and settle the node if nobody does yet.
-    pub(crate) fn notify_late(&self, node: NodeId, sent: Instant) {
-        self.suspicion.lock().late.push((node, sent));
-        self.notify_suspect(node);
-    }
-
-    /// Forget `node`'s late calls sent before `ping`, returning how many:
-    /// that ping went unanswered, so each of them counts as a timeout.
-    fn take_late(&self, node: NodeId, ping: Instant) -> usize {
-        let mut s = self.suspicion.lock();
-        let before = s.late.len();
-        s.late.retain(|&(n, sent)| n != node || sent >= ping);
-        before - s.late.len()
-    }
-
-    /// Whether a read placed on `node` should skip it: the node is
-    /// suspect and the engine has not settled it yet.
-    pub(crate) fn is_settling(&self, node: NodeId) -> bool {
-        // ordering: Relaxed — a hint that guards the lock, not a
-        // publication: a reader that misses a fresh hand-off calls the
-        // owner and goes late as the first reader did, and a stale
-        // non-zero only costs the lock, under which the answer is exact.
-        self.settling_len.load(Ordering::Relaxed) > 0
-            && self.suspicion.lock().settling.contains(&node)
-    }
-
-    /// Whether `node`'s last settle ended in a pong and it has not turned
-    /// suspect since.
-    pub(crate) fn answered(&self, node: NodeId) -> bool {
-        self.suspicion.lock().answered.contains(&node)
-    }
-
-    /// The worker is done with `node`, which `answered` a ping or not:
-    /// reads may place on it again, and its remaining late calls are
-    /// forgotten.
-    fn settled(&self, node: NodeId, answered: bool) {
-        let mut s = self.suspicion.lock();
-        s.settling.retain(|&n| n != node);
-        s.late.retain(|&(n, _)| n != node);
-        if answered {
-            s.answered.push(node);
-        }
-        // ordering: Relaxed — see is_settling.
-        self.settling_len.store(s.settling.len(), Ordering::Relaxed);
     }
 
     /// A node was declared failed: queue proactive recache of its keys
@@ -482,28 +398,17 @@ impl RecoveryEngine {
         self.hints.pending_for(node)
     }
 
-    /// `node` served a foreground read of `path`. A node with hints
-    /// parked against it is reachable after all (a suspicion blip, not a
-    /// death), so its hints flush now instead of waiting for a rejoin
-    /// that will never come. And when `path` was filed under a node the
-    /// engine declared, this read is that node's first recached hit.
-    pub(crate) fn notify_served(&self, node: NodeId, path: &str) {
-        // ordering: Relaxed — same guard as is_settling: a missed fresh
-        // declaration only moves the stamp to a later read.
-        if self.unhit_len.load(Ordering::Relaxed) > 0 {
-            let mut s = self.suspicion.lock();
-            let hit =
-                |(dead, keys): &(NodeId, HashSet<String>)| *dead != node && keys.contains(path);
-            if let Some(i) = s.unhit.iter().position(hit) {
-                let (dead, _) = s.unhit.swap_remove(i);
-                self.unhit_len.store(s.unhit.len(), Ordering::Relaxed);
-                drop(s);
-                self.mark_phase(dead, ftc_obs::Phase::FirstRecachedHit);
-                self.flight(
-                    "first_recached_hit",
-                    format!("{path} now served by {node} (was {dead})"),
-                );
-            }
+    /// `node` served a foreground read of `path`, which the health table
+    /// found to be `first_hit`'s first recached hit, if any. A node with
+    /// hints parked against it is reachable after all (a suspicion blip,
+    /// not a death): they flush now, not on a rejoin that never comes.
+    pub(crate) fn notify_served(&self, node: NodeId, path: &str, first_hit: Option<NodeId>) {
+        if let Some(dead) = first_hit {
+            self.mark_phase(dead, ftc_obs::Phase::FirstRecachedHit);
+            self.flight(
+                "first_recached_hit",
+                format!("{path} now served by {node} (was {dead})"),
+            );
         }
         if self.hints.pending_for(node) > 0 {
             self.notify_reachable(node);
@@ -513,15 +418,6 @@ impl RecoveryEngine {
     /// `node` answered after all: flush the hints parked for it.
     pub(crate) fn notify_reachable(&self, node: NodeId) {
         self.enqueue(Task::DrainHints { node });
-    }
-
-    /// The engine declared `node`, whose keys the index filed as `keys`:
-    /// the first of them a survivor serves stamps its first recached hit.
-    fn await_first_hit(&self, node: NodeId, keys: Vec<String>) {
-        let mut s = self.suspicion.lock();
-        s.unhit.push((node, keys.into_iter().collect()));
-        // ordering: Relaxed — see notify_served.
-        self.unhit_len.store(s.unhit.len(), Ordering::Relaxed);
     }
 
     /// Keys still queued for recache.
@@ -546,10 +442,9 @@ impl RecoveryEngine {
     /// Block until no suspect awaits the engine's verdict or `timeout`
     /// elapses. Recache and hint work may still be running.
     pub fn wait_settled(&self, timeout: Duration) -> bool {
-        // ordering: Relaxed — see is_settling; the poll loops.
         self.clock
             .wait_until(timeout, Duration::from_millis(1), || {
-                self.settling_len.load(Ordering::Relaxed) == 0
+                self.health.with(|t, _| t.settling() == 0)
             })
     }
 
@@ -696,9 +591,7 @@ impl Worker {
         match task {
             Task::Stop => {}
             Task::Suspect { node } => {
-                let answered = self.settle(eng, cli, node);
-                eng.settled(node, answered);
-                if answered {
+                if cli.settle(node) {
                     // A false alarm: what readers detoured around it
                     // lands now, not on some later read it serves.
                     self.drain_hints(eng, cli, node);
@@ -745,31 +638,6 @@ impl Worker {
                 eng.task_done();
             }
         }
-    }
-
-    /// Ping a suspect node at TTL grade until the detector rules on it.
-    /// A silent ping is one more timeout through the readers' own
-    /// `note_silence`, and so is each late call sent before it, so a
-    /// verdict still takes `timeout_limit` calls unanswered for a TTL; a
-    /// declaration there has already left the ring. A pong forgets the
-    /// late calls. At most `timeout_limit` pings, in case timeouts age out
-    /// of the window. True when the node answered.
-    fn settle(&mut self, eng: &Arc<RecoveryEngine>, cli: &Arc<HvacClient>, node: NodeId) -> bool {
-        for _ in 0..cli.timeout_limit() {
-            match cli.settle_ping(node, |ping| eng.take_late(node, ping)) {
-                Settle::Answered => return true,
-                Settle::Silent(Verdict::Suspect { .. }) => {}
-                Settle::Silent(Verdict::JustFailed) => {
-                    // Only a ring edit moves the node's keys to survivors.
-                    if cli.policy() == crate::policy::FtPolicy::RingRecache {
-                        eng.await_first_hit(node, cli.key_index().keys_of(node.0));
-                    }
-                    return false;
-                }
-                Settle::Silent(Verdict::AlreadyFailed) | Settle::Inconclusive => return false,
-            }
-        }
-        false
     }
 
     /// Process up to one chunk of `job`; true when the job is finished.
@@ -965,6 +833,15 @@ impl RecoveryEngine {
         if let Some(obs) = self.obs.get() {
             obs.hub.timeline.mark(node.0, phase);
         }
+    }
+}
+
+#[cfg(test)]
+impl RecoveryEngine {
+    /// Whether a read placed on `node` skips it while the engine settles
+    /// it.
+    pub(crate) fn is_settling(&self, node: NodeId) -> bool {
+        self.health.with(|t, _| t.get(node).state.is_settling())
     }
 }
 

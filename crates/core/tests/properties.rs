@@ -1,7 +1,9 @@
-//! Property tests for the failure detector and policy plumbing.
+//! Property tests for the node-health table's detector and the policy
+//! plumbing.
 
+use ftc_core::health::{Effect, Event, State};
 use ftc_core::{
-    AdmissionConfig, CacheNet, DetectorConfig, FailureDetector, FtConfig, FtPolicy, HvacClient,
+    AdmissionConfig, CacheNet, DetectorConfig, FtConfig, FtPolicy, HvacClient, NodeHealth,
     PlacementKind, RetryPolicy, ServerHandle, Verdict,
 };
 use ftc_hashring::NodeId;
@@ -44,6 +46,25 @@ fn fault_strategy() -> impl Strategy<Value = Fault> {
     ]
 }
 
+/// An engine-less client's table under `limit` and `window`.
+fn detector(limit: u32, window: Duration) -> NodeHealth {
+    let mut config = FtConfig::for_policy(FtPolicy::RingRecache);
+    config.detector = DetectorConfig {
+        ttl: Duration::from_millis(1),
+        timeout_limit: limit,
+        suspicion_window: window,
+    };
+    NodeHealth::new(&config)
+}
+
+/// The verdict of one timeout against `node` at `at`.
+fn timeout(t: &mut NodeHealth, node: NodeId, at: Instant) -> Verdict {
+    match t.apply(node, Event::Timeout, at)[..] {
+        [Effect::Counted(v)] => v,
+        ref fx => panic!("one timeout, one verdict: {fx:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -57,17 +78,13 @@ proptest! {
     ) {
         // Effectively-infinite suspicion window: the reference model is
         // the artifact's pure consecutive counter.
-        let mut det = FailureDetector::new(DetectorConfig {
-            ttl: Duration::from_millis(1),
-            timeout_limit: limit,
-            suspicion_window: Duration::from_secs(86_400),
-        });
+        let mut det = detector(limit, Duration::from_secs(86_400));
         let mut ref_counts = [0u32; 8];
         let mut ref_failed = [false; 8];
         for ev in &events {
             match *ev {
                 Ev::Timeout(n) => {
-                    let verdict = det.record_timeout_at(NodeId(n.into()), Instant::now());
+                    let verdict = timeout(&mut det, NodeId(n.into()), Instant::now());
                     if ref_failed[n as usize] {
                         prop_assert_eq!(verdict, Verdict::AlreadyFailed);
                     } else {
@@ -84,7 +101,7 @@ proptest! {
                     }
                 }
                 Ev::Success(n) => {
-                    det.record_success(NodeId(n.into()));
+                    det.apply(NodeId(n.into()), Event::Reply, Instant::now());
                     if !ref_failed[n as usize] {
                         ref_counts[n as usize] = 0;
                     }
@@ -92,7 +109,8 @@ proptest! {
             }
         }
         for n in 0..8u32 {
-            prop_assert_eq!(det.is_failed(NodeId(n)), ref_failed[n as usize]);
+            let failed = det.get(NodeId(n)).state == State::Declared;
+            prop_assert_eq!(failed, ref_failed[n as usize]);
         }
     }
 
@@ -102,21 +120,17 @@ proptest! {
         limit in 1u32..5,
         timeouts in 1usize..40,
     ) {
-        let mut det = FailureDetector::new(DetectorConfig {
-            ttl: Duration::from_millis(1),
-            timeout_limit: limit,
-            suspicion_window: Duration::from_secs(86_400),
-        });
+        let mut det = detector(limit, Duration::from_secs(86_400));
         let mut edges = 0;
         for _ in 0..timeouts {
-            if det.record_timeout_at(NodeId(0), Instant::now()) == Verdict::JustFailed {
+            if timeout(&mut det, NodeId(0), Instant::now()) == Verdict::JustFailed {
                 edges += 1;
             }
         }
         prop_assert_eq!(edges, u32::from(timeouts as u32 >= limit) as usize);
     }
 
-    /// `record_success` fully damps a partially-elapsed suspicion window:
+    /// A reply fully damps a partially-elapsed suspicion window:
     /// after a success, the node needs a whole fresh run of `limit`
     /// timeouts no matter how many were pending or how much time passed.
     #[test]
@@ -125,27 +139,23 @@ proptest! {
         pre in 1u32..8,
         gap_ms in 0u64..300,
     ) {
-        let mut det = FailureDetector::new(DetectorConfig {
-            ttl: Duration::from_millis(1),
-            timeout_limit: limit,
-            suspicion_window: Duration::from_millis(100),
-        });
+        let mut det = detector(limit, Duration::from_millis(100));
         let n = NodeId(0);
         let base = Instant::now();
         for i in 0..pre.min(limit - 1) {
-            det.record_timeout_at(n, base + Duration::from_millis(u64::from(i)));
+            timeout(&mut det, n, base + Duration::from_millis(u64::from(i)));
         }
-        prop_assert!(!det.is_failed(n));
-        det.record_success(n);
-        prop_assert_eq!(det.suspect_count(n), 0);
+        prop_assert!(det.get(n).state != State::Declared);
+        det.apply(n, Event::Reply, base);
+        prop_assert_eq!(det.get(n).timeouts.len(), 0);
         for j in 0..limit - 1 {
             let at = base + Duration::from_millis(gap_ms + u64::from(j));
             prop_assert_eq!(
-                det.record_timeout_at(n, at),
+                timeout(&mut det, n, at),
                 Verdict::Suspect { count: j + 1 }
             );
         }
-        prop_assert!(!det.is_failed(n));
+        prop_assert!(det.get(n).state != State::Declared);
     }
 
     /// Every placement kind built for any policy produces a live owner for

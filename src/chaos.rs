@@ -596,6 +596,8 @@ pub struct CampaignReport {
     pub faulted_read_p99: Option<Duration>,
     /// Overload-armor counters ([`Load::Surge`] only).
     pub overload: Option<OverloadStats>,
+    /// [`diagnose`]'s line for the campaign client, taken at its end.
+    pub diagnosis: String,
 }
 
 /// Overload-armor counters harvested at campaign end, present only when
@@ -642,6 +644,7 @@ impl CampaignReport {
             warm_read_p99: None,
             faulted_read_p99: None,
             overload: None,
+            diagnosis: String::new(),
         }
     }
 
@@ -1483,6 +1486,7 @@ pub fn run_campaign_on(
     };
 
     let history = cluster.network().history().map(|h| h.take());
+    let diagnosis = diagnose(&client);
     cluster.shutdown();
     Campaign {
         report: CampaignReport {
@@ -1498,6 +1502,7 @@ pub fn run_campaign_on(
             warm_read_p99: ftc_obs::percentile(&warm_lats, 0.99),
             faulted_read_p99: ftc_obs::percentile(&fault_lats, 0.99),
             overload: overload_stats,
+            diagnosis,
         },
         trace,
         history,
@@ -1535,6 +1540,24 @@ pub struct DegradedWindowReport {
     pub warm_p99: Option<Duration>,
     /// Integrity or liveness failures observed during the probe.
     pub violations: Vec<String>,
+    /// [`diagnose`]'s line for the probing client, taken at its end.
+    pub diagnosis: String,
+}
+
+/// The numbers that explain a wall-clock campaign going wrong: the
+/// client's direct PFS reads and timeouts, the recovery engine's failed
+/// recaches, and every state change of the client's node-health table
+/// with its late read calls. A healthy read that went late detours to
+/// the PFS; a push that timed out leaves its key to demand.
+pub fn diagnose(client: &HvacClient) -> String {
+    let m = client.metrics().snapshot();
+    let failed = client.recovery().map_or(0, |e| e.stats().recache_failed);
+    format!(
+        "pfs_direct={} rpc_timeouts={} recache_failed={failed} health: {}",
+        m.pfs_direct_reads,
+        m.rpc_timeouts,
+        client.node_health().transitions()
+    )
 }
 
 /// Measure the *demand-visible* degraded window the way a training job
@@ -1667,6 +1690,7 @@ pub fn run_degraded_window_probe_on(
     }
     report.epoch_p99 = ftc_obs::percentile(&epoch_lats, 0.99);
     report.cold_reads = cluster.pfs().total_reads();
+    report.diagnosis = diagnose(&client);
     cluster.shutdown();
     report
 }
@@ -2144,15 +2168,16 @@ mod tests {
             let name = row.name;
             assert_eq!(row.opts.recovery, RecoveryMode::Proactive);
             let report = wall(row.policy, &row.default_plan(seed), row.opts);
-            assert!(report.passed(), "{name} failed: {report}");
+            let why = &report.diagnosis;
+            assert!(report.passed(), "{name} failed: {report}\n{why}");
             let stats = report.recovery.as_ref().expect("proactive stats");
             assert!(
                 stats.recoveries_started >= 1,
-                "{name}: engine never started a recache job"
+                "{name}: engine never started a recache job ({why})"
             );
             assert_eq!(
                 stats.recoveries_started, stats.recoveries_quiesced,
-                "{name}: every started recovery must quiesce"
+                "{name}: every started recovery must quiesce ({why})"
             );
         }
     }
@@ -2193,8 +2218,13 @@ mod tests {
     fn degraded_window_probe_differentiates_the_modes() {
         let lazy = run_degraded_window_probe_on(RecoveryMode::Lazy, 7, ClockHandle::wall());
         let pro = run_degraded_window_probe_on(RecoveryMode::Proactive, 7, ClockHandle::wall());
-        assert!(lazy.violations.is_empty(), "{:?}", lazy.violations);
-        assert!(pro.violations.is_empty(), "{:?}", pro.violations);
+        let (lazy_why, pro_why) = (&lazy.diagnosis, &pro.diagnosis);
+        assert!(
+            lazy.violations.is_empty(),
+            "{:?} {lazy_why}",
+            lazy.violations
+        );
+        assert!(pro.violations.is_empty(), "{:?} {pro_why}", pro.violations);
         assert!(lazy.lost_keys > 0, "victim must own keys");
         assert_eq!(lazy.lost_keys, pro.lost_keys, "same seed, same ring");
         // Lazy pays a demand-visible cold fetch for every lost key except
@@ -2202,11 +2232,14 @@ mod tests {
         assert_eq!(
             lazy.cold_reads,
             lazy.lost_keys - 1,
-            "lazy re-homes only on demand"
+            "lazy re-homes only on demand ({lazy_why})"
         );
         // ...while the proactive engine re-homed the range during the
         // compute gap, so the next epoch runs warm.
-        assert_eq!(pro.cold_reads, 0, "proactive pre-positions every key");
+        assert_eq!(
+            pro.cold_reads, 0,
+            "proactive pre-positions every key ({pro_why})"
+        );
         assert!(pro.quiesce.is_some(), "engine quiesced inside the gap");
     }
 
