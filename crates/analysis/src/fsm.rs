@@ -37,6 +37,14 @@
 //! 8. **A declared node is in no read's placement** — no key is owned by
 //!    a declared node.
 //!
+//! A checker that cannot fail checks nothing, so [`check_fsm_with`]
+//! breaks one transition per [`Sabotage`] and the checker must name the
+//! invariant aimed at it: `Ghost` (the spec ignores answers; 1),
+//! `LateCountsAsTimeout` (6), `PongKeepsLate` (7), `DeclaredStaysPlaced`
+//! (8), and `ShedCountsAsTimeout` (a shed fed to the table as a timeout,
+//! the misclassification the typed shed reply exists to prevent; 4, at a
+//! timeout limit of one).
+//!
 //! States are deduplicated on a canonical key (per-node up, health state,
 //! counts and breaker, the ghost, ring membership, spurious budget spent),
 //! so the exploration counts *distinct* protocol states while still
@@ -96,6 +104,8 @@ pub enum Sabotage {
     PongKeepsLate,
     /// A declaration leaves the node in the ring (invariant 8).
     DeclaredStaysPlaced,
+    /// A shed is fed to the table as a timeout (invariant 4).
+    ShedCountsAsTimeout,
 }
 
 /// What the exploration found.
@@ -440,10 +450,12 @@ impl Explorer {
             }
             Event::Shed(node) | Event::Reply(node) => {
                 let _ = next.table.route(node, now);
-                let answer = if matches!(ev, Event::Shed(_)) {
-                    Health::Shed
-                } else {
-                    Health::Reply
+                let answer = match ev {
+                    Event::Shed(_) if sabotage == Some(Sabotage::ShedCountsAsTimeout) => {
+                        Health::Timeout
+                    }
+                    Event::Shed(_) => Health::Shed,
+                    _ => Health::Reply,
                 };
                 self.feed(&mut next, node, answer, now);
                 if answer == Health::Shed {

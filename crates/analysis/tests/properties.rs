@@ -123,7 +123,12 @@ fn fsm_checker_at_ci_depth_is_clean() {
 
 /// A broken transition must trip exactly the invariant aimed at it.
 fn sabotaged(sabotage: Sabotage, invariant: &str) {
-    let report = check_fsm_with(&FsmConfig::default(), Some(sabotage));
+    sabotaged_at(&FsmConfig::default(), sabotage, invariant);
+}
+
+/// [`sabotaged`] under `config`.
+fn sabotaged_at(config: &FsmConfig, sabotage: Sabotage, invariant: &str) {
+    let report = check_fsm_with(config, Some(sabotage));
     assert!(report.violates(invariant), "{sabotage:?}: {report}");
 }
 
@@ -140,6 +145,20 @@ fn fsm_checker_catches_a_pong_that_keeps_late_calls() {
 #[test]
 fn fsm_checker_catches_a_declared_node_left_in_the_ring() {
     sabotaged(Sabotage::DeclaredStaysPlaced, "declared-unplaced");
+}
+
+#[test]
+fn fsm_checker_catches_a_shed_counted_as_a_timeout() {
+    // At the default limit the first timeout hands the node to settling,
+    // where reads skip it and nothing sheds; at a limit of one it
+    // declares, so a shed fed as a timeout declares a live node.
+    let config = FsmConfig {
+        timeout_limit: 1,
+        ..FsmConfig::default()
+    };
+    let clean = check_fsm(&config);
+    assert!(!clean.violates("no-false-positive"), "{clean}");
+    sabotaged_at(&config, Sabotage::ShedCountsAsTimeout, "no-false-positive");
 }
 
 #[test]

@@ -17,8 +17,8 @@
 //!   plus the full render, so a virtual-clock row run twice must `diff`
 //!   clean. `--nodes`/`--files` resize a sized plan (`scale-sweep`).
 //! * `--self-test [NAME]`: every `SELF_TESTS` row (or one): each planted
-//!   bug must trip its invariant (with a flight dump) or move its
-//!   counter. Exit 0 means every checker proved it can fail.
+//!   bug — in what runs or in a recorded log — must trip its invariant
+//!   with a flight dump. Exit 0 means every checker proved it can fail.
 //! * `--compare`: lazy vs proactive on the same generated seeds, plus the
 //!   degraded-window probe (kill → detect → compute gap → next epoch).
 //! * `--explore`: the failure-during-recache row under explored schedules
@@ -32,7 +32,7 @@
 
 use ft_cache::chaos::{
     run_campaign_on, run_degraded_window_probe_on, scenario, CampaignOptions, CampaignReport,
-    ChaosPlan, Expect, RecoveryMode, SelfCheck, FAILURE_DURING_RECACHE, SCENARIOS, SELF_TESTS,
+    ChaosPlan, RecoveryMode, FAILURE_DURING_RECACHE, SCENARIOS, SELF_TESTS,
 };
 use ft_cache::fleet::Args;
 use ft_cache::modelcheck::{check_linz_campaigns, explore_campaign, ExploreStrategy};
@@ -94,9 +94,9 @@ fn print_percentiles(label: &str, samples: &[Duration]) {
 
 /// One wall-clock campaign; prints the verdict (and the dump on failure).
 fn wall_campaign(policy: FtPolicy, plan: &ChaosPlan, opts: CampaignOptions) -> CampaignReport {
-    let report = run_campaign_on(policy, plan, opts, ClockHandle::wall()).report;
+    let report = run_campaign_on(policy, plan, opts, ClockHandle::wall());
     println!("  {report}");
-    if let Some(dump) = &report.flight_dump {
+    if let Some(dump) = report.flight_dump() {
         println!("{dump}");
     }
     report
@@ -158,15 +158,12 @@ fn run_scenario(args: &Args, name: &str, seed: u64) -> bool {
         None => usage(&format!("scenario {name} has a fixed size")),
     };
     println!("seed={} plan: {}", plan.seed, plan.summary());
-    let report = row
-        .clock
-        .run(|c| run_campaign_on(row.policy, &plan, row.opts, c))
-        .report;
+    let report = row.run(&plan, row.opts);
     print!("{}", report.render());
-    if let Some(dump) = &report.flight_dump {
+    if let Some(dump) = report.flight_dump() {
         eprintln!("{dump}");
     }
-    let extra = row.expect.map(|c| Expect::Moves(c).judge(&report));
+    let extra = row.expect.map(|c| c.judge(&report));
     if let Some(Err(e)) = &extra {
         eprintln!("FAIL: {e}");
     }
@@ -187,26 +184,7 @@ fn self_test(which: &str, seed: u64) -> bool {
     ));
     let mut failed = 0;
     for t in rows {
-        let verdict = match t.check {
-            SelfCheck::Campaign {
-                scenario: row,
-                sabotage,
-                expect,
-            } => {
-                let plan = row.default_plan(seed);
-                let opts = CampaignOptions {
-                    sabotage: Some(sabotage),
-                    ..row.opts
-                };
-                let report = row
-                    .clock
-                    .run(|c| run_campaign_on(row.policy, &plan, opts, c))
-                    .report;
-                expect.judge(&report)
-            }
-            SelfCheck::Checker(run) => run(seed),
-        };
-        match verdict {
+        match t.run(seed) {
             Ok(evidence) => println!("{} OK: {evidence}", t.name),
             Err(e) => {
                 failed += 1;
@@ -231,8 +209,8 @@ impl ModeAgg {
     fn absorb(&mut self, report: &CampaignReport) {
         self.recovery.extend(report.recovery_latencies());
         self.quiesce.extend(report.quiesce_latencies());
-        self.warm_p99.extend(report.warm_read_p99);
-        self.fault_p99.extend(report.faulted_read_p99);
+        self.warm_p99.extend(report.log.warm_read_p99());
+        self.fault_p99.extend(report.log.faulted_read_p99());
         self.failures += u64::from(!report.passed());
     }
 

@@ -10,7 +10,7 @@
 //! verifies the detector flags it (exit codes invert accordingly, so both
 //! modes are CI-able). Unknown options and unparseable values exit 2.
 
-use ft_cache::chaos::{run_campaign_on, Campaign, CampaignOptions, ChaosPlan};
+use ft_cache::chaos::{run_campaign_on, CampaignOptions, ChaosPlan};
 use ft_cache::time::ClockHandle;
 use ftc_analysis::{check_trace, forge_stale_epoch_read, RaceKind};
 use ftc_bench::{header, Cli};
@@ -46,12 +46,11 @@ fn main() {
             trace: true,
             ..CampaignOptions::PLAIN
         };
-        let Campaign { report, trace, .. } =
-            run_campaign_on(FtPolicy::RingRecache, &plan, opts, ClockHandle::wall());
+        let mut report = run_campaign_on(FtPolicy::RingRecache, &plan, opts, ClockHandle::wall());
         if !report.passed() {
             campaign_failures += 1;
         }
-        let Some(mut log) = trace else {
+        let Some(mut log) = report.log.trace.take() else {
             println!("seed={seed} -> no trace (boot failure?)");
             campaign_failures += 1;
             continue;

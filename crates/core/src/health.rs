@@ -205,15 +205,13 @@ static HEALTHY: Entry = Entry {
 };
 
 /// The client settings transitions depend on: PFS-redirect's static
-/// placement keeps a declared owner's keys (`redirect`); the self-test
-/// sabotage counts a shed as a timeout (`shed_counts`); suspects go to a
+/// placement keeps a declared owner's keys (`redirect`); suspects go to a
 /// recovery engine (`settles`).
 #[derive(Debug, Clone, Copy, Default)]
 struct Rules {
     detector: DetectorConfig,
     armored: bool,
     redirect: bool,
-    shed_counts: bool,
     settles: bool,
 }
 
@@ -244,7 +242,6 @@ impl Entry {
                 self.unsettle();
             }
             Event::Unsettled => self.unsettle(),
-            Event::Shed if r.shed_counts => _ = self.count(r, now),
             Event::Shed => self.answer(),
             Event::Strike if r.armored => self.trip(now),
             Event::Reply => {
@@ -356,7 +353,6 @@ impl NodeHealth {
             detector: config.detector,
             armored: config.overload.armored,
             redirect: config.policy == FtPolicy::PfsRedirect,
-            shed_counts: config.overload.shed_counts_as_failure,
             settles: false,
         };
         NodeHealth {

@@ -324,13 +324,6 @@ pub struct OverloadConfig {
     pub armored: bool,
     /// Retry token-budget tuning.
     pub budget: BudgetConfig,
-    /// Self-test sabotage: misclassify `Overloaded` replies as failure
-    /// evidence for the detector — exactly the bug the typed shed reply
-    /// exists to prevent, so the chaos harness can prove its
-    /// shedding-node-declared-dead invariant actually fires. Never set
-    /// outside `--sabotage-shed`.
-    #[serde(default)]
-    pub shed_counts_as_failure: bool,
 }
 
 impl OverloadConfig {
@@ -527,7 +520,6 @@ mod tests {
                 capacity: 0.0,
                 refill_per_sec: 0.0,
             },
-            shed_counts_as_failure: false,
         };
         let armor = Armor::new(disarmed, ClockHandle::wall());
         for _ in 0..8 {

@@ -2,15 +2,17 @@
 //!
 //! A campaign boots a real threaded [`Cluster`], applies a [`ChaosPlan`]
 //! — kills, revives, flaky links, asymmetric partitions, degraded-but-
-//! alive nodes — between read passes, and checks the [`Invariant`]s:
-//! read integrity against the PFS ground truth, recache economy (at most
-//! one server PFS fetch per file whose owner was hit), liveness, no false
+//! alive nodes — between read passes, and records what happened in one
+//! [`CampaignLog`]. The driver judges nothing. [`check`], a pure function
+//! of the plan, the options and the log, judges the [`Invariant`]s: read
+//! integrity against the PFS ground truth, recache economy (at most one
+//! server PFS fetch per file whose owner was hit), liveness, no false
 //! failure declarations, and — as the options arm them — recovery,
 //! overload and single-flight invariants. Every failure is a typed
 //! [`Violation`]; when any fires the report embeds a flight-recorder dump.
 //!
-//! [`run_campaign_on`] is the one entry point; the caller picks the clock
-//! (`ClockHandle::wall()`, [`ftc_time::with_virtual`], or
+//! [`run_campaign_on`] records and judges one campaign; the caller picks
+//! the clock (`ClockHandle::wall()`, [`ftc_time::with_virtual`], or
 //! [`ftc_time::with_virtual_sched`] for the schedule explorer). A plan is
 //! a pure function of its seed, so verdicts replay; on the virtual clock
 //! latencies are simulated too and the whole [`CampaignReport::render`]
@@ -19,20 +21,25 @@
 //!
 //! Named campaigns are data: [`SCENARIOS`] holds one row per scenario
 //! (plan, policy, options, clock, extra expectation) and [`SELF_TESTS`]
-//! one row per sabotage self-test (what it runs and the [`Invariant`] it
-//! must trip or the counter it must move). The `chaos` binary reads both.
+//! one row per self-test: a [`Sabotage`] that changes what runs, a
+//! mutation of a scenario's recorded log, or a model-checker self-test,
+//! each with the [`Invariant`] it must trip. The `chaos` binary reads
+//! both.
 
-use ftc_core::client::late_bound;
+mod invariants;
+
 use ftc_core::{Cluster, ClusterConfig, CoreError, FtPolicy, HvacClient, ReadError};
 use ftc_hashring::NodeId;
-use ftc_net::{OpRecord, TraceRecord};
-use ftc_sim::{FaultEvent, FaultPlan, SimCalibration, SimCluster, SimWorkload};
+use ftc_net::fnv1a;
+use ftc_sim::{FaultEvent, FaultPlan};
 use ftc_storage::{synth_bytes, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
-use std::collections::{HashMap, HashSet};
+pub use invariants::{
+    check, economy_budget, CampaignLog, Fired, Invariant, LoadRun, Phase, Read, Violation,
+};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 /// One fault action in a campaign schedule.
@@ -74,6 +81,20 @@ pub enum ChaosAction {
         /// Added one-way latency (below the detector TTL).
         extra: Duration,
     },
+}
+
+impl ChaosAction {
+    /// The node the action names; for `KillSuccessorOf`, the dead node
+    /// whose range the victim inherited.
+    pub fn node(self) -> Option<NodeId> {
+        use ChaosAction::*;
+        match self {
+            Kill(n) | KillSuccessorOf(n) | Revive(n) | ClearFlaky(n) => Some(n),
+            PartitionToNode(n) | PartitionFromNode(n) => Some(n),
+            Flaky { node, .. } | Degrade { node, .. } => Some(node),
+            HealAll => None,
+        }
+    }
 }
 
 /// A fault action scheduled before a given read pass.
@@ -423,18 +444,14 @@ pub enum Load {
     DupStorm,
 }
 
-/// A deliberately planted bug, so a self-test can prove an invariant (or
-/// a suppressor) actually fires.
+/// A deliberately planted bug that changes what a campaign runs, so a
+/// self-test can prove an invariant fires. A bug a recorded log can show
+/// is planted as a log mutation instead ([`SelfCheck::Mutant`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sabotage {
-    /// Zero the recache-economy budget.
-    Economy,
     /// Starve the recovery engine's token bucket (rate 0, burst 0); needs
     /// an engine, i.e. a non-lazy [`RecoveryMode`].
     StarvedRecovery,
-    /// Count typed `Overloaded` replies as detector evidence — the bug
-    /// the typed shed exists to prevent; needs [`Load::Surge`].
-    MisclassifiedShed,
     /// Run a non-lazy [`RecoveryMode`] without its recovery engine, yet
     /// hold the reader to the engine's silent-stall bound: every read on
     /// a suspect owner then pays its own TTL.
@@ -479,173 +496,53 @@ impl Default for CampaignOptions {
     }
 }
 
-/// What a [`Violation`] broke. Each variant's [`Invariant::name`] is the
-/// prefix of its rendered violations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Invariant {
-    /// The cluster or the client's recovery engine failed to start.
-    Boot,
-    /// Every completed read returns ground-truth bytes (a `NoFt` abort on
-    /// a lossy fault is specified behaviour, not a violation).
-    Integrity,
-    /// No read exceeds the retry deadline budget plus bounded slack.
-    Liveness,
-    /// Post-warm server PFS fetches stay within one per file whose owner
-    /// a lossy or membership event hit (`RingRecache` only).
-    RecacheEconomy,
-    /// A degraded-but-alive node is never declared failed.
-    FalsePositive,
-    /// After recovery quiesces every key serves ground truth.
-    StaleServe,
-    /// The recovery engine drains within [`QUIESCE_DEADLINE`].
-    RecoveryQuiescence,
-    /// Faulted-pass read p99 stays within `max(10 × warm p99, 300 ms)`.
-    Starvation,
-    /// A revived node rejoins.
-    Revive,
-    /// Duplicate-storm reads return ground truth, resolve exactly once,
-    /// and engage the coalescer.
-    Singleflight,
-    /// The surge's readers spawn and finish.
-    Surge,
-    /// At least [`GOODPUT_FLOOR_PCT`] % of surge reads complete.
-    Goodput,
-    /// The surge sheds, and the client never observes more typed sheds
-    /// than the servers issued.
-    ShedAccounting,
-    /// A shedding-but-alive node is never declared failed.
-    ShedFalsePositive,
-    /// The DES mirror of the kill schedule agrees on survival.
-    SimMirror,
-    /// With a recovery engine, the pass reader spends at most the late
-    /// bound (a quarter of a TTL) plus the retry backoff cap in reads placed
-    /// on a killed node, per kill: its first call goes late and the engine
-    /// gathers the evidence (virtual campaigns).
-    SilentStall,
-}
-
-impl Invariant {
-    /// The stable name every rendered violation of this invariant starts
-    /// with.
-    pub fn name(self) -> &'static str {
-        match self {
-            Invariant::Boot => "boot",
-            Invariant::Integrity => "integrity",
-            Invariant::Liveness => "liveness",
-            Invariant::RecacheEconomy => "recache economy",
-            Invariant::FalsePositive => "false positive",
-            Invariant::StaleServe => "stale serve",
-            Invariant::RecoveryQuiescence => "recovery quiescence",
-            Invariant::Starvation => "starvation",
-            Invariant::Revive => "revive",
-            Invariant::Singleflight => "singleflight",
-            Invariant::Surge => "surge",
-            Invariant::Goodput => "goodput",
-            Invariant::ShedAccounting => "shed accounting",
-            Invariant::ShedFalsePositive => "shed false positive",
-            Invariant::SimMirror => "sim mirror",
-            Invariant::SilentStall => "silent stall",
-        }
-    }
-}
-
-/// One broken invariant, with what was observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Which invariant broke.
-    pub invariant: Invariant,
-    /// What the campaign observed.
-    pub detail: String,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.invariant.name(), self.detail)
-    }
-}
-
-/// Result of running one campaign.
+/// Result of running one campaign: its log, judged.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// The plan's seed.
     pub seed: u64,
     /// Policy exercised.
     pub policy: FtPolicy,
-    /// Reads attempted (warm pass included).
-    pub reads_attempted: u64,
-    /// True when a `NoFt` campaign aborted on a lossy fault (expected).
-    pub aborted: bool,
+    /// The options it ran with.
+    pub opts: CampaignOptions,
+    /// What the campaign recorded.
+    pub log: CampaignLog,
     /// Invariant violations; empty means the campaign passed.
     pub violations: Vec<Violation>,
-    /// Degraded-window incidents stamped during the campaign, one per
-    /// kill (plus any client-observed failures the injector never
-    /// announced). Each carries kill → declare → first-recached-hit
-    /// offsets, so per-kill detection and recovery latencies fall out.
-    pub incidents: Vec<ftc_obs::Incident>,
-    /// Flight-recorder dump captured at campaign end when any invariant
-    /// fired — the last ~1k fabric/client events leading up to the
-    /// violation. `None` for passing campaigns.
-    pub flight_dump: Option<String>,
-    /// How the campaign recovered lost keys.
-    pub recovery_mode: RecoveryMode,
-    /// Recovery-engine counters at campaign end (non-lazy only).
-    pub recovery: Option<ftc_core::RecoveryStatsSnapshot>,
-    /// Nearest-rank p99 of warm-pass (pre-fault) read latency.
-    pub warm_read_p99: Option<Duration>,
-    /// Nearest-rank p99 of read latency across the faulted passes.
-    pub faulted_read_p99: Option<Duration>,
-    /// Overload-armor counters ([`Load::Surge`] only).
-    pub overload: Option<OverloadStats>,
-    /// [`diagnose`]'s line for the campaign client, taken at its end.
-    pub diagnosis: String,
-}
-
-/// Overload-armor counters harvested at campaign end, present only when
-/// [`Load::Surge`] armed the pipeline. Surge reads are tracked here,
-/// separate from [`CampaignReport::reads_attempted`] (the sequential pass
-/// reads).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverloadStats {
-    /// Open-loop surge reads issued.
-    pub surge_reads: u64,
-    /// Surge reads that completed with ground-truth bytes.
-    pub surge_ok: u64,
-    /// Server-side sheds because the node was full.
-    pub shed_capacity: u64,
-    /// Server-side sheds because the deadline was already hopeless.
-    pub shed_deadline: u64,
-    /// Typed `Overloaded` replies the client observed.
-    pub observed: u64,
-    /// Reads degraded to the direct PFS path by a shed or open breaker.
-    pub shed_pfs_fallbacks: u64,
-    /// Hedged reads launched (primary past its p99 delay).
-    pub hedges_launched: u64,
-    /// Hedges whose second-owner read supplied the answer.
-    pub hedges_won: u64,
-    /// Reads short-circuited by an open circuit breaker (no RPC sent).
-    pub breaker_short_circuits: u64,
-    /// Retries denied by the token budget.
-    pub budget_denied: u64,
 }
 
 impl CampaignReport {
-    /// A report with nothing run yet.
-    fn blank(seed: u64, policy: FtPolicy, recovery_mode: RecoveryMode) -> Self {
+    /// Judge `log`, recorded by a campaign of `plan` under `policy` and
+    /// `opts`, with [`check`].
+    pub fn judge(
+        plan: &ChaosPlan,
+        policy: FtPolicy,
+        opts: CampaignOptions,
+        log: CampaignLog,
+    ) -> Self {
+        let violations = check(plan, policy, &opts, &log);
+        let seed = plan.seed;
         CampaignReport {
             seed,
             policy,
-            reads_attempted: 0,
-            aborted: false,
-            violations: Vec::new(),
-            incidents: Vec::new(),
-            flight_dump: None,
-            recovery_mode,
-            recovery: None,
-            warm_read_p99: None,
-            faulted_read_p99: None,
-            overload: None,
-            diagnosis: String::new(),
+            opts,
+            log,
+            violations,
         }
+    }
+
+    /// The flight recorder's last ~1k fabric/client events at campaign
+    /// end, exactly when an invariant fired.
+    pub fn flight_dump(&self) -> Option<String> {
+        let n = self.violations.len();
+        let hub = self.log.obs.as_ref();
+        let events = || hub.map_or_else(String::new, |hub| hub.flight.dump());
+        (n > 0).then(|| {
+            format!(
+                "chaos: {n} violation(s); flight recorder at the end:\n{}",
+                events()
+            )
+        })
     }
 
     /// Did every invariant hold?
@@ -656,8 +553,8 @@ impl CampaignReport {
     /// Per-kill detection latencies (kill → declare) observed this
     /// campaign, in incident order.
     pub fn detection_latencies(&self) -> Vec<Duration> {
-        self.incidents
-            .iter()
+        let incidents = self.log.incidents.iter();
+        incidents
             .filter_map(ftc_obs::Incident::detection_latency)
             .collect()
     }
@@ -665,8 +562,8 @@ impl CampaignReport {
     /// Per-kill recovery latencies (kill → first recached hit) observed
     /// this campaign, in incident order.
     pub fn recovery_latencies(&self) -> Vec<Duration> {
-        self.incidents
-            .iter()
+        let incidents = self.log.incidents.iter();
+        incidents
             .filter_map(ftc_obs::Incident::recovery_latency)
             .collect()
     }
@@ -674,30 +571,31 @@ impl CampaignReport {
     /// Per-kill quiesce latencies (kill → recovery engine finished the
     /// node's recache job), in incident order. Empty under `Lazy`.
     pub fn quiesce_latencies(&self) -> Vec<Duration> {
-        self.incidents
-            .iter()
+        let incidents = self.log.incidents.iter();
+        incidents
             .filter_map(ftc_obs::Incident::quiesce_latency)
             .collect()
     }
 
     /// Full rendering for replay diffing: the verdict line, read/abort
-    /// counters, per-kill window latencies, quiesce latencies, read p99s
-    /// and recovery-engine counters. In wall-clock campaigns the latency
-    /// lines vary run to run; on the virtual clock the whole string is a
-    /// pure function of the seed, so CI replays a seed twice and diffs
-    /// this byte-for-byte.
+    /// counters, per-kill window latencies, quiesce latencies, read p99s,
+    /// overload counters and recovery-engine counters. In wall-clock
+    /// campaigns the latency lines vary run to run; on the virtual clock
+    /// the whole string is a pure function of the seed, so CI replays a
+    /// seed twice and diffs this byte-for-byte.
     pub fn render(&self) -> String {
         use fmt::Write as _;
         let ms = |d: Duration| format!("{:.3}ms", d.as_secs_f64() * 1e3);
         let opt_ms = |d: Option<Duration>| d.map_or_else(|| "-".to_owned(), ms);
+        let log = &self.log;
         let mut out = String::new();
         let _ = writeln!(out, "{self}");
         let _ = writeln!(
             out,
             "reads_attempted={} aborted={} incidents={}",
-            self.reads_attempted,
-            self.aborted,
-            self.incidents.len()
+            log.reads_attempted(),
+            log.aborted,
+            log.incidents.len()
         );
         for line in self.latency_summary() {
             let _ = writeln!(out, "window: {line}");
@@ -708,27 +606,26 @@ impl CampaignReport {
         let _ = writeln!(
             out,
             "warm_p99={} faulted_p99={}",
-            opt_ms(self.warm_read_p99),
-            opt_ms(self.faulted_read_p99)
+            opt_ms(log.warm_read_p99()),
+            opt_ms(log.faulted_read_p99())
         );
-        if let Some(o) = &self.overload {
+        if overload_on(self.policy, &self.opts) {
+            let (capacity, deadline) = log.shed_totals();
+            let (e, surge) = (&log.end, log.load(Phase::Surge).map_or(0, |l| l.issued));
             let _ = writeln!(
                 out,
-                "overload: surge={}/{} sheds={}+{} observed={} fallbacks={} hedges={}/{} \
-                 breaker={} budget_denied={}",
-                o.surge_ok,
-                o.surge_reads,
-                o.shed_capacity,
-                o.shed_deadline,
-                o.observed,
-                o.shed_pfs_fallbacks,
-                o.hedges_won,
-                o.hedges_launched,
-                o.breaker_short_circuits,
-                o.budget_denied
+                "overload: surge={}/{surge} sheds={capacity}+{deadline} observed={} fallbacks={} \
+                 hedges={}/{} breaker={} budget_denied={}",
+                log.truthful(Phase::Surge),
+                e.overloaded_observed,
+                e.shed_pfs_fallbacks,
+                e.hedges_won,
+                e.hedges_launched,
+                e.breaker_short_circuits,
+                e.budget_denied
             );
         }
-        if let Some(rs) = &self.recovery {
+        if let Some(rs) = &log.recovery {
             let _ = writeln!(
                 out,
                 "recovery: started={} quiesced={} pushed={} throttled={} skipped={} \
@@ -755,7 +652,8 @@ impl CampaignReport {
     /// Kept out of [`fmt::Display`] so the verdict line stays a pure
     /// function of the seed; latencies are wall-clock measurements.
     pub fn latency_summary(&self) -> Vec<String> {
-        self.incidents
+        self.log
+            .incidents
             .iter()
             .filter(|i| i.stamp(ftc_obs::Phase::Kill).is_some())
             .map(|i| {
@@ -781,7 +679,7 @@ impl fmt::Display for CampaignReport {
             "seed={} policy={:?} recovery={} -> {}",
             self.seed,
             self.policy,
-            self.recovery_mode,
+            self.opts.recovery,
             if self.passed() { "PASS" } else { "FAIL" }
         )?;
         for v in &self.violations {
@@ -790,27 +688,6 @@ impl fmt::Display for CampaignReport {
         Ok(())
     }
 }
-
-/// Everything one campaign produced.
-#[derive(Debug)]
-pub struct Campaign {
-    /// Verdict, counters and latencies.
-    pub report: CampaignReport,
-    /// The fabric's vector-clock trace ([`CampaignOptions::trace`]).
-    pub trace: Option<Vec<TraceRecord>>,
-    /// The per-key op history ([`CampaignOptions::history`]).
-    pub history: Option<Vec<OpRecord>>,
-}
-
-/// Wall-clock slack allowed on top of the retry deadline budget before a
-/// read counts as livelocked (scheduler noise, final TTL, PFS read).
-const LIVELOCK_SLACK: Duration = Duration::from_secs(2);
-
-/// Floor for the foreground-starvation bound: recovery-era read p99 may
-/// not exceed `max(10 × warm p99, this)`. The floor absorbs detection
-/// stalls (a couple of TTLs plus retry backoff) that dominate when the
-/// warm p99 is microseconds.
-const STARVATION_FLOOR: Duration = Duration::from_millis(300);
 
 /// How long a campaign (or the probe) waits for the recovery engine to
 /// quiesce before the quiescence invariant fires.
@@ -824,12 +701,6 @@ pub const SURGE_PASS: u32 = 1;
 /// read every path in the same order, convoying on one owner at a time so
 /// the tight admission capacity actually sheds.
 const SURGE_READERS: usize = 6;
-
-/// Goodput floor (percent): the fraction of surge reads that must
-/// complete with ground-truth bytes. The armor degrades shed reads to the
-/// PFS instead of failing them, so an armored cluster holds 100%; any
-/// read the surge loses outright is a real bug.
-const GOODPUT_FLOOR_PCT: u64 = 99;
 
 /// Concurrent duplicate readers in the single-flight storm
 /// ([`Load::DupStorm`]). They share one client and read the doomed keys
@@ -854,6 +725,12 @@ fn campaign_cluster(nodes: u32, policy: FtPolicy, seed: u64) -> ClusterConfig {
     cfg.ft.retry.deadline_budget = Duration::from_secs(2);
     cfg.seed = seed;
     cfg
+}
+
+/// Whether `opts` arm the overload pipeline under `policy`: a surge, and
+/// a fallback to degrade shed reads to.
+fn overload_on(policy: FtPolicy, opts: &CampaignOptions) -> bool {
+    opts.load == Load::Surge && policy != FtPolicy::NoFt
 }
 
 /// The observing client (rank 0) for `opts.recovery`: plain, or with a
@@ -889,82 +766,149 @@ fn campaign_client(
     Ok(c)
 }
 
+/// Read `key` through `client`, timed on `clock`: the record of the read
+/// under `phase`, and its result.
+fn timed_read(
+    clock: &ClockHandle,
+    client: &HvacClient,
+    phase: Phase,
+    key: &str,
+    truth: u64,
+) -> (Read, Result<ValueBuf, ReadError>) {
+    let owner = client.owner_of(key);
+    let t0 = clock.now();
+    let result = client.read(key);
+    let took = clock.since(t0);
+    let got = result
+        .as_ref()
+        .map(|b| fnv1a(b))
+        .map_err(ToString::to_string);
+    let key = key.to_owned();
+    let read = Read {
+        phase,
+        key,
+        owner,
+        got,
+        truth,
+        took,
+    };
+    (read, result)
+}
+
 /// Foreground load beside the sequential passes: tasks named
-/// `{name}-{r}` sharing one client, each reading `keys` in order `rounds`
-/// times, counting the reads that returned ground truth.
+/// `{name}-{r}` sharing one client, each reading `keys` (path, truth
+/// digest) in order `rounds` times and recording every read.
 struct Readers {
     tasks: Vec<ftc_time::TaskHandle>,
-    reads: u64,
-    ok: Arc<AtomicU64>,
+    reads: Arc<Mutex<Vec<Read>>>,
+    run: LoadRun,
 }
 
 impl Readers {
-    /// Spawn `count` tasks; one that fails to spawn comes back as its
-    /// index and error.
     fn spawn(
         clock: &ClockHandle,
         client: &Arc<HvacClient>,
-        (name, count, rounds): (&str, usize, usize),
-        keys: Vec<(String, ValueBuf)>,
-    ) -> (Self, Vec<(usize, std::io::Error)>) {
+        (phase, name, count, rounds): (Phase, &str, usize, usize),
+        keys: Vec<(String, u64)>,
+    ) -> Self {
         let keys = Arc::new(keys);
-        let ok = Arc::new(AtomicU64::new(0));
-        let (mut tasks, mut failed) = (Vec::with_capacity(count), Vec::new());
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        let before = client.metrics().snapshot();
+        let (mut tasks, mut spawn_failures) = (Vec::with_capacity(count), Vec::new());
         for r in 0..count {
-            let (client, keys, ok) = (Arc::clone(client), Arc::clone(&keys), Arc::clone(&ok));
-            let spawned = clock.spawn(&format!("{name}-{r}"), move || {
+            let (clock, client) = (clock.clone(), Arc::clone(client));
+            let (keys, reads) = (Arc::clone(&keys), Arc::clone(&reads));
+            let spawned = clock.clone().spawn(&format!("{name}-{r}"), move || {
                 for _ in 0..rounds {
-                    for (p, want) in keys.iter() {
-                        if matches!(client.read(p), Ok(bytes) if bytes == *want) {
-                            // ordering: Relaxed — per-task tally, read
-                            // only after every task is joined.
-                            ok.fetch_add(1, Ordering::Relaxed);
-                        }
+                    for (key, truth) in keys.iter() {
+                        let (read, _) = timed_read(&clock, &client, phase, key, *truth);
+                        // A push leaves the list whole, so a poisoned
+                        // lock still holds every read recorded before.
+                        reads
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push(read);
                     }
                 }
             });
             match spawned {
                 Ok(h) => tasks.push(h),
-                Err(e) => failed.push((r, e)),
+                Err(e) => spawn_failures.push((r, e.to_string())),
             }
         }
-        let reads = (tasks.len() * keys.len() * rounds) as u64;
-        (Readers { tasks, reads, ok }, failed)
+        let run = LoadRun {
+            phase,
+            keys: keys.len() as u64,
+            issued: (tasks.len() * keys.len() * rounds) as u64,
+            spawn_failures,
+            panicked: false,
+            before,
+            after: before,
+        };
+        Readers { tasks, reads, run }
     }
 
-    /// Join every task: reads issued, reads that returned ground truth,
-    /// and whether any task panicked.
-    fn join(self) -> (u64, u64, bool) {
-        let mut panicked = false;
-        for h in self.tasks {
-            // Join every task, even after a panic: none may outlive the
-            // campaign.
-            panicked |= h.join().is_err();
+    /// Join every task, even after a panic: none may outlive the
+    /// campaign. The run and its reads go into `log`.
+    fn join(self, client: &HvacClient, log: &mut CampaignLog) {
+        let Readers {
+            tasks,
+            reads,
+            mut run,
+        } = self;
+        for h in tasks {
+            run.panicked |= h.join().is_err();
         }
-        // ordering: Relaxed — every task is joined; the tally is final.
-        (self.reads, self.ok.load(Ordering::Relaxed), panicked)
+        run.after = client.metrics().snapshot();
+        log.reads
+            .append(&mut reads.lock().unwrap_or_else(PoisonError::into_inner));
+        log.loads.push(run);
     }
 }
 
-/// Run one campaign of `plan` under `policy` on `clock`: the cluster, its
-/// delivery tasks, the client's retry/backoff/detector and the recovery
-/// engine all share the clock, so the campaign runs identically on wall
-/// or virtual time.
+/// Run one campaign of `plan` under `policy` on `clock` and judge its
+/// log: the cluster, its delivery tasks, the client's retry/backoff/
+/// detector and the recovery engine all share the clock, so the campaign
+/// runs identically on wall or virtual time.
 pub fn run_campaign_on(
     policy: FtPolicy,
     plan: &ChaosPlan,
     opts: CampaignOptions,
     clock: ClockHandle,
-) -> Campaign {
-    use Invariant::*;
+) -> CampaignReport {
+    match record(policy, plan, &opts, clock) {
+        Ok(log) => CampaignReport::judge(plan, policy, opts, log),
+        // A cluster that cannot boot is a failed campaign, not a panic:
+        // record it so sweeps keep their exit-code contract.
+        Err(detail) => CampaignReport {
+            seed: plan.seed,
+            policy,
+            opts,
+            log: CampaignLog::default(),
+            violations: vec![Violation {
+                invariant: Invariant::Boot,
+                detail,
+            }],
+        },
+    }
+}
+
+/// The driver: run one campaign and record its [`CampaignLog`], judging
+/// nothing. A cluster or recovery engine that fails to start comes back
+/// as the boot violation's detail.
+fn record(
+    policy: FtPolicy,
+    plan: &ChaosPlan,
+    opts: &CampaignOptions,
+    clock: ClockHandle,
+) -> Result<CampaignLog, String> {
     let mut cfg = campaign_cluster(plan.nodes, policy, plan.seed);
     if let Some(rf) = opts.replication {
         cfg.ft.replication = rf;
     }
     // Everything stays at the disarmed defaults unless a load asks for
     // it, so unloaded campaigns are byte-identical to pre-armor ones.
-    let overload_on = opts.load == Load::Surge && policy != FtPolicy::NoFt;
-    if overload_on {
+    if overload_on(policy, opts) {
         // A deliberately tight admission capacity, so the convoying surge
         // actually sheds, plus the full client armor.
         cfg.admission = ftc_core::AdmissionConfig {
@@ -972,7 +916,6 @@ pub fn run_campaign_on(
             ..ftc_core::AdmissionConfig::armored(CAMPAIGN_TTL)
         };
         cfg.ft.overload = ftc_core::OverloadConfig::armored();
-        cfg.ft.overload.shed_counts_as_failure = opts.sabotage == Some(Sabotage::MisclassifiedShed);
         // The surge readers convoy on one key at a time — exactly the
         // duplicate storm single-flight absorbs. The armor must be
         // exercised by real duplicate load, not rescued upstream of it.
@@ -980,23 +923,8 @@ pub fn run_campaign_on(
     }
     let storm_on = opts.load == Load::DupStorm && policy != FtPolicy::NoFt;
 
-    // A cluster that cannot boot is a failed campaign, not a panic:
-    // record it so sweeps keep their exit-code contract.
-    let boot_failed = |detail: String| Campaign {
-        report: CampaignReport {
-            violations: vec![Violation {
-                invariant: Boot,
-                detail,
-            }],
-            ..CampaignReport::blank(plan.seed, policy, opts.recovery)
-        },
-        trace: None,
-        history: None,
-    };
-    let cluster = match Cluster::start_with_clock(cfg.clone(), clock.clone()) {
-        Ok(c) => c,
-        Err(e) => return boot_failed(format!("cluster failed to start: {e}")),
-    };
+    let cluster = Cluster::start_with_clock(cfg, clock.clone())
+        .map_err(|e| format!("cluster failed to start: {e}"))?;
     if opts.trace {
         cluster.network().enable_tracing();
     }
@@ -1004,70 +932,49 @@ pub fn run_campaign_on(
         cluster.network().enable_history();
     }
     let paths = cluster.stage_dataset("train", plan.files, plan.file_size);
-    let truth: Vec<ValueBuf> = paths
-        .iter()
-        .map(|p| synth_bytes(p, plan.file_size))
+    let truth: Vec<u64> = (paths.iter())
+        .map(|p| fnv1a(&synth_bytes(p, plan.file_size)))
         .collect();
     // Staging is the initial write of each register for the
     // linearizability spec.
     if let Some(h) = cluster.network().history() {
-        for (p, bytes) in paths.iter().zip(&truth) {
-            h.seed_write(p, ftc_net::fnv1a(bytes));
+        for (p, &digest) in paths.iter().zip(&truth) {
+            h.seed_write(p, digest);
         }
     }
-    let client = match campaign_client(&cluster, &opts) {
+    let client = match campaign_client(&cluster, opts) {
         Ok(c) => c,
         Err(e) => {
             cluster.shutdown();
-            return boot_failed(format!("recovery engine failed: {e}"));
+            return Err(format!("recovery engine failed: {e}"));
         }
     };
+    let mut log = CampaignLog {
+        virtual_clock: clock.is_virtual(),
+        ..CampaignLog::default()
+    };
+    let start = clock.now();
 
-    let mut violations = Vec::new();
-    // Record a violation of `$inv`; the rest formats the detail.
-    macro_rules! fire {
-        ($inv:ident, $($detail:tt)+) => {
-            violations.push(Violation {
-                invariant: $inv,
-                detail: format!($($detail)+),
-            })
-        };
-    }
-    let mut reads_attempted = 0u64;
-    let mut aborted = false;
-    let mut surge_issued = 0u64;
-    let mut surge_ok = 0u64;
-    let mut storm_keys = 0u64;
-
-    // Warm pass: healthy cluster, every read must verify.
-    let mut warm_lats: Vec<Duration> = Vec::with_capacity(paths.len());
-    let mut fault_lats: Vec<Duration> = Vec::new();
-    for (i, p) in paths.iter().enumerate() {
-        reads_attempted += 1;
-        let t0 = clock.now();
-        let result = client.read(p);
-        warm_lats.push(clock.since(t0));
-        match result {
-            Ok(bytes) if bytes == truth[i] => {}
-            Ok(_) => fire!(Integrity, "warm read of {p} corrupted"),
-            Err(e) => fire!(Integrity, "warm read of {p} failed: {e}"),
-        }
+    // Warm pass: the healthy cluster.
+    for (p, &t) in paths.iter().zip(&truth) {
+        log.reads
+            .push(timed_read(&clock, &client, Phase::Warm, p, t).0);
     }
     // A warm read that went late on a stalled host (wall clock) was served
     // from the PFS and parked its bytes as a hint for the owner: let the
     // engine settle that false alarm and deliver them, so the faults meet
     // the caches the warm pass filled. A no-op on the virtual clock.
-    if let Some(engine) = client.recovery() {
-        if !engine.wait_quiesced(QUIESCE_DEADLINE) {
-            fire!(
-                RecoveryQuiescence,
-                "engine still busy {QUIESCE_DEADLINE:?} after the warm pass \
-                 ({} hints parked)",
-                engine.hints_pending()
-            );
+    log.warm_quiesce = client.recovery().map(|engine| {
+        let done = engine.wait_quiesced(QUIESCE_DEADLINE);
+        (done, engine.hints_pending() as u64)
+    });
+    log.warm = client.metrics().snapshot();
+    // With an engine, a verdict lands off the read path: wait for it.
+    let settle = || {
+        if let Some(engine) = client.recovery() {
+            let _ = engine.wait_settled(QUIESCE_DEADLINE);
         }
-    }
-    let warm = client.metrics().snapshot();
+    };
     // Ownership at the healthy-ring baseline: `KillSuccessorOf` resolves
     // against it. Whoever the ring now routes n's first baseline key to
     // inherited n's range; until the client declares n dead that is n
@@ -1081,27 +988,13 @@ pub fn run_campaign_on(
             .and_then(|(p, _)| client.owner_of(p))
             .filter(|&t| t != n)
     };
-
-    // Recache budget: one fetch per file whose owner was hit by a
-    // membership-affecting event, counted at event time.
-    let mut budget = 0u64;
-    let mut lossy_applied = false;
     let owned_by = |n: NodeId| -> u64 {
-        paths
-            .iter()
-            .filter(|p| client.owner_of(p) == Some(n))
-            .count() as u64
+        let owned = paths.iter().filter(|p| client.owner_of(p) == Some(n));
+        owned.count() as u64
     };
-    // Silent-stall accounting: per killed node, the pass reader's time in
-    // reads placed on it since the kill. Armed where an engine should
-    // settle suspects, on the virtual clock, where a read's time is
-    // exactly its silent calls plus its backoff.
-    let stall_bound =
-        (opts.recovery != RecoveryMode::Lazy && policy != FtPolicy::NoFt && clock.is_virtual())
-            .then(|| late_bound(CAMPAIGN_TTL) + cfg.ft.retry.max_backoff);
-    let mut stalled: HashMap<NodeId, Duration> = HashMap::new();
 
     'passes: for pass in 0..plan.passes {
+        let events = || plan.events.iter().filter(move |e| e.before_pass == pass);
         // Duplicate storm: readers over the keys this pass's kill is
         // about to orphan, spawned *before* the kill so their shared
         // flights are open when the ring rewires. A follower must accept
@@ -1112,155 +1005,86 @@ pub fn run_campaign_on(
         let storm = if storm_on {
             // Reads of a node the engine is still settling go straight to
             // the PFS and open no flight to share: let its verdict land.
-            if let Some(engine) = client.recovery() {
-                let _ = engine.wait_settled(QUIESCE_DEADLINE);
-            }
-            let doomed: Vec<NodeId> = plan
-                .events
-                .iter()
-                .filter(|e| e.before_pass == pass)
+            settle();
+            let doomed: Vec<NodeId> = events()
                 .filter_map(|ev| match ev.action {
                     ChaosAction::Kill(n) => Some(n),
                     ChaosAction::KillSuccessorOf(n) => successor_of(n),
                     _ => None,
                 })
                 .collect();
-            let keys: Vec<(String, ValueBuf)> = (0..paths.len())
-                .filter(|&i| {
-                    client
-                        .owner_of(&paths[i])
-                        .is_some_and(|o| doomed.contains(&o))
-                })
-                .map(|i| (paths[i].clone(), truth[i].clone()))
+            let keys: Vec<(String, u64)> = (0..paths.len())
+                .filter(|&i| (client.owner_of(&paths[i])).is_some_and(|o| doomed.contains(&o)))
+                .map(|i| (paths[i].clone(), truth[i]))
                 .collect();
-            storm_keys += keys.len() as u64;
             (!keys.is_empty()).then(|| {
-                let before = client.metrics().snapshot();
-                let (readers, failed) = Readers::spawn(
-                    &clock,
-                    &client,
-                    ("dup-storm", DUP_READERS, DUP_ROUNDS),
-                    keys,
-                );
-                for (r, e) in failed {
-                    fire!(Singleflight, "storm reader {r} failed to spawn: {e}");
-                }
+                let shape = (Phase::Storm(pass), "dup-storm", DUP_READERS, DUP_ROUNDS);
+                let readers = Readers::spawn(&clock, &client, shape, keys);
                 // Let the readers open their shared flights before the kill.
                 clock.sleep(Duration::from_micros(50));
-                (readers, before)
+                readers
             })
         } else {
             None
         };
 
-        for ev in plan.events.iter().filter(|e| e.before_pass == pass) {
-            match ev.action {
-                ChaosAction::Kill(n) => {
-                    budget += owned_by(n);
-                    lossy_applied = true;
-                    stalled.insert(n, Duration::ZERO);
-                    cluster.kill(n);
-                }
+        for ev in events() {
+            let at = clock.since(start);
+            let node = match ev.action {
+                // With an engine, the verdict on n lands off the read
+                // path: let it land before asking who inherited n's range.
                 ChaosAction::KillSuccessorOf(n) => {
-                    // With an engine, the verdict on n lands off the read
-                    // path: let it land before asking who inherited n's
-                    // range.
-                    if let Some(engine) = client.recovery() {
-                        let _ = engine.wait_settled(QUIESCE_DEADLINE);
-                    }
-                    if let Some(t) = successor_of(n) {
-                        budget += owned_by(t);
-                        lossy_applied = true;
-                        stalled.insert(t, Duration::ZERO);
-                        cluster.kill(t);
-                    }
+                    settle();
+                    successor_of(n)
                 }
-                ChaosAction::Revive(n) => {
-                    stalled.remove(&n);
-                    if let Err(e) = cluster.revive(n) {
-                        fire!(Revive, "node {n} failed to rejoin: {e}");
-                    }
-                    // The rejoin is warm, but budget one fetch per
-                    // re-owned key anyway: a key the node had not served
-                    // before the crash is not on its disk.
-                    budget += owned_by(n);
+                action => action.node(),
+            };
+            let (mut owned, mut error) = (node.map_or(0, owned_by), None);
+            let net = cluster.network();
+            match (ev.action, node) {
+                (ChaosAction::Kill(_) | ChaosAction::KillSuccessorOf(_), Some(t)) => {
+                    cluster.kill(t)
                 }
-                ChaosAction::Flaky { node, up, down } => {
-                    budget += owned_by(node);
-                    lossy_applied = true;
-                    cluster.network().set_flaky(node, up, down);
+                // The rejoin is warm, but a key the node had not served
+                // before the crash is not on its disk: count what it owns
+                // once back.
+                (ChaosAction::Revive(n), _) => {
+                    error = cluster.revive(n).err().map(|e| e.to_string());
+                    owned = owned_by(n);
                 }
-                ChaosAction::ClearFlaky(n) => cluster.network().clear_flaky(n),
-                ChaosAction::PartitionToNode(n) => {
-                    budget += owned_by(n);
-                    lossy_applied = true;
-                    cluster.network().partition_oneway(client.node(), n);
-                }
-                ChaosAction::PartitionFromNode(n) => {
-                    budget += owned_by(n);
-                    lossy_applied = true;
-                    cluster.network().partition_oneway(n, client.node());
-                }
-                ChaosAction::HealAll => cluster.network().heal_all_partitions(),
-                ChaosAction::Degrade { node, extra } => {
+                (ChaosAction::Flaky { node, up, down }, _) => net.set_flaky(node, up, down),
+                (ChaosAction::ClearFlaky(n), _) => net.clear_flaky(n),
+                (ChaosAction::PartitionToNode(n), _) => net.partition_oneway(client.node(), n),
+                (ChaosAction::PartitionFromNode(n), _) => net.partition_oneway(n, client.node()),
+                (ChaosAction::HealAll, _) => net.heal_all_partitions(),
+                (ChaosAction::Degrade { node, extra }, _) => {
                     debug_assert!(extra < CAMPAIGN_TTL);
-                    cluster.network().delay_node(node, extra);
+                    net.delay_node(node, extra);
                 }
+                (ChaosAction::Kill(_) | ChaosAction::KillSuccessorOf(_), None) => {}
             }
+            let event = *ev;
+            log.fired.push(Fired {
+                event,
+                at,
+                node,
+                owned,
+                error,
+            });
         }
 
-        if let Some((readers, before)) = storm {
-            let (expected, ok, panicked) = readers.join();
-            if panicked {
-                fire!(Singleflight, "a storm reader panicked");
-            }
-            let failed = expected - ok;
-            if failed > 0 {
-                fire!(
-                    Singleflight,
-                    "{failed} storm read(s) lost ground truth across the kill"
-                );
-            }
-            // Conservation: every storm read led its flight, accepted a
-            // fresh-epoch publish, or walked the independent retry path —
-            // counted between the two snapshots, while the main task only
-            // applied events.
-            let after = client.metrics().snapshot();
-            let led = after.singleflight_leaders - before.singleflight_leaders;
-            let accepted = after.coalesced_reads - before.coalesced_reads;
-            let retried = after.coalesced_stale_retries - before.coalesced_stale_retries;
-            if led + accepted + retried != expected {
-                fire!(
-                    Singleflight,
-                    "{expected} storm reads but {led} led + {accepted} \
-                     coalesced + {retried} stale-retried (reads unaccounted for)"
-                );
-            }
-            if expected > 0 && accepted + retried == 0 {
-                fire!(
-                    Singleflight,
-                    "the duplicate storm never engaged the coalescing layer"
-                );
-            }
+        if let Some(readers) = storm {
+            readers.join(&client, &mut log);
         }
 
         // Open-loop surge: SURGE_READERS tasks sharing this client hammer
         // every path in the same order, so they convoy on one owner at a
-        // time and the tight admission capacity sheds. Sharing the client
-        // shares one metrics snapshot; every task joins before the pass
-        // reads resume.
-        if overload_on && pass == SURGE_PASS {
-            let keys = paths.iter().cloned().zip(truth.iter().cloned()).collect();
-            let (readers, failed) =
-                Readers::spawn(&clock, &client, ("surge", SURGE_READERS, 1), keys);
-            for (r, e) in failed {
-                fire!(Surge, "reader {r} failed to spawn: {e}");
-            }
-            let panicked;
-            (surge_issued, surge_ok, panicked) = readers.join();
-            if panicked {
-                fire!(Surge, "a reader panicked");
-            }
+        // time and the tight admission capacity sheds. Every task joins
+        // before the pass reads resume.
+        if overload_on(policy, opts) && pass == SURGE_PASS {
+            let keys = paths.iter().cloned().zip(truth.iter().copied()).collect();
+            let shape = (Phase::Surge, "surge", SURGE_READERS, 1);
+            Readers::spawn(&clock, &client, shape, keys).join(&client, &mut log);
         }
 
         // Deterministic per-pass read order.
@@ -1269,244 +1093,42 @@ pub fn run_campaign_on(
         for i in (1..order.len()).rev() {
             order.swap(i, rng.below(i as u64 + 1) as usize);
         }
-
+        let lossy = log.fired.iter().any(Fired::lossy);
         for idx in order {
-            let p = &paths[idx];
-            reads_attempted += 1;
-            let placed_on = stall_bound.and_then(|_| client.owner_of(p));
-            let t0 = clock.now();
-            let result = client.read(p);
-            let took = clock.since(t0);
-            fault_lats.push(took);
-            if let Some((bound, n)) = stall_bound.zip(placed_on) {
-                if let Some(spent) = stalled.get_mut(&n) {
-                    *spent += took;
-                    if *spent > bound {
-                        fire!(
-                            SilentStall,
-                            "reads placed on killed {n} took {spent:?}, bound {bound:?}"
-                        );
-                        stalled.remove(&n);
-                    }
-                }
-            }
-            if took > cfg.ft.retry.deadline_budget + LIVELOCK_SLACK {
-                fire!(
-                    Liveness,
-                    "read of {p} took {took:?}, budget {:?}",
-                    cfg.ft.retry.deadline_budget
-                );
-            }
-            match result {
-                Ok(bytes) if bytes == truth[idx] => {}
-                Ok(_) => fire!(Integrity, "read of {p} corrupted"),
-                Err(ReadError::NodeFailed(_)) if policy == FtPolicy::NoFt && lossy_applied => {
-                    // Baseline semantics: the job dies on the first
-                    // detected failure. Correct — end the campaign.
-                    aborted = true;
-                    break 'passes;
-                }
-                Err(e) => fire!(Integrity, "read of {p} failed under {policy:?}: {e}"),
+            let (read, result) =
+                timed_read(&clock, &client, Phase::Pass(pass), &paths[idx], truth[idx]);
+            log.reads.push(read);
+            if matches!(result, Err(ReadError::NodeFailed(_))) && policy == FtPolicy::NoFt && lossy
+            {
+                // Baseline semantics: the job dies on the first detected
+                // failure. Correct — end the campaign.
+                log.aborted = true;
+                break 'passes;
             }
         }
     }
 
-    // Recovery invariants (an engine exists; moot after a NoFt abort).
-    let recovery_stats = client.recovery().map(|engine| {
-        if !aborted {
-            if !engine.wait_quiesced(QUIESCE_DEADLINE) {
-                fire!(
-                    RecoveryQuiescence,
-                    "engine still busy {QUIESCE_DEADLINE:?} after the \
-                         last pass ({} keys queued)",
-                    engine.recache_queue_depth()
-                );
-            }
-            // Post-quiesce sweep: anything stale was fenced, not served.
-            for (i, p) in paths.iter().enumerate() {
-                reads_attempted += 1;
-                match client.read(p) {
-                    Ok(bytes) if bytes == truth[i] => {}
-                    Ok(_) => fire!(StaleServe, "post-recovery read of {p} not ground truth"),
-                    Err(e) => fire!(StaleServe, "post-recovery read of {p} failed: {e}"),
-                }
-            }
-            // The training job's reads kept flowing while the engine
-            // recached in the background.
-            if let (Some(w), Some(f)) = (
-                ftc_obs::percentile(&warm_lats, 0.99),
-                ftc_obs::percentile(&fault_lats, 0.99),
-            ) {
-                let bound = (w * 10).max(STARVATION_FLOOR);
-                if f > bound {
-                    fire!(
-                        Starvation,
-                        "foreground read p99 {f:?} during recovery exceeds \
-                             {bound:?} (warm p99 {w:?})"
-                    );
-                }
-            }
-        }
-        engine.stats()
-    });
-
-    // Recache economy (RingRecache only; a NoFt abort ends accounting
-    // early by construction).
-    if policy == FtPolicy::RingRecache {
-        let after = client.metrics().snapshot();
-        // Overload slack: a hedged read lands on a non-owner replica,
-        // which may fetch from the PFS once. Storm slack: a stormed key
-        // read mid-rewire can recache onto a node the campaign later
-        // removes, and a follower's stale-epoch retry can re-fetch a key
-        // whose leader landed it under the old regime — at most one
-        // extra fetch per stormed key.
-        let hedge_slack = if overload_on {
-            after.hedges_launched
-        } else {
-            0
-        };
-        let budget = match opts.sabotage {
-            Some(Sabotage::Economy) => 0,
-            _ => budget + hedge_slack + storm_keys,
-        };
-        let fetched = after.pfs_fetches_via_server - warm.pfs_fetches_via_server;
-        if fetched > budget {
-            fire!(
-                RecacheEconomy,
-                "{fetched} server PFS fetches after warm pass, budget {budget}"
-            );
+    if let Some(engine) = client.recovery().filter(|_| !log.aborted) {
+        let done = engine.wait_quiesced(QUIESCE_DEADLINE);
+        log.last_quiesce = Some((done, engine.recache_queue_depth()));
+        // Post-quiesce sweep: anything stale was fenced, not served.
+        for (p, &t) in paths.iter().zip(&truth) {
+            log.reads
+                .push(timed_read(&clock, &client, Phase::Sweep, p, t).0);
         }
     }
-
-    // Degraded-but-alive nodes must never be declared failed.
-    let failed = client.failed_nodes();
-    for &n in &plan.degraded_only {
-        if failed.contains(&n) {
-            fire!(FalsePositive, "degraded-but-alive node {n} declared failed");
-        }
-    }
-
-    let overload_stats = if overload_on {
-        let snap = client.metrics().snapshot();
-        let per_node = cluster.sheds_per_node();
-        let sheds = per_node.iter().fold(Default::default(), |a, s| s.merge(&a));
-        let (shed_capacity, shed_deadline) = (sheds.capacity, sheds.deadline);
-        let server_sheds = shed_capacity + shed_deadline;
-        if surge_issued > 0 && surge_ok * 100 < surge_issued * GOODPUT_FLOOR_PCT {
-            fire!(
-                Goodput,
-                "surge completed {surge_ok}/{surge_issued} reads, \
-                     below the {GOODPUT_FLOOR_PCT}% floor"
-            );
-        }
-        if !aborted && surge_issued > 0 && snap.overloaded_observed == 0 {
-            fire!(
-                ShedAccounting,
-                "the surge never produced a typed shed (admission control idle?)"
-            );
-        }
-        if snap.overloaded_observed > server_sheds {
-            fire!(
-                ShedAccounting,
-                "client observed {} typed sheds, servers issued {server_sheds}",
-                snap.overloaded_observed
-            );
-        }
-        // A shed is a liveness signal: a node that shed but kept serving
-        // must never be declared failed.
-        let killed: HashSet<NodeId> = cluster.killed_nodes().into_iter().collect();
-        for (i, s) in per_node.iter().enumerate() {
-            let n = NodeId(i as u32);
-            if s.capacity + s.deadline > 0 && !killed.contains(&n) && failed.contains(&n) {
-                fire!(
-                    ShedFalsePositive,
-                    "shedding-but-alive node {n} declared failed"
-                );
-            }
-        }
-        Some(OverloadStats {
-            surge_reads: surge_issued,
-            surge_ok,
-            shed_capacity,
-            shed_deadline,
-            observed: snap.overloaded_observed,
-            shed_pfs_fallbacks: snap.shed_pfs_fallbacks,
-            hedges_launched: snap.hedges_launched,
-            hedges_won: snap.hedges_won,
-            breaker_short_circuits: snap.breaker_short_circuits,
-            budget_denied: snap.budget_denied,
-        })
-    } else {
-        None
-    };
-
-    // DES cross-check: mirror the kill schedule and ask the simulator
-    // whether the job survives; the verdicts must agree.
-    let mirror = plan.mirror_fault_plan();
-    let workload = SimWorkload {
-        samples: plan.files as u32,
-        sample_bytes: plan.file_size as u64,
-        epochs: plan.passes + 1,
-        seed: plan.seed,
-        time_compression: 1,
-    };
-    let sim = SimCluster::new(
-        plan.nodes,
-        policy,
-        workload.samples,
-        SimCalibration::frontier(),
-    )
-    .run_plan(workload, &mirror);
-    let sim_should_abort = policy == FtPolicy::NoFt && !mirror.is_empty();
-    if sim.aborted != sim_should_abort {
-        fire!(
-            SimMirror,
-            "DES aborted={} but expected {} ({} mirrored kills)",
-            sim.aborted,
-            sim_should_abort,
-            mirror.len()
-        );
-    }
-
-    let trace = cluster.network().tracer().map(|t| t.take());
-
-    // Harvest observability before teardown: the degraded-window
-    // incidents, and — only when an invariant fired — the flight
-    // recorder's last-events dump for postmortem context.
-    let incidents = cluster.obs().timeline.incidents();
-    let flight_dump = if violations.is_empty() {
-        None
-    } else {
-        cluster.obs().flight.record(
-            "chaos",
-            "violation",
-            format!("{} invariant(s) fired, dumping", violations.len()),
-        );
-        Some(cluster.obs().flight.dump())
-    };
-
-    let history = cluster.network().history().map(|h| h.take());
-    let diagnosis = diagnose(&client);
+    log.recovery = client.recovery().map(|engine| engine.stats());
+    log.end = client.metrics().snapshot();
+    log.failed = client.failed_nodes();
+    log.sheds = cluster.sheds_per_node();
+    log.killed = cluster.killed_nodes();
+    log.trace = cluster.network().tracer().map(|t| t.take());
+    log.incidents = cluster.obs().timeline.incidents();
+    log.obs = Some(Arc::clone(cluster.obs()));
+    log.history = cluster.network().history().map(|h| h.take());
+    log.diagnosis = diagnose(&client);
     cluster.shutdown();
-    Campaign {
-        report: CampaignReport {
-            seed: plan.seed,
-            policy,
-            reads_attempted,
-            aborted,
-            violations,
-            incidents,
-            flight_dump,
-            recovery_mode: opts.recovery,
-            recovery: recovery_stats,
-            warm_read_p99: ftc_obs::percentile(&warm_lats, 0.99),
-            faulted_read_p99: ftc_obs::percentile(&fault_lats, 0.99),
-            overload: overload_stats,
-            diagnosis,
-        },
-        trace,
-        history,
-    }
+    Ok(log)
 }
 
 /// Compute-phase gap used by [`run_degraded_window_probe_on`]: the
@@ -1655,6 +1277,12 @@ pub fn run_degraded_window_probe_on(
             return report;
         }
         let _ = client.read(probe_key);
+        // Once a late call hands the victim to the engine, reads of it go
+        // straight to the PFS: wait for the verdict instead of spinning
+        // on the CPU the engine needs to reach it.
+        if let Some(engine) = client.recovery() {
+            let _ = engine.wait_settled(QUIESCE_DEADLINE);
+        }
     }
     report.detect = clock.since(killed_at);
 
@@ -1724,30 +1352,14 @@ pub struct Counter {
     pub read: fn(&CampaignReport) -> u64,
 }
 
-/// What a row demands of its campaign beyond "every invariant held".
-#[derive(Debug, Clone, Copy)]
-pub enum Expect {
-    /// The campaign must trip this invariant and carry a flight dump.
-    Trips(Invariant),
-    /// Every invariant must hold and this counter must move.
-    Moves(Counter),
-}
-
-impl Expect {
-    /// `Ok(evidence)` when `report` shows what this expectation demands,
-    /// `Err(why not)` otherwise.
+impl Counter {
+    /// `Ok(evidence)` when every invariant held in `report` and this
+    /// counter moved, `Err(why not)` otherwise.
     pub fn judge(&self, report: &CampaignReport) -> Result<String, String> {
-        match *self {
-            Expect::Trips(inv) => match report.violations.iter().find(|v| v.invariant == inv) {
-                Some(v) if report.flight_dump.is_some() => Ok(v.to_string()),
-                Some(_) => Err(format!("{} fired without a flight dump", inv.name())),
-                None => Err(format!("{} never fired: {report}", inv.name())),
-            },
-            Expect::Moves(c) => match (c.read)(report) {
-                _ if !report.passed() => Err(format!("invariants broke: {report}")),
-                0 => Err(format!("{} never moved: {report}", c.name)),
-                n => Ok(format!("{}={n}", c.name)),
-            },
+        match (self.read)(report) {
+            _ if !report.passed() => Err(format!("invariants broke: {report}")),
+            0 => Err(format!("{} never moved: {report}", self.name)),
+            n => Ok(format!("{}={n}", self.name)),
         }
     }
 }
@@ -1777,6 +1389,12 @@ impl Scenario {
     /// This row's plan for `seed` at its default size.
     pub fn default_plan(&self, seed: u64) -> ChaosPlan {
         (self.plan)(seed, self.size.unwrap_or_default())
+    }
+
+    /// A campaign of `plan` under this row's policy and clock, with `opts`.
+    pub fn run(&self, plan: &ChaosPlan, opts: CampaignOptions) -> CampaignReport {
+        self.clock
+            .run(|c| run_campaign_on(self.policy, plan, opts, c))
     }
 }
 
@@ -1829,7 +1447,7 @@ pub const SHIFTING_INTENSITY: Scenario = Scenario {
     clock: ClockKind::Virtual,
     expect: Some(Counter {
         name: "recache pushes",
-        read: |r| r.recovery.as_ref().map_or(0, |s| s.recache_pushed),
+        read: |r| r.log.recovery.as_ref().map_or(0, |s| s.recache_pushed),
     }),
 };
 
@@ -1875,20 +1493,20 @@ pub fn scenario(name: &str) -> Option<&'static Scenario> {
     SCENARIOS.iter().find(|s| s.name == name)
 }
 
-/// What a self-test runs.
+/// Where a self-test plants its bug, and what must catch it.
 #[derive(Debug, Clone, Copy)]
 pub enum SelfCheck {
-    /// A [`SCENARIOS`] row with `sabotage` planted; the campaign must meet
-    /// `expect`.
-    Campaign {
-        /// The scenario row.
-        scenario: &'static Scenario,
-        /// The planted bug.
-        sabotage: Sabotage,
-        /// What the campaign must show.
-        expect: Expect,
-    },
-    /// A model-checker self-test: seed → `Ok(evidence)` or `Err(why)`.
+    /// In what a [`SCENARIOS`] row runs: its campaign must trip the
+    /// invariant.
+    Sabotaged(&'static Scenario, Sabotage, Invariant),
+    /// In a [`SCENARIOS`] row's clean log, by a mutation (false when the
+    /// log holds nothing to mutate): [`check`] must trip the invariant.
+    Mutant(
+        &'static Scenario,
+        fn(&Scenario, &mut CampaignLog) -> bool,
+        Invariant,
+    ),
+    /// In a model checker's input: seed → `Ok(evidence)` or `Err(why)`.
     Checker(fn(u64) -> Result<String, String>),
 }
 
@@ -1902,39 +1520,118 @@ pub struct SelfTest {
     pub check: SelfCheck,
 }
 
+impl SelfTest {
+    /// Run this self-test at `seed`: `Ok(evidence)` when the planted bug
+    /// was caught — its invariant fired, with a flight dump that keeps
+    /// the kill — and `Err(why not)` otherwise.
+    pub fn run(&self, seed: u64) -> Result<String, String> {
+        let (report, trips) = match self.check {
+            SelfCheck::Checker(run) => return run(seed),
+            SelfCheck::Sabotaged(row, sabotage, trips) => {
+                let sabotage = Some(sabotage);
+                let opts = CampaignOptions {
+                    sabotage,
+                    ..row.opts
+                };
+                (row.run(&row.default_plan(seed), opts), trips)
+            }
+            SelfCheck::Mutant(row, mutate, trips) => {
+                let plan = row.default_plan(seed);
+                let clean = row.run(&plan, row.opts);
+                if !clean.passed() {
+                    return Err(format!("the unmutated campaign failed: {clean}"));
+                }
+                let mut log = clean.log;
+                if !mutate(row, &mut log) {
+                    return Err("the log holds nothing to mutate".into());
+                }
+                (
+                    CampaignReport::judge(&plan, row.policy, row.opts, log),
+                    trips,
+                )
+            }
+        };
+        let kept_kill = report.flight_dump().is_some_and(|d| d.contains("kill"));
+        match report.violations.iter().find(|v| v.invariant == trips) {
+            Some(v) if kept_kill => Ok(v.to_string()),
+            Some(_) => Err(format!("{} fired without a dump of the kill", trips.name())),
+            None => Err(format!("{} never fired: {report}", trips.name())),
+        }
+    }
+}
+
+/// Make the first `n` reads whose phase `pick` selects return the wrong
+/// bytes; false when it selects none.
+fn spoil(log: &mut CampaignLog, pick: fn(Phase) -> bool, n: usize) -> bool {
+    let reads = log.reads.iter_mut().filter(|r| pick(r.phase)).take(n);
+    reads.map(|r| r.got = Ok(!r.truth)).count() > 0
+}
+
 /// Every self-test.
 pub const SELF_TESTS: &[SelfTest] = &[
     SelfTest {
         name: "economy",
-        check: SelfCheck::Campaign {
-            scenario: &CASCADING_OVERLOAD,
-            sabotage: Sabotage::Economy,
-            expect: Expect::Trips(Invariant::RecacheEconomy),
-        },
+        // The servers fetched one file more than the budget allows.
+        check: SelfCheck::Mutant(
+            &CASCADING_OVERLOAD,
+            |row, log| {
+                let budget = economy_budget(row.policy, &row.opts, log);
+                log.end.pfs_fetches_via_server = log.warm.pfs_fetches_via_server + budget + 1;
+                true
+            },
+            Invariant::RecacheEconomy,
+        ),
     },
     SelfTest {
         name: "starved-recovery",
-        check: SelfCheck::Campaign {
-            scenario: &FAILURE_DURING_RECACHE,
-            sabotage: Sabotage::StarvedRecovery,
-            expect: Expect::Trips(Invariant::RecoveryQuiescence),
-        },
+        check: SelfCheck::Sabotaged(
+            &FAILURE_DURING_RECACHE,
+            Sabotage::StarvedRecovery,
+            Invariant::RecoveryQuiescence,
+        ),
     },
     SelfTest {
         name: "misclassified-shed",
-        check: SelfCheck::Campaign {
-            scenario: &CASCADING_OVERLOAD,
-            sabotage: Sabotage::MisclassifiedShed,
-            expect: Expect::Trips(Invariant::ShedFalsePositive),
-        },
+        // The client counted a live node's sheds as silence and declared it.
+        check: SelfCheck::Mutant(
+            &CASCADING_OVERLOAD,
+            |_, log| {
+                let nodes = log.sheds.iter().enumerate();
+                let shed = nodes.filter(|(_, s)| s.capacity + s.deadline > 0);
+                let live = |n: &NodeId| !log.killed.contains(n) && !log.failed.contains(n);
+                let shedder = shed.map(|(i, _)| NodeId(i as u32)).find(live);
+                shedder.map(|n| log.failed.push(n)).is_some()
+            },
+            Invariant::ShedFalsePositive,
+        ),
     },
     SelfTest {
         name: "engine-less",
-        check: SelfCheck::Campaign {
-            scenario: &SCALE_SWEEP,
-            sabotage: Sabotage::EngineLess,
-            expect: Expect::Trips(Invariant::SilentStall),
-        },
+        check: SelfCheck::Sabotaged(&SCALE_SWEEP, Sabotage::EngineLess, Invariant::SilentStall),
+    },
+    SelfTest {
+        name: "corrupt-read",
+        check: SelfCheck::Mutant(
+            &SHIFTING_INTENSITY,
+            |_, log| spoil(log, |p| matches!(p, Phase::Pass(_)), 1),
+            Invariant::Integrity,
+        ),
+    },
+    SelfTest {
+        name: "stale-sweep",
+        check: SelfCheck::Mutant(
+            &SHIFTING_INTENSITY,
+            |_, log| spoil(log, |p| p == Phase::Sweep, 1),
+            Invariant::StaleServe,
+        ),
+    },
+    SelfTest {
+        name: "lost-surge",
+        check: SelfCheck::Mutant(
+            &CASCADING_OVERLOAD,
+            |_, log| spoil(log, |p| p == Phase::Surge, usize::MAX),
+            Invariant::Goodput,
+        ),
     },
     SelfTest {
         name: "atomicity",
@@ -1959,7 +1656,7 @@ mod tests {
         plan: &ChaosPlan,
         opts: CampaignOptions,
     ) -> CampaignReport {
-        run_campaign_on(policy, plan, opts, ClockHandle::wall()).report
+        run_campaign_on(policy, plan, opts, ClockHandle::wall())
     }
 
     /// `run_campaign_on` on a fresh virtual clock, report only.
@@ -1968,7 +1665,7 @@ mod tests {
         plan: &ChaosPlan,
         opts: CampaignOptions,
     ) -> CampaignReport {
-        ftc_time::with_virtual(|c| run_campaign_on(policy, plan, opts, c).report)
+        ftc_time::with_virtual(|c| run_campaign_on(policy, plan, opts, c))
     }
 
     /// A plan whose only fault is a guaranteed kill of node 1 before the
@@ -2019,38 +1716,8 @@ mod tests {
     #[test]
     fn every_self_test_trips_its_invariant() {
         for t in SELF_TESTS {
-            let (scenario, sabotage, expect) = match t.check {
-                SelfCheck::Campaign {
-                    scenario,
-                    sabotage,
-                    expect,
-                } => (scenario, sabotage, expect),
-                SelfCheck::Checker(run) => {
-                    if let Err(e) = run(1) {
-                        panic!("{}: {e}", t.name);
-                    }
-                    continue;
-                }
-            };
-            let row = scenario;
-            let opts = CampaignOptions {
-                sabotage: Some(sabotage),
-                ..row.opts
-            };
-            let plan = row.default_plan(1);
-            let report = row
-                .clock
-                .run(|c| run_campaign_on(row.policy, &plan, opts, c))
-                .report;
-            if let Err(e) = expect.judge(&report) {
+            if let Err(e) = t.run(1) {
                 panic!("{}: {e}", t.name);
-            }
-            if let Expect::Trips(inv) = expect {
-                assert!(report.violations.iter().any(|v| v.invariant == inv));
-                let dump = report.flight_dump.as_deref().expect("dump on violation");
-                assert!(dump.contains("flight recorder"), "{}: dump header", t.name);
-                assert!(dump.contains("violation"), "{}: dump trigger", t.name);
-                assert!(dump.contains("kill"), "{}: dump keeps the kill", t.name);
             }
         }
     }
@@ -2128,7 +1795,7 @@ mod tests {
             CampaignOptions::PLAIN,
         );
         assert!(report.passed(), "campaign failed: {report}");
-        assert!(report.flight_dump.is_none(), "no dump on a passing run");
+        assert!(report.flight_dump().is_none(), "no dump on a passing run");
         let det = report.detection_latencies();
         let rec = report.recovery_latencies();
         assert_eq!(det.len(), 1, "one kill -> one detection latency");
@@ -2168,9 +1835,9 @@ mod tests {
             let name = row.name;
             assert_eq!(row.opts.recovery, RecoveryMode::Proactive);
             let report = wall(row.policy, &row.default_plan(seed), row.opts);
-            let why = &report.diagnosis;
+            let why = &report.log.diagnosis;
             assert!(report.passed(), "{name} failed: {report}\n{why}");
-            let stats = report.recovery.as_ref().expect("proactive stats");
+            let stats = report.log.recovery.as_ref().expect("proactive stats");
             assert!(
                 stats.recoveries_started >= 1,
                 "{name}: engine never started a recache job ({why})"
@@ -2201,10 +1868,10 @@ mod tests {
             "starved bucket must fail quiescence: {report}"
         );
         assert!(
-            report.flight_dump.is_some(),
+            report.flight_dump().is_some(),
             "violation must carry a flight dump"
         );
-        let stats = report.recovery.as_ref().expect("proactive stats");
+        let stats = report.log.recovery.as_ref().expect("proactive stats");
         // The bucket clamps burst to one initial token, so at most one
         // key sneaks through before starvation takes hold.
         assert!(
@@ -2257,7 +1924,7 @@ mod tests {
         // Latency stamps are simulated, not measured: they exist and are
         // identical across the replays.
         assert_eq!(a.detection_latencies(), b.detection_latencies());
-        assert!(a.warm_read_p99.is_some());
+        assert!(a.log.warm_read_p99().is_some());
     }
 
     #[test]
@@ -2337,7 +2004,7 @@ mod adaptive_tests {
         );
         let expect = row.expect.expect("the row names its counter");
         assert!(
-            Expect::Moves(expect).judge(&a).is_ok(),
+            expect.judge(&a).is_ok(),
             "the proactive engine must push: {a}"
         );
     }
@@ -2378,16 +2045,19 @@ mod overload_tests {
             b.render(),
             "overload campaign must replay byte-identically on the virtual clock"
         );
-        let o = a.overload.expect("overload stats present");
-        assert!(o.surge_reads > 0, "the surge ran");
+        let surge = a.log.load(Phase::Surge).expect("the surge ran");
+        assert!(surge.issued > 0, "the surge ran");
         assert_eq!(
-            o.surge_ok, o.surge_reads,
-            "armor degrades shed reads, it never loses them: {o:?}"
+            a.log.truthful(Phase::Surge),
+            surge.issued,
+            "armor degrades shed reads, it never loses them: {a}"
         );
-        assert!(o.observed > 0, "the surge must actually shed: {o:?}");
+        let observed = a.log.end.overloaded_observed;
+        let (capacity, deadline) = a.log.shed_totals();
+        assert!(observed > 0, "the surge must actually shed: {a}");
         assert!(
-            o.observed <= o.shed_capacity + o.shed_deadline,
-            "client cannot observe more sheds than servers issued: {o:?}"
+            observed <= capacity + deadline,
+            "client cannot observe more sheds than servers issued: {a}"
         );
         assert!(a.render().contains("overload: surge="));
     }
@@ -2400,7 +2070,7 @@ mod overload_tests {
             CampaignOptions::PLAIN,
         );
         assert!(report.passed(), "{report}");
-        assert!(report.overload.is_none());
+        assert!(report.log.load(Phase::Surge).is_none());
         assert!(
             !report.render().contains("overload:"),
             "pre-armor renders must stay byte-identical"

@@ -24,7 +24,7 @@
 //!   checking anything.
 
 use crate::chaos::{
-    run_campaign_on, Campaign, CampaignOptions, CampaignReport, ChaosPlan, Load, RecoveryMode,
+    run_campaign_on, CampaignOptions, CampaignReport, ChaosPlan, Load, RecoveryMode,
 };
 use ftc_analysis::explore::{bounded_dfs, fingerprint_trace, DfsConfig, RunOutcome};
 use ftc_analysis::linz::check_history;
@@ -112,8 +112,8 @@ fn run_verdict(report: &CampaignReport) -> String {
         "seed={} policy={:?} reads={} aborted={} violations=[{}]",
         report.seed,
         report.policy,
-        report.reads_attempted,
-        report.aborted,
+        report.log.reads_attempted(),
+        report.log.aborted,
         violations.join("; ")
     )
 }
@@ -125,7 +125,7 @@ fn explored(
     plan: &ChaosPlan,
     opts: CampaignOptions,
     strategy: Box<dyn Scheduler>,
-) -> (Campaign, ScheduleTrace) {
+) -> (CampaignReport, ScheduleTrace) {
     ftc_time::with_virtual_sched(strategy, |clock| run_campaign_on(policy, plan, opts, clock))
 }
 
@@ -162,15 +162,15 @@ pub fn explore_campaign(
                     ExploreStrategy::Pct { d } => Box::new(Pct::new(run_seed, d, 1 << 16)),
                     _ => Box::new(RandomWalk::new(run_seed)),
                 };
-                let (Campaign { report, trace, .. }, sched) = explored(policy, plan, opts, boxed);
+                let (report, sched) = explored(policy, plan, opts, boxed);
                 summary.runs += 1;
                 summary.choice_points += sched.len() as u64;
-                if let Some(t) = &trace {
+                if let Some(t) = &report.log.trace {
                     if seen.insert(fingerprint_trace(t)) {
                         summary.distinct += 1;
                     }
                 }
-                if !report.passed() && !report.aborted {
+                if !report.passed() && !report.log.aborted {
                     let file = Replayable::from_schedule(&sched, &strategy.to_string(), run_seed)
                         .to_text();
                     summary.violations.push((run_verdict(&report), file));
@@ -181,13 +181,13 @@ pub fn explore_campaign(
         ExploreStrategy::Dfs => {
             let dfs = bounded_dfs(
                 |prefix| {
-                    let (Campaign { report, trace, .. }, sched) =
+                    let (report, sched) =
                         explored(policy, plan, opts, Box::new(ForcedPrefix::new(prefix)));
-                    let fingerprint = trace.as_deref().map(fingerprint_trace);
+                    let fingerprint = report.log.trace.as_deref().map(fingerprint_trace);
                     (
                         sched,
                         RunOutcome {
-                            ok: report.passed() || report.aborted,
+                            ok: report.passed() || report.log.aborted,
                             report: run_verdict(&report),
                             fingerprint,
                         },
@@ -484,9 +484,10 @@ fn recorded(plan: &ChaosPlan, opts: CampaignOptions) -> (CampaignReport, Vec<OpR
         history: true,
         ..opts
     };
-    let campaign =
+    let mut report =
         ftc_time::with_virtual(|clock| run_campaign_on(FtPolicy::RingRecache, plan, opts, clock));
-    (campaign.report, campaign.history.unwrap_or_default())
+    let history = report.log.history.take().unwrap_or_default();
+    (report, history)
 }
 
 #[cfg(test)]

@@ -13,9 +13,7 @@ use ft_cache::core::FtPolicy;
 
 /// One campaign with default options on `clock`.
 fn run(clock: ClockKind, policy: FtPolicy, plan: &ChaosPlan) -> CampaignReport {
-    clock
-        .run(|c| run_campaign_on(policy, plan, CampaignOptions::PLAIN, c))
-        .report
+    clock.run(|c| run_campaign_on(policy, plan, CampaignOptions::PLAIN, c))
 }
 
 #[test]
@@ -38,8 +36,8 @@ fn replaying_a_seed_yields_the_identical_plan_and_verdict() {
     let r1 = run(ClockKind::Wall, FtPolicy::RingRecache, &a);
     let r2 = run(ClockKind::Wall, FtPolicy::RingRecache, &b);
     assert_eq!(r1.passed(), r2.passed());
-    assert_eq!(r1.aborted, r2.aborted);
-    assert_eq!(r1.reads_attempted, r2.reads_attempted);
+    assert_eq!(r1.log.aborted, r2.log.aborted);
+    assert_eq!(r1.log.reads_attempted(), r2.log.reads_attempted());
 }
 
 #[test]
@@ -58,7 +56,7 @@ fn passing_campaigns_report_latencies_but_no_flight_dump() {
         }
         let report = run(ClockKind::Wall, FtPolicy::RingRecache, &plan);
         assert!(report.passed(), "campaign failed: {report}");
-        assert!(report.flight_dump.is_none(), "dump only on violations");
+        assert!(report.flight_dump().is_none(), "dump only on violations");
         assert!(
             !report.detection_latencies().is_empty(),
             "a killed node must yield a detection latency"

@@ -4,12 +4,19 @@
 //! `ftc-client` wraps), kills one server mid-run, and asserts the fleet
 //! degrades gracefully and recovers — the paper's §IV-B story, but over
 //! real sockets and real process death instead of the simulated fabric.
+//! Its reads and the kill are recorded as a chaos `CampaignLog`, which
+//! the chaos invariants judge as they judge an in-process campaign.
 
+use ft_cache::chaos::{
+    check, CampaignLog, CampaignOptions, ChaosAction, ChaosEvent, ChaosPlan, Fired, Invariant,
+    Phase, Read,
+};
 use ft_cache::fleet::dataset_paths;
 use ftc_core::{
     CacheRequest, CacheResponse, Cluster, ClusterConfig, FtConfig, FtPolicy, HvacClient, ReadVia,
 };
 use ftc_hashring::NodeId;
+use ftc_net::fnv1a;
 use ftc_storage::{synth_bytes, verify_synth, Pfs};
 use ftc_time::ClockHandle;
 use ftc_wire::tcp::{scrape_obs, TcpConfig, TcpTransport};
@@ -117,11 +124,32 @@ impl Drop for Fleet {
     }
 }
 
-/// One epoch of verified reads; returns (nvme, server_pfs, direct_pfs).
-fn read_epoch(client: &HvacClient, paths: &[String]) -> (u32, u32, u32) {
+/// One epoch of verified reads, recorded into `log` under `phase`;
+/// returns (nvme, server_pfs, direct_pfs).
+fn read_epoch(
+    client: &HvacClient,
+    paths: &[String],
+    log: &mut CampaignLog,
+    phase: Phase,
+) -> (u32, u32, u32) {
     let (mut nvme, mut server_pfs, mut direct_pfs) = (0, 0, 0);
+    let clock = ClockHandle::wall();
     for p in paths {
-        let out = client.read_traced(p).expect("read must survive the fleet");
+        let owner = client.owner_of(p);
+        let t0 = clock.now();
+        let result = client.read_traced(p);
+        log.reads.push(Read {
+            phase,
+            key: p.clone(),
+            owner,
+            got: result
+                .as_ref()
+                .map(|o| fnv1a(&o.bytes))
+                .map_err(ToString::to_string),
+            truth: fnv1a(&synth_bytes(p, SIZE)),
+            took: clock.since(t0),
+        });
+        let out = result.expect("read must survive the fleet");
         assert!(verify_synth(p, &out.bytes), "corrupt bytes for {p}");
         assert_eq!(out.bytes, synth_bytes(p, SIZE));
         match out.via {
@@ -171,9 +199,31 @@ fn three_process_fleet_survives_a_mid_run_kill() {
         config,
     ));
 
+    // The run as a chaos campaign: the cold epoch is the warm pass, and
+    // node 1 dies before the second of three passes.
+    let victim = NodeId(1);
+    let kill = ChaosEvent {
+        before_pass: 1,
+        action: ChaosAction::Kill(victim),
+    };
+    let plan = ChaosPlan {
+        seed: 0,
+        nodes: 3,
+        files: FILES,
+        file_size: SIZE,
+        passes: 3,
+        events: vec![kill],
+        degraded_only: Vec::new(),
+        clean_node: NodeId(0),
+    };
+    let mut log = CampaignLog::default();
+    let clock = ClockHandle::wall();
+    let start = clock.now();
+
     // Epoch 1: cold fleet — every read is a server-side PFS fetch that
     // seeds the owners' NVMe tiers over real sockets.
-    let (nvme, server_pfs, direct) = read_epoch(&client, &paths);
+    let (nvme, server_pfs, direct) = read_epoch(&client, &paths, &mut log, Phase::Warm);
+    log.warm = client.metrics().snapshot();
     assert_eq!(server_pfs as usize + nvme as usize + direct as usize, FILES);
     assert!(
         server_pfs > 0,
@@ -181,7 +231,7 @@ fn three_process_fleet_survives_a_mid_run_kill() {
     );
 
     // Epoch 2: warm fleet — NVMe hits dominate.
-    let (nvme, _, _) = read_epoch(&client, &paths);
+    let (nvme, _, _) = read_epoch(&client, &paths, &mut log, Phase::Pass(0));
     assert!(
         nvme as usize > FILES / 2,
         "warm epoch should be cache-hit dominated, got {nvme}/{FILES}"
@@ -196,13 +246,21 @@ fn three_process_fleet_survives_a_mid_run_kill() {
 
     // Mid-run kill: node 1 dies hard (SIGKILL — no FIN handshake
     // courtesy, exactly what a crashed node looks like).
+    let owned = paths.iter().filter(|p| client.owner_of(p) == Some(victim));
+    log.fired.push(Fired {
+        event: kill,
+        at: clock.since(start),
+        node: Some(victim),
+        owned: owned.count() as u64,
+        error: None,
+    });
     fleet.children[1].0.kill().expect("kill node 1");
     fleet.children[1].0.wait().expect("reap node 1");
 
     // Epoch 3 (degraded): every read still succeeds. Keys owned by the
     // dead node re-route to ring successors, which recache from their
     // own PFS mirrors; the detector declares node 1 failed along the way.
-    let (_, _, _) = read_epoch(&client, &paths);
+    let (_, _, _) = read_epoch(&client, &paths, &mut log, Phase::Pass(1));
     assert!(
         client.failed_nodes().contains(&NodeId(1)),
         "detector never declared the killed node failed: {:?}",
@@ -211,10 +269,29 @@ fn three_process_fleet_survives_a_mid_run_kill() {
 
     // Epoch 4 (recovered): the survivors now own and cache the dead
     // node's keys — the fleet is back to cache-hit dominated service.
-    let (nvme, _, direct) = read_epoch(&client, &paths);
+    let (nvme, _, direct) = read_epoch(&client, &paths, &mut log, Phase::Pass(2));
     assert!(
         nvme as usize > FILES / 2,
         "fleet never recovered to cache hits after the kill, got nvme={nvme} direct={direct}"
+    );
+
+    // The chaos invariants hold over the recorded run, and catch one
+    // corrupted read in it.
+    log.end = client.metrics().snapshot();
+    log.failed = client.failed_nodes();
+    log.killed = vec![victim];
+    let (policy, opts) = (FtPolicy::RingRecache, CampaignOptions::PLAIN);
+    let violations = check(&plan, policy, &opts, &log);
+    assert!(violations.is_empty(), "{violations:?}");
+    let mut corrupt = log.clone();
+    let read = (corrupt.reads.iter_mut())
+        .find(|r| r.phase == Phase::Pass(1))
+        .expect("a degraded-epoch read");
+    read.got = Ok(!read.truth);
+    let caught = check(&plan, policy, &opts, &corrupt);
+    assert!(
+        caught.iter().any(|v| v.invariant == Invariant::Integrity),
+        "{caught:?}"
     );
 
     // Liveness sanity: the surviving servers still answer a fresh client.
@@ -225,9 +302,8 @@ fn three_process_fleet_survives_a_mid_run_kill() {
         3,
         FtConfig::for_policy(FtPolicy::RingRecache),
     );
-    let clock = ClockHandle::wall();
     let t0 = clock.now();
-    read_epoch(&fresh, &paths);
+    read_epoch(&fresh, &paths, &mut CampaignLog::default(), Phase::Warm);
     assert!(
         clock.since(t0) < Duration::from_secs(30),
         "degraded fleet took pathologically long for a fresh client"

@@ -10,14 +10,12 @@
 //!    small wall-time budget; in wall-clock mode the same campaign would
 //!    spend minutes just sleeping through detector TTLs and settle waits.
 
-use ft_cache::chaos::{run_campaign_on, CampaignReport, ChaosPlan, SCALE_SWEEP};
+use ft_cache::chaos::{CampaignReport, ChaosPlan, SCALE_SWEEP};
 
 /// The `scale-sweep` scenario row's campaign for `plan`.
 fn sweep(plan: &ChaosPlan) -> CampaignReport {
     let row = SCALE_SWEEP;
-    row.clock
-        .run(|c| run_campaign_on(row.policy, plan, row.opts, c))
-        .report
+    row.run(plan, row.opts)
 }
 
 #[test]
