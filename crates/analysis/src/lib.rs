@@ -18,8 +18,9 @@
 //!   rules on every reachable state.
 //! * [`lint`] — repo-specific source lints enforced in CI: no
 //!   `unwrap`/`expect` outside test code, no `Err(_)` catch-alls in
-//!   fallback logic without an explicit waiver, and a justification
-//!   comment on every atomic-ordering choice.
+//!   fallback logic without an explicit waiver, a justification
+//!   comment on every atomic-ordering choice, and a `SAFETY:` comment on
+//!   every `unsafe`.
 //! * [`explore`] — a bounded-DFS schedule explorer over the virtual-time
 //!   driver's recorded choice points (`ftc_time::with_virtual_sched`),
 //!   with partial-order-reduction-lite pruning keyed on vector-clock

@@ -1,6 +1,6 @@
 //! Repo-specific source lints, enforced in CI alongside clippy.
 //!
-//! Seven rules, each encoding a convention this codebase adopted after
+//! Eight rules, each encoding a convention this codebase adopted after
 //! real incidents (panicking boot paths mid-campaign, a catch-all arm
 //! that silently diverted NoFT reads to the PFS, an unjustified
 //! `Relaxed` snapshot that could report more completions than
@@ -21,6 +21,10 @@
 //! * **ordering** — every atomic-ordering choice (`Ordering::Relaxed`,
 //!   `::Acquire`, …) needs a justification comment containing
 //!   `ordering:` within the ten preceding lines.
+//! * **unsafe-safety** — every `unsafe` block, fn or impl needs a
+//!   comment containing `SAFETY:` on its line or one of the three
+//!   preceding lines, stating why the contract holds. Test code is held
+//!   to it too: an unsound test is still unsound.
 //! * **wall-clock** — in the protocol crates (`crates/net`, `crates/core`,
 //!   `crates/storage`, `crates/obs`) and the umbrella `src/`, no direct
 //!   `Instant::now(` / `SystemTime::now(` / `thread::sleep(` /
@@ -78,8 +82,8 @@ pub struct LintFinding {
     /// 1-based line number.
     pub line: usize,
     /// Which rule fired (`"unwrap"`, `"err-catchall"`, `"ordering"`,
-    /// `"wall-clock"`, `"policy-const"`, `"bounded-queue"`,
-    /// `"hot-path-alloc"`).
+    /// `"unsafe-safety"`, `"wall-clock"`, `"policy-const"`,
+    /// `"bounded-queue"`, `"hot-path-alloc"`).
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -102,6 +106,8 @@ impl fmt::Display for LintFinding {
 const WAIVER_LOOKBACK: usize = 3;
 /// Lines a justification comment may precede an atomic ordering by.
 const ORDERING_LOOKBACK: usize = 10;
+/// Lines a `SAFETY:` comment may precede its `unsafe` by.
+const SAFETY_LOOKBACK: usize = 3;
 
 /// Path prefixes (repo-relative) where the `wall-clock` rule applies:
 /// the protocol layers that must run identically on wall and virtual
@@ -389,10 +395,25 @@ pub fn lint_source(label: &Path, source: &str) -> Vec<LintFinding> {
     };
 
     for (i, code) in lexed.code.iter().enumerate() {
+        let line_no = i + 1;
+
+        if mentions_unsafe(code) {
+            let lo = i.saturating_sub(SAFETY_LOOKBACK);
+            if !lexed.comments[lo..=i].iter().any(|c| c.contains("SAFETY:")) {
+                findings.push(LintFinding {
+                    file: label.to_path_buf(),
+                    line: line_no,
+                    rule: "unsafe-safety",
+                    message: "`unsafe` without a `SAFETY:` comment on its line or \
+                              the three before it"
+                        .into(),
+                });
+            }
+        }
+
         if lexed.in_test[i] {
             continue;
         }
-        let line_no = i + 1;
 
         if (code.contains(".unwrap()") || code.contains(".expect(")) && !waived("unwrap", i) {
             findings.push(LintFinding {
@@ -556,6 +577,16 @@ fn has_err_catchall(code: &str) -> bool {
         }
     }
     false
+}
+
+/// The keyword `unsafe` as a whole word (`unsafe_code` does not count).
+fn mentions_unsafe(code: &str) -> bool {
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    code.match_indices("unsafe").any(|(at, _)| {
+        let before = code[..at].bytes().next_back();
+        let after = code[at + "unsafe".len()..].bytes().next();
+        !before.is_some_and(word) && !after.is_some_and(word)
+    })
 }
 
 /// `Ordering::<atomic variant>` — `cmp::Ordering::Less` etc. stay exempt.
@@ -850,6 +881,44 @@ mod tests {
     fn ordering_with_nearby_justification_is_fine() {
         let src =
             "// ordering: Relaxed - monotone statistic\nfn f(a: &AtomicU64) { a.load(Ordering::Relaxed); }\n";
+        assert!(lint_str(src).is_empty());
+    }
+
+    #[test]
+    fn unsafe_without_safety_comment_is_flagged() {
+        for src in [
+            "fn f() { unsafe { g() } }\n",
+            "unsafe fn f() {}\n",
+            "unsafe impl Send for T {}\n",
+            // A comment without the marker does not count.
+            "// calls into libc\nfn f() { unsafe { g() } }\n",
+        ] {
+            assert_eq!(rules(&lint_str(src)), vec!["unsafe-safety"], "{src:?}");
+        }
+        // Test code is held to the rule too.
+        let test_gated = "#[cfg(test)]\nmod tests {\n    fn f() { unsafe { g() } }\n}\n";
+        assert_eq!(rules(&lint_str(test_gated)), vec!["unsafe-safety"]);
+    }
+
+    #[test]
+    fn unsafe_with_nearby_safety_comment_is_fine() {
+        let above = "// SAFETY: g has no preconditions\n\n\nfn f() { unsafe { g() } }\n";
+        assert!(lint_str(above).is_empty());
+        let same_line = "fn f() { unsafe { g() } } // SAFETY: g has no preconditions\n";
+        assert!(lint_str(same_line).is_empty());
+    }
+
+    #[test]
+    fn safety_comment_must_be_near() {
+        let mut src = String::from("// SAFETY: too far away\n");
+        src.push_str(&"\n".repeat(SAFETY_LOOKBACK));
+        src.push_str("fn f() { unsafe { g() } }\n");
+        assert_eq!(rules(&lint_str(&src)), vec!["unsafe-safety"]);
+    }
+
+    #[test]
+    fn unsafe_in_identifiers_strings_and_comments_is_fine() {
+        let src = "#![forbid(unsafe_code)]\nfn not_unsafe() { let s = \"unsafe\"; } // unsafe\n";
         assert!(lint_str(src).is_empty());
     }
 

@@ -83,18 +83,24 @@ impl KeyIndex {
     }
 
     /// Record that `node` owns `key` (moving it from any previous owner).
+    /// Allocates only for a key it has not seen: a moved key carries its
+    /// `String` over, and a repeat read of an unmoved key changes nothing.
     pub fn record(&self, node: u32, key: &str) {
         let mut g = self.shard(key).lock();
-        match g.owner_of.insert(key.to_owned(), node) {
-            Some(prev) if prev == node => return,
-            Some(prev) => {
-                if let Some(set) = g.keys_of.get_mut(&prev) {
-                    set.remove(key);
-                }
+        let g = &mut *g;
+        let name = match g.owner_of.get_mut(key) {
+            Some(owner) if *owner == node => return,
+            Some(owner) => {
+                let prev = std::mem::replace(owner, node);
+                g.keys_of.get_mut(&prev).and_then(|set| set.take(key))
             }
-            None => {}
-        }
-        g.keys_of.entry(node).or_default().insert(key.to_owned());
+            None => {
+                g.owner_of.insert(key.to_owned(), node);
+                None
+            }
+        };
+        let name = name.unwrap_or_else(|| key.to_owned());
+        g.keys_of.entry(node).or_default().insert(name);
     }
 
     /// The node last observed owning `key`.

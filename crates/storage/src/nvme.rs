@@ -175,8 +175,9 @@ impl NvmeCache {
                 let old = e.stamp;
                 e.stamp = stamp;
                 let data = e.data.clone();
-                g.lru.remove(&old);
-                g.lru.insert(stamp, key.to_owned());
+                // Move the key's `String` to its new stamp: a hit allocates nothing.
+                let name = g.lru.remove(&old).unwrap_or_else(|| key.to_owned());
+                g.lru.insert(stamp, name);
                 g.hits += 1;
                 Some(data)
             }

@@ -36,6 +36,71 @@ fn idx_op_strategy() -> impl Strategy<Value = IdxOp> {
     ]
 }
 
+/// `synth_bytes` written out as the plain serial `xorshift64*` walk it
+/// must equal byte for byte, whatever lanes it generates in.
+fn serial_synth(path: &str, len: usize) -> Vec<u8> {
+    let mut state = key_hash(path) | 1;
+    let mut out = Vec::with_capacity(len + 8);
+    while out.len() < len {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        out.extend_from_slice(&state.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes());
+    }
+    out.truncate(len);
+    out
+}
+
+/// Anchor lengths: 0, near which a file grows from no lanes to four
+/// one-word lanes (32 B), the benchmark's value sizes and the top.
+const LANE_ANCHORS: [usize; 5] = [0, 4096, 64 << 10, 1 << 20, 2 << 20];
+
+/// Lengths from 0 B to 2 MiB: uniform, or within 40 B either side of an
+/// anchor, so the first lanes, the lane splits and every odd tail are
+/// straddled.
+fn synth_len() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0usize..=2 << 20,
+        (0..LANE_ANCHORS.len(), 0usize..80)
+            .prop_map(|(i, d)| (LANE_ANCHORS[i] + d).saturating_sub(40).min(2 << 20)),
+    ]
+}
+
+/// Byte offsets where a lane may start: the whole words cut into four
+/// equal lanes, and the last lane's run-on past them.
+fn lane_starts(len: usize) -> Vec<usize> {
+    let per = len / 8 / 4;
+    (1..=4)
+        .map(|l| 8 * l * per)
+        .filter(|&off| off > 0 && off < len)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Lane-parallel generation is the serial stream, byte for byte, and
+    /// `verify_synth` accepts it but rejects one flipped byte on either
+    /// side of any lane boundary or in the last byte.
+    #[test]
+    fn synth_matches_the_serial_stream(
+        path in "[a-z0-9/_.]{1,40}",
+        len in synth_len(),
+        flip in 1u8..=255,
+    ) {
+        let data = synth_bytes(&path, len);
+        prop_assert!(data[..] == serial_synth(&path, len)[..], "len {}", len);
+        prop_assert!(verify_synth(&path, &data));
+        let mut bad = data.to_vec();
+        let starts = lane_starts(len);
+        for at in starts.iter().flat_map(|&o| [o - 1, o]).chain(len.checked_sub(1)) {
+            bad[at] ^= flip;
+            prop_assert!(!verify_synth(&path, &bad), "flip at {} of {}", at, len);
+            bad[at] ^= flip;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -1781,7 +1781,7 @@ mod tests {
         for seed in [11u64, 12] {
             let plan = ChaosPlan::generate(seed);
             for policy in [FtPolicy::NoFt, FtPolicy::PfsRedirect, FtPolicy::RingRecache] {
-                let report = wall(policy, &plan, CampaignOptions::PLAIN);
+                let report = virt(policy, &plan, CampaignOptions::PLAIN);
                 assert!(report.passed(), "campaign failed: {report}");
             }
         }
@@ -1834,7 +1834,7 @@ mod tests {
         ] {
             let name = row.name;
             assert_eq!(row.opts.recovery, RecoveryMode::Proactive);
-            let report = wall(row.policy, &row.default_plan(seed), row.opts);
+            let report = virt(row.policy, &row.default_plan(seed), row.opts);
             let why = &report.log.diagnosis;
             assert!(report.passed(), "{name} failed: {report}\n{why}");
             let stats = report.log.recovery.as_ref().expect("proactive stats");
@@ -1883,8 +1883,8 @@ mod tests {
 
     #[test]
     fn degraded_window_probe_differentiates_the_modes() {
-        let lazy = run_degraded_window_probe_on(RecoveryMode::Lazy, 7, ClockHandle::wall());
-        let pro = run_degraded_window_probe_on(RecoveryMode::Proactive, 7, ClockHandle::wall());
+        let probe = |mode| ftc_time::with_virtual(|c| run_degraded_window_probe_on(mode, 7, c));
+        let (lazy, pro) = (probe(RecoveryMode::Lazy), probe(RecoveryMode::Proactive));
         let (lazy_why, pro_why) = (&lazy.diagnosis, &pro.diagnosis);
         assert!(
             lazy.violations.is_empty(),
