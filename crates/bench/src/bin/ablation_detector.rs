@@ -6,12 +6,14 @@
 
 use ftc_core::{Cluster, ClusterConfig, FtPolicy};
 use ftc_hashring::NodeId;
+use ftc_obs::Incident;
 use std::time::{Duration, Instant};
 
 /// Run one configuration: a transient spike shorter than death, then a
 /// real kill; report whether the spike caused a false positive, how long
 /// real detection took (client-poll measurement), and the kill→declare
-/// latency the observability timeline recorded for the same incident.
+/// latency the flight recorder's incident record holds for the same
+/// incident.
 fn run_case(ttl_ms: u64, limit: u32, spike_ms: u64) -> (bool, Duration, Option<Duration>) {
     let mut cfg = ClusterConfig::small(4, FtPolicy::RingRecache);
     cfg.ft.detector.ttl = Duration::from_millis(ttl_ms);
@@ -51,10 +53,10 @@ fn run_case(ttl_ms: u64, limit: u32, spike_ms: u64) -> (bool, Duration, Option<D
     }
     let obs_detect = cluster
         .obs()
-        .timeline
-        .detection_latencies()
-        .first()
-        .copied();
+        .flight
+        .incidents()
+        .iter()
+        .find_map(Incident::detection_latency);
     cluster.shutdown();
     (false_positive, detect, obs_detect)
 }

@@ -187,7 +187,7 @@ fn render(cluster: &Cluster, nodes: u32, armored: bool, pass_label: &str) {
         hist_line(&samples, "timeout", "ftc_net_rpc_timeout_us")
     );
 
-    let incidents = cluster.obs().timeline.incidents();
+    let incidents = cluster.obs().flight.incidents();
     if !incidents.is_empty() {
         println!();
         println!("degraded-window timeline:");

@@ -34,6 +34,7 @@ use crate::singleflight::{Join, SingleFlight};
 use ftc_hashring::{NodeId, Placement};
 use ftc_net::xport::{Caller, Transport};
 use ftc_net::{HistoryRecorder, RpcError, TraceEventKind};
+use ftc_obs::Phase;
 use ftc_storage::{KeyIndex, Pfs, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
 use parking_lot::Mutex;
@@ -276,8 +277,8 @@ impl HvacClient {
     }
 
     /// Attach the observability hub: read latencies by provenance feed
-    /// per-client histograms, and detector / ring transitions stamp the
-    /// degraded-window timeline and the flight recorder. First attach
+    /// per-client histograms, and detector / ring transitions stamp
+    /// degraded-window phases on the flight recorder. First attach
     /// wins; later calls are ignored (a client observes one system).
     pub fn attach_obs(&self, hub: &Arc<ftc_obs::ObsHub>) {
         let _ = self.obs.set(ClientObs {
@@ -289,15 +290,6 @@ impl HvacClient {
             read_errors: hub.registry.counter("ftc_client_read_errors_total"),
             inflight_reads: hub.registry.gauge("ftc_client_inflight_reads"),
         });
-    }
-
-    /// Stamp `phase` for `node` on the degraded-window timeline and leave
-    /// a matching flight-recorder event. No-op until `attach_obs`.
-    fn obs_phase(&self, node: NodeId, phase: ftc_obs::Phase, detail: impl FnOnce() -> String) {
-        if let Some(obs) = self.obs.get() {
-            obs.hub.timeline.mark(node.0, phase);
-            obs.hub.flight.record(&obs.actor, phase.label(), detail());
-        }
     }
 
     /// Record a state event under this client's actor when tracing is on.
@@ -758,9 +750,12 @@ impl HvacClient {
         if let Some(dead) = failed_over {
             // The dead node's keys are serving from a survivor again: its
             // degraded window (for this client) is over.
-            self.obs_phase(dead, ftc_obs::Phase::FirstRecachedHit, || {
-                format!("{path} now served by {served_by} (was {dead})")
-            });
+            if let Some(obs) = self.obs.get() {
+                let detail = format!("{path} now served by {served_by} (was {dead})");
+                obs.hub
+                    .flight
+                    .phase(&obs.actor, dead.0, Phase::FirstRecachedHit, detail);
+            }
         }
         let via = match source {
             ServeSource::NvmeHit => {
@@ -814,7 +809,7 @@ impl HvacClient {
     /// Feed `event` for `node` to the health table and carry out what it
     /// rules: a hand-over queues a settle on the recovery engine; each
     /// timeout counted bumps `rpc_timeouts` and publishes its verdict
-    /// (trace event, timeline phase). A fault-tolerant client counts a
+    /// (trace event, flight phase). A fault-tolerant client counts a
     /// declared node once and, under RingRecache, drops it from the ring;
     /// under NoFT the read that saw it is already failing the job. Returns
     /// the last verdict counted (`AlreadyFailed` when none was).
@@ -828,23 +823,22 @@ impl HvacClient {
                 continue;
             };
             self.metrics.rpc_timeouts.inc();
-            if let Some(obs) = self.obs.get() {
-                // First timeout per incident; later ones are no-ops
-                // inside the recorder.
-                obs.hub.timeline.mark(node.0, ftc_obs::Phase::FirstTimeout);
-            }
+            let phase = |phase, detail: fmt::Arguments<'_>| {
+                if let Some(obs) = self.obs.get() {
+                    let detail = detail.to_string();
+                    obs.hub.flight.phase(&obs.actor, node.0, phase, detail);
+                }
+            };
+            // First timeout per incident; the recorder drops repeats.
+            phase(Phase::FirstTimeout, format_args!("{node} timed out"));
             match verdict {
                 Verdict::Suspect { count } => {
                     self.trace_with(|| TraceEventKind::Suspect { node, count });
-                    self.obs_phase(node, ftc_obs::Phase::Suspect, || {
-                        format!("{node} timeout #{count}")
-                    });
+                    phase(Phase::Suspect, format_args!("{node} timeout #{count}"));
                 }
                 Verdict::JustFailed => {
                     self.trace_with(|| TraceEventKind::Declare { node });
-                    self.obs_phase(node, ftc_obs::Phase::Declare, || {
-                        format!("{node} declared failed")
-                    });
+                    phase(Phase::Declare, format_args!("{node} declared failed"));
                     if self.config.policy != FtPolicy::NoFt {
                         self.metrics.nodes_declared_failed.inc();
                     }
@@ -901,15 +895,16 @@ impl HvacClient {
                     handoff: false,
                 });
             }
-            if joined {
-                if let Some(obs) = self.obs.get() {
+            if let Some(obs) = self.obs.get() {
+                if joined {
                     let detail = format!("{node} epoch {}", old + 1);
                     obs.hub.flight.record(&obs.actor, "readmit", detail);
+                } else {
+                    let detail = format!("{node} removed, epoch {} -> {}", old, old + 1);
+                    obs.hub
+                        .flight
+                        .phase(&obs.actor, node.0, Phase::RingUpdate, detail);
                 }
-            } else {
-                self.obs_phase(node, ftc_obs::Phase::RingUpdate, || {
-                    format!("{node} removed, epoch {} -> {}", old, old + 1)
-                });
             }
         }
         match self.recovery.get() {
@@ -1539,7 +1534,6 @@ mod tests {
 
     #[test]
     fn failure_stamps_full_degraded_window_timeline() {
-        use ftc_obs::Phase;
         let r = rig(4, 16);
         let c = Arc::new(client(&r, FtPolicy::RingRecache));
         let hub = ftc_obs::ObsHub::shared();
@@ -1552,7 +1546,7 @@ mod tests {
             .expect("start engine");
         read_all(&c, 16); // warm epoch
 
-        hub.timeline.mark(1, Phase::Kill); // what the injector would stamp
+        hub.flight.phase("test", 1, Phase::Kill, "n1"); // what the injector would stamp
         r.net.kill(NodeId(1));
         read_all(&c, 16); // first timeout: the engine settles n1
         assert!(
@@ -1561,7 +1555,7 @@ mod tests {
         );
         read_all(&c, 16); // first recached hits
 
-        let incidents = hub.timeline.incidents();
+        let incidents = hub.flight.incidents();
         let inc = incidents
             .iter()
             .find(|i| i.node == 1)

@@ -74,7 +74,7 @@ pub struct Cluster {
     /// is killed.
     shed_base: Mutex<Vec<ShedStatsSnapshot>>,
     /// The cluster's observability plane: attached to the fabric at boot
-    /// and to every client at creation; kills stamp the timeline here.
+    /// and to every client at creation; kills stamp their incidents here.
     hub: Arc<ftc_obs::ObsHub>,
 }
 
@@ -184,9 +184,8 @@ impl Cluster {
         c
     }
 
-    /// The cluster's observability hub (registry + timeline + flight
-    /// recorder). The chaos harness stamps kills and embeds snapshots
-    /// through this handle.
+    /// The cluster's observability hub (registry + flight recorder). The
+    /// chaos harness stamps kills and embeds snapshots through this handle.
     pub fn obs(&self) -> &Arc<ftc_obs::ObsHub> {
         &self.hub
     }
@@ -200,8 +199,9 @@ impl Cluster {
         }
         // Stamp the incident's anchor phase before silencing the fabric,
         // so every downstream stamp measures from the true kill instant.
-        self.hub.timeline.mark(node.0, ftc_obs::Phase::Kill);
-        self.hub.flight.record("cluster", "kill", node.to_string());
+        self.hub
+            .flight
+            .phase("cluster", node.0, ftc_obs::Phase::Kill, node.to_string());
         self.net.kill(node);
         // Reclaim the server; record its recache and shed totals so cluster
         // metrics stay complete after the handle is gone.
@@ -711,7 +711,7 @@ mod tests {
     fn kill_stamps_the_timeline() {
         let cluster = Cluster::start(ClusterConfig::small(3, FtPolicy::RingRecache)).expect("boot");
         cluster.kill(NodeId(1));
-        let incidents = cluster.obs().timeline.incidents();
+        let incidents = cluster.obs().flight.incidents();
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].node, 1);
         assert!(incidents[0].stamp(ftc_obs::Phase::Kill).is_some());

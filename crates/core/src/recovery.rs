@@ -38,6 +38,7 @@ use crate::client::HvacClient;
 use crate::health::Health;
 use crate::overload::TokenBucket;
 use ftc_hashring::NodeId;
+use ftc_obs::Phase;
 use ftc_storage::ValueBuf;
 use ftc_time::{
     ClockHandle, ClockReceiver, ClockSender, RecvTimeoutError, TaskHandle, TryRecvError,
@@ -60,6 +61,12 @@ const IDLE_TICK: Duration = Duration::from_millis(25);
 /// still observes shutdown and new tasks promptly.
 const THROTTLE_NAP: Duration = Duration::from_millis(2);
 
+/// Push retries per key before the key is abandoned to the lazy path.
+const PUSH_RETRIES: u32 = 2;
+
+/// Hints parked across all nodes before drop-oldest kicks in.
+const MAX_HINTS: usize = 4096;
+
 /// Recovery-engine tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
@@ -68,10 +75,6 @@ pub struct RecoveryConfig {
     pub recache_rate: f64,
     /// Token-bucket burst capacity; 0 counts as 1.
     pub recache_burst: u32,
-    /// Push retries per key before the key is abandoned to the lazy path.
-    pub push_retries: u32,
-    /// Hints parked across all nodes before drop-oldest kicks in.
-    pub max_hints: usize,
     /// Probe declared-failed nodes for autonomous readmission. Gates
     /// only these probes: suspect settling runs either way.
     pub probe: bool,
@@ -86,8 +89,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             recache_rate: crate::policy::DEFAULT_RECACHE_RATE,
             recache_burst: crate::policy::DEFAULT_RECACHE_BURST,
-            push_retries: 2,
-            max_hints: 4096,
             probe: true,
             probe_base: Duration::from_millis(50),
             probe_max: Duration::from_secs(1),
@@ -382,7 +383,7 @@ impl RecoveryEngine {
                 bytes: bytes.clone(),
                 epoch,
             },
-            self.config.max_hints,
+            MAX_HINTS,
         );
         self.stats.hints_parked.inc();
         self.stats.hints_dropped.add(dropped as u64);
@@ -403,12 +404,11 @@ impl RecoveryEngine {
     /// hints parked against it is reachable after all (a suspicion blip,
     /// not a death): they flush now, not on a rejoin that never comes.
     pub(crate) fn notify_served(&self, node: NodeId, path: &str, first_hit: Option<NodeId>) {
-        if let Some(dead) = first_hit {
-            self.mark_phase(dead, ftc_obs::Phase::FirstRecachedHit);
-            self.flight(
-                "first_recached_hit",
-                format!("{path} now served by {node} (was {dead})"),
-            );
+        if let (Some(dead), Some(obs)) = (first_hit, self.obs.get()) {
+            let detail = format!("{path} now served by {node} (was {dead})");
+            obs.hub
+                .flight
+                .phase(&obs.actor, dead.0, Phase::FirstRecachedHit, detail);
         }
         if self.hints.pending_for(node) > 0 {
             self.notify_reachable(node);
@@ -608,8 +608,12 @@ impl Worker {
                 } else {
                     let keys: VecDeque<String> = cli.key_index().keys_of(node.0).into();
                     eng.stats.recoveries_started.inc();
-                    eng.mark_phase(node, ftc_obs::Phase::RecoveryStart);
-                    eng.flight("recovery_start", format!("{node}: {} keys", keys.len()));
+                    if let Some(obs) = eng.obs.get() {
+                        let detail = format!("{node}: {} keys", keys.len());
+                        obs.hub
+                            .flight
+                            .phase(&obs.actor, node.0, Phase::RecoveryStart, detail);
+                    }
                     self.jobs.push_back(RecacheJob {
                         node,
                         epoch,
@@ -709,7 +713,7 @@ impl Worker {
                                 // time), then abandon to the lazy path.
                                 let tries = job.retries.entry(key.clone()).or_insert(0);
                                 *tries += 1;
-                                if *tries <= eng.config.push_retries {
+                                if *tries <= PUSH_RETRIES {
                                     job.keys.push_back(key);
                                 } else {
                                     eng.stats.recache_failed.inc();
@@ -729,11 +733,13 @@ impl Worker {
         self.inflight.remove(&job.node.0);
         let elapsed = self.clock.since(job.started);
         eng.stats.recoveries_quiesced.inc();
-        eng.mark_phase(job.node, ftc_obs::Phase::RecoveryQuiesced);
         if let Some(obs) = eng.obs.get() {
             obs.duration_us.record_micros(elapsed);
+            let detail = format!("{} in {elapsed:?}", job.node);
+            obs.hub
+                .flight
+                .phase(&obs.actor, job.node.0, Phase::RecoveryQuiesced, detail);
         }
-        eng.flight("recovery_quiesced", format!("{} in {elapsed:?}", job.node));
         eng.task_done();
     }
 
@@ -828,14 +834,6 @@ impl Worker {
     }
 }
 
-impl RecoveryEngine {
-    fn mark_phase(&self, node: NodeId, phase: ftc_obs::Phase) {
-        if let Some(obs) = self.obs.get() {
-            obs.hub.timeline.mark(node.0, phase);
-        }
-    }
-}
-
 #[cfg(test)]
 impl RecoveryEngine {
     /// Whether a read placed on `node` skips it while the engine settles
@@ -917,6 +915,5 @@ mod tests {
         assert!(c.recache_rate > 0.0);
         assert!(c.recache_burst >= 1);
         assert!(c.probe_base <= c.probe_max);
-        assert!(c.max_hints >= 1);
     }
 }

@@ -12,13 +12,13 @@
 //!   snapshots, quantile queries with ≤ 1/32 relative error.
 //! - [`Registry`] — named counters / gauges / histograms; registration
 //!   locks once, every update after that is a single atomic op.
-//! - [`TimelineRecorder`] — stamps the per-failure phase transitions
-//!   (kill → first timeout → suspect → declare → ring update → first
-//!   recached hit) and derives detection / recovery latency
-//!   distributions: the paper's Fig.-level observable.
-//! - [`FlightRecorder`] — a bounded ring of recent structured events,
-//!   dumped when a chaos invariant fires or a test panics, so a red
-//!   campaign ships its own black-box transcript.
+//! - [`FlightRecorder`] — the one incident record: a bounded ring of
+//!   recent structured events, dumped when a chaos invariant fires so a
+//!   red campaign ships its own black-box transcript, plus the
+//!   degraded-window [`Incident`] table its [`FlightRecorder::phase`]
+//!   calls stamp (kill → first timeout → suspect → declare → ring update
+//!   → first recached hit), from which detection / recovery latencies
+//!   derive: the paper's Fig.-level observable.
 //! - [`counter_set!`] — one declaration per counter: a subsystem's live
 //!   [`Counter`] struct, its `Copy` snapshot, `snapshot()`, `merge()` and
 //!   [`Export`] all come from one `field: "exposition_name"` list
@@ -28,7 +28,7 @@
 //!   model, two wire formats, covering the registry, the counter sets and
 //!   the other flat snapshots (`NvmeStats`, `RingStats`).
 //!
-//! The three instruments travel together as an [`ObsHub`]: the cluster
+//! The two instruments travel together as an [`ObsHub`]: the cluster
 //! owns one, hands an `Arc` to every client/server/injector, and the
 //! chaos harness snapshots it into campaign reports.
 //!
@@ -38,10 +38,12 @@
 //! let hub = ObsHub::new();
 //! hub.registry.counter("ftc_reads_total").inc();
 //! hub.registry.histogram("ftc_read_us").record(420);
-//! hub.timeline.mark(3, Phase::Kill);
-//! hub.flight.record("chaos", "kill", "n3");
+//! hub.flight.phase("chaos", 3, Phase::Kill, "n3");
+//! hub.flight.record("chaos", "revive", "n3");
 //! let text = render_prometheus(&hub.registry.export());
 //! assert!(text.contains("ftc_reads_total 1"));
+//! assert_eq!(hub.flight.incidents()[0].node, 3);
+//! assert!(hub.flight.dump().contains("kill"));
 //! ```
 
 #![warn(missing_docs)]
@@ -57,22 +59,21 @@ pub use export::{render_json, render_prometheus, Export, Sample, Value};
 pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry};
-pub use timeline::{nearest_rank, percentile, Incident, Phase, TimelineRecorder};
+pub use timeline::{nearest_rank, percentile, Incident, Phase};
 
 use std::sync::Arc;
 
-/// The three instruments of one observed system, shared as a unit.
+/// The two instruments of one observed system, shared as a unit.
 ///
 /// One hub per cluster (or per chaos campaign): clients record metrics
-/// and stamp timeline phases, injectors stamp kills, every layer appends
-/// flight events, and the report/exposition side snapshots all three.
+/// and stamp degraded-window phases, injectors stamp kills, every layer
+/// appends flight events, and the report/exposition side snapshots both.
 #[derive(Debug, Default)]
 pub struct ObsHub {
     /// Named metrics (counters, gauges, histograms).
     pub registry: Registry,
-    /// Degraded-window phase stamps per failure incident.
-    pub timeline: TimelineRecorder,
-    /// Recent structured events, bounded.
+    /// Recent structured events, bounded, and the failure incidents
+    /// their phase events stamped.
     pub flight: FlightRecorder,
 }
 
@@ -82,13 +83,12 @@ impl ObsHub {
         ObsHub::default()
     }
 
-    /// A fresh hub whose timeline and flight recorder stamp through
+    /// A fresh hub whose flight recorder stamps through
     /// `clock` — under a virtual clock, every offset in the report is a
     /// deterministic function of the schedule, not of wall-time noise.
     pub fn with_clock(clock: ftc_time::ClockHandle) -> Self {
         ObsHub {
             registry: Registry::default(),
-            timeline: TimelineRecorder::with_clock(clock.clone()),
             flight: FlightRecorder::with_clock(FlightRecorder::DEFAULT_CAPACITY, clock),
         }
     }
@@ -112,10 +112,10 @@ mod tests {
     fn hub_instruments_are_independent() {
         let hub = ObsHub::shared();
         hub.registry.counter("a_total").inc();
-        hub.timeline.mark(1, Phase::Kill);
+        hub.flight.phase("t", 1, Phase::Kill, "n1");
         hub.flight.record("t", "k", "d");
         assert_eq!(hub.registry.counter("a_total").get(), 1);
-        assert_eq!(hub.timeline.incidents().len(), 1);
-        assert_eq!(hub.flight.len(), 1);
+        assert_eq!(hub.flight.incidents().len(), 1);
+        assert_eq!(hub.flight.len(), 2);
     }
 }

@@ -10,20 +10,23 @@
 //!      └──────────────────────── recovery latency ─────────────────────────────────┘
 //! ```
 //!
-//! The injector (chaos harness, test, operator) stamps `Kill`; the client
-//! stamps everything downstream as its detector and placement react. Each
-//! phase is recorded at its *first* occurrence per incident, and a new
-//! `Kill` for a node whose previous incident completed opens a fresh
-//! incident, so revive → re-kill sequences yield one measurement each.
+//! Each phase is one [`FlightRecorder::phase`](crate::FlightRecorder::phase)
+//! call: the injector (chaos harness, test, operator) stamps `Kill`, the
+//! client and its recovery engine stamp everything downstream as their
+//! detector and placement react. The recorder appends the call's ring
+//! event and stamps the incident table below under one lock, clock and
+//! origin; the table is kept beside the bounded ring, so a campaign that
+//! overflows the ring keeps every stamp. Each phase is recorded at its
+//! *first* occurrence per incident, and a new `Kill` for a node whose
+//! previous incident completed opens a fresh incident, so revive →
+//! re-kill sequences yield one measurement each.
 //!
 //! Derived outputs: per-incident phase offsets, and detection / recovery
-//! latency lists ready for percentile treatment across campaigns.
+//! latencies ready for percentile treatment across campaigns.
 
-use ftc_time::ClockHandle;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Phases of one failure incident, in causal order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -171,115 +174,36 @@ impl fmt::Display for Incident {
     }
 }
 
-struct TimelineInner {
-    incidents: Vec<Incident>,
-    /// node → index into `incidents` of its open (incomplete) incident.
+/// Every incident stamped so far (creation order) and, per node, the
+/// index of its open one. The flight recorder keeps it under its lock.
+#[derive(Debug, Default)]
+pub(crate) struct Incidents {
+    pub(crate) all: Vec<Incident>,
     open: HashMap<u32, usize>,
 }
 
-/// Thread-safe recorder of failure incidents. One per cluster/campaign;
-/// all stamps share its origin instant.
-pub struct TimelineRecorder {
-    clock: ClockHandle,
-    origin: Instant,
-    inner: Mutex<TimelineInner>,
-}
-
-impl Default for TimelineRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for TimelineRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimelineRecorder")
-            .field("incidents", &self.incidents().len())
-            .finish()
-    }
-}
-
-impl TimelineRecorder {
-    /// A recorder whose origin is now (wall clock).
-    pub fn new() -> Self {
-        Self::with_clock(ClockHandle::wall())
-    }
-
-    /// A recorder stamping through `clock`; under a virtual clock the
-    /// incident offsets are exact virtual latencies, not wall noise.
-    pub fn with_clock(clock: ClockHandle) -> Self {
-        TimelineRecorder {
-            origin: clock.now(),
-            clock,
-            inner: Mutex::new(TimelineInner {
-                incidents: Vec::new(),
-                open: HashMap::new(),
-            }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, TimelineInner> {
-        // Poisoning only signals a panic elsewhere; stamps are
-        // independent writes, so the state is still usable.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Stamp `phase` for `node` at "now". First occurrence per incident
-    /// wins; later repeats are ignored. A `Kill` for a node whose
-    /// previous incident completed (or that has none) opens a new
-    /// incident; any other phase joins the open incident, creating one
-    /// implicitly when a client observes a failure the injector never
-    /// announced (e.g. a flaky link).
-    pub fn mark(&self, node: u32, phase: Phase) {
-        let at = self.clock.since(self.origin);
-        let mut g = self.lock();
-        let idx = match g.open.get(&node) {
-            Some(&i) if !(phase == Phase::Kill && g.incidents[i].is_complete()) => i,
+impl Incidents {
+    /// Stamp `phase` for `node` at offset `at`; true when this call set
+    /// the stamp. First occurrence per incident wins; later repeats are
+    /// ignored. A `Kill` for a node whose previous incident completed (or
+    /// that has none) opens a new incident; any other phase joins the
+    /// open incident, creating one implicitly when a client observes a
+    /// failure the injector never announced (e.g. a flaky link).
+    pub(crate) fn stamp(&mut self, node: u32, phase: Phase, at: Duration) -> bool {
+        let i = match self.open.get(&node) {
+            Some(&i) if !(phase == Phase::Kill && self.all[i].is_complete()) => i,
             _ => {
-                if phase == Phase::Kill {
-                    // Re-kill of a recovered node: a fresh incident.
-                    g.incidents.push(Incident::new(node));
-                } else if g.open.contains_key(&node) {
-                    // Open incident exists (matched above unless re-kill);
-                    // unreachable, but stay total.
-                    g.incidents.push(Incident::new(node));
-                } else {
-                    g.incidents.push(Incident::new(node));
-                }
-                let i = g.incidents.len() - 1;
-                g.open.insert(node, i);
-                i
+                self.all.push(Incident::new(node));
+                self.open.insert(node, self.all.len() - 1);
+                self.all.len() - 1
             }
         };
-        let slot = &mut g.incidents[idx].stamps[phase.idx()];
-        if slot.is_none() {
+        let slot = &mut self.all[i].stamps[phase.idx()];
+        let first = slot.is_none();
+        if first {
             *slot = Some(at);
         }
-    }
-
-    /// All incidents recorded so far (clone; ordering = creation order).
-    pub fn incidents(&self) -> Vec<Incident> {
-        self.lock().incidents.clone()
-    }
-
-    /// Detection latencies (kill → declare) of every incident that has
-    /// both stamps.
-    pub fn detection_latencies(&self) -> Vec<Duration> {
-        self.lock()
-            .incidents
-            .iter()
-            .filter_map(Incident::detection_latency)
-            .collect()
-    }
-
-    /// Recovery latencies (kill → first recached hit) of every incident
-    /// that has both stamps.
-    pub fn recovery_latencies(&self) -> Vec<Duration> {
-        self.lock()
-            .incidents
-            .iter()
-            .filter_map(Incident::recovery_latency)
-            .collect()
+        first
     }
 }
 
@@ -308,12 +232,32 @@ pub fn percentile(samples: &[Duration], q: f64) -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FlightRecorder;
+
+    /// Stamp `phase` for `node` the way every instrumented site does.
+    fn mark(t: &FlightRecorder, node: u32, phase: Phase) {
+        t.phase("test", node, phase, format!("n{node}"));
+    }
+
+    fn detection_latencies(t: &FlightRecorder) -> Vec<Duration> {
+        t.incidents()
+            .iter()
+            .filter_map(Incident::detection_latency)
+            .collect()
+    }
+
+    fn recovery_latencies(t: &FlightRecorder) -> Vec<Duration> {
+        t.incidents()
+            .iter()
+            .filter_map(Incident::recovery_latency)
+            .collect()
+    }
 
     #[test]
     fn full_incident_derives_latencies() {
-        let t = TimelineRecorder::new();
+        let t = FlightRecorder::default();
         for p in Phase::ALL {
-            t.mark(2, p);
+            mark(&t, 2, p);
         }
         let incidents = t.incidents();
         assert_eq!(incidents.len(), 1);
@@ -335,9 +279,9 @@ mod tests {
 
     #[test]
     fn lazy_incident_has_no_recovery_phases() {
-        let t = TimelineRecorder::new();
+        let t = FlightRecorder::default();
         for p in Phase::LAZY {
-            t.mark(5, p);
+            mark(&t, 5, p);
         }
         let inc = &t.incidents()[0];
         assert!(inc.is_complete(), "lazy path still completes");
@@ -348,29 +292,29 @@ mod tests {
 
     #[test]
     fn first_occurrence_wins() {
-        let t = TimelineRecorder::new();
-        t.mark(1, Phase::Kill);
-        t.mark(1, Phase::FirstTimeout);
+        let t = FlightRecorder::default();
+        mark(&t, 1, Phase::Kill);
+        mark(&t, 1, Phase::FirstTimeout);
         let first = t.incidents()[0].stamp(Phase::FirstTimeout);
         std::thread::sleep(Duration::from_millis(2));
-        t.mark(1, Phase::FirstTimeout);
+        mark(&t, 1, Phase::FirstTimeout);
         assert_eq!(t.incidents()[0].stamp(Phase::FirstTimeout), first);
     }
 
     #[test]
     fn rekill_after_recovery_opens_new_incident() {
-        let t = TimelineRecorder::new();
-        t.mark(3, Phase::Kill);
-        t.mark(3, Phase::Declare);
-        t.mark(3, Phase::FirstRecachedHit);
-        t.mark(3, Phase::Kill); // revived, killed again
-        t.mark(3, Phase::Declare);
+        let t = FlightRecorder::default();
+        mark(&t, 3, Phase::Kill);
+        mark(&t, 3, Phase::Declare);
+        mark(&t, 3, Phase::FirstRecachedHit);
+        mark(&t, 3, Phase::Kill); // revived, killed again
+        mark(&t, 3, Phase::Declare);
         let incidents = t.incidents();
         assert_eq!(incidents.len(), 2);
         assert!(incidents[0].is_complete());
         assert!(!incidents[1].is_complete());
-        assert_eq!(t.detection_latencies().len(), 2);
-        assert_eq!(t.recovery_latencies().len(), 1);
+        assert_eq!(detection_latencies(&t).len(), 2);
+        assert_eq!(recovery_latencies(&t).len(), 1);
     }
 
     #[test]
@@ -378,12 +322,12 @@ mod tests {
         // A flaky link can drive suspect/declare without any injected
         // kill; those incidents exist but contribute no kill-anchored
         // latency.
-        let t = TimelineRecorder::new();
-        t.mark(4, Phase::Suspect);
-        t.mark(4, Phase::Declare);
+        let t = FlightRecorder::default();
+        mark(&t, 4, Phase::Suspect);
+        mark(&t, 4, Phase::Declare);
         assert_eq!(t.incidents().len(), 1);
-        assert!(t.detection_latencies().is_empty());
-        assert!(t.recovery_latencies().is_empty());
+        assert!(detection_latencies(&t).is_empty());
+        assert!(recovery_latencies(&t).is_empty());
     }
 
     #[test]
@@ -394,18 +338,18 @@ mod tests {
         // are exact, so pin them: declare-before-suspect must not skew
         // detection, and only the FIRST ring bump counts.
         let incidents = ftc_time::with_virtual(|clock| {
-            let t = TimelineRecorder::with_clock(clock.clone());
-            t.mark(9, Phase::Kill); // t=0
+            let t = FlightRecorder::with_clock(FlightRecorder::DEFAULT_CAPACITY, clock.clone());
+            mark(&t, 9, Phase::Kill); // t=0
             clock.sleep(Duration::from_millis(5));
-            t.mark(9, Phase::Declare); // t=5, arrives before its suspect
+            mark(&t, 9, Phase::Declare); // t=5, arrives before its suspect
             clock.sleep(Duration::from_millis(1));
-            t.mark(9, Phase::Suspect); // t=6, late — joins the open incident
+            mark(&t, 9, Phase::Suspect); // t=6, late — joins the open incident
             clock.sleep(Duration::from_millis(1));
-            t.mark(9, Phase::RingUpdate); // t=7
+            mark(&t, 9, Phase::RingUpdate); // t=7
             clock.sleep(Duration::from_millis(1));
-            t.mark(9, Phase::RingUpdate); // t=8, duplicate bump — ignored
+            mark(&t, 9, Phase::RingUpdate); // t=8, duplicate bump — ignored
             clock.sleep(Duration::from_millis(2));
-            t.mark(9, Phase::FirstRecachedHit); // t=10
+            mark(&t, 9, Phase::FirstRecachedHit); // t=10
             t.incidents()
         });
         assert_eq!(
@@ -431,8 +375,8 @@ mod tests {
 
     #[test]
     fn incident_display_is_readable() {
-        let t = TimelineRecorder::new();
-        t.mark(7, Phase::Kill);
+        let t = FlightRecorder::default();
+        mark(&t, 7, Phase::Kill);
         let s = t.incidents()[0].to_string();
         assert!(s.starts_with("n7:"));
         assert!(s.contains("kill@"));

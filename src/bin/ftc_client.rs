@@ -15,9 +15,8 @@
 //!
 //! Per epoch it prints one `EPOCH …` line (read provenance counts,
 //! failed-node set, latency percentiles); at exit one `SUMMARY {json}`
-//! line. `--bench` instead runs the loopback macrobenchmark over three
-//! value sizes and writes a JSON report (with `schema`, `commit` and
-//! host `cores`) to `--out` (or stdout).
+//! line. Throughput and latency against a fleet are measured end to end
+//! by `bash benchmark/run.sh`, not here.
 
 use ft_cache::fleet::{json_array, stage_dataset, Args, Json};
 use ftc_core::{
@@ -33,11 +32,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: ftc-client --peers HOST:PORT,... [--epochs N] [--files N] \
 [--size BYTES] [--prefix NAME] [--policy ring|pfs|noft] [--ttl-ms MS] [--me N] \
-[--no-recovery] [--armored] [--bench] [--out PATH]";
-
-/// Bench value sizes: small (metadata-ish), medium (the default file
-/// size everywhere else in the tree), large (frame dominated by body).
-const BENCH_SIZES: [usize; 3] = [4_096, 65_536, 1_048_576];
+[--no-recovery] [--armored]";
 
 fn die(msg: &str) -> ! {
     eprintln!("ftc-client: {msg}\n{USAGE}");
@@ -116,44 +111,13 @@ fn stats_json(s: &EpochStats) -> Json {
         .u("p999_us", quantile(&s.lat_us, 0.999))
 }
 
-fn build_client(
-    me: NodeId,
-    transport: &TcpTransport<CacheRequest, CacheResponse>,
-    pfs: Arc<Pfs>,
-    policy: FtPolicy,
-    ttl: Duration,
-    recovery: bool,
-    armored: bool,
-) -> Arc<HvacClient> {
-    let mut config = FtConfig::for_policy(policy);
-    config.detector.ttl = ttl;
-    if armored {
-        // Client-side overload armor: per-node circuit breaker, token
-        // retry budget, hedged reads — pairs with `ftc-server --armored`.
-        config.overload = ftc_core::OverloadConfig::armored();
-    }
-    let client = Arc::new(HvacClient::with_transport(
-        me,
-        transport,
-        pfs,
-        transport.peer_count() as u32,
-        config,
-    ));
-    if recovery && policy == FtPolicy::RingRecache {
-        if let Err(e) = client.enable_recovery(RecoveryConfig::default()) {
-            die(&format!("cannot start recovery engine: {e}"));
-        }
-    }
-    client
-}
-
 fn main() {
     let args = match Args::parse(
         std::env::args().skip(1),
         &[
-            "peers", "epochs", "files", "size", "prefix", "policy", "ttl-ms", "me", "out",
+            "peers", "epochs", "files", "size", "prefix", "policy", "ttl-ms", "me",
         ],
-        &["bench", "no-recovery", "armored"],
+        &["no-recovery", "armored"],
     ) {
         Ok(a) => a,
         Err(e) => die(&e),
@@ -180,33 +144,27 @@ fn main() {
         TcpTransport::from_peer_list(&peers, TcpConfig::default());
     let clock = ClockHandle::wall();
 
-    if args.flag("bench") {
-        let report = run_bench(&transport, me, policy, ttl, files, epochs, &clock);
-        match args.get("out") {
-            Some(path) => {
-                if let Err(e) = std::fs::write(path, report + "\n") {
-                    die(&format!("cannot write --out: {e}"));
-                }
-            }
-            None => println!("{report}"),
-        }
-        return;
-    }
-
     // The client declares its own PFS mirror: direct-PFS fallback reads
     // and verification both come from the same deterministic generator
     // the servers use, and only the files it falls back on are generated.
     let pfs = Arc::new(Pfs::in_memory());
     let paths = stage_dataset(&pfs, &prefix, files, size);
-    let client = build_client(
-        me,
-        &transport,
-        pfs,
-        policy,
-        ttl,
-        !args.flag("no-recovery"),
-        args.flag("armored"),
-    );
+    let mut config = FtConfig::for_policy(policy);
+    config.detector.ttl = ttl;
+    if args.flag("armored") {
+        // Client-side overload armor: per-node circuit breaker, token
+        // retry budget, hedged reads — pairs with `ftc-server --armored`.
+        config.overload = ftc_core::OverloadConfig::armored();
+    }
+    let peer_count = transport.peer_count() as u32;
+    let client = Arc::new(HvacClient::with_transport(
+        me, &transport, pfs, peer_count, config,
+    ));
+    if policy == FtPolicy::RingRecache && !args.flag("no-recovery") {
+        if let Err(e) = client.enable_recovery(RecoveryConfig::default()) {
+            die(&format!("cannot start recovery engine: {e}"));
+        }
+    }
 
     let mut epoch_docs = Vec::with_capacity(epochs);
     let mut total_errors = 0;
@@ -244,91 +202,4 @@ fn main() {
         .render();
     println!("SUMMARY {summary}");
     std::process::exit(if total_errors == 0 { 0 } else { 1 });
-}
-
-/// What `git describe` calls the checkout the bench runs in (`-dirty`
-/// with uncommitted changes), so a checked-in row names the code that
-/// produced it; `unknown` outside a repository.
-fn head_commit() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".into(), |s| s.trim().to_string())
-}
-
-/// The loopback macrobenchmark: for each value size, stage a dedicated
-/// dataset, run one warm-up epoch (fills the fleet's NVMe tiers), then
-/// measure `epochs` epochs of cache-hit reads.
-fn run_bench(
-    transport: &TcpTransport<CacheRequest, CacheResponse>,
-    me: NodeId,
-    policy: FtPolicy,
-    ttl: Duration,
-    files: usize,
-    epochs: usize,
-    clock: &ClockHandle,
-) -> String {
-    let mut size_docs = Vec::new();
-    for (i, &size) in BENCH_SIZES.iter().enumerate() {
-        let prefix = format!("bench{size}");
-        let pfs = Arc::new(Pfs::in_memory());
-        let paths = stage_dataset(&pfs, &prefix, files, size);
-        // A distinct client identity per size keeps detector state and
-        // placement caches from leaking across measurements.
-        let client = build_client(
-            NodeId(me.0 + i as u32),
-            transport,
-            pfs,
-            policy,
-            ttl,
-            false,
-            false,
-        );
-        let warm = run_epoch(&client, &paths, clock);
-        if warm.errors > 0 {
-            die(&format!("bench warm-up saw {} errors", warm.errors));
-        }
-        let mut lat_us = Vec::with_capacity(files * epochs);
-        let mut reads = 0u64;
-        let mut errors = 0u64;
-        let t0 = clock.now();
-        for _ in 0..epochs {
-            let s = run_epoch(&client, &paths, clock);
-            reads += s.ok;
-            errors += s.errors;
-            lat_us.extend_from_slice(&s.lat_us);
-        }
-        let secs = clock.since(t0).as_secs_f64().max(1e-9);
-        lat_us.sort_unstable();
-        size_docs.push(
-            Json::obj()
-                .u("value_bytes", size as u64)
-                .u("reads", reads)
-                .u("errors", errors)
-                .f("reads_per_sec", reads as f64 / secs)
-                .f("mb_per_sec", (reads * size as u64) as f64 / secs / 1e6)
-                .u("p50_us", quantile(&lat_us, 0.50))
-                .u("p99_us", quantile(&lat_us, 0.99))
-                .u("p999_us", quantile(&lat_us, 0.999))
-                .render(),
-        );
-    }
-    Json::obj()
-        .s("bench", "tcp_loopback")
-        .s("schema", "ftc-bench/tcp_loopback/2")
-        .s("commit", &head_commit())
-        .u(
-            "cores",
-            std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
-        )
-        .s("transport", "ftc-wire tcp, length-prefixed frames")
-        .s("policy", policy.label())
-        .u("peers", transport.peer_count() as u64)
-        .u("files_per_size", files as u64)
-        .u("measured_epochs", epochs as u64)
-        .raw("sizes", json_array(&size_docs))
-        .render()
 }

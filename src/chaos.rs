@@ -1123,7 +1123,7 @@ fn record(
     log.sheds = cluster.sheds_per_node();
     log.killed = cluster.killed_nodes();
     log.trace = cluster.network().tracer().map(|t| t.take());
-    log.incidents = cluster.obs().timeline.incidents();
+    log.incidents = cluster.obs().flight.incidents();
     log.obs = Some(Arc::clone(cluster.obs()));
     log.history = cluster.network().history().map(|h| h.take());
     log.diagnosis = diagnose(&client);
