@@ -6,7 +6,7 @@
 //!
 //! On a mismatch the actual output is written under the cargo target
 //! directory and the failure message prints the `cp` that re-blesses it.
-//! All 39 runs take a few seconds: `cargo test -p ftc-bench --test
+//! All 40 runs take a few seconds: `cargo test -p ftc-bench --test
 //! chaos_golden`.
 
 use std::path::{Path, PathBuf};
@@ -96,4 +96,12 @@ fn explored_schedules_match_their_goldens() {
         }
     }
     check(cases);
+}
+
+#[test]
+fn linearizability_sweep_matches_its_golden() {
+    check(vec![case(
+        "check-linz-seed1".into(),
+        "--check-linz --campaigns 50 --seed 1",
+    )]);
 }
