@@ -197,7 +197,7 @@ pub fn fingerprint_trace(records: &[TraceRecord]) -> u64 {
         // `seq` is the global append order — exactly the thing that
         // differs between equivalent interleavings — so it is excluded.
         let line = format!("{:?}|{:?}|{:?}", r.actor, r.clock, r.kind);
-        acc = acc.wrapping_add(ftc_net::fnv1a(line.as_bytes()));
+        acc = acc.wrapping_add(ftc_hashring::hash::fnv1a64(line.as_bytes()));
     }
     acc
 }
@@ -330,9 +330,10 @@ mod tests {
     fn fingerprint_is_order_independent() {
         use ftc_hashring::NodeId;
         use ftc_net::{TraceEventKind, Tracer};
-        let t = Tracer::new();
+        let t = Tracer::new(ftc_time::ClockHandle::wall());
         t.record(NodeId(1), TraceEventKind::Declare { node: NodeId(2) });
-        t.record(NodeId(3), TraceEventKind::CacheInsert { key: "k".into() });
+        let key = "k".into();
+        t.record(NodeId(3), TraceEventKind::CacheInsert { key, digest: None });
         let mut records = t.take();
         let a = fingerprint_trace(&records);
         records.swap(0, 1);

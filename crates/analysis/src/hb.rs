@@ -215,12 +215,16 @@ pub fn forge_stale_epoch_read(log: &mut Vec<TraceRecord>) -> bool {
     let seq = log.last().map_or(0, |r| r.seq + 1);
     log.push(TraceRecord {
         seq,
+        at: upd.at,
         actor: upd.actor,
         clock,
         kind: TraceEventKind::ReadServed {
             key: "<forged-unsynchronised-read>".to_owned(),
             owner: node,
             epoch: old_epoch,
+            invoke: upd.at,
+            digest: 0,
+            handoff: false,
         },
     });
     true
@@ -231,6 +235,19 @@ mod tests {
     use super::*;
     use ftc_hashring::NodeId;
     use ftc_net::{Tracer, VClock};
+    use ftc_time::ClockHandle;
+    use std::time::Duration;
+
+    fn read_served(epoch: u64) -> TraceEventKind {
+        TraceEventKind::ReadServed {
+            key: "f".into(),
+            owner: NodeId(1),
+            epoch,
+            invoke: Duration::ZERO,
+            digest: 0,
+            handoff: false,
+        }
+    }
 
     fn ring_update(t: &Tracer, actor: NodeId, node: NodeId, old: u64) {
         t.record(
@@ -246,22 +263,15 @@ mod tests {
 
     #[test]
     fn ordered_read_then_update_is_clean() {
-        let t = Tracer::new();
-        t.record(
-            NodeId(100),
-            TraceEventKind::ReadServed {
-                key: "f".into(),
-                owner: NodeId(1),
-                epoch: 0,
-            },
-        );
+        let t = Tracer::new(ClockHandle::wall());
+        t.record(NodeId(100), read_served(0));
         ring_update(&t, NodeId(100), NodeId(1), 0);
         assert!(check_trace(&t.take()).is_empty());
     }
 
     #[test]
     fn forged_concurrent_read_is_flagged() {
-        let t = Tracer::new();
+        let t = Tracer::new(ClockHandle::wall());
         ring_update(&t, NodeId(100), NodeId(1), 0);
         let mut log = t.take();
         assert!(forge_stale_epoch_read(&mut log));
@@ -279,24 +289,17 @@ mod tests {
 
     #[test]
     fn cross_actor_events_never_conflict() {
-        let t = Tracer::new();
+        let t = Tracer::new(ClockHandle::wall());
         // Two clients each see epoch 0 retire — independently, which is
         // the system's design, not a race.
         ring_update(&t, NodeId(100), NodeId(1), 0);
-        t.record(
-            NodeId(101),
-            TraceEventKind::ReadServed {
-                key: "f".into(),
-                owner: NodeId(1),
-                epoch: 0,
-            },
-        );
+        t.record(NodeId(101), read_served(0));
         assert!(check_trace(&t.take()).is_empty());
     }
 
     #[test]
     fn concurrent_declare_and_readmit_is_flagged() {
-        let t = Tracer::new();
+        let t = Tracer::new(ClockHandle::wall());
         t.record(NodeId(100), TraceEventKind::Declare { node: NodeId(2) });
         let mut log = t.take();
         // Forge a readmit on the same actor with a clock the declare
@@ -305,6 +308,7 @@ mod tests {
         clock.set(u32::MAX, 1);
         log.push(TraceRecord {
             seq: 1,
+            at: log[0].at,
             actor: NodeId(100),
             clock,
             kind: TraceEventKind::Readmit { node: NodeId(2) },
@@ -316,7 +320,7 @@ mod tests {
 
     #[test]
     fn epoch_regression_is_flagged() {
-        let t = Tracer::new();
+        let t = Tracer::new(ClockHandle::wall());
         ring_update(&t, NodeId(100), NodeId(1), 0);
         // A later (causally ordered) update claiming to start from a
         // stale epoch.

@@ -26,9 +26,9 @@
 //!   with partial-order-reduction-lite pruning keyed on vector-clock
 //!   execution fingerprints.
 //! * [`linz`] — a Wing–Gong-style linearizability checker over the
-//!   per-op histories the transport records (`ftc_net::history`), with
-//!   an epoch-aware freshness rule and the documented hinted-handoff
-//!   exception.
+//!   per-op history in the same vector-clock trace [`hb`] reads
+//!   ([`linz::ops`]), with an epoch-aware freshness rule and the
+//!   documented hinted-handoff exception.
 //! * [`replay`] — the one text format both chaos-campaign seeds and
 //!   explored schedules serialize through for byte-identical replay.
 //!

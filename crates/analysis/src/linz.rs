@@ -1,11 +1,12 @@
 //! Linearizability checking for recorded cache histories.
 //!
-//! Input: the per-op history the transport records when
-//! `Network::enable_history` is on (see `ftc_net::history`) — every
-//! completed client read as an `[invoke, ret]` interval with value
-//! digest, serving node and ring-epoch attribution; every server-side
-//! value landing (replica write / recache push) and dataset staging as
-//! a write; every client ring-epoch bump as a point event.
+//! Input: the fabric's vector-clock trace (`Network::enable_tracing`,
+//! see `ftc_net::trace`), read through [`ops`] as a per-op history —
+//! every completed client read (`ReadServed`) as an `[invoke, ret]`
+//! interval with value digest, serving node and ring-epoch attribution;
+//! every server-side `Put` (replica write / recache push) and the dataset
+//! staging as a write; every client ring-epoch bump (`RingUpdate`) as a
+//! point event.
 //!
 //! Two specifications are checked:
 //!
@@ -32,8 +33,98 @@
 //! one violation of each rule into a clean history — the self-tests
 //! behind `chaos --self-test linz-forgery`.
 
-use ftc_net::{OpKind, OpRecord};
+use ftc_hashring::hash::fnv1a64;
+use ftc_hashring::NodeId;
+use ftc_net::{TraceEventKind, TraceRecord};
 use std::collections::{BTreeMap, HashMap};
+use std::time::Duration;
+
+/// What kind of operation an [`OpRecord`] describes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpKind {
+    /// A client read that completed with data.
+    Read,
+    /// A value landing on a node (replica write, recache push) or the
+    /// t=0 dataset staging.
+    Write,
+    /// A client advanced its ring-epoch view. Carries no key or value;
+    /// `epoch` is the *new* epoch.
+    EpochBump,
+}
+
+/// One completed operation: the checker's view of one trace record.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OpRecord {
+    /// Who performed the op (the client for reads and epoch bumps, the
+    /// storing node for writes).
+    pub actor: NodeId,
+    /// Operation kind.
+    pub kind: OpKind,
+    /// The file path / placement key; empty for [`OpKind::EpochBump`].
+    pub key: String,
+    /// Ring epoch: the client's placement-view epoch for reads, the new
+    /// epoch for bumps, 0 for writes (servers don't see the ring).
+    pub epoch: u64,
+    /// Invocation time, as an offset from the tracer's creation.
+    pub invoke: Duration,
+    /// Response time (≥ `invoke`); equal to `invoke` for ops whose
+    /// linearization point is their serve instant (writes, bumps).
+    pub ret: Duration,
+    /// FNV-1a digest of the value bytes; 0 for epoch bumps.
+    pub digest: u64,
+    /// The read was served through the failover path (successor serve,
+    /// hedge, PFS) — the documented exception the epoch rule skips.
+    pub handoff: bool,
+}
+
+/// The per-op history in a trace: a read per `ReadServed`, a write per
+/// `CacheInsert` that carries a digest (a `Put`, or the staging seed the
+/// chaos driver records), an epoch bump per `RingUpdate`. Message legs,
+/// detector events, evictions and the insert that persists a PFS fetch
+/// are no ops.
+pub fn ops(log: &[TraceRecord]) -> Vec<OpRecord> {
+    let op = |r: &TraceRecord| {
+        // Writes and bumps are point events at their record time.
+        let point = |kind, key: &str, epoch, digest| OpRecord {
+            actor: r.actor,
+            kind,
+            key: key.to_owned(),
+            epoch,
+            invoke: r.at,
+            ret: r.at,
+            digest,
+            handoff: false,
+        };
+        Some(match &r.kind {
+            TraceEventKind::ReadServed {
+                key,
+                epoch,
+                invoke,
+                digest,
+                handoff,
+                ..
+            } => OpRecord {
+                actor: r.actor,
+                kind: OpKind::Read,
+                key: key.clone(),
+                epoch: *epoch,
+                invoke: *invoke,
+                ret: r.at,
+                digest: *digest,
+                handoff: *handoff,
+            },
+            TraceEventKind::CacheInsert {
+                key,
+                digest: Some(digest),
+            } => point(OpKind::Write, key, 0, *digest),
+            TraceEventKind::RingUpdate { new_epoch, .. } => {
+                point(OpKind::EpochBump, "", *new_epoch, 0)
+            }
+            _ => return None,
+        })
+    };
+    log.iter().filter_map(op).collect()
+}
 
 /// One specification breach.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,7 +241,7 @@ pub fn check_history(ops: &[OpRecord]) -> LinzReport {
 
     // ---- Rule 2: per-client epoch freshness -------------------------
     // Bumps per actor, sorted by completion time.
-    let mut bumps_by_actor: HashMap<u32, Vec<(std::time::Duration, u64)>> = HashMap::new();
+    let mut bumps_by_actor: HashMap<u32, Vec<(Duration, u64)>> = HashMap::new();
     for op in ops {
         if op.kind == OpKind::EpochBump {
             report.bumps += 1;
@@ -256,7 +347,7 @@ fn check_register(part: &[&OpRecord]) -> RegisterVerdict {
         } else if write_digests.is_empty() {
             // Reads of a key nothing ever wrote: nothing to compare
             // against (the harness normally seeds staged values, so
-            // this means history was enabled mid-run).
+            // this means tracing was enabled mid-run).
             RegisterVerdict::Inconclusive
         } else {
             RegisterVerdict::Violation
@@ -264,7 +355,7 @@ fn check_register(part: &[&OpRecord]) -> RegisterVerdict {
     }
     // Multi-valued history: full search on intervals.
     let mut ops: Vec<&OpRecord> = part.to_vec();
-    ops.sort_by_key(|o| (o.invoke, o.ret, o.id));
+    ops.sort_by_key(|o| (o.invoke, o.ret));
     let mut budget = SEARCH_BUDGET;
     let mut memo: std::collections::HashSet<u64> = std::collections::HashSet::new();
     let mut remaining: Vec<bool> = vec![true; ops.len()];
@@ -297,7 +388,7 @@ fn search(
     let mut state_key: u64 = value.unwrap_or(u64::MAX).wrapping_mul(0x9e3779b97f4a7c15);
     for (i, &r) in remaining.iter().enumerate() {
         if r {
-            state_key = state_key.wrapping_add(ftc_net::fnv1a(&(i as u64).to_le_bytes()));
+            state_key = state_key.wrapping_add(fnv1a64(&(i as u64).to_le_bytes()));
         }
     }
     if !memo.insert(state_key) {
@@ -348,7 +439,7 @@ fn search(
 /// it to an older epoch. Returns false when the history has no eligible
 /// read (no bump ever completed before a read).
 pub fn forge_stale_linz_read(ops: &mut [OpRecord]) -> bool {
-    let mut bumps_by_actor: HashMap<u32, Vec<(std::time::Duration, u64)>> = HashMap::new();
+    let mut bumps_by_actor: HashMap<u32, Vec<(Duration, u64)>> = HashMap::new();
     for op in ops.iter() {
         if op.kind == OpKind::EpochBump {
             bumps_by_actor
@@ -399,8 +490,6 @@ pub fn forge_corrupt_read_value(ops: &mut [OpRecord]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftc_hashring::NodeId;
-    use std::time::Duration;
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -408,11 +497,9 @@ mod tests {
 
     fn write(key: &str, at: u64, digest: u64) -> OpRecord {
         OpRecord {
-            id: 0,
             actor: NodeId(9),
             kind: OpKind::Write,
             key: key.into(),
-            node: NodeId(9),
             epoch: 0,
             invoke: ms(at),
             ret: ms(at),
@@ -423,11 +510,9 @@ mod tests {
 
     fn read(key: &str, actor: u32, invoke: u64, ret: u64, epoch: u64, digest: u64) -> OpRecord {
         OpRecord {
-            id: 0,
             actor: NodeId(actor),
             kind: OpKind::Read,
             key: key.into(),
-            node: NodeId(1),
             epoch,
             invoke: ms(invoke),
             ret: ms(ret),
@@ -438,17 +523,60 @@ mod tests {
 
     fn bump(actor: u32, at: u64, epoch: u64) -> OpRecord {
         OpRecord {
-            id: 0,
             actor: NodeId(actor),
             kind: OpKind::EpochBump,
             key: String::new(),
-            node: NodeId(0),
             epoch,
             invoke: ms(at),
             ret: ms(at),
             digest: 0,
             handoff: false,
         }
+    }
+
+    #[test]
+    fn ops_read_puts_reads_and_ring_updates_out_of_a_trace() {
+        let t = ftc_net::Tracer::new(ftc_time::ClockHandle::wall());
+        let insert = |node, digest| {
+            let key = "a".to_owned();
+            t.record(NodeId(node), TraceEventKind::CacheInsert { key, digest });
+        };
+        insert(u32::MAX, Some(7)); // the staging seed
+        insert(1, None); // a persisted PFS fetch: no write
+        t.record(NodeId(2), TraceEventKind::Declare { node: NodeId(1) });
+        let update = TraceEventKind::RingUpdate {
+            node: NodeId(1),
+            old_epoch: 0,
+            new_epoch: 1,
+            joined: false,
+        };
+        t.record(NodeId(100), update);
+        let read = TraceEventKind::ReadServed {
+            key: "a".into(),
+            owner: NodeId(2),
+            epoch: 1,
+            invoke: t.now(),
+            digest: 7,
+            handoff: true,
+        };
+        t.record(NodeId(100), read);
+        insert(2, Some(7)); // a `Put`
+        let log = t.take();
+        let ops = ops(&log);
+        let kinds: Vec<_> = ops.iter().map(|o| (o.actor.0, o.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (u32::MAX, OpKind::Write),
+                (100, OpKind::EpochBump),
+                (100, OpKind::Read),
+                (2, OpKind::Write)
+            ]
+        );
+        assert_eq!((ops[1].epoch, ops[1].ret), (1, log[3].at));
+        assert!(ops[2].invoke <= ops[2].ret && ops[2].ret == log[4].at);
+        assert!(ops[2].handoff && ops[2].digest == 7);
+        assert_eq!((ops[3].key.as_str(), ops[3].digest), ("a", 7));
     }
 
     #[test]

@@ -31,9 +31,10 @@ use crate::policy::{FtConfig, FtPolicy};
 use crate::proto::{CacheRequest, CacheResponse, ServeSource};
 use crate::recovery::{RecoveryConfig, RecoveryEngine};
 use crate::singleflight::{Join, SingleFlight};
+use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::{NodeId, Placement};
 use ftc_net::xport::{Caller, Transport};
-use ftc_net::{HistoryRecorder, RpcError, TraceEventKind};
+use ftc_net::{RpcError, TraceEventKind};
 use ftc_obs::Phase;
 use ftc_storage::{KeyIndex, Pfs, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
@@ -168,16 +169,12 @@ pub struct HvacClient {
     inflight: SingleFlight<Result<ReadOutcome, ReadError>>,
 }
 
-/// An open history interval: the recorder (when the fabric keeps one)
-/// and the invoke stamp taken from it.
-type HistInvoke = Option<(Arc<HistoryRecorder>, Duration)>;
-
 /// Where one attempt goes: owner and placement epoch captured under one
-/// lock acquisition, plus the history interval opened just before it.
+/// lock acquisition, plus the trace invoke stamp taken just before it.
 struct Placed {
     owner: NodeId,
     epoch: u64,
-    hist: HistInvoke,
+    invoke: Duration,
 }
 
 /// Why an attempt was not served — what [`HvacClient::fall_back`] rules on.
@@ -491,7 +488,7 @@ impl HvacClient {
                 // Invoke stamp taken before the wait so the follower's
                 // recorded interval brackets the leader's publish — the
                 // linearizability checker sees a legal overlapping read.
-                let hist = self.hist_invoke();
+                let invoke = self.trace_now();
                 let published = follower.wait(&self.clock, self.config.retry.deadline_budget);
                 match published {
                     Some(p) if p.epoch == self.ring_epoch() => {
@@ -504,7 +501,7 @@ impl HvacClient {
                             // A coalesced delivery is not bound to the
                             // current owner: the leader may have been
                             // served by a replica or a direct PFS read.
-                            self.account_served(path, &out.bytes, hist, node, p.epoch, || {
+                            self.account_served(path, &out.bytes, invoke, node, p.epoch, || {
                                 self.owner_of(path) != Some(node)
                             });
                         }
@@ -696,31 +693,30 @@ impl HvacClient {
     /// The owner of `path` and the placement epoch — the pair the race
     /// detector checks a served read against. `None` on an empty ring.
     fn place(&self, path: &str) -> Option<Placed> {
-        // The history invoke stamp is taken *before* the placement lock:
-        // any epoch bump that completed before this instant is therefore
+        // The invoke stamp is taken *before* the placement lock: any
+        // epoch bump that completed before this instant is therefore
         // fully ordered before the owner/epoch capture below, which is
-        // what makes the checker's per-client epoch rule sound (no false
-        // positives from in-flight bumps).
-        let hist = self.hist_invoke();
+        // what makes the linearizability checker's per-client epoch rule
+        // sound (no false positives from in-flight bumps).
+        let invoke = self.trace_now();
         let p = self.placement.lock();
         let owner = p.owner(path)?;
         Some(Placed {
             owner,
             epoch: self.ring_epoch(),
-            hist,
+            invoke,
         })
     }
 
-    /// Open a history interval, when the fabric records one.
-    fn hist_invoke(&self) -> HistInvoke {
-        let h = self.endpoint.history()?;
-        let invoke = h.now();
-        Some((h, invoke))
+    /// The tracer's clock offset, the invoke stamp of a read's
+    /// `ReadServed` event; zero when the fabric does not trace.
+    fn trace_now(&self) -> Duration {
+        self.endpoint.tracer().map_or(Duration::ZERO, |t| t.now())
     }
 
     /// `served_by` answered the attempt placed at `at` with data: feed
-    /// the liveness evidence, emit the `ReadServed` trace event, account
-    /// the read, replicate a fresh PFS fetch.
+    /// the liveness evidence, account the read, replicate a fresh PFS
+    /// fetch.
     fn served(
         &self,
         path: &str,
@@ -738,15 +734,10 @@ impl HvacClient {
             // declared (that node's first recached hit).
             engine.notify_served(served_by, path, first_hit);
         }
-        self.trace_with(|| TraceEventKind::ReadServed {
-            key: path.to_owned(),
-            owner: served_by,
-            epoch: at.epoch,
-        });
         // Served after failing over from a removed owner, or by a hedge
         // to the next replica owner — the documented handoff exception.
         let handoff = failed_over.is_some() || served_by != at.owner;
-        self.account_served(path, &bytes, at.hist, served_by, at.epoch, || handoff);
+        self.account_served(path, &bytes, at.invoke, served_by, at.epoch, || handoff);
         if let Some(dead) = failed_over {
             // The dead node's keys are serving from a survivor again: its
             // degraded window (for this client) is over.
@@ -777,33 +768,27 @@ impl HvacClient {
     }
 
     /// Served-read bookkeeping, identical for a leader and a coalesced
-    /// follower: the ok/bytes counters and one history `OpRecord` closing
-    /// the interval `hist` opened.
+    /// follower: the ok/bytes counters and one `ReadServed` trace event
+    /// closing the interval opened at `invoke`.
     fn account_served(
         &self,
         path: &str,
         bytes: &[u8],
-        hist: HistInvoke,
+        invoke: Duration,
         node: NodeId,
         epoch: u64,
         handoff: impl FnOnce() -> bool,
     ) {
         self.metrics.reads_ok.inc();
         self.metrics.bytes_read.add(bytes.len() as u64);
-        if let Some((h, invoke)) = hist {
-            h.record(ftc_net::OpRecord {
-                id: 0,
-                actor: self.me,
-                kind: ftc_net::OpKind::Read,
-                key: path.to_owned(),
-                node,
-                epoch,
-                invoke,
-                ret: h.now(),
-                digest: ftc_net::fnv1a(bytes),
-                handoff: handoff(),
-            });
-        }
+        self.trace_with(|| TraceEventKind::ReadServed {
+            key: path.to_owned(),
+            owner: node,
+            epoch,
+            invoke,
+            digest: fnv1a64(bytes),
+            handoff: handoff(),
+        });
     }
 
     /// Feed `event` for `node` to the health table and carry out what it
@@ -871,30 +856,15 @@ impl HvacClient {
             // placement lock; the counter itself carries no data, readers
             // pairing it with an owner lookup hold the same lock.
             let old = self.epoch.fetch_add(1, Ordering::Relaxed);
+            // A point event: once it completes, reads this client invokes
+            // must not be attributed to an older epoch (the
+            // linearizability checker's epoch rule).
             self.trace_with(|| TraceEventKind::RingUpdate {
                 node,
                 old_epoch: old,
                 new_epoch: old + 1,
                 joined,
             });
-            if let Some(h) = self.endpoint.history() {
-                // The bump is a point event: once it completes, reads this
-                // client invokes must not be attributed to an older epoch
-                // (the linearizability checker's epoch rule).
-                let t = h.now();
-                h.record(ftc_net::OpRecord {
-                    id: 0,
-                    actor: self.me,
-                    kind: ftc_net::OpKind::EpochBump,
-                    key: String::new(),
-                    node,
-                    epoch: old + 1,
-                    invoke: t,
-                    ret: t,
-                    digest: 0,
-                    handoff: false,
-                });
-            }
             if let Some(obs) = self.obs.get() {
                 if joined {
                     let detail = format!("{node} epoch {}", old + 1);
@@ -1871,7 +1841,7 @@ mod tests {
 
     /// A fabric with no servers behind it: every RPC pops the next canned
     /// reply, and an exhausted script answers reads with an NVMe hit. The
-    /// hooks let a test watch a read cross `history()` / `call()` and hold
+    /// hooks let a test watch a read cross `tracer()` / `call()` and hold
     /// it inside `call()` until released. A `Ping` (only the recovery
     /// engine sends one) waits for its reply on `pings` and is not
     /// counted in `calls`; every other call's deadline lands in
@@ -1888,7 +1858,7 @@ mod tests {
         replies: Mutex<std::collections::VecDeque<Reply>>,
         calls: AtomicU64,
         deadlines: Mutex<Vec<Duration>>,
-        history: Option<Arc<ftc_net::HistoryRecorder>>,
+        tracer: Option<Arc<ftc_net::Tracer>>,
         events: Mutex<Option<std::sync::mpsc::Sender<&'static str>>>,
         release: Mutex<Option<std::sync::mpsc::Receiver<()>>>,
         pings: Mutex<Option<std::sync::mpsc::Receiver<Reply>>>,
@@ -1961,9 +1931,9 @@ mod tests {
                 other => panic!("script has no reply for {other:?}"),
             })
         }
-        fn history(&self) -> Option<Arc<ftc_net::HistoryRecorder>> {
-            self.1.announce("history");
-            self.1.history.clone()
+        fn tracer(&self) -> Option<Arc<ftc_net::Tracer>> {
+            self.1.announce("tracer");
+            self.1.tracer.clone()
         }
     }
 
@@ -2469,17 +2439,32 @@ mod tests {
         use std::sync::mpsc;
         let (events_tx, events) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
-        let history = Arc::new(ftc_net::HistoryRecorder::new(ClockHandle::wall()));
+        let tracer = Arc::new(ftc_net::Tracer::new(ClockHandle::wall()));
         let state = Arc::new(ScriptState {
-            history: Some(Arc::clone(&history)),
+            tracer: Some(Arc::clone(&tracer)),
             events: Mutex::new(Some(events_tx)),
             release: Mutex::new(Some(release_rx)),
             ..ScriptState::default()
         });
         let c = Arc::new(scripted_client(&state, fast_config(FtPolicy::RingRecache)));
-        let reads_of = |ops: Vec<ftc_net::OpRecord>| -> Vec<ftc_net::OpRecord> {
-            ops.into_iter()
-                .filter(|op| op.kind == ftc_net::OpKind::Read)
+        // Each `ReadServed` event as (actor, key, owner, epoch, digest,
+        // handoff), with its interval checked on the way.
+        let reads_of = |log: Vec<ftc_net::TraceRecord>| -> Vec<_> {
+            (log.into_iter())
+                .filter_map(|r| match r.kind {
+                    TraceEventKind::ReadServed {
+                        key,
+                        owner,
+                        epoch,
+                        invoke,
+                        digest,
+                        handoff,
+                    } => {
+                        assert!(invoke <= r.at, "a read returns after its invoke");
+                        Some((r.actor, key, owner, epoch, digest, handoff))
+                    }
+                    _ => None,
+                })
                 .collect()
         };
 
@@ -2487,7 +2472,7 @@ mod tests {
         release.send(()).expect("gate open");
         c.read(SCRIPT_FILE).expect("solo read");
         let solo = c.metrics().snapshot();
-        let solo_ops = reads_of(history.take());
+        let solo_ops = reads_of(tracer.take());
         assert_eq!(solo_ops.len(), 1, "a leader records one read");
         assert_eq!((solo.reads_ok, solo.bytes_read), (1, FILE_SIZE as u64));
         while events.try_recv().is_ok() {}
@@ -2498,13 +2483,13 @@ mod tests {
             std::thread::spawn(move || c.read(SCRIPT_FILE))
         };
         while events.recv().expect("leader runs") != "call" {}
-        // …a duplicate joins the open flight (its `history()` call is the
+        // …a duplicate joins the open flight (its `tracer()` call is the
         // follower opening its interval, after the join)…
         let follower = {
             let c = Arc::clone(&c);
             std::thread::spawn(move || c.read(SCRIPT_FILE))
         };
-        assert_eq!(events.recv().expect("follower runs"), "history");
+        assert_eq!(events.recv().expect("follower runs"), "tracer");
         // …and only then is the leader's reply let through.
         release.send(()).expect("gate open");
         let a = leader.join().expect("leader").expect("leader read");
@@ -2520,15 +2505,8 @@ mod tests {
         );
         assert_eq!(both.reads_ok - solo.reads_ok, 2 * solo.reads_ok);
         assert_eq!(both.bytes_read - solo.bytes_read, 2 * solo.bytes_read);
-        let ops = reads_of(history.take());
-        assert_eq!(ops.len(), 2, "leader and follower record one read each");
-        for op in &ops {
-            let want = &solo_ops[0];
-            assert_eq!(
-                (op.actor, &op.key, op.node, op.epoch, op.digest),
-                (want.actor, &want.key, want.node, want.epoch, want.digest)
-            );
-        }
+        let ops = reads_of(tracer.take());
+        assert_eq!(ops, [&solo_ops[..], &solo_ops[..]].concat());
     }
 
     #[test]

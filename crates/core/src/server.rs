@@ -11,6 +11,7 @@ use crate::error::CoreError;
 use crate::overload::{Admission, AdmissionConfig, ShedStatsSnapshot};
 use crate::proto::{CacheRequest, CacheResponse, ServeSource};
 use crate::singleflight::{Join, SingleFlight};
+use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Inbound, Listener, Transport};
 use ftc_net::{Network, TraceEventKind};
@@ -175,14 +176,13 @@ impl HvacServer {
 
     /// Synchronously process one incoming request from any transport
     /// backend, with no admission check. The protocol brain is
-    /// backend-blind: tracing and history hooks are live on the simulated
-    /// fabric and no-ops over TCP.
+    /// backend-blind: the tracing hooks are live on the simulated fabric
+    /// and no-ops over TCP.
     pub fn handle_inbound(&self, mut inc: Box<dyn Inbound<CacheRequest, CacheResponse>>) {
         // Absorb the request's clock stamp up front so cache-map events
         // recorded below are causally after the client's send.
         inc.absorb();
-        let served_by = inc.served_by();
-        let history = inc.history();
+        let traced = inc.tracing();
         // Trace events are staged while the request payload is borrowed
         // and emitted (in order) before the reply, which preserves the
         // causal order the race detector expects.
@@ -193,28 +193,21 @@ impl HvacServer {
         let (resp, sized) = match inc.req() {
             CacheRequest::Ping => (CacheResponse::Pong, false),
             CacheRequest::Put { path, bytes } => {
-                if let Some(h) = history {
-                    // Replica writes and recache pushes both land here;
-                    // the store is the linearization point, so the op is
-                    // recorded as a zero-width interval at serve time.
-                    let t = h.now();
-                    h.record(ftc_net::OpRecord {
-                        id: 0,
-                        actor: served_by,
-                        kind: ftc_net::OpKind::Write,
-                        key: path.clone(),
-                        node: served_by,
-                        epoch: 0,
-                        invoke: t,
-                        ret: t,
-                        digest: ftc_net::fnv1a(bytes),
-                        handoff: false,
-                    });
-                }
                 let evicted = self.cache.insert(path, bytes.clone());
-                traces.push(TraceEventKind::CacheInsert { key: path.clone() });
-                for key in evicted {
-                    traces.push(TraceEventKind::CacheEvict { key });
+                // Replica writes and recache pushes both land here: the
+                // linearizability checker's writes, point events at the
+                // store. The digest is a pass over the value, paid only
+                // when someone records it.
+                if traced {
+                    traces.push(TraceEventKind::CacheInsert {
+                        key: path.clone(),
+                        digest: Some(fnv1a64(bytes)),
+                    });
+                    traces.extend(
+                        evicted
+                            .into_iter()
+                            .map(|key| TraceEventKind::CacheEvict { key }),
+                    );
                 }
                 (CacheResponse::PutAck { path: path.clone() }, false)
             }
@@ -235,7 +228,10 @@ impl HvacServer {
                     // serves finds the file cached. Only the flight leader
                     // persists; a coalesced follower holds the same bytes.
                     if led {
-                        traces.push(TraceEventKind::CacheInsert { key: path.clone() });
+                        traces.push(TraceEventKind::CacheInsert {
+                            key: path.clone(),
+                            digest: None,
+                        });
                         persist = Some((path.clone(), bytes.clone()));
                     }
                     (

@@ -32,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod history;
 pub mod latency;
 pub mod stats;
 pub mod trace;
@@ -40,7 +39,6 @@ pub mod transport;
 pub mod xport;
 
 pub use error::RpcError;
-pub use history::{fnv1a, HistoryRecorder, OpKind, OpRecord};
 pub use latency::LatencyModel;
 pub use stats::{NetStats, NetStatsSnapshot};
 pub use trace::{TraceEventKind, TraceRecord, Tracer, VClock};

@@ -11,7 +11,12 @@
 //! The result is a totally-ordered-per-actor, causally-stamped event log
 //! that `ftc-analysis` replays offline to reconstruct the happens-before
 //! graph and flag conflicting unordered event pairs (e.g. a read served
-//! under a ring epoch that was concurrently invalidated).
+//! under a ring epoch that was concurrently invalidated). Every record
+//! also carries its clock-time offset `at`, and the read and insert events
+//! carry value digests, so the same log is the per-key history the
+//! linearizability checker (`ftc_analysis::linz`) reads: a read's interval
+//! is `[invoke, at]`, a `Put`'s insert and a ring update are point events.
+//! Under a virtual clock the stamps, like the log, replay byte-identically.
 //!
 //! Tracing costs one mutex acquisition per recorded event and is fully
 //! disabled (a single `RwLock` read per RPC) until
@@ -20,9 +25,11 @@
 //! latency model — campaigns replay identically with tracing on or off.
 
 use ftc_hashring::NodeId;
+use ftc_time::ClockHandle;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// A vector clock: one logical counter per actor (node or client) id.
 ///
@@ -144,14 +151,24 @@ pub enum TraceEventKind {
         /// The node that served the request.
         from: NodeId,
     },
-    /// A read completed under the actor's placement view.
+    /// A read completed with data under the actor's placement view; the
+    /// record's `at` is its return time.
     ReadServed {
         /// The cache key (file path).
         key: String,
-        /// The owner that served (or was believed to own) the key.
+        /// The node that served the bytes (the reading client itself for
+        /// a read straight from the PFS).
         owner: NodeId,
-        /// The actor's ring epoch at completion.
+        /// The ring epoch the read was placed under.
         epoch: u64,
+        /// Invocation time, as an offset from the tracer's creation
+        /// ([`Tracer::now`]), taken before the placement lock.
+        invoke: Duration,
+        /// FNV-1a digest of the returned bytes.
+        digest: u64,
+        /// Served through the failover path (a successor, a hedge, or the
+        /// PFS): the exception the linearizability epoch rule skips.
+        handoff: bool,
     },
     /// The actor's placement membership changed (ring epoch bump).
     RingUpdate {
@@ -186,6 +203,10 @@ pub enum TraceEventKind {
     CacheInsert {
         /// The cache key.
         key: String,
+        /// FNV-1a digest of the stored value for a `Put` (replica write,
+        /// recache push) or the dataset staging — a write the
+        /// linearizability checker sees; `None` for a persisted PFS fetch.
+        digest: Option<u64>,
     },
     /// A key was evicted from the actor's cache map.
     CacheEvict {
@@ -194,11 +215,14 @@ pub enum TraceEventKind {
     },
 }
 
-/// One entry of the event log: who, when (causally), and what.
+/// One entry of the event log: who, when (causally and in clock time),
+/// and what.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Global append order (total order of *recording*, not causality).
     pub seq: u64,
+    /// Clock time of recording, as an offset from the tracer's creation.
+    pub at: Duration,
     /// The actor the event belongs to.
     pub actor: NodeId,
     /// The actor's clock *after* ticking for this event.
@@ -215,12 +239,13 @@ struct TracerInner {
 }
 
 impl TracerInner {
-    fn push(&mut self, actor: NodeId, kind: TraceEventKind) -> VClock {
+    fn push(&mut self, at: Duration, actor: NodeId, kind: TraceEventKind) -> VClock {
         let clock = self.clocks.entry(actor.0).or_default();
         clock.tick(actor.0);
         let snap = clock.clone();
         self.log.push(TraceRecord {
             seq: self.seq,
+            at,
             actor,
             clock: snap.clone(),
             kind,
@@ -232,34 +257,50 @@ impl TracerInner {
 
 /// The shared trace collector: per-actor vector clocks plus the append-only
 /// event log. One lives on a [`crate::Network`] once tracing is enabled.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Tracer {
+    clock: ClockHandle,
+    birth: Instant,
     inner: Mutex<TracerInner>,
 }
 
 impl Tracer {
-    /// A fresh, empty tracer.
-    pub fn new() -> Self {
-        Tracer::default()
+    /// A fresh, empty tracer stamping offsets against `clock`'s current
+    /// instant.
+    pub fn new(clock: ClockHandle) -> Self {
+        let birth = clock.now();
+        Tracer {
+            clock,
+            birth,
+            inner: Mutex::default(),
+        }
+    }
+
+    /// Current offset since the tracer's creation — what a read captures
+    /// as its invoke time before issuing any RPC.
+    pub fn now(&self) -> Duration {
+        self.clock.since(self.birth)
     }
 
     /// Record a state event under `actor` (tick, no merge).
     pub fn record(&self, actor: NodeId, kind: TraceEventKind) {
-        self.inner.lock().push(actor, kind);
+        self.record_send(actor, kind);
     }
 
     /// Record a send under `actor` and return the stamp to piggyback on
     /// the message.
     pub fn record_send(&self, actor: NodeId, kind: TraceEventKind) -> VClock {
-        self.inner.lock().push(actor, kind)
+        let at = self.now();
+        self.inner.lock().push(at, actor, kind)
     }
 
     /// Merge a received stamp into `actor`'s clock, then record the
     /// receive event. Must run before any event the message causes.
     pub fn record_recv(&self, actor: NodeId, stamp: &VClock, kind: TraceEventKind) {
+        let at = self.now();
         let mut inner = self.inner.lock();
         inner.clocks.entry(actor.0).or_default().merge(stamp);
-        inner.push(actor, kind);
+        inner.push(at, actor, kind);
     }
 
     /// Number of records collected so far.
@@ -341,18 +382,19 @@ mod tests {
 
     #[test]
     fn tracer_orders_one_actor_totally() {
-        let t = Tracer::new();
+        let t = Tracer::new(ClockHandle::wall());
         t.record(NodeId(0), TraceEventKind::Declare { node: NodeId(1) });
         t.record(NodeId(0), TraceEventKind::Readmit { node: NodeId(1) });
         let log = t.take();
         assert_eq!(log.len(), 2);
         assert!(log[0].clock.happens_before(&log[1].clock));
+        assert!(log[0].at <= log[1].at && log[1].at <= t.now());
         assert!(t.is_empty(), "take drains the log");
     }
 
     #[test]
     fn tracer_send_recv_creates_edge() {
-        let t = Tracer::new();
+        let t = Tracer::new(ClockHandle::wall());
         let stamp = t.record_send(NodeId(0), TraceEventKind::MsgSend { to: NodeId(1) });
         t.record_recv(
             NodeId(1),

@@ -130,6 +130,11 @@ impl<Req: Payload, Resp: Payload> Incoming<Req, Resp> {
         }
     }
 
+    /// True while tracing is enabled on the network.
+    pub fn tracing(&self) -> bool {
+        self.net.tracer.read().is_some()
+    }
+
     /// Record a state event under the serving node's actor, first
     /// absorbing the request stamp so the event is causally after the
     /// send. No-op while tracing is disabled.
@@ -138,12 +143,6 @@ impl<Req: Payload, Resp: Payload> Incoming<Req, Resp> {
         if let Some(t) = self.net.tracer.read().clone() {
             t.record(self.served_by, kind);
         }
-    }
-
-    /// The network's active history recorder, if enabled. Servers use
-    /// this to log value arrivals (replica writes, recache pushes).
-    pub fn history(&self) -> Option<Arc<crate::history::HistoryRecorder>> {
-        self.net.history.read().clone()
     }
 
     /// Reply immediately (zero response-serialization cost).
@@ -348,7 +347,6 @@ struct Inner<Req, Resp> {
     latency: LatencyModel,
     stats: NetStats,
     tracer: RwLock<Option<Arc<Tracer>>>,
-    history: RwLock<Option<Arc<crate::history::HistoryRecorder>>>,
     obs: RwLock<Option<NetObs>>,
 }
 
@@ -443,7 +441,6 @@ impl<Req: Payload, Resp: Payload> Network<Req, Resp> {
                 latency,
                 stats: NetStats::default(),
                 tracer: RwLock::new(None),
-                history: RwLock::new(None),
                 obs: RwLock::new(None),
             }),
         }
@@ -577,15 +574,16 @@ impl<Req: Payload, Resp: Payload> Network<Req, Resp> {
         self.inner.flaky.lock().remove(&node);
     }
 
-    /// Turn on vector-clock tracing and return the shared collector.
-    /// Idempotent: a second call returns the existing tracer. Already
-    /// in-flight messages (stamped before the switch) are unaffected.
+    /// Turn on vector-clock tracing and return the shared collector, whose
+    /// record times come from this fabric's clock. Idempotent: a second
+    /// call returns the existing tracer. Already in-flight messages
+    /// (stamped before the switch) are unaffected.
     pub fn enable_tracing(&self) -> Arc<Tracer> {
         let mut slot = self.inner.tracer.write();
         match slot.as_ref() {
             Some(t) => Arc::clone(t),
             None => {
-                let t = Arc::new(Tracer::new());
+                let t = Arc::new(Tracer::new(self.inner.clock.clone()));
                 *slot = Some(Arc::clone(&t));
                 t
             }
@@ -595,29 +593,6 @@ impl<Req: Payload, Resp: Payload> Network<Req, Resp> {
     /// The active tracer, if tracing has been enabled.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.inner.tracer.read().clone()
-    }
-
-    /// Turn on operation-history recording (for linearizability
-    /// checking) and return the shared recorder. Timestamps come from
-    /// this fabric's clock. Idempotent, like
-    /// [`enable_tracing`](Self::enable_tracing).
-    pub fn enable_history(&self) -> Arc<crate::history::HistoryRecorder> {
-        let mut slot = self.inner.history.write();
-        match slot.as_ref() {
-            Some(h) => Arc::clone(h),
-            None => {
-                let h = Arc::new(crate::history::HistoryRecorder::new(
-                    self.inner.clock.clone(),
-                ));
-                *slot = Some(Arc::clone(&h));
-                h
-            }
-        }
-    }
-
-    /// The active history recorder, if history recording is enabled.
-    pub fn history(&self) -> Option<Arc<crate::history::HistoryRecorder>> {
-        self.inner.history.read().clone()
     }
 
     /// Attach an observability hub: RPC outcomes feed the
@@ -677,13 +652,6 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
     /// transitions) under this endpoint's actor.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.net.tracer.read().clone()
-    }
-
-    /// The network's active history recorder, if enabled. Clients use
-    /// this to log completed reads and epoch bumps for the
-    /// linearizability checker.
-    pub fn history(&self) -> Option<Arc<crate::history::HistoryRecorder>> {
-        self.net.history.read().clone()
     }
 
     /// Issue an RPC with a deadline.

@@ -18,15 +18,15 @@
 //! chaos / virtual-time / linearizability stacks run unchanged. The TCP
 //! backend in `ftc-wire` implements the same four over real sockets; the
 //! sim-only hooks ([`Caller::tracer`], [`Inbound::trace_state`], …)
-//! default to no-ops there, because vector-clock tracing and history
-//! recording are single-process affordances.
+//! default to no-ops there, because the vector-clock trace (the event log
+//! both the race detector and the linearizability checker read) is a
+//! single-process affordance.
 //!
 //! All methods take `&self`/`&mut self` and no generics, so every trait
 //! is object-safe: the protocol crates hold `Box<dyn Caller<..>>` and
 //! never learn which fabric is underneath.
 
 use crate::error::RpcError;
-use crate::history::HistoryRecorder;
 use crate::trace::{TraceEventKind, Tracer};
 use crate::transport::{Endpoint, Incoming, Mailbox, Network, Payload};
 use ftc_hashring::NodeId;
@@ -57,12 +57,6 @@ pub trait Caller<Req, Resp>: Send + Sync {
     fn tracer(&self) -> Option<Arc<Tracer>> {
         None
     }
-
-    /// The fabric's linearizability history recorder, when enabled.
-    /// Real network backends return `None`.
-    fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        None
-    }
 }
 
 /// One delivered request plus its reply path: the abstract face of
@@ -88,10 +82,10 @@ pub trait Inbound<Req, Resp>: Send {
         let _ = kind;
     }
 
-    /// The fabric's history recorder, when enabled. `None` on real
-    /// network backends.
-    fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        None
+    /// True when [`Self::trace_state`] records, so a server computes what
+    /// only the trace reads (a value digest) on a traced fabric alone.
+    fn tracing(&self) -> bool {
+        false
     }
 
     /// How long this request has waited for a thread to serve it, and how
@@ -177,10 +171,6 @@ impl<Req: Payload, Resp: Payload> Caller<Req, Resp> for Endpoint<Req, Resp> {
     fn tracer(&self) -> Option<Arc<Tracer>> {
         Endpoint::tracer(self)
     }
-
-    fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        Endpoint::history(self)
-    }
 }
 
 impl<Req: Payload, Resp: Payload> Inbound<Req, Resp> for Incoming<Req, Resp> {
@@ -204,8 +194,8 @@ impl<Req: Payload, Resp: Payload> Inbound<Req, Resp> for Incoming<Req, Resp> {
         Incoming::trace_state(self, kind)
     }
 
-    fn history(&self) -> Option<Arc<HistoryRecorder>> {
-        Incoming::history(self)
+    fn tracing(&self) -> bool {
+        Incoming::tracing(self)
     }
 
     fn queued(&self) -> (Duration, usize) {
@@ -364,15 +354,13 @@ mod tests {
     }
 
     #[test]
-    fn tracer_and_history_surface_through_caller() {
+    fn tracer_surfaces_through_caller() {
         let net: Network<String, String> = Network::instant(2);
         assert!(Transport::<String, String>::caller(&net, NodeId(1))
             .tracer()
             .is_none());
-        net.enable_tracing();
-        net.enable_history();
+        let tracer = net.enable_tracing();
         let caller = net.caller(NodeId(1));
-        assert!(caller.tracer().is_some());
-        assert!(caller.history().is_some());
+        assert!(caller.tracer().is_some_and(|t| Arc::ptr_eq(&t, &tracer)));
     }
 }

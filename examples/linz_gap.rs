@@ -1,8 +1,7 @@
 // probe: read completes at t=2 returning digest 7; the ONLY write of 7 is invoked at t=10.
 // No linearization exists (read precedes the write in real time), so this must be a violation.
-use ftc_analysis::linz::check_history;
+use ftc_analysis::linz::{check_history, OpKind, OpRecord};
 use ftc_hashring::NodeId;
-use ftc_net::{OpKind, OpRecord};
 use std::time::Duration;
 fn ms(n: u64) -> Duration {
     Duration::from_millis(n)
@@ -10,11 +9,9 @@ fn ms(n: u64) -> Duration {
 fn main() {
     let ops = vec![
         OpRecord {
-            id: 0,
             actor: NodeId(100),
             kind: OpKind::Read,
             key: "a".into(),
-            node: NodeId(1),
             epoch: 0,
             invoke: ms(1),
             ret: ms(2),
@@ -22,11 +19,9 @@ fn main() {
             handoff: false,
         },
         OpRecord {
-            id: 0,
             actor: NodeId(9),
             kind: OpKind::Write,
             key: "a".into(),
-            node: NodeId(9),
             epoch: 0,
             invoke: ms(10),
             ret: ms(10),

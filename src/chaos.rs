@@ -29,8 +29,9 @@
 mod invariants;
 
 use ftc_core::{Cluster, ClusterConfig, CoreError, FtPolicy, HvacClient, ReadError};
+use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::NodeId;
-use ftc_net::fnv1a;
+use ftc_net::TraceEventKind;
 use ftc_sim::{FaultEvent, FaultPlan};
 use ftc_storage::{synth_bytes, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
@@ -466,11 +467,9 @@ pub struct CampaignOptions {
     /// Override the static replication factor (`None` keeps the policy
     /// default).
     pub replication: Option<u32>,
-    /// Record the fabric's vector-clock trace into the campaign.
+    /// Record the fabric's vector-clock trace into the campaign — the
+    /// log both `ftc_analysis::hb` and `ftc_analysis::linz` read.
     pub trace: bool,
-    /// Record a per-key op history for `ftc_analysis::linz`, seeded with
-    /// the staged dataset as t=0 writes.
-    pub history: bool,
     /// Extra foreground load.
     pub load: Load,
     /// A planted bug for self-tests.
@@ -484,7 +483,6 @@ impl CampaignOptions {
         recovery: RecoveryMode::Lazy,
         replication: None,
         trace: false,
-        history: false,
         load: Load::None,
         sabotage: None,
     };
@@ -781,7 +779,7 @@ fn timed_read(
     let took = clock.since(t0);
     let got = result
         .as_ref()
-        .map(|b| fnv1a(b))
+        .map(|b| fnv1a64(b))
         .map_err(ToString::to_string);
     let key = key.to_owned();
     let read = Read {
@@ -925,21 +923,21 @@ fn record(
 
     let cluster = Cluster::start_with_clock(cfg, clock.clone())
         .map_err(|e| format!("cluster failed to start: {e}"))?;
-    if opts.trace {
-        cluster.network().enable_tracing();
-    }
-    if opts.history {
-        cluster.network().enable_history();
-    }
+    let tracer = opts.trace.then(|| cluster.network().enable_tracing());
     let paths = cluster.stage_dataset("train", plan.files, plan.file_size);
     let truth: Vec<u64> = (paths.iter())
-        .map(|p| fnv1a(&synth_bytes(p, plan.file_size)))
+        .map(|p| fnv1a64(&synth_bytes(p, plan.file_size)))
         .collect();
     // Staging is the initial write of each register for the
-    // linearizability spec.
-    if let Some(h) = cluster.network().history() {
+    // linearizability spec: an insert by a synthetic "PFS" actor at t=0.
+    if let Some(t) = &tracer {
         for (p, &digest) in paths.iter().zip(&truth) {
-            h.seed_write(p, digest);
+            let key = p.clone();
+            let digest = Some(digest);
+            t.record(
+                NodeId(u32::MAX),
+                TraceEventKind::CacheInsert { key, digest },
+            );
         }
     }
     let client = match campaign_client(&cluster, opts) {
@@ -1122,10 +1120,9 @@ fn record(
     log.failed = client.failed_nodes();
     log.sheds = cluster.sheds_per_node();
     log.killed = cluster.killed_nodes();
-    log.trace = cluster.network().tracer().map(|t| t.take());
+    log.trace = tracer.map(|t| t.take());
     log.incidents = cluster.obs().flight.incidents();
     log.obs = Some(Arc::clone(cluster.obs()));
-    log.history = cluster.network().history().map(|h| h.take());
     log.diagnosis = diagnose(&client);
     cluster.shutdown();
     Ok(log)

@@ -15,7 +15,7 @@ use ftc_core::client::late_bound;
 use ftc_core::overload::ShedStatsSnapshot;
 use ftc_core::{ClientMetricsSnapshot, FtPolicy, RecoveryStatsSnapshot};
 use ftc_hashring::NodeId;
-use ftc_net::{OpRecord, TraceRecord};
+use ftc_net::TraceRecord;
 use ftc_sim::{SimCalibration, SimCluster, SimWorkload};
 use std::collections::HashMap;
 use std::fmt;
@@ -46,9 +46,9 @@ pub struct Read {
     pub key: String,
     /// The owner the client's placement named when the read was issued.
     pub owner: Option<NodeId>,
-    /// `fnv1a` of the bytes returned, or the read's error.
+    /// `fnv1a64` of the bytes returned, or the read's error.
     pub got: Result<u64, String>,
-    /// `fnv1a` of the ground-truth bytes.
+    /// `fnv1a64` of the ground-truth bytes.
     pub truth: u64,
     /// How long the read took.
     pub took: Duration,
@@ -149,10 +149,9 @@ pub struct CampaignLog {
     /// injector never announced), with kill → declare → first-recached-
     /// hit offsets.
     pub incidents: Vec<ftc_obs::Incident>,
-    /// The fabric's vector-clock trace ([`CampaignOptions::trace`]).
+    /// The fabric's vector-clock trace ([`CampaignOptions::trace`]),
+    /// seeded with the staged dataset as t=0 writes.
     pub trace: Option<Vec<TraceRecord>>,
-    /// The per-key op history ([`CampaignOptions::history`]).
-    pub history: Option<Vec<OpRecord>>,
     /// The observability hub the campaign recorded into; its flight
     /// recorder holds the last events, dumped when a violation fires.
     pub obs: Option<Arc<ftc_obs::ObsHub>>,

@@ -11,10 +11,11 @@
 //!   under every explored interleaving. Any violation ships with a
 //!   schedule file (`ftc_analysis::replay`) that re-runs the exact
 //!   interleaving byte-identically.
-//! * [`check_linz_campaigns`] runs whole campaigns with the fabric's op
-//!   history recorder on ([`CampaignOptions::history`]) and feeds each
-//!   history through `ftc_analysis::linz`: per-key register
-//!   linearizability plus the epoch-freshness rule.
+//! * [`check_linz_campaigns`] runs whole campaigns with the fabric's
+//!   vector-clock trace on ([`CampaignOptions::trace`]) and feeds the
+//!   per-key history in each trace (`ftc_analysis::linz::ops`) through
+//!   `ftc_analysis::linz`: per-key register linearizability plus the
+//!   epoch-freshness rule.
 //! * [`sabotage_atomicity`] and [`sabotage_linz`] are the self-tests
 //!   (rows of [`crate::chaos::SELF_TESTS`]):
 //!   the first seeds a known check-then-act bug whose bad interleaving
@@ -27,10 +28,9 @@ use crate::chaos::{
     run_campaign_on, CampaignOptions, CampaignReport, ChaosPlan, Load, RecoveryMode,
 };
 use ftc_analysis::explore::{bounded_dfs, fingerprint_trace, DfsConfig, RunOutcome};
-use ftc_analysis::linz::check_history;
+use ftc_analysis::linz::{check_history, OpRecord};
 use ftc_analysis::replay::Replayable;
 use ftc_core::FtPolicy;
-use ftc_net::OpRecord;
 use ftc_time::{ForcedPrefix, Pct, RandomWalk, ScheduleTrace, Scheduler};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -314,7 +314,7 @@ pub fn sabotage_atomicity() -> Result<(String, String), String> {
 
 /// One linearizability sweep over many campaigns.
 pub struct LinzSummary {
-    /// Campaigns run with history recording on.
+    /// Campaigns run with tracing on.
     pub campaigns: usize,
     /// Total ops checked across all histories.
     pub ops: usize,
@@ -394,8 +394,8 @@ fn linz_plan_mix(count: usize, base_seed: u64) -> Vec<(ChaosPlan, RecoveryMode)>
     mix
 }
 
-/// Run `count` virtual campaigns with history recording and check every
-/// history for linearizability. The mix always includes the three named
+/// Run `count` virtual traced campaigns and check the history in every
+/// trace for linearizability. The mix always includes the three named
 /// kill/revive scenarios and alternates lazy/proactive recovery;
 /// every campaign runs the single-flight duplicate storm
 /// ([`Load::DupStorm`]) so coalesced reads are part of the checked
@@ -477,16 +477,16 @@ pub fn sabotage_linz(seed: u64) -> Result<String, String> {
     }
 }
 
-/// One `RingRecache` campaign on a fresh virtual clock with the op
-/// history recorder on: its report and its history.
+/// One traced `RingRecache` campaign on a fresh virtual clock: its
+/// report and the op history in its trace.
 fn recorded(plan: &ChaosPlan, opts: CampaignOptions) -> (CampaignReport, Vec<OpRecord>) {
     let opts = CampaignOptions {
-        history: true,
+        trace: true,
         ..opts
     };
     let mut report =
         ftc_time::with_virtual(|clock| run_campaign_on(FtPolicy::RingRecache, plan, opts, clock));
-    let history = report.log.history.take().unwrap_or_default();
+    let history = ftc_analysis::linz::ops(&report.log.trace.take().unwrap_or_default());
     (report, history)
 }
 

@@ -15,8 +15,8 @@ use ft_cache::fleet::dataset_paths;
 use ftc_core::{
     CacheRequest, CacheResponse, Cluster, ClusterConfig, FtConfig, FtPolicy, HvacClient, ReadVia,
 };
+use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::NodeId;
-use ftc_net::fnv1a;
 use ftc_storage::{synth_bytes, verify_synth, Pfs};
 use ftc_time::ClockHandle;
 use ftc_wire::tcp::{scrape_obs, TcpConfig, TcpTransport};
@@ -144,9 +144,9 @@ fn read_epoch(
             owner,
             got: result
                 .as_ref()
-                .map(|o| fnv1a(&o.bytes))
+                .map(|o| fnv1a64(&o.bytes))
                 .map_err(ToString::to_string),
-            truth: fnv1a(&synth_bytes(p, SIZE)),
+            truth: fnv1a64(&synth_bytes(p, SIZE)),
             took: clock.since(t0),
         });
         let out = result.expect("read must survive the fleet");
