@@ -1087,12 +1087,17 @@ impl HvacClient {
         }
     }
 
+    /// Read `path` straight from the PFS and account it like any served
+    /// read: the reader itself stands in for the serving node, under the
+    /// current epoch, and no ring node serving it makes it a handoff —
+    /// exactly what a coalesced follower of this read records.
     fn read_pfs_direct(&self, path: &str) -> Result<ReadOutcome, ReadError> {
+        let invoke = self.trace_now();
         match self.pfs.read(path) {
             Some(bytes) => {
-                self.metrics.reads_ok.inc();
                 self.metrics.pfs_direct_reads.inc();
-                self.metrics.bytes_read.add(bytes.len() as u64);
+                let epoch = self.ring_epoch();
+                self.account_served(path, &bytes, invoke, self.me, epoch, || true);
                 Ok(ReadOutcome {
                     bytes,
                     via: ReadVia::DirectPfs,
@@ -2507,6 +2512,36 @@ mod tests {
         assert_eq!(both.bytes_read - solo.bytes_read, 2 * solo.bytes_read);
         let ops = reads_of(tracer.take());
         assert_eq!(ops, [&solo_ops[..], &solo_ops[..]].concat());
+
+        // The same pair when the leader's RPC fails and it reads the PFS
+        // directly: each read records the reader as the serving node.
+        while events.try_recv().is_ok() {}
+        let unknown = || Err(RpcError::UnknownNode(NodeId(7)));
+        state.replies.lock().extend([unknown(), unknown()]);
+        release.send(()).expect("gate open");
+        let solo = c.read_traced(SCRIPT_FILE).expect("solo direct read");
+        assert_eq!(solo.via, ReadVia::DirectPfs);
+        let direct = reads_of(tracer.take());
+        assert_eq!(direct.len(), 1, "a direct-PFS leader records one read");
+        assert_eq!((direct[0].2, direct[0].5), (c.me, true));
+        while events.try_recv().is_ok() {}
+        let leader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.read_traced(SCRIPT_FILE))
+        };
+        while events.recv().expect("leader runs") != "call" {}
+        let follower = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.read_traced(SCRIPT_FILE))
+        };
+        assert_eq!(events.recv().expect("follower runs"), "tracer");
+        release.send(()).expect("gate open");
+        let a = leader.join().expect("leader").expect("leader read");
+        let b = follower.join().expect("follower").expect("follower read");
+        assert_eq!((a.via, b.via), (ReadVia::DirectPfs, ReadVia::DirectPfs));
+        assert_eq!(c.metrics().snapshot().coalesced_reads, 2);
+        let ops = reads_of(tracer.take());
+        assert_eq!(ops, [&direct[..], &direct[..]].concat());
     }
 
     #[test]
