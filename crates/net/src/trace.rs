@@ -18,8 +18,8 @@
 //! is `[invoke, at]`, a `Put`'s insert and a ring update are point events.
 //! Under a virtual clock the stamps, like the log, replay byte-identically.
 //!
-//! Tracing costs one mutex acquisition per recorded event and is fully
-//! disabled (a single `RwLock` read per RPC) until
+//! Tracing costs one clock reading and one mutex acquisition per recorded
+//! event and is fully disabled (a single `RwLock` read per RPC) until
 //! [`crate::Network::enable_tracing`] is called. Stamps ride outside
 //! [`crate::Payload::wire_size`], so enabling tracing does not perturb the
 //! latency model — campaigns replay identically with tracing on or off.
