@@ -159,7 +159,8 @@ pub enum TraceEventKind {
         /// The node that served the bytes (the reading client itself for
         /// a read straight from the PFS).
         owner: NodeId,
-        /// The ring epoch the read was placed under.
+        /// The ring epoch the read was placed under (the current one for
+        /// a read straight from the PFS).
         epoch: u64,
         /// Invocation time, as an offset from the tracer's creation
         /// ([`Tracer::now`]), taken before the placement lock.

@@ -929,15 +929,15 @@ fn record(
         .map(|p| fnv1a64(&synth_bytes(p, plan.file_size)))
         .collect();
     // Staging is the initial write of each register for the
-    // linearizability spec: an insert by a synthetic "PFS" actor at t=0.
+    // linearizability spec: an insert by a synthetic "PFS" actor before
+    // any read.
     if let Some(t) = &tracer {
         for (p, &digest) in paths.iter().zip(&truth) {
-            let key = p.clone();
-            let digest = Some(digest);
-            t.record(
-                NodeId(u32::MAX),
-                TraceEventKind::CacheInsert { key, digest },
-            );
+            let seed = TraceEventKind::CacheInsert {
+                key: p.clone(),
+                digest: Some(digest),
+            };
+            t.record(NodeId(u32::MAX), seed);
         }
     }
     let client = match campaign_client(&cluster, opts) {
