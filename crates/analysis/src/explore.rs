@@ -185,17 +185,22 @@ pub fn bounded_dfs(
 }
 
 /// Order-independent fingerprint of a traced execution: the FNV hash of
-/// every `(actor, vector clock, event kind)` record, combined
-/// commutatively. Linear extensions of the same happens-before partial
-/// order carry identical record multisets, so they collide here — which
-/// is exactly what the POR-lite pruning in [`bounded_dfs`] wants.
-/// Message-leg records are skipped (their payload repeats what the
-/// clocks already encode).
+/// every record's `(actor, vector clock, event kind)`, message legs
+/// included, combined commutatively. Linear extensions of the same
+/// happens-before partial order carry identical record multisets, so
+/// they collide here — which is exactly what the POR-lite pruning in
+/// [`bounded_dfs`] wants. Every kind is hashed because pruning is only
+/// sound when two runs are the same partial order: a run whose messages
+/// went elsewhere, or were lost, must not be taken for one already
+/// explored, and leaving a kind out can only merge more runs. A
+/// `ReadServed`'s `invoke` stamp is part of its kind, so two runs that
+/// invoke a read at different instants fingerprint apart.
 pub fn fingerprint_trace(records: &[TraceRecord]) -> u64 {
     let mut acc: u64 = 0;
     for r in records {
         // `seq` is the global append order — exactly the thing that
-        // differs between equivalent interleavings — so it is excluded.
+        // differs between equivalent interleavings — so it is excluded,
+        // and so is the clock time `at`.
         let line = format!("{:?}|{:?}|{:?}", r.actor, r.clock, r.kind);
         acc = acc.wrapping_add(ftc_hashring::hash::fnv1a64(line.as_bytes()));
     }
@@ -338,5 +343,82 @@ mod tests {
         let a = fingerprint_trace(&records);
         records.swap(0, 1);
         assert_eq!(a, fingerprint_trace(&records));
+    }
+
+    #[test]
+    fn every_record_kind_moves_the_fingerprint_and_seq_and_at_do_not() {
+        use ftc_hashring::NodeId;
+        use ftc_net::{ServedFrom, TraceEventKind as K, Tracer};
+        use std::time::Duration;
+        let n = NodeId(1);
+        let read = |served, invoke_ms| K::ReadServed {
+            key: "k".into(),
+            owner: n,
+            epoch: 0,
+            invoke: Duration::from_millis(invoke_ms),
+            digest: 7,
+            served,
+        };
+        let kinds = [
+            K::MsgSend { to: n },
+            K::MsgRecv { from: n },
+            K::ReplySend { to: n },
+            K::ReplyRecv { from: n },
+            read(ServedFrom::Owner, 0),
+            read(ServedFrom::Successor, 0),
+            read(ServedFrom::Pfs, 0),
+            read(ServedFrom::Pfs, 1),
+            K::RingUpdate {
+                node: n,
+                old_epoch: 0,
+                new_epoch: 1,
+                joined: false,
+            },
+            K::Suspect { node: n, count: 1 },
+            K::Declare { node: n },
+            K::Readmit { node: n },
+            K::CacheInsert {
+                key: "k".into(),
+                digest: Some(7),
+            },
+            K::CacheInsert {
+                key: "k".into(),
+                digest: None,
+            },
+            K::CacheEvict { key: "k".into() },
+        ];
+        // The list covers every kind: a new one fails to compile here.
+        for kind in &kinds {
+            match kind {
+                K::MsgSend { .. }
+                | K::MsgRecv { .. }
+                | K::ReplySend { .. }
+                | K::ReplyRecv { .. } => {}
+                K::ReadServed { .. } | K::RingUpdate { .. } | K::Suspect { .. } => {}
+                K::Declare { .. } | K::Readmit { .. } | K::CacheInsert { .. } => {}
+                K::CacheEvict { .. } => {}
+            }
+        }
+        let t = Tracer::new(ftc_time::ClockHandle::wall());
+        t.record(NodeId(0), K::Declare { node: NodeId(9) });
+        let base = t.take();
+        let fingerprints: Vec<u64> = (kinds.iter().cloned())
+            .map(|kind| {
+                let mut log = base.clone();
+                let template = base[0].clone();
+                log.push(TraceRecord { kind, ..template });
+                fingerprint_trace(&log)
+            })
+            .collect();
+        let mut distinct = fingerprints.clone();
+        distinct.push(fingerprint_trace(&base));
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), kinds.len() + 1, "each kind moves it");
+
+        let mut moved = base.clone();
+        moved[0].seq = 41;
+        moved[0].at = Duration::from_secs(3);
+        assert_eq!(fingerprint_trace(&moved), fingerprint_trace(&base));
     }
 }

@@ -24,7 +24,7 @@
 //! [`forge_stale_epoch_read`] injects a synthetic unsynchronised record so
 //! tests (and `races --inject`) can prove the detector actually fires.
 
-use ftc_net::{TraceEventKind, TraceRecord};
+use ftc_net::{ServedFrom, TraceEventKind, TraceRecord};
 use std::fmt;
 
 /// The class of conflict a finding reports.
@@ -224,7 +224,7 @@ pub fn forge_stale_epoch_read(log: &mut Vec<TraceRecord>) -> bool {
             epoch: old_epoch,
             invoke: upd.at,
             digest: 0,
-            handoff: false,
+            served: ServedFrom::Owner,
         },
     });
     true
@@ -245,7 +245,7 @@ mod tests {
             epoch,
             invoke: Duration::ZERO,
             digest: 0,
-            handoff: false,
+            served: ServedFrom::Owner,
         }
     }
 

@@ -25,10 +25,11 @@
 //!   driver's recorded choice points (`ftc_time::with_virtual_sched`),
 //!   with partial-order-reduction-lite pruning keyed on vector-clock
 //!   execution fingerprints.
-//! * [`linz`] — a Wing–Gong-style linearizability checker over the
-//!   per-op history in the same vector-clock trace [`hb`] reads
-//!   ([`linz::ops`]), with an epoch-aware freshness rule and the
-//!   documented hinted-handoff exception.
+//! * [`linz`] — a write-once checker over the per-op history in the
+//!   same vector-clock trace [`hb`] reads ([`linz::ops`]): one value per
+//!   key, no read before that value's first write, and an epoch-aware
+//!   freshness rule from which only successor serves (the documented
+//!   hinted-handoff exception) are exempt.
 //! * [`replay`] — the one text format both chaos-campaign seeds and
 //!   explored schedules serialize through for byte-identical replay.
 //!
@@ -51,6 +52,7 @@ pub use fsm::{check_fsm, check_fsm_with, FsmConfig, FsmReport, Sabotage};
 pub use hb::{check_trace, forge_stale_epoch_read, RaceFinding, RaceKind};
 pub use lint::{lint_source, lint_workspace, LintFinding};
 pub use linz::{
-    check_history, forge_corrupt_read_value, forge_stale_linz_read, LinzReport, LinzViolation,
+    check_history, forge_corrupt_read_value, forge_read_before_write, forge_stale_linz_read,
+    LinzReport, LinzViolation,
 };
 pub use replay::{Replayable, REPLAY_MAGIC};

@@ -1,49 +1,48 @@
-//! Linearizability checking for recorded cache histories.
+//! Write-once checking for recorded cache histories.
 //!
 //! Input: the fabric's vector-clock trace (`Network::enable_tracing`,
 //! see `ftc_net::trace`), read through [`ops`] as a per-op history —
 //! every completed client read (`ReadServed`) as an `[invoke, ret]`
-//! interval with value digest, serving node and ring-epoch attribution;
-//! every server-side `Put` (replica write / recache push) and the dataset
-//! staging as a write; every client ring-epoch bump (`RingUpdate`) as a
-//! point event.
+//! interval with value digest, serving node, ring-epoch attribution and
+//! where it was served from; every server-side `Put` (replica write /
+//! recache push) and the dataset staging as a write; every client
+//! ring-epoch bump (`RingUpdate`) as a point event.
 //!
-//! Two specifications are checked:
+//! The cache holds an immutable dataset: every stored value is a copy of
+//! the file on the PFS. Two specifications are checked:
 //!
-//! 1. **Register linearizability per key** (Wing–Gong / Porcupine
-//!    style). Keys are independent registers, so the history partitions
-//!    per key and each partition is searched separately: does a total
-//!    order exist, consistent with real-time precedence (`a.ret <
-//!    b.invoke` ⇒ a before b), in which every read returns the latest
-//!    preceding write's digest? The search is the classic frontier
-//!    recursion with memoization on (remaining-set, register value) and
-//!    a per-key step budget; budget exhaustion is reported as
-//!    *inconclusive*, never silently dropped.
+//! 1. **Write-once values per key.** All writes of a key carry one
+//!    digest; a second distinct digest is a violation even if no read
+//!    ever served it (a corrupt recache push). Every read returns that
+//!    digest, and returns no earlier than the key's earliest write was
+//!    invoked; a read of a key nothing wrote is a violation. For a
+//!    write-once register this is exactly linearizability, checked in one
+//!    pass with no search.
 //! 2. **Epoch freshness per client**: a read a client *invokes after*
 //!    its own ring-epoch bump to `e` has completed must be attributed
 //!    to epoch ≥ `e`. (The client stamps the invoke before taking the
 //!    placement lock, so a completed bump is fully ordered before the
 //!    epoch capture — the rule admits no false positives from in-flight
-//!    bumps.) Reads served through the failover path are flagged
-//!    `handoff` by the client and exempted — the documented
+//!    bumps.) Reads served by a successor are exempt — the documented
 //!    hinted-handoff exception: a successor may serve a key while the
-//!    membership change that re-homed it is still propagating.
+//!    membership change that re-homed it is still propagating. Owner
+//!    and PFS reads are both checked.
 //!
-//! [`forge_stale_linz_read`] and [`forge_corrupt_read_value`] fabricate
-//! one violation of each rule into a clean history — the self-tests
-//! behind `chaos --self-test linz-forgery`.
+//! [`forge_stale_linz_read`], [`forge_read_before_write`] and
+//! [`forge_corrupt_read_value`] fabricate one violation each into a
+//! clean history — the `chaos --self-test` rows behind the checker.
 
-use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::NodeId;
-use ftc_net::{TraceEventKind, TraceRecord};
+use ftc_net::{ServedFrom, TraceEventKind, TraceRecord};
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 /// What kind of operation an [`OpRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
-    /// A client read that completed with data.
-    Read,
+    /// A client read that completed with data, and where it was served
+    /// from.
+    Read(ServedFrom),
     /// A value landing on a node (replica write, recache push) or the
     /// t=0 dataset staging.
     Write,
@@ -72,9 +71,13 @@ pub struct OpRecord {
     pub ret: Duration,
     /// FNV-1a digest of the value bytes; 0 for epoch bumps.
     pub digest: u64,
-    /// The read was served through the failover path (successor serve,
-    /// hedge, PFS) — the documented exception the epoch rule skips.
-    pub handoff: bool,
+}
+
+impl OpRecord {
+    /// A read the epoch rule checks: every read but a successor serve.
+    fn epoch_checked(&self) -> bool {
+        matches!(self.kind, OpKind::Read(from) if from != ServedFrom::Successor)
+    }
 }
 
 /// The per-op history in a trace: a read per `ReadServed`, a write per
@@ -93,7 +96,6 @@ pub fn ops(log: &[TraceRecord]) -> Vec<OpRecord> {
             invoke: r.at,
             ret: r.at,
             digest,
-            handoff: false,
         };
         Some(match &r.kind {
             TraceEventKind::ReadServed {
@@ -101,17 +103,16 @@ pub fn ops(log: &[TraceRecord]) -> Vec<OpRecord> {
                 epoch,
                 invoke,
                 digest,
-                handoff,
+                served,
                 ..
             } => OpRecord {
                 actor: r.actor,
-                kind: OpKind::Read,
+                kind: OpKind::Read(*served),
                 key: key.clone(),
                 epoch: *epoch,
                 invoke: *invoke,
                 ret: r.at,
                 digest: *digest,
-                handoff: *handoff,
             },
             TraceEventKind::CacheInsert {
                 key,
@@ -129,8 +130,8 @@ pub fn ops(log: &[TraceRecord]) -> Vec<OpRecord> {
 /// One specification breach.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinzViolation {
-    /// A non-handoff read was attributed to an epoch older than one its
-    /// own client had already finished bumping to before the invoke.
+    /// An epoch-checked read was attributed to an epoch older than one
+    /// its own client had already finished bumping to before the invoke.
     StaleEpochRead {
         /// The reading client.
         actor: u32,
@@ -141,13 +142,39 @@ pub enum LinzViolation {
         /// The newer epoch the client had already reached.
         bumped_epoch: u64,
     },
-    /// No linearization of the key's reads/writes exists: some read
-    /// returned a value no latest-preceding-write could explain.
-    ValueNotLinearizable {
-        /// The key whose partition has no valid linearization.
+    /// A write stored a second value for a key already written.
+    SecondValue {
+        /// The key.
         key: String,
-        /// Ops in the partition (for the report).
-        ops: usize,
+        /// The node that stored it.
+        actor: u32,
+        /// Digest of the key's earliest write.
+        first: u64,
+        /// The differing digest.
+        second: u64,
+    },
+    /// A read returned a value the key was never written with (`None`:
+    /// the key was never written at all).
+    WrongValue {
+        /// The reading client.
+        actor: u32,
+        /// The key read.
+        key: String,
+        /// Digest the read returned.
+        read: u64,
+        /// Digest of the key's earliest write.
+        written: Option<u64>,
+    },
+    /// A read returned before the key's earliest write was invoked.
+    ReadBeforeWrite {
+        /// The reading client.
+        actor: u32,
+        /// The key read.
+        key: String,
+        /// When the read returned.
+        ret: Duration,
+        /// When the earliest write was invoked.
+        written: Duration,
     },
 }
 
@@ -164,20 +191,45 @@ impl std::fmt::Display for LinzViolation {
                 "stale-epoch read: client {actor} read {key} under epoch {read_epoch} after \
                  completing its bump to epoch {bumped_epoch}"
             ),
-            LinzViolation::ValueNotLinearizable { key, ops } => write!(
+            LinzViolation::SecondValue {
+                key,
+                actor,
+                first,
+                second,
+            } => write!(
                 f,
-                "value not linearizable: no legal linearization of the {ops} op(s) on {key}"
+                "second value: n{actor} stored {second:#x} for {key}, first written as {first:#x}"
+            ),
+            LinzViolation::WrongValue {
+                actor,
+                key,
+                read,
+                written,
+            } => {
+                let written = written.map_or("never written".into(), |w| format!("{w:#x}"));
+                let at = format!("client {actor} read {read:#x} from {key}");
+                write!(f, "wrong value: {at}, written as {written}")
+            }
+            LinzViolation::ReadBeforeWrite {
+                actor,
+                key,
+                ret,
+                written,
+            } => write!(
+                f,
+                "read before write: client {actor} read {key} by {ret:?}, before its first \
+                 write at {written:?}"
             ),
         }
     }
 }
 
 /// Checker output.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct LinzReport {
     /// Total ops checked.
     pub ops: usize,
-    /// Distinct keys partitioned.
+    /// Distinct keys read or written.
     pub keys: usize,
     /// Completed reads.
     pub reads: usize,
@@ -185,18 +237,16 @@ pub struct LinzReport {
     pub writes: usize,
     /// Epoch bumps.
     pub bumps: usize,
-    /// Reads exempted by the handoff exception.
-    pub handoff_exempt: usize,
-    /// Key partitions whose search ran out of budget (not violations,
-    /// but not proofs either).
-    pub inconclusive: usize,
+    /// Reads a successor served: the ones the epoch rule exempts.
+    pub successor_served: usize,
+    /// Reads served from the PFS.
+    pub pfs_served: usize,
     /// Everything that failed.
     pub violations: Vec<LinzViolation>,
 }
 
 impl LinzReport {
-    /// True when no violation was found (inconclusive partitions do not
-    /// fail the check, but they are visible in the report).
+    /// True when no violation was found.
     pub fn passed(&self) -> bool {
         self.violations.is_empty()
     }
@@ -206,78 +256,78 @@ impl std::fmt::Display for LinzReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "linz: {} op(s) over {} key(s) ({} read / {} write / {} bump, {} handoff-exempt), \
-             {} inconclusive, {} violation(s)",
+            "linz: {} op(s) over {} key(s) ({} read / {} write / {} bump; {} successor-served, \
+             {} pfs-served), {} violation(s)",
             self.ops,
             self.keys,
             self.reads,
             self.writes,
             self.bumps,
-            self.handoff_exempt,
-            self.inconclusive,
+            self.successor_served,
+            self.pfs_served,
             self.violations.len()
         )
     }
 }
 
-/// Search-step budget per key partition; hit ⇒ the partition is counted
-/// inconclusive. Generous: the fast path resolves uniform-value
-/// partitions without search, so only genuinely ambiguous histories
-/// spend budget.
-const SEARCH_BUDGET: usize = 200_000;
+/// Each actor's epoch bumps as (completion time, new epoch), sorted.
+fn bumps_by_actor(ops: &[OpRecord]) -> HashMap<u32, Vec<(Duration, u64)>> {
+    let mut bumps: HashMap<u32, Vec<(Duration, u64)>> = HashMap::new();
+    for op in ops.iter().filter(|o| o.kind == OpKind::EpochBump) {
+        bumps
+            .entry(op.actor.0)
+            .or_default()
+            .push((op.ret, op.epoch));
+    }
+    for v in bumps.values_mut() {
+        v.sort_unstable();
+    }
+    bumps
+}
+
+/// The highest epoch `read`'s client had fully bumped to before the read
+/// was invoked. Strictly before: execution takes zero virtual time, so a
+/// bump and a read stamped at the *same* instant are concurrent (either
+/// execution order is possible) and impose no freshness obligation.
+fn reached(bumps: &HashMap<u32, Vec<(Duration, u64)>>, read: &OpRecord) -> Option<u64> {
+    let done = bumps.get(&read.actor.0)?.iter();
+    let done = done.take_while(|&&(ret, _)| ret < read.invoke);
+    done.map(|&(_, e)| e).max()
+}
 
 /// Check a recorded history against both specifications.
 pub fn check_history(ops: &[OpRecord]) -> LinzReport {
     let mut report = LinzReport {
         ops: ops.len(),
-        keys: 0,
-        reads: 0,
-        writes: 0,
-        bumps: 0,
-        handoff_exempt: 0,
-        inconclusive: 0,
-        violations: Vec::new(),
+        ..LinzReport::default()
     };
-
-    // ---- Rule 2: per-client epoch freshness -------------------------
-    // Bumps per actor, sorted by completion time.
-    let mut bumps_by_actor: HashMap<u32, Vec<(Duration, u64)>> = HashMap::new();
+    let mut by_key: BTreeMap<&str, (Vec<&OpRecord>, Vec<&OpRecord>)> = BTreeMap::new();
     for op in ops {
-        if op.kind == OpKind::EpochBump {
-            report.bumps += 1;
-            bumps_by_actor
-                .entry(op.actor.0)
-                .or_default()
-                .push((op.ret, op.epoch));
-        }
-    }
-    for v in bumps_by_actor.values_mut() {
-        v.sort_unstable();
-    }
-    for op in ops {
-        if op.kind != OpKind::Read {
-            continue;
-        }
-        report.reads += 1;
-        if op.handoff {
-            report.handoff_exempt += 1;
-            continue;
-        }
-        let Some(bumps) = bumps_by_actor.get(&op.actor.0) else {
-            continue;
+        let part = match op.kind {
+            OpKind::Read(from) => {
+                report.reads += 1;
+                report.successor_served += usize::from(from == ServedFrom::Successor);
+                report.pfs_served += usize::from(from == ServedFrom::Pfs);
+                &mut by_key.entry(op.key.as_str()).or_default().1
+            }
+            OpKind::Write => {
+                report.writes += 1;
+                &mut by_key.entry(op.key.as_str()).or_default().0
+            }
+            OpKind::EpochBump => {
+                report.bumps += 1;
+                continue;
+            }
         };
-        // Highest epoch this client had fully bumped to before the read
-        // was invoked. Strictly before: execution takes zero virtual
-        // time, so a bump and a read stamped at the *same* instant are
-        // concurrent (either execution order is possible) and impose no
-        // freshness obligation.
-        let reached = bumps
-            .iter()
-            .take_while(|&&(ret, _)| ret < op.invoke)
-            .map(|&(_, e)| e)
-            .max();
-        if let Some(reached) = reached {
-            if op.epoch < reached {
+        part.push(op);
+    }
+    report.keys = by_key.len();
+
+    // ---- Rule 1: per-client epoch freshness -------------------------
+    let bumps = bumps_by_actor(ops);
+    for op in ops.iter().filter(|o| o.epoch_checked()) {
+        match reached(&bumps, op) {
+            Some(reached) if op.epoch < reached => {
                 report.violations.push(LinzViolation::StaleEpochRead {
                     actor: op.actor.0,
                     key: op.key.clone(),
@@ -285,201 +335,94 @@ pub fn check_history(ops: &[OpRecord]) -> LinzReport {
                     bumped_epoch: reached,
                 });
             }
+            _ => {}
         }
     }
 
-    // ---- Rule 1: per-key register linearizability -------------------
-    let mut by_key: BTreeMap<&str, Vec<&OpRecord>> = BTreeMap::new();
-    for op in ops {
-        match op.kind {
-            OpKind::Read => {
-                by_key.entry(op.key.as_str()).or_default().push(op);
-            }
-            OpKind::Write => {
-                report.writes += 1;
-                by_key.entry(op.key.as_str()).or_default().push(op);
-            }
-            OpKind::EpochBump => {}
+    // ---- Rule 2: write-once values per key --------------------------
+    for (key, (writes, reads)) in &by_key {
+        let key = || (*key).to_owned();
+        let wrong = |r: &OpRecord, written| LinzViolation::WrongValue {
+            actor: r.actor.0,
+            key: key(),
+            read: r.digest,
+            written,
+        };
+        let Some(first) = writes.iter().min_by_key(|w| w.invoke) else {
+            report
+                .violations
+                .extend(reads.iter().map(|r| wrong(r, None)));
+            continue;
+        };
+        for w in writes.iter().filter(|w| w.digest != first.digest) {
+            report.violations.push(LinzViolation::SecondValue {
+                key: key(),
+                actor: w.actor.0,
+                first: first.digest,
+                second: w.digest,
+            });
         }
-    }
-    report.keys = by_key.len();
-    for (key, part) in &by_key {
-        match check_register(part) {
-            RegisterVerdict::Linearizable => {}
-            RegisterVerdict::Violation => {
-                report.violations.push(LinzViolation::ValueNotLinearizable {
-                    key: (*key).to_owned(),
-                    ops: part.len(),
+        for r in reads {
+            if r.digest != first.digest {
+                report.violations.push(wrong(r, Some(first.digest)));
+            } else if r.ret < first.invoke {
+                report.violations.push(LinzViolation::ReadBeforeWrite {
+                    actor: r.actor.0,
+                    key: key(),
+                    ret: r.ret,
+                    written: first.invoke,
                 });
             }
-            RegisterVerdict::Inconclusive => report.inconclusive += 1,
         }
     }
     report
 }
 
-enum RegisterVerdict {
-    Linearizable,
-    Violation,
-    Inconclusive,
-}
+/// A forger: plants one violation into a clean history; false when the
+/// history holds nothing to forge.
+pub type Forger = fn(&mut [OpRecord]) -> bool;
 
-/// Decide one key partition. Fast path: when every write agrees on one
-/// digest, a read is legal iff it returns that digest (any
-/// interleaving works) — the overwhelmingly common case for a
-/// content-addressed cache. Otherwise run the Wing–Gong search.
-fn check_register(part: &[&OpRecord]) -> RegisterVerdict {
-    let mut write_digests: Vec<u64> = part
-        .iter()
-        .filter(|o| o.kind == OpKind::Write)
-        .map(|o| o.digest)
-        .collect();
-    write_digests.sort_unstable();
-    write_digests.dedup();
-    if write_digests.len() <= 1 {
-        let legal = |r: &&&OpRecord| write_digests.first().is_some_and(|&d| d == r.digest);
-        let all_match = part
-            .iter()
-            .filter(|o| o.kind == OpKind::Read)
-            .all(|r| legal(&r));
-        return if all_match {
-            RegisterVerdict::Linearizable
-        } else if write_digests.is_empty() {
-            // Reads of a key nothing ever wrote: nothing to compare
-            // against (the harness normally seeds staged values, so
-            // this means tracing was enabled mid-run).
-            RegisterVerdict::Inconclusive
-        } else {
-            RegisterVerdict::Violation
-        };
-    }
-    // Multi-valued history: full search on intervals.
-    let mut ops: Vec<&OpRecord> = part.to_vec();
-    ops.sort_by_key(|o| (o.invoke, o.ret));
-    let mut budget = SEARCH_BUDGET;
-    let mut memo: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut remaining: Vec<bool> = vec![true; ops.len()];
-    match search(&ops, &mut remaining, None, &mut budget, &mut memo) {
-        Some(true) => RegisterVerdict::Linearizable,
-        Some(false) => RegisterVerdict::Violation,
-        None => RegisterVerdict::Inconclusive,
-    }
-}
-
-/// Wing–Gong frontier recursion. `Some(true)` = a valid linearization
-/// completes the remaining ops given the register holds `value`;
-/// `None` = budget exhausted.
-fn search(
-    ops: &[&OpRecord],
-    remaining: &mut Vec<bool>,
-    value: Option<u64>,
-    budget: &mut usize,
-    memo: &mut std::collections::HashSet<u64>,
-) -> Option<bool> {
-    if *budget == 0 {
-        return None;
-    }
-    *budget -= 1;
-    if remaining.iter().all(|&r| !r) {
-        return Some(true);
-    }
-    // Memoize on (remaining-set, value): revisiting the same frontier
-    // with the same register contents cannot change the answer.
-    let mut state_key: u64 = value.unwrap_or(u64::MAX).wrapping_mul(0x9e3779b97f4a7c15);
-    for (i, &r) in remaining.iter().enumerate() {
-        if r {
-            state_key = state_key.wrapping_add(fnv1a64(&(i as u64).to_le_bytes()));
-        }
-    }
-    if !memo.insert(state_key) {
-        return Some(false);
-    }
-    // An op may linearize next iff no other remaining op returned
-    // before it was invoked.
-    let min_ret = ops
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| remaining[i])
-        .map(|(_, o)| o.ret)
-        .min()?;
-    for i in 0..ops.len() {
-        if !remaining[i] || ops[i].invoke > min_ret {
-            continue;
-        }
-        let op = ops[i];
-        let next_value = match op.kind {
-            OpKind::Write => Some(op.digest),
-            OpKind::Read => {
-                if value != Some(op.digest) {
-                    continue; // this read cannot go first here
-                }
-                value
-            }
-            OpKind::EpochBump => value,
-        };
-        remaining[i] = false;
-        match search(ops, remaining, next_value, budget, memo) {
-            Some(true) => {
-                remaining[i] = true;
-                return Some(true);
-            }
-            Some(false) => {}
-            None => {
-                remaining[i] = true;
-                return None;
-            }
-        }
-        remaining[i] = true;
-    }
-    Some(false)
-}
-
-/// Fabricate a stale-epoch read into a clean history: find a non-handoff
-/// read invoked after its client finished an epoch bump, and re-attribute
-/// it to an older epoch. Returns false when the history has no eligible
-/// read (no bump ever completed before a read).
+/// Fabricate a stale-epoch read into a clean history: find an
+/// epoch-checked read invoked after its client finished an epoch bump,
+/// and re-attribute it to an older epoch. Returns false when the history
+/// has no eligible read (no bump ever completed before a read).
 pub fn forge_stale_linz_read(ops: &mut [OpRecord]) -> bool {
-    let mut bumps_by_actor: HashMap<u32, Vec<(Duration, u64)>> = HashMap::new();
-    for op in ops.iter() {
-        if op.kind == OpKind::EpochBump {
-            bumps_by_actor
-                .entry(op.actor.0)
-                .or_default()
-                .push((op.ret, op.epoch));
-        }
-    }
-    for v in bumps_by_actor.values_mut() {
-        v.sort_unstable();
-    }
-    for op in ops.iter_mut() {
-        if op.kind != OpKind::Read || op.handoff {
-            continue;
-        }
-        let Some(bumps) = bumps_by_actor.get(&op.actor.0) else {
-            continue;
-        };
-        // Mirror the checker's strict-order rule: only a read invoked
-        // strictly after a bump completed is forgeable.
-        let reached = bumps
-            .iter()
-            .take_while(|&&(ret, _)| ret < op.invoke)
-            .map(|&(_, e)| e)
-            .max();
-        if let Some(reached) = reached {
-            if reached > 0 {
-                op.epoch = reached - 1;
-                return true;
-            }
+    let bumps = bumps_by_actor(ops);
+    for op in ops.iter_mut().filter(|o| o.epoch_checked()) {
+        if let Some(reached) = reached(&bumps, op).filter(|&e| e > 0) {
+            op.epoch = reached - 1;
+            return true;
         }
     }
     false
+}
+
+/// Fabricate a read that returned before its value existed: the first
+/// read keeps its interval while every other op moves later by just over
+/// that read's return time, which puts the read before the first write
+/// of its value. (Moving the whole history but one read is the same
+/// forgery as moving that read earlier, and needs no time before zero
+/// when the dataset is staged at t=0.) Returns false on a history with
+/// no reads.
+pub fn forge_read_before_write(ops: &mut [OpRecord]) -> bool {
+    let Some(i) = ops.iter().position(|o| matches!(o.kind, OpKind::Read(_))) else {
+        return false;
+    };
+    let shift = ops[i].ret + Duration::from_nanos(1);
+    for op in ops.iter_mut() {
+        op.invoke += shift;
+        op.ret += shift;
+    }
+    ops[i].invoke -= shift;
+    ops[i].ret -= shift;
+    true
 }
 
 /// Fabricate a wrong-value read: flip one read's digest so no write
 /// explains it. Returns false on a history with no reads.
 pub fn forge_corrupt_read_value(ops: &mut [OpRecord]) -> bool {
     for op in ops.iter_mut() {
-        if op.kind == OpKind::Read {
+        if matches!(op.kind, OpKind::Read(_)) {
             op.digest ^= 0xdead_beef_dead_beef;
             return true;
         }
@@ -504,20 +447,18 @@ mod tests {
             invoke: ms(at),
             ret: ms(at),
             digest,
-            handoff: false,
         }
     }
 
     fn read(key: &str, actor: u32, invoke: u64, ret: u64, epoch: u64, digest: u64) -> OpRecord {
         OpRecord {
             actor: NodeId(actor),
-            kind: OpKind::Read,
+            kind: OpKind::Read(ServedFrom::Owner),
             key: key.into(),
             epoch,
             invoke: ms(invoke),
             ret: ms(ret),
             digest,
-            handoff: false,
         }
     }
 
@@ -530,7 +471,6 @@ mod tests {
             invoke: ms(at),
             ret: ms(at),
             digest: 0,
-            handoff: false,
         }
     }
 
@@ -557,7 +497,7 @@ mod tests {
             epoch: 1,
             invoke: t.now(),
             digest: 7,
-            handoff: true,
+            served: ServedFrom::Successor,
         };
         t.record(NodeId(100), read);
         insert(2, Some(7)); // a `Put`
@@ -569,13 +509,13 @@ mod tests {
             [
                 (u32::MAX, OpKind::Write),
                 (100, OpKind::EpochBump),
-                (100, OpKind::Read),
+                (100, OpKind::Read(ServedFrom::Successor)),
                 (2, OpKind::Write)
             ]
         );
         assert_eq!((ops[1].epoch, ops[1].ret), (1, log[3].at));
         assert!(ops[2].invoke <= ops[2].ret && ops[2].ret == log[4].at);
-        assert!(ops[2].handoff && ops[2].digest == 7);
+        assert_eq!(ops[2].digest, 7);
         assert_eq!((ops[3].key.as_str(), ops[3].digest), ("a", 7));
     }
 
@@ -587,35 +527,41 @@ mod tests {
             read("a", 101, 3, 4, 0, 7),
             bump(100, 5, 1),
             read("a", 100, 6, 7, 1, 7),
+            write("a", 8, 7), // a recache push of the same value
         ];
         let r = check_history(&ops);
         assert!(r.passed(), "{r}: {:?}", r.violations);
-        assert_eq!((r.reads, r.writes, r.bumps), (3, 1, 1));
+        assert_eq!((r.reads, r.writes, r.bumps, r.keys), (3, 2, 1, 1));
     }
 
     #[test]
-    fn stale_epoch_read_is_flagged_and_handoff_is_exempt() {
+    fn stale_epoch_read_is_flagged_and_only_successor_serves_are_exempt() {
         let mut ops = vec![
             write("a", 0, 7),
             bump(100, 5, 3),
             read("a", 100, 6, 7, 2, 7), // invoked after the bump, older epoch
         ];
-        let r = check_history(&ops);
-        assert_eq!(r.violations.len(), 1);
-        assert!(matches!(
-            &r.violations[0],
-            LinzViolation::StaleEpochRead {
-                actor: 100,
-                read_epoch: 2,
-                bumped_epoch: 3,
-                ..
-            }
-        ));
-        // The same read marked handoff is the documented exception.
-        ops[2].handoff = true;
+        let stale = |ops: &[OpRecord]| {
+            let r = check_history(ops);
+            let flagged = matches!(
+                &r.violations[..],
+                [LinzViolation::StaleEpochRead {
+                    actor: 100,
+                    read_epoch: 2,
+                    bumped_epoch: 3,
+                    ..
+                }]
+            );
+            (flagged, r.successor_served, r.pfs_served)
+        };
+        assert_eq!(stale(&ops), (true, 0, 0));
+        ops[2].kind = OpKind::Read(ServedFrom::Pfs);
+        assert_eq!(stale(&ops), (true, 0, 1), "a PFS read is epoch-checked");
+        // A successor serve is the documented exception.
+        ops[2].kind = OpKind::Read(ServedFrom::Successor);
         let r = check_history(&ops);
         assert!(r.passed(), "{r}");
-        assert_eq!(r.handoff_exempt, 1);
+        assert_eq!((r.successor_served, r.pfs_served), (1, 0));
     }
 
     #[test]
@@ -630,62 +576,90 @@ mod tests {
     }
 
     #[test]
-    fn wing_gong_accepts_overlapping_two_value_history() {
-        // w(1) then w(2) concurrent with r→1 and a later r→2: legal.
-        let ops = vec![
-            write("a", 0, 1),
-            OpRecord {
-                invoke: ms(10),
-                ret: ms(20),
-                ..write("a", 0, 2)
-            },
-            read("a", 100, 11, 14, 0, 1), // overlaps w(2): may precede it
-            read("a", 100, 30, 31, 0, 2),
-        ];
-        let r = check_history(&ops);
-        assert!(r.passed(), "{r}: {:?}", r.violations);
+    fn read_overlapping_the_first_write_passes() {
+        // Invoked before the write, returned after it was invoked.
+        let ops = vec![read("a", 100, 1, 10, 0, 7), write("a", 10, 7)];
+        assert!(check_history(&ops).passed());
     }
 
     #[test]
-    fn wing_gong_rejects_value_from_the_past() {
-        // w(1) completes, then w(2) completes, then a read returns 1:
-        // real-time order forbids it.
+    fn read_that_returned_before_its_value_was_written_is_flagged() {
+        // The read completed at t=2 returning 7; the only write of 7 is
+        // invoked at t=10. Real time orders the read first, when the key
+        // held nothing.
+        let ops = vec![read("a", 100, 1, 2, 0, 7), write("a", 10, 7)];
+        let r = check_history(&ops);
+        assert_eq!(
+            r.violations,
+            [LinzViolation::ReadBeforeWrite {
+                actor: 100,
+                key: "a".into(),
+                ret: ms(2),
+                written: ms(10),
+            }]
+        );
+    }
+
+    #[test]
+    fn second_written_value_is_flagged_before_any_read_serves_it() {
         let ops = vec![
             write("a", 0, 1),
-            write("a", 10, 2),
-            read("a", 100, 20, 21, 0, 1),
+            read("a", 100, 1, 2, 0, 1),
+            write("a", 10, 2), // a corrupt recache push
         ];
         let r = check_history(&ops);
-        assert_eq!(r.violations.len(), 1, "{r}");
-        assert!(matches!(
-            &r.violations[0],
-            LinzViolation::ValueNotLinearizable { ops: 3, .. }
-        ));
+        assert_eq!(
+            r.violations,
+            [LinzViolation::SecondValue {
+                key: "a".into(),
+                actor: 9,
+                first: 1,
+                second: 2,
+            }]
+        );
+    }
+
+    #[test]
+    fn wrong_and_unwritten_values_are_flagged() {
+        let ops = vec![
+            write("a", 0, 1),
+            read("a", 100, 1, 2, 0, 2),
+            read("ghost", 100, 1, 2, 0, 5),
+        ];
+        let r = check_history(&ops);
+        let values: Vec<_> = (r.violations.iter())
+            .map(|v| match v {
+                LinzViolation::WrongValue { key, written, .. } => (key.as_str(), *written),
+                other => panic!("{other}"),
+            })
+            .collect();
+        assert_eq!(values, [("a", Some(1)), ("ghost", None)]);
     }
 
     #[test]
     fn forges_break_clean_histories() {
-        let mut ops = vec![
+        let clean = vec![
             write("a", 0, 7),
             bump(100, 5, 1),
             read("a", 100, 6, 8, 1, 7),
         ];
-        assert!(check_history(&ops).passed());
-        assert!(forge_stale_linz_read(&mut ops));
-        assert!(!check_history(&ops).passed());
-
-        let mut ops = vec![write("a", 0, 7), read("a", 100, 1, 2, 0, 7)];
-        assert!(check_history(&ops).passed());
-        assert!(forge_corrupt_read_value(&mut ops));
-        let r = check_history(&ops);
-        assert_eq!(r.violations.len(), 1);
-    }
-
-    #[test]
-    fn read_of_unwritten_key_is_inconclusive_not_violating() {
-        let ops = vec![read("ghost", 100, 1, 2, 0, 5)];
-        let r = check_history(&ops);
-        assert!(r.passed());
-        assert_eq!(r.inconclusive, 1);
+        assert!(check_history(&clean).passed());
+        let forged = |forge: Forger| {
+            let mut ops = clean.clone();
+            assert!(forge(&mut ops));
+            check_history(&ops).violations
+        };
+        assert!(matches!(
+            forged(forge_stale_linz_read)[..],
+            [LinzViolation::StaleEpochRead { .. }]
+        ));
+        assert!(matches!(
+            forged(forge_read_before_write)[..],
+            [LinzViolation::ReadBeforeWrite { .. }]
+        ));
+        assert!(matches!(
+            forged(forge_corrupt_read_value)[..],
+            [LinzViolation::WrongValue { .. }]
+        ));
     }
 }

@@ -34,7 +34,7 @@ use crate::singleflight::{Join, SingleFlight};
 use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::{NodeId, Placement};
 use ftc_net::xport::{Caller, Transport};
-use ftc_net::{RpcError, TraceEventKind};
+use ftc_net::{RpcError, ServedFrom, TraceEventKind};
 use ftc_obs::Phase;
 use ftc_storage::{KeyIndex, Pfs, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
@@ -502,7 +502,11 @@ impl HvacClient {
                             // current owner: the leader may have been
                             // served by a replica or a direct PFS read.
                             self.account_served(path, &out.bytes, invoke, node, p.epoch, || {
-                                self.owner_of(path) != Some(node)
+                                match out.via {
+                                    ReadVia::DirectPfs => ServedFrom::Pfs,
+                                    _ if self.owner_of(path) == Some(node) => ServedFrom::Owner,
+                                    _ => ServedFrom::Successor,
+                                }
                             });
                         }
                         p.value
@@ -735,9 +739,14 @@ impl HvacClient {
             engine.notify_served(served_by, path, first_hit);
         }
         // Served after failing over from a removed owner, or by a hedge
-        // to the next replica owner — the documented handoff exception.
-        let handoff = failed_over.is_some() || served_by != at.owner;
-        self.account_served(path, &bytes, at.invoke, served_by, at.epoch, || handoff);
+        // to the next replica owner: a successor serve.
+        self.account_served(path, &bytes, at.invoke, served_by, at.epoch, || {
+            if failed_over.is_some() || served_by != at.owner {
+                ServedFrom::Successor
+            } else {
+                ServedFrom::Owner
+            }
+        });
         if let Some(dead) = failed_over {
             // The dead node's keys are serving from a survivor again: its
             // degraded window (for this client) is over.
@@ -769,7 +778,8 @@ impl HvacClient {
 
     /// Served-read bookkeeping, identical for a leader and a coalesced
     /// follower: the ok/bytes counters and one `ReadServed` trace event
-    /// closing the interval opened at `invoke`.
+    /// closing the interval opened at `invoke`. `served` classes the read
+    /// and runs only when the fabric traces.
     fn account_served(
         &self,
         path: &str,
@@ -777,7 +787,7 @@ impl HvacClient {
         invoke: Duration,
         node: NodeId,
         epoch: u64,
-        handoff: impl FnOnce() -> bool,
+        served: impl FnOnce() -> ServedFrom,
     ) {
         self.metrics.reads_ok.inc();
         self.metrics.bytes_read.add(bytes.len() as u64);
@@ -787,7 +797,7 @@ impl HvacClient {
             epoch,
             invoke,
             digest: fnv1a64(bytes),
-            handoff: handoff(),
+            served: served(),
         });
     }
 
@@ -1089,15 +1099,15 @@ impl HvacClient {
 
     /// Read `path` straight from the PFS and account it like any served
     /// read: the reader itself stands in for the serving node, under the
-    /// current epoch, and no ring node serving it makes it a handoff —
-    /// exactly what a coalesced follower of this read records.
+    /// current epoch, served from the PFS — exactly what a coalesced
+    /// follower of this read records.
     fn read_pfs_direct(&self, path: &str) -> Result<ReadOutcome, ReadError> {
         let invoke = self.trace_now();
         match self.pfs.read(path) {
             Some(bytes) => {
                 self.metrics.pfs_direct_reads.inc();
                 let epoch = self.ring_epoch();
-                self.account_served(path, &bytes, invoke, self.me, epoch, || true);
+                self.account_served(path, &bytes, invoke, self.me, epoch, || ServedFrom::Pfs);
                 Ok(ReadOutcome {
                     bytes,
                     via: ReadVia::DirectPfs,
@@ -1842,6 +1852,49 @@ mod tests {
         assert_eq!(m.reads_ok, 1);
     }
 
+    #[test]
+    fn failover_and_hedge_serves_record_a_successor() {
+        use crate::overload::OverloadConfig;
+        let served = |tracer: &ftc_net::Tracer| -> Vec<ServedFrom> {
+            (tracer.take().into_iter())
+                .filter_map(|r| match r.kind {
+                    TraceEventKind::ReadServed { served, .. } => Some(served),
+                    _ => None,
+                })
+                .collect()
+        };
+        let p = "train/s0.bin";
+        // An owner's PFS fetch and hit, the read that fails over past the
+        // owner once it is declared, and the new owner's hit.
+        let r = rig(4, 8);
+        let tracer = r.net.enable_tracing();
+        let mut cfg = fast_config(FtPolicy::RingRecache);
+        cfg.detector.timeout_limit = 1;
+        let c = HvacClient::with_transport(NodeId(100), &r.net, Arc::clone(&r.pfs), 4, cfg);
+        let owner = c.owner_of(p).expect("owner");
+        for _ in 0..2 {
+            c.read(p).expect("owner read");
+        }
+        r.net.kill(owner);
+        let out = c.read_traced(p).expect("failover read");
+        assert!(matches!(out.via, ReadVia::ServerPfsFetch(n) if n != owner));
+        assert_eq!(c.failed_nodes(), [owner], "the owner was declared");
+        c.read(p).expect("new owner read");
+        use ServedFrom::{Owner, Successor};
+        assert_eq!(served(&tracer), [Owner, Owner, Successor, Owner]);
+
+        // A hedge the next ring owner wins.
+        let r = rig(4, 8);
+        let tracer = r.net.enable_tracing();
+        let mut cfg = fast_config(FtPolicy::RingRecache);
+        cfg.overload = OverloadConfig::armored();
+        let c = HvacClient::with_transport(NodeId(100), &r.net, Arc::clone(&r.pfs), 4, cfg);
+        r.net.kill(c.owner_of(p).expect("owner"));
+        c.read(p).expect("hedge serves the read");
+        assert_eq!(c.metrics().snapshot().hedges_won, 1);
+        assert_eq!(served(&tracer), [Successor]);
+    }
+
     // ---- scripted transport: the read path against canned replies ----
 
     /// A fabric with no servers behind it: every RPC pops the next canned
@@ -2453,7 +2506,7 @@ mod tests {
         });
         let c = Arc::new(scripted_client(&state, fast_config(FtPolicy::RingRecache)));
         // Each `ReadServed` event as (actor, key, owner, epoch, digest,
-        // handoff), with its interval checked on the way.
+        // served), with its interval checked on the way.
         let reads_of = |log: Vec<ftc_net::TraceRecord>| -> Vec<_> {
             (log.into_iter())
                 .filter_map(|r| match r.kind {
@@ -2463,10 +2516,10 @@ mod tests {
                         epoch,
                         invoke,
                         digest,
-                        handoff,
+                        served,
                     } => {
                         assert!(invoke <= r.at, "a read returns after its invoke");
-                        Some((r.actor, key, owner, epoch, digest, handoff))
+                        Some((r.actor, key, owner, epoch, digest, served))
                     }
                     _ => None,
                 })
@@ -2479,6 +2532,7 @@ mod tests {
         let solo = c.metrics().snapshot();
         let solo_ops = reads_of(tracer.take());
         assert_eq!(solo_ops.len(), 1, "a leader records one read");
+        assert_eq!(solo_ops[0].5, ServedFrom::Owner, "an owner hit");
         assert_eq!((solo.reads_ok, solo.bytes_read), (1, FILE_SIZE as u64));
         while events.try_recv().is_ok() {}
 
@@ -2514,7 +2568,8 @@ mod tests {
         assert_eq!(ops, [&solo_ops[..], &solo_ops[..]].concat());
 
         // The same pair when the leader's RPC fails and it reads the PFS
-        // directly: each read records the reader as the serving node.
+        // directly: each read records the reader as the serving node, and
+        // the PFS as where it was served from.
         while events.try_recv().is_ok() {}
         let unknown = || Err(RpcError::UnknownNode(NodeId(7)));
         state.replies.lock().extend([unknown(), unknown()]);
@@ -2523,7 +2578,7 @@ mod tests {
         assert_eq!(solo.via, ReadVia::DirectPfs);
         let direct = reads_of(tracer.take());
         assert_eq!(direct.len(), 1, "a direct-PFS leader records one read");
-        assert_eq!((direct[0].2, direct[0].5), (c.me, true));
+        assert_eq!((direct[0].2, direct[0].5), (c.me, ServedFrom::Pfs));
         while events.try_recv().is_ok() {}
         let leader = {
             let c = Arc::clone(&c);

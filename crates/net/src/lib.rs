@@ -41,6 +41,6 @@ pub mod xport;
 pub use error::RpcError;
 pub use latency::LatencyModel;
 pub use stats::{NetStats, NetStatsSnapshot};
-pub use trace::{TraceEventKind, TraceRecord, Tracer, VClock};
+pub use trace::{ServedFrom, TraceEventKind, TraceRecord, Tracer, VClock};
 pub use transport::{Endpoint, Incoming, Mailbox, Network, Payload};
 pub use xport::{Caller, Inbound, Listener, RequestSink, Transport};

@@ -124,6 +124,20 @@ impl fmt::Display for VClock {
     }
 }
 
+/// Where a [`TraceEventKind::ReadServed`] read was served from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServedFrom {
+    /// The key's owner under the read's placement epoch.
+    Owner,
+    /// Another node: a failover past a removed owner or a hedge to the
+    /// next replica owner. The linearizability epoch rule exempts it (a
+    /// successor may serve a key while the membership change that
+    /// re-homed it is still propagating).
+    Successor,
+    /// The PFS, read by the client itself.
+    Pfs,
+}
+
 /// What happened, as recorded in the event log.
 ///
 /// The first four variants are emitted by the transport itself; the rest
@@ -167,9 +181,8 @@ pub enum TraceEventKind {
         invoke: Duration,
         /// FNV-1a digest of the returned bytes.
         digest: u64,
-        /// Served through the failover path (a successor, a hedge, or the
-        /// PFS): the exception the linearizability epoch rule skips.
-        handoff: bool,
+        /// Where the bytes came from.
+        served: ServedFrom,
     },
     /// The actor's placement membership changed (ring epoch bump).
     RingUpdate {

@@ -1639,7 +1639,22 @@ pub const SELF_TESTS: &[SelfTest] = &[
     },
     SelfTest {
         name: "linz-forgery",
-        check: SelfCheck::Checker(crate::modelcheck::sabotage_linz),
+        check: SelfCheck::Checker(|seed| {
+            crate::modelcheck::sabotage_linz(seed, ftc_analysis::forge_stale_linz_read)
+        }),
+    },
+    SelfTest {
+        name: "linz-early-read",
+        // A read moved before the first write of its value.
+        check: SelfCheck::Checker(|seed| {
+            crate::modelcheck::sabotage_linz(seed, ftc_analysis::forge_read_before_write)
+        }),
+    },
+    SelfTest {
+        name: "linz-corrupt-value",
+        check: SelfCheck::Checker(|seed| {
+            crate::modelcheck::sabotage_linz(seed, ftc_analysis::forge_corrupt_read_value)
+        }),
     },
 ];
 

@@ -14,13 +14,14 @@
 //! * [`check_linz_campaigns`] runs whole campaigns with the fabric's
 //!   vector-clock trace on ([`CampaignOptions::trace`]) and feeds the
 //!   per-key history in each trace (`ftc_analysis::linz::ops`) through
-//!   `ftc_analysis::linz`: per-key register linearizability plus the
+//!   `ftc_analysis::linz`: write-once values per key plus the
 //!   epoch-freshness rule.
 //! * [`sabotage_atomicity`] and [`sabotage_linz`] are the self-tests
 //!   (rows of [`crate::chaos::SELF_TESTS`]):
 //!   the first seeds a known check-then-act bug whose bad interleaving
 //!   FIFO never takes and requires the explorer to find and replay it;
-//!   the second forges a stale-epoch read into a clean history and
+//!   the second forges one violation (a stale-epoch read, a read before
+//!   its value was written, a corrupt read) into a clean history and
 //!   requires the checker to flag it. A checker that cannot fail is not
 //!   checking anything.
 
@@ -28,7 +29,7 @@ use crate::chaos::{
     run_campaign_on, CampaignOptions, CampaignReport, ChaosPlan, Load, RecoveryMode,
 };
 use ftc_analysis::explore::{bounded_dfs, fingerprint_trace, DfsConfig, RunOutcome};
-use ftc_analysis::linz::{check_history, OpRecord};
+use ftc_analysis::linz::{check_history, Forger, OpRecord};
 use ftc_analysis::replay::Replayable;
 use ftc_core::FtPolicy;
 use ftc_time::{ForcedPrefix, Pct, RandomWalk, ScheduleTrace, Scheduler};
@@ -313,6 +314,7 @@ pub fn sabotage_atomicity() -> Result<(String, String), String> {
 }
 
 /// One linearizability sweep over many campaigns.
+#[derive(Default)]
 pub struct LinzSummary {
     /// Campaigns run with tracing on.
     pub campaigns: usize,
@@ -324,10 +326,10 @@ pub struct LinzSummary {
     pub writes: usize,
     /// Ring-epoch bumps.
     pub bumps: usize,
-    /// Reads exempted via the hinted-handoff exception.
-    pub handoff_exempt: usize,
-    /// Key partitions whose search hit its budget.
-    pub inconclusive: usize,
+    /// Reads a successor served (exempt from the epoch rule).
+    pub successor_served: usize,
+    /// Reads served from the PFS.
+    pub pfs_served: usize,
     /// Per-campaign linearizability violations, rendered.
     pub violations: Vec<String>,
     /// Campaigns whose *chaos invariants* fired (not a linz violation,
@@ -347,16 +349,16 @@ impl fmt::Display for LinzSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "linz sweep: {} campaign(s), {} op(s) ({} read / {} write / {} bump, \
-             {} handoff-exempt), {} inconclusive partition(s), {} linz violation(s), \
+            "linz sweep: {} campaign(s), {} op(s) ({} read / {} write / {} bump; \
+             {} successor-served, {} pfs-served), {} linz violation(s), \
              {} campaign failure(s)",
             self.campaigns,
             self.ops,
             self.reads,
             self.writes,
             self.bumps,
-            self.handoff_exempt,
-            self.inconclusive,
+            self.successor_served,
+            self.pfs_served,
             self.violations.len(),
             self.campaign_failures.len()
         )
@@ -401,17 +403,7 @@ fn linz_plan_mix(count: usize, base_seed: u64) -> Vec<(ChaosPlan, RecoveryMode)>
 /// ([`Load::DupStorm`]) so coalesced reads are part of the checked
 /// histories.
 pub fn check_linz_campaigns(count: usize, base_seed: u64) -> LinzSummary {
-    let mut summary = LinzSummary {
-        campaigns: 0,
-        ops: 0,
-        reads: 0,
-        writes: 0,
-        bumps: 0,
-        handoff_exempt: 0,
-        inconclusive: 0,
-        violations: Vec::new(),
-        campaign_failures: Vec::new(),
-    };
+    let mut summary = LinzSummary::default();
     for (plan, mode) in linz_plan_mix(count, base_seed) {
         // Duplicate readers race every kill, so the recorded histories
         // contain coalesced (follower-accepted) reads and the
@@ -433,8 +425,8 @@ pub fn check_linz_campaigns(count: usize, base_seed: u64) -> LinzSummary {
         summary.reads += linz.reads;
         summary.writes += linz.writes;
         summary.bumps += linz.bumps;
-        summary.handoff_exempt += linz.handoff_exempt;
-        summary.inconclusive += linz.inconclusive;
+        summary.successor_served += linz.successor_served;
+        summary.pfs_served += linz.pfs_served;
         for v in &linz.violations {
             summary
                 .violations
@@ -444,10 +436,11 @@ pub fn check_linz_campaigns(count: usize, base_seed: u64) -> LinzSummary {
     summary
 }
 
-/// Self-test: record one clean kill/recache campaign history, forge a
-/// stale-epoch read into it, and require the checker to flag exactly the
-/// forgery. Returns the flagged violation, rendered.
-pub fn sabotage_linz(seed: u64) -> Result<String, String> {
+/// Self-test: record one clean kill/recache campaign history, plant one
+/// violation into it with `forge` (an `ftc_analysis::linz` forger), and
+/// require the checker to flag exactly the forgery. Returns the flagged
+/// violation, rendered.
+pub fn sabotage_linz(seed: u64, forge: Forger) -> Result<String, String> {
     let opts = CampaignOptions {
         recovery: RecoveryMode::Proactive,
         ..CampaignOptions::PLAIN
@@ -465,15 +458,14 @@ pub fn sabotage_linz(seed: u64) -> Result<String, String> {
             "baseline history not clean, cannot prove the forgery is what fires: {clean}"
         ));
     }
-    if !ftc_analysis::forge_stale_linz_read(&mut history) {
-        return Err(
-            "no forgeable read: campaign never completed an epoch bump before a read".into(),
-        );
+    if !forge(&mut history) {
+        return Err("the history holds no read to forge".into());
     }
     let forged = check_history(&history);
-    match forged.violations.first() {
-        Some(v) => Ok(v.to_string()),
-        None => Err(format!("checker missed the forged stale read: {forged}")),
+    match &forged.violations[..] {
+        [v] => Ok(v.to_string()),
+        [] => Err(format!("checker missed the forgery: {forged}")),
+        [..] => Err(format!("one forgery, many violations: {forged}")),
     }
 }
 
@@ -530,8 +522,16 @@ mod tests {
 
     #[test]
     fn sabotage_linz_is_caught() {
-        let v = sabotage_linz(5).expect("forged stale read must be flagged");
-        assert!(v.contains("stale-epoch read"), "{v}");
+        use ftc_analysis::linz::*;
+        let forgers: [(Forger, &str); 3] = [
+            (forge_stale_linz_read, "stale-epoch read"),
+            (forge_read_before_write, "read before write"),
+            (forge_corrupt_read_value, "wrong value"),
+        ];
+        for (forge, flagged) in forgers {
+            let v = sabotage_linz(5, forge).expect("a forgery must be flagged");
+            assert!(v.starts_with(flagged), "{v}");
+        }
     }
 
     #[test]
