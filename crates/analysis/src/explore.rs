@@ -336,6 +336,7 @@ mod tests {
         use ftc_hashring::NodeId;
         use ftc_net::{TraceEventKind, Tracer};
         let t = Tracer::new(ftc_time::ClockHandle::wall());
+        t.enable_tracing();
         t.record(NodeId(1), TraceEventKind::Declare { node: NodeId(2) });
         let key = "k".into();
         t.record(NodeId(3), TraceEventKind::CacheInsert { key, digest: None });
@@ -387,7 +388,8 @@ mod tests {
             },
             K::CacheEvict { key: "k".into() },
         ];
-        // The list covers every kind: a new one fails to compile here.
+        // The list covers every kind the log keeps: a new one fails to
+        // compile here. The ring-only kinds never reach the log.
         for kind in &kinds {
             match kind {
                 K::MsgSend { .. }
@@ -397,9 +399,13 @@ mod tests {
                 K::ReadServed { .. } | K::RingUpdate { .. } | K::Suspect { .. } => {}
                 K::Declare { .. } | K::Readmit { .. } | K::CacheInsert { .. } => {}
                 K::CacheEvict { .. } => {}
+                K::Kill { .. } | K::FirstTimeout { .. } | K::RecoveryStart { .. } => {}
+                K::FirstRecachedHit { .. } | K::RecoveryQuiesced { .. } => {}
+                K::RpcTimeout { .. } | K::Drop { .. } | K::Note { .. } => {}
             }
         }
         let t = Tracer::new(ftc_time::ClockHandle::wall());
+        t.enable_tracing();
         t.record(NodeId(0), K::Declare { node: NodeId(9) });
         let base = t.take();
         let fingerprints: Vec<u64> = (kinds.iter().cloned())

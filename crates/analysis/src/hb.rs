@@ -249,6 +249,13 @@ mod tests {
         }
     }
 
+    /// A recorder with its vector-clock log on.
+    fn traced() -> Tracer {
+        let t = Tracer::new(ClockHandle::wall());
+        t.enable_tracing();
+        t
+    }
+
     fn ring_update(t: &Tracer, actor: NodeId, node: NodeId, old: u64) {
         t.record(
             actor,
@@ -263,7 +270,7 @@ mod tests {
 
     #[test]
     fn ordered_read_then_update_is_clean() {
-        let t = Tracer::new(ClockHandle::wall());
+        let t = traced();
         t.record(NodeId(100), read_served(0));
         ring_update(&t, NodeId(100), NodeId(1), 0);
         assert!(check_trace(&t.take()).is_empty());
@@ -271,7 +278,7 @@ mod tests {
 
     #[test]
     fn forged_concurrent_read_is_flagged() {
-        let t = Tracer::new(ClockHandle::wall());
+        let t = traced();
         ring_update(&t, NodeId(100), NodeId(1), 0);
         let mut log = t.take();
         assert!(forge_stale_epoch_read(&mut log));
@@ -289,7 +296,7 @@ mod tests {
 
     #[test]
     fn cross_actor_events_never_conflict() {
-        let t = Tracer::new(ClockHandle::wall());
+        let t = traced();
         // Two clients each see epoch 0 retire — independently, which is
         // the system's design, not a race.
         ring_update(&t, NodeId(100), NodeId(1), 0);
@@ -299,7 +306,7 @@ mod tests {
 
     #[test]
     fn concurrent_declare_and_readmit_is_flagged() {
-        let t = Tracer::new(ClockHandle::wall());
+        let t = traced();
         t.record(NodeId(100), TraceEventKind::Declare { node: NodeId(2) });
         let mut log = t.take();
         // Forge a readmit on the same actor with a clock the declare
@@ -320,7 +327,7 @@ mod tests {
 
     #[test]
     fn epoch_regression_is_flagged() {
-        let t = Tracer::new(ClockHandle::wall());
+        let t = traced();
         ring_update(&t, NodeId(100), NodeId(1), 0);
         // A later (causally ordered) update claiming to start from a
         // stale epoch.

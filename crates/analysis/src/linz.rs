@@ -477,6 +477,7 @@ mod tests {
     #[test]
     fn ops_read_puts_reads_and_ring_updates_out_of_a_trace() {
         let t = ftc_net::Tracer::new(ftc_time::ClockHandle::wall());
+        t.enable_tracing();
         let insert = |node, digest| {
             let key = "a".to_owned();
             t.record(NodeId(node), TraceEventKind::CacheInsert { key, digest });

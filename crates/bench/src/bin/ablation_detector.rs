@@ -6,13 +6,13 @@
 
 use ftc_core::{Cluster, ClusterConfig, FtPolicy};
 use ftc_hashring::NodeId;
-use ftc_obs::Incident;
+use ftc_net::Incident;
 use std::time::{Duration, Instant};
 
 /// Run one configuration: a transient spike shorter than death, then a
 /// real kill; report whether the spike caused a false positive, how long
 /// real detection took (client-poll measurement), and the kill→declare
-/// latency the flight recorder's incident record holds for the same
+/// latency the recorder's incident table holds for the same
 /// incident.
 fn run_case(ttl_ms: u64, limit: u32, spike_ms: u64) -> (bool, Duration, Option<Duration>) {
     let mut cfg = ClusterConfig::small(4, FtPolicy::RingRecache);
@@ -52,8 +52,7 @@ fn run_case(ttl_ms: u64, limit: u32, spike_ms: u64) -> (bool, Duration, Option<D
         }
     }
     let obs_detect = cluster
-        .obs()
-        .flight
+        .recorder()
         .incidents()
         .iter()
         .find_map(Incident::detection_latency);

@@ -2,7 +2,7 @@
 //!
 //! Boots a real-mode [`Cluster`], drives read passes against it (killing
 //! one node mid-run so the degraded window is visible), and renders the
-//! cluster's observability hub: per-node hit ratio and residency, ring
+//! cluster's metrics and incidents: per-node hit ratio and residency, ring
 //! imbalance, inflight RPCs, read-latency p50/p99/p999 with histogram
 //! sparklines, and the degraded-window timeline of every incident.
 //!
@@ -187,7 +187,7 @@ fn render(cluster: &Cluster, nodes: u32, armored: bool, pass_label: &str) {
         hist_line(&samples, "timeout", "ftc_net_rpc_timeout_us")
     );
 
-    let incidents = cluster.obs().flight.incidents();
+    let incidents = cluster.recorder().incidents();
     if !incidents.is_empty() {
         println!();
         println!("degraded-window timeline:");

@@ -92,7 +92,7 @@ pub fn read_latency_snapshot(cluster: &ftc_core::Cluster) -> ftc_obs::HistogramS
 }
 
 /// Print per-tier read and RPC latency percentiles harvested from a live
-/// cluster's observability hub — the shared tail for every bin that
+/// cluster's metrics registry — the shared tail for every bin that
 /// drives a threaded cluster, so experiments report latency
 /// distributions, not just event counts.
 pub fn print_latency_percentiles(cluster: &ftc_core::Cluster) {

@@ -34,8 +34,7 @@ use crate::singleflight::{Join, SingleFlight};
 use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::{NodeId, Placement};
 use ftc_net::xport::{Caller, Transport};
-use ftc_net::{RpcError, ServedFrom, TraceEventKind};
-use ftc_obs::Phase;
+use ftc_net::{RpcError, ServedFrom, TraceEventKind, Tracer};
 use ftc_storage::{KeyIndex, Pfs, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
 use parking_lot::Mutex;
@@ -109,9 +108,8 @@ pub enum ReadVia {
 /// Observability handles cached at attach time (one registry lookup per
 /// metric, then lock-free recording on the read path).
 struct ClientObs {
-    hub: Arc<ftc_obs::ObsHub>,
-    /// Flight-recorder actor string, e.g. `"client:n100"`.
-    actor: String,
+    /// Handed on to the recovery engine's instruments.
+    registry: Arc<ftc_obs::Registry>,
     read_nvme_us: Arc<ftc_obs::Histogram>,
     read_server_pfs_us: Arc<ftc_obs::Histogram>,
     read_direct_pfs_us: Arc<ftc_obs::Histogram>,
@@ -151,8 +149,8 @@ pub struct HvacClient {
     /// lock) on every membership change, stamped onto `ReadServed` trace
     /// events so the race detector can relate reads to ring updates.
     epoch: AtomicU64,
-    /// Observability plane, attached after construction (the cluster owns
-    /// the hub; `FtConfig` stays `Copy`). Never re-attached.
+    /// Metrics, attached after construction (the cluster owns the
+    /// registry; `FtConfig` stays `Copy`). Never re-attached.
     obs: OnceLock<ClientObs>,
     /// Observed key→owner assignments, maintained on every served read —
     /// the recovery engine walks this to find a dead node's key range.
@@ -244,7 +242,7 @@ impl HvacClient {
 
     /// Start the background [`RecoveryEngine`] for this client. Call
     /// after [`attach_obs`](Self::attach_obs) so the engine inherits the
-    /// hub. First call wins; later calls return the existing engine.
+    /// registry. First call wins; later calls return the existing engine.
     /// Errors only if the worker thread cannot be spawned.
     pub fn enable_recovery(
         self: &Arc<Self>,
@@ -273,28 +271,42 @@ impl HvacClient {
         &self.key_index
     }
 
-    /// Attach the observability hub: read latencies by provenance feed
-    /// per-client histograms, and detector / ring transitions stamp
-    /// degraded-window phases on the flight recorder. First attach
-    /// wins; later calls are ignored (a client observes one system).
-    pub fn attach_obs(&self, hub: &Arc<ftc_obs::ObsHub>) {
+    /// Attach a metrics registry: read latencies by provenance feed
+    /// per-client histograms. First attach wins; later calls are ignored
+    /// (a client observes one system). The client's events go to the
+    /// fabric's recorder, when it has one, attached or not.
+    pub fn attach_obs(&self, registry: &Arc<ftc_obs::Registry>) {
         let _ = self.obs.set(ClientObs {
-            hub: Arc::clone(hub),
-            actor: format!("client:{}", self.me),
-            read_nvme_us: hub.registry.histogram("ftc_client_read_nvme_us"),
-            read_server_pfs_us: hub.registry.histogram("ftc_client_read_server_pfs_us"),
-            read_direct_pfs_us: hub.registry.histogram("ftc_client_read_direct_pfs_us"),
-            read_errors: hub.registry.counter("ftc_client_read_errors_total"),
-            inflight_reads: hub.registry.gauge("ftc_client_inflight_reads"),
+            registry: Arc::clone(registry),
+            read_nvme_us: registry.histogram("ftc_client_read_nvme_us"),
+            read_server_pfs_us: registry.histogram("ftc_client_read_server_pfs_us"),
+            read_direct_pfs_us: registry.histogram("ftc_client_read_direct_pfs_us"),
+            read_errors: registry.counter("ftc_client_read_errors_total"),
+            inflight_reads: registry.gauge("ftc_client_inflight_reads"),
         });
     }
 
-    /// Record a state event under this client's actor when tracing is on.
-    /// The closure defers payload construction to the traced-only path.
-    fn trace_with(&self, make: impl FnOnce() -> TraceEventKind) {
+    /// Record an event under this client's actor when the fabric has a
+    /// recorder. The closure defers payload construction to that path.
+    pub(crate) fn record(&self, make: impl FnOnce() -> TraceEventKind) {
         if let Some(t) = self.endpoint.tracer() {
             t.record(self.me, make());
         }
+    }
+
+    /// Record a free-form note; `detail` is formatted only when the fabric
+    /// has a recorder.
+    pub(crate) fn note(&self, what: &'static str, detail: impl FnOnce() -> String) {
+        self.record(|| TraceEventKind::Note {
+            what,
+            detail: detail(),
+        });
+    }
+
+    /// The fabric's recorder while its vector-clock log is on: what a
+    /// log-only event (`ReadServed`) and its invoke stamp wait for.
+    fn tracing(&self) -> Option<Arc<Tracer>> {
+        self.endpoint.tracer().filter(|t| t.tracing())
     }
 
     /// The placement-view epoch: number of membership changes this client
@@ -455,9 +467,7 @@ impl HvacClient {
             },
             Err(e) => {
                 obs.read_errors.inc();
-                obs.hub
-                    .flight
-                    .record(&obs.actor, "read_error", format!("{path}: {e}"));
+                self.note("read_error", || format!("{path}: {e}"));
             }
         }
         result
@@ -601,10 +611,7 @@ impl HvacClient {
                         // the breaker notes it, so a client hammering a
                         // saturated node backs off.
                         self.health.apply(served_by, Event::Strike);
-                        if let Some(obs) = self.obs.get() {
-                            let detail = format!("{path} shed by {served_by}");
-                            obs.hub.flight.record(&obs.actor, "shed", detail);
-                        }
+                        self.note("shed", || format!("{path} shed by {served_by}"));
                         Cause::Shed
                     }
                     Ok(CacheResponse::Pong)
@@ -712,10 +719,10 @@ impl HvacClient {
         })
     }
 
-    /// The tracer's clock offset, the invoke stamp of a read's
+    /// The recorder's clock offset, the invoke stamp of a read's
     /// `ReadServed` event; zero when the fabric does not trace.
     fn trace_now(&self) -> Duration {
-        self.endpoint.tracer().map_or(Duration::ZERO, |t| t.now())
+        self.tracing().map_or(Duration::ZERO, |t| t.now())
     }
 
     /// `served_by` answered the attempt placed at `at` with data: feed
@@ -732,11 +739,18 @@ impl HvacClient {
     ) -> ReadOutcome {
         let first_hit = self.health.with(|t, now| t.served(served_by, path, now));
         self.key_index.record(served_by.0, path);
+        // A survivor served a key of a node the engine declared, or the
+        // read failed over from a removed owner: that node's degraded
+        // window (for this client) is over.
+        for node in first_hit.into_iter().chain(failed_over) {
+            self.record(|| TraceEventKind::FirstRecachedHit {
+                node,
+                by: served_by,
+            });
+        }
         if let Some(engine) = self.recovery.get() {
-            // A formerly-suspect node answered (its parked hints can
-            // flush), or a survivor served a key of a node the engine
-            // declared (that node's first recached hit).
-            engine.notify_served(served_by, path, first_hit);
+            // A formerly-suspect node answered: its parked hints can flush.
+            engine.notify_served(served_by);
         }
         // Served after failing over from a removed owner, or by a hedge
         // to the next replica owner: a successor serve.
@@ -747,16 +761,6 @@ impl HvacClient {
                 ServedFrom::Owner
             }
         });
-        if let Some(dead) = failed_over {
-            // The dead node's keys are serving from a survivor again: its
-            // degraded window (for this client) is over.
-            if let Some(obs) = self.obs.get() {
-                let detail = format!("{path} now served by {served_by} (was {dead})");
-                obs.hub
-                    .flight
-                    .phase(&obs.actor, dead.0, Phase::FirstRecachedHit, detail);
-            }
-        }
         let via = match source {
             ServeSource::NvmeHit => {
                 self.metrics.nvme_hits.inc();
@@ -791,20 +795,23 @@ impl HvacClient {
     ) {
         self.metrics.reads_ok.inc();
         self.metrics.bytes_read.add(bytes.len() as u64);
-        self.trace_with(|| TraceEventKind::ReadServed {
-            key: path.to_owned(),
-            owner: node,
-            epoch,
-            invoke,
-            digest: fnv1a64(bytes),
-            served: served(),
-        });
+        if let Some(t) = self.tracing() {
+            let kind = TraceEventKind::ReadServed {
+                key: path.to_owned(),
+                owner: node,
+                epoch,
+                invoke,
+                digest: fnv1a64(bytes),
+                served: served(),
+            };
+            t.record(self.me, kind);
+        }
     }
 
     /// Feed `event` for `node` to the health table and carry out what it
     /// rules: a hand-over queues a settle on the recovery engine; each
-    /// timeout counted bumps `rpc_timeouts` and publishes its verdict
-    /// (trace event, flight phase). A fault-tolerant client counts a
+    /// timeout counted bumps `rpc_timeouts` and records its verdict. A
+    /// fault-tolerant client counts a
     /// declared node once and, under RingRecache, drops it from the ring;
     /// under NoFT the read that saw it is already failing the job. Returns
     /// the last verdict counted (`AlreadyFailed` when none was).
@@ -818,22 +825,14 @@ impl HvacClient {
                 continue;
             };
             self.metrics.rpc_timeouts.inc();
-            let phase = |phase, detail: fmt::Arguments<'_>| {
-                if let Some(obs) = self.obs.get() {
-                    let detail = detail.to_string();
-                    obs.hub.flight.phase(&obs.actor, node.0, phase, detail);
-                }
-            };
             // First timeout per incident; the recorder drops repeats.
-            phase(Phase::FirstTimeout, format_args!("{node} timed out"));
+            self.record(|| TraceEventKind::FirstTimeout { node });
             match verdict {
                 Verdict::Suspect { count } => {
-                    self.trace_with(|| TraceEventKind::Suspect { node, count });
-                    phase(Phase::Suspect, format_args!("{node} timeout #{count}"));
+                    self.record(|| TraceEventKind::Suspect { node, count });
                 }
                 Verdict::JustFailed => {
-                    self.trace_with(|| TraceEventKind::Declare { node });
-                    phase(Phase::Declare, format_args!("{node} declared failed"));
+                    self.record(|| TraceEventKind::Declare { node });
                     if self.config.policy != FtPolicy::NoFt {
                         self.metrics.nodes_declared_failed.inc();
                     }
@@ -869,23 +868,12 @@ impl HvacClient {
             // A point event: once it completes, reads this client invokes
             // must not be attributed to an older epoch (the
             // linearizability checker's epoch rule).
-            self.trace_with(|| TraceEventKind::RingUpdate {
+            self.record(|| TraceEventKind::RingUpdate {
                 node,
                 old_epoch: old,
                 new_epoch: old + 1,
                 joined,
             });
-            if let Some(obs) = self.obs.get() {
-                if joined {
-                    let detail = format!("{node} epoch {}", old + 1);
-                    obs.hub.flight.record(&obs.actor, "readmit", detail);
-                } else {
-                    let detail = format!("{node} removed, epoch {} -> {}", old, old + 1);
-                    obs.hub
-                        .flight
-                        .phase(&obs.actor, node.0, Phase::RingUpdate, detail);
-                }
-            }
         }
         match self.recovery.get() {
             Some(engine) if joined => engine.notify_rejoined(node),
@@ -903,7 +891,7 @@ impl HvacClient {
     /// refills through the ordinary miss path.
     pub fn readmit(&self, node: NodeId) {
         self.health.apply(node, Event::Readmit);
-        self.trace_with(|| TraceEventKind::Readmit { node });
+        self.record(|| TraceEventKind::Readmit { node });
         self.set_member(node, true);
     }
 
@@ -914,9 +902,9 @@ impl HvacClient {
         &self.clock
     }
 
-    /// The attached observability hub, if any.
-    pub(crate) fn obs_hub(&self) -> Option<Arc<ftc_obs::ObsHub>> {
-        self.obs.get().map(|o| Arc::clone(&o.hub))
+    /// The attached metrics registry, if any.
+    pub(crate) fn obs_registry(&self) -> Option<Arc<ftc_obs::Registry>> {
+        self.obs.get().map(|o| Arc::clone(&o.registry))
     }
 
     /// Read a file straight from the PFS without touching read metrics
@@ -1125,7 +1113,7 @@ mod tests {
     use crate::metrics::ClientMetricsSnapshot;
     use crate::policy::{PlacementKind, RetryPolicy};
     use crate::server::{CacheNet, ServerHandle};
-    use ftc_net::Network;
+    use ftc_net::{Network, Phase};
     use ftc_storage::synth_bytes;
     use std::time::Duration;
 
@@ -1436,6 +1424,7 @@ mod tests {
     fn declared_failure_and_readmit_roundtrip() {
         let r = rig(4, 8);
         let c = client(&r, FtPolicy::RingRecache);
+        let recorder = r.net.enable_tracing();
         let owners_before: Vec<_> = (0..8)
             .map(|i| c.owner_of(&format!("train/s{i}.bin")))
             .collect();
@@ -1455,6 +1444,24 @@ mod tests {
         assert!(!c.live_nodes().contains(&NodeId(2)));
         r.net.revive(NodeId(2));
         c.readmit(NodeId(2));
+        // Each verdict, the ring removal, the readmit and the rejoin is
+        // one ring event and one log record, at one instant.
+        let (log, ring) = (recorder.take(), recorder.events());
+        let state = ["suspect", "declare", "ring_update", "readmit"];
+        let of = |rs: &[ftc_net::TraceRecord]| -> Vec<(Duration, TraceEventKind)> {
+            let rs = rs.iter().filter(|e| state.contains(&e.kind.label()));
+            rs.map(|e| (e.at, e.kind.clone())).collect()
+        };
+        assert_eq!(of(&ring), of(&log));
+        let labels = of(&log).into_iter().map(|(_, k)| k.label());
+        let labels: Vec<&str> = labels.filter(|l| *l != "suspect").collect();
+        assert_eq!(labels, ["declare", "ring_update", "readmit", "ring_update"]);
+        // The fabric's drops and timeouts are ring-only.
+        let ring_only = ["drop", "rpc_timeout", "first_timeout"];
+        assert!(ring_only
+            .iter()
+            .all(|l| ring.iter().any(|e| e.kind.label() == *l)));
+        assert!(log.iter().all(|e| !ring_only.contains(&e.kind.label())));
         let owners_after: Vec<_> = (0..8)
             .map(|i| c.owner_of(&format!("train/s{i}.bin")))
             .collect();
@@ -1521,8 +1528,9 @@ mod tests {
     fn failure_stamps_full_degraded_window_timeline() {
         let r = rig(4, 16);
         let c = Arc::new(client(&r, FtPolicy::RingRecache));
-        let hub = ftc_obs::ObsHub::shared();
-        c.attach_obs(&hub);
+        let registry = Arc::new(ftc_obs::Registry::default());
+        c.attach_obs(&registry);
+        let recorder = r.net.attach_recorder();
         let engine = c
             .enable_recovery(crate::recovery::RecoveryConfig {
                 probe: false,
@@ -1531,7 +1539,8 @@ mod tests {
             .expect("start engine");
         read_all(&c, 16); // warm epoch
 
-        hub.flight.phase("test", 1, Phase::Kill, "n1"); // what the injector would stamp
+        let kill = TraceEventKind::Kill { node: NodeId(1) };
+        recorder.record(NodeId(1), kill); // what the injector would stamp
         r.net.kill(NodeId(1));
         read_all(&c, 16); // first timeout: the engine settles n1
         assert!(
@@ -1540,7 +1549,7 @@ mod tests {
         );
         read_all(&c, 16); // first recached hits
 
-        let incidents = hub.flight.incidents();
+        let incidents = recorder.incidents();
         let inc = incidents
             .iter()
             .find(|i| i.node == 1)
@@ -1562,10 +1571,10 @@ mod tests {
         assert!(rec < Duration::from_secs(30), "rec = {rec:?}");
         assert!(qui < Duration::from_secs(30), "qui = {qui:?}");
         // Read-path histograms saw the traffic, split by provenance.
-        let nvme = hub.registry.histogram("ftc_client_read_nvme_us").snapshot();
+        let nvme = registry.histogram("ftc_client_read_nvme_us").snapshot();
         assert!(nvme.count >= 16, "warm epoch must land as NVMe hits");
-        // The flight recorder holds the whole story.
-        let dump = hub.flight.dump();
+        // The recorder's ring holds the whole story.
+        let dump = recorder.dump();
         for needle in [
             "suspect",
             "declare",
@@ -2498,6 +2507,7 @@ mod tests {
         let (events_tx, events) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let tracer = Arc::new(ftc_net::Tracer::new(ClockHandle::wall()));
+        tracer.enable_tracing();
         let state = Arc::new(ScriptState {
             tracer: Some(Arc::clone(&tracer)),
             events: Mutex::new(Some(events_tx)),

@@ -15,7 +15,7 @@ use crate::overload::{AdmissionConfig, ShedStatsSnapshot};
 use crate::policy::{FtConfig, FtPolicy};
 use crate::server::{label_node, CacheNet, ServerHandle};
 use ftc_hashring::NodeId;
-use ftc_net::{LatencyModel, Network};
+use ftc_net::{LatencyModel, Network, TraceEventKind, Tracer};
 use ftc_storage::{NvmeCache, Pfs};
 use ftc_time::ClockHandle;
 use parking_lot::Mutex;
@@ -73,9 +73,12 @@ pub struct Cluster {
     /// Per-node sheds of the node's dead incarnations, folded in as each
     /// is killed.
     shed_base: Mutex<Vec<ShedStatsSnapshot>>,
-    /// The cluster's observability plane: attached to the fabric at boot
-    /// and to every client at creation; kills stamp their incidents here.
-    hub: Arc<ftc_obs::ObsHub>,
+    /// The cluster's metrics: attached to the fabric at boot and to every
+    /// client at creation.
+    registry: Arc<ftc_obs::Registry>,
+    /// The fabric's event recorder, attached at boot; kills stamp their
+    /// incidents here.
+    recorder: Arc<Tracer>,
 }
 
 impl Cluster {
@@ -93,8 +96,9 @@ impl Cluster {
     /// in virtual time.
     pub fn start_with_clock(config: ClusterConfig, clock: ClockHandle) -> Result<Self, CoreError> {
         let net: CacheNet = Network::with_clock(config.latency, config.seed, clock.clone());
-        let hub = ftc_obs::ObsHub::shared_with_clock(clock);
-        net.attach_obs(&hub);
+        let registry = Arc::new(ftc_obs::Registry::default());
+        net.attach_obs(&registry);
+        let recorder = net.attach_recorder();
         let pfs = Arc::new(Pfs::in_memory());
         let mut servers = Vec::with_capacity(config.nodes as usize);
         let mut caches = Vec::with_capacity(config.nodes as usize);
@@ -119,7 +123,8 @@ impl Cluster {
             caches: Mutex::new(caches),
             clients: Mutex::new(Vec::new()),
             killed: Mutex::new(HashSet::new()),
-            hub,
+            registry,
+            recorder,
         })
     }
 
@@ -179,15 +184,15 @@ impl Cluster {
             self.config.nodes,
             self.config.ft,
         ));
-        c.attach_obs(&self.hub);
+        c.attach_obs(&self.registry);
         self.clients.lock().push(Arc::clone(&c));
         c
     }
 
-    /// The cluster's observability hub (registry + flight recorder). The
-    /// chaos harness stamps kills and embeds snapshots through this handle.
-    pub fn obs(&self) -> &Arc<ftc_obs::ObsHub> {
-        &self.hub
+    /// The fabric's event recorder: the ring the chaos harness dumps and
+    /// the incident table its reports read.
+    pub fn recorder(&self) -> &Arc<Tracer> {
+        &self.recorder
     }
 
     /// Kill a node the way the paper does: it stops responding with no
@@ -199,9 +204,7 @@ impl Cluster {
         }
         // Stamp the incident's anchor phase before silencing the fabric,
         // so every downstream stamp measures from the true kill instant.
-        self.hub
-            .flight
-            .phase("cluster", node.0, ftc_obs::Phase::Kill, node.to_string());
+        self.recorder.record(node, TraceEventKind::Kill { node });
         self.net.kill(node);
         // Reclaim the server; record its recache and shed totals so cluster
         // metrics stay complete after the handle is gone.
@@ -228,26 +231,20 @@ impl Cluster {
     /// drains any parked hints. On spawn failure the node stays killed
     /// (state unchanged) and the error is returned.
     pub fn revive(&self, node: NodeId) -> Result<(), CoreError> {
-        self.respawn(node, true)?;
+        self.respawn(node, true, "revive")?;
         for c in self.clients.lock().iter() {
             c.readmit(node);
         }
-        self.hub
-            .flight
-            .record("cluster", "revive", node.to_string());
         Ok(())
     }
 
     /// Repair a node with a **cold** cache (re-provisioned hardware: the
     /// old NVMe contents are gone). Baseline for warm-rejoin comparisons.
     pub fn revive_cold(&self, node: NodeId) -> Result<(), CoreError> {
-        self.respawn(node, false)?;
+        self.respawn(node, false, "revive_cold")?;
         for c in self.clients.lock().iter() {
             c.readmit(node);
         }
-        self.hub
-            .flight
-            .record("cluster", "revive_cold", node.to_string());
         Ok(())
     }
 
@@ -256,20 +253,21 @@ impl Cluster {
     /// recovery engine with probing discover the rejoin autonomously;
     /// everyone else keeps routing around it.
     pub fn revive_silent(&self, node: NodeId) -> Result<(), CoreError> {
-        self.respawn(node, true)?;
-        self.hub
-            .flight
-            .record("cluster", "revive_silent", node.to_string());
-        Ok(())
+        self.respawn(node, true, "revive_silent")
     }
 
-    /// Shared revive plumbing: bring the node back on the fabric with a
-    /// warm (surviving) or cold (fresh) cache. No-op if not killed.
-    fn respawn(&self, node: NodeId, warm: bool) -> Result<(), CoreError> {
+    /// Shared revive plumbing: record the revive as `what`, then bring the
+    /// node back on the fabric with a warm (surviving) or cold (fresh)
+    /// cache — cause before effect, so a dump shows the revive ahead of
+    /// every readmit it leads to. No-op if not killed.
+    fn respawn(&self, node: NodeId, warm: bool, what: &'static str) -> Result<(), CoreError> {
         let mut killed = self.killed.lock();
         if !killed.remove(&node) {
             return Ok(());
         }
+        let detail = node.to_string();
+        self.recorder
+            .record(node, TraceEventKind::Note { what, detail });
         self.net.revive(node);
         let cache = if warm {
             Arc::clone(&self.caches.lock()[node.index()])
@@ -368,7 +366,7 @@ impl Cluster {
     /// renders to Prometheus text or JSON via `ftc_obs::render_*`.
     pub fn obs_samples(&self) -> Vec<ftc_obs::Sample> {
         use ftc_obs::Export;
-        let mut out = self.hub.registry.export();
+        let mut out = self.registry.export();
         let metrics = self.metrics();
         metrics.clients.export_into(&mut out);
         self.pfs.export_into(&mut out);
@@ -710,12 +708,32 @@ mod tests {
     #[test]
     fn kill_stamps_the_timeline() {
         let cluster = Cluster::start(ClusterConfig::small(3, FtPolicy::RingRecache)).expect("boot");
+        let _clients = [cluster.client(0), cluster.client(1)];
         cluster.kill(NodeId(1));
-        let incidents = cluster.obs().flight.incidents();
+        let incidents = cluster.recorder().incidents();
         assert_eq!(incidents.len(), 1);
         assert_eq!(incidents[0].node, 1);
-        assert!(incidents[0].stamp(ftc_obs::Phase::Kill).is_some());
-        assert!(cluster.obs().flight.dump().contains("kill"));
+        assert!(incidents[0].stamp(ftc_net::Phase::Kill).is_some());
+        assert!(cluster.recorder().dump().contains("kill"));
+        // A revive is recorded before the readmits it causes.
+        cluster.revive(NodeId(1)).expect("revive");
+        cluster.kill(NodeId(1));
+        cluster.revive_cold(NodeId(1)).expect("revive cold");
+        let events = cluster.recorder().events();
+        let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "kill",
+                "revive",
+                "readmit",
+                "readmit",
+                "kill",
+                "revive_cold",
+                "readmit",
+                "readmit"
+            ]
+        );
         cluster.shutdown();
     }
 

@@ -38,7 +38,7 @@ use crate::client::HvacClient;
 use crate::health::Health;
 use crate::overload::TokenBucket;
 use ftc_hashring::NodeId;
-use ftc_obs::Phase;
+use ftc_net::TraceEventKind;
 use ftc_storage::ValueBuf;
 use ftc_time::{
     ClockHandle, ClockReceiver, ClockSender, RecvTimeoutError, TaskHandle, TryRecvError,
@@ -218,12 +218,11 @@ ftc_obs::counter_set! {
     }
 }
 
-/// The cluster hub's instruments the engine feeds (unset when the client
-/// has no observability hub attached). The counters are not here: the
-/// cluster exports [`RecoveryStats`] itself.
+/// The cluster registry's instruments the engine feeds (unset when the
+/// client has no registry attached). The counters are not here: the
+/// cluster exports [`RecoveryStats`] itself. The engine's events go to
+/// the fabric's recorder under its client's actor.
 struct RecoveryObs {
-    hub: Arc<ftc_obs::ObsHub>,
-    actor: String,
     queue_depth: Arc<ftc_obs::Gauge>,
     duration_us: Arc<ftc_obs::Histogram>,
 }
@@ -309,12 +308,10 @@ impl RecoveryEngine {
             health,
             obs: OnceLock::new(),
         });
-        if let Some(hub) = client.obs_hub() {
+        if let Some(registry) = client.obs_registry() {
             let _ = engine.obs.set(RecoveryObs {
-                hub: Arc::clone(&hub),
-                actor: format!("recovery:{}", client.node()),
-                queue_depth: hub.registry.gauge("ftc_recovery_queue_depth"),
-                duration_us: hub.registry.histogram("ftc_recovery_duration_us"),
+                queue_depth: registry.gauge("ftc_recovery_queue_depth"),
+                duration_us: registry.histogram("ftc_recovery_duration_us"),
             });
         }
         let weak_engine = Arc::downgrade(&engine);
@@ -399,17 +396,10 @@ impl RecoveryEngine {
         self.hints.pending_for(node)
     }
 
-    /// `node` served a foreground read of `path`, which the health table
-    /// found to be `first_hit`'s first recached hit, if any. A node with
-    /// hints parked against it is reachable after all (a suspicion blip,
-    /// not a death): they flush now, not on a rejoin that never comes.
-    pub(crate) fn notify_served(&self, node: NodeId, path: &str, first_hit: Option<NodeId>) {
-        if let (Some(dead), Some(obs)) = (first_hit, self.obs.get()) {
-            let detail = format!("{path} now served by {node} (was {dead})");
-            obs.hub
-                .flight
-                .phase(&obs.actor, dead.0, Phase::FirstRecachedHit, detail);
-        }
+    /// `node` served a foreground read. A node with hints parked against
+    /// it is reachable after all (a suspicion blip, not a death): they
+    /// flush now, not on a rejoin that never comes.
+    pub(crate) fn notify_served(&self, node: NodeId) {
         if self.hints.pending_for(node) > 0 {
             self.notify_reachable(node);
         }
@@ -458,12 +448,6 @@ impl RecoveryEngine {
         self.queue_depth.store(depth, Ordering::Relaxed);
         if let Some(obs) = self.obs.get() {
             obs.queue_depth.set(depth as i64);
-        }
-    }
-
-    fn flight(&self, event: &str, detail: String) {
-        if let Some(obs) = self.obs.get() {
-            obs.hub.flight.record(&obs.actor, event, detail);
         }
     }
 }
@@ -577,7 +561,7 @@ impl Worker {
             if let Some(mut job) = self.jobs.pop_front() {
                 let done = self.advance(&eng, &cli, &mut job);
                 if done {
-                    self.finish(&eng, job);
+                    self.finish(&eng, &cli, job);
                 } else {
                     self.jobs.push_back(job);
                 }
@@ -603,17 +587,13 @@ impl Worker {
                     // A job for this node is already queued (e.g. it
                     // failed, rejoined and failed again before the first
                     // job ran).
-                    eng.flight("recache_dup", node.to_string());
+                    cli.note("recache_dup", || node.to_string());
                     eng.task_done();
                 } else {
                     let keys: VecDeque<String> = cli.key_index().keys_of(node.0).into();
                     eng.stats.recoveries_started.inc();
-                    if let Some(obs) = eng.obs.get() {
-                        let detail = format!("{node}: {} keys", keys.len());
-                        obs.hub
-                            .flight
-                            .phase(&obs.actor, node.0, Phase::RecoveryStart, detail);
-                    }
+                    let n = keys.len();
+                    cli.record(|| TraceEventKind::RecoveryStart { node, keys: n });
                     self.jobs.push_back(RecacheJob {
                         node,
                         epoch,
@@ -687,10 +667,9 @@ impl Worker {
                     // this job was queued. Pushing the stale assignment
                     // would fight the warm-rejoin reconcile — reject it.
                     eng.stats.stale_epoch_rejected.inc();
-                    eng.flight(
-                        "stale_epoch_rejected",
-                        format!("{key}: epoch {} -> {cur_epoch}", job.epoch),
-                    );
+                    cli.note("stale_epoch_rejected", || {
+                        format!("{key}: epoch {} -> {cur_epoch}", job.epoch)
+                    });
                 }
                 Some(owner) => {
                     if cli.key_index().owner(&key) != Some(job.node.0) {
@@ -718,7 +697,7 @@ impl Worker {
                                 } else {
                                     eng.stats.recache_failed.inc();
                                     cli.key_index().forget(&key);
-                                    eng.flight("recache_abandoned", key);
+                                    cli.note("recache_abandoned", || key);
                                 }
                             }
                         }
@@ -729,17 +708,14 @@ impl Worker {
         job.keys.is_empty()
     }
 
-    fn finish(&mut self, eng: &Arc<RecoveryEngine>, job: RecacheJob) {
+    fn finish(&mut self, eng: &Arc<RecoveryEngine>, cli: &HvacClient, job: RecacheJob) {
         self.inflight.remove(&job.node.0);
-        let elapsed = self.clock.since(job.started);
         eng.stats.recoveries_quiesced.inc();
         if let Some(obs) = eng.obs.get() {
-            obs.duration_us.record_micros(elapsed);
-            let detail = format!("{} in {elapsed:?}", job.node);
-            obs.hub
-                .flight
-                .phase(&obs.actor, job.node.0, Phase::RecoveryQuiesced, detail);
+            obs.duration_us.record_micros(self.clock.since(job.started));
         }
+        let node = job.node;
+        cli.record(|| TraceEventKind::RecoveryQuiesced { node });
         eng.task_done();
     }
 
@@ -762,7 +738,7 @@ impl Worker {
         if cli.probe_ping(node) {
             self.probing.remove(&node.0);
             eng.stats.rejoins_detected.inc();
-            eng.flight("probe_rejoin", node.to_string());
+            cli.note("probe_rejoin", || node.to_string());
             // readmit() notifies the engine, whose Rejoined task performs
             // the warm reconcile and hint drain.
             cli.readmit(node);
@@ -778,7 +754,7 @@ impl Worker {
     /// the rest.
     fn reconcile(&mut self, eng: &Arc<RecoveryEngine>, cli: &Arc<HvacClient>, node: NodeId) {
         let Some(keys) = cli.send_digest(node) else {
-            eng.flight("reconcile_unreachable", node.to_string());
+            cli.note("reconcile_unreachable", || node.to_string());
             return;
         };
         let (mut adopted, mut evicted) = (0u64, 0u64);
@@ -795,10 +771,9 @@ impl Worker {
         }
         eng.stats.reconcile_adopted.add(adopted);
         eng.stats.reconcile_evicted.add(evicted);
-        eng.flight(
-            "reconcile",
-            format!("{node}: adopted {adopted}, evicted {evicted}"),
-        );
+        cli.note("reconcile", || {
+            format!("{node}: adopted {adopted}, evicted {evicted}")
+        });
     }
 
     /// Deliver parked hints to a rejoined node. Each hint is re-fenced:
@@ -827,10 +802,9 @@ impl Worker {
             }
         }
         eng.stats.hints_drained.add(drained);
-        eng.flight(
-            "hints_drained",
-            format!("{node}: delivered {drained}, rejected {rejected}"),
-        );
+        cli.note("hints_drained", || {
+            format!("{node}: delivered {drained}, rejected {rejected}")
+        });
     }
 }
 

@@ -228,10 +228,12 @@ impl HvacServer {
                     // serves finds the file cached. Only the flight leader
                     // persists; a coalesced follower holds the same bytes.
                     if led {
-                        traces.push(TraceEventKind::CacheInsert {
-                            key: path.clone(),
-                            digest: None,
-                        });
+                        if traced {
+                            traces.push(TraceEventKind::CacheInsert {
+                                key: path.clone(),
+                                digest: None,
+                            });
+                        }
                         persist = Some((path.clone(), bytes.clone()));
                     }
                     (
@@ -254,7 +256,7 @@ impl HvacServer {
             ),
             CacheRequest::Evict { path } => {
                 let existed = self.cache.remove(path);
-                if existed {
+                if existed && traced {
                     traces.push(TraceEventKind::CacheEvict { key: path.clone() });
                 }
                 (

@@ -104,7 +104,7 @@ fn an_engine_costs_each_reader_a_late_bound_per_incident() {
 
         let engine = c.recovery().expect("engine");
         assert!(engine.wait_quiesced(Duration::from_secs(5)), "settled");
-        let incidents = cluster.obs().flight.incidents();
+        let incidents = cluster.recorder().incidents();
         let det = incidents[0].detection_latency().expect("declared");
         // One ping sent at the first late call: its silence and the two
         // late calls older than it make the three timeouts.

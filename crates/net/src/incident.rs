@@ -1,8 +1,9 @@
-//! The degraded-window timeline — the paper's headline observable.
+//! The degraded-window incident table — the paper's headline observable.
 //!
 //! FT-Cache's 24.9 % training-time claim is about how *short* the window
 //! between a node's death and steady-state recached serving can be made.
-//! This recorder stamps the phase transitions of each failure incident:
+//! The recorder ([`crate::Tracer`]) keeps this table beside its ring and
+//! stamps it from the phase kinds of [`crate::TraceEventKind`]:
 //!
 //! ```text
 //! kill ──▶ first timeout ──▶ suspect ──▶ declare ──▶ ring update ──▶ first recached hit
@@ -10,21 +11,9 @@
 //!      └──────────────────────── recovery latency ─────────────────────────────────┘
 //! ```
 //!
-//! Each phase is one [`FlightRecorder::phase`](crate::FlightRecorder::phase)
-//! call: the injector (chaos harness, test, operator) stamps `Kill`, the
-//! client and its recovery engine stamp everything downstream as their
-//! detector and placement react. The recorder appends the call's ring
-//! event and stamps the incident table below under one lock, clock and
-//! origin; the table is kept beside the bounded ring, so a campaign that
-//! overflows the ring keeps every stamp. Each phase is recorded at its
-//! *first* occurrence per incident, and a new `Kill` for a node whose
-//! previous incident completed opens a fresh incident, so revive →
-//! re-kill sequences yield one measurement each.
-//!
-//! Derived outputs: per-incident phase offsets, and detection / recovery
-//! latencies ready for percentile treatment across campaigns.
+//! The injector records `Kill`; the client and its recovery engine record
+//! the rest as their detector and placement react.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
 
@@ -77,19 +66,6 @@ impl Phase {
         Phase::FirstRecachedHit,
     ];
 
-    fn idx(self) -> usize {
-        match self {
-            Phase::Kill => 0,
-            Phase::FirstTimeout => 1,
-            Phase::Suspect => 2,
-            Phase::Declare => 3,
-            Phase::RingUpdate => 4,
-            Phase::RecoveryStart => 5,
-            Phase::FirstRecachedHit => 6,
-            Phase::RecoveryQuiesced => 7,
-        }
-    }
-
     /// Short label used in dumps and reports.
     pub fn label(self) -> &'static str {
         match self {
@@ -109,50 +85,38 @@ impl Phase {
 /// from the recorder's origin) for each phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Incident {
-    /// The failed node (raw id — the recorder does not depend on
-    /// `ftc-hashring`).
+    /// The failed node (raw id).
     pub node: u32,
-    /// Phase offsets from the recorder origin; `None` = never reached.
-    stamps: [Option<Duration>; 8],
+    /// Phase offsets from the recorder origin, indexed by the phase's
+    /// position in [`Phase::ALL`]; `None` = never reached.
+    pub(crate) stamps: [Option<Duration>; 8],
 }
 
 impl Incident {
-    fn new(node: u32) -> Self {
-        Incident {
-            node,
-            stamps: [None; 8],
-        }
-    }
-
     /// Offset of `phase` from the recorder origin, if reached.
     pub fn stamp(&self, phase: Phase) -> Option<Duration> {
-        self.stamps[phase.idx()]
+        self.stamps[phase as usize]
     }
 
     /// Time from `Kill` to `Declare` — how long the failure went
     /// undetected.
     pub fn detection_latency(&self) -> Option<Duration> {
-        Some(
-            self.stamp(Phase::Declare)?
-                .saturating_sub(self.stamp(Phase::Kill)?),
-        )
+        self.since_kill(Phase::Declare)
     }
 
     /// Time from `Kill` to `FirstRecachedHit` — the full degraded window.
     pub fn recovery_latency(&self) -> Option<Duration> {
-        Some(
-            self.stamp(Phase::FirstRecachedHit)?
-                .saturating_sub(self.stamp(Phase::Kill)?),
-        )
+        self.since_kill(Phase::FirstRecachedHit)
     }
 
     /// Time from `Kill` to `RecoveryQuiesced` — how long recovery traffic
     /// kept flowing. Only proactive-recovery incidents have this.
     pub fn quiesce_latency(&self) -> Option<Duration> {
-        Some(
-            self.stamp(Phase::RecoveryQuiesced)?
-                .saturating_sub(self.stamp(Phase::Kill)?),
-        )
+        self.since_kill(Phase::RecoveryQuiesced)
+    }
+
+    fn since_kill(&self, phase: Phase) -> Option<Duration> {
+        Some(self.stamp(phase)?.saturating_sub(self.stamp(Phase::Kill)?))
     }
 
     /// An incident is complete once recached serving resumed.
@@ -174,79 +138,46 @@ impl fmt::Display for Incident {
     }
 }
 
-/// Every incident stamped so far (creation order) and, per node, the
-/// index of its open one. The flight recorder keeps it under its lock.
-#[derive(Debug, Default)]
-pub(crate) struct Incidents {
-    pub(crate) all: Vec<Incident>,
-    open: HashMap<u32, usize>,
-}
-
-impl Incidents {
-    /// Stamp `phase` for `node` at offset `at`; true when this call set
-    /// the stamp. First occurrence per incident wins; later repeats are
-    /// ignored. A `Kill` for a node whose previous incident completed (or
-    /// that has none) opens a new incident; any other phase joins the
-    /// open incident, creating one implicitly when a client observes a
-    /// failure the injector never announced (e.g. a flaky link).
-    pub(crate) fn stamp(&mut self, node: u32, phase: Phase, at: Duration) -> bool {
-        let i = match self.open.get(&node) {
-            Some(&i) if !(phase == Phase::Kill && self.all[i].is_complete()) => i,
-            _ => {
-                self.all.push(Incident::new(node));
-                self.open.insert(node, self.all.len() - 1);
-                self.all.len() - 1
-            }
-        };
-        let slot = &mut self.all[i].stamps[phase.idx()];
-        let first = slot.is_none();
-        if first {
-            *slot = Some(at);
-        }
-        first
-    }
-}
-
-/// Nearest-rank index for quantile `q` over `n` ascending samples:
-/// `ceil(q·n) - 1`, clamped into `0..n`; `None` when `n == 0`. The one
-/// definition of "percentile" in the workspace — every latency report
-/// (campaign renders, dashboards, fleet binaries) indexes through this
-/// so they all quote the same rank.
-pub fn nearest_rank(n: usize, q: f64) -> Option<usize> {
-    if n == 0 {
-        return None;
-    }
-    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
-    Some(rank - 1)
-}
-
-/// Percentile of a latency list (nearest-rank), `None` when empty.
-/// Shared by campaign reports and dashboards so both quote the same
-/// definition.
-pub fn percentile(samples: &[Duration], q: f64) -> Option<Duration> {
-    let mut sorted: Vec<Duration> = samples.to_vec();
-    sorted.sort_unstable();
-    nearest_rank(sorted.len(), q).map(|i| sorted[i])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlightRecorder;
+    use crate::{TraceEventKind, Tracer};
+    use ftc_hashring::NodeId;
+    use ftc_time::ClockHandle;
 
-    /// Stamp `phase` for `node` the way every instrumented site does.
-    fn mark(t: &FlightRecorder, node: u32, phase: Phase) {
-        t.phase("test", node, phase, format!("n{node}"));
+    /// Record `phase` for `node` the way every instrumented site does.
+    fn mark(t: &Tracer, node: u32, phase: Phase) {
+        let node = NodeId(node);
+        let kind = match phase {
+            Phase::Kill => TraceEventKind::Kill { node },
+            Phase::FirstTimeout => TraceEventKind::FirstTimeout { node },
+            Phase::Suspect => TraceEventKind::Suspect { node, count: 1 },
+            Phase::Declare => TraceEventKind::Declare { node },
+            Phase::RingUpdate => TraceEventKind::RingUpdate {
+                node,
+                old_epoch: 0,
+                new_epoch: 1,
+                joined: false,
+            },
+            Phase::RecoveryStart => TraceEventKind::RecoveryStart { node, keys: 0 },
+            Phase::FirstRecachedHit => TraceEventKind::FirstRecachedHit { node, by: node },
+            Phase::RecoveryQuiesced => TraceEventKind::RecoveryQuiesced { node },
+        };
+        t.record(NodeId(99), kind);
     }
 
-    fn detection_latencies(t: &FlightRecorder) -> Vec<Duration> {
+    fn wall() -> Tracer {
+        Tracer::new(ClockHandle::wall())
+    }
+
+    fn detection_latencies(t: &Tracer) -> Vec<Duration> {
         t.incidents()
             .iter()
             .filter_map(Incident::detection_latency)
             .collect()
     }
 
-    fn recovery_latencies(t: &FlightRecorder) -> Vec<Duration> {
+    fn recovery_latencies(t: &Tracer) -> Vec<Duration> {
         t.incidents()
             .iter()
             .filter_map(Incident::recovery_latency)
@@ -255,7 +186,7 @@ mod tests {
 
     #[test]
     fn full_incident_derives_latencies() {
-        let t = FlightRecorder::default();
+        let t = wall();
         for p in Phase::ALL {
             mark(&t, 2, p);
         }
@@ -279,7 +210,7 @@ mod tests {
 
     #[test]
     fn lazy_incident_has_no_recovery_phases() {
-        let t = FlightRecorder::default();
+        let t = wall();
         for p in Phase::LAZY {
             mark(&t, 5, p);
         }
@@ -292,7 +223,7 @@ mod tests {
 
     #[test]
     fn first_occurrence_wins() {
-        let t = FlightRecorder::default();
+        let t = wall();
         mark(&t, 1, Phase::Kill);
         mark(&t, 1, Phase::FirstTimeout);
         let first = t.incidents()[0].stamp(Phase::FirstTimeout);
@@ -303,7 +234,7 @@ mod tests {
 
     #[test]
     fn rekill_after_recovery_opens_new_incident() {
-        let t = FlightRecorder::default();
+        let t = wall();
         mark(&t, 3, Phase::Kill);
         mark(&t, 3, Phase::Declare);
         mark(&t, 3, Phase::FirstRecachedHit);
@@ -322,7 +253,7 @@ mod tests {
         // A flaky link can drive suspect/declare without any injected
         // kill; those incidents exist but contribute no kill-anchored
         // latency.
-        let t = FlightRecorder::default();
+        let t = wall();
         mark(&t, 4, Phase::Suspect);
         mark(&t, 4, Phase::Declare);
         assert_eq!(t.incidents().len(), 1);
@@ -338,7 +269,7 @@ mod tests {
         // are exact, so pin them: declare-before-suspect must not skew
         // detection, and only the FIRST ring bump counts.
         let incidents = ftc_time::with_virtual(|clock| {
-            let t = FlightRecorder::with_clock(FlightRecorder::DEFAULT_CAPACITY, clock.clone());
+            let t = Tracer::new(clock.clone());
             mark(&t, 9, Phase::Kill); // t=0
             clock.sleep(Duration::from_millis(5));
             mark(&t, 9, Phase::Declare); // t=5, arrives before its suspect
@@ -375,35 +306,11 @@ mod tests {
 
     #[test]
     fn incident_display_is_readable() {
-        let t = FlightRecorder::default();
+        let t = wall();
         mark(&t, 7, Phase::Kill);
         let s = t.incidents()[0].to_string();
         assert!(s.starts_with("n7:"));
         assert!(s.contains("kill@"));
         assert!(s.contains("declare@-"));
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
-        assert_eq!(percentile(&ms, 0.5), Some(Duration::from_millis(50)));
-        assert_eq!(percentile(&ms, 0.99), Some(Duration::from_millis(99)));
-        assert_eq!(percentile(&ms, 1.0), Some(Duration::from_millis(100)));
-        assert_eq!(percentile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn nearest_rank_covers_the_edges() {
-        assert_eq!(nearest_rank(0, 0.5), None);
-        // A single sample is every percentile.
-        assert_eq!(nearest_rank(1, 0.0), Some(0));
-        assert_eq!(nearest_rank(1, 1.0), Some(0));
-        // q=0 still means "the first sample", never an out-of-range rank.
-        assert_eq!(nearest_rank(100, 0.0), Some(0));
-        assert_eq!(nearest_rank(100, 0.5), Some(49));
-        assert_eq!(nearest_rank(100, 0.999), Some(99));
-        // Out-of-domain q clamps instead of indexing out of bounds.
-        assert_eq!(nearest_rank(10, -3.0), Some(0));
-        assert_eq!(nearest_rank(10, 7.0), Some(9));
     }
 }

@@ -7,6 +7,8 @@
 //! node is *silent* (callers time out), because that is the only signal a
 //! real client gets from a drained or crashed node.
 //!
+//! The fabric carries the one event recorder, [`Tracer`].
+//!
 //! The [`LatencyModel`] is shared with the discrete-event simulator in
 //! `ftc-sim`, so the threaded cluster and the 1024-node simulations are
 //! calibrated by the same constants.
@@ -32,6 +34,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod incident;
 pub mod latency;
 pub mod stats;
 pub mod trace;
@@ -39,8 +42,9 @@ pub mod transport;
 pub mod xport;
 
 pub use error::RpcError;
+pub use incident::{Incident, Phase};
 pub use latency::LatencyModel;
 pub use stats::{NetStats, NetStatsSnapshot};
 pub use trace::{ServedFrom, TraceEventKind, TraceRecord, Tracer, VClock};
-pub use transport::{Endpoint, Incoming, Mailbox, Network, Payload};
+pub use transport::{DropCause, Endpoint, Incoming, Mailbox, Network, Payload};
 pub use xport::{Caller, Inbound, Listener, RequestSink, Transport};

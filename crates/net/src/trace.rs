@@ -1,34 +1,37 @@
-//! Vector-clock tracing piggybacked on the transport.
+//! The fabric's one event recorder: a bounded flight ring and the
+//! vector-clock trace, fed by one typed event.
 //!
-//! When tracing is enabled on a [`crate::Network`], every RPC leg carries a
-//! vector-clock stamp: the sender ticks its own component and attaches a
-//! snapshot; the receiver merges the stamp into its clock before recording
-//! any event caused by the message. Upper layers (the cache client and
-//! server) additionally record *state events* — ring-membership epoch
-//! changes, failure-detector transitions, cache-map mutations — under
-//! their own actor component.
+//! Every layer records a [`TraceEventKind`] under its actor id through
+//! [`Tracer::record`], which routes it by kind, at one clock reading and
+//! under one lock, to two sinks:
 //!
-//! The result is a totally-ordered-per-actor, causally-stamped event log
-//! that `ftc-analysis` replays offline to reconstruct the happens-before
-//! graph and flag conflicting unordered event pairs (e.g. a read served
-//! under a ring epoch that was concurrently invalidated). Every record
-//! also carries its clock-time offset `at`, and the read and insert events
-//! carry value digests, so the same log is the per-key history the
-//! linearizability checker (`ftc_analysis::linz`) reads: a read's interval
-//! is `[invoke, at]`, a `Put`'s insert and a ring update are point events.
-//! Under a virtual clock the stamps, like the log, replay byte-identically.
+//! * **the ring** — the last [`Tracer::RING_CAPACITY`] events, dumped by a
+//!   failing chaos report, beside the degraded-window [`Incident`] table
+//!   the phase kinds stamp; on while the recorder exists
+//!   ([`crate::Network::attach_recorder`]);
+//! * **the log** — once [`crate::Network::enable_tracing`] is called, the
+//!   unbounded vector-clock log `ftc-analysis` replays: every RPC leg
+//!   carries its sender's ticked clock, merged by the receiver before any
+//!   event the message causes, and a read's `[invoke, at]` interval and
+//!   the inserts make it the linearizability checker's history.
 //!
-//! Tracing costs one clock reading and one mutex acquisition per recorded
-//! event and is fully disabled (a single `RwLock` read per RPC) until
-//! [`crate::Network::enable_tracing`] is called. Stamps ride outside
-//! [`crate::Payload::wire_size`], so enabling tracing does not perturb the
-//! latency model — campaigns replay identically with tracing on or off.
+//! Message legs, served reads and cache-map mutations are log-only; ring
+//! updates, verdicts and readmits go to both with one `at`; kills, first
+//! timeouts, recovery phases, RPC timeouts, drops and notes are ring-only
+//! and tick no clock. Without a recorder (the TCP fleet) a site pays one
+//! `Option` check; with the log off a log-only event returns before the
+//! clock reading. Stamps ride outside [`crate::Payload::wire_size`], so
+//! tracing does not perturb the latency model, and under a virtual clock
+//! both sinks replay byte-identically.
 
+use crate::incident::{Incident, Phase};
+use crate::transport::DropCause;
 use ftc_hashring::NodeId;
 use ftc_time::ClockHandle;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::fmt;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::{self, Write as _};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// A vector clock: one logical counter per actor (node or client) id.
@@ -99,16 +102,6 @@ impl VClock {
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.entries.iter().map(|(&a, &v)| (a, v))
     }
-
-    /// Number of actors with a nonzero component.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True for the zero clock.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl fmt::Display for VClock {
@@ -138,11 +131,11 @@ pub enum ServedFrom {
     Pfs,
 }
 
-/// What happened, as recorded in the event log.
+/// What happened, as recorded by [`Tracer::record`].
 ///
-/// The first four variants are emitted by the transport itself; the rest
-/// are *state events* recorded by upper layers through
-/// [`Tracer::record`] / [`crate::Incoming::trace_state`].
+/// The four message legs are recorded by the transport itself, the rest
+/// by the layer whose state changed. Which sink keeps which kind is the
+/// module's routing table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// An RPC request left `actor` for `to`.
@@ -176,7 +169,7 @@ pub enum TraceEventKind {
         /// The ring epoch the read was placed under (the current one for
         /// a read straight from the PFS).
         epoch: u64,
-        /// Invocation time, as an offset from the tracer's creation
+        /// Invocation time, as an offset from the recorder's creation
         /// ([`Tracer::now`]), taken before the placement lock.
         invoke: Duration,
         /// FNV-1a digest of the returned bytes.
@@ -184,7 +177,8 @@ pub enum TraceEventKind {
         /// Where the bytes came from.
         served: ServedFrom,
     },
-    /// The actor's placement membership changed (ring epoch bump).
+    /// The actor's placement membership changed (ring epoch bump). A
+    /// removal stamps [`Phase::RingUpdate`].
     RingUpdate {
         /// The node added or removed.
         node: NodeId,
@@ -227,110 +221,364 @@ pub enum TraceEventKind {
         /// The cache key.
         key: String,
     },
+    /// The fault injector killed `node`: the incident's anchor.
+    Kill {
+        /// The killed node.
+        node: NodeId,
+    },
+    /// A counted RPC timeout against `node`. Only the first of an
+    /// incident stamps and reaches the ring; the rest are the
+    /// `rpc_timeouts` counter and the suspect events' counts.
+    FirstTimeout {
+        /// The silent node.
+        node: NodeId,
+    },
+    /// The recovery engine began recaching a declared node's keys.
+    RecoveryStart {
+        /// The declared node.
+        node: NodeId,
+        /// Keys the engine will push.
+        keys: usize,
+    },
+    /// A key `node` owned was served from a survivor's cache.
+    FirstRecachedHit {
+        /// The dead node.
+        node: NodeId,
+        /// The survivor that served it.
+        by: NodeId,
+    },
+    /// The recovery engine finished the node's recache job (its length
+    /// is the distance from the node's `RecoveryStart`).
+    RecoveryQuiesced {
+        /// The declared node.
+        node: NodeId,
+    },
+    /// An RPC from the actor to `to` timed out at the fabric.
+    RpcTimeout {
+        /// The silent peer.
+        to: NodeId,
+        /// Time from send to giving up.
+        after: Duration,
+    },
+    /// The fabric discarded a message the actor sent to `to`.
+    Drop {
+        /// The intended receiver.
+        to: NodeId,
+        /// The fault rule that discarded it.
+        cause: DropCause,
+    },
+    /// A free-form note: a revive, a shed, a failed read, a recovery
+    /// engine step.
+    Note {
+        /// Short event class, printed as the dump's kind column.
+        what: &'static str,
+        /// Already-formatted detail.
+        detail: String,
+    },
 }
 
-/// One entry of the event log: who, when (causally and in clock time),
-/// and what.
+impl TraceEventKind {
+    /// Short label, the dump's kind column (a phase's label, a note's
+    /// class), and the sinks that keep the kind: `(label, ring, log)`.
+    fn route(&self) -> (&'static str, bool, bool) {
+        use TraceEventKind as K;
+        let (ring, log, both) = ((true, false), (false, true), (true, true));
+        let (label, (ringed, logged)) = match self {
+            K::MsgSend { .. } => ("msg_send", log),
+            K::MsgRecv { .. } => ("msg_recv", log),
+            K::ReplySend { .. } => ("reply_send", log),
+            K::ReplyRecv { .. } => ("reply_recv", log),
+            K::ReadServed { .. } => ("read_served", log),
+            K::CacheInsert { .. } => ("cache_insert", log),
+            K::CacheEvict { .. } => ("cache_evict", log),
+            K::RingUpdate { .. } => (Phase::RingUpdate.label(), both),
+            K::Suspect { .. } => (Phase::Suspect.label(), both),
+            K::Declare { .. } => (Phase::Declare.label(), both),
+            K::Readmit { .. } => ("readmit", both),
+            K::Kill { .. } => (Phase::Kill.label(), ring),
+            K::FirstTimeout { .. } => (Phase::FirstTimeout.label(), ring),
+            K::RecoveryStart { .. } => (Phase::RecoveryStart.label(), ring),
+            K::FirstRecachedHit { .. } => (Phase::FirstRecachedHit.label(), ring),
+            K::RecoveryQuiesced { .. } => (Phase::RecoveryQuiesced.label(), ring),
+            K::RpcTimeout { .. } => ("rpc_timeout", ring),
+            K::Drop { .. } => ("drop", ring),
+            K::Note { what, .. } => (*what, ring),
+        };
+        (label, ringed, logged)
+    }
+
+    /// Short label, the dump's kind column.
+    pub fn label(&self) -> &'static str {
+        self.route().0
+    }
+
+    /// The incident phase this event stamps, and for which node.
+    fn phase(&self) -> Option<(NodeId, Phase)> {
+        use TraceEventKind as K;
+        Some(match *self {
+            K::Kill { node } => (node, Phase::Kill),
+            K::FirstTimeout { node } => (node, Phase::FirstTimeout),
+            K::Suspect { node, .. } => (node, Phase::Suspect),
+            K::Declare { node } => (node, Phase::Declare),
+            K::RingUpdate {
+                node,
+                joined: false,
+                ..
+            } => (node, Phase::RingUpdate),
+            K::RecoveryStart { node, .. } => (node, Phase::RecoveryStart),
+            K::FirstRecachedHit { node, .. } => (node, Phase::FirstRecachedHit),
+            K::RecoveryQuiesced { node } => (node, Phase::RecoveryQuiesced),
+            _ => return None,
+        })
+    }
+}
+
+/// One recorded event: who, when (causally and in clock time), and what.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Global append order (total order of *recording*, not causality).
+    /// The sink's append order: the log's for a log record, the ring's
+    /// (never reused; gaps in a dump show how much history was lost) for
+    /// a ring event.
     pub seq: u64,
-    /// Clock time of recording, as an offset from the tracer's creation.
+    /// Clock time of recording, as an offset from the recorder's creation.
     pub at: Duration,
     /// The actor the event belongs to.
     pub actor: NodeId,
-    /// The actor's clock *after* ticking for this event.
+    /// In the log, the actor's clock *after* ticking for this event; a
+    /// ring event carries the zero clock.
     pub clock: VClock,
     /// The event itself.
     pub kind: TraceEventKind,
 }
 
-#[derive(Debug, Default)]
-struct TracerInner {
-    clocks: BTreeMap<u32, VClock>,
-    log: Vec<TraceRecord>,
-    seq: u64,
+impl fmt::Display for TraceRecord {
+    /// One dump line: `#seq at actor label event`, a note by its detail.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "#{:06} {:>9.3}ms {:<10} {:<18} ",
+            self.seq,
+            self.at.as_secs_f64() * 1e3,
+            self.actor.to_string(),
+            self.kind.label(),
+        )?;
+        match &self.kind {
+            TraceEventKind::Note { detail, .. } => f.write_str(detail),
+            kind => write!(f, "{kind:?}"),
+        }
+    }
 }
 
-impl TracerInner {
-    fn push(&mut self, at: Duration, actor: NodeId, kind: TraceEventKind) -> VClock {
+/// What the recorder's one lock guards: both sinks.
+#[derive(Debug)]
+struct Sinks {
+    /// Per-actor vector clocks of the log.
+    clocks: BTreeMap<u32, VClock>,
+    log: Vec<TraceRecord>,
+    /// Records ever appended to the log; the next one's `seq`.
+    logged: u64,
+    capacity: usize,
+    ring: VecDeque<TraceRecord>,
+    /// Events ever appended to the ring; the next one's `seq`.
+    ringed: u64,
+    /// Every incident stamped so far, creation order, and per node the
+    /// index of its open one.
+    incidents: Vec<Incident>,
+    open: HashMap<u32, usize>,
+}
+
+impl Sinks {
+    /// Append to the log under `actor`'s ticked clock; returns the stamp.
+    fn log(&mut self, at: Duration, actor: NodeId, kind: TraceEventKind) -> VClock {
         let clock = self.clocks.entry(actor.0).or_default();
         clock.tick(actor.0);
         let snap = clock.clone();
         self.log.push(TraceRecord {
-            seq: self.seq,
+            seq: self.logged,
             at,
             actor,
             clock: snap.clone(),
             kind,
         });
-        self.seq += 1;
+        self.logged += 1;
         snap
+    }
+
+    /// Stamp the event's incident phase, if any, and append it to the
+    /// ring, evicting the oldest event when full. Every event is appended
+    /// except a repeated `FirstTimeout`: only the first of an incident is
+    /// news.
+    fn ring(&mut self, at: Duration, actor: NodeId, kind: TraceEventKind) {
+        if let Some((node, phase)) = kind.phase() {
+            if !self.stamp(node.0, phase, at) && phase == Phase::FirstTimeout {
+                return;
+            }
+        }
+        if self.ring.len() >= self.capacity {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(TraceRecord {
+            seq: self.ringed,
+            at,
+            actor,
+            clock: VClock::new(),
+            kind,
+        });
+        self.ringed += 1;
+    }
+    /// Stamp `phase` for `node` at offset `at`; true when this call set
+    /// the stamp. First occurrence per incident wins. A `Kill` for a node
+    /// whose previous incident completed (or that has none) opens a new
+    /// incident; any other phase joins the open incident, creating one
+    /// when a client observes a failure the injector never announced
+    /// (e.g. a flaky link).
+    fn stamp(&mut self, node: u32, phase: Phase, at: Duration) -> bool {
+        let i = match self.open.get(&node) {
+            Some(&i) if !(phase == Phase::Kill && self.incidents[i].is_complete()) => i,
+            _ => {
+                let stamps = [None; 8];
+                self.incidents.push(Incident { node, stamps });
+                self.open.insert(node, self.incidents.len() - 1);
+                self.incidents.len() - 1
+            }
+        };
+        let slot = &mut self.incidents[i].stamps[phase as usize];
+        let first = slot.is_none();
+        if first {
+            *slot = Some(at);
+        }
+        first
     }
 }
 
-/// The shared trace collector: per-actor vector clocks plus the append-only
-/// event log. One lives on a [`crate::Network`] once tracing is enabled.
+/// The fabric's event recorder: the bounded ring with its incident table,
+/// and the vector-clock log once tracing is on. One lives on a
+/// [`crate::Network`] once a recorder is attached or tracing enabled.
 #[derive(Debug)]
 pub struct Tracer {
     clock: ClockHandle,
     birth: Instant,
-    inner: Mutex<TracerInner>,
+    /// The log is on. Set once, never cleared; read without the lock so
+    /// a log-only event costs nothing while it is off.
+    tracing: AtomicBool,
+    sinks: Mutex<Sinks>,
 }
 
 impl Tracer {
-    /// A fresh, empty tracer stamping offsets against `clock`'s current
-    /// instant.
+    /// Default ring capacity: enough to cover the full degraded window of
+    /// several overlapping failures at transition-event rates.
+    pub const RING_CAPACITY: usize = 1024;
+
+    /// A recorder with the default ring and the log off, stamping offsets
+    /// against `clock`'s current instant. Under a virtual clock every
+    /// offset, incident stamps included, is a deterministic function of
+    /// the schedule.
     pub fn new(clock: ClockHandle) -> Self {
+        Self::with_capacity(Self::RING_CAPACITY, clock)
+    }
+
+    /// [`Tracer::new`] with a ring of `capacity` events (minimum 1).
+    pub fn with_capacity(capacity: usize, clock: ClockHandle) -> Self {
         let birth = clock.now();
         Tracer {
             clock,
             birth,
-            inner: Mutex::default(),
+            tracing: AtomicBool::new(false),
+            sinks: Mutex::new(Sinks {
+                clocks: BTreeMap::new(),
+                log: Vec::new(),
+                logged: 0,
+                capacity: capacity.max(1),
+                ring: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+                ringed: 0,
+                incidents: Vec::new(),
+                open: HashMap::new(),
+            }),
         }
     }
 
-    /// Current offset since the tracer's creation — what a read captures
+    /// Turn the log on. Idempotent.
+    pub fn enable_tracing(&self) {
+        // ordering: Release pairs with the Acquire in `tracing`; the log
+        // itself is only touched under the lock.
+        self.tracing.store(true, Ordering::Release);
+    }
+
+    /// True once the log is on.
+    pub fn tracing(&self) -> bool {
+        self.tracing.load(Ordering::Acquire)
+    }
+
+    /// Current offset since the recorder's creation — what a read captures
     /// as its invoke time before issuing any RPC.
     pub fn now(&self) -> Duration {
         self.clock.since(self.birth)
     }
 
-    /// Record a state event under `actor` (tick, no merge).
-    pub fn record(&self, actor: NodeId, kind: TraceEventKind) {
-        self.record_send(actor, kind);
-    }
-
-    /// Record a send under `actor` and return the stamp to piggyback on
-    /// the message.
-    pub fn record_send(&self, actor: NodeId, kind: TraceEventKind) -> VClock {
+    /// Record an event under `actor` into the sinks its kind routes to,
+    /// at one clock reading. A log record ticks the actor's clock (no
+    /// merge) and returns it: the stamp a message leg piggybacks.
+    pub fn record(&self, actor: NodeId, kind: TraceEventKind) -> Option<VClock> {
+        let (_, ringed, logged) = kind.route();
+        let logged = logged && self.tracing();
+        if !ringed && !logged {
+            return None;
+        }
         let at = self.now();
-        self.inner.lock().push(at, actor, kind)
+        let mut sinks = self.sinks.lock();
+        if !logged {
+            sinks.ring(at, actor, kind);
+            return None;
+        }
+        if ringed {
+            sinks.ring(at, actor, kind.clone());
+        }
+        Some(sinks.log(at, actor, kind))
     }
 
-    /// Merge a received stamp into `actor`'s clock, then record the
-    /// receive event. Must run before any event the message causes.
+    /// Merge a received stamp into `actor`'s clock, then log the receive
+    /// leg. Must run before any event the message causes.
     pub fn record_recv(&self, actor: NodeId, stamp: &VClock, kind: TraceEventKind) {
         let at = self.now();
-        let mut inner = self.inner.lock();
-        inner.clocks.entry(actor.0).or_default().merge(stamp);
-        inner.push(at, actor, kind);
-    }
-
-    /// Number of records collected so far.
-    pub fn len(&self) -> usize {
-        self.inner.lock().log.len()
-    }
-
-    /// True when no records have been collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let mut sinks = self.sinks.lock();
+        sinks.clocks.entry(actor.0).or_default().merge(stamp);
+        sinks.log(at, actor, kind);
     }
 
     /// Drain and return the log (clocks keep advancing; a campaign can
     /// drain per phase).
     pub fn take(&self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.inner.lock().log)
+        std::mem::take(&mut self.sinks.lock().log)
+    }
+
+    /// Every incident stamped so far, creation order — including those
+    /// whose ring events were evicted.
+    pub fn incidents(&self) -> Vec<Incident> {
+        self.sinks.lock().incidents.clone()
+    }
+
+    /// Events ever appended to the ring (including evicted ones).
+    pub fn total_recorded(&self) -> u64 {
+        self.sinks.lock().ringed
+    }
+
+    /// Copy of the ring, oldest first.
+    pub fn events(&self) -> Vec<TraceRecord> {
+        self.sinks.lock().ring.iter().cloned().collect()
+    }
+
+    /// Render the ring as a text block for embedding in a report (header
+    /// line + one line per event).
+    pub fn dump(&self) -> String {
+        let (events, total) = (self.events(), self.total_recorded());
+        let mut out = format!(
+            "--- flight recorder: {} of {total} events retained ---\n",
+            events.len()
+        );
+        for ev in &events {
+            let _ = writeln!(out, "{ev}");
+        }
+        out + "--- end flight recorder ---\n"
     }
 }
 
@@ -345,7 +593,7 @@ mod tests {
         assert_eq!(c.tick(1), 1);
         assert_eq!(c.tick(1), 2);
         assert_eq!(c.get(1), 2);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.iter().count(), 1);
     }
 
     #[test]
@@ -394,22 +642,37 @@ mod tests {
         assert!(!a.concurrent(&a.clone()));
     }
 
+    /// A recorder with the log on, on the wall clock.
+    fn traced() -> Tracer {
+        let t = Tracer::new(ClockHandle::wall());
+        t.enable_tracing();
+        t
+    }
+
+    fn note(what: &'static str, detail: impl Into<String>) -> TraceEventKind {
+        TraceEventKind::Note {
+            what,
+            detail: detail.into(),
+        }
+    }
+
     #[test]
     fn tracer_orders_one_actor_totally() {
-        let t = Tracer::new(ClockHandle::wall());
+        let t = traced();
         t.record(NodeId(0), TraceEventKind::Declare { node: NodeId(1) });
         t.record(NodeId(0), TraceEventKind::Readmit { node: NodeId(1) });
         let log = t.take();
         assert_eq!(log.len(), 2);
         assert!(log[0].clock.happens_before(&log[1].clock));
         assert!(log[0].at <= log[1].at && log[1].at <= t.now());
-        assert!(t.is_empty(), "take drains the log");
+        assert!(t.take().is_empty(), "take drains the log");
     }
 
     #[test]
     fn tracer_send_recv_creates_edge() {
-        let t = Tracer::new(ClockHandle::wall());
-        let stamp = t.record_send(NodeId(0), TraceEventKind::MsgSend { to: NodeId(1) });
+        let t = traced();
+        let stamp = t.record(NodeId(0), TraceEventKind::MsgSend { to: NodeId(1) });
+        let stamp = stamp.expect("the log is on");
         t.record_recv(
             NodeId(1),
             &stamp,
@@ -430,5 +693,164 @@ mod tests {
         c.tick(7);
         c.tick(7);
         assert_eq!(c.to_string(), "{n2:1,n7:2}");
+    }
+
+    #[test]
+    fn each_kind_reaches_only_its_sinks_and_ring_only_kinds_tick_no_clock() {
+        let t = traced();
+        let (me, n1) = (NodeId(7), NodeId(1));
+        t.record(me, TraceEventKind::Declare { node: n1 });
+        t.record(me, TraceEventKind::Kill { node: n1 });
+        let after = Duration::from_millis(25);
+        t.record(me, TraceEventKind::RpcTimeout { to: n1, after });
+        let cause = DropCause::Killed;
+        t.record(me, TraceEventKind::Drop { to: n1, cause });
+        t.record(me, TraceEventKind::CacheEvict { key: "k".into() });
+        t.record(me, TraceEventKind::Readmit { node: n1 });
+        let (log, ring) = (t.take(), t.events());
+        let labels = |rs: &[TraceRecord]| rs.iter().map(|r| r.kind.label()).collect::<Vec<_>>();
+        assert_eq!(labels(&log), ["declare", "cache_evict", "readmit"]);
+        assert_eq!(
+            labels(&ring),
+            ["declare", "kill", "rpc_timeout", "drop", "readmit"]
+        );
+        assert_eq!(
+            log[2].clock.get(7),
+            3,
+            "the ring-only events ticked nothing"
+        );
+        // An event both sinks keep is one clock reading.
+        assert_eq!((ring[0].at, ring[4].at), (log[0].at, log[2].at));
+        // With the log off, a log-only event is dropped outright.
+        let off = Tracer::new(ClockHandle::wall());
+        off.record(me, TraceEventKind::CacheEvict { key: "k".into() });
+        assert!(off.events().is_empty() && off.take().is_empty());
+    }
+
+    #[test]
+    fn a_stamp_survives_the_eviction_of_its_ring_event() {
+        let fr = Tracer::with_capacity(4, ClockHandle::wall());
+        fr.record(NodeId(3), TraceEventKind::Kill { node: NodeId(3) });
+        for i in 0..10 {
+            fr.record(NodeId(0), note("tick", format!("{i}")));
+        }
+        assert!(
+            fr.events().iter().all(|e| e.kind.label() == "tick"),
+            "kill evicted"
+        );
+        let incidents = fr.incidents();
+        assert_eq!(incidents.len(), 1);
+        assert_eq!(incidents[0].node, 3);
+        let kill = incidents[0].stamp(Phase::Kill).expect("kill stamped");
+        assert!(kill <= fr.events()[0].at);
+        assert_eq!(fr.total_recorded(), 11);
+    }
+
+    #[test]
+    fn one_phase_call_shows_in_both_dump_and_incidents() {
+        let fr = Tracer::with_capacity(16, ClockHandle::wall());
+        fr.record(NodeId(100), TraceEventKind::Declare { node: NodeId(2) });
+        let dump = fr.dump();
+        assert!(dump.contains("1 of 1 events retained"), "{dump}");
+        assert!(dump.contains("n100"), "{dump}");
+        assert!(dump.contains("declare"), "{dump}");
+        assert!(dump.contains("Declare { node: NodeId(2) }"), "{dump}");
+        let incidents = fr.incidents();
+        assert_eq!(incidents.len(), 1);
+        // The event and the stamp are one clock reading.
+        assert_eq!(incidents[0].stamp(Phase::Declare), Some(fr.events()[0].at));
+    }
+
+    #[test]
+    fn a_repeated_first_timeout_adds_no_second_ring_event() {
+        let fr = Tracer::with_capacity(16, ClockHandle::wall());
+        let node = NodeId(5);
+        for _ in 0..3 {
+            fr.record(NodeId(100), TraceEventKind::FirstTimeout { node });
+        }
+        let kinds: Vec<&str> = fr.events().iter().map(|e| e.kind.label()).collect();
+        assert_eq!(kinds, ["first_timeout"]);
+        // Every other phase keeps one event per call: each carries its
+        // own detail (a suspect's timeout count, a failed-over read).
+        fr.record(NodeId(100), TraceEventKind::Suspect { node, count: 1 });
+        fr.record(NodeId(100), TraceEventKind::Suspect { node, count: 2 });
+        assert_eq!(fr.events().len(), 3);
+        assert_eq!(fr.incidents().len(), 1);
+    }
+
+    #[test]
+    fn records_and_dumps_in_order() {
+        let fr = Tracer::with_capacity(16, ClockHandle::wall());
+        fr.record(NodeId(0), note("rpc_timeout", "n3 get k17"));
+        fr.record(NodeId(0), note("verdict", "n3 Suspect"));
+        let events = fr.events();
+        assert_eq!(events.len(), 2);
+        assert_eq!(events[0].seq, 0);
+        assert_eq!(events[1].seq, 1);
+        assert!(events[0].at <= events[1].at);
+        let dump = fr.dump();
+        assert!(dump.contains("2 of 2 events retained"));
+        assert!(dump.contains("rpc_timeout"));
+        assert!(dump.contains("n3 Suspect"));
+        assert!(dump.ends_with("--- end flight recorder ---\n"));
+    }
+
+    #[test]
+    fn ring_evicts_oldest_but_keeps_seq() {
+        let fr = Tracer::with_capacity(4, ClockHandle::wall());
+        for i in 0..10 {
+            fr.record(NodeId(0), note("tick", format!("{i}")));
+        }
+        let events = fr.events();
+        assert_eq!(events.len(), 4);
+        assert_eq!(events[0].seq, 6, "oldest retained is #6");
+        assert_eq!(events[3].seq, 9);
+        assert_eq!(fr.total_recorded(), 10);
+        assert!(fr.dump().contains("4 of 10 events retained"));
+    }
+
+    #[test]
+    fn capacity_floor_is_one() {
+        let fr = Tracer::with_capacity(0, ClockHandle::wall());
+        fr.record(NodeId(0), note("x", "1"));
+        fr.record(NodeId(0), note("x", "2"));
+        assert_eq!(fr.events().len(), 1);
+        assert_eq!(fr.events()[0].kind, note("x", "2"));
+    }
+
+    #[test]
+    fn concurrent_recording_is_lossless_up_to_capacity() {
+        let fr = std::sync::Arc::new(Tracer::with_capacity(10_000, ClockHandle::wall()));
+        let mut joins = Vec::new();
+        for t in 0..4 {
+            let fr = std::sync::Arc::clone(&fr);
+            joins.push(std::thread::spawn(move || {
+                for i in 0..1000 {
+                    fr.record(NodeId(t), note("ev", format!("{i}")));
+                }
+            }));
+        }
+        for j in joins {
+            j.join().expect("recorder thread");
+        }
+        assert_eq!(fr.events().len(), 4000);
+        assert_eq!(fr.total_recorded(), 4000);
+        // Sequence numbers are unique.
+        let mut seqs: Vec<u64> = fr.events().iter().map(|e| e.seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        assert_eq!(seqs.len(), 4000);
+    }
+
+    #[test]
+    fn recorder_and_registry_are_independent() {
+        let registry = ftc_obs::Registry::default();
+        let t = Tracer::new(ClockHandle::wall());
+        registry.counter("a_total").inc();
+        t.record(NodeId(1), TraceEventKind::Kill { node: NodeId(1) });
+        t.record(NodeId(1), note("k", "d"));
+        assert_eq!(registry.counter("a_total").get(), 1);
+        assert_eq!(t.incidents().len(), 1);
+        assert_eq!(t.events().len(), 2);
     }
 }

@@ -121,6 +121,7 @@ impl<Req: Payload, Resp: Payload> Incoming<Req, Resp> {
     pub fn absorb(&mut self) {
         if let Some(stamp) = self.stamp.take() {
             if let Some(t) = self.net.tracer.read().clone() {
+                // A stamp exists only if the log was on at the send.
                 t.record_recv(
                     self.served_by,
                     &stamp,
@@ -132,12 +133,12 @@ impl<Req: Payload, Resp: Payload> Incoming<Req, Resp> {
 
     /// True while tracing is enabled on the network.
     pub fn tracing(&self) -> bool {
-        self.net.tracer.read().is_some()
+        self.net.tracer.read().as_ref().is_some_and(|t| t.tracing())
     }
 
     /// Record a state event under the serving node's actor, first
     /// absorbing the request stamp so the event is causally after the
-    /// send. No-op while tracing is disabled.
+    /// send. No-op without a recorder.
     pub fn trace_state(&mut self, kind: TraceEventKind) {
         self.absorb();
         if let Some(t) = self.net.tracer.read().clone() {
@@ -155,10 +156,8 @@ impl<Req: Payload, Resp: Payload> Incoming<Req, Resp> {
         self.absorb();
         // Stamp before the partition check: the server *did* send the
         // reply; a swallowed reply is a lost message, not a non-event.
-        let stamp =
-            self.net.tracer.read().as_ref().map(|t| {
-                t.record_send(self.served_by, TraceEventKind::ReplySend { to: self.from })
-            });
+        let stamp = (self.net.tracer.read().as_ref())
+            .and_then(|t| t.record(self.served_by, TraceEventKind::ReplySend { to: self.from }));
         if self
             .net
             .partitions
@@ -320,17 +319,20 @@ impl FlakyLink {
 
 /// Why a delivery was discarded (priority order when rules overlap).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum DropCause {
+pub enum DropCause {
+    /// A partition rule covers the link.
     Partition,
+    /// The receiver is killed.
     Killed,
+    /// The receiver's flaky link is in its down phase.
     Flaky,
+    /// I.i.d. message loss.
     Link,
 }
 
 /// Observability handles cached at attach time so the RPC fast path pays
 /// one `RwLock` read + one histogram `fetch_add`, never a registry lookup.
 struct NetObs {
-    hub: Arc<ftc_obs::ObsHub>,
     rpc_ok_us: Arc<ftc_obs::Histogram>,
     rpc_timeout_us: Arc<ftc_obs::Histogram>,
 }
@@ -381,25 +383,25 @@ impl<Req, Resp> Inner<Req, Resp> {
             DropCause::Flaky | DropCause::Link => &self.stats.dropped_link,
         };
         NetStats::inc_completion(by_cause);
-        if let Some(obs) = self.obs.read().as_ref() {
-            obs.hub
-                .flight
-                .record("net", "drop", format!("{from}->{to} {cause:?}"));
+        if let Some(t) = self.tracer.read().as_ref() {
+            t.record(from, TraceEventKind::Drop { to, cause });
         }
     }
 
-    /// Feed an RPC outcome to the attached observability plane, if any.
-    fn observe_rpc(&self, to: NodeId, elapsed: Duration, ok: bool) {
+    /// Feed an RPC outcome from `from` to the attached registry and, for
+    /// a timeout, the recorder.
+    fn observe_rpc(&self, from: NodeId, to: NodeId, elapsed: Duration, ok: bool) {
         if let Some(obs) = self.obs.read().as_ref() {
-            if ok {
-                obs.rpc_ok_us.record_micros(elapsed);
+            let hist = if ok {
+                &obs.rpc_ok_us
             } else {
-                obs.rpc_timeout_us.record_micros(elapsed);
-                obs.hub.flight.record(
-                    "net",
-                    "rpc_timeout",
-                    format!("{to} after {:.1}ms", elapsed.as_secs_f64() * 1e3),
-                );
+                &obs.rpc_timeout_us
+            };
+            hist.record_micros(elapsed);
+        }
+        if !ok {
+            if let Some(t) = self.tracer.read().as_ref() {
+                t.record(from, TraceEventKind::RpcTimeout { to, after: elapsed });
             }
         }
     }
@@ -574,37 +576,38 @@ impl<Req: Payload, Resp: Payload> Network<Req, Resp> {
         self.inner.flaky.lock().remove(&node);
     }
 
-    /// Turn on vector-clock tracing and return the shared collector, whose
-    /// record times come from this fabric's clock. Idempotent: a second
-    /// call returns the existing tracer. Already in-flight messages
-    /// (stamped before the switch) are unaffected.
-    pub fn enable_tracing(&self) -> Arc<Tracer> {
+    /// Attach the fabric's event recorder and return it: from now on the
+    /// fabric records drops and RPC timeouts into its ring, and every
+    /// layer above it ([`Endpoint::tracer`]) its own events. Its offsets
+    /// count from this first call, on this fabric's clock. Idempotent: a
+    /// second call returns the same recorder.
+    pub fn attach_recorder(&self) -> Arc<Tracer> {
         let mut slot = self.inner.tracer.write();
-        match slot.as_ref() {
-            Some(t) => Arc::clone(t),
-            None => {
-                let t = Arc::new(Tracer::new(self.inner.clock.clone()));
-                *slot = Some(Arc::clone(&t));
-                t
-            }
-        }
+        Arc::clone(slot.get_or_insert_with(|| Arc::new(Tracer::new(self.inner.clock.clone()))))
     }
 
-    /// The active tracer, if tracing has been enabled.
+    /// Turn on the recorder's vector-clock log, attaching the recorder
+    /// first if need be, and return it. Idempotent. Already in-flight
+    /// messages (sent before the switch) carry no stamp.
+    pub fn enable_tracing(&self) -> Arc<Tracer> {
+        let t = self.attach_recorder();
+        t.enable_tracing();
+        t
+    }
+
+    /// The recorder, once attached.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.inner.tracer.read().clone()
     }
 
-    /// Attach an observability hub: RPC outcomes feed the
-    /// `ftc_net_rpc_ok_us` / `ftc_net_rpc_timeout_us` histograms and
-    /// drops/timeouts leave flight-recorder events. Histogram handles are
-    /// resolved once here, so the per-RPC cost is one lock-free record.
-    /// Idempotent; the last attached hub wins.
-    pub fn attach_obs(&self, hub: &Arc<ftc_obs::ObsHub>) {
+    /// Attach a metrics registry: RPC outcomes feed its
+    /// `ftc_net_rpc_ok_us` / `ftc_net_rpc_timeout_us` histograms. The
+    /// handles are resolved once here, so the per-RPC cost is one
+    /// lock-free record. Idempotent; the last attached registry wins.
+    pub fn attach_obs(&self, registry: &ftc_obs::Registry) {
         let obs = NetObs {
-            hub: Arc::clone(hub),
-            rpc_ok_us: hub.registry.histogram("ftc_net_rpc_ok_us"),
-            rpc_timeout_us: hub.registry.histogram("ftc_net_rpc_timeout_us"),
+            rpc_ok_us: registry.histogram("ftc_net_rpc_ok_us"),
+            rpc_timeout_us: registry.histogram("ftc_net_rpc_timeout_us"),
         };
         *self.inner.obs.write() = Some(obs);
     }
@@ -647,9 +650,9 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
         self.net.clock.clone()
     }
 
-    /// The network's active tracer, if tracing has been enabled. Upper
-    /// layers use this to record state events (ring updates, detector
-    /// transitions) under this endpoint's actor.
+    /// The network's recorder, once attached. Upper layers use this to
+    /// record their events (ring updates, detector transitions, recovery
+    /// phases) under this endpoint's actor.
     pub fn tracer(&self) -> Option<Arc<Tracer>> {
         self.net.tracer.read().clone()
     }
@@ -686,9 +689,8 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
         let tracer = self.net.tracer.read().clone();
         // Stamp before the drop decision: the send happens either way,
         // the message just may be lost in flight (no matching receive).
-        let stamp = tracer
-            .as_ref()
-            .map(|t| t.record_send(self.me, TraceEventKind::MsgSend { to }));
+        let stamp =
+            (tracer.as_ref()).and_then(|t| t.record(self.me, TraceEventKind::MsgSend { to }));
         let delivered = if let Some(cause) = self.net.request_drop_cause(self.me, to) {
             self.net.record_drop(cause, self.me, to);
             false
@@ -722,13 +724,13 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
             // message may still arrive and be served, but the caller has
             // already given up. Deterministic timeout, no reply race.
             NetStats::inc_completion(&self.net.stats.timeouts);
-            self.net.observe_rpc(to, clock.since(start), false);
+            self.net.observe_rpc(self.me, to, clock.since(start), false);
             return Err(RpcError::Timeout { to });
         }
         match reply_rx.recv_timeout(remaining) {
             Ok(traced) => {
                 NetStats::inc_completion(&self.net.stats.rpcs_ok);
-                self.net.observe_rpc(to, clock.since(start), true);
+                self.net.observe_rpc(self.me, to, clock.since(start), true);
                 if let (Some(t), Some(s)) = (tracer.as_ref(), traced.stamp.as_ref()) {
                     t.record_recv(self.me, s, TraceEventKind::ReplyRecv { from: to });
                 }
@@ -736,7 +738,7 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
             }
             Err(RecvTimeoutError::Timeout) => {
                 NetStats::inc_completion(&self.net.stats.timeouts);
-                self.net.observe_rpc(to, clock.since(start), false);
+                self.net.observe_rpc(self.me, to, clock.since(start), false);
                 Err(RpcError::Timeout { to })
             }
             Err(RecvTimeoutError::Disconnected) => {
@@ -747,7 +749,7 @@ impl<Req: Payload, Resp: Payload> Endpoint<Req, Resp> {
                 let _ = delivered;
                 clock.sleep(timeout.saturating_sub(clock.since(start)));
                 NetStats::inc_completion(&self.net.stats.timeouts);
-                self.net.observe_rpc(to, clock.since(start), false);
+                self.net.observe_rpc(self.me, to, clock.since(start), false);
                 Err(RpcError::Timeout { to })
             }
         }
@@ -1052,24 +1054,25 @@ mod tests {
     #[test]
     fn attached_obs_sees_latencies_and_drops() {
         let net: Network<String, String> = Network::instant(40);
-        let hub = ftc_obs::ObsHub::shared();
-        net.attach_obs(&hub);
+        let registry = ftc_obs::Registry::default();
+        net.attach_obs(&registry);
+        let recorder = net.attach_recorder();
         let _h = echo_server(&net, NodeId(0));
         let ep = net.endpoint(NodeId(1));
         ep.call(NodeId(0), "a".into(), TTL).unwrap();
         ep.call(NodeId(0), "b".into(), TTL).unwrap();
         net.kill(NodeId(0));
         let _ = ep.call(NodeId(0), "c".into(), TTL);
-        let ok = hub.registry.histogram("ftc_net_rpc_ok_us").snapshot();
-        let to = hub.registry.histogram("ftc_net_rpc_timeout_us").snapshot();
+        let ok = registry.histogram("ftc_net_rpc_ok_us").snapshot();
+        let to = registry.histogram("ftc_net_rpc_timeout_us").snapshot();
         assert_eq!(ok.count, 2);
         assert_eq!(to.count, 1);
         assert!(
             to.min >= TTL.as_micros() as u64,
             "timeout latency must be at least the TTL"
         );
-        // The drop and the timeout both left flight events.
-        let dump = hub.flight.dump();
+        // The drop and the timeout both left ring events.
+        let dump = recorder.dump();
         assert!(dump.contains("drop"), "missing drop event: {dump}");
         assert!(
             dump.contains("rpc_timeout"),

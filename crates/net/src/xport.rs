@@ -18,9 +18,9 @@
 //! chaos / virtual-time / linearizability stacks run unchanged. The TCP
 //! backend in `ftc-wire` implements the same four over real sockets; the
 //! sim-only hooks ([`Caller::tracer`], [`Inbound::trace_state`], …)
-//! default to no-ops there, because the vector-clock trace (the event log
-//! both the race detector and the linearizability checker read) is a
-//! single-process affordance.
+//! default to no-ops there, because the event recorder (its ring, and the
+//! vector-clock log both the race detector and the linearizability
+//! checker read) is a single-process affordance.
 //!
 //! All methods take `&self`/`&mut self` and no generics, so every trait
 //! is object-safe: the protocol crates hold `Box<dyn Caller<..>>` and
@@ -51,9 +51,9 @@ pub trait Caller<Req, Resp>: Send + Sync {
     /// [`RpcError::indicates_failure`].
     fn call(&self, to: NodeId, req: Req, timeout: Duration) -> Result<Resp, RpcError>;
 
-    /// The fabric's vector-clock tracer, when the backend records
-    /// causality (the in-process fabric with tracing enabled). Real
-    /// network backends return `None`.
+    /// The fabric's event recorder, when the backend has one (the
+    /// in-process fabric once a recorder is attached). Real network
+    /// backends return `None`.
     fn tracer(&self) -> Option<Arc<Tracer>> {
         None
     }

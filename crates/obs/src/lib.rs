@@ -1,107 +1,67 @@
-//! # ftc-obs — the observability plane for FT-Cache
+//! # ftc-obs — the metrics plane for FT-Cache
 //!
-//! FT-Cache's headline result is a *time* claim: the 24.9 % cut in
-//! post-failure training time comes from shrinking the degraded window
-//! between a node's death and steady-state recached serving. Flat event
-//! counters cannot measure that — this crate provides the instruments
-//! that can, with zero dependencies so every other crate in the workspace
-//! may depend on it:
+//! Instruments for the cluster's steady state; every other crate in the
+//! workspace may depend on this one:
 //!
 //! - [`Histogram`] / [`HistogramSnapshot`] — lock-free log-bucketed
 //!   HDR-style latency histograms; wait-free `record`, mergeable
 //!   snapshots, quantile queries with ≤ 1/32 relative error.
 //! - [`Registry`] — named counters / gauges / histograms; registration
-//!   locks once, every update after that is a single atomic op.
-//! - [`FlightRecorder`] — the one incident record: a bounded ring of
-//!   recent structured events, dumped when a chaos invariant fires so a
-//!   red campaign ships its own black-box transcript, plus the
-//!   degraded-window [`Incident`] table its [`FlightRecorder::phase`]
-//!   calls stamp (kill → first timeout → suspect → declare → ring update
-//!   → first recached hit), from which detection / recovery latencies
-//!   derive: the paper's Fig.-level observable.
+//!   locks once, every update after that is a single atomic op. A cluster
+//!   owns one and hands an `Arc` to its fabric and every client.
 //! - [`counter_set!`] — one declaration per counter: a subsystem's live
 //!   [`Counter`] struct, its `Copy` snapshot, `snapshot()`, `merge()` and
-//!   [`Export`] all come from one `field: "exposition_name"` list
-//!   (`ClientMetrics`, `NetStats`, `RecoveryStats`, the server's sheds and
-//!   miss single-flight).
+//!   [`Export`] all come from one `field: "exposition_name"` list.
 //! - [`Export`] + [`render_prometheus`] / [`render_json`] — one sample
-//!   model, two wire formats, covering the registry, the counter sets and
-//!   the other flat snapshots (`NvmeStats`, `RingStats`).
+//!   model, two wire formats.
+//! - [`nearest_rank`] / [`percentile`] — the one percentile definition.
 //!
-//! The two instruments travel together as an [`ObsHub`]: the cluster
-//! owns one, hands an `Arc` to every client/server/injector, and the
-//! chaos harness snapshots it into campaign reports.
+//! The events of a failure incident and the degraded-window table they
+//! stamp live with the fabric's event recorder, `ftc_net::Tracer`.
 //!
 //! ```
-//! use ftc_obs::{ObsHub, Phase, render_prometheus, Export};
+//! use ftc_obs::{Registry, render_prometheus, Export};
 //!
-//! let hub = ObsHub::new();
-//! hub.registry.counter("ftc_reads_total").inc();
-//! hub.registry.histogram("ftc_read_us").record(420);
-//! hub.flight.phase("chaos", 3, Phase::Kill, "n3");
-//! hub.flight.record("chaos", "revive", "n3");
-//! let text = render_prometheus(&hub.registry.export());
+//! let registry = Registry::default();
+//! registry.counter("ftc_reads_total").inc();
+//! registry.histogram("ftc_read_us").record(420);
+//! let text = render_prometheus(&registry.export());
 //! assert!(text.contains("ftc_reads_total 1"));
-//! assert_eq!(hub.flight.incidents()[0].node, 3);
-//! assert!(hub.flight.dump().contains("kill"));
 //! ```
 
 #![warn(missing_docs)]
 
 mod counter_set;
 mod export;
-mod flight;
 mod hist;
 mod registry;
-mod timeline;
 
 pub use export::{render_json, render_prometheus, Export, Sample, Value};
-pub use flight::{FlightEvent, FlightRecorder};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry};
-pub use timeline::{nearest_rank, percentile, Incident, Phase};
 
-use std::sync::Arc;
+use std::time::Duration;
 
-/// The two instruments of one observed system, shared as a unit.
-///
-/// One hub per cluster (or per chaos campaign): clients record metrics
-/// and stamp degraded-window phases, injectors stamp kills, every layer
-/// appends flight events, and the report/exposition side snapshots both.
-#[derive(Debug, Default)]
-pub struct ObsHub {
-    /// Named metrics (counters, gauges, histograms).
-    pub registry: Registry,
-    /// Recent structured events, bounded, and the failure incidents
-    /// their phase events stamped.
-    pub flight: FlightRecorder,
+/// Nearest-rank index for quantile `q` over `n` ascending samples:
+/// `ceil(q·n) - 1`, clamped into `0..n`; `None` when `n == 0`. The one
+/// definition of "percentile" in the workspace — every latency report
+/// (campaign renders, dashboards, fleet binaries) indexes through this
+/// so they all quote the same rank.
+pub fn nearest_rank(n: usize, q: f64) -> Option<usize> {
+    if n == 0 {
+        return None;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+    Some(rank - 1)
 }
 
-impl ObsHub {
-    /// A fresh hub with default-capacity flight recorder.
-    pub fn new() -> Self {
-        ObsHub::default()
-    }
-
-    /// A fresh hub whose flight recorder stamps through
-    /// `clock` — under a virtual clock, every offset in the report is a
-    /// deterministic function of the schedule, not of wall-time noise.
-    pub fn with_clock(clock: ftc_time::ClockHandle) -> Self {
-        ObsHub {
-            registry: Registry::default(),
-            flight: FlightRecorder::with_clock(FlightRecorder::DEFAULT_CAPACITY, clock),
-        }
-    }
-
-    /// A fresh hub behind an `Arc`, ready to hand to cluster components.
-    pub fn shared() -> Arc<Self> {
-        Arc::new(ObsHub::new())
-    }
-
-    /// [`ObsHub::with_clock`] behind an `Arc`.
-    pub fn shared_with_clock(clock: ftc_time::ClockHandle) -> Arc<Self> {
-        Arc::new(ObsHub::with_clock(clock))
-    }
+/// Percentile of a latency list (nearest-rank), `None` when empty.
+/// Shared by campaign reports and dashboards so both quote the same
+/// definition.
+pub fn percentile(samples: &[Duration], q: f64) -> Option<Duration> {
+    let mut sorted: Vec<Duration> = samples.to_vec();
+    sorted.sort_unstable();
+    nearest_rank(sorted.len(), q).map(|i| sorted[i])
 }
 
 #[cfg(test)]
@@ -109,13 +69,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hub_instruments_are_independent() {
-        let hub = ObsHub::shared();
-        hub.registry.counter("a_total").inc();
-        hub.flight.phase("t", 1, Phase::Kill, "n1");
-        hub.flight.record("t", "k", "d");
-        assert_eq!(hub.registry.counter("a_total").get(), 1);
-        assert_eq!(hub.flight.incidents().len(), 1);
-        assert_eq!(hub.flight.len(), 2);
+    fn percentile_nearest_rank() {
+        let ms: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
+        assert_eq!(percentile(&ms, 0.5), Some(Duration::from_millis(50)));
+        assert_eq!(percentile(&ms, 0.99), Some(Duration::from_millis(99)));
+        assert_eq!(percentile(&ms, 1.0), Some(Duration::from_millis(100)));
+        assert_eq!(percentile(&[], 0.5), None);
+    }
+
+    #[test]
+    fn nearest_rank_covers_the_edges() {
+        assert_eq!(nearest_rank(0, 0.5), None);
+        // A single sample is every percentile.
+        assert_eq!(nearest_rank(1, 0.0), Some(0));
+        assert_eq!(nearest_rank(1, 1.0), Some(0));
+        // q=0 still means "the first sample", never an out-of-range rank.
+        assert_eq!(nearest_rank(100, 0.0), Some(0));
+        assert_eq!(nearest_rank(100, 0.5), Some(49));
+        assert_eq!(nearest_rank(100, 0.999), Some(99));
+        // Out-of-domain q clamps instead of indexing out of bounds.
+        assert_eq!(nearest_rank(10, -3.0), Some(0));
+        assert_eq!(nearest_rank(10, 7.0), Some(9));
     }
 }

@@ -31,7 +31,7 @@ mod invariants;
 use ftc_core::{Cluster, ClusterConfig, CoreError, FtPolicy, HvacClient, ReadError};
 use ftc_hashring::hash::fnv1a64;
 use ftc_hashring::NodeId;
-use ftc_net::TraceEventKind;
+use ftc_net::{Incident, TraceEventKind};
 use ftc_sim::{FaultEvent, FaultPlan};
 use ftc_storage::{synth_bytes, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
@@ -529,12 +529,12 @@ impl CampaignReport {
         }
     }
 
-    /// The flight recorder's last ~1k fabric/client events at campaign
-    /// end, exactly when an invariant fired.
+    /// The recorder's last ~1k fabric/client events at campaign end,
+    /// exactly when an invariant fired.
     pub fn flight_dump(&self) -> Option<String> {
         let n = self.violations.len();
-        let hub = self.log.obs.as_ref();
-        let events = || hub.map_or_else(String::new, |hub| hub.flight.dump());
+        let recorder = self.log.recorder.as_ref();
+        let events = || recorder.map_or_else(String::new, |r| r.dump());
         (n > 0).then(|| {
             format!(
                 "chaos: {n} violation(s); flight recorder at the end:\n{}",
@@ -548,31 +548,26 @@ impl CampaignReport {
         self.violations.is_empty()
     }
 
+    fn latencies(&self, of: fn(&Incident) -> Option<Duration>) -> Vec<Duration> {
+        self.log.incidents.iter().filter_map(of).collect()
+    }
+
     /// Per-kill detection latencies (kill → declare) observed this
     /// campaign, in incident order.
     pub fn detection_latencies(&self) -> Vec<Duration> {
-        let incidents = self.log.incidents.iter();
-        incidents
-            .filter_map(ftc_obs::Incident::detection_latency)
-            .collect()
+        self.latencies(Incident::detection_latency)
     }
 
     /// Per-kill recovery latencies (kill → first recached hit) observed
     /// this campaign, in incident order.
     pub fn recovery_latencies(&self) -> Vec<Duration> {
-        let incidents = self.log.incidents.iter();
-        incidents
-            .filter_map(ftc_obs::Incident::recovery_latency)
-            .collect()
+        self.latencies(Incident::recovery_latency)
     }
 
     /// Per-kill quiesce latencies (kill → recovery engine finished the
     /// node's recache job), in incident order. Empty under `Lazy`.
     pub fn quiesce_latencies(&self) -> Vec<Duration> {
-        let incidents = self.log.incidents.iter();
-        incidents
-            .filter_map(ftc_obs::Incident::quiesce_latency)
-            .collect()
+        self.latencies(Incident::quiesce_latency)
     }
 
     /// Full rendering for replay diffing: the verdict line, read/abort
@@ -653,7 +648,7 @@ impl CampaignReport {
         self.log
             .incidents
             .iter()
-            .filter(|i| i.stamp(ftc_obs::Phase::Kill).is_some())
+            .filter(|i| i.stamp(ftc_net::Phase::Kill).is_some())
             .map(|i| {
                 let ms = |d: Option<Duration>| match d {
                     Some(d) => format!("{:.1}ms", d.as_secs_f64() * 1e3),
@@ -1121,8 +1116,8 @@ fn record(
     log.sheds = cluster.sheds_per_node();
     log.killed = cluster.killed_nodes();
     log.trace = tracer.map(|t| t.take());
-    log.incidents = cluster.obs().flight.incidents();
-    log.obs = Some(Arc::clone(cluster.obs()));
+    log.incidents = cluster.recorder().incidents();
+    log.recorder = Some(Arc::clone(cluster.recorder()));
     log.diagnosis = diagnose(&client);
     cluster.shutdown();
     Ok(log)

@@ -148,13 +148,13 @@ pub struct CampaignLog {
     /// Degraded-window incidents, one per kill (plus any failure the
     /// injector never announced), with kill → declare → first-recached-
     /// hit offsets.
-    pub incidents: Vec<ftc_obs::Incident>,
+    pub incidents: Vec<ftc_net::Incident>,
     /// The fabric's vector-clock trace ([`CampaignOptions::trace`]),
     /// seeded with the staged dataset as t=0 writes.
     pub trace: Option<Vec<TraceRecord>>,
-    /// The observability hub the campaign recorded into; its flight
-    /// recorder holds the last events, dumped when a violation fires.
-    pub obs: Option<Arc<ftc_obs::ObsHub>>,
+    /// The fabric's recorder the campaign recorded into; its ring holds
+    /// the last events, dumped when a violation fires.
+    pub recorder: Option<Arc<ftc_net::Tracer>>,
     /// [`super::diagnose`]'s line for the client at the end.
     pub diagnosis: String,
 }

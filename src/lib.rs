@@ -71,7 +71,6 @@ pub mod prelude {
         Cluster, ClusterConfig, FtConfig, FtPolicy, HvacClient, PlacementKind, ReadError, ReadVia,
     };
     pub use ftc_hashring::{HashRing, NodeId, Placement, DEFAULT_VNODES};
-    pub use ftc_obs::{ObsHub, Phase as ObsPhase};
     pub use ftc_sim::{FaultEvent, SimCalibration, SimCluster, SimReport, SimWorkload};
     pub use ftc_storage::{synth_bytes, verify_synth};
     pub use ftc_time::{with_virtual, Clock, ClockHandle, VirtualClock};
