@@ -272,9 +272,9 @@ pub fn check_fsm_with(config: &FsmConfig, sabotage: Option<Sabotage>) -> FsmRepo
     let ft = FtConfig {
         detector: DetectorConfig {
             ttl: Duration::from_millis(1),
+            // Steps are 1 ms apart, so no timeout decays out of the
+            // 2 s suspicion window below depth 2,000.
             timeout_limit: config.timeout_limit.max(1),
-            // Effectively no decay within the depth bound.
-            suspicion_window: Duration::from_secs(3600),
         },
         overload: OverloadConfig::armored(),
         ..FtConfig::for_policy(FtPolicy::RingRecache)

@@ -1154,7 +1154,6 @@ mod tests {
             detector: DetectorConfig {
                 ttl: Duration::from_millis(25),
                 timeout_limit: 2,
-                suspicion_window: Duration::from_secs(2),
             },
             retry: RetryPolicy {
                 base_backoff: Duration::from_micros(200),
@@ -1698,9 +1697,6 @@ mod tests {
         let r = rig(4, 64);
         let mut cfg = fast_config(FtPolicy::RingRecache);
         cfg.replication = 2;
-        // Wide window: the node must still be suspect when the replica
-        // write detours, even on a machine saturated by parallel tests.
-        cfg.detector.suspicion_window = Duration::from_secs(60);
         // Nothing here waits out a TTL; a long one keeps the reads' late
         // bound (a quarter) clear of scheduling stalls on a busy host.
         cfg.detector.ttl = Duration::from_millis(250);
@@ -2375,11 +2371,7 @@ mod tests {
         let c = Arc::new(scripted_client(&state, cfg));
         let (pong, pings) = std::sync::mpsc::channel();
         *state.pings.lock() = Some(pings);
-        let rc = crate::recovery::RecoveryConfig {
-            probe_base: Duration::from_millis(1),
-            ..Default::default()
-        };
-        let engine = c.enable_recovery(rc).expect("start engine");
+        let engine = c.enable_recovery(Default::default()).expect("start engine");
         let owner = c.owner_of(SCRIPT_FILE).expect("owner");
         let silence = || Err(RpcError::Timeout { to: owner });
         // A false alarm: the settling ping is answered and the detoured

@@ -608,12 +608,7 @@ mod tests {
         let cluster = Cluster::start(ClusterConfig::small(3, FtPolicy::RingRecache)).expect("boot");
         let paths = cluster.stage_dataset("train", 12, 16);
         let c = cluster.client(0);
-        c.enable_recovery(crate::recovery::RecoveryConfig {
-            probe_base: Duration::from_millis(10),
-            probe_max: Duration::from_millis(40),
-            ..Default::default()
-        })
-        .expect("engine");
+        c.enable_recovery(Default::default()).expect("engine");
         kill_node0_and_absorb(&cluster, &c, &paths);
         // The node comes back on the fabric, but nobody tells the client.
         cluster.revive_silent(NodeId(0)).expect("revive");
@@ -660,11 +655,9 @@ mod tests {
             .filter(|s| s.name == "ftc_nvme_resident_objects")
             .count();
         assert_eq!(labelled, 3, "one resident-objects gauge per node");
-        // The whole set renders without panicking in both formats.
+        // The whole set renders without panicking.
         let text = ftc_obs::render_prometheus(&samples);
         assert!(text.contains("# TYPE ftc_ring_imbalance gauge"));
-        let json = ftc_obs::render_json(&samples);
-        assert!(json.contains("\"ftc_client_read_nvme_us\""));
         cluster.shutdown();
     }
 

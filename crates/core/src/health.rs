@@ -35,6 +35,11 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+/// Only timeouts at most this much older than the newest one count
+/// toward a declaration, so sporadic timeouts decay instead of adding up
+/// over a long run.
+pub const SUSPICION_WINDOW: Duration = Duration::from_secs(2);
+
 /// Consecutive failures that trip a node's breaker open.
 pub const DEFAULT_BREAKER_THRESHOLD: u32 = 5;
 /// How long an open breaker refuses calls before it goes half-open.
@@ -45,7 +50,7 @@ pub const DEFAULT_BREAKER_PROBES: u32 = 2;
 
 /// Detector tuning, mirroring the original artifact's `TIMEOUT_SECONDS`
 /// (the per-RPC TTL) and `TIMEOUT_LIMIT` (timeouts before a node is
-/// declared failed), plus the sliding window that makes the count decay.
+/// declared failed). The count decays over [`SUSPICION_WINDOW`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DetectorConfig {
     /// Per-RPC deadline. "The TTL parameter only needs to be greater than
@@ -54,10 +59,6 @@ pub struct DetectorConfig {
     /// Timeouts within the suspicion window before declaring the node
     /// failed.
     pub timeout_limit: u32,
-    /// Only timeouts at most this much older than the newest one count.
-    /// A very large value recovers the artifact's pure consecutive-count
-    /// behavior (timeouts then only reset on success).
-    pub suspicion_window: Duration,
 }
 
 impl Default for DetectorConfig {
@@ -65,7 +66,6 @@ impl Default for DetectorConfig {
         DetectorConfig {
             ttl: Duration::from_millis(100),
             timeout_limit: 3,
-            suspicion_window: Duration::from_secs(2),
         }
     }
 }
@@ -276,7 +276,7 @@ impl Entry {
         if self.state == State::Declared {
             return Verdict::AlreadyFailed;
         }
-        if let Some(cutoff) = now.checked_sub(r.detector.suspicion_window) {
+        if let Some(cutoff) = now.checked_sub(SUSPICION_WINDOW) {
             let expired = self.timeouts.iter().take_while(|&&t| t < cutoff).count();
             self.timeouts.drain(..expired);
         }
@@ -442,7 +442,7 @@ impl NodeHealth {
     /// traffic (replica writes) to such a node.
     pub fn suspect_at(&self, node: NodeId, at: Instant) -> bool {
         let entry = self.get(node);
-        let cutoff = at.checked_sub(self.rules.detector.suspicion_window);
+        let cutoff = at.checked_sub(SUSPICION_WINDOW);
         entry.state != State::Declared
             && entry
                 .timeouts
@@ -537,19 +537,18 @@ mod tests {
 
     const MS: Duration = Duration::from_millis(1);
 
-    fn table(limit: u32, window: Duration, armored: bool) -> NodeHealth {
+    fn table(limit: u32, armored: bool) -> NodeHealth {
         let mut config = FtConfig::for_policy(FtPolicy::RingRecache);
         config.detector = DetectorConfig {
             ttl: 10 * MS,
             timeout_limit: limit,
-            suspicion_window: window,
         };
         config.overload.armored = armored;
         NodeHealth::new(&config)
     }
 
     fn det(limit: u32) -> NodeHealth {
-        table(limit, Duration::from_secs(3600), false)
+        table(limit, false)
     }
 
     /// The verdict of one [`Event::Timeout`].
@@ -619,43 +618,42 @@ mod tests {
 
     #[test]
     fn sporadic_timeouts_decay_out_of_the_window() {
-        // A timeout only counts while it is at most `suspicion_window`
-        // older than the newest one.
-        let (mut d, n, base) = (table(3, 100 * MS, false), NodeId(1), Instant::now());
+        // A timeout only counts while it is at most `SUSPICION_WINDOW`
+        // older than the newest one. `w` is a hundredth of the window.
+        let w = SUSPICION_WINDOW / 100;
+        let (mut d, n, base) = (table(3, false), NodeId(1), Instant::now());
         assert_eq!(timeout(&mut d, n, base), Verdict::Suspect { count: 1 });
         assert_eq!(
-            timeout(&mut d, n, base + 60 * MS),
+            timeout(&mut d, n, base + 60 * w),
             Verdict::Suspect { count: 2 }
         );
-        // 170ms: both earlier timeouts aged out, so the third does not
+        // 170w: both earlier timeouts aged out, so the third does not
         // reach the limit.
         assert_eq!(
-            timeout(&mut d, n, base + 170 * MS),
+            timeout(&mut d, n, base + 170 * w),
             Verdict::Suspect { count: 1 }
         );
-        // Only the entries beyond the window age out: 150ms keeps 90ms.
-        let mut d = table(3, 100 * MS, false);
+        // Only the entries beyond the window age out: 150w keeps 90w.
+        let mut d = table(3, false);
         timeout(&mut d, n, base);
-        timeout(&mut d, n, base + 90 * MS);
+        timeout(&mut d, n, base + 90 * w);
         assert_eq!(
-            timeout(&mut d, n, base + 150 * MS),
+            timeout(&mut d, n, base + 150 * w),
             Verdict::Suspect { count: 2 }
         );
-        assert_eq!(timeout(&mut d, n, base + 170 * MS), Verdict::JustFailed);
+        assert_eq!(timeout(&mut d, n, base + 170 * w), Verdict::JustFailed);
     }
 
     #[test]
     fn suspicion_tracks_the_window_and_ends_at_the_declaration() {
-        let (mut d, n, base) = (table(2, 100 * MS, false), NodeId(4), Instant::now());
+        let w = SUSPICION_WINDOW / 100;
+        let (mut d, n, base) = (table(2, false), NodeId(4), Instant::now());
         assert!(!d.suspect_at(n, base), "clean node is not suspect");
         timeout(&mut d, n, base);
-        assert!(d.suspect_at(n, base + 50 * MS));
-        assert!(
-            !d.suspect_at(n, base + 150 * MS),
-            "aged out without a purge"
-        );
-        timeout(&mut d, n, base + 10 * MS);
-        assert!(!d.suspect_at(n, base + 50 * MS), "declared, not suspect");
+        assert!(d.suspect_at(n, base + 50 * w));
+        assert!(!d.suspect_at(n, base + 150 * w), "aged out without a purge");
+        timeout(&mut d, n, base + 10 * w);
+        assert!(!d.suspect_at(n, base + 50 * w), "declared, not suspect");
     }
 
     #[test]
@@ -748,11 +746,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_cools_probes_and_closes() {
-        let (mut d, n, now) = (
-            table(100, Duration::from_secs(3600), true),
-            NodeId(3),
-            Instant::now(),
-        );
+        let (mut d, n, now) = (table(100, true), NodeId(3), Instant::now());
         for _ in 0..DEFAULT_BREAKER_THRESHOLD {
             assert_eq!(d.route(n, now), Route::Call(true));
             d.apply(n, Event::Strike, now);
@@ -797,7 +791,7 @@ mod tests {
         }
         assert_eq!(d.get(n).breaker, BreakerState::Closed(0));
         assert_eq!(d.asks(), 0, "reads need not take the lock");
-        assert_eq!(table(3, MS, true).asks(), 1, "armored reads do");
+        assert_eq!(table(3, true).asks(), 1, "armored reads do");
     }
 
     #[test]
@@ -818,7 +812,7 @@ mod tests {
             events in prop::collection::vec(any::<u8>(), 1..64),
         ) {
             let n = NodeId(0);
-            let mut d = table(u32::MAX, Duration::from_secs(3600), true);
+            let mut d = table(u32::MAX, true);
             let mut now = Instant::now();
             for ev in events {
                 now += Duration::from_millis(u64::from(ev % 50));
@@ -845,7 +839,7 @@ mod tests {
         #[test]
         fn half_open_admits_exactly_the_quota(attempts in 6u32..32) {
             let n = NodeId(0);
-            let mut d = table(u32::MAX, Duration::from_secs(3600), true);
+            let mut d = table(u32::MAX, true);
             let now = Instant::now();
             for _ in 0..DEFAULT_BREAKER_THRESHOLD {
                 d.apply(n, Event::Strike, now);

@@ -67,6 +67,13 @@ const PUSH_RETRIES: u32 = 2;
 /// Hints parked across all nodes before drop-oldest kicks in.
 const MAX_HINTS: usize = 4096;
 
+/// First probe delay after a failure verdict; each unanswered probe
+/// doubles it, up to [`PROBE_MAX`].
+const PROBE_BASE: Duration = Duration::from_millis(50);
+
+/// Probe backoff ceiling.
+const PROBE_MAX: Duration = Duration::from_secs(1);
+
 /// Recovery-engine tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryConfig {
@@ -78,10 +85,6 @@ pub struct RecoveryConfig {
     /// Probe declared-failed nodes for autonomous readmission. Gates
     /// only these probes: suspect settling runs either way.
     pub probe: bool,
-    /// First probe delay after a failure verdict.
-    pub probe_base: Duration,
-    /// Probe backoff ceiling.
-    pub probe_max: Duration,
 }
 
 impl Default for RecoveryConfig {
@@ -90,8 +93,6 @@ impl Default for RecoveryConfig {
             recache_rate: crate::policy::DEFAULT_RECACHE_RATE,
             recache_burst: crate::policy::DEFAULT_RECACHE_BURST,
             probe: true,
-            probe_base: Duration::from_millis(50),
-            probe_max: Duration::from_secs(1),
         }
     }
 }
@@ -604,11 +605,8 @@ impl Worker {
                 }
                 if eng.config.probe && !self.probing.contains(&node.0) {
                     self.probing.insert(node.0);
-                    self.probes.push(Reverse((
-                        self.clock.now() + eng.config.probe_base,
-                        node.0,
-                        eng.config.probe_base,
-                    )));
+                    self.probes
+                        .push(Reverse((self.clock.now() + PROBE_BASE, node.0, PROBE_BASE)));
                 }
             }
             Task::Rejoined { node } => {
@@ -743,7 +741,7 @@ impl Worker {
             // the warm reconcile and hint drain.
             cli.readmit(node);
         } else {
-            let next = (backoff * 2).min(eng.config.probe_max);
+            let next = (backoff * 2).min(PROBE_MAX);
             self.probes
                 .push(Reverse((self.clock.now() + backoff, node.0, next)));
         }
@@ -888,6 +886,5 @@ mod tests {
         let c = RecoveryConfig::default();
         assert!(c.recache_rate > 0.0);
         assert!(c.recache_burst >= 1);
-        assert!(c.probe_base <= c.probe_max);
     }
 }

@@ -46,13 +46,12 @@ fn fault_strategy() -> impl Strategy<Value = Fault> {
     ]
 }
 
-/// An engine-less client's table under `limit` and `window`.
-fn detector(limit: u32, window: Duration) -> NodeHealth {
+/// An engine-less client's table under `limit`.
+fn detector(limit: u32) -> NodeHealth {
     let mut config = FtConfig::for_policy(FtPolicy::RingRecache);
     config.detector = DetectorConfig {
         ttl: Duration::from_millis(1),
         timeout_limit: limit,
-        suspicion_window: window,
     };
     NodeHealth::new(&config)
 }
@@ -76,15 +75,17 @@ proptest! {
         limit in 1u32..6,
         events in prop::collection::vec(ev_strategy(), 0..120),
     ) {
-        // Effectively-infinite suspicion window: the reference model is
-        // the artifact's pure consecutive counter.
-        let mut det = detector(limit, Duration::from_secs(86_400));
+        // Every event at one instant, so nothing decays out of the
+        // suspicion window: the reference model is the artifact's pure
+        // consecutive counter.
+        let mut det = detector(limit);
+        let now = Instant::now();
         let mut ref_counts = [0u32; 8];
         let mut ref_failed = [false; 8];
         for ev in &events {
             match *ev {
                 Ev::Timeout(n) => {
-                    let verdict = timeout(&mut det, NodeId(n.into()), Instant::now());
+                    let verdict = timeout(&mut det, NodeId(n.into()), now);
                     if ref_failed[n as usize] {
                         prop_assert_eq!(verdict, Verdict::AlreadyFailed);
                     } else {
@@ -101,7 +102,7 @@ proptest! {
                     }
                 }
                 Ev::Success(n) => {
-                    det.apply(NodeId(n.into()), Event::Reply, Instant::now());
+                    det.apply(NodeId(n.into()), Event::Reply, now);
                     if !ref_failed[n as usize] {
                         ref_counts[n as usize] = 0;
                     }
@@ -120,10 +121,11 @@ proptest! {
         limit in 1u32..5,
         timeouts in 1usize..40,
     ) {
-        let mut det = detector(limit, Duration::from_secs(86_400));
+        let mut det = detector(limit);
+        let now = Instant::now();
         let mut edges = 0;
         for _ in 0..timeouts {
-            if timeout(&mut det, NodeId(0), Instant::now()) == Verdict::JustFailed {
+            if timeout(&mut det, NodeId(0), now) == Verdict::JustFailed {
                 edges += 1;
             }
         }
@@ -139,7 +141,7 @@ proptest! {
         pre in 1u32..8,
         gap_ms in 0u64..300,
     ) {
-        let mut det = detector(limit, Duration::from_millis(100));
+        let mut det = detector(limit);
         let n = NodeId(0);
         let base = Instant::now();
         for i in 0..pre.min(limit - 1) {
@@ -219,7 +221,6 @@ proptest! {
         let mut cfg = FtConfig::for_policy(policy);
         cfg.detector.ttl = Duration::from_millis(5);
         cfg.detector.timeout_limit = 2;
-        cfg.detector.suspicion_window = Duration::from_secs(1);
         cfg.retry = RetryPolicy {
             max_attempts: MAX_ATTEMPTS,
             base_backoff: Duration::from_micros(100),

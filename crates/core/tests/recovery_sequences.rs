@@ -51,7 +51,6 @@ fn successor_death_mid_recache_reroutes_pushes() {
         // when the second failure lands.
         recache_rate: 4_000.0,
         recache_burst: 4,
-        ..Default::default()
     })
     .expect("engine");
     for p in &paths {

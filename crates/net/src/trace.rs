@@ -377,7 +377,6 @@ struct Sinks {
     log: Vec<TraceRecord>,
     /// Records ever appended to the log; the next one's `seq`.
     logged: u64,
-    capacity: usize,
     ring: VecDeque<TraceRecord>,
     /// Events ever appended to the ring; the next one's `seq`.
     ringed: u64,
@@ -414,7 +413,7 @@ impl Sinks {
                 return;
             }
         }
-        if self.ring.len() >= self.capacity {
+        if self.ring.len() >= Tracer::RING_CAPACITY {
             self.ring.pop_front();
         }
         self.ring.push_back(TraceRecord {
@@ -465,20 +464,15 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// Default ring capacity: enough to cover the full degraded window of
+    /// Ring capacity: enough to cover the full degraded window of
     /// several overlapping failures at transition-event rates.
     pub const RING_CAPACITY: usize = 1024;
 
-    /// A recorder with the default ring and the log off, stamping offsets
+    /// A recorder with an empty ring and the log off, stamping offsets
     /// against `clock`'s current instant. Under a virtual clock every
     /// offset, incident stamps included, is a deterministic function of
     /// the schedule.
     pub fn new(clock: ClockHandle) -> Self {
-        Self::with_capacity(Self::RING_CAPACITY, clock)
-    }
-
-    /// [`Tracer::new`] with a ring of `capacity` events (minimum 1).
-    pub fn with_capacity(capacity: usize, clock: ClockHandle) -> Self {
         let birth = clock.now();
         Tracer {
             clock,
@@ -488,8 +482,7 @@ impl Tracer {
                 clocks: BTreeMap::new(),
                 log: Vec::new(),
                 logged: 0,
-                capacity: capacity.max(1),
-                ring: VecDeque::with_capacity(capacity.clamp(1, 4096)),
+                ring: VecDeque::with_capacity(Self::RING_CAPACITY),
                 ringed: 0,
                 incidents: Vec::new(),
                 open: HashMap::new(),
@@ -729,9 +722,9 @@ mod tests {
 
     #[test]
     fn a_stamp_survives_the_eviction_of_its_ring_event() {
-        let fr = Tracer::with_capacity(4, ClockHandle::wall());
+        let fr = Tracer::new(ClockHandle::wall());
         fr.record(NodeId(3), TraceEventKind::Kill { node: NodeId(3) });
-        for i in 0..10 {
+        for i in 0..Tracer::RING_CAPACITY + 6 {
             fr.record(NodeId(0), note("tick", format!("{i}")));
         }
         assert!(
@@ -743,12 +736,12 @@ mod tests {
         assert_eq!(incidents[0].node, 3);
         let kill = incidents[0].stamp(Phase::Kill).expect("kill stamped");
         assert!(kill <= fr.events()[0].at);
-        assert_eq!(fr.total_recorded(), 11);
+        assert_eq!(fr.total_recorded(), Tracer::RING_CAPACITY as u64 + 7);
     }
 
     #[test]
     fn one_phase_call_shows_in_both_dump_and_incidents() {
-        let fr = Tracer::with_capacity(16, ClockHandle::wall());
+        let fr = Tracer::new(ClockHandle::wall());
         fr.record(NodeId(100), TraceEventKind::Declare { node: NodeId(2) });
         let dump = fr.dump();
         assert!(dump.contains("1 of 1 events retained"), "{dump}");
@@ -763,7 +756,7 @@ mod tests {
 
     #[test]
     fn a_repeated_first_timeout_adds_no_second_ring_event() {
-        let fr = Tracer::with_capacity(16, ClockHandle::wall());
+        let fr = Tracer::new(ClockHandle::wall());
         let node = NodeId(5);
         for _ in 0..3 {
             fr.record(NodeId(100), TraceEventKind::FirstTimeout { node });
@@ -780,7 +773,7 @@ mod tests {
 
     #[test]
     fn records_and_dumps_in_order() {
-        let fr = Tracer::with_capacity(16, ClockHandle::wall());
+        let fr = Tracer::new(ClockHandle::wall());
         fr.record(NodeId(0), note("rpc_timeout", "n3 get k17"));
         fr.record(NodeId(0), note("verdict", "n3 Suspect"));
         let events = fr.events();
@@ -797,35 +790,29 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_but_keeps_seq() {
-        let fr = Tracer::with_capacity(4, ClockHandle::wall());
-        for i in 0..10 {
+        const CAP: usize = Tracer::RING_CAPACITY;
+        let fr = Tracer::new(ClockHandle::wall());
+        for i in 0..CAP + 6 {
             fr.record(NodeId(0), note("tick", format!("{i}")));
         }
         let events = fr.events();
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), CAP);
         assert_eq!(events[0].seq, 6, "oldest retained is #6");
-        assert_eq!(events[3].seq, 9);
-        assert_eq!(fr.total_recorded(), 10);
-        assert!(fr.dump().contains("4 of 10 events retained"));
-    }
-
-    #[test]
-    fn capacity_floor_is_one() {
-        let fr = Tracer::with_capacity(0, ClockHandle::wall());
-        fr.record(NodeId(0), note("x", "1"));
-        fr.record(NodeId(0), note("x", "2"));
-        assert_eq!(fr.events().len(), 1);
-        assert_eq!(fr.events()[0].kind, note("x", "2"));
+        assert_eq!(events[CAP - 1].seq, CAP as u64 + 5);
+        assert_eq!(fr.total_recorded(), CAP as u64 + 6);
+        let header = format!("{CAP} of {} events retained", CAP + 6);
+        assert!(fr.dump().contains(&header));
     }
 
     #[test]
     fn concurrent_recording_is_lossless_up_to_capacity() {
-        let fr = std::sync::Arc::new(Tracer::with_capacity(10_000, ClockHandle::wall()));
+        const CAP: usize = Tracer::RING_CAPACITY;
+        let fr = std::sync::Arc::new(Tracer::new(ClockHandle::wall()));
         let mut joins = Vec::new();
         for t in 0..4 {
             let fr = std::sync::Arc::clone(&fr);
             joins.push(std::thread::spawn(move || {
-                for i in 0..1000 {
+                for i in 0..CAP / 4 {
                     fr.record(NodeId(t), note("ev", format!("{i}")));
                 }
             }));
@@ -833,13 +820,13 @@ mod tests {
         for j in joins {
             j.join().expect("recorder thread");
         }
-        assert_eq!(fr.events().len(), 4000);
-        assert_eq!(fr.total_recorded(), 4000);
+        assert_eq!(fr.events().len(), CAP);
+        assert_eq!(fr.total_recorded(), CAP as u64);
         // Sequence numbers are unique.
         let mut seqs: Vec<u64> = fr.events().iter().map(|e| e.seq).collect();
         seqs.sort_unstable();
         seqs.dedup();
-        assert_eq!(seqs.len(), 4000);
+        assert_eq!(seqs.len(), CAP);
     }
 
     #[test]

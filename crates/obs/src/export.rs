@@ -1,19 +1,16 @@
-//! Exposition: one sample model, two renderers.
+//! Exposition: one sample model, one renderer.
 //!
 //! Everything observable — registry metrics, counter-set snapshots,
 //! per-node stats — flattens into a `Vec<Sample>` via the [`Export`]
-//! trait, and the two renderers ([`render_prometheus`], [`render_json`])
-//! work on that flat list. That keeps the wire formats in exactly one
-//! place: a new subsystem declares a [`counter_set!`](crate::counter_set!)
-//! (or implements `Export`) and both formats pick it up unchanged.
+//! trait, and [`render_prometheus`] works on that flat list. That keeps
+//! the wire format in exactly one place: a new subsystem declares a
+//! [`counter_set!`](crate::counter_set!) (or implements `Export`) and the
+//! exposition picks it up unchanged.
 //!
-//! The Prometheus renderer follows the text exposition conventions:
+//! The renderer follows the Prometheus text exposition conventions:
 //! `# TYPE` comment per metric family, `_total`-suffixed counters,
 //! histograms expanded into cumulative `_bucket{le="…"}` series plus
-//! `_sum` / `_count`. The JSON renderer is hand-rolled (the workspace
-//! `serde` is a hermetic marker-trait shim) and emits a stable,
-//! deterministic document: object keys in sample order, histogram
-//! quantiles pre-computed so downstream tooling needs no bucket math.
+//! `_sum` / `_count`.
 
 use crate::hist::HistogramSnapshot;
 
@@ -180,57 +177,6 @@ pub fn render_prometheus(samples: &[Sample]) -> String {
     out
 }
 
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render samples as a JSON array (hand-rolled: the workspace `serde` is
-/// a marker-trait shim). Histograms carry pre-computed quantiles so
-/// consumers need no bucket layout knowledge.
-pub fn render_json(samples: &[Sample]) -> String {
-    let mut items: Vec<String> = Vec::with_capacity(samples.len());
-    for s in samples {
-        let labels = s
-            .labels
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        let body = match &s.value {
-            Value::Counter(v) => format!("\"type\":\"counter\",\"value\":{v}"),
-            Value::Gauge(v) => format!("\"type\":\"gauge\",\"value\":{}", fmt_f64(*v)),
-            Value::Histogram(h) => format!(
-                "\"type\":\"histogram\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\
-                 \"p50\":{},\"p99\":{},\"p999\":{}",
-                h.count,
-                h.sum,
-                if h.is_empty() { 0 } else { h.min },
-                h.max,
-                h.quantile(0.5),
-                h.quantile(0.99),
-                h.quantile(0.999),
-            ),
-        };
-        items.push(format!(
-            "{{\"name\":\"{}\",\"labels\":{{{labels}}},{body}}}",
-            escape_json(&s.name)
-        ));
-    }
-    format!("[{}]", items.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,33 +232,6 @@ mod tests {
         ];
         let text = render_prometheus(&samples);
         assert_eq!(text.matches("# TYPE ftc_hits_total").count(), 1);
-    }
-
-    #[test]
-    fn json_is_structurally_sound() {
-        let h = Histogram::new();
-        h.record(50);
-        let samples = vec![
-            Sample::counter("a_total", 1),
-            Sample::gauge("b", 2.5).with_label("k", "v\"q"),
-            Sample {
-                name: "c_us".into(),
-                labels: Vec::new(),
-                value: Value::Histogram(h.snapshot()),
-            },
-        ];
-        let json = render_json(&samples);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"name\":\"a_total\""));
-        assert!(json.contains("\"k\":\"v\\\"q\""));
-        assert!(json.contains("\"p50\":50"));
-        // Balanced braces (quick sanity, no parser in the workspace).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON"
-        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! - [`counter_set!`] — one declaration per counter: a subsystem's live
 //!   [`Counter`] struct, its `Copy` snapshot, `snapshot()`, `merge()` and
 //!   [`Export`] all come from one `field: "exposition_name"` list.
-//! - [`Export`] + [`render_prometheus`] / [`render_json`] — one sample
-//!   model, two wire formats.
+//! - [`Export`] + [`render_prometheus`] — one sample model, one wire
+//!   format.
 //! - [`nearest_rank`] / [`percentile`] — the one percentile definition.
 //!
 //! The events of a failure incident and the degraded-window table they
@@ -36,7 +36,7 @@ mod export;
 mod hist;
 mod registry;
 
-pub use export::{render_json, render_prometheus, Export, Sample, Value};
+pub use export::{render_prometheus, Export, Sample, Value};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry};
 

@@ -1,12 +1,12 @@
-//! Golden tests pinning the wire formats byte-for-byte.
+//! Golden tests pinning the wire format byte-for-byte.
 //!
-//! The Prometheus text and JSON renderings are consumed outside this
-//! repo (scrapers, plotting scripts), so their exact bytes are part of
-//! the public contract: family ordering, `# TYPE` placement, label
+//! The Prometheus text rendering is consumed outside this repo
+//! (scrapers, plotting scripts), so its exact bytes are part of the
+//! public contract: family ordering, `# TYPE` placement, label
 //! syntax, cumulative bucket expansion, and number formatting. Any
-//! change to a renderer must consciously update these fixtures.
+//! change to the renderer must consciously update these fixtures.
 
-use ftc_obs::{render_json, render_prometheus, Export, Histogram, Registry, Sample, Value};
+use ftc_obs::{render_prometheus, Export, Histogram, Registry, Sample, Value};
 
 /// A fixed, fully deterministic sample set: a counter, a fractional
 /// gauge, a labelled gauge, and a histogram with values chosen to land
@@ -49,20 +49,6 @@ ftc_golden_read_us_sum 1169
 ftc_golden_read_us_count 6
 ";
     assert_eq!(render_prometheus(&golden_samples()), expected);
-}
-
-#[test]
-fn json_exposition_is_pinned() {
-    let expected = concat!(
-        "[",
-        "{\"name\":\"ftc_golden_reads_total\",\"labels\":{},\"type\":\"counter\",\"value\":42},",
-        "{\"name\":\"ftc_golden_hit_ratio\",\"labels\":{},\"type\":\"gauge\",\"value\":0.75},",
-        "{\"name\":\"ftc_golden_inflight\",\"labels\":{\"node\":\"3\"},\"type\":\"gauge\",\"value\":2},",
-        "{\"name\":\"ftc_golden_read_us\",\"labels\":{},\"type\":\"histogram\",",
-        "\"count\":6,\"sum\":1169,\"min\":1,\"max\":1000,\"p50\":3,\"p99\":1000,\"p999\":1000}",
-        "]",
-    );
-    assert_eq!(render_json(&golden_samples()), expected);
 }
 
 #[test]

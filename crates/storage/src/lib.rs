@@ -20,7 +20,6 @@
 pub mod cost;
 pub mod index;
 pub mod nvme;
-pub mod object;
 pub mod pfs;
 pub mod synth;
 pub mod value;
@@ -28,7 +27,6 @@ pub mod value;
 pub use cost::{frontier, frontier_node, CostModel, NodeSpec, TierCost};
 pub use index::KeyIndex;
 pub use nvme::{NvmeCache, NvmeStats};
-pub use object::{MemStore, ObjectStore};
 pub use pfs::{Pfs, PfsModel};
 pub use synth::{synth_bytes, verify_synth};
 pub use value::ValueBuf;

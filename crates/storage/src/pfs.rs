@@ -15,151 +15,154 @@
 //!   shared among all concurrent readers (processor sharing). This is what
 //!   makes post-failure PFS traffic produce *stragglers* at scale.
 
-use crate::object::{MemStore, ObjectStore};
 use crate::synth::synth_bytes;
 use crate::value::ValueBuf;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The shared PFS: every training file originates here (datasets are
 /// staged to Lustre before any run), and all fault-tolerance fallbacks
 /// read from here.
+#[derive(Default)]
 pub struct Pfs {
-    store: Arc<dyn ObjectStore>,
-    /// Declared synthetic files, path → size. A declared file enters
-    /// `store` on its first read. Holding the write lock is the turn that
-    /// commits a generated file, so racing first reads keep one copy.
-    declared: RwLock<HashMap<String, usize>>,
-    reads: Mutex<HashMap<String, u64>>,
-    total_reads: AtomicU64,
+    /// Every staged or declared file, path → content and read count.
+    /// Holding the write lock is the turn that commits a generated file,
+    /// so racing first reads keep one copy.
+    files: RwLock<HashMap<String, Entry>>,
+}
+
+/// One path: its file and its read count.
+struct Entry {
+    file: File,
+    /// Reads since staging or the last reset. Restaging keeps it.
+    reads: AtomicU64,
+}
+
+/// A file's content: its bytes, or the size of the synthetic file
+/// `synth_bytes(path, size)` that its first read generates.
+#[derive(Clone)]
+enum File {
+    Stored(ValueBuf),
+    Declared(usize),
+}
+
+impl File {
+    /// The bytes the file holds, or will once generated.
+    fn len(&self) -> usize {
+        match self {
+            File::Stored(data) => data.len(),
+            File::Declared(size) => *size,
+        }
+    }
 }
 
 impl Pfs {
-    /// PFS backed by an in-memory store.
+    /// An empty PFS, held in memory.
     pub fn in_memory() -> Self {
-        Self::with_store(Arc::new(MemStore::new()))
+        Self::default()
     }
 
-    /// PFS backed by an arbitrary object store (tests wrap a
-    /// [`MemStore`] to slow chosen reads down).
-    pub fn with_store(store: Arc<dyn ObjectStore>) -> Self {
-        Pfs {
-            store,
-            declared: RwLock::new(HashMap::new()),
-            reads: Mutex::new(HashMap::new()),
-            total_reads: AtomicU64::new(0),
+    /// Put `file` at `key`, keeping the path's read count.
+    fn put(&self, key: &str, file: File) {
+        let mut files = self.files.write();
+        match files.get_mut(key) {
+            Some(entry) => entry.file = file,
+            None => {
+                let reads = AtomicU64::new(0);
+                files.insert(key.to_owned(), Entry { file, reads });
+            }
         }
     }
 
     /// Stage a file onto the PFS (dataset preparation; not counted as a
     /// read). Real content replaces a declared file's synthetic bytes.
     pub fn stage(&self, key: &str, data: impl Into<ValueBuf>) {
-        let _turn = self.declared.write();
-        self.store.put(key, data.into());
+        self.put(key, File::Stored(data.into()));
     }
 
     /// Declare the synthetic file `synth_bytes(key, size)` without
     /// generating it: its first read does, and later reads share that
     /// allocation. Replaces whatever `key` held.
     pub fn declare(&self, key: &str, size: usize) {
-        let mut declared = self.declared.write();
-        self.store.remove(key);
-        declared.insert(key.to_owned(), size);
+        self.put(key, File::Declared(size));
     }
 
-    /// Read a file, bumping the per-file and total read counters.
+    /// Read a file, bumping its read counter.
     pub fn read(&self, key: &str) -> Option<ValueBuf> {
-        let data = match self.store.get(key) {
-            Some(data) => data,
-            None => self.materialise(key)?,
+        let file = {
+            let files = self.files.read();
+            let entry = files.get(key)?;
+            // ordering: Relaxed — a statistic; it publishes no data.
+            entry.reads.fetch_add(1, Ordering::Relaxed);
+            entry.file.clone()
         };
-        let mut reads = self.reads.lock();
-        match reads.get_mut(key) {
-            Some(n) => *n += 1,
-            None => {
-                reads.insert(key.to_owned(), 1);
-            }
+        match file {
+            File::Stored(data) => Some(data),
+            File::Declared(size) => Some(self.materialise(key, size)),
         }
-        drop(reads);
-        // ordering: Relaxed — a statistic; it publishes no data.
-        self.total_reads.fetch_add(1, Ordering::Relaxed);
-        Some(data)
     }
 
     /// A declared file's first read: generate it outside every lock,
-    /// then keep whichever copy reached the store first.
-    fn materialise(&self, key: &str) -> Option<ValueBuf> {
-        let size = *self.declared.read().get(key)?;
+    /// then keep whichever copy was committed first.
+    fn materialise(&self, key: &str, size: usize) -> ValueBuf {
         let fresh = synth_bytes(key, size);
-        let _turn = self.declared.write();
-        if let Some(first) = self.store.get(key) {
-            return Some(first);
+        let mut files = self.files.write();
+        match files.get_mut(key).map(|entry| &mut entry.file) {
+            Some(File::Stored(first)) => first.clone(),
+            Some(file) => {
+                *file = File::Stored(fresh.clone());
+                fresh
+            }
+            // Paths are never removed.
+            None => fresh,
         }
-        self.store.put(key, fresh.clone());
-        Some(fresh)
-    }
-
-    /// Files and bytes: everything stored, plus the declared files not
-    /// read yet.
-    fn footprint(&self) -> (usize, u64) {
-        // Holding the read lock holds off commits, so no file is counted
-        // twice or missed.
-        let declared = self.declared.read();
-        declared
-            .iter()
-            .filter(|(k, _)| !self.store.contains(k))
-            .fold(
-                (self.store.len(), self.store.total_bytes()),
-                |(n, bytes), (_, &size)| (n + 1, bytes + size as u64),
-            )
     }
 
     /// True if the file is staged or declared.
     pub fn contains(&self, key: &str) -> bool {
-        self.store.contains(key) || self.declared.read().contains_key(key)
+        self.files.read().contains_key(key)
     }
 
     /// Number of staged or declared files.
     pub fn file_count(&self) -> usize {
-        self.footprint().0
+        self.files.read().len()
     }
 
     /// Total bytes staged or declared.
     pub fn total_bytes(&self) -> u64 {
-        self.footprint().1
+        let files = self.files.read();
+        files.values().map(|e| e.file.len() as u64).sum()
     }
 
     /// How many times `key` has been read since staging.
     pub fn reads_of(&self, key: &str) -> u64 {
-        self.reads.lock().get(key).copied().unwrap_or(0)
+        let files = self.files.read();
+        // ordering: Relaxed — a statistic; see `read`.
+        files
+            .get(key)
+            .map_or(0, |e| e.reads.load(Ordering::Relaxed))
     }
 
     /// Total reads across all files.
     pub fn total_reads(&self) -> u64 {
+        let files = self.files.read();
         // ordering: Relaxed — a statistic; see `read`.
-        self.total_reads.load(Ordering::Relaxed)
+        files
+            .values()
+            .map(|e| e.reads.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Reset read accounting (e.g. after the warm-up epoch, to isolate
     /// post-failure PFS traffic). Files stay staged or declared.
     pub fn reset_read_counters(&self) {
-        self.reads.lock().values_mut().for_each(|n| *n = 0);
+        let files = self.files.read();
         // ordering: Relaxed — a statistic; see `read`.
-        self.total_reads.store(0, Ordering::Relaxed);
-    }
-
-    /// Per-file read counts above a threshold — used to find files that
-    /// were re-read more than the recaching invariant allows.
-    pub fn files_read_more_than(&self, n: u64) -> Vec<(String, u64)> {
-        self.reads
-            .lock()
-            .iter()
-            .filter(|&(_, &c)| c > n)
-            .map(|(k, &c)| (k.clone(), c))
-            .collect()
+        files
+            .values()
+            .for_each(|e| e.reads.store(0, Ordering::Relaxed));
     }
 }
 
@@ -228,6 +231,15 @@ impl Default for PfsModel {
 mod tests {
     use super::*;
 
+    /// Files whose bytes exist: staged, or declared and read.
+    fn generated(pfs: &Pfs) -> usize {
+        let files = pfs.files.read();
+        files
+            .values()
+            .filter(|e| matches!(e.file, File::Stored(_)))
+            .count()
+    }
+
     #[test]
     fn stage_and_read_with_accounting() {
         let pfs = Pfs::in_memory();
@@ -255,19 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn files_read_more_than() {
-        let pfs = Pfs::in_memory();
-        pfs.stage("a", ValueBuf::copy_from_slice(b"x"));
-        pfs.stage("b", ValueBuf::copy_from_slice(b"y"));
-        pfs.read("a");
-        pfs.read("a");
-        pfs.read("b");
-        let over = pfs.files_read_more_than(1);
-        assert_eq!(over, vec![("a".to_string(), 2)]);
-        assert!(pfs.files_read_more_than(2).is_empty());
-    }
-
-    #[test]
     fn declared_files_are_catalogued_without_generating() {
         let pfs = Pfs::in_memory();
         pfs.declare("d/a", 100);
@@ -276,12 +275,12 @@ mod tests {
         assert_eq!(pfs.file_count(), 3);
         assert_eq!(pfs.total_bytes(), 131);
         assert!(pfs.contains("d/a") && pfs.contains("s") && !pfs.contains("d/c"));
-        assert_eq!(pfs.store.len(), 1, "declaring generates nothing");
+        assert_eq!(generated(&pfs), 1, "declaring generates nothing");
 
         // A first read generates the file once; the catalogue is unchanged.
         let a = pfs.read("d/a").expect("declared");
         assert!(crate::verify_synth("d/a", &a) && a.len() == 100);
-        assert_eq!(pfs.store.len(), 2);
+        assert_eq!(generated(&pfs), 2);
         assert_eq!((pfs.file_count(), pfs.total_bytes()), (3, 131));
     }
 
@@ -330,7 +329,6 @@ mod tests {
         pfs.read("d/a");
         pfs.reset_read_counters();
         assert_eq!((pfs.reads_of("d/a"), pfs.total_reads()), (0, 0));
-        assert!(pfs.files_read_more_than(0).is_empty());
         assert_eq!(pfs.file_count(), 2);
         assert!(crate::verify_synth(
             "d/b",

@@ -28,6 +28,35 @@ enum IdxOp {
     Drain(u32),
 }
 
+#[derive(Debug, Clone)]
+enum PfsOp {
+    Stage(u8, u8, u16),
+    Declare(u8, u16),
+    Read(u8),
+    Reset,
+}
+
+/// Eight stored paths, so stages, declarations and reads of one path
+/// interleave; reads also reach two paths nothing stores. Reads are
+/// listed twice to outweigh the rest.
+fn pfs_op_strategy() -> impl Strategy<Value = PfsOp> {
+    prop_oneof![
+        (0u8..8, any::<u8>(), 0u16..300).prop_map(|(k, b, n)| PfsOp::Stage(k, b, n)),
+        (0u8..8, 0u16..300).prop_map(|(k, n)| PfsOp::Declare(k, n)),
+        (0u8..10).prop_map(PfsOp::Read),
+        (0u8..10).prop_map(PfsOp::Read),
+        Just(PfsOp::Reset),
+    ]
+}
+
+/// What the model holds for one path: staged bytes, or a declared size
+/// whose content is `synth_bytes(path, size)`.
+#[derive(Debug, Clone)]
+enum PfsFile {
+    Staged(Vec<u8>),
+    Declared(usize),
+}
+
 fn idx_op_strategy() -> impl Strategy<Value = IdxOp> {
     prop_oneof![
         (0u32..4, any::<u8>()).prop_map(|(n, k)| IdxOp::Record(n, k)),
@@ -334,6 +363,66 @@ proptest! {
         prop_assert_eq!(pfs.total_reads(), total);
         for (k, v) in expected {
             prop_assert_eq!(pfs.reads_of(&format!("f{k}")), v);
+        }
+    }
+
+    /// `Pfs` against a `HashMap` model under random stage, declare, read
+    /// and reset sequences: membership, the catalogue's size, each read's
+    /// bytes and the per-file and total read counters all agree.
+    #[test]
+    fn pfs_matches_a_map_model(ops in prop::collection::vec(pfs_op_strategy(), 0..80)) {
+        let pfs = Pfs::in_memory();
+        let path = |k: u8| format!("d/f{k}");
+        let mut files: std::collections::HashMap<String, PfsFile> = Default::default();
+        let mut reads: std::collections::HashMap<String, u64> = Default::default();
+        let mut total = 0u64;
+        for op in &ops {
+            match *op {
+                PfsOp::Stage(k, b, n) => {
+                    let bytes = vec![b; usize::from(n)];
+                    pfs.stage(&path(k), ValueBuf::copy_from_slice(&bytes));
+                    files.insert(path(k), PfsFile::Staged(bytes));
+                }
+                PfsOp::Declare(k, n) => {
+                    pfs.declare(&path(k), usize::from(n));
+                    files.insert(path(k), PfsFile::Declared(usize::from(n)));
+                }
+                PfsOp::Read(k) => {
+                    let p = path(k);
+                    let got = pfs.read(&p);
+                    match files.get(&p) {
+                        None => prop_assert!(got.is_none(), "{} was never stored", p),
+                        Some(file) => {
+                            let want = match file {
+                                PfsFile::Staged(bytes) => bytes.clone(),
+                                PfsFile::Declared(n) => synth_bytes(&p, *n).to_vec(),
+                            };
+                            prop_assert_eq!(got.as_deref(), Some(&want[..]));
+                            *reads.entry(p).or_default() += 1;
+                            total += 1;
+                        }
+                    }
+                }
+                PfsOp::Reset => {
+                    pfs.reset_read_counters();
+                    reads.clear();
+                    total = 0;
+                }
+            }
+            for k in 0..10 {
+                let p = path(k);
+                prop_assert_eq!(pfs.contains(&p), files.contains_key(&p));
+                prop_assert_eq!(pfs.reads_of(&p), reads.get(&p).copied().unwrap_or(0));
+            }
+            prop_assert_eq!(pfs.total_reads(), total);
+            let bytes: u64 = files
+                .values()
+                .map(|f| match f {
+                    PfsFile::Staged(b) => b.len() as u64,
+                    PfsFile::Declared(n) => *n as u64,
+                })
+                .sum();
+            prop_assert_eq!((pfs.file_count(), pfs.total_bytes()), (files.len(), bytes));
         }
     }
 }

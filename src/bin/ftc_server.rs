@@ -14,13 +14,10 @@
 //! ```text
 //! ftc-server --node 0 --peers 127.0.0.1:7400,127.0.0.1:7401,127.0.0.1:7402 \
 //!     [--nvme-mb 256] [--nvme-shards 16] [--files 64] [--size 65536] [--prefix train] \
-//!     [--stage PREFIX:COUNT:SIZE,...] [--prom] \
-//!     [--armored [--queue N] [--ttl-ms MS]]
+//!     [--prom] [--armored [--queue N] [--ttl-ms MS]]
 //! ```
 //!
-//! `--stage` declares several datasets at once (the bench needs its
-//! three value sizes); when absent, one dataset from
-//! `--prefix/--files/--size`. Either way, no file is generated before
+//! The dataset is `--prefix/--files/--size`; no file is generated before
 //! `READY`.
 //! Each request is served on the connection thread that decoded it.
 //! `--armored` puts admission control in front of that: a request is
@@ -38,7 +35,7 @@
 //! the node persisted to its NVMe). SIGKILL remains the crash path the
 //! loopback test exercises.
 
-use ft_cache::fleet::{parse_stage_specs, stage_dataset, Args};
+use ft_cache::fleet::{stage_dataset, Args};
 use ftc_core::{AdmissionConfig, CacheRequest, CacheResponse, ServerHandle};
 use ftc_hashring::NodeId;
 use ftc_obs::{render_prometheus, Export};
@@ -52,7 +49,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: ftc-server --node N --peers HOST:PORT,... \
 [--nvme-mb MB] [--nvme-shards N] [--files N] [--size BYTES] [--prefix NAME] \
-[--stage PREFIX:COUNT:SIZE,...] [--prom] [--armored [--queue N] [--ttl-ms MS]]";
+[--prom] [--armored [--queue N] [--ttl-ms MS]]";
 
 /// Set by the SIGTERM handler; the main loop polls it and drains.
 static TERM_REQUESTED: AtomicBool = AtomicBool::new(false);
@@ -88,7 +85,6 @@ fn main() {
             "files",
             "size",
             "prefix",
-            "stage",
             "queue",
             "ttl-ms",
         ],
@@ -115,7 +111,7 @@ fn main() {
         .unwrap_or_else(|e| die(&e));
     let files: usize = args.parsed_or("files", 64).unwrap_or_else(|e| die(&e));
     let size: usize = args.parsed_or("size", 65_536).unwrap_or_else(|e| die(&e));
-    let prefix = args.get("prefix").unwrap_or("train").to_string();
+    let prefix = args.get("prefix").unwrap_or("train");
     if (node.0 as usize) >= peers.len() {
         die(&format!(
             "--node {} out of range for {} peers",
@@ -125,16 +121,10 @@ fn main() {
     }
 
     // Declare the synthetic PFS locally. Deterministic: each server in
-    // the fleet declares the identical dataset(s) from the same flags, and
+    // the fleet declares the identical dataset from the same flags, and
     // generates a file on its first fetch of it.
-    let specs = match args.get("stage") {
-        Some(s) => parse_stage_specs(s).unwrap_or_else(|e| die(&e)),
-        None => vec![(prefix, files, size)],
-    };
     let pfs = Arc::new(Pfs::in_memory());
-    for (prefix, count, size) in &specs {
-        stage_dataset(&pfs, prefix, *count, *size);
-    }
+    stage_dataset(&pfs, prefix, files, size);
     // Lock-striped on the real-socket path: concurrent reads from a
     // fleet of clients hash to independent shards instead of serialising
     // on one LRU lock. The capacity budget splits evenly per shard.

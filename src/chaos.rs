@@ -35,6 +35,7 @@ use ftc_net::{Incident, TraceEventKind};
 use ftc_sim::{FaultEvent, FaultPlan};
 use ftc_storage::{synth_bytes, ValueBuf};
 use ftc_time::{ClockHandle, SplitMix64};
+use invariants::LIVELOCK_SLACK;
 pub use invariants::{
     check, economy_budget, CampaignLog, Fired, Invariant, LoadRun, Phase, Read, Violation,
 };
@@ -464,9 +465,6 @@ pub enum Sabotage {
 pub struct CampaignOptions {
     /// Lazy or proactive recaching.
     pub recovery: RecoveryMode,
-    /// Override the static replication factor (`None` keeps the policy
-    /// default).
-    pub replication: Option<u32>,
     /// Record the fabric's vector-clock trace into the campaign — the
     /// log both `ftc_analysis::hb` and `ftc_analysis::linz` read.
     pub trace: bool,
@@ -477,11 +475,9 @@ pub struct CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Lazy recovery, policy-default RF, nothing recorded, no extra load,
-    /// no sabotage.
+    /// Lazy recovery, nothing recorded, no extra load, no sabotage.
     pub const PLAIN: Self = CampaignOptions {
         recovery: RecoveryMode::Lazy,
-        replication: None,
         trace: false,
         load: Load::None,
         sabotage: None,
@@ -705,6 +701,9 @@ const DUP_READERS: usize = 3;
 /// exercising fresh-epoch accepts against the rewired ring.
 const DUP_ROUNDS: usize = 3;
 
+/// A campaign read's retry deadline budget.
+const CAMPAIGN_DEADLINE: Duration = Duration::from_secs(2);
+
 /// The cluster every campaign and the degraded-window probe boot: the
 /// campaign TTL, a two-timeout limit, and a retry policy with enough
 /// attempts and budget to ride out every sampled fault.
@@ -715,7 +714,7 @@ fn campaign_cluster(nodes: u32, policy: FtPolicy, seed: u64) -> ClusterConfig {
     cfg.ft.retry.max_attempts = 16;
     cfg.ft.retry.base_backoff = Duration::from_micros(200);
     cfg.ft.retry.max_backoff = Duration::from_millis(3);
-    cfg.ft.retry.deadline_budget = Duration::from_secs(2);
+    cfg.ft.retry.deadline_budget = CAMPAIGN_DEADLINE;
     cfg.seed = seed;
     cfg
 }
@@ -896,9 +895,6 @@ fn record(
     clock: ClockHandle,
 ) -> Result<CampaignLog, String> {
     let mut cfg = campaign_cluster(plan.nodes, policy, plan.seed);
-    if let Some(rf) = opts.replication {
-        cfg.ft.replication = rf;
-    }
     // Everything stays at the disarmed defaults unless a load asks for
     // it, so unloaded campaigns are byte-identical to pre-armor ones.
     if overload_on(policy, opts) {
@@ -1559,6 +1555,16 @@ fn spoil(log: &mut CampaignLog, pick: fn(Phase) -> bool, n: usize) -> bool {
     reads.map(|r| r.got = Ok(!r.truth)).count() > 0
 }
 
+/// Set the recorded latency of the first `n` faulted-pass reads to
+/// `took`; false when the log has no such read.
+fn stretch(log: &mut CampaignLog, n: usize, took: Duration) -> bool {
+    let reads = log
+        .reads
+        .iter_mut()
+        .filter(|r| matches!(r.phase, Phase::Pass(_)));
+    reads.take(n).map(|r| r.took = took).count() > 0
+}
+
 /// Every self-test.
 pub const SELF_TESTS: &[SelfTest] = &[
     SelfTest {
@@ -1615,6 +1621,28 @@ pub const SELF_TESTS: &[SelfTest] = &[
             &SHIFTING_INTENSITY,
             |_, log| spoil(log, |p| p == Phase::Sweep, 1),
             Invariant::StaleServe,
+        ),
+    },
+    SelfTest {
+        name: "livelocked-read",
+        // One read outlasted its retry deadline and the slack on top.
+        check: SelfCheck::Mutant(
+            &SHIFTING_INTENSITY,
+            |_, log| {
+                let past = CAMPAIGN_DEADLINE + LIVELOCK_SLACK + Duration::from_millis(1);
+                stretch(log, 1, past)
+            },
+            Invariant::Liveness,
+        ),
+    },
+    SelfTest {
+        name: "starved-foreground",
+        // Every faulted-pass read took a second: over the starvation
+        // floor, under the liveness bound.
+        check: SelfCheck::Mutant(
+            &SHIFTING_INTENSITY,
+            |_, log| stretch(log, usize::MAX, Duration::from_secs(1)),
+            Invariant::Starvation,
         ),
     },
     SelfTest {

@@ -296,7 +296,7 @@ impl fmt::Display for Violation {
 
 /// Wall-clock slack allowed on top of the retry deadline budget before a
 /// read counts as livelocked (scheduler noise, final TTL, PFS read).
-const LIVELOCK_SLACK: Duration = Duration::from_secs(2);
+pub(super) const LIVELOCK_SLACK: Duration = Duration::from_secs(2);
 
 /// Floor for the foreground-starvation bound: recovery-era read p99 may
 /// not exceed `max(10 × warm p99, this)`. The floor absorbs detection

@@ -100,31 +100,6 @@ pub fn stage_dataset(pfs: &Pfs, prefix: &str, count: usize, size: usize) -> Vec<
     paths
 }
 
-/// Parse a `--stage` spec list: `PREFIX:COUNT:SIZE[,PREFIX:COUNT:SIZE…]`.
-/// Lets one `ftc-server` host several datasets (e.g. the three bench
-/// sizes) without restarts.
-pub fn parse_stage_specs(s: &str) -> Result<Vec<(String, usize, usize)>, String> {
-    s.split(',')
-        .map(|part| {
-            let part = part.trim();
-            let fields: Vec<&str> = part.split(':').collect();
-            let [prefix, count, size] = fields.as_slice() else {
-                return Err(format!("bad stage spec {part:?}: want PREFIX:COUNT:SIZE"));
-            };
-            if prefix.is_empty() {
-                return Err(format!("bad stage spec {part:?}: empty prefix"));
-            }
-            let count: usize = count
-                .parse()
-                .map_err(|_| format!("bad stage spec {part:?}: count {count:?}"))?;
-            let size: usize = size
-                .parse()
-                .map_err(|_| format!("bad stage spec {part:?}: size {size:?}"))?;
-            Ok(((*prefix).to_string(), count, size))
-        })
-        .collect()
-}
-
 /// A flat JSON document builder — objects, arrays, strings, numbers.
 /// Covers exactly what `BENCH_tcp_loopback.json` and the client summary
 /// need; nested values are composed by splicing pre-rendered JSON.
@@ -247,21 +222,6 @@ mod tests {
             assert_eq!(data, synth_bytes(p, 512));
             assert!(verify_synth(p, &data));
         }
-    }
-
-    #[test]
-    fn stage_specs_parse_and_reject() {
-        assert_eq!(
-            parse_stage_specs("train:64:65536, bench4096:32:4096").expect("parse"),
-            vec![
-                ("train".to_string(), 64, 65536),
-                ("bench4096".to_string(), 32, 4096)
-            ]
-        );
-        assert!(parse_stage_specs("train:64").is_err());
-        assert!(parse_stage_specs(":64:100").is_err());
-        assert!(parse_stage_specs("t:x:100").is_err());
-        assert!(parse_stage_specs("t:64:y").is_err());
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! four connections drive `HvacServer::handle_inbound` four at a time —
 //! the concurrency the miss single-flight and the striped `NvmeCache`
 //! were built for, reached here over real sockets: a key missed by all
-//! four at once costs one PFS read, mixed traffic over an NVMe smaller
-//! than the set keeps the striped accounting consistent, and shutdown
-//! still reclaims the server while the clients' connections are open.
+//! four at once costs one PFS read (rounds of fresh files run until the
+//! four meet inside one fetch), mixed traffic over an NVMe smaller than
+//! the set keeps the striped accounting consistent, and shutdown still
+//! reclaims the server while the clients' connections are open.
 //! Admission control gates those threads: a node with no room sheds a
 //! read with the typed `Overloaded` and still answers a `Ping`. A miss
 //! is persisted on the connection thread right after its reply, so the
@@ -19,8 +20,7 @@ use ftc_core::{
 };
 use ftc_hashring::NodeId;
 use ftc_net::xport::{Caller, Transport};
-use ftc_storage::{synth_bytes, verify_synth, MemStore, NvmeCache, ObjectStore, Pfs, ValueBuf};
-use ftc_time::ClockHandle;
+use ftc_storage::{synth_bytes, verify_synth, NvmeCache, Pfs};
 use ftc_wire::tcp::{TcpConfig, TcpTransport};
 use std::net::TcpListener;
 use std::sync::{Arc, Barrier};
@@ -29,42 +29,20 @@ use std::time::Duration;
 const CLIENTS: usize = 4;
 const TTL: Duration = Duration::from_secs(5);
 const COLD: &str = "cold/sample.bin";
-/// Long against the microseconds in which four barrier-released requests
-/// arrive, so the three that do not lead the fetch find it still open.
-const COLD_FETCH: Duration = Duration::from_millis(200);
+/// Generating a declared file this large on its first read takes the
+/// leader long enough that, on most rounds, the other three barrier-
+/// released requests arrive while its fetch is open. It is also over an
+/// NVMe stripe's budget, so no cold read is ever served from the cache.
+const COLD_SIZE: usize = 1 << 20;
+/// Rounds of four cold reads before the test gives up on seeing them
+/// meet inside one fetch.
+const COLD_ROUNDS: usize = 50;
 
 const MIXED_FILES: usize = 64;
 const MIXED_SIZE: usize = 4096;
 const MIXED_OPS: usize = 2000;
 /// A quarter of the mixed set, split over four stripes.
 const NVME_BYTES: u64 = (MIXED_FILES * MIXED_SIZE / 4) as u64;
-
-/// A PFS backing store where one key takes [`COLD_FETCH`] to read.
-struct SlowCold(MemStore);
-
-impl ObjectStore for SlowCold {
-    fn get(&self, key: &str) -> Option<ValueBuf> {
-        if key == COLD {
-            ClockHandle::wall().sleep(COLD_FETCH);
-        }
-        self.0.get(key)
-    }
-    fn put(&self, key: &str, value: ValueBuf) {
-        self.0.put(key, value)
-    }
-    fn remove(&self, key: &str) -> bool {
-        self.0.remove(key)
-    }
-    fn contains(&self, key: &str) -> bool {
-        self.0.contains(key)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn total_bytes(&self) -> u64 {
-        self.0.total_bytes()
-    }
-}
 
 fn mixed_path(i: usize) -> String {
     format!("mix/s{}.bin", i % MIXED_FILES)
@@ -97,8 +75,7 @@ fn four_connections_reach_the_servers_concurrency_machinery_when_armored() {
 fn four_connections(admission: AdmissionConfig) {
     let transport = one_node_transport();
 
-    let pfs = Arc::new(Pfs::with_store(Arc::new(SlowCold(MemStore::new()))));
-    pfs.stage(COLD, synth_bytes(COLD, 64 * 1024));
+    let pfs = Arc::new(Pfs::in_memory());
     for i in 0..MIXED_FILES {
         pfs.stage(&mixed_path(i), synth_bytes(&mixed_path(i), MIXED_SIZE));
     }
@@ -107,31 +84,26 @@ fn four_connections(admission: AdmissionConfig) {
         .expect("spawn server");
 
     // One caller each: four pooled connections, four connection threads.
+    // Connect first, so the cold reads leave together.
     let callers: Vec<Box<dyn Caller<CacheRequest, CacheResponse>>> = (0..CLIENTS)
         .map(|i| transport.caller(NodeId(10 + i as u32)))
         .collect();
-    let start = Barrier::new(CLIENTS);
+    for caller in &callers {
+        let pong = caller.call(NodeId(0), CacheRequest::Ping, TTL);
+        assert_eq!(pong, Ok(CacheResponse::Pong));
+    }
+    let cold_rounds = coalesce_a_cold_miss(&pfs, &server, &callers);
 
-    let reads_issued: usize = std::thread::scope(|s| {
+    let start = Barrier::new(CLIENTS);
+    let mixed_reads: usize = std::thread::scope(|s| {
         let clients: Vec<_> = callers
             .iter()
             .enumerate()
             .map(|(c, caller)| {
                 let start = &start;
                 s.spawn(move || {
-                    // Connect first, so the cold reads leave together.
-                    let pong = caller.call(NodeId(0), CacheRequest::Ping, TTL);
-                    assert_eq!(pong, Ok(CacheResponse::Pong));
                     start.wait();
-                    let cold =
-                        caller.call(NodeId(0), CacheRequest::Read { path: COLD.into() }, TTL);
-                    let cold = match cold {
-                        Ok(CacheResponse::Data { bytes, .. }) => bytes,
-                        other => panic!("cold read: {other:?}"),
-                    };
-
-                    start.wait();
-                    let mut reads = 1;
+                    let mut reads = 0;
                     for i in 0..MIXED_OPS {
                         let path = mixed_path(i * (c + 1) + c);
                         let req = if i % 10 == 9 {
@@ -151,31 +123,17 @@ fn four_connections(admission: AdmissionConfig) {
                             other => panic!("{path}: {other:?}"),
                         }
                     }
-                    (cold, reads)
+                    reads
                 })
             })
             .collect();
-        let done: Vec<_> = clients
+        clients
             .into_iter()
             .map(|c| c.join().expect("client thread"))
-            .collect();
-        for (cold, _) in &done {
-            assert_eq!(*cold, synth_bytes(COLD, 64 * 1024), "cold reply differs");
-        }
-        done.iter().map(|(_, reads)| reads).sum()
+            .sum()
     });
+    let reads_issued = CLIENTS * cold_rounds + mixed_reads;
 
-    assert_eq!(
-        pfs.reads_of(COLD),
-        1,
-        "concurrent misses were not coalesced"
-    );
-    let flights = server.miss_flight_stats();
-    assert!(
-        flights.coalesced >= 1,
-        "no request joined another's fetch (leaders={})",
-        flights.leaders
-    );
     assert_eq!(server.sheds(), Default::default(), "a request was shed");
 
     // Shutdown reclaims the server although every client connection is
@@ -197,6 +155,58 @@ fn four_connections(admission: AdmissionConfig) {
         .call(NodeId(0), CacheRequest::Ping, TTL)
         .expect_err("nobody serves any more");
     assert!(err.indicates_failure(), "got {err:?}");
+}
+
+/// Four clients miss one fresh declared file at once, round after round,
+/// until a round's four reads cost one PFS fetch: the three that did not
+/// lead joined the leader's flight. Every round, each cold read goes
+/// through the flight, and each PFS fetch is a leader's or a stale
+/// retry's. Returns the rounds run.
+fn coalesce_a_cold_miss(
+    pfs: &Pfs,
+    server: &ServerHandle,
+    callers: &[Box<dyn Caller<CacheRequest, CacheResponse>>],
+) -> usize {
+    let start = Barrier::new(CLIENTS);
+    for round in 1..=COLD_ROUNDS {
+        let path = format!("cold/r{round}.bin");
+        pfs.declare(&path, COLD_SIZE);
+        let before = server.miss_flight_stats();
+        std::thread::scope(|s| {
+            for caller in callers {
+                let (start, path) = (&start, &path);
+                s.spawn(move || {
+                    start.wait();
+                    let req = CacheRequest::Read { path: path.clone() };
+                    match caller.call(NodeId(0), req, TTL) {
+                        Ok(CacheResponse::Data { bytes, .. }) => assert!(
+                            bytes.len() == COLD_SIZE && verify_synth(path, &bytes),
+                            "{path}: wrong bytes"
+                        ),
+                        other => panic!("{path}: {other:?}"),
+                    }
+                });
+            }
+        });
+        let after = server.miss_flight_stats();
+        let led = after.leaders - before.leaders;
+        let joined = after.coalesced - before.coalesced;
+        let stale = after.stale_retries - before.stale_retries;
+        assert_eq!(
+            led + joined + stale,
+            CLIENTS as u64,
+            "round {round}: a cold read bypassed the flight"
+        );
+        assert_eq!(
+            pfs.reads_of(&path),
+            led + stale,
+            "round {round}: a follower fetched on its own"
+        );
+        if joined == CLIENTS as u64 - 1 {
+            return round;
+        }
+    }
+    panic!("in {COLD_ROUNDS} rounds, four concurrent misses never shared one fetch");
 }
 
 #[test]
